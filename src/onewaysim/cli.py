@@ -29,6 +29,7 @@ from .analysis import (
     witness_from_counts,
     witness_value,
 )
+from .mbqc import _MARKS
 from .photonics import (
     COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
@@ -48,7 +49,6 @@ class ConfigError(Exception):
 
 
 _COMMANDS = ("witness", "grover", "gate", "visibility")
-_MARKS = ("00", "01", "10", "11")
 
 _TOP_KEYS = {
     "experiment",
@@ -181,6 +181,8 @@ class ExperimentConfig:
         cfg.visibility_samples = _integer(
             visibility, "samples", 24, "visibility.samples", minimum=4
         )
+        if cfg.visibility_samples % 2:
+            raise ConfigError("config field 'visibility.samples' must be even")
         return cfg
 
 

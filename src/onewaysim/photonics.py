@@ -34,14 +34,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cluster import c4_state
 from .qcore import (
     DensityMatrix,
-    PauliString,
     State,
     StateVector,
     apply_gate,
-    expectation,
     hadamard,
 )
 
@@ -247,19 +244,21 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _stabilizer_terms(state: State) -> Tuple[float, ...]:
-    return tuple(
-        expectation(state, PauliString(word)) for word in WITNESS_OBSERVABLES
-    )
-
-
 def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
     """Least-squares noise parameters for six measured stabilizer values.
 
-    ``targets`` follows WITNESS_OBSERVABLES order.  The six values only
-    determine the white noise weight and the product
-    (1 - lambda_A)(1 - lambda_B); the returned model uses the gauge
+    ``targets`` follows WITNESS_OBSERVABLES order.  Under the noise model
+    XXIZ, XXZI, IIZZ and ZZII each equal keep = 1 - p, and IZXX and ZIXX
+    each equal keep * q with q = (1 - lambda_A)(1 - lambda_B), so the six
+    values only determine p and q; the returned model uses the gauge
     lambda_A = 0 with the whole path dephasing attributed to photon B.
+
+    The fit is the exact least-squares solution in closed form: keep is
+    the mean of the first four values and keep * q the mean of the other
+    two, when that gives 0 <= q <= 1.  Otherwise the minimum lies on the
+    edge q = 0 (keep the mean of the four) or q = 1 (keep the mean of all
+    six), with keep clipped at 0; no target exceeds 1, so keep never
+    does.  When keep = 0, q has no effect and is reported as 1.
 
     Returns (model, residual) with residual the summed squared misfit.
     """
@@ -269,37 +268,21 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
     for v in values:
         if not (math.isfinite(v) and -1.0 <= v <= 1.0):
             raise ValueError(f"target {v!r} is not an expectation value")
+    named = dict(zip(WITNESS_OBSERVABLES, values))
+    flat = [named[w] for w in ("XXIZ", "XXZI", "IIZZ", "ZZII")]
+    mixed = [named[w] for w in ("IZXX", "ZIXX")]
 
-    reference = c4_state()
+    def residual(keep: float, q: float) -> float:
+        return sum((v - keep) ** 2 for v in flat) + sum((v - keep * q) ** 2 for v in mixed)
 
-    def misfit(product: float, white: float) -> float:
-        model = NoiseModel(0.0, 1.0 - product, white)
-        predicted = _stabilizer_terms(apply_noise(reference, model))
-        return float(sum((a - b) ** 2 for a, b in zip(predicted, values)))
-
-    # coarse grid, then coordinate descent with step halving
-    grid = np.linspace(0.0, 1.0, 21)
-    best = (math.inf, 1.0, 0.0)
-    for product in grid:
-        for white in grid:
-            value = misfit(product, white)
-            if value < best[0]:
-                best = (value, float(product), float(white))
-    value, product, white = best
-    step = float(grid[1] - grid[0])
-    while step >= 1e-6:
-        moved = True
-        while moved:
-            moved = False
-            for dq, dw in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                q = min(1.0, max(0.0, product + dq))
-                w = min(1.0, max(0.0, white + dw))
-                candidate = misfit(q, w)
-                if candidate < value - 1e-15:
-                    value, product, white = candidate, q, w
-                    moved = True
-        step /= 2.0
-    return NoiseModel(0.0, 1.0 - product, white), value
+    keep, keep_q = sum(flat) / 4.0, sum(mixed) / 2.0
+    candidates = [(max(0.0, keep), 0.0), (max(0.0, (sum(flat) + sum(mixed)) / 6.0), 1.0)]
+    if keep > 0.0 and 0.0 <= keep_q <= keep:
+        candidates.append((keep, keep_q / keep))
+    keep, q = min(candidates, key=lambda c: residual(*c))
+    if keep == 0.0:
+        q = 1.0
+    return NoiseModel(0.0, 1.0 - q, 1.0 - keep), residual(keep, q)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +503,14 @@ def visibility_scan(
 ) -> VisibilityScan:
     """Scan the source phase and report the fringe visibility.
 
-    Visibility is (max - min)/(max + min) over the sampled fringe; even
-    ``samples`` counts include both extremes of this source exactly.
+    Visibility is (max - min)/(max + min) over the sampled fringe.
+    ``samples`` must be even, so that it includes both extremes of this
+    source (theta = 0 and pi); an odd count understates the visibility.
     """
     if samples < 4:
         raise ValueError("need at least four samples per turn")
+    if samples % 2:
+        raise ValueError(f"samples must be even, got {samples}")
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     probs = [visibility_fringe(model, detector_pair, t) for t in thetas]
     top, bottom = max(probs), min(probs)

@@ -194,9 +194,6 @@ def identity_gate() -> SingleQubitGate:
     return SingleQubitGate(np.eye(2))
 
 
-_BYPRODUCT_GATES = {"X": pauli_x, "Z": pauli_z}
-
-
 # ---------------------------------------------------------------------------
 # state construction helpers
 # ---------------------------------------------------------------------------

@@ -208,6 +208,14 @@ def test_visibility_command(tmp_path):
     assert len(csv_lines) == 9
 
 
+def test_visibility_odd_samples_exit_code(tmp_path, capsys):
+    config = _write(tmp_path, "config.yaml", "visibility:\n  samples: 5\n")
+    assert main(["visibility", "--config", config, "--out", str(tmp_path / "v")]) == 2
+    message = capsys.readouterr().err
+    assert "visibility.samples" in message and "even" in message
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_visibility_all_pairs(tmp_path):
     prefix = str(tmp_path / "vall")
     assert main(["visibility", "--out", prefix]) == 0

@@ -183,6 +183,15 @@ def test_noise_pauli_transfer_factors(rng):
 # ---------------------------------------------------------------------------
 
 
+_FLAT_WORDS = ("XXIZ", "XXZI", "IIZZ", "ZZII")
+_MIXED_WORDS = ("IZXX", "ZIXX")
+
+
+def _model_targets(keep, q):
+    """Stabilizer values of the noise model: keep = 1 - p, q the dephasing product."""
+    return {w: (keep * q if w in _MIXED_WORDS else keep) for w in WITNESS_OBSERVABLES}
+
+
 def _closed_form_fit(targets):
     """Separable least-squares solution used as the oracle.
 
@@ -190,12 +199,50 @@ def _closed_form_fit(targets):
     other two see b*q with q the dephasing product, so the optimum is
     b = mean of the four, b*q = mean of the two.
     """
-    flat = [targets[w] for w in ("XXIZ", "XXZI", "IIZZ", "ZZII")]
-    mixed = [targets[w] for w in ("IZXX", "ZIXX")]
+    flat = [targets[w] for w in _FLAT_WORDS]
+    mixed = [targets[w] for w in _MIXED_WORDS]
     b = sum(flat) / 4.0
     bq = sum(mixed) / 2.0
     residual = sum((b - t) ** 2 for t in flat) + sum((bq - t) ** 2 for t in mixed)
     return b, bq / b, residual
+
+
+def _brute_force_fit(targets):
+    """Grid search over the parameter box, used as an independent oracle.
+
+    Scans keep = 1 - p and q over [0, 1] x [0, 1] on a 41 x 41 grid, then
+    repeatedly zooms a grid of the same size onto the best point until
+    the window is far below the float precision of the result.  Returns
+    (keep, q, residual) of the best grid point found.
+    """
+    flat = np.array([targets[w] for w in _FLAT_WORDS])
+    mixed = np.array([targets[w] for w in _MIXED_WORDS])
+    keep_lo, keep_hi, q_lo, q_hi = 0.0, 1.0, 0.0, 1.0
+    for _ in range(14):
+        keep, q = np.meshgrid(
+            np.linspace(keep_lo, keep_hi, 41), np.linspace(q_lo, q_hi, 41), indexing="ij"
+        )
+        misfit = ((flat[:, None, None] - keep) ** 2).sum(axis=0)
+        misfit += ((mixed[:, None, None] - keep * q) ** 2).sum(axis=0)
+        i, j = np.unravel_index(np.argmin(misfit), misfit.shape)
+        best = (float(keep[i, j]), float(q[i, j]), float(misfit[i, j]))
+        keep_step = (keep_hi - keep_lo) / 40.0
+        q_step = (q_hi - q_lo) / 40.0
+        keep_lo, keep_hi = max(0.0, best[0] - 2 * keep_step), min(1.0, best[0] + 2 * keep_step)
+        q_lo, q_hi = max(0.0, best[1] - 2 * q_step), min(1.0, best[1] + 2 * q_step)
+    return best
+
+
+def _assert_no_worse_than_oracle(targets):
+    model, residual = fit_noise([targets[w] for w in WITNESS_OBSERVABLES])
+    assert model.path_dephasing_a == 0.0
+    _, _, oracle = _brute_force_fit(targets)
+    assert residual <= oracle + 1e-12
+    # the reported residual is the misfit of the returned model
+    predicted = _model_targets(1.0 - model.white_noise, 1.0 - model.path_dephasing_b)
+    misfit = sum((predicted[w] - targets[w]) ** 2 for w in WITNESS_OBSERVABLES)
+    assert residual == pytest.approx(misfit, abs=1e-12)
+    return model, residual
 
 
 def test_fit_noise_reference_targets():
@@ -203,9 +250,49 @@ def test_fit_noise_reference_targets():
     model, residual = fit_noise([targets[w] for w in WITNESS_OBSERVABLES])
     b, q, expected_residual = _closed_form_fit(targets)
     assert model.path_dephasing_a == 0.0  # gauge choice
-    assert model.white_noise == pytest.approx(1.0 - b, abs=2e-4)
-    assert 1.0 - model.path_dephasing_b == pytest.approx(q, abs=2e-4)
-    assert residual == pytest.approx(expected_residual, abs=1e-5)
+    assert model.white_noise == pytest.approx(1.0 - b, abs=1e-12)
+    assert 1.0 - model.path_dephasing_b == pytest.approx(q, abs=1e-12)
+    assert residual == pytest.approx(expected_residual, abs=1e-12)
+    assert model.white_noise == pytest.approx(0.06675, abs=1e-7)
+    assert model.path_dephasing_b == pytest.approx(0.0365926, abs=1e-7)
+    # the grid-and-descent search this replaced stopped at 0.0037897900014
+    assert residual <= 0.0037897900014
+
+
+def test_fit_noise_is_no_worse_than_brute_force_on_random_targets():
+    rng = np.random.default_rng(5)
+    for index in range(100):
+        if index % 2:
+            values = rng.uniform(-1.0, 1.0, size=6)
+        else:
+            # near the physical region: a model's values plus measurement noise
+            model = _model_targets(*rng.uniform(0.5, 1.0, size=2))
+            values = [model[w] + rng.normal(0.0, 0.05) for w in WITNESS_OBSERVABLES]
+            values = np.clip(values, -1.0, 1.0)
+        _assert_no_worse_than_oracle(dict(zip(WITNESS_OBSERVABLES, map(float, values))))
+
+
+@pytest.mark.parametrize(
+    "flat, mixed, white_noise, path_dephasing_b, residual",
+    [
+        (0.0, 0.0, 1.0, 0.0, 0.0),     # all zero: pure white noise, q free, no dephasing reported
+        (1.0, 1.0, 0.0, 0.0, 0.0),     # all +1: the ideal model
+        (-1.0, -1.0, 1.0, 0.0, 6.0),   # all -1: pure white noise
+        (0.8, 0.95, 1.0 - 0.85, 0.0, 4 * 0.05**2 + 2 * 0.1**2),  # q > 1: clipped to q = 1
+        (-0.2, -0.1, 1.0, 0.0, 4 * 0.04 + 2 * 0.01),  # negative means
+        (0.9, -0.3, 0.1, 1.0, 2 * 0.09),  # negative mixed mean: q = 0
+        (1.0, 0.5, 0.0, 0.5, 0.0),     # keep = 1 inside the box
+        (1.0, -0.5, 0.0, 1.0, 2 * 0.25),  # keep = 1 and q = 0
+        (-0.3, 0.2, 1.0, 0.0, 4 * 0.09 + 2 * 0.04),  # negative flat, positive mixed
+        (0.3, -0.9, 0.7, 1.0, 2 * 0.81),  # positive flat, negative mixed
+    ],
+)
+def test_fit_noise_boundary_targets(flat, mixed, white_noise, path_dephasing_b, residual):
+    targets = {w: (mixed if w in _MIXED_WORDS else flat) for w in WITNESS_OBSERVABLES}
+    model, got = _assert_no_worse_than_oracle(targets)
+    assert model.white_noise == pytest.approx(white_noise, abs=1e-12)
+    assert model.path_dephasing_b == pytest.approx(path_dephasing_b, abs=1e-12)
+    assert got == pytest.approx(residual, abs=1e-12)
 
 
 def test_fit_noise_exact_recovery():
@@ -421,6 +508,12 @@ def test_visibility_scan_ideal_is_unity():
     assert scan.visibility == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         visibility_scan(NoiseModel.ideal(), "D1-D2", samples=3)
+
+
+def test_visibility_scan_rejects_odd_samples():
+    # five samples would miss theta = pi and report 0.826 for an ideal source
+    with pytest.raises(ValueError, match="even"):
+        visibility_scan(NoiseModel.ideal(), "D1-D2", samples=5)
 
 
 def test_reference_tables_are_consistent():
