@@ -100,6 +100,10 @@ def witness_value(state: State) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
+class NoCountsError(ValueError):
+    """Raised when a setting drew no coincidences to estimate from."""
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Coincidence counts of one run at one apparatus setting."""
@@ -218,7 +222,7 @@ def _merge_counts(records: Iterable[CountRecord]) -> Dict[str, Dict[str, int]]:
 def _estimate_terms(bucket: Dict[str, int], words) -> Dict[str, float]:
     total = sum(bucket.values())
     if total == 0:
-        raise ValueError("a witness setting has zero counts")
+        raise NoCountsError("a witness setting has zero counts")
     out = {}
     for word in words:
         out[word] = (
@@ -385,7 +389,7 @@ def grover_report(
     record = simulate_counts(distribution, rate, duration, (int(seed), 0x5ea))
     total = record.total()
     if total == 0:
-        raise ValueError("no counts drawn; increase rate or duration")
+        raise NoCountsError("no counts drawn; increase rate or duration")
     hit = record.counts.get(marked, 0)
     estimate = hit / total
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / total)

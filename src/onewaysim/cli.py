@@ -5,7 +5,10 @@ Four subcommands mirror the analysis pipelines: ``witness``,
 file (JSON works too, it is a YAML subset), an output prefix, an
 optional seed override, and an output format.  Runs are fully
 deterministic: the same config and seed produce byte-identical output
-files, and the ``threads`` config key never changes results.
+files.
+
+Without ``--out`` the JSON document is the only thing on stdout and the
+summary line goes to stderr, so stdout always parses as one document.
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 1 for
 internal errors.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -23,6 +27,7 @@ from typing import Dict, Optional, Tuple
 import yaml
 
 from .analysis import (
+    NoCountsError,
     gate_fidelity_report,
     grover_report,
     simulate_witness_records,
@@ -40,7 +45,7 @@ from .photonics import (
     apply_noise,
     fit_noise,
     source_state,
-    visibility_scan,
+    visibility_scans,
 )
 
 
@@ -57,12 +62,18 @@ _TOP_KEYS = {
     "seed",
     "duration",
     "rate",
-    "threads",
     "grover",
     "gate",
     "visibility",
 }
 _NOISE_KEYS = {"path_dephasing_a", "path_dephasing_b", "white_noise"}
+
+# numpy's Poisson sampler refuses means beyond the int64 range (~9.2e18)
+_MAX_EXPECTED_COUNTS = 1e18
+
+# a number in exponent form that YAML 1.1 reads as text: no decimal point
+# in the mantissa, or no sign on the exponent
+_TEXT_EXPONENT = re.compile(r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)")
 
 
 def _as_mapping(value, name: str) -> dict:
@@ -78,10 +89,19 @@ def _check_keys(mapping: dict, allowed, prefix: str = "") -> None:
             raise ConfigError(f"unknown config field {shown!r}")
 
 
+def _number_hint(value) -> str:
+    match = _TEXT_EXPONENT.fullmatch(value.strip()) if isinstance(value, str) else None
+    if match is None:
+        return ""
+    mantissa, fraction, sign, digits = match.groups()
+    written = f"{mantissa}{fraction or '.0'}e{sign or '+'}{digits}"
+    return f" (YAML 1.1 reads {value!r} as text; write {written})"
+
+
 def _number(mapping: dict, key: str, default, name: str, minimum=None, positive=False):
     value = mapping.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field {name!r} must be a number")
+        raise ConfigError(f"config field {name!r} must be a number{_number_hint(value)}")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(f"config field {name!r} must be finite")
@@ -106,12 +126,11 @@ class ExperimentConfig:
     """Validated run configuration with experiment defaults."""
 
     experiment: Optional[str] = None
-    theta: float = 0.0
+    theta: Optional[float] = None  # None when the config sets no source.theta
     noise: object = "ideal"
     seed: int = 0
     duration: float = 1.0
     rate: float = COINCIDENCE_RATE_HZ
-    threads: int = 1
     grover_marked: str = "00"
     grover_feedforward: bool = True
     gate_kind: str = "horseshoe"
@@ -138,13 +157,19 @@ class ExperimentConfig:
 
         source = _as_mapping(data.get("source", {}), "source")
         _check_keys(source, {"theta"}, "source.")
-        cfg.theta = _number(source, "theta", 0.0, "source.theta")
+        if "theta" in source:
+            cfg.theta = _number(source, "theta", 0.0, "source.theta")
 
         cfg.noise = _validated_noise(data.get("noise", "ideal"))
-        cfg.seed = _integer(data, "seed", 0, "seed")
+        cfg.seed = _integer(data, "seed", 0, "seed", minimum=0)
         cfg.duration = _number(data, "duration", 1.0, "duration", positive=True)
         cfg.rate = _number(data, "rate", COINCIDENCE_RATE_HZ, "rate", positive=True)
-        cfg.threads = _integer(data, "threads", 1, "threads", minimum=1)
+        expected = cfg.rate * cfg.duration
+        if expected > _MAX_EXPECTED_COUNTS:
+            raise ConfigError(
+                f"config fields 'rate' and 'duration' ask for {expected:.3g} "
+                f"coincidences, more than the {_MAX_EXPECTED_COUNTS:.0e} that can be drawn"
+            )
 
         grover = _as_mapping(data.get("grover", {}), "grover")
         _check_keys(grover, {"marked", "feedforward"}, "grover.")
@@ -200,9 +225,10 @@ def _validated_noise(spec):
             or len(targets) != 6
             or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in targets)
         ):
+            hints = "".join(map(_number_hint, targets)) if isinstance(targets, list) else ""
             raise ConfigError(
                 "config field 'noise.fit.targets' must list six numbers in the "
-                "order " + ", ".join(WITNESS_OBSERVABLES)
+                "order " + ", ".join(WITNESS_OBSERVABLES) + hints
             )
         return {"fit": {"targets": [float(t) for t in targets]}}
     _check_keys(mapping, _NOISE_KEYS, "noise.")
@@ -287,23 +313,35 @@ def _write_csv(path: str, header, rows) -> None:
             handle.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def _emit(prefix: Optional[str], fmt: str, document: dict, csv_name: str, header, rows):
-    """Write the requested outputs; return the paths written."""
-    written = []
+# what a subcommand hands to _emit: document, CSV name, header, rows, summary
+_Result = Tuple[dict, str, Tuple[str, ...], list, str]
+
+
+def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
+    """Write the requested outputs and report them; return the exit code.
+
+    Without a prefix the JSON document goes to stdout and the summary to
+    stderr, so stdout holds nothing but the document.
+    """
+    document, csv_name, header, rows, summary = result
     if prefix is None:
-        if fmt != "json":
-            raise ConfigError("--format csv/both requires --out")
         print(json.dumps(document, indent=2, sort_keys=True))
-        return written
-    if fmt in ("json", "both"):
-        path = f"{prefix}.json"
-        _write_json(path, document)
-        written.append(path)
-    if fmt in ("csv", "both"):
-        path = f"{prefix}_{csv_name}.csv"
-        _write_csv(path, header, rows)
-        written.append(path)
-    return written
+        print(summary, file=sys.stderr)
+        return 0
+    written = []
+    try:
+        if fmt in ("json", "both"):
+            written.append(f"{prefix}.json")
+            _write_json(written[-1], document)
+        if fmt in ("csv", "both"):
+            written.append(f"{prefix}_{csv_name}.csv")
+            _write_csv(written[-1], header, rows)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {written[-1]!r}: {exc.strerror}") from exc
+    print(summary)
+    for path in written:
+        print(f"wrote {path}")
+    return 0
 
 
 def _common_document(cfg: ExperimentConfig, noise_info: dict) -> dict:
@@ -320,9 +358,10 @@ def _common_document(cfg: ExperimentConfig, noise_info: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_witness(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
+def cmd_witness(cfg: ExperimentConfig) -> _Result:
     model, noise_info = resolve_noise(cfg)
-    state = source_state(SourceParams(cfg.theta))
+    theta = 0.0 if cfg.theta is None else cfg.theta
+    state = source_state(SourceParams(theta))
     prepared = state if model.is_ideal() else apply_noise(state, model)
     exact = witness_value(prepared)
     records = simulate_witness_records(prepared, cfg.rate, cfg.duration, cfg.seed)
@@ -332,7 +371,7 @@ def cmd_witness(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
     document.update(
         {
             "command": "witness",
-            "theta": cfg.theta,
+            "theta": theta,
             "exact": {
                 "terms": exact.terms,
                 "witness": exact.witness,
@@ -358,19 +397,13 @@ def cmd_witness(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
         )
         for word in WITNESS_OBSERVABLES
     ]
-    written = _emit(
-        prefix, fmt, document, "terms", ("term", "exact", "estimate", "stderr"), rows
+    summary = "witness %.6f (exact %.6f), fidelity bound %.6f" % (
+        counted.witness, exact.witness, counted.fidelity_bound
     )
-    print(
-        "witness %.6f (exact %.6f), fidelity bound %.6f"
-        % (counted.witness, exact.witness, counted.fidelity_bound)
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return document, "terms", ("term", "exact", "estimate", "stderr"), rows, summary
 
 
-def cmd_grover(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
+def cmd_grover(cfg: ExperimentConfig) -> _Result:
     model, noise_info = resolve_noise(cfg)
     report = grover_report(
         noise=None if model.is_ideal() else model,
@@ -397,24 +430,16 @@ def cmd_grover(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
         (outcome, report.distribution[outcome])
         for outcome in sorted(report.distribution)
     ]
-    written = _emit(
-        prefix, fmt, document, "distribution", ("outcome", "probability"), rows
+    summary = "search success %.6f (estimated %.6f +- %.6f from %d counts)" % (
+        report.success_probability,
+        report.estimated_success,
+        report.estimate_stderr,
+        report.trials,
     )
-    print(
-        "search success %.6f (estimated %.6f +- %.6f from %d counts)"
-        % (
-            report.success_probability,
-            report.estimated_success,
-            report.estimate_stderr,
-            report.trials,
-        )
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return document, "distribution", ("outcome", "probability"), rows, summary
 
 
-def cmd_gate(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
+def cmd_gate(cfg: ExperimentConfig) -> _Result:
     model, noise_info = resolve_noise(cfg)
     report = gate_fidelity_report(
         cfg.gate_kind,
@@ -438,22 +463,16 @@ def cmd_gate(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
     rows = [
         (s2, s3, report[(s2, s3)]) for s2 in (0, 1) for s3 in (0, 1)
     ]
-    written = _emit(
-        prefix, fmt, document, "fidelities", ("s2", "s3", "fidelity"), rows
+    summary = "%s gate alpha=%.4f beta=%.4f mean branch fidelity %.6f" % (
+        cfg.gate_kind, cfg.gate_alpha, cfg.gate_beta, mean
     )
-    print(
-        "%s gate alpha=%.4f beta=%.4f mean branch fidelity %.6f"
-        % (cfg.gate_kind, cfg.gate_alpha, cfg.gate_beta, mean)
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return document, "fidelities", ("s2", "s3", "fidelity"), rows, summary
 
 
-def cmd_visibility(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> int:
+def cmd_visibility(cfg: ExperimentConfig) -> _Result:
     model, noise_info = resolve_noise(cfg)
     pairs = DETECTOR_PAIRS if cfg.visibility_pair == "all" else (cfg.visibility_pair,)
-    scans = [visibility_scan(model, pair, cfg.visibility_samples) for pair in pairs]
+    scans = visibility_scans(model, pairs, cfg.visibility_samples)
     document = _common_document(cfg, noise_info)
     document.update(
         {
@@ -474,19 +493,10 @@ def cmd_visibility(cfg: ExperimentConfig, prefix: Optional[str], fmt: str) -> in
         for scan in scans
         for theta, probability in zip(scan.thetas, scan.probabilities)
     ]
-    written = _emit(
-        prefix,
-        fmt,
-        document,
-        "fringes",
-        ("detector_pair", "theta", "probability"),
-        rows,
+    summary = "\n".join(
+        "visibility %s %.6f" % (scan.detector_pair, scan.visibility) for scan in scans
     )
-    for scan in scans:
-        print("visibility %s %.6f" % (scan.detector_pair, scan.visibility))
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return document, "fringes", ("detector_pair", "theta", "probability"), rows, summary
 
 
 _HANDLERS = {
@@ -531,10 +541,28 @@ def main(argv=None) -> int:
                 f"config is for experiment {cfg.experiment!r}, "
                 f"but the {args.command!r} command was invoked"
             )
+        if cfg.theta is not None and args.command != "witness":
+            raise ConfigError(
+                "config field 'source.theta' only applies to the witness command; "
+                f"{args.command!r} would ignore it"
+            )
+        if args.out == "":
+            raise ConfigError("--out must name a path prefix, got an empty string")
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg.seed = args.seed
         fmt = args.format or ("both" if args.out else "json")
-        return _HANDLERS[args.command](cfg, args.out, fmt)
+        if args.out is None and fmt != "json":
+            raise ConfigError("--format csv/both requires --out")
+        try:
+            result = _HANDLERS[args.command](cfg)
+        except NoCountsError as exc:
+            raise ConfigError(
+                f"{exc} (config fields 'rate' and 'duration' expect "
+                f"{cfg.rate * cfg.duration:.3g} coincidences per setting)"
+            ) from exc
+        return _emit(args.out, fmt, result)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,11 +21,12 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .cluster import c4_state, to_box_frame
-from .photonics import beam_splitter
+from .photonics import _PM_BASIS, _Z_BASIS, beam_splitter
 from .qcore import (
     ImpossibleOutcomeError,
     State,
     StateVector,
+    _basis_probabilities,
     apply_cphase,
     apply_gate,
     hadamard,
@@ -225,8 +226,13 @@ def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> Measurem
     )
 
 
-def _two_qubit_plus() -> StateVector:
-    return StateVector(np.full(4, 0.5, dtype=complex))
+def _rotated_pair(spec: GateOutputSpec) -> StateVector:
+    """(H Rz(-alpha) x H Rz(-beta)) CPhase |++>, shared by both gates."""
+    out = apply_cphase(StateVector(np.full(4, 0.5, dtype=complex)), 0, 1)
+    out = apply_gate(out, 0, rz(-spec.alpha))
+    out = apply_gate(out, 1, rz(-spec.beta))
+    h = hadamard()
+    return apply_gate(apply_gate(out, 0, h), 1, h)
 
 
 def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
@@ -236,11 +242,7 @@ def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
     The branch byproducts X^{s2} (qubit 0) and X^{s3} (qubit 1) are kept
     in the state, matching an uncorrected run.
     """
-    out = apply_cphase(_two_qubit_plus(), 0, 1)
-    out = apply_gate(out, 0, rz(-spec.alpha))
-    out = apply_gate(out, 1, rz(-spec.beta))
-    h = hadamard()
-    out = apply_gate(apply_gate(out, 0, h), 1, h)
+    out = _rotated_pair(spec)
     if spec.s2:
         out = apply_gate(out, 0, pauli_x())
     if spec.s3:
@@ -254,12 +256,7 @@ def box_gate(spec: GateOutputSpec) -> StateVector:
     Same qubit convention as :func:`horseshoe_gate`; byproducts are
     (X x Z)^{s2} followed by (Z x X)^{s3}.
     """
-    out = apply_cphase(_two_qubit_plus(), 0, 1)
-    out = apply_gate(out, 0, rz(-spec.alpha))
-    out = apply_gate(out, 1, rz(-spec.beta))
-    h = hadamard()
-    out = apply_gate(apply_gate(out, 0, h), 1, h)
-    out = apply_cphase(out, 0, 1)
+    out = apply_cphase(_rotated_pair(spec), 0, 1)
     if spec.s2:
         out = apply_gate(out, 0, pauli_x())
         out = apply_gate(out, 1, pauli_z())
@@ -404,15 +401,6 @@ def grover_lab_distribution(marked: str, input_state: Optional[State] = None):
 # output state discrimination on one photon
 # ---------------------------------------------------------------------------
 
-_PM_PROJECTORS = (
-    np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-)
-_Z_PROJECTORS = (
-    np.diag([1.0, 0.0]).astype(complex),
-    np.diag([0.0, 1.0]).astype(complex),
-)
-
 BELL_LABELS = ("++", "+-", "-+", "--")
 
 
@@ -430,16 +418,8 @@ def bell_probabilities(state: State) -> Dict[str, float]:
         raise ValueError("discrimination acts on one photon: two qubits")
     probe = apply_cphase(state, 0, 1)
     probe = beam_splitter(probe, 1)
-    probs = {}
-    for i, pol in enumerate("+-"):
-        for j, port in enumerate("+-"):
-            proj = np.kron(_PM_PROJECTORS[i], _Z_PROJECTORS[j])
-            if isinstance(probe, StateVector):
-                val = np.vdot(probe.amplitudes, proj @ probe.amplitudes).real
-            else:
-                val = np.trace(proj @ probe.matrix).real
-            probs[pol + port] = float(max(val, 0.0))
-    return probs
+    probs = np.maximum(_basis_probabilities(probe, (_PM_BASIS, _Z_BASIS)), 0.0)
+    return dict(zip(BELL_LABELS, probs.tolist()))
 
 
 def bell_discriminate(state: State, outcome_source=None) -> str:

@@ -38,6 +38,9 @@ from .qcore import (
     DensityMatrix,
     State,
     StateVector,
+    _basis_probabilities,
+    _check_density,
+    _rotated_diagonal,
     apply_gate,
     hadamard,
 )
@@ -176,13 +179,18 @@ def source_state(params: SourceParams) -> StateVector:
 
     At theta = 0 this equals the linear cluster state componentwise.
     """
-    phase = np.exp(1j * params.theta)
-    amps = np.zeros(16, dtype=complex)
-    amps[0b0000] = 0.5
-    amps[0b1100] = 0.5
-    amps[0b0011] = 0.5 * phase
-    amps[0b1111] = -0.5 * phase
-    return StateVector(amps)
+    return StateVector(_source_amplitudes(params.theta))
+
+
+def _source_amplitudes(thetas) -> np.ndarray:
+    """Source amplitudes for every phase in ``thetas`` (shape + (16,))."""
+    phase = np.exp(1j * np.asarray(thetas, dtype=float))
+    amps = np.zeros(phase.shape + (16,), dtype=complex)
+    amps[..., 0b0000] = 0.5
+    amps[..., 0b1100] = 0.5
+    amps[..., 0b0011] = 0.5 * phase
+    amps[..., 0b1111] = -0.5 * phase
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +238,12 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     if isinstance(ideal, StateVector):
         rho = np.outer(ideal.amplitudes, ideal.amplitudes.conj())
     else:
-        rho = np.array(ideal.matrix)
+        rho = ideal.matrix
+    return DensityMatrix(_noise_channel(rho, model))
+
+
+def _noise_channel(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """The noise channel on one 16x16 matrix or a stack of them."""
     for photon, lam in (("A", model.path_dephasing_a), ("B", model.path_dephasing_b)):
         if lam == 0.0:
             continue
@@ -241,7 +254,7 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     p = model.white_noise
     if p:
         rho = (1.0 - p) * rho + p * np.eye(16) / 16.0
-    return DensityMatrix(rho)
+    return rho
 
 
 def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
@@ -306,21 +319,19 @@ def beam_splitter(state: State, path_qubit: int) -> State:
 _APPARATUS_KINDS = ("path_Z", "path_B_alpha", "path_and_pol_Z")
 _POL_BASES = ("HV", "PM")
 
-_PROJ_Z = (
-    np.diag([1.0, 0.0]).astype(complex),
-    np.diag([0.0, 1.0]).astype(complex),
-)
-_PROJ_PM = (
-    np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-)
+# A readout basis is a 2x2 unitary whose row k is the bra of outcome k:
+# rotating a qubit by it turns the readout into a Z measurement.
+_Z_BASIS = np.eye(2, dtype=complex)
+_PM_BASIS = hadamard().matrix
 
 
-def _proj_b_alpha(alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    phase = np.exp(1j * alpha)
-    plus = np.array([1.0, phase], dtype=complex) / math.sqrt(2)
-    minus = np.array([1.0, -phase], dtype=complex) / math.sqrt(2)
-    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+def _b_alpha_basis(alpha: float) -> np.ndarray:
+    phase = np.exp(-1j * alpha)
+    return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
+
+
+def _projectors(labels: Tuple[str, str], basis: np.ndarray) -> Dict[str, np.ndarray]:
+    return {label: np.outer(row.conj(), row) for label, row in zip(labels, basis)}
 
 
 @dataclass(frozen=True)
@@ -352,16 +363,23 @@ class ApparatusSetting:
         if self.kind == "path_and_pol_Z" and self.polarization_basis != "HV":
             raise ValueError("path_and_pol_Z reads polarization in H/V")
 
-    def path_projectors(self) -> Dict[str, np.ndarray]:
+    def _path_readout(self) -> Tuple[Tuple[str, str], np.ndarray]:
+        """Outcome labels and readout basis of the path qubit."""
         if self.kind == "path_B_alpha":
-            p0, p1 = _proj_b_alpha(self.alpha)
-            return {"R'": p0, "L'": p1}
-        return {"L": _PROJ_Z[0], "R": _PROJ_Z[1]}
+            return ("R'", "L'"), _b_alpha_basis(self.alpha)
+        return ("L", "R"), _Z_BASIS
+
+    def _polarization_readout(self) -> Tuple[Tuple[str, str], np.ndarray]:
+        """Outcome labels and readout basis of the polarization qubit."""
+        if self.polarization_basis == "PM":
+            return ("+", "-"), _PM_BASIS
+        return ("H", "V"), _Z_BASIS
+
+    def path_projectors(self) -> Dict[str, np.ndarray]:
+        return _projectors(*self._path_readout())
 
     def polarization_projectors(self) -> Dict[str, np.ndarray]:
-        if self.polarization_basis == "PM":
-            return {"+": _PROJ_PM[0], "-": _PROJ_PM[1]}
-        return {"H": _PROJ_Z[0], "V": _PROJ_Z[1]}
+        return _projectors(*self._polarization_readout())
 
 
 def apparatus_projectors(setting: ApparatusSetting) -> Dict[Tuple[str, str], np.ndarray]:
@@ -392,14 +410,19 @@ WITNESS_SETTINGS: Dict[str, Tuple[ApparatusSetting, ApparatusSetting]] = {
 }
 
 
-def _register_projectors(settings: Tuple[ApparatusSetting, ApparatusSetting]):
-    """Per-qubit (outcome0, outcome1) projector pairs in register order."""
+# joint outcome keys: bit strings in register order, indexed like basis states
+_OUTCOME_KEYS = tuple(format(index, "04b") for index in range(16))
+
+
+def _register_readouts(settings: Tuple[ApparatusSetting, ApparatusSetting]):
+    """Per-qubit (labels, readout basis) pairs in register order."""
     setting_a, setting_b = settings
-    pol_a = tuple(setting_a.polarization_projectors().values())
-    pol_b = tuple(setting_b.polarization_projectors().values())
-    path_a = tuple(setting_a.path_projectors().values())
-    path_b = tuple(setting_b.path_projectors().values())
-    return (pol_b, pol_a, path_a, path_b)
+    return (
+        setting_b._polarization_readout(),
+        setting_a._polarization_readout(),
+        setting_a._path_readout(),
+        setting_b._path_readout(),
+    )
 
 
 def joint_distribution(
@@ -409,43 +432,25 @@ def joint_distribution(
 
     Keys are bit strings in register order (qubits 1..4); bit 0 stands
     for the first label of each basis, so eigenvalue signs follow
-    (-1)**bit.
+    (-1)**bit.  Each qubit is rotated into its readout basis, and the
+    probabilities are the diagonal of the rotated state.
     """
     if state.num_qubits != 4:
         raise ValueError("joint distribution is defined on the four-qubit register")
-    families = _register_projectors(settings)
-    out = {}
-    for index in range(16):
-        bits = [(index >> (3 - q)) & 1 for q in range(4)]
-        op = np.array([[1.0 + 0j]])
-        for q in range(4):
-            op = np.kron(op, families[q][bits[q]])
-        if isinstance(state, StateVector):
-            value = np.vdot(state.amplitudes, op @ state.amplitudes).real
-        else:
-            value = np.trace(op @ state.matrix).real
-        out["".join(map(str, bits))] = float(max(value, 0.0))
-    return out
+    bases = [basis for _, basis in _register_readouts(settings)]
+    probs = np.maximum(_basis_probabilities(state, bases), 0.0)
+    return dict(zip(_OUTCOME_KEYS, probs.tolist()))
 
 
 def joint_outcome_labels(
     settings: Tuple[ApparatusSetting, ApparatusSetting]
 ) -> Dict[str, Tuple[str, str, str, str]]:
     """Physical labels of each joint outcome key, in register order."""
-    setting_a, setting_b = settings
-    label_sets = (
-        tuple(setting_b.polarization_projectors()),
-        tuple(setting_a.polarization_projectors()),
-        tuple(setting_a.path_projectors()),
-        tuple(setting_b.path_projectors()),
-    )
-    out = {}
-    for index in range(16):
-        bits = [(index >> (3 - q)) & 1 for q in range(4)]
-        out["".join(map(str, bits))] = tuple(
-            label_sets[q][bits[q]] for q in range(4)
-        )
-    return out
+    label_sets = [labels for labels, _ in _register_readouts(settings)]
+    return {
+        key: tuple(labels[int(bit)] for labels, bit in zip(label_sets, key))
+        for key in _OUTCOME_KEYS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +472,32 @@ def _parse_pair(detector_pair: str) -> Tuple[int, int]:
     return _DETECTORS[name_a][1], _DETECTORS[name_b][1]
 
 
+# both beam splitters, a Hadamard on each path qubit
+_BEAM_SPLITTERS = np.kron(hadamard().matrix, hadamard().matrix)
+
+# phases per stack, so a long scan needs no more than ~4 MB per stack
+_FRINGE_BLOCK = 1024
+
+
+def _fringe_table(model: NoiseModel, thetas) -> np.ndarray:
+    """H-polarized coincidence probabilities behind both beam splitters.
+
+    The noisy source for every phase in ``thetas`` is built as one stack
+    and checked once.  Both polarizations read H, so only the leading
+    4x4 block (the two path qubits) matters; it is rotated by the beam
+    splitters and its diagonal read off.  Returns an array of shape
+    (len(thetas), 2, 2) indexed [theta, photon A port, photon B port],
+    which holds the fringes of all four detector pairs.
+    """
+    if len(thetas) > _FRINGE_BLOCK:
+        blocks = [thetas[i : i + _FRINGE_BLOCK] for i in range(0, len(thetas), _FRINGE_BLOCK)]
+        return np.concatenate([_fringe_table(model, block) for block in blocks])
+    amps = _source_amplitudes(thetas)
+    stack = _noise_channel(amps[:, :, None] * amps[:, None, :].conj(), model)
+    _check_density(stack)
+    return _rotated_diagonal(_BEAM_SPLITTERS, stack[:, :4, :4]).reshape(-1, 2, 2)
+
+
 def visibility_fringe(model: NoiseModel, detector_pair: str, theta: float) -> float:
     """Coincidence probability of one H-detector pair at source phase theta.
 
@@ -474,18 +505,8 @@ def visibility_fringe(model: NoiseModel, detector_pair: str, theta: float) -> fl
     are analyzed along H; the pair selects one output port per photon.
     """
     port_a, port_b = _parse_pair(detector_pair)
-    rho = apply_noise(source_state(SourceParams(theta)), model)
-    probe: State = beam_splitter(rho, _PATH_QUBITS["A"])
-    probe = beam_splitter(probe, _PATH_QUBITS["B"])
-    op = np.array([[1.0 + 0j]])
-    for proj in (
-        _PROJ_Z[0],            # photon B polarization = H
-        _PROJ_Z[0],            # photon A polarization = H
-        _PROJ_Z[port_a],       # photon A output port
-        _PROJ_Z[port_b],       # photon B output port
-    ):
-        op = np.kron(op, proj)
-    return float(np.trace(op @ probe.matrix).real)
+    thetas = [SourceParams(theta).theta]  # SourceParams rejects a non-finite phase
+    return float(_fringe_table(model, thetas)[0, port_a, port_b])
 
 
 @dataclass(frozen=True)
@@ -498,10 +519,10 @@ class VisibilityScan:
     visibility: float
 
 
-def visibility_scan(
-    model: NoiseModel, detector_pair: str, samples: int = 24
-) -> VisibilityScan:
-    """Scan the source phase and report the fringe visibility.
+def visibility_scans(
+    model: NoiseModel, detector_pairs: Sequence[str], samples: int = 24
+) -> Tuple[VisibilityScan, ...]:
+    """Scan the source phase once and report the fringe of each pair.
 
     Visibility is (max - min)/(max + min) over the sampled fringe.
     ``samples`` must be even, so that it includes both extremes of this
@@ -511,13 +532,27 @@ def visibility_scan(
         raise ValueError("need at least four samples per turn")
     if samples % 2:
         raise ValueError(f"samples must be even, got {samples}")
+    ports = [_parse_pair(pair) for pair in detector_pairs]
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    probs = [visibility_fringe(model, detector_pair, t) for t in thetas]
-    top, bottom = max(probs), min(probs)
-    visibility = (top - bottom) / (top + bottom)
-    return VisibilityScan(
-        detector_pair=detector_pair,
-        thetas=tuple(float(t) for t in thetas),
-        probabilities=tuple(probs),
-        visibility=float(visibility),
-    )
+    table = _fringe_table(model, thetas)
+    thetas = tuple(thetas.tolist())
+    scans = []
+    for pair, (port_a, port_b) in zip(detector_pairs, ports):
+        probs = table[:, port_a, port_b].tolist()
+        top, bottom = max(probs), min(probs)
+        scans.append(
+            VisibilityScan(
+                detector_pair=pair,
+                thetas=thetas,
+                probabilities=tuple(probs),
+                visibility=(top - bottom) / (top + bottom),
+            )
+        )
+    return tuple(scans)
+
+
+def visibility_scan(
+    model: NoiseModel, detector_pair: str, samples: int = 24
+) -> VisibilityScan:
+    """One detector pair's fringe; see :func:`visibility_scans`."""
+    return visibility_scans(model, (detector_pair,), samples)[0]

@@ -15,8 +15,9 @@ Measurements use the equatorial basis family
     B(alpha) = { |alpha+>, |alpha-> },   |alpha+-> = (|0> +- e^{i alpha}|1>)/sqrt(2)
 
 with outcome 0 meaning a projection onto |alpha+>.  Z measurements are
-not part of this family; callers that need them work with projectors
-(see the photonics module).
+not part of this family; readouts in any product basis (see the
+photonics module) rotate each qubit's basis onto Z and read the
+diagonal of the rotated state.
 """
 
 from __future__ import annotations
@@ -82,6 +83,18 @@ class StateVector:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
+def _check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless ``m`` (one matrix, or a stack of them along
+    the leading axes) is Hermitian, trace-1 and positive semidefinite."""
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = m.trace(axis1=-2, axis2=-1)
+    if np.abs(tr - 1.0).max() > TOL:
+        raise ValueError(f"density matrix trace {tr!r} is not 1")
+    if np.linalg.eigvalsh(m).min() < -TOL:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
 class DensityMatrix:
     """Mixed state: Hermitian, trace-1, positive semidefinite matrix."""
 
@@ -95,13 +108,7 @@ class DensityMatrix:
         n = int(dim).bit_length() - 1
         if dim < 2 or dim != 2**n:
             raise ValueError("density matrix dimension must be a power of two")
-        if np.max(np.abs(m - m.conj().T)) > TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TOL:
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
-        if np.linalg.eigvalsh(m).min() < -TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        _check_density(m)
         m.setflags(write=False)
         self.matrix = m
         self.num_qubits = n
@@ -339,6 +346,26 @@ def measurement_probabilities(state: State, qubit: int, alpha: float):
         return p0, p1
     r0, r1 = _mixed_branches(state, qubit, alpha)
     return float(np.trace(r0).real), float(np.trace(r1).real)
+
+
+def _basis_probabilities(state: State, bases: Sequence[np.ndarray]) -> np.ndarray:
+    """Born probabilities of reading every qubit in its own basis.
+
+    ``bases[q]`` is a 2x2 unitary whose row k is the bra of outcome k on
+    qubit q, so the probabilities are the diagonal of (x)U rho (x)U^dagger,
+    indexed like basis states.
+    """
+    u = np.ones((1, 1), dtype=complex)
+    for basis in bases:  # the Kronecker product, without np.kron's call overhead
+        u = (u[:, None, :, None] * basis[None, :, None, :]).reshape(2 * len(u), 2 * len(u))
+    if isinstance(state, StateVector):
+        return np.abs(u @ state.amplitudes) ** 2
+    return _rotated_diagonal(u, state.matrix)
+
+
+def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Real diagonal of u rho u^dagger, for one matrix or a stack of them."""
+    return ((u @ rho) * u.conj()).sum(axis=-1).real
 
 
 def measure(state: StateVector, qubit: int, basis_angle: float, outcome_source):

@@ -145,9 +145,18 @@ def test_witness_command_is_deterministic(tmp_path):
 
 def test_witness_stdout_mode(capsys):
     assert main(["witness"]) == 0
-    out = capsys.readouterr().out
-    document = json.loads(out[: out.rindex("}") + 1])
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)
     assert document["command"] == "witness"
+    assert captured.err.startswith("witness ")
+
+
+@pytest.mark.parametrize("command", ["witness", "grover", "gate", "visibility"])
+def test_stdout_is_one_json_document(command, capsys):
+    assert main([command]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["command"] == command
+    assert captured.err.strip()
 
 
 def test_witness_fitted_run(tmp_path):
@@ -264,3 +273,77 @@ def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_out_into_missing_directory_exit_code(tmp_path, capsys):
+    prefix = str(tmp_path / "missing" / "w")
+    assert main(["witness", "--out", prefix]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_empty_out_prefix_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["witness", "--out", ""]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_exit_code(tmp_path, capsys):
+    config = _write(tmp_path, "config.yaml", "seed: -1\n")
+    assert main(["witness", "--config", config]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert main(["witness", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_rate_beyond_the_sampler_exit_code(tmp_path, capsys):
+    config = _write(tmp_path, "config.yaml", "rate: 1.0e+20\n")
+    assert main(["witness", "--config", config]) == 2
+    message = capsys.readouterr().err
+    assert "'rate'" in message and "'duration'" in message
+
+
+@pytest.mark.parametrize(
+    "command, reason", [("witness", "zero counts"), ("grover", "no counts drawn")]
+)
+def test_zero_counts_exit_code(tmp_path, capsys, command, reason):
+    config = _write(tmp_path, "config.yaml", "rate: 0.5\nduration: 0.001\n")
+    assert main([command, "--config", config]) == 2
+    message = capsys.readouterr().err
+    assert reason in message and "'rate'" in message and "'duration'" in message
+
+
+@pytest.mark.parametrize("command", ["gate", "grover", "visibility"])
+def test_source_theta_only_applies_to_witness(tmp_path, capsys, command):
+    config = _write(tmp_path, "config.yaml", "source:\n  theta: 0.3\n")
+    assert main([command, "--config", config]) == 2
+    assert "source.theta" in capsys.readouterr().err
+    assert main(["witness", "--config", config]) == 0
+
+
+def test_threads_key_is_rejected(tmp_path, capsys):
+    config = _write(tmp_path, "config.yaml", "threads: 1\n")
+    assert main(["witness", "--config", config]) == 2
+    assert "'threads'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, written", [("1e-9", "1.0e-9"), ("2.5e3", "2.5e+3"), ("3E+2", "3.0e+2")]
+)
+def test_exponent_read_as_text_names_the_fix(tmp_path, text, written):
+    path = _write(tmp_path, "config.yaml", f"duration: {text}\n")
+    with pytest.raises(ConfigError, match="must be a number") as info:
+        load_config(path)
+    assert "YAML 1.1" in str(info.value) and written in str(info.value)
+    # the suggested spelling parses as a number
+    assert load_config(_write(tmp_path, "fixed.yaml", f"duration: {written}\n"))
+
+
+def test_fit_target_read_as_text_names_the_fix(tmp_path):
+    path = _write(
+        tmp_path, "config.yaml", "noise:\n  fit:\n    targets: [0.9, 0.9, 0.9, 0.9, 0.9, 1e-3]\n"
+    )
+    with pytest.raises(ConfigError, match="six numbers") as info:
+        load_config(path)
+    assert "write 1.0e-3" in str(info.value)

@@ -31,9 +31,18 @@ from onewaysim.mbqc import (
     run_pattern,
 )
 from onewaysim.photonics import NoiseModel, apply_noise
-from onewaysim.qcore import DensityMatrix, StateVector, entanglement_entropy, fidelity, overlap
+from onewaysim.qcore import (
+    DensityMatrix,
+    StateVector,
+    apply_cphase,
+    apply_gate,
+    entanglement_entropy,
+    fidelity,
+    hadamard,
+    overlap,
+)
 
-from conftest import random_state
+from conftest import random_density, random_state
 
 GRID = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
 BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -311,6 +320,33 @@ def test_bell_probabilities_normalized(rng):
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         bell_probabilities(random_state(rng, 3))
+
+
+def _oracle_bell_probabilities(state):
+    """The projector path: CPhase, beam splitter, then +/- times Z projectors."""
+    pm = (np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
+    z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    probe = apply_cphase(state, 0, 1)
+    probe = apply_gate(probe, 1, hadamard())
+    probs = {}
+    for i, pol in enumerate("+-"):
+        for j, port in enumerate("+-"):
+            proj = np.kron(pm[i], z[j])
+            if isinstance(probe, StateVector):
+                value = np.vdot(probe.amplitudes, proj @ probe.amplitudes).real
+            else:
+                value = np.trace(proj @ probe.matrix).real
+            probs[pol + port] = float(max(value, 0.0))
+    return probs
+
+
+def test_bell_probabilities_match_projector_oracle(rng):
+    states = [random_state(rng, 2) for _ in range(5)] + [random_density(rng, 2) for _ in range(5)]
+    for state in states:
+        got = bell_probabilities(state)
+        expected = _oracle_bell_probabilities(state)
+        assert list(got) == list(expected)
+        assert list(got.values()) == pytest.approx(list(expected.values()), abs=1e-12)
 
 
 def test_bell_discriminates_the_four_gate_outputs():

@@ -27,6 +27,7 @@ from onewaysim.photonics import (
     source_state,
     visibility_fringe,
     visibility_scan,
+    visibility_scans,
 )
 from onewaysim.qcore import (
     DensityMatrix,
@@ -36,7 +37,7 @@ from onewaysim.qcore import (
     ket,
 )
 
-from conftest import random_state
+from conftest import random_density, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +515,162 @@ def test_visibility_scan_rejects_odd_samples():
     # five samples would miss theta = pi and report 0.826 for an ideal source
     with pytest.raises(ValueError, match="even"):
         visibility_scan(NoiseModel.ideal(), "D1-D2", samples=5)
+
+
+# ---------------------------------------------------------------------------
+# oracles: every readout restated with explicit projectors (Kronecker
+# products, one expectation per outcome), independent of the basis-rotation
+# kernels they check
+# ---------------------------------------------------------------------------
+
+_ORACLE_Z = (
+    np.diag([1.0, 0.0]).astype(complex),
+    np.diag([0.0, 1.0]).astype(complex),
+)
+_ORACLE_PM = (
+    np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+    np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
+)
+_ORACLE_PORTS = {"D1-D2": (0, 0), "D1-D4": (0, 1), "D3-D2": (1, 0), "D3-D4": (1, 1)}
+_ORACLE_TOL = 1e-12
+
+
+def _oracle_b_alpha(alpha):
+    phase = np.exp(1j * alpha)
+    plus = np.array([1.0, phase], dtype=complex) / math.sqrt(2)
+    minus = np.array([1.0, -phase], dtype=complex) / math.sqrt(2)
+    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+
+
+def _oracle_joint_distribution(state, settings):
+    """Sixteen Kronecker-product projectors, one expectation each."""
+
+    def path(setting):
+        return _oracle_b_alpha(setting.alpha) if setting.kind == "path_B_alpha" else _ORACLE_Z
+
+    def pol(setting):
+        return _ORACLE_PM if setting.polarization_basis == "PM" else _ORACLE_Z
+
+    setting_a, setting_b = settings
+    families = (pol(setting_b), pol(setting_a), path(setting_a), path(setting_b))
+    out = {}
+    for index in range(16):
+        bits = [(index >> (3 - q)) & 1 for q in range(4)]
+        op = np.array([[1.0 + 0j]])
+        for q in range(4):
+            op = np.kron(op, families[q][bits[q]])
+        if isinstance(state, StateVector):
+            value = np.vdot(state.amplitudes, op @ state.amplitudes).real
+        else:
+            value = np.trace(op @ state.matrix).real
+        out["".join(map(str, bits))] = float(max(value, 0.0))
+    return out
+
+
+def _oracle_fringe(model, pair, theta):
+    """apply_noise, two checked beam splitters, then a 16x16 projector."""
+    port_a, port_b = _ORACLE_PORTS[pair]
+    probe = apply_noise(source_state(SourceParams(theta)), model)
+    probe = beam_splitter(probe, 2)
+    probe = beam_splitter(probe, 3)
+    op = np.array([[1.0 + 0j]])
+    for proj in (_ORACLE_Z[0], _ORACLE_Z[0], _ORACLE_Z[port_a], _ORACLE_Z[port_b]):
+        op = np.kron(op, proj)
+    return float(np.trace(op @ probe.matrix).real)
+
+
+def _oracle_models(rng, count):
+    models = [
+        NoiseModel.ideal(),
+        NoiseModel(0.0, 0.0, 1.0),
+        NoiseModel(1.0, 0.0, 0.0),
+        NoiseModel(0.0, 1.0, 0.0),
+        NoiseModel(1.0, 1.0, 0.3),
+    ]
+    models += [NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(count)]
+    return models
+
+
+def test_fringe_matches_projector_oracle(rng):
+    for model in _oracle_models(rng, 10):
+        for theta in rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=4):
+            for pair in DETECTOR_PAIRS:
+                assert visibility_fringe(model, pair, float(theta)) == pytest.approx(
+                    _oracle_fringe(model, pair, float(theta)), abs=_ORACLE_TOL
+                )
+
+
+@pytest.mark.parametrize("samples", [4, 10, 24])
+def test_visibility_scans_match_projector_oracle(rng, samples):
+    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    for model in _oracle_models(rng, 4):
+        scans = visibility_scans(model, DETECTOR_PAIRS, samples)
+        assert [scan.detector_pair for scan in scans] == list(DETECTOR_PAIRS)
+        for scan in scans:
+            expected = [_oracle_fringe(model, scan.detector_pair, t) for t in thetas]
+            assert scan.thetas == tuple(float(t) for t in thetas)
+            assert scan.probabilities == pytest.approx(expected, abs=_ORACLE_TOL)
+            top, bottom = max(expected), min(expected)
+            assert scan.visibility == pytest.approx(
+                (top - bottom) / (top + bottom), abs=_ORACLE_TOL
+            )
+            assert visibility_scan(model, scan.detector_pair, samples) == scan
+
+
+def test_long_scan_is_built_in_blocks():
+    # more phases than one stack holds: the blocks must join seamlessly
+    model = NoiseModel(0.1, 0.05, 0.2)
+    samples = 2 * 1024 + 6
+    for scan in visibility_scans(model, DETECTOR_PAIRS, samples):
+        assert len(scan.probabilities) == samples
+        expected = [_fringe_formula(model, scan.detector_pair, t) for t in scan.thetas]
+        assert scan.probabilities == pytest.approx(expected, abs=1e-12)
+
+
+def test_visibility_scans_validate_every_pair():
+    with pytest.raises(ValueError, match="detector pair"):
+        visibility_scans(NoiseModel.ideal(), ("D1-D2", "D2-D1"))
+    with pytest.raises(ValueError, match="finite"):
+        visibility_fringe(NoiseModel.ideal(), "D1-D2", float("nan"))
+
+
+def test_fringe_kernel_checks_its_stack(monkeypatch):
+    # a stack that is not a density matrix must not reach the readout
+    import onewaysim.photonics as photonics
+
+    monkeypatch.setattr(photonics, "_noise_channel", lambda rho, model: -rho)
+    with pytest.raises(ValueError, match="trace"):
+        visibility_scan(NoiseModel.ideal(), "D1-D2", samples=4)
+
+
+def _oracle_settings(rng):
+    settings = list(WITNESS_SETTINGS.values())
+    for _ in range(6):
+        pair = []
+        for _ in range(2):
+            kind = rng.choice(["path_Z", "path_B_alpha", "path_and_pol_Z"])
+            if kind == "path_and_pol_Z":
+                pair.append(ApparatusSetting(kind))
+                continue
+            alpha = float(rng.uniform(-math.pi, 3.0 * math.pi)) if kind == "path_B_alpha" else None
+            basis = str(rng.choice(["HV", "PM"]))
+            pair.append(ApparatusSetting(str(kind), alpha=alpha, polarization_basis=basis))
+        settings.append(tuple(pair))
+    return settings
+
+
+def test_joint_distribution_matches_projector_oracle(rng):
+    states = [c4_state(), source_state(SourceParams(0.4))]
+    states += [random_state(rng, 4) for _ in range(3)]
+    states += [random_density(rng, 4) for _ in range(3)]
+    states += [apply_noise(random_state(rng, 4), m) for m in _oracle_models(rng, 2)]
+    for settings in _oracle_settings(rng):
+        for state in states:
+            got = joint_distribution(state, settings)
+            expected = _oracle_joint_distribution(state, settings)
+            assert list(got) == list(expected)
+            assert list(got.values()) == pytest.approx(list(expected.values()), abs=_ORACLE_TOL)
+            assert min(got.values()) >= 0.0
 
 
 def test_reference_tables_are_consistent():

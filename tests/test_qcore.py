@@ -11,6 +11,7 @@ from onewaysim.qcore import (
     PauliString,
     SingleQubitGate,
     StateVector,
+    _check_density,
     apply_cphase,
     apply_gate,
     entanglement_entropy,
@@ -75,6 +76,20 @@ def test_density_matrix_validation():
     m = np.diag([1.5, -0.5])
     with pytest.raises(ValueError):
         DensityMatrix(m)  # negative eigenvalue
+
+
+def test_density_checks_cover_every_matrix_of_a_stack(rng):
+    stack = np.stack([random_density(rng, 2).matrix for _ in range(5)])
+    _check_density(stack)  # a valid stack passes
+    for bad, message in (
+        (np.eye(4), "trace"),
+        (np.array(stack[0]) + np.triu(np.full((4, 4), 0.1j), 1), "Hermitian"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
+    ):
+        broken = stack.copy()
+        broken[3] = bad
+        with pytest.raises(ValueError, match=message):
+            _check_density(broken)
 
 
 def test_density_matrix_from_state(rng):
