@@ -18,21 +18,22 @@ by the delta method or by a parametric bootstrap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cluster import c4_state, to_box_frame, to_horseshoe_frame
+from .cluster import BOX_FRAME, HORSESHOE_FRAME, FrameMap, c4_state
 from .mbqc import (
     GateOutputSpec,
+    MeasurementPattern,
     box_gate,
     box_pattern,
     grover_run,
     horseshoe_gate,
     horseshoe_pattern,
-    run_pattern,
 )
 from .photonics import (
     COINCIDENCE_RATE_HZ,
@@ -40,10 +41,19 @@ from .photonics import (
     NoiseModel,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
+    _b_alpha_basis,
     apply_noise,
     joint_distribution,
 )
-from .qcore import PauliString, State, expectation, fidelity
+from .qcore import (
+    _FORCED_MIN_WEIGHT,
+    ImpossibleOutcomeError,
+    PauliString,
+    State,
+    StateVector,
+    _product_basis,
+    expectation,
+)
 
 _SETTING_TERMS = {
     "XXZZ": ("XXIZ", "XXZI", "IIZZ"),
@@ -329,6 +339,32 @@ def _prepare_state(noise: Optional[NoiseModel]) -> State:
     return apply_noise(base, noise)
 
 
+def _branch_maps(frame: FrameMap, pattern: MeasurementPattern) -> np.ndarray:
+    """K_s for every outcome branch s of an uncorrected pattern.
+
+    K_s maps a source-frame (|C4>) state onto the unnormalised residual
+    of branch s on the readout qubits: the frame map, then the bra of its
+    outcome on every measured qubit.  Stacked as (branch, readout index,
+    source index), branches in lexicographic outcome order.
+    """
+    n = len(frame.sources)
+    rows = [frame.local_matrix(q) for q in range(n)]
+    for qubit, alpha in pattern.steps:
+        rows[qubit] = _b_alpha_basis(alpha) @ rows[qubit]
+    u = _product_basis(rows).reshape((2,) * (2 * n))
+    steps = [q for q, _ in pattern.steps]
+    inputs = [n + frame.sources.index(k) for k in range(n)]
+    u = u.transpose(steps + list(pattern.readout) + inputs)
+    return u.reshape(2 ** len(steps), 2 ** len(pattern.readout), 2**n)
+
+
+# gate kind -> (graph frame, pattern, closed-form branch output)
+_GATES = {
+    "horseshoe": (HORSESHOE_FRAME, horseshoe_pattern, horseshoe_gate),
+    "box": (BOX_FRAME, box_pattern, box_gate),
+}
+
+
 def gate_fidelity_report(
     kind: str,
     alpha: float,
@@ -337,28 +373,34 @@ def gate_fidelity_report(
 ) -> Dict[Tuple[int, int], float]:
     """Branch fidelities of a measured gate against its closed form.
 
-    Runs the measurement pattern on the (optionally noisy) cluster for
-    each forced outcome pair (s2, s3) and compares the uncorrected
-    residual with the corresponding formula state.
+    For each outcome pair s = (s2, s3) of the uncorrected pattern, the
+    unnormalised residual is R_s = K_s rho K_s^dagger (see
+    :func:`_branch_maps`), read straight off the source-frame state for
+    all four branches at once.  The fidelity is t_s^dagger R_s t_s /
+    tr R_s, with t_s the closed-form branch output.
     """
-    if kind == "horseshoe":
-        frame, pattern_fn, target_fn = (
-            to_horseshoe_frame,
-            horseshoe_pattern,
-            horseshoe_gate,
-        )
-    elif kind == "box":
-        frame, pattern_fn, target_fn = to_box_frame, box_pattern, box_gate
-    else:
+    if kind not in _GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
-    state = frame(_prepare_state(noise))
+    frame, pattern_fn, target_fn = _GATES[kind]
     pattern = pattern_fn(alpha, beta, feedforward=False)
+    maps = _branch_maps(frame, pattern)
+    branches = list(itertools.product((0, 1), repeat=len(pattern.steps)))
+    state = _prepare_state(noise)
+    if isinstance(state, StateVector):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
+    weights = np.trace(residuals, axis1=1, axis2=2).real
+    targets = np.array(
+        [target_fn(GateOutputSpec(alpha, beta, s2, s3)).amplitudes for s2, s3 in branches]
+    )
+    overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     report = {}
-    for s2 in (0, 1):
-        for s3 in (0, 1):
-            _, residual = run_pattern(state, pattern, (s2, s3))
-            target = target_fn(GateOutputSpec(alpha, beta, s2, s3))
-            report[(s2, s3)] = fidelity(residual, target)
+    for branch, weight, value in zip(branches, weights, overlaps):
+        if weight < _FORCED_MIN_WEIGHT:
+            raise ImpossibleOutcomeError(f"gate branch {branch} has weight {weight:.3e}")
+        report[branch] = float(value / weight)
     return report
 
 

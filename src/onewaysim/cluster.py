@@ -19,12 +19,13 @@ states between the |C4> frame and either graph frame, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .qcore import (
     PauliString,
+    SingleQubitGate,
     State,
     StateVector,
     apply_cphase,
@@ -107,19 +108,55 @@ def c4_state() -> StateVector:
     return StateVector(amps)
 
 
+@dataclass(frozen=True)
+class FrameMap:
+    """A local-unitary change of frame: relabel the qubits, then apply
+    one gate per qubit.
+
+    Frame qubit q holds source qubit ``sources[q]`` and is then acted on
+    by ``gates[q]`` (None leaves it as it is).
+    """
+
+    sources: Tuple[int, ...]
+    gates: Tuple[Optional[SingleQubitGate], ...]
+
+    def __post_init__(self):
+        if sorted(self.sources) != list(range(len(self.sources))):
+            raise ValueError("frame sources must be a permutation of the qubits")
+        if len(self.gates) != len(self.sources):
+            raise ValueError("frame map needs one gate slot per qubit")
+
+    def apply(self, state: State) -> State:
+        out = state
+        held = list(range(len(self.sources)))
+        for q, source in enumerate(self.sources):
+            j = held.index(source)
+            if j != q:
+                out = swap_qubits(out, q, j)
+                held[q], held[j] = held[j], held[q]
+        for q, gate in enumerate(self.gates):
+            if gate is not None:
+                out = apply_gate(out, q, gate)
+        return out
+
+    def local_matrix(self, qubit: int) -> np.ndarray:
+        gate = self.gates[qubit]
+        return np.eye(2, dtype=complex) if gate is None else gate.matrix
+
+
+# |C4> frame -> graph frames
+HORSESHOE_FRAME = FrameMap((0, 1, 2, 3), (hadamard(), None, None, hadamard()))
+BOX_FRAME = FrameMap((0, 2, 1, 3), (hadamard(),) * 4)
+
+
 def to_horseshoe_frame(state: State) -> State:
-    """Map a |C4>-frame state to the horseshoe graph frame: H on 0 and 3."""
-    h = hadamard()
-    return apply_gate(apply_gate(state, 0, h), 3, h)
+    """Map a |C4>-frame state to the horseshoe graph frame (HORSESHOE_FRAME)."""
+    return HORSESHOE_FRAME.apply(state)
 
 
 def to_box_frame(state: State) -> State:
-    """Map a |C4>-frame state to the box graph frame: swap 1,2 then H all."""
-    out = swap_qubits(state, 1, 2)
-    h = hadamard()
-    for q in range(4):
-        out = apply_gate(out, q, h)
-    return out
+    """Map a |C4>-frame state to the box graph frame (BOX_FRAME)."""
+    return BOX_FRAME.apply(state)
 
 
 def horseshoe_equivalence() -> Tuple[StateVector, StateVector, float]:

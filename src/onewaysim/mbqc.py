@@ -23,7 +23,6 @@ import numpy as np
 from .cluster import c4_state, to_box_frame
 from .photonics import _PM_BASIS, _Z_BASIS, beam_splitter
 from .qcore import (
-    ImpossibleOutcomeError,
     State,
     StateVector,
     _basis_probabilities,
@@ -32,6 +31,7 @@ from .qcore import (
     hadamard,
     measure,
     measure_mixed,
+    measurement_branches,
     pauli_x,
     pauli_z,
     rz,
@@ -122,12 +122,7 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
         in ascending original order, or None when all qubits are
         measured.  Byproduct corrections have been applied.
     """
-    n = state.num_qubits
-    step_qubits = [q for q, _ in pattern.steps]
-    covered = set(step_qubits) | set(pattern.readout)
-    if covered != set(range(n)) or len(step_qubits) + len(pattern.readout) != n:
-        raise ValueError("pattern qubits do not match the register")
-
+    _check_cover(state, pattern)
     forced: Optional[Sequence[int]] = None
     if isinstance(outcome_source, (list, tuple)):
         if len(outcome_source) != len(pattern.steps):
@@ -138,7 +133,7 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
     ):
         raise TypeError("pass a sequence of forced bits, one per step")
 
-    live = list(range(n))
+    live = list(range(state.num_qubits))
     current: Optional[State] = state
     outcomes = []
     probs = []
@@ -149,7 +144,19 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
         live.pop(pos)
         outcomes.append(out)
         probs.append(p)
+    return _finish(pattern, live, tuple(outcomes), tuple(probs), current)
 
+
+def _check_cover(state: State, pattern: MeasurementPattern) -> None:
+    n = state.num_qubits
+    step_qubits = [q for q, _ in pattern.steps]
+    covered = set(step_qubits) | set(pattern.readout)
+    if covered != set(range(n)) or len(step_qubits) + len(pattern.readout) != n:
+        raise ValueError("pattern qubits do not match the register")
+
+
+def _finish(pattern: MeasurementPattern, live, outcomes, probs, current):
+    """The record of a finished run and its byproduct-corrected residual."""
     if current is not None:
         corrections = pattern.correction_map()
         for (qubit, _), out in zip(pattern.steps, outcomes):
@@ -159,9 +166,8 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
                 current = apply_gate(
                     current, live.index(target), _CORRECTION_GATES[letter]
                 )
-
-    record = OutcomeRecord(tuple(step_qubits), tuple(outcomes), tuple(probs))
-    return record, current
+    step_qubits = tuple(q for q, _ in pattern.steps)
+    return OutcomeRecord(step_qubits, outcomes, probs), current
 
 
 def branch_distribution(state: State, pattern: MeasurementPattern):
@@ -169,19 +175,26 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
 
     Returns a list of (outcomes, probability, residual) triples in
     lexicographic outcome order.  Branches whose weight falls below the
-    forced-outcome floor (1e-12 at some step) are dropped.
+    forced-outcome floor (1e-12 at some step) are dropped.  Each step is
+    measured once per surviving branch prefix, both outcomes from one
+    split, so every triple equals the forced-outcome :func:`run_pattern`
+    bit for bit.
     """
+    _check_cover(state, pattern)
+    live = list(range(state.num_qubits))
+    level = [((), (), state)]
+    for qubit, alpha in pattern.steps:
+        pos = live.index(qubit)
+        level = [
+            (outcomes + (out,), probs + (p,), residual)
+            for outcomes, probs, current in level
+            for out, p, residual in measurement_branches(current, pos, alpha)
+        ]
+        live.pop(pos)
     branches = []
-    for index in range(2 ** len(pattern.steps)):
-        bits = tuple(
-            (index >> (len(pattern.steps) - 1 - k)) & 1
-            for k in range(len(pattern.steps))
-        )
-        try:
-            record, residual = run_pattern(state, pattern, bits)
-        except ImpossibleOutcomeError:
-            continue
-        branches.append((bits, record.joint_probability(), residual))
+    for outcomes, probs, current in level:
+        record, residual = _finish(pattern, live, outcomes, probs, current)
+        branches.append((outcomes, record.joint_probability(), residual))
     return branches
 
 
@@ -313,6 +326,13 @@ def _search_output(outcomes, marked: str, feedforward: bool) -> str:
     return f"{1 ^ s_b4}{1 ^ s_b1}"
 
 
+def _search_input(input_state: Optional[State]) -> State:
+    state = input_state if input_state is not None else c4_state()
+    if state.num_qubits != 4:
+        raise ValueError("search input must be a four-qubit state")
+    return state
+
+
 def grover_run(
     marked: str,
     feedforward: bool = True,
@@ -321,6 +341,10 @@ def grover_run(
     outcome_source=None,
 ) -> Dict[str, float]:
     """Run the four-entry search and return the answer distribution.
+
+    The exact distribution sums :func:`branch_distribution` of the
+    box-frame state, which measures each step once per surviving outcome
+    prefix; sampling runs the pattern once per trial.
 
     Parameters
     ----------
@@ -345,10 +369,7 @@ def grover_run(
     dict mapping '00'..'11' to probability (or sampled frequency).
     """
     _check_marked(marked)
-    state = input_state if input_state is not None else c4_state()
-    if state.num_qubits != 4:
-        raise ValueError("search input must be a four-qubit state")
-    box = to_box_frame(state)
+    box = to_box_frame(_search_input(input_state))
     pattern = grover_pattern(marked)
 
     distribution = {m: 0.0 for m in _MARKS}
@@ -382,8 +403,7 @@ def grover_lab_distribution(marked: str, input_state: Optional[State] = None):
     only the outcome labelling the black box reports differs.
     """
     m1, m2 = _check_marked(marked)
-    state = input_state if input_state is not None else c4_state()
-    box = to_box_frame(state)
+    box = to_box_frame(_search_input(input_state))
     pattern = grover_pattern(marked)
     out: Dict[str, float] = {}
     for outcomes, prob, _ in branch_distribution(box, pattern):

@@ -348,6 +348,14 @@ def measurement_probabilities(state: State, qubit: int, alpha: float):
     return float(np.trace(r0).real), float(np.trace(r1).real)
 
 
+def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of 2x2 matrices, qubit 0 first."""
+    u = np.ones((1, 1), dtype=complex)
+    for basis in bases:  # without np.kron's call overhead
+        u = (u[:, None, :, None] * basis[None, :, None, :]).reshape(2 * len(u), 2 * len(u))
+    return u
+
+
 def _basis_probabilities(state: State, bases: Sequence[np.ndarray]) -> np.ndarray:
     """Born probabilities of reading every qubit in its own basis.
 
@@ -355,9 +363,7 @@ def _basis_probabilities(state: State, bases: Sequence[np.ndarray]) -> np.ndarra
     qubit q, so the probabilities are the diagonal of (x)U rho (x)U^dagger,
     indexed like basis states.
     """
-    u = np.ones((1, 1), dtype=complex)
-    for basis in bases:  # the Kronecker product, without np.kron's call overhead
-        u = (u[:, None, :, None] * basis[None, :, None, :]).reshape(2 * len(u), 2 * len(u))
+    u = _product_basis(bases)
     if isinstance(state, StateVector):
         return np.abs(u @ state.amplitudes) ** 2
     return _rotated_diagonal(u, state.matrix)
@@ -394,20 +400,7 @@ def measure(state: StateVector, qubit: int, basis_angle: float, outcome_source):
     """
     if not isinstance(state, StateVector):
         raise TypeError("measure works on StateVector; use measure_mixed for mixed states")
-    _check_qubit(state, qubit)
-    b0, b1 = _branch_vectors(state, qubit, basis_angle)
-    p0 = float(np.linalg.norm(b0) ** 2)
-    outcome = _resolve_outcome(outcome_source, p0)
-    branch = b0 if outcome == 0 else b1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    if prob < _FORCED_MIN_WEIGHT:
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} on qubit {qubit} has weight {prob:.3e}"
-        )
-    if state.num_qubits == 1:
-        return outcome, prob, None
-    residual = StateVector.normalized(branch.reshape(-1))
-    return outcome, prob, residual
+    return _measure(state, qubit, basis_angle, outcome_source)
 
 
 def _mixed_branches(rho: DensityMatrix, qubit: int, alpha: float):
@@ -436,19 +429,53 @@ def _mixed_branches(rho: DensityMatrix, qubit: int, alpha: float):
 
 def measure_mixed(rho: DensityMatrix, qubit: int, basis_angle: float, outcome_source):
     """B(alpha) measurement on a density matrix; see :func:`measure`."""
-    _check_qubit(rho, qubit)
-    b0, b1 = _mixed_branches(rho, qubit, basis_angle)
-    p0 = float(np.trace(b0).real)
+    return _measure(rho, qubit, basis_angle, outcome_source)
+
+
+def measurement_branches(state: State, qubit: int, basis_angle: float):
+    """Every possible outcome of a B(alpha) measurement, from one split.
+
+    Returns the (outcome, probability, residual) triples that
+    :func:`measure` or :func:`measure_mixed` give for each forced outcome,
+    equal to them bit for bit, in outcome order; an outcome whose weight
+    is below the forced-outcome floor (1e-12) is left out.
+    """
+    _check_qubit(state, qubit)
+    branches, p0 = _split(state, qubit, basis_angle)
+    return [
+        _settle(state, qubit, outcome, branches[outcome], prob)
+        for outcome, prob in enumerate((p0, 1.0 - p0))
+        if prob >= _FORCED_MIN_WEIGHT
+    ]
+
+
+def _split(state: State, qubit: int, alpha: float):
+    """Both unnormalized branches of a measurement, and the weight of 0."""
+    if isinstance(state, StateVector):
+        branches = _branch_vectors(state, qubit, alpha)
+        return branches, float(np.linalg.norm(branches[0]) ** 2)
+    branches = _mixed_branches(state, qubit, alpha)
+    return branches, float(np.trace(branches[0]).real)
+
+
+def _measure(state: State, qubit: int, basis_angle: float, outcome_source):
+    _check_qubit(state, qubit)
+    branches, p0 = _split(state, qubit, basis_angle)
     outcome = _resolve_outcome(outcome_source, p0)
-    block = b0 if outcome == 0 else b1
-    prob = p0 if outcome == 0 else 1.0 - p0
+    return _settle(state, qubit, outcome, branches[outcome], (p0, 1.0 - p0)[outcome])
+
+
+def _settle(state: State, qubit: int, outcome: int, branch: np.ndarray, prob: float):
+    """(outcome, probability, renormalized residual) of one branch."""
     if prob < _FORCED_MIN_WEIGHT:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {qubit} has weight {prob:.3e}"
         )
-    if rho.num_qubits == 1:
+    if state.num_qubits == 1:
         return outcome, prob, None
-    block = block / prob
+    if isinstance(state, StateVector):
+        return outcome, prob, StateVector.normalized(branch.reshape(-1))
+    block = branch / prob
     block = (block + block.conj().T) / 2.0  # remove numerical Hermiticity drift
     return outcome, prob, DensityMatrix(block)
 

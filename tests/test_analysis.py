@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from onewaysim import analysis
 from onewaysim.analysis import (
     CountRecord,
     GroverReport,
@@ -17,7 +18,15 @@ from onewaysim.analysis import (
     witness_from_counts,
     witness_value,
 )
-from onewaysim.cluster import c4_state
+from onewaysim.cluster import c4_state, to_box_frame, to_horseshoe_frame
+from onewaysim.mbqc import (
+    GateOutputSpec,
+    box_gate,
+    box_pattern,
+    horseshoe_gate,
+    horseshoe_pattern,
+    run_pattern,
+)
 from onewaysim.photonics import (
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
@@ -25,6 +34,9 @@ from onewaysim.photonics import (
     NoiseModel,
     apply_noise,
 )
+from onewaysim.qcore import ImpossibleOutcomeError, StateVector, fidelity
+
+from conftest import random_density, random_state
 
 # frozen fit of the reference stabilizer table (see test_photonics for
 # the closed form): white noise p and dephasing product q
@@ -257,6 +269,81 @@ def test_box_report_under_fitted_noise():
         report = gate_fidelity_report("box", alpha, beta, noise=FITTED_MODEL)
         for value in report.values():
             assert value == pytest.approx(expected, abs=1e-9)
+
+
+# the branch fidelities against the forced-branch runs they replaced: the
+# state mapped into the gate's graph frame, the uncorrected pattern run for
+# each outcome pair, and the residual compared with the closed form
+
+GATE_PARTS = {
+    "horseshoe": (to_horseshoe_frame, horseshoe_pattern, horseshoe_gate),
+    "box": (to_box_frame, box_pattern, box_gate),
+}
+
+
+def _gate_report_by_branches(kind, alpha, beta, state):
+    frame, pattern_fn, target_fn = GATE_PARTS[kind]
+    mapped = frame(state)
+    pattern = pattern_fn(alpha, beta, feedforward=False)
+    report = {}
+    for s2 in (0, 1):
+        for s3 in (0, 1):
+            _, residual = run_pattern(mapped, pattern, (s2, s3))
+            report[(s2, s3)] = fidelity(residual, target_fn(GateOutputSpec(alpha, beta, s2, s3)))
+    return report
+
+
+def _assert_reports_match(report, oracle):
+    assert set(report) == set(oracle)
+    for branch, value in oracle.items():
+        assert report[branch] == pytest.approx(value, abs=1e-12)
+
+
+def _oracle_models(rng):
+    models = [
+        NoiseModel.ideal(),
+        FITTED_MODEL,
+        NoiseModel(0.0, 0.0, 1.0),
+        NoiseModel(1.0, 0.0, 0.0),
+        NoiseModel(0.0, 1.0, 0.0),
+    ]
+    return models + [
+        NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(4)
+    ]
+
+
+@pytest.mark.parametrize("kind", ("horseshoe", "box"))
+def test_gate_report_matches_branch_runs(kind):
+    rng = np.random.default_rng(97)
+    for model in _oracle_models(rng):
+        state = c4_state() if model.is_ideal() else apply_noise(c4_state(), model)
+        for _ in range(3):
+            alpha, beta = (float(v) for v in rng.uniform(-2 * math.pi, 2 * math.pi, size=2))
+            report = gate_fidelity_report(kind, alpha, beta, noise=model)
+            _assert_reports_match(report, _gate_report_by_branches(kind, alpha, beta, state))
+
+
+@pytest.mark.parametrize("kind", ("horseshoe", "box"))
+def test_gate_report_matches_branch_runs_on_any_state(kind, monkeypatch):
+    # random registers break the symmetries of the cluster, so a measured
+    # qubit read off the wrong source qubit shows up here
+    rng = np.random.default_rng(101)
+    for make in (random_state, random_density) * 3:
+        state = make(rng, 4)
+        monkeypatch.setattr(analysis, "_prepare_state", lambda noise, state=state: state)
+        alpha, beta = (float(v) for v in rng.uniform(-2 * math.pi, 2 * math.pi, size=2))
+        report = gate_fidelity_report(kind, alpha, beta)
+        _assert_reports_match(report, _gate_report_by_branches(kind, alpha, beta, state))
+
+
+def test_gate_report_rejects_an_impossible_branch(monkeypatch):
+    # source qubit 1 in |+> never gives outcome 1 in B(0) on the horseshoe
+    state = StateVector(np.kron(np.kron([1, 0], [1, 1]), [1, 0, 0, 0]) / math.sqrt(2))
+    monkeypatch.setattr(analysis, "_prepare_state", lambda noise: state)
+    with pytest.raises(ImpossibleOutcomeError):
+        _gate_report_by_branches("horseshoe", 0.0, 0.3, state)
+    with pytest.raises(ImpossibleOutcomeError, match="branch"):
+        gate_fidelity_report("horseshoe", 0.0, 0.3)
 
 
 # ---------------------------------------------------------------------------

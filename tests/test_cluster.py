@@ -8,6 +8,7 @@ from onewaysim.cluster import (
     HORSESHOE_GRAPH,
     LINEAR_GRAPH,
     ClusterGraph,
+    FrameMap,
     box_equivalence,
     build_cluster,
     c4_state,
@@ -16,7 +17,7 @@ from onewaysim.cluster import (
     to_box_frame,
     to_horseshoe_frame,
 )
-from onewaysim.qcore import DensityMatrix, PauliString, expectation, ket
+from onewaysim.qcore import DensityMatrix, PauliString, expectation, hadamard, ket
 
 
 def test_graph_normalizes_edges():
@@ -118,3 +119,19 @@ def test_frame_maps_preserve_basis_labels():
     out = to_horseshoe_frame(ket("0000"))
     nonzero = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
     assert {format(i, "04b") for i in nonzero} == {"0000", "0001", "1000", "1001"}
+
+
+def test_frame_map_relabels_before_its_gates():
+    # source qubit 2 lands on frame qubit 0 and is then flipped by H
+    frame = FrameMap((2, 0, 1), (hadamard(), None, None))
+    out = frame.apply(ket("001"))
+    expected = (ket("000").amplitudes - ket("100").amplitudes) / np.sqrt(2)
+    assert np.allclose(out.amplitudes, expected)
+    assert np.array_equal(frame.local_matrix(1), np.eye(2))
+
+
+def test_frame_map_rejects_bad_layouts():
+    with pytest.raises(ValueError, match="permutation"):
+        FrameMap((0, 0, 1), (None, None, None))
+    with pytest.raises(ValueError, match="gate slot"):
+        FrameMap((0, 1), (None,))

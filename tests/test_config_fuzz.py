@@ -1,0 +1,118 @@
+"""Generated configs for every subcommand exit 0 or 2, never 1.
+
+Exit code 1 means an internal error; any config a user can write must
+either run or be rejected with a message (exit 2).  The generated values
+mix valid settings with wrong types, out-of-range numbers, exponents that
+YAML 1.1 reads as text, and unknown keys.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onewaysim.cli import main
+from onewaysim.photonics import DETECTOR_PAIRS
+
+COMMANDS = ("witness", "grover", "gate", "visibility")
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["1e-9", "3e2", "nan", "ideal", "fit"]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "fit"]), st.integers(-1, 1), max_size=2),
+)
+_unit = st.floats(0.0, 1.0)
+
+# fields a user may set, each with values the command accepts; the sample
+# count and the coincidence budget stay small to keep every run short
+_VALID = {
+    ("experiment",): st.sampled_from(COMMANDS),
+    ("source", "theta"): st.floats(-7.0, 7.0),
+    ("noise",): st.one_of(
+        st.sampled_from(["ideal", "fit"]),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "path_dephasing_a": _unit,
+                "path_dephasing_b": _unit,
+                "white_noise": _unit,
+            },
+        ),
+        st.fixed_dictionaries(
+            {"fit": st.fixed_dictionaries(
+                {"targets": st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)}
+            )}
+        ),
+    ),
+    ("seed",): st.integers(0, 2**40),
+    ("duration",): st.floats(1e-4, 2.0),
+    ("rate",): st.floats(1.0, 2e4),
+    ("grover", "marked"): st.sampled_from(["00", "01", "10", "11"]),
+    ("grover", "feedforward"): st.booleans(),
+    ("gate", "kind"): st.sampled_from(["horseshoe", "box"]),
+    ("gate", "alpha"): st.floats(-20.0, 20.0),
+    ("gate", "beta"): st.one_of(st.floats(-20.0, 20.0), st.integers(-10, 10)),
+    ("visibility", "detector_pair"): st.sampled_from(("all",) + tuple(DETECTOR_PAIRS)),
+    ("visibility", "samples"): st.integers(2, 32).map(lambda half: 2 * half),
+}
+
+# values that must be rejected (or, for a few, still run) at each field
+_WRONG = {
+    ("experiment",): st.sampled_from(["bogus", 3]),
+    ("source", "theta"): st.sampled_from([math.inf, math.nan, "1e-9"]),
+    ("noise",): st.sampled_from(["bogus", {"white_noise": 1.5}, {"extra": 1}]),
+    ("noise", "fit"): st.one_of(
+        st.fixed_dictionaries({"targets": st.lists(st.floats(-1.5, 1.5), max_size=8)}),
+        st.fixed_dictionaries({"targets": st.lists(_junk, min_size=6, max_size=6)}),
+    ),
+    ("noise", "path_dephasing_b"): st.one_of(st.floats(-1.0, 2.0), st.just(math.inf)),
+    ("seed",): st.integers(-3, -1),
+    ("duration",): st.sampled_from([0.0, -1.0, math.inf, 1e-9]),
+    ("rate",): st.sampled_from([0, -5, 1e19, 1e30, 1e-6]),
+    ("grover", "marked"): st.sampled_from(["22", 0, 11, "0"]),
+    ("gate", "kind"): st.just("ring"),
+    ("gate", "alpha"): st.sampled_from([math.inf, -math.inf, math.nan]),
+    ("visibility", "detector_pair"): st.just("D9-D9"),
+    ("visibility", "samples"): st.one_of(st.integers(-2, 5), st.floats(0.0, 64.0)),
+    ("threads",): st.integers(1, 4),
+}
+
+
+def _set(config: dict, path, value) -> None:
+    for key in path[:-1]:
+        if not isinstance(config.get(key), dict):
+            config[key] = {}
+        config = config[key]
+    config[path[-1]] = value
+
+
+@st.composite
+def _configs(draw):
+    shape = draw(st.integers(0, 9))
+    if shape == 0:  # not a mapping, or a mapping of nonsense
+        return draw(st.one_of(_junk, st.dictionaries(st.text(max_size=4), _junk, max_size=3)))
+    config: dict = {}
+    for path in draw(st.sets(st.sampled_from(sorted(_VALID)))):
+        _set(config, path, draw(_VALID[path]))
+    if shape <= 4:  # one field gets a wrong type or value
+        path = draw(st.sampled_from(sorted(_WRONG) + sorted(_VALID)))
+        _set(config, path, draw(_WRONG.get(path, _junk)))
+    return config
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(config=_configs())
+def test_generated_config_exits_0_or_2(command, config):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "config.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        code = main([command, "--config", str(path), "--out", str(Path(scratch) / "run")])
+    assert code in (0, 2), f"exit {code} for {config!r}"

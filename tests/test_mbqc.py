@@ -1,6 +1,7 @@
 """Tests for measurement patterns, the two-qubit gates, the search
 protocol, and the single-photon output discrimination."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from onewaysim.cluster import (
     build_cluster,
     c4_state,
     to_box_frame,
+    to_horseshoe_frame,
 )
 from onewaysim.mbqc import (
     BELL_LABELS,
@@ -33,6 +35,7 @@ from onewaysim.mbqc import (
 from onewaysim.photonics import NoiseModel, apply_noise
 from onewaysim.qcore import (
     DensityMatrix,
+    ImpossibleOutcomeError,
     StateVector,
     apply_cphase,
     apply_gate,
@@ -305,6 +308,101 @@ def test_lab_clicks_do_not_reveal_the_mark():
         assert set(other) == set(reference)
         for key, value in reference.items():
             assert other[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_lab_distribution_rejects_other_registers():
+    for state in (
+        StateVector(np.array([1.0, 0.0], dtype=complex)),
+        StateVector(np.full(32, 32**-0.5, dtype=complex)),
+    ):
+        with pytest.raises(ValueError, match="search input must be a four-qubit state"):
+            grover_lab_distribution("00", input_state=state)
+        with pytest.raises(ValueError, match="search input must be a four-qubit state"):
+            grover_run("00", input_state=state)
+
+
+# the prefix-sharing enumeration against one forced run per branch, the
+# way every branch used to be computed: equal bit for bit, so the exact
+# search tables and the counts drawn from them are unchanged
+
+MARKS = ("00", "01", "10", "11")
+
+
+def _forced_branches(state, pattern):
+    branches = []
+    for bits in itertools.product((0, 1), repeat=len(pattern.steps)):
+        try:
+            record, residual = run_pattern(state, pattern, bits)
+        except ImpossibleOutcomeError:
+            continue
+        branches.append((bits, record.joint_probability(), residual))
+    return branches
+
+
+def _assert_same_branches(got, want):
+    assert [(bits, prob) for bits, prob, _ in got] == [(bits, prob) for bits, prob, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        if b is None:
+            assert a is None
+        elif isinstance(b, StateVector):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        else:
+            assert np.array_equal(a.matrix, b.matrix)
+
+
+def _oracle_inputs(seed):
+    """Pure and mixed four-qubit inputs: the ideal, edge and random noisy
+    clusters, plus random states that break the cluster's symmetries."""
+    rng = np.random.default_rng(seed)
+    ideal = c4_state()
+    states = [ideal, DensityMatrix.from_state(ideal)]
+    models = [NoiseModel(0.0, 0.0, 1.0), NoiseModel(1.0, 0.0, 0.0), NoiseModel(0.0, 1.0, 0.0)]
+    models += [NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(4)]
+    states += [apply_noise(ideal, model) for model in models]
+    states += [random_state(rng, 4) for _ in range(2)]
+    states += [random_density(rng, 4) for _ in range(2)]
+    return states
+
+
+def test_branch_distribution_equals_forced_runs():
+    rng = np.random.default_rng(41)
+    for state in _oracle_inputs(41):
+        box = to_box_frame(state)
+        for marked in MARKS:
+            pattern = grover_pattern(marked)
+            _assert_same_branches(
+                branch_distribution(box, pattern), _forced_branches(box, pattern)
+            )
+        alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
+        for frame, pattern_fn in ((to_horseshoe_frame, horseshoe_pattern), (to_box_frame, box_pattern)):
+            for feedforward in (True, False):
+                pattern = pattern_fn(alpha, beta, feedforward=feedforward)
+                mapped = frame(state)
+                _assert_same_branches(
+                    branch_distribution(mapped, pattern), _forced_branches(mapped, pattern)
+                )
+
+
+def test_branch_distribution_checks_the_register():
+    with pytest.raises(ValueError, match="pattern qubits do not match"):
+        branch_distribution(
+            build_cluster(BOX_GRAPH), MeasurementPattern(steps=((1, 0.0),), readout=(0,))
+        )
+
+
+def test_exact_search_equals_forced_branch_sums():
+    for state in _oracle_inputs(43):
+        box = to_box_frame(state)
+        for marked in MARKS:
+            branches = _forced_branches(box, grover_pattern(marked))
+            for feedforward in (True, False):
+                oracle = {m: 0.0 for m in MARKS}
+                for (s_b2, s_b3, s_b1, s_b4), prob, _ in branches:
+                    if feedforward:
+                        oracle[f"{s_b2 ^ s_b4}{s_b1 ^ s_b3}"] += prob
+                    else:
+                        oracle[f"{1 ^ s_b4}{1 ^ s_b1}"] += prob
+                assert grover_run(marked, feedforward, state) == oracle
 
 
 # ---------------------------------------------------------------------------

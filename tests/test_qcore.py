@@ -22,6 +22,7 @@ from onewaysim.qcore import (
     ket,
     measure,
     measure_mixed,
+    measurement_branches,
     measurement_probabilities,
     overlap,
     pauli_x,
@@ -293,6 +294,36 @@ def test_measure_mixed_single_qubit():
     rho = DensityMatrix(np.eye(2) / 2)
     outcome, prob, residual = measure_mixed(rho, 0, 0.0, 0)
     assert outcome == 0 and prob == pytest.approx(0.5) and residual is None
+
+
+def test_measurement_branches_equal_forced_measurements(rng):
+    for make, measure_fn in ((random_state, measure), (random_density, measure_mixed)):
+        for num_qubits in (1, 3):
+            state = make(rng, num_qubits)
+            qubit = int(rng.integers(num_qubits))
+            alpha = float(rng.uniform(0, 2 * math.pi))
+            branches = measurement_branches(state, qubit, alpha)
+            assert [b[0] for b in branches] == [0, 1]
+            for outcome, prob, residual in branches:
+                _, forced_prob, forced = measure_fn(state, qubit, alpha, outcome)
+                assert prob == forced_prob
+                if forced is None:
+                    assert residual is None
+                elif measure_fn is measure:
+                    assert np.array_equal(residual.amplitudes, forced.amplitudes)
+                else:
+                    assert np.array_equal(residual.matrix, forced.matrix)
+
+
+def test_measurement_branches_leave_out_impossible_outcomes():
+    # |+> on qubit 1 never reads 1 in B(0)
+    for state in (plus_state(2), DensityMatrix.from_state(plus_state(2))):
+        branches = measurement_branches(state, 1, 0.0)
+        assert [(outcome, prob) for outcome, prob, _ in branches] == [
+            (0, pytest.approx(1.0, abs=1e-12))
+        ]
+        with pytest.raises(ImpossibleOutcomeError):
+            (measure if isinstance(state, StateVector) else measure_mixed)(state, 1, 0.0, 1)
 
 
 def test_outcome_sources():
