@@ -29,6 +29,7 @@ from .cluster import BOX_FRAME, HORSESHOE_FRAME, FrameMap, c4_state
 from .mbqc import (
     GateOutputSpec,
     MeasurementPattern,
+    _apply_byproducts,
     box_gate,
     box_pattern,
     grover_run,
@@ -50,7 +51,7 @@ from .qcore import (
     ImpossibleOutcomeError,
     PauliString,
     State,
-    StateVector,
+    _density_array,
     _product_basis,
     expectation,
 )
@@ -340,7 +341,7 @@ def _prepare_state(noise: Optional[NoiseModel]) -> State:
 
 
 def _branch_maps(frame: FrameMap, pattern: MeasurementPattern) -> np.ndarray:
-    """K_s for every outcome branch s of an uncorrected pattern.
+    """K_s for every outcome branch s of a pattern, without its feedforward.
 
     K_s maps a source-frame (|C4>) state onto the unnormalised residual
     of branch s on the readout qubits: the frame map, then the bra of its
@@ -377,23 +378,21 @@ def gate_fidelity_report(
     unnormalised residual is R_s = K_s rho K_s^dagger (see
     :func:`_branch_maps`), read straight off the source-frame state for
     all four branches at once.  The fidelity is t_s^dagger R_s t_s /
-    tr R_s, with t_s the closed-form branch output.
+    tr R_s, with t_s the closed-form branch output: the (0, 0) output
+    with the pattern's feedforward Paulis of branch s.
     """
     if kind not in _GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
     frame, pattern_fn, target_fn = _GATES[kind]
-    pattern = pattern_fn(alpha, beta, feedforward=False)
+    pattern = pattern_fn(alpha, beta)
     maps = _branch_maps(frame, pattern)
     branches = list(itertools.product((0, 1), repeat=len(pattern.steps)))
-    state = _prepare_state(noise)
-    if isinstance(state, StateVector):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
+    rho = _density_array(_prepare_state(noise))
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
+    target = target_fn(GateOutputSpec(alpha, beta))
     targets = np.array(
-        [target_fn(GateOutputSpec(alpha, beta, s2, s3)).amplitudes for s2, s3 in branches]
+        [_apply_byproducts(target, pattern, branch).amplitudes for branch in branches]
     )
     overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     report = {}

@@ -71,6 +71,9 @@ _NOISE_KEYS = {"path_dephasing_a", "path_dephasing_b", "white_noise"}
 # numpy's Poisson sampler refuses means beyond the int64 range (~9.2e18)
 _MAX_EXPECTED_COUNTS = 1e18
 
+# fringe phases per scan: the whole phase grid is allocated at once
+_MAX_VISIBILITY_SAMPLES = 65536
+
 # a number in exponent form that YAML 1.1 reads as text: no decimal point
 # in the mantissa, or no sign on the exponent
 _TEXT_EXPONENT = re.compile(r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)")
@@ -208,6 +211,10 @@ class ExperimentConfig:
         )
         if cfg.visibility_samples % 2:
             raise ConfigError("config field 'visibility.samples' must be even")
+        if cfg.visibility_samples > _MAX_VISIBILITY_SAMPLES:
+            raise ConfigError(
+                f"config field 'visibility.samples' must be <= {_MAX_VISIBILITY_SAMPLES}"
+            )
         return cfg
 
 
@@ -246,8 +253,8 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
             data = yaml.safe_load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file: {exc}") from exc
+    except (yaml.YAMLError, RecursionError) as exc:  # deep nesting recurses
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return ExperimentConfig.from_mapping(data)
 
 

@@ -30,7 +30,6 @@ from .qcore import (
     apply_gate,
     hadamard,
     measure,
-    measure_mixed,
     measurement_branches,
     pauli_x,
     pauli_z,
@@ -97,12 +96,6 @@ class OutcomeRecord:
         return float(np.prod(self.probabilities))
 
 
-def _measure_any(state: State, pos: int, alpha: float, source):
-    if isinstance(state, StateVector):
-        return measure(state, pos, alpha, source)
-    return measure_mixed(state, pos, alpha, source)
-
-
 def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
     """Execute a measurement pattern on a state.
 
@@ -140,11 +133,11 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
     for index, (qubit, alpha) in enumerate(pattern.steps):
         pos = live.index(qubit)
         source = forced[index] if forced is not None else outcome_source
-        out, p, current = _measure_any(current, pos, alpha, source)
+        out, p, current = measure(current, pos, alpha, source)
         live.pop(pos)
         outcomes.append(out)
         probs.append(p)
-    return _finish(pattern, live, tuple(outcomes), tuple(probs), current)
+    return _finish(pattern, tuple(outcomes), tuple(probs), current)
 
 
 def _check_cover(state: State, pattern: MeasurementPattern) -> None:
@@ -155,19 +148,25 @@ def _check_cover(state: State, pattern: MeasurementPattern) -> None:
         raise ValueError("pattern qubits do not match the register")
 
 
-def _finish(pattern: MeasurementPattern, live, outcomes, probs, current):
+def _finish(pattern: MeasurementPattern, outcomes, probs, current):
     """The record of a finished run and its byproduct-corrected residual."""
     if current is not None:
-        corrections = pattern.correction_map()
-        for (qubit, _), out in zip(pattern.steps, outcomes):
-            if out != 1:
-                continue
-            for letter, target in corrections.get(qubit, ()):
-                current = apply_gate(
-                    current, live.index(target), _CORRECTION_GATES[letter]
-                )
-    step_qubits = tuple(q for q, _ in pattern.steps)
-    return OutcomeRecord(step_qubits, outcomes, probs), current
+        current = _apply_byproducts(current, pattern, outcomes)
+    return OutcomeRecord(tuple(q for q, _ in pattern.steps), outcomes, probs), current
+
+
+def _apply_byproducts(state: State, pattern: MeasurementPattern, outcomes) -> State:
+    """The pattern's feedforward Paulis for these step outcomes, applied in
+    step order to ``state`` (the readout qubits in ascending order)."""
+    corrections = pattern.correction_map()
+    for (qubit, _), out in zip(pattern.steps, outcomes):
+        if out != 1:
+            continue
+        for letter, target in corrections.get(qubit, ()):
+            state = apply_gate(
+                state, pattern.readout.index(target), _CORRECTION_GATES[letter]
+            )
+    return state
 
 
 def branch_distribution(state: State, pattern: MeasurementPattern):
@@ -193,7 +192,7 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
         live.pop(pos)
     branches = []
     for outcomes, probs, current in level:
-        record, residual = _finish(pattern, live, outcomes, probs, current)
+        record, residual = _finish(pattern, outcomes, probs, current)
         branches.append((outcomes, record.joint_probability(), residual))
     return branches
 
@@ -252,31 +251,22 @@ def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
     """Closed-form output of the horseshoe pattern for one branch.
 
     Qubit 0 of the result is cluster qubit 1, qubit 1 is cluster qubit 4.
-    The branch byproducts X^{s2} (qubit 0) and X^{s3} (qubit 1) are kept
-    in the state, matching an uncorrected run.
+    The pattern's byproducts X^{s2} (qubit 0) and X^{s3} (qubit 1) are
+    kept in the state, matching an uncorrected run.
     """
-    out = _rotated_pair(spec)
-    if spec.s2:
-        out = apply_gate(out, 0, pauli_x())
-    if spec.s3:
-        out = apply_gate(out, 1, pauli_x())
-    return out
+    pattern = horseshoe_pattern(spec.alpha, spec.beta)
+    return _apply_byproducts(_rotated_pair(spec), pattern, (spec.s2, spec.s3))
 
 
 def box_gate(spec: GateOutputSpec) -> StateVector:
     """Closed-form output of the box pattern for one branch.
 
-    Same qubit convention as :func:`horseshoe_gate`; byproducts are
-    (X x Z)^{s2} followed by (Z x X)^{s3}.
+    Same qubit convention as :func:`horseshoe_gate`; the pattern's
+    byproducts are (X x Z)^{s2} followed by (Z x X)^{s3}.
     """
-    out = apply_cphase(_rotated_pair(spec), 0, 1)
-    if spec.s2:
-        out = apply_gate(out, 0, pauli_x())
-        out = apply_gate(out, 1, pauli_z())
-    if spec.s3:
-        out = apply_gate(out, 0, pauli_z())
-        out = apply_gate(out, 1, pauli_x())
-    return out
+    pattern = box_pattern(spec.alpha, spec.beta)
+    pair = apply_cphase(_rotated_pair(spec), 0, 1)
+    return _apply_byproducts(pair, pattern, (spec.s2, spec.s3))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .qcore import (
     StateVector,
     _basis_probabilities,
     _check_density,
+    _density_array,
     _rotated_diagonal,
     apply_gate,
     hadamard,
@@ -235,11 +236,7 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     """Send a four-qubit state through the noise channel."""
     if ideal.num_qubits != 4:
         raise ValueError("the noise model is defined on the four-qubit register")
-    if isinstance(ideal, StateVector):
-        rho = np.outer(ideal.amplitudes, ideal.amplitudes.conj())
-    else:
-        rho = ideal.matrix
-    return DensityMatrix(_noise_channel(rho, model))
+    return DensityMatrix(_noise_channel(_density_array(ideal), model))
 
 
 def _noise_channel(rho: np.ndarray, model: NoiseModel) -> np.ndarray:

@@ -6,6 +6,11 @@ index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}.  Everything is exact
 dense arithmetic; this module is meant for registers of at most six
 qubits and favours clarity over asymptotic speed.
 
+Every operation is written once for pure and mixed states: a state's
+array has a ket axis, followed by a bra axis for a mixed state only, and
+gates, CPhase, swaps and the B(alpha) split loop over the sides present.
+``_array``/``_state`` alone map between the two classes and arrays.
+
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
 values can be shared freely between threads.
@@ -14,10 +19,10 @@ Measurements use the equatorial basis family
 
     B(alpha) = { |alpha+>, |alpha-> },   |alpha+-> = (|0> +- e^{i alpha}|1>)/sqrt(2)
 
-with outcome 0 meaning a projection onto |alpha+>.  Z measurements are
-not part of this family; readouts in any product basis (see the
-photonics module) rotate each qubit's basis onto Z and read the
-diagonal of the rotated state.
+with outcome 0 meaning a projection onto |alpha+>; :func:`measure`
+takes either kind of state.  Z measurements are not part of this
+family; readouts in any product basis (see the photonics module) rotate
+each qubit's basis onto Z and read the diagonal of the rotated state.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -115,8 +120,7 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
-        a = state.amplitudes
-        return cls(np.outer(a, a.conj()))
+        return cls(_density_array(state))
 
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
@@ -229,6 +233,62 @@ def _check_qubit(state: State, qubit: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# state arrays
+# ---------------------------------------------------------------------------
+
+
+def _array(state: State) -> np.ndarray:
+    """The state's array: a ket axis, then a bra axis for a mixed state."""
+    return state.amplitudes if isinstance(state, StateVector) else state.matrix
+
+
+def _state(array: np.ndarray) -> State:
+    """The (checked) state whose array is ``array``; see :func:`_array`."""
+    return StateVector(array) if array.ndim == 1 else DensityMatrix(array)
+
+
+def _density_array(state: State) -> np.ndarray:
+    """The state's density matrix, |a><a| for a pure state."""
+    a = _array(state)
+    return np.outer(a, a.conj()) if a.ndim == 1 else a
+
+
+def _pairing(a: np.ndarray, op: np.ndarray, what: str) -> float:
+    """tr(op rho) for the state array ``a``; ``op`` is a matrix, or a ket
+    standing for its projector.  A ket ``a`` gives <a|op|a>."""
+    if op.ndim == 1:
+        val = abs(np.vdot(op, a)) ** 2 if a.ndim == 1 else np.vdot(op, a @ op)
+    else:
+        val = np.vdot(a, op @ a) if a.ndim == 1 else np.trace(op @ a)
+    if abs(val.imag) > TOL:
+        raise ArithmeticError(f"{what} has imaginary residue {val.imag!r}")
+    return float(val.real)
+
+
+def _weight(branch: np.ndarray) -> float:
+    """Weight of an unnormalized branch: squared norm of a ket, else trace."""
+    if branch.ndim == 1:
+        return float(np.linalg.norm(branch) ** 2)
+    return float(np.trace(branch).real)
+
+
+def _renormalized(branch: np.ndarray, prob: float) -> np.ndarray:
+    """A branch scaled to unit weight (a ket by its own norm)."""
+    if branch.ndim == 1:
+        return branch / np.linalg.norm(branch)
+    block = branch / prob
+    return (block + block.conj().T) / 2.0  # remove numerical Hermiticity drift
+
+
+def _rotated_diagonal(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Real diagonal of u rho u^dagger for the state array ``a`` (|u a|^2
+    for a ket); a stack of matrices gives a stack of diagonals."""
+    if a.ndim == 1:
+        return np.abs(u @ a) ** 2
+    return ((u @ a) * u.conj()).sum(axis=-1).real
+
+
+# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -240,24 +300,15 @@ def apply_gate(state: State, qubit: int, gate: SingleQubitGate) -> State:
     conjugated, rho -> U rho U^dagger).
     """
     _check_qubit(state, qubit)
+    a = _array(state)
     n = state.num_qubits
     u = gate.matrix
-    if isinstance(state, StateVector):
-        t = np.tensordot(u, state.tensor(), axes=([1], [qubit]))
-        t = np.moveaxis(t, 0, qubit)
-        return StateVector(t.reshape(-1))
-    t = state.matrix.reshape((2,) * (2 * n))
-    t = np.tensordot(u, t, axes=([1], [qubit]))
-    t = np.moveaxis(t, 0, qubit)
-    t = np.tensordot(u.conj(), t, axes=([1], [n + qubit]))
-    t = np.moveaxis(t, 0, n + qubit)
-    return DensityMatrix(t.reshape(2**n, 2**n))
-
-
-def _cphase_signs(n: int, qubit_j: int, qubit_k: int) -> np.ndarray:
-    b = np.arange(2**n)
-    both = ((b >> (n - 1 - qubit_j)) & 1) & ((b >> (n - 1 - qubit_k)) & 1)
-    return np.where(both == 1, -1.0, 1.0)
+    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
+    for side in range(a.ndim):
+        axis = side * n + qubit
+        t = np.tensordot(u if side == 0 else u.conj(), t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    return _state(t.reshape(a.shape))
 
 
 def apply_cphase(state: State, qubit_j: int, qubit_k: int) -> State:
@@ -266,10 +317,14 @@ def apply_cphase(state: State, qubit_j: int, qubit_k: int) -> State:
     _check_qubit(state, qubit_k)
     if qubit_j == qubit_k:
         raise ValueError("CPhase needs two distinct qubits")
-    d = _cphase_signs(state.num_qubits, qubit_j, qubit_k)
-    if isinstance(state, StateVector):
-        return StateVector(state.amplitudes * d)
-    return DensityMatrix(state.matrix * d[:, None] * d[None, :])
+    a = _array(state)
+    n = state.num_qubits
+    t = a.reshape((2,) * (n * a.ndim)).copy()
+    for side in range(a.ndim):
+        both = [slice(None)] * t.ndim  # the |11> block of this side
+        both[side * n + qubit_j] = both[side * n + qubit_k] = 1
+        t[tuple(both)] *= -1.0
+    return _state(t.reshape(a.shape))
 
 
 def swap_qubits(state: State, qubit_a: int, qubit_b: int) -> State:
@@ -278,15 +333,12 @@ def swap_qubits(state: State, qubit_a: int, qubit_b: int) -> State:
     _check_qubit(state, qubit_b)
     if qubit_a == qubit_b:
         return state
+    a = _array(state)
     n = state.num_qubits
     perm = list(range(n))
     perm[qubit_a], perm[qubit_b] = perm[qubit_b], perm[qubit_a]
-    if isinstance(state, StateVector):
-        t = state.tensor().transpose(perm)
-        return StateVector(t.reshape(-1))
-    t = state.matrix.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [n + p for p in perm])
-    return DensityMatrix(t.reshape(2**n, 2**n))
+    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
+    return _state(t.transpose([s * n + p for s in range(a.ndim) for p in perm]).reshape(a.shape))
 
 
 def expectation(state: State, observable: PauliString) -> float:
@@ -297,13 +349,7 @@ def expectation(state: State, observable: PauliString) -> float:
             f"state has {state.num_qubits}"
         )
     word = _pauli_word_matrix(observable.letters)
-    if isinstance(state, StateVector):
-        val = np.vdot(state.amplitudes, word @ state.amplitudes)
-    else:
-        val = np.trace(word @ state.matrix)
-    if abs(val.imag) > TOL:
-        raise ArithmeticError(f"expectation has imaginary residue {val.imag!r}")
-    return observable.coefficient * float(val.real)
+    return observable.coefficient * _pairing(_array(state), word, "expectation")
 
 
 def _resolve_outcome(outcome_source, p0: float) -> int:
@@ -325,27 +371,50 @@ def _resolve_outcome(outcome_source, p0: float) -> int:
     )
 
 
-def _branch_vectors(state: StateVector, qubit: int, alpha: float):
-    """Unnormalized post-measurement amplitudes for outcomes 0 and 1."""
-    t = state.tensor()
-    a0 = np.take(t, 0, axis=qubit)
-    a1 = np.take(t, 1, axis=qubit)
-    phase = np.exp(-1j * alpha)
-    b0 = (a0 + phase * a1) / math.sqrt(2)
-    b1 = (a0 - phase * a1) / math.sqrt(2)
-    return b0, b1
+@lru_cache(maxsize=256)
+def _split_coefficients(alpha: float, sides: int):
+    """Per outcome, the coefficients of the split's blocks after the first:
+    products of the bra's (1, +-e^{-i alpha}) over the sides, conjugated on
+    the bra side, in index order with the ket index first."""
+    phase = complex(np.exp(-1j * alpha))
+    table = []
+    for c in (phase, -phase):
+        coefs = [1.0]
+        for side_c in (c, c.conjugate())[:sides]:
+            coefs = [y for x in coefs for y in (x, x * side_c)]
+        table.append(tuple(coefs[1:]))
+    return tuple(table)
+
+
+def _split(state: State, qubit: int, alpha: float):
+    """Both unnormalized branches of a B(alpha) measurement, and the weight of 0.
+
+    Each side of the array contracts the qubit with the outcome's bra; the
+    terms are summed in index order and scaled by 2**(-sides/2).
+    """
+    _check_qubit(state, qubit)
+    a = _array(state)
+    n, sides = state.num_qubits, a.ndim
+    blocks = [a.reshape((2,) * (n * sides))]
+    for side in range(sides):
+        # earlier sides have lost their measured axis already; take copies,
+        # since numpy's arithmetic rounds differently on strided views
+        axis = side * (n - 1) + qubit
+        blocks = [block.take(k, axis=axis) for block in blocks for k in (0, 1)]
+    scale = 2 ** (sides / 2)
+    branches = []
+    for coefs in _split_coefficients(alpha, sides):
+        branch = blocks[0]
+        for coef, block in zip(coefs, blocks[1:]):
+            branch = branch + coef * block
+        branches.append((branch / scale).reshape((2 ** (n - 1),) * sides))
+    return branches, _weight(branches[0])
 
 
 def measurement_probabilities(state: State, qubit: int, alpha: float):
     """Born probabilities (p0, p1) for a B(alpha) measurement."""
-    _check_qubit(state, qubit)
-    if isinstance(state, StateVector):
-        b0, b1 = _branch_vectors(state, qubit, alpha)
-        p0 = float(np.linalg.norm(b0) ** 2)
-        p1 = float(np.linalg.norm(b1) ** 2)
-        return p0, p1
-    r0, r1 = _mixed_branches(state, qubit, alpha)
-    return float(np.trace(r0).real), float(np.trace(r1).real)
+    (_, b1), p0 = _split(state, qubit, alpha)
+    return p0, _weight(b1)
 
 
 def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
@@ -363,23 +432,15 @@ def _basis_probabilities(state: State, bases: Sequence[np.ndarray]) -> np.ndarra
     qubit q, so the probabilities are the diagonal of (x)U rho (x)U^dagger,
     indexed like basis states.
     """
-    u = _product_basis(bases)
-    if isinstance(state, StateVector):
-        return np.abs(u @ state.amplitudes) ** 2
-    return _rotated_diagonal(u, state.matrix)
+    return _rotated_diagonal(_product_basis(bases), _array(state))
 
 
-def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Real diagonal of u rho u^dagger, for one matrix or a stack of them."""
-    return ((u @ rho) * u.conj()).sum(axis=-1).real
-
-
-def measure(state: StateVector, qubit: int, basis_angle: float, outcome_source):
+def measure(state: State, qubit: int, basis_angle: float, outcome_source):
     """Measure one qubit in B(basis_angle).
 
     Parameters
     ----------
-    state : StateVector
+    state : StateVector or DensityMatrix
     qubit : int
     basis_angle : float
         alpha in radians; outcome 0 projects onto |alpha+>.
@@ -390,79 +451,33 @@ def measure(state: StateVector, qubit: int, basis_angle: float, outcome_source):
     -------
     (outcome, probability, residual)
         The reported bit, its Born probability, and the renormalized
-        state on the remaining qubits (None when none remain).  The
-        residual keeps the surviving qubits in their original order.
+        residual, of the input's kind, on the remaining qubits in their
+        original order (None when none remain).
 
     Raises
     ------
     ImpossibleOutcomeError
         If a forced outcome has projection weight below 1e-12.
     """
-    if not isinstance(state, StateVector):
-        raise TypeError("measure works on StateVector; use measure_mixed for mixed states")
-    return _measure(state, qubit, basis_angle, outcome_source)
-
-
-def _mixed_branches(rho: DensityMatrix, qubit: int, alpha: float):
-    """Unnormalized post-measurement matrices for outcomes 0 and 1."""
-    n = rho.num_qubits
-    t = rho.matrix.reshape((2,) * (2 * n))
-    r = {}
-    for i in (0, 1):
-        ti = np.take(t, i, axis=qubit)
-        for j in (0, 1):
-            # the bra-side axis shifts down by one once the ket axis is taken
-            r[i, j] = np.take(ti, j, axis=n - 1 + qubit)
-    phase = np.exp(-1j * alpha)
-    out = []
-    for s in (0, 1):
-        sign = 1.0 if s == 0 else -1.0
-        block = (
-            r[0, 0]
-            + sign * np.conj(phase) * r[0, 1]
-            + sign * phase * r[1, 0]
-            + r[1, 1]
-        ) / 2.0
-        out.append(block.reshape(2 ** (n - 1), 2 ** (n - 1)))
-    return out[0], out[1]
-
-
-def measure_mixed(rho: DensityMatrix, qubit: int, basis_angle: float, outcome_source):
-    """B(alpha) measurement on a density matrix; see :func:`measure`."""
-    return _measure(rho, qubit, basis_angle, outcome_source)
+    branches, p0 = _split(state, qubit, basis_angle)
+    outcome = _resolve_outcome(outcome_source, p0)
+    return _settle(state, qubit, outcome, branches[outcome], (p0, 1.0 - p0)[outcome])
 
 
 def measurement_branches(state: State, qubit: int, basis_angle: float):
     """Every possible outcome of a B(alpha) measurement, from one split.
 
     Returns the (outcome, probability, residual) triples that
-    :func:`measure` or :func:`measure_mixed` give for each forced outcome,
-    equal to them bit for bit, in outcome order; an outcome whose weight
-    is below the forced-outcome floor (1e-12) is left out.
+    :func:`measure` gives for each forced outcome, equal to them bit for
+    bit, in outcome order; an outcome whose weight is below the
+    forced-outcome floor (1e-12) is left out.
     """
-    _check_qubit(state, qubit)
     branches, p0 = _split(state, qubit, basis_angle)
     return [
         _settle(state, qubit, outcome, branches[outcome], prob)
         for outcome, prob in enumerate((p0, 1.0 - p0))
         if prob >= _FORCED_MIN_WEIGHT
     ]
-
-
-def _split(state: State, qubit: int, alpha: float):
-    """Both unnormalized branches of a measurement, and the weight of 0."""
-    if isinstance(state, StateVector):
-        branches = _branch_vectors(state, qubit, alpha)
-        return branches, float(np.linalg.norm(branches[0]) ** 2)
-    branches = _mixed_branches(state, qubit, alpha)
-    return branches, float(np.trace(branches[0]).real)
-
-
-def _measure(state: State, qubit: int, basis_angle: float, outcome_source):
-    _check_qubit(state, qubit)
-    branches, p0 = _split(state, qubit, basis_angle)
-    outcome = _resolve_outcome(outcome_source, p0)
-    return _settle(state, qubit, outcome, branches[outcome], (p0, 1.0 - p0)[outcome])
 
 
 def _settle(state: State, qubit: int, outcome: int, branch: np.ndarray, prob: float):
@@ -473,23 +488,14 @@ def _settle(state: State, qubit: int, outcome: int, branch: np.ndarray, prob: fl
         )
     if state.num_qubits == 1:
         return outcome, prob, None
-    if isinstance(state, StateVector):
-        return outcome, prob, StateVector.normalized(branch.reshape(-1))
-    block = branch / prob
-    block = (block + block.conj().T) / 2.0  # remove numerical Hermiticity drift
-    return outcome, prob, DensityMatrix(block)
+    return outcome, prob, _state(_renormalized(branch, prob))
 
 
 def fidelity(rho: State, target: StateVector) -> float:
     """<target| rho |target>, in [0, 1].  Pure rho gives |<target|rho>|^2."""
     if rho.num_qubits != target.num_qubits:
         raise ValueError("fidelity needs matching qubit counts")
-    if isinstance(rho, StateVector):
-        return float(abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
-    val = np.vdot(target.amplitudes, rho.matrix @ target.amplitudes)
-    if abs(val.imag) > TOL:
-        raise ArithmeticError("fidelity has an imaginary residue")
-    return float(val.real)
+    return _pairing(_array(rho), target.amplitudes, "fidelity")
 
 
 def overlap(a: StateVector, b: StateVector) -> float:

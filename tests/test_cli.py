@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from onewaysim.cli import ConfigError, load_config, main, resolve_noise
+from onewaysim.cli import ConfigError, ExperimentConfig, load_config, main, resolve_noise
 
 
 def _write(tmp_path, name, text):
@@ -225,6 +225,16 @@ def test_visibility_odd_samples_exit_code(tmp_path, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_visibility_oversized_samples_exit_code(tmp_path, capsys):
+    config = _write(tmp_path, "config.yaml", "visibility:\n  samples: 1000000000000000\n")
+    assert main(["visibility", "--config", config, "--out", str(tmp_path / "v")]) == 2
+    message = capsys.readouterr().err
+    assert "visibility.samples" in message and "65536" in message
+    assert not (tmp_path / "v.json").exists()
+    cfg = ExperimentConfig.from_mapping({"visibility": {"samples": 65536}})
+    assert cfg.visibility_samples == 65536
+
+
 def test_visibility_all_pairs(tmp_path):
     prefix = str(tmp_path / "vall")
     assert main(["visibility", "--out", prefix]) == 0
@@ -255,6 +265,14 @@ def test_invalid_yaml_exit_code(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "noise: [unclosed\n")
     assert main(["witness", "--config", config]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_exit_code(tmp_path, capsys):
+    # the YAML parser recurses once per level
+    config = _write(tmp_path, "config.yaml", "[" * 20000)
+    assert main(["witness", "--config", config]) == 2
+    message = capsys.readouterr().err
+    assert "cannot parse config file" in message and config in message
 
 
 def test_csv_without_out_is_an_error(capsys):

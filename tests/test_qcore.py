@@ -21,7 +21,6 @@ from onewaysim.qcore import (
     identity_gate,
     ket,
     measure,
-    measure_mixed,
     measurement_branches,
     measurement_probabilities,
     overlap,
@@ -282,22 +281,38 @@ def test_measure_mixed_matches_pure(rng):
             if p_pure[branch] < 1e-9:
                 continue
             _, _, res_pure = measure(psi, 2, alpha, branch)
-            _, _, res_mixed = measure_mixed(rho, 2, alpha, branch)
+            _, _, res_mixed = measure(rho, 2, alpha, branch)
             assert np.allclose(
                 res_mixed.matrix,
                 np.outer(res_pure.amplitudes, res_pure.amplitudes.conj()),
                 atol=1e-10,
             )
+    # a mixed input against K rho K^dagger, K = <alpha +-| on the qubit
+    for _ in range(10):
+        rho = random_density(rng, 3)
+        qubit = int(rng.integers(3))
+        alpha = float(rng.uniform(0, 2 * math.pi))
+        for branch in (0, 1):
+            bra = np.array([1.0, (-1) ** branch * np.exp(-1j * alpha)]) / math.sqrt(2)
+            factors = [np.eye(2)] * 3
+            factors[qubit] = bra[None, :]
+            k = np.kron(np.kron(factors[0], factors[1]), factors[2])
+            r = k @ rho.matrix @ k.conj().T
+            weight = np.trace(r).real
+            outcome, prob, residual = measure(rho, qubit, alpha, branch)
+            assert outcome == branch
+            assert prob == pytest.approx(weight, abs=1e-12)
+            assert np.allclose(residual.matrix, r / weight, atol=1e-12)
 
 
 def test_measure_mixed_single_qubit():
     rho = DensityMatrix(np.eye(2) / 2)
-    outcome, prob, residual = measure_mixed(rho, 0, 0.0, 0)
+    outcome, prob, residual = measure(rho, 0, 0.0, 0)
     assert outcome == 0 and prob == pytest.approx(0.5) and residual is None
 
 
 def test_measurement_branches_equal_forced_measurements(rng):
-    for make, measure_fn in ((random_state, measure), (random_density, measure_mixed)):
+    for make in (random_state, random_density):
         for num_qubits in (1, 3):
             state = make(rng, num_qubits)
             qubit = int(rng.integers(num_qubits))
@@ -305,11 +320,11 @@ def test_measurement_branches_equal_forced_measurements(rng):
             branches = measurement_branches(state, qubit, alpha)
             assert [b[0] for b in branches] == [0, 1]
             for outcome, prob, residual in branches:
-                _, forced_prob, forced = measure_fn(state, qubit, alpha, outcome)
+                _, forced_prob, forced = measure(state, qubit, alpha, outcome)
                 assert prob == forced_prob
                 if forced is None:
                     assert residual is None
-                elif measure_fn is measure:
+                elif make is random_state:
                     assert np.array_equal(residual.amplitudes, forced.amplitudes)
                 else:
                     assert np.array_equal(residual.matrix, forced.matrix)
@@ -323,7 +338,7 @@ def test_measurement_branches_leave_out_impossible_outcomes():
             (0, pytest.approx(1.0, abs=1e-12))
         ]
         with pytest.raises(ImpossibleOutcomeError):
-            (measure if isinstance(state, StateVector) else measure_mixed)(state, 1, 0.0, 1)
+            measure(state, 1, 0.0, 1)
 
 
 def test_outcome_sources():
@@ -343,12 +358,6 @@ def test_outcome_sources():
         measure(psi, 0, 0.0, "zero")
     with pytest.raises(ValueError):
         measure(psi, 0, math.pi / 2, lambda p0: 3)
-
-
-def test_measure_rejects_density_matrix():
-    rho = DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(TypeError):
-        measure(rho, 0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
