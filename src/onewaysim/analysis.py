@@ -98,11 +98,12 @@ def _report_from_terms(
     )
 
 
+_WITNESS_WORDS = tuple(PauliString(word) for word in WITNESS_OBSERVABLES)
+
+
 def witness_value(state: State) -> WitnessReport:
     """Exact witness evaluation on a four-qubit state."""
-    terms = {
-        word: expectation(state, PauliString(word)) for word in WITNESS_OBSERVABLES
-    }
+    terms = {word.letters: expectation(state, word) for word in _WITNESS_WORDS}
     return _report_from_terms(terms)
 
 

@@ -10,13 +10,20 @@ files.
 Without ``--out`` the JSON document is the only thing on stdout and the
 summary line goes to stderr, so stdout always parses as one document.
 
-Exit codes: 0 on success, 2 for configuration or usage problems, 1 for
+Exit codes: 0 on success, 2 for configuration or usage problems (a
+config file larger than 8192 bytes or not valid UTF-8 among them), 1 for
 internal errors.
+
+Configs are parsed with libyaml when PyYAML was built with it, and with
+PyYAML's pure-Python loader otherwise; both give the same mappings.  The
+argparse parser is built on the first ``main`` call and reused by every
+later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -73,6 +80,13 @@ _MAX_EXPECTED_COUNTS = 1e18
 
 # fringe phases per scan: the whole phase grid is allocated at once
 _MAX_VISIBILITY_SAMPLES = 65536
+
+# bytes read from a config file: each nesting level takes at least one byte,
+# and libyaml's composer recurses in C once per level, crashing the process
+# (not raising) somewhere past 20,000 levels
+_MAX_CONFIG_BYTES = 8192
+
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # a number in exponent form that YAML 1.1 reads as text: no decimal point
 # in the mantissa, or no sign on the exponent
@@ -249,11 +263,22 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig.from_mapping(None)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read(_MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except (yaml.YAMLError, RecursionError) as exc:  # deep nesting recurses
+    if len(raw) > _MAX_CONFIG_BYTES:
+        raise ConfigError(
+            f"cannot parse config file {path}: larger than {_MAX_CONFIG_BYTES} bytes"
+        )
+    try:
+        data = yaml.load(raw.decode("utf-8"), Loader=_YAML_LOADER)
+    except (
+        yaml.YAMLError, ValueError, IndexError, AttributeError, RecursionError
+    ) as exc:
+        # besides bytes that are not UTF-8, PyYAML's safe constructor raises the
+        # three builtin errors on some scalars ('2001-13-01', '!!int', '!!timestamp
+        # x'), and its pure-Python composer recurses once per nesting level
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return ExperimentConfig.from_mapping(data)
 
@@ -514,6 +539,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onewaysim",

@@ -155,7 +155,6 @@ ENCODING = EncodingMap(
 )
 
 _PATH_QUBITS = {"A": 2, "B": 3}
-_POL_QUBITS = {"A": 1, "B": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,39 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
 
+import test_config_fuzz
+import test_golden
+from onewaysim import cli
 from onewaysim.cli import ConfigError, ExperimentConfig, load_config, main, resolve_noise
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _run_fresh(argv):
+    """Run ``python -m onewaysim`` on these sources in a new interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "onewaysim", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +296,120 @@ def test_deeply_nested_config_exit_code(tmp_path, capsys):
     assert main(["witness", "--config", config]) == 2
     message = capsys.readouterr().err
     assert "cannot parse config file" in message and config in message
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'seed: 1\nexperiment: "\xff"\n',
+        b"seed: 2001-13-01\n",  # YAML 1.1 resolves it as a timestamp
+        b"seed: !!int\n",
+        b"seed: !!timestamp x\n",
+    ],
+    ids=["not-utf8", "no-such-date", "empty-int-tag", "bad-timestamp-tag"],
+)
+def test_unparsable_config_bytes_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(content)
+    assert main(["witness", "--config", str(path)]) == 2
+    message = capsys.readouterr().err
+    assert "cannot parse config file" in message and str(path) in message
+
+
+def test_oversized_config_exit_code(tmp_path, capsys):
+    cap = cli._MAX_CONFIG_BYTES
+    padded = "seed: 1\n" + "#" * (cap - 9) + "\n"
+    assert main(["witness", "--config", _write(tmp_path, "at_cap.yaml", padded)]) == 0
+    capsys.readouterr()
+    config = _write(tmp_path, "over_cap.yaml", padded + "\n")
+    assert main(["witness", "--config", config]) == 2
+    message = capsys.readouterr().err
+    assert f"cannot parse config file {config}: larger than {cap} bytes" in message
+
+
+@pytest.mark.parametrize(
+    "unit, levels",
+    [
+        ("[", cli._MAX_CONFIG_BYTES),
+        ("{a: ", cli._MAX_CONFIG_BYTES // 4),
+        ("- ", cli._MAX_CONFIG_BYTES // 2),
+        ("[", 100_000),
+    ],
+)
+def test_deep_nesting_never_crashes_the_process(tmp_path, unit, levels):
+    # libyaml's composer recurses in C once per level and segfaults past
+    # ~20,000 levels; the size cap is what keeps the depth below that
+    run = _run_fresh(["witness", "--config", _write(tmp_path, "config.yaml", unit * levels)])
+    assert run.returncode in (0, 2), (run.returncode, run.stderr[-500:])
+
+
+_LOADER_CASES = [
+    (test_golden.ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8")
+    for name in test_golden.CONFIGS
+] + [
+    # resolver corners: octal-looking and text-looking numbers, YAML 1.1
+    # booleans, null, timestamps, anchors, merge keys, block scalars, CRLF, BOM
+    "grover: {marked: 00}\nrate: 1e4\nduration: 1.0e+4\nseed: 0o17\n",
+    "a: [yes, No, on, OFF, ~, null, .inf, -.Inf, .nan, 0x1F, 1_000, 12:30:00]\n",
+    "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+    "base: &b {x: 1, y: [1, 2]}\nmore:\n  <<: *b\n  y: 3\nsame: *b\n",
+    "text: |\n  two\n  lines\nfolded: >\n  one\n  line\n",
+    "\ufeffseed: 3\r\nnoise:\r\n  white_noise: 0.1\r\n",
+]
+
+
+_needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+def _assert_loaders_agree(text):
+    # repr compares types as well as values, and reads NaN as equal to NaN
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(expected)
+
+
+@_needs_libyaml
+@pytest.mark.parametrize("text", _LOADER_CASES)
+def test_libyaml_loader_gives_the_pure_python_mapping(text):
+    _assert_loaders_agree(text)
+
+
+@_needs_libyaml
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(config=test_config_fuzz._configs())
+def test_libyaml_loader_gives_the_pure_python_mapping_on_generated_configs(config):
+    _assert_loaders_agree(yaml.safe_dump(config))
+
+
+@pytest.mark.parametrize("name", test_golden.CONFIGS)
+def test_goldens_hold_with_the_pure_python_loader(name, tmp_path, monkeypatch):
+    class CountingLoader(yaml.SafeLoader):
+        made = 0
+
+        def __init__(self, stream):
+            CountingLoader.made += 1
+            super().__init__(stream)
+
+    monkeypatch.setattr(cli, "_YAML_LOADER", CountingLoader)
+    test_golden.test_shipped_config_matches_golden(name, tmp_path)
+    assert CountingLoader.made == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # help text wraps at the terminal width, which both sides read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = (["witness", "--bogus"], ["--help"], ["witness"])
+    cli._build_parser.cache_clear()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _run_fresh(argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_csv_without_out_is_an_error(capsys):
