@@ -206,12 +206,15 @@ def _classify_setting(
     raise ValueError("setting pair does not match either witness setting")
 
 
-def _term_sign(word: str, key: str) -> float:
-    sign = 1.0
-    for letter, bit in zip(word, key):
-        if letter != "I" and bit == "1":
-            sign = -sign
-    return sign
+# the +-1.0 eigenvalue of each witness word on each four-bit outcome key:
+# -1.0 when an odd number of the word's non-identity letters read bit 1
+_SIGNS = {
+    word: {
+        key: (-1.0) ** sum(bit == "1" for letter, bit in zip(word, key) if letter != "I")
+        for key in map("".join, itertools.product("01", repeat=4))
+    }
+    for word in WITNESS_OBSERVABLES
+}
 
 
 def _merge_counts(records: Iterable[CountRecord]) -> Dict[str, Dict[str, int]]:
@@ -237,9 +240,8 @@ def _estimate_terms(bucket: Dict[str, int], words) -> Dict[str, float]:
         raise NoCountsError("a witness setting has zero counts")
     out = {}
     for word in words:
-        out[word] = (
-            sum(count * _term_sign(word, key) for key, count in bucket.items()) / total
-        )
+        signs = _SIGNS[word]
+        out[word] = sum(count * signs[key] for key, count in bucket.items()) / total
     return out
 
 
@@ -251,9 +253,10 @@ def _delta_stderrs(merged):
         total = sum(bucket.values())
         estimates = _estimate_terms(bucket, words)
         for word in words:
+            signs = _SIGNS[word]
             var = (
                 sum(
-                    count * (_term_sign(word, key) - estimates[word]) ** 2
+                    count * (signs[key] - estimates[word]) ** 2
                     for key, count in bucket.items()
                 )
                 / total**2
@@ -265,7 +268,7 @@ def _delta_stderrs(merged):
         sum_var = (
             sum(
                 count
-                * (sum(_term_sign(w, key) for w in words) - sum_value) ** 2
+                * (sum(_SIGNS[w][key] for w in words) - sum_value) ** 2
                 for key, count in bucket.items()
             )
             / total**2

@@ -10,6 +10,12 @@ files.
 Without ``--out`` the JSON document is the only thing on stdout and the
 summary line goes to stderr, so stdout always parses as one document.
 
+Each config field is one row of ``_FIELDS``: its path, the check its
+value must pass, and the subcommands that read it.  A field the invoked
+subcommand does not read is rejected rather than ignored; all four read
+``seed``, ``duration``, ``rate`` and ``noise``, which every output
+document reports, and the ``experiment`` guard.
+
 Exit codes: 0 on success, 2 for configuration or usage problems (a
 config file larger than 8192 bytes or not valid UTF-8 among them), 1 for
 internal errors.
@@ -28,8 +34,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
 
@@ -60,21 +66,6 @@ class ConfigError(Exception):
     """Invalid configuration; reported with exit code 2."""
 
 
-_COMMANDS = ("witness", "grover", "gate", "visibility")
-
-_TOP_KEYS = {
-    "experiment",
-    "source",
-    "noise",
-    "seed",
-    "duration",
-    "rate",
-    "grover",
-    "gate",
-    "visibility",
-}
-_NOISE_KEYS = {"path_dephasing_a", "path_dephasing_b", "white_noise"}
-
 # numpy's Poisson sampler refuses means beyond the int64 range (~9.2e18)
 _MAX_EXPECTED_COUNTS = 1e18
 
@@ -92,6 +83,8 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # in the mantissa, or no sign on the exponent
 _TEXT_EXPONENT = re.compile(r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)")
 
+_NOISE_KEYS = tuple(field.name for field in fields(NoiseModel))
+
 
 def _as_mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
@@ -99,11 +92,10 @@ def _as_mapping(value, name: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed, prefix: str = "") -> None:
+def _check_keys(mapping: dict, allowed, prefix: str) -> None:
     for key in mapping:
         if key not in allowed:
-            shown = f"{prefix}{key}"
-            raise ConfigError(f"unknown config field {shown!r}")
+            raise ConfigError(f"unknown config field {prefix + str(key)!r}")
 
 
 def _number_hint(value) -> str:
@@ -115,8 +107,11 @@ def _number_hint(value) -> str:
     return f" (YAML 1.1 reads {value!r} as text; write {written})"
 
 
-def _number(mapping: dict, key: str, default, name: str, minimum=None, positive=False):
-    value = mapping.get(key, default)
+# field checks: each takes a config value and the field's path, and returns
+# the value to store or raises a ConfigError that names the path
+
+
+def _number(value, name: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {name!r} must be a number{_number_hint(value)}")
     value = float(value)
@@ -124,18 +119,66 @@ def _number(mapping: dict, key: str, default, name: str, minimum=None, positive=
         raise ConfigError(f"config field {name!r} must be finite")
     if positive and value <= 0:
         raise ConfigError(f"config field {name!r} must be positive")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config field {name!r} must be >= {minimum}")
     return value
 
 
-def _integer(mapping: dict, key: str, default, name: str, minimum=None) -> int:
-    value = mapping.get(key, default)
+def _integer(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config field {name!r} must be an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"config field {name!r} must be >= {minimum}")
     return int(value)
+
+
+def _samples(value, name: str) -> int:
+    samples = _integer(value, name, minimum=4)
+    if samples % 2:
+        raise ConfigError(f"config field {name!r} must be even")
+    if samples > _MAX_VISIBILITY_SAMPLES:
+        raise ConfigError(f"config field {name!r} must be <= {_MAX_VISIBILITY_SAMPLES}")
+    return samples
+
+
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config field {name!r} must be a boolean")
+    return value
+
+
+def _choice(*options: str, hint: str = ""):
+    shown = ", ".join(map(repr, options))
+
+    def check(value, name: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"config field {name!r} must be one of {shown}{hint}")
+        return value
+
+    return check
+
+
+def _noise(spec, name: str):
+    if spec == "ideal" or spec == "fit":
+        return spec
+    mapping = _as_mapping(spec, name)
+    if "fit" in mapping:
+        _check_keys(mapping, {"fit"}, f"{name}.")
+        fit = _as_mapping(mapping["fit"], f"{name}.fit")
+        _check_keys(fit, {"targets"}, f"{name}.fit.")
+        targets = fit.get("targets")
+        if (
+            not isinstance(targets, (list, tuple))
+            or len(targets) != 6
+            or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in targets)
+        ):
+            hints = "".join(map(_number_hint, targets)) if isinstance(targets, list) else ""
+            raise ConfigError(
+                f"config field '{name}.fit.targets' must list six numbers in the "
+                "order " + ", ".join(WITNESS_OBSERVABLES) + hints
+            )
+        return {"fit": {"targets": [float(t) for t in targets]}}
+    _check_keys(mapping, _NOISE_KEYS, f"{name}.")
+    # a parameter left out keeps the NoiseModel default
+    return {key: _number(value, f"{name}.{key}") for key, value in mapping.items()}
 
 
 @dataclass
@@ -143,7 +186,7 @@ class ExperimentConfig:
     """Validated run configuration with experiment defaults."""
 
     experiment: Optional[str] = None
-    theta: Optional[float] = None  # None when the config sets no source.theta
+    theta: float = 0.0
     noise: object = "ideal"
     seed: int = 0
     duration: float = 1.0
@@ -157,111 +200,49 @@ class ExperimentConfig:
     visibility_samples: int = 24
 
     @classmethod
-    def from_mapping(cls, data: Optional[dict]) -> "ExperimentConfig":
-        if data is None:
-            data = {}
-        data = _as_mapping(data, "<top level>")
-        _check_keys(data, _TOP_KEYS)
+    def from_mapping(cls, data: Optional[dict], command: str) -> "ExperimentConfig":
+        """Check a parsed config for the ``command`` subcommand.
+
+        Every key must be a ``_FIELDS`` path that ``command`` reads, and
+        ``experiment``, if set, must be ``command``; a field the config
+        leaves out keeps the default above.
+        """
+        data = _as_mapping({} if data is None else data, "<top level>")
+        experiment = data.get("experiment", command)
+        if experiment != command and experiment in _EVERY:
+            raise ConfigError(
+                f"config is for experiment {experiment!r}, "
+                f"but the {command!r} command was invoked"
+            )
         cfg = cls()
-
-        experiment = data.get("experiment")
-        if experiment is not None:
-            if experiment not in _COMMANDS:
-                raise ConfigError(
-                    f"config field 'experiment' must be one of {_COMMANDS}"
-                )
-            cfg.experiment = experiment
-
-        source = _as_mapping(data.get("source", {}), "source")
-        _check_keys(source, {"theta"}, "source.")
-        if "theta" in source:
-            cfg.theta = _number(source, "theta", 0.0, "source.theta")
-
-        cfg.noise = _validated_noise(data.get("noise", "ideal"))
-        cfg.seed = _integer(data, "seed", 0, "seed", minimum=0)
-        cfg.duration = _number(data, "duration", 1.0, "duration", positive=True)
-        cfg.rate = _number(data, "rate", COINCIDENCE_RATE_HZ, "rate", positive=True)
+        for top, entry in data.items():
+            if top in _SECTIONS:
+                items = [(f"{top}.{key}", v) for key, v in _as_mapping(entry, top).items()]
+            else:
+                items = [(top, entry)]
+            for path, value in items:
+                field = _FIELD_AT.get(path)
+                if field is None:
+                    raise ConfigError(f"unknown config field {path!r}")
+                if command not in field.commands:
+                    raise ConfigError(
+                        f"config field {path!r} only applies to the "
+                        f"{'/'.join(field.commands)} command; {command!r} would ignore it"
+                    )
+                setattr(cfg, field.attr, field.check(value, path))
         expected = cfg.rate * cfg.duration
         if expected > _MAX_EXPECTED_COUNTS:
             raise ConfigError(
                 f"config fields 'rate' and 'duration' ask for {expected:.3g} "
                 f"coincidences, more than the {_MAX_EXPECTED_COUNTS:.0e} that can be drawn"
             )
-
-        grover = _as_mapping(data.get("grover", {}), "grover")
-        _check_keys(grover, {"marked", "feedforward"}, "grover.")
-        marked = grover.get("marked", "00")
-        if not isinstance(marked, str) or marked not in _MARKS:
-            raise ConfigError(
-                "config field 'grover.marked' must be one of '00','01','10','11' "
-                "(quote it, YAML reads bare 00 as a number)"
-            )
-        cfg.grover_marked = marked
-        feedforward = grover.get("feedforward", True)
-        if not isinstance(feedforward, bool):
-            raise ConfigError("config field 'grover.feedforward' must be a boolean")
-        cfg.grover_feedforward = feedforward
-
-        gate = _as_mapping(data.get("gate", {}), "gate")
-        _check_keys(gate, {"kind", "alpha", "beta"}, "gate.")
-        kind = gate.get("kind", "horseshoe")
-        if kind not in ("horseshoe", "box"):
-            raise ConfigError("config field 'gate.kind' must be 'horseshoe' or 'box'")
-        cfg.gate_kind = kind
-        cfg.gate_alpha = _number(gate, "alpha", 0.0, "gate.alpha")
-        cfg.gate_beta = _number(gate, "beta", 0.0, "gate.beta")
-
-        visibility = _as_mapping(data.get("visibility", {}), "visibility")
-        _check_keys(visibility, {"detector_pair", "samples"}, "visibility.")
-        pair = visibility.get("detector_pair", "all")
-        if pair != "all" and pair not in DETECTOR_PAIRS:
-            raise ConfigError(
-                "config field 'visibility.detector_pair' must be 'all' or one of "
-                + ", ".join(DETECTOR_PAIRS)
-            )
-        cfg.visibility_pair = pair
-        cfg.visibility_samples = _integer(
-            visibility, "samples", 24, "visibility.samples", minimum=4
-        )
-        if cfg.visibility_samples % 2:
-            raise ConfigError("config field 'visibility.samples' must be even")
-        if cfg.visibility_samples > _MAX_VISIBILITY_SAMPLES:
-            raise ConfigError(
-                f"config field 'visibility.samples' must be <= {_MAX_VISIBILITY_SAMPLES}"
-            )
         return cfg
 
 
-def _validated_noise(spec):
-    if spec == "ideal" or spec == "fit":
-        return spec
-    mapping = _as_mapping(spec, "noise")
-    if "fit" in mapping:
-        _check_keys(mapping, {"fit"}, "noise.")
-        fit = _as_mapping(mapping["fit"], "noise.fit")
-        _check_keys(fit, {"targets"}, "noise.fit.")
-        targets = fit.get("targets")
-        if (
-            not isinstance(targets, (list, tuple))
-            or len(targets) != 6
-            or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in targets)
-        ):
-            hints = "".join(map(_number_hint, targets)) if isinstance(targets, list) else ""
-            raise ConfigError(
-                "config field 'noise.fit.targets' must list six numbers in the "
-                "order " + ", ".join(WITNESS_OBSERVABLES) + hints
-            )
-        return {"fit": {"targets": [float(t) for t in targets]}}
-    _check_keys(mapping, _NOISE_KEYS, "noise.")
-    params = {}
-    for key in _NOISE_KEYS:
-        params[key] = _number(mapping, key, 0.0, f"noise.{key}")
-    return params
-
-
-def load_config(path: Optional[str]) -> ExperimentConfig:
+def load_config(path: Optional[str], command: str) -> ExperimentConfig:
+    """Read and check the config file at ``path`` for ``command``."""
     if path is None:
-        return ExperimentConfig.from_mapping(None)
+        return ExperimentConfig.from_mapping(None, command)
     try:
         with open(path, "rb") as handle:
             raw = handle.read(_MAX_CONFIG_BYTES + 1)
@@ -280,7 +261,7 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
         # three builtin errors on some scalars ('2001-13-01', '!!int', '!!timestamp
         # x'), and its pure-Python composer recurses once per nesting level
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    return ExperimentConfig.from_mapping(data)
+    return ExperimentConfig.from_mapping(data, command)
 
 
 def resolve_noise(cfg: ExperimentConfig) -> Tuple[NoiseModel, Dict[str, object]]:
@@ -297,7 +278,7 @@ def resolve_noise(cfg: ExperimentConfig) -> Tuple[NoiseModel, Dict[str, object]]
             model = NoiseModel(**spec)
         except ValueError as exc:
             raise ConfigError(f"invalid noise parameters: {exc}") from exc
-        return model, {"kind": "parameters", **_model_dict(model)}
+        return model, {"kind": "parameters", **vars(model)}
     try:
         model, residual = fit_noise(targets)
     except ValueError as exc:
@@ -306,17 +287,9 @@ def resolve_noise(cfg: ExperimentConfig) -> Tuple[NoiseModel, Dict[str, object]]
         "kind": "fit",
         "fit_targets": list(targets),
         "fit_residual": residual,
-        **_model_dict(model),
+        **vars(model),
     }
     return model, info
-
-
-def _model_dict(model: NoiseModel) -> Dict[str, float]:
-    return {
-        "path_dephasing_a": model.path_dephasing_a,
-        "path_dephasing_b": model.path_dephasing_b,
-        "white_noise": model.white_noise,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +365,7 @@ def _common_document(cfg: ExperimentConfig, noise_info: dict) -> dict:
 
 def cmd_witness(cfg: ExperimentConfig) -> _Result:
     model, noise_info = resolve_noise(cfg)
-    theta = 0.0 if cfg.theta is None else cfg.theta
-    state = source_state(SourceParams(theta))
+    state = source_state(SourceParams(cfg.theta))
     prepared = state if model.is_ideal() else apply_noise(state, model)
     exact = witness_value(prepared)
     records = simulate_witness_records(prepared, cfg.rate, cfg.duration, cfg.seed)
@@ -403,7 +375,7 @@ def cmd_witness(cfg: ExperimentConfig) -> _Result:
     document.update(
         {
             "command": "witness",
-            "theta": theta,
+            "theta": cfg.theta,
             "exact": {
                 "terms": exact.terms,
                 "witness": exact.witness,
@@ -531,12 +503,54 @@ def cmd_visibility(cfg: ExperimentConfig) -> _Result:
     return document, "fringes", ("detector_pair", "theta", "probability"), rows, summary
 
 
-_HANDLERS = {
-    "witness": cmd_witness,
-    "grover": cmd_grover,
-    "gate": cmd_gate,
-    "visibility": cmd_visibility,
+# subcommand -> (handler, help text), in the order --help lists them
+_COMMANDS = {
+    "witness": (cmd_witness, "stabilizer witness and fidelity bound"),
+    "grover": (cmd_grover, "four-entry search on the box cluster"),
+    "gate": (cmd_gate, "two-qubit gate branch fidelities"),
+    "visibility": (cmd_visibility, "interference fringe visibilities"),
 }
+
+
+class _Field(NamedTuple):
+    path: str  # dotted config path
+    attr: str  # the ExperimentConfig attribute it sets
+    check: Callable[[object, str], object]  # (value, path) -> value to store
+    commands: Tuple[str, ...]  # the subcommands that read it
+
+
+_EVERY = tuple(_COMMANDS)
+
+# every config field; a subcommand rejects a field it does not read, and
+# all of them read the counting and noise fields their documents report
+_FIELDS = (
+    _Field("experiment", "experiment", _choice(*_COMMANDS), _EVERY),
+    _Field("source.theta", "theta", _number, ("witness",)),
+    _Field("noise", "noise", _noise, _EVERY),
+    _Field("seed", "seed", functools.partial(_integer, minimum=0), _EVERY),
+    _Field("duration", "duration", functools.partial(_number, positive=True), _EVERY),
+    _Field("rate", "rate", functools.partial(_number, positive=True), _EVERY),
+    _Field(
+        "grover.marked",
+        "grover_marked",
+        _choice(*_MARKS, hint=" (quote it, YAML reads bare 00 as a number)"),
+        ("grover",),
+    ),
+    _Field("grover.feedforward", "grover_feedforward", _boolean, ("grover",)),
+    _Field("gate.kind", "gate_kind", _choice("horseshoe", "box"), ("gate",)),
+    _Field("gate.alpha", "gate_alpha", _number, ("gate",)),
+    _Field("gate.beta", "gate_beta", _number, ("gate",)),
+    _Field(
+        "visibility.detector_pair",
+        "visibility_pair",
+        _choice("all", *DETECTOR_PAIRS),
+        ("visibility",),
+    ),
+    _Field("visibility.samples", "visibility_samples", _samples, ("visibility",)),
+)
+
+_FIELD_AT = {field.path: field for field in _FIELDS}
+_SECTIONS = {field.path.partition(".")[0] for field in _FIELDS if "." in field.path}
 
 
 @functools.cache
@@ -546,12 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="simulate the two-photon four-qubit cluster experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("witness", "stabilizer witness and fidelity bound"),
-        ("grover", "four-entry search on the box cluster"),
-        ("gate", "two-qubit gate branch fidelities"),
-        ("visibility", "interference fringe visibilities"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="YAML config file")
         cmd.add_argument("--out", help="output path prefix")
@@ -568,17 +577,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if cfg.experiment is not None and cfg.experiment != args.command:
-            raise ConfigError(
-                f"config is for experiment {cfg.experiment!r}, "
-                f"but the {args.command!r} command was invoked"
-            )
-        if cfg.theta is not None and args.command != "witness":
-            raise ConfigError(
-                "config field 'source.theta' only applies to the witness command; "
-                f"{args.command!r} would ignore it"
-            )
+        cfg = load_config(args.config, args.command)
         if args.out == "":
             raise ConfigError("--out must name a path prefix, got an empty string")
         if args.seed is not None:
@@ -589,7 +588,7 @@ def main(argv=None) -> int:
         if args.out is None and fmt != "json":
             raise ConfigError("--format csv/both requires --out")
         try:
-            result = _HANDLERS[args.command](cfg)
+            result = _COMMANDS[args.command][0](cfg)
         except NoCountsError as exc:
             raise ConfigError(
                 f"{exc} (config fields 'rate' and 'duration' expect "

@@ -92,67 +92,8 @@ COINCIDENCE_RATE_HZ = 1.2e4
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# encoding: the register layout is the table in the module docstring
 # ---------------------------------------------------------------------------
-
-_POL_LABELS = ("H", "V")
-_PATH_LABELS = ("L", "R")
-
-
-@dataclass(frozen=True)
-class EncodingMap:
-    """Assignment of register indices to physical carriers."""
-
-    assignments: Tuple[Tuple[str, str], ...]  # index -> (photon, dof)
-
-    def role(self, qubit: int) -> Tuple[str, str]:
-        return self.assignments[qubit]
-
-    def qubit_index(self, photon: str, dof: str) -> int:
-        for i, (ph, d) in enumerate(self.assignments):
-            if ph == photon and d == dof:
-                return i
-        raise KeyError(f"no qubit carries ({photon!r}, {dof!r})")
-
-    def bit_labels(self, qubit: int) -> Tuple[str, str]:
-        _, dof = self.assignments[qubit]
-        return _POL_LABELS if dof == "polarization" else _PATH_LABELS
-
-    def bits(self, pol_a: str, path_a: str, pol_b: str, path_b: str) -> str:
-        """Basis bit string for a physical mode assignment."""
-        values = {
-            ("A", "polarization"): pol_a,
-            ("A", "path"): path_a,
-            ("B", "polarization"): pol_b,
-            ("B", "path"): path_b,
-        }
-        bits = []
-        for i, key in enumerate(self.assignments):
-            labels = self.bit_labels(i)
-            label = values[key]
-            if label not in labels:
-                raise ValueError(f"invalid label {label!r} for qubit {i}")
-            bits.append(str(labels.index(label)))
-        return "".join(bits)
-
-    def labels(self, bits: str) -> Dict[str, str]:
-        """Physical mode labels of a basis bit string."""
-        if len(bits) != len(self.assignments) or any(b not in "01" for b in bits):
-            raise ValueError(f"invalid bit string {bits!r}")
-        out = {}
-        for i, (photon, dof) in enumerate(self.assignments):
-            out[f"{dof}_{photon}"] = self.bit_labels(i)[int(bits[i])]
-        return out
-
-
-ENCODING = EncodingMap(
-    (
-        ("B", "polarization"),
-        ("A", "polarization"),
-        ("A", "path"),
-        ("B", "path"),
-    )
-)
 
 _PATH_QUBITS = {"A": 2, "B": 3}
 

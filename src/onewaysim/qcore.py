@@ -201,10 +201,6 @@ def pauli_z() -> SingleQubitGate:
     return SingleQubitGate(_PAULI_1Q["Z"])
 
 
-def identity_gate() -> SingleQubitGate:
-    return SingleQubitGate(np.eye(2))
-
-
 # ---------------------------------------------------------------------------
 # state construction helpers
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_config_fuzz
 import test_golden
@@ -24,14 +26,14 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def _run_fresh(argv):
+def _run_fresh(argv, **env):
     """Run ``python -m onewaysim`` on these sources in a new interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "onewaysim", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         timeout=120,
     )
 
@@ -42,7 +44,7 @@ def _run_fresh(argv):
 
 
 def test_load_config_defaults():
-    cfg = load_config(None)
+    cfg = load_config(None, "witness")
     assert cfg.noise == "ideal"
     assert cfg.seed == 0
     assert cfg.duration == 1.0
@@ -67,7 +69,7 @@ grover:
   feedforward: false
 """,
     )
-    cfg = load_config(path)
+    cfg = load_config(path, "grover")
     assert cfg.experiment == "grover"
     assert cfg.seed == 12
     assert cfg.duration == 2.5
@@ -81,31 +83,31 @@ grover:
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = _write(tmp_path, "config.yaml", "bogus_key: 1\n")
     with pytest.raises(ConfigError, match="bogus_key"):
-        load_config(path)
+        load_config(path, "witness")
 
 
 def test_load_config_rejects_unquoted_mark(tmp_path):
     # YAML reads a bare 00 as the integer 0; the error must say so
     path = _write(tmp_path, "config.yaml", "grover:\n  marked: 00\n")
     with pytest.raises(ConfigError, match="quote"):
-        load_config(path)
+        load_config(path, "grover")
 
 
 def test_load_config_rejects_bad_noise(tmp_path):
     path = _write(tmp_path, "config.yaml", "noise:\n  white_noise: 1.5\n")
-    cfg = load_config(path)
+    cfg = load_config(path, "witness")
     with pytest.raises(ConfigError, match="white_noise"):
         resolve_noise(cfg)
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
-        load_config("/nonexistent/config.yaml")
+        load_config("/nonexistent/config.yaml", "witness")
 
 
 def test_load_config_accepts_json(tmp_path):
     path = _write(tmp_path, "config.json", '{"seed": 3, "noise": "fit"}')
-    cfg = load_config(path)
+    cfg = load_config(path, "witness")
     assert cfg.seed == 3
     model, info = resolve_noise(cfg)
     assert info["kind"] == "fit"
@@ -119,7 +121,7 @@ def test_resolve_noise_fit_targets(tmp_path):
         "config.yaml",
         "noise:\n  fit:\n    targets: [0.9, 0.9, 0.9, 0.9, 0.9, 0.9]\n",
     )
-    model, info = resolve_noise(load_config(path))
+    model, info = resolve_noise(load_config(path, "witness"))
     assert info["kind"] == "fit"
     assert model.white_noise == pytest.approx(0.1, abs=1e-4)
     assert model.path_dephasing_b == pytest.approx(0.0, abs=1e-4)
@@ -254,7 +256,7 @@ def test_visibility_oversized_samples_exit_code(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "visibility.samples" in message and "65536" in message
     assert not (tmp_path / "v.json").exists()
-    cfg = ExperimentConfig.from_mapping({"visibility": {"samples": 65536}})
+    cfg = ExperimentConfig.from_mapping({"visibility": {"samples": 65536}}, "visibility")
     assert cfg.visibility_samples == 65536
 
 
@@ -276,6 +278,10 @@ def test_experiment_command_mismatch(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "experiment: witness\n")
     assert main(["grover", "--config", config]) == 2
     assert "experiment" in capsys.readouterr().err
+    # the guard speaks before the fields that the invoked command ignores
+    config = str(test_golden.ROOT / "configs" / "gate_box.yaml")
+    assert main(["witness", "--config", config]) == 2
+    assert "config is for experiment 'gate'" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -377,7 +383,7 @@ def test_libyaml_loader_gives_the_pure_python_mapping(text):
 
 @_needs_libyaml
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(config=test_config_fuzz._configs())
+@given(config=st.sampled_from(test_config_fuzz.COMMANDS).flatmap(test_config_fuzz._configs))
 def test_libyaml_loader_gives_the_pure_python_mapping_on_generated_configs(config):
     _assert_loaders_agree(yaml.safe_dump(config))
 
@@ -477,6 +483,115 @@ def test_source_theta_only_applies_to_witness(tmp_path, capsys, command):
     assert main(["witness", "--config", config]) == 0
 
 
+# ---------------------------------------------------------------------------
+# the field table
+# ---------------------------------------------------------------------------
+
+# a value of each field that differs from its default and that the commands
+# reading the field accept; the experiment guard accepts only the invoked
+# command, so it shows that it is read by failing on another one
+_NON_DEFAULT = {
+    "source.theta": 0.3,
+    "noise": {"white_noise": 0.05},
+    "seed": 5,
+    "duration": 0.5,
+    "rate": 6000.0,
+    "grover.marked": "11",
+    "grover.feedforward": False,
+    "gate.kind": "box",
+    "gate.alpha": 0.4,
+    "gate.beta": 0.7,
+    "visibility.detector_pair": "D1-D4",
+    "visibility.samples": 8,
+}
+
+
+def _field_config(tmp_path, path, value):
+    section, _, key = path.rpartition(".")
+    config = {section: {key: value}} if section else {key: value}
+    return _write(tmp_path, "config.yaml", yaml.safe_dump(config))
+
+
+def _result(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, json.loads(out) if code == 0 else None
+
+
+@pytest.mark.parametrize(
+    "path, command",
+    [
+        (field.path, command)
+        for field in cli._FIELDS
+        for command in cli._COMMANDS
+        if command not in field.commands
+    ],
+)
+def test_field_is_rejected_by_commands_that_ignore_it(tmp_path, capsys, path, command):
+    config = _field_config(tmp_path, path, _NON_DEFAULT[path])
+    assert main([command, "--config", config]) == 2
+    message = capsys.readouterr().err
+    assert f"config field {path!r} only applies to" in message
+    assert f"{command!r} would ignore it" in message
+
+
+@pytest.mark.parametrize(
+    "path, command",
+    [(field.path, command) for field in cli._FIELDS for command in field.commands],
+)
+def test_field_changes_the_output_of_commands_that_read_it(tmp_path, capsys, path, command):
+    if path == "experiment":
+        commands = list(cli._COMMANDS)
+        value = commands[(commands.index(command) + 1) % len(commands)]
+    else:
+        value = _NON_DEFAULT[path]
+    default = _result(capsys, [command])
+    assert default[0] == 0
+    assert _result(capsys, [command, "--config", _field_config(tmp_path, path, value)]) != default
+
+
+def _readme_schema():
+    """The README's config schema block, and the commands each field line names."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    readers, section = {}, ""
+    lines = re.findall(r"^( *)(\w+):([^#\n]*)(?:#\s*\[([^\]]*)\])?", block, re.MULTILINE)
+    for indent, key, value, commands in lines:
+        if not value.strip():
+            section = f"{key}."
+        else:
+            readers[(section if indent else "") + key] = commands
+    return yaml.safe_load(block), readers
+
+
+def test_readme_schema_lists_every_field_and_its_commands():
+    document, readers = _readme_schema()
+    paths = []
+    for top, entry in document.items():
+        paths += [f"{top}.{key}" for key in entry] if isinstance(entry, dict) else [top]
+    assert sorted(paths) == sorted(field.path for field in cli._FIELDS)
+    every = tuple(cli._COMMANDS)
+    assert readers == {
+        field.path: "all" if field.commands == every else ", ".join(field.commands)
+        for field in cli._FIELDS
+    }
+
+
+def test_noise_error_names_the_same_field_under_every_hash_seed(tmp_path):
+    config = _write(
+        tmp_path,
+        "config.yaml",
+        "noise: {white_noise: x, path_dephasing_a: y, path_dephasing_b: z}\n",
+    )
+    runs = [
+        _run_fresh(["witness", "--config", config], PYTHONHASHSEED=str(seed))
+        for seed in range(6)
+    ]
+    assert {(run.returncode, run.stderr) for run in runs} == {(2, runs[0].stderr)}
+    # the first bad parameter in the file
+    assert "'noise.white_noise'" in runs[0].stderr
+
+
 def test_threads_key_is_rejected(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "threads: 1\n")
     assert main(["witness", "--config", config]) == 2
@@ -489,10 +604,10 @@ def test_threads_key_is_rejected(tmp_path, capsys):
 def test_exponent_read_as_text_names_the_fix(tmp_path, text, written):
     path = _write(tmp_path, "config.yaml", f"duration: {text}\n")
     with pytest.raises(ConfigError, match="must be a number") as info:
-        load_config(path)
+        load_config(path, "witness")
     assert "YAML 1.1" in str(info.value) and written in str(info.value)
     # the suggested spelling parses as a number
-    assert load_config(_write(tmp_path, "fixed.yaml", f"duration: {written}\n"))
+    assert load_config(_write(tmp_path, "fixed.yaml", f"duration: {written}\n"), "witness")
 
 
 def test_fit_target_read_as_text_names_the_fix(tmp_path):
@@ -500,5 +615,5 @@ def test_fit_target_read_as_text_names_the_fix(tmp_path):
         tmp_path, "config.yaml", "noise:\n  fit:\n    targets: [0.9, 0.9, 0.9, 0.9, 0.9, 1e-3]\n"
     )
     with pytest.raises(ConfigError, match="six numbers") as info:
-        load_config(path)
+        load_config(path, "witness")
     assert "write 1.0e-3" in str(info.value)

@@ -3,7 +3,8 @@
 Exit code 1 means an internal error; any config a user can write must
 either run or be rejected with a message (exit 2).  The generated values
 mix valid settings with wrong types, out-of-range numbers, exponents that
-YAML 1.1 reads as text, and unknown keys.
+YAML 1.1 reads as text, unknown keys, and valid values at fields the
+command does not read.
 """
 
 import math
@@ -15,10 +16,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onewaysim.cli import main
+from onewaysim.cli import _FIELDS, main
 from onewaysim.photonics import DETECTOR_PAIRS
 
 COMMANDS = ("witness", "grover", "gate", "visibility")
+
+# field path -> the subcommands that read it
+_READERS = {tuple(field.path.split(".")): field.commands for field in _FIELDS}
 
 _junk = st.one_of(
     st.none(),
@@ -30,10 +34,10 @@ _junk = st.one_of(
 )
 _unit = st.floats(0.0, 1.0)
 
-# fields a user may set, each with values the command accepts; the sample
-# count and the coincidence budget stay small to keep every run short
+# fields a user may set besides the experiment guard, each with values a
+# command that reads it accepts; the sample count and the coincidence budget
+# stay small to keep every run short
 _VALID = {
-    ("experiment",): st.sampled_from(COMMANDS),
     ("source", "theta"): st.floats(-7.0, 7.0),
     ("noise",): st.one_of(
         st.sampled_from(["ideal", "fit"]),
@@ -63,9 +67,10 @@ _VALID = {
     ("visibility", "samples"): st.integers(2, 32).map(lambda half: 2 * half),
 }
 
-# values that must be rejected (or, for a few, still run) at each field
+# values that must be rejected (or, for a few, still run) at each field; at
+# a field the command does not read, every value of _VALID is wrong as well
 _WRONG = {
-    ("experiment",): st.sampled_from(["bogus", 3]),
+    ("experiment",): st.sampled_from(["bogus", 3, *COMMANDS]),
     ("source", "theta"): st.sampled_from([math.inf, math.nan, "1e-9"]),
     ("noise",): st.sampled_from(["bogus", {"white_noise": 1.5}, {"extra": 1}]),
     ("noise", "fit"): st.one_of(
@@ -94,23 +99,29 @@ def _set(config: dict, path, value) -> None:
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, command):
     shape = draw(st.integers(0, 9))
     if shape == 0:  # not a mapping, or a mapping of nonsense
         return draw(st.one_of(_junk, st.dictionaries(st.text(max_size=4), _junk, max_size=3)))
+    valid = {("experiment",): st.just(command), **_VALID}
+    read = [path for path in sorted(valid) if command in _READERS[path]]
     config: dict = {}
-    for path in draw(st.sets(st.sampled_from(sorted(_VALID)))):
-        _set(config, path, draw(_VALID[path]))
+    for path in draw(st.sets(st.sampled_from(read))):
+        _set(config, path, draw(valid[path]))
     if shape <= 4:  # one field gets a wrong type or value
-        path = draw(st.sampled_from(sorted(_WRONG) + sorted(_VALID)))
-        _set(config, path, draw(_WRONG.get(path, _junk)))
+        path = draw(st.sampled_from(sorted(_WRONG) + sorted(valid)))
+        if path in valid and path not in read:
+            _set(config, path, draw(valid[path]))
+        else:
+            _set(config, path, draw(_WRONG.get(path, _junk)))
     return config
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(config=_configs())
-def test_generated_config_exits_0_or_2(command, config):
+@given(data=st.data())
+def test_generated_config_exits_0_or_2(command, data):
+    config = data.draw(_configs(command), label="config")
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "config.yaml"
         path.write_text(yaml.safe_dump(config), encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Tests for the photonic encoding, source, noise channel, and apparatus."""
+"""Tests for the photonic source, noise channel, and apparatus."""
 
 import math
 import warnings
@@ -10,7 +10,6 @@ from onewaysim.cluster import c4_state
 from onewaysim.photonics import (
     COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
-    ENCODING,
     REFERENCE_VISIBILITIES,
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
@@ -38,38 +37,6 @@ from onewaysim.qcore import (
 )
 
 from conftest import random_density, random_state
-
-
-# ---------------------------------------------------------------------------
-# encoding
-# ---------------------------------------------------------------------------
-
-
-def test_encoding_roles():
-    assert ENCODING.role(0) == ("B", "polarization")
-    assert ENCODING.role(1) == ("A", "polarization")
-    assert ENCODING.role(2) == ("A", "path")
-    assert ENCODING.role(3) == ("B", "path")
-    assert ENCODING.qubit_index("A", "path") == 2
-    with pytest.raises(KeyError):
-        ENCODING.qubit_index("C", "path")
-
-
-def test_encoding_bits_and_labels():
-    assert ENCODING.bits("H", "L", "H", "L") == "0000"
-    # idx0 = pol B, idx1 = pol A, idx2 = path A, idx3 = path B
-    assert ENCODING.bits("V", "R", "H", "L") == "0110"
-    labels = ENCODING.labels("0110")
-    assert labels == {
-        "polarization_B": "H",
-        "polarization_A": "V",
-        "path_A": "R",
-        "path_B": "L",
-    }
-    with pytest.raises(ValueError):
-        ENCODING.bits("X", "L", "H", "L")
-    with pytest.raises(ValueError):
-        ENCODING.labels("01")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from onewaysim.qcore import (
     expectation,
     fidelity,
     hadamard,
-    identity_gate,
     ket,
     measure,
     measurement_branches,
@@ -400,6 +399,3 @@ def test_unitary_invariance_properties(rng):
         )
 
 
-def test_identity_gate_is_noop(rng):
-    psi = random_state(rng, 2)
-    assert np.allclose(apply_gate(psi, 0, identity_gate()).amplitudes, psi.amplitudes)
