@@ -15,7 +15,6 @@ from .qcore import (
     hadamard,
     ket,
     measure,
-    measurement_probabilities,
     overlap,
     pauli_x,
     pauli_z,
@@ -44,21 +43,17 @@ from .photonics import (
     VisibilityScan,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
-    apparatus_projectors,
     apply_noise,
     beam_splitter,
     fit_noise,
     joint_distribution,
     source_state,
-    visibility_fringe,
-    visibility_scan,
     visibility_scans,
 )
 from .mbqc import (
     GateOutputSpec,
     MeasurementPattern,
     OutcomeRecord,
-    bell_discriminate,
     bell_probabilities,
     box_gate,
     box_pattern,

@@ -12,8 +12,8 @@ F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
 
 Counting statistics follow the experiment: a Poisson distributed total
 number of coincidences per setting is split multinomially over the 16
-outcomes.  Standard errors propagate through the outcome signs either
-by the delta method or by a parametric bootstrap.
+outcomes.  Standard errors propagate through the outcome signs by the
+delta method.
 """
 
 from __future__ import annotations
@@ -277,52 +277,18 @@ def _delta_stderrs(merged):
     return term_err, math.sqrt(witness_var)
 
 
-def _bootstrap_stderrs(merged, n_boot: int, seed: int):
-    rng = np.random.default_rng((int(seed), 0xB007))
-    term_samples = {w: [] for w in WITNESS_OBSERVABLES}
-    witness_samples = []
-    for _ in range(n_boot):
-        terms = {}
-        for name, words in _SETTING_TERMS.items():
-            bucket = merged[name]
-            keys = sorted(bucket)
-            resampled = {k: int(rng.poisson(bucket[k])) for k in keys}
-            if sum(resampled.values()) == 0:
-                resampled = dict(bucket)
-            terms.update(_estimate_terms(resampled, words))
-        for word, value in terms.items():
-            term_samples[word].append(value)
-        witness_samples.append((4.0 - sum(terms.values())) / 2.0)
-    term_err = {
-        w: float(np.std(v, ddof=1)) for w, v in term_samples.items()
-    }
-    return term_err, float(np.std(witness_samples, ddof=1))
-
-
-def witness_from_counts(
-    records: Iterable[CountRecord],
-    stderr_method: str = "delta",
-    n_boot: int = 200,
-    seed: int = 0,
-) -> WitnessReport:
+def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
     """Estimate the witness from coincidence counts.
 
     ``records`` must cover both witness settings (duplicates are summed).
-    stderr_method 'delta' linearizes around the estimate; 'bootstrap'
-    resamples the counts n_boot times instead.
+    Standard errors come from the delta method, linearized around the
+    estimate.
     """
     merged = _merge_counts(records)
     terms: Dict[str, float] = {}
     for name, words in _SETTING_TERMS.items():
         terms.update(_estimate_terms(merged[name], words))
-    if stderr_method == "delta":
-        term_err, witness_err = _delta_stderrs(merged)
-    elif stderr_method == "bootstrap":
-        if n_boot < 2:
-            raise ValueError("bootstrap needs at least two replicas")
-        term_err, witness_err = _bootstrap_stderrs(merged, n_boot, seed)
-    else:
-        raise ValueError(f"unknown stderr method {stderr_method!r}")
+    term_err, witness_err = _delta_stderrs(merged)
     totals = {name: sum(merged[name].values()) for name in _SETTING_TERMS}
     return _report_from_terms(
         terms,

@@ -327,14 +327,11 @@ def grover_run(
     marked: str,
     feedforward: bool = True,
     input_state: Optional[State] = None,
-    trials: int = 0,
-    outcome_source=None,
 ) -> Dict[str, float]:
-    """Run the four-entry search and return the answer distribution.
+    """The exact answer distribution of the four-entry search.
 
-    The exact distribution sums :func:`branch_distribution` of the
-    box-frame state, which measures each step once per surviving outcome
-    prefix; sampling runs the pattern once per trial.
+    The distribution sums :func:`branch_distribution` of the box-frame
+    state, which measures each step once per surviving outcome prefix.
 
     Parameters
     ----------
@@ -347,64 +344,17 @@ def grover_run(
     input_state : StateVector or DensityMatrix, optional
         Four-qubit state in the source frame (defaults to the ideal
         linear cluster); it is moved to the box frame internally.
-    trials : int
-        0 computes the exact distribution; a positive count samples
-        individual runs instead.
-    outcome_source : int or numpy Generator
-        Required when ``trials`` > 0.  An integer seeds one generator
-        per trial, so results do not depend on execution order.
 
     Returns
     -------
-    dict mapping '00'..'11' to probability (or sampled frequency).
+    dict mapping '00'..'11' to probability.
     """
-    _check_marked(marked)
-    box = to_box_frame(_search_input(input_state))
     pattern = grover_pattern(marked)
-
+    box = to_box_frame(_search_input(input_state))
     distribution = {m: 0.0 for m in _MARKS}
-    if trials == 0:
-        for outcomes, prob, _ in branch_distribution(box, pattern):
-            distribution[_search_output(outcomes, marked, feedforward)] += prob
-        return distribution
-
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if isinstance(outcome_source, (int, np.integer)):
-        generators = (
-            np.random.default_rng(np.random.SeedSequence((int(outcome_source), t)))
-            for t in range(trials)
-        )
-    elif isinstance(outcome_source, np.random.Generator):
-        generators = (outcome_source for _ in range(trials))
-    else:
-        raise TypeError("sampling needs an integer seed or a numpy Generator")
-    for rng in generators:
-        record, _ = run_pattern(box, pattern, rng)
-        distribution[_search_output(record.outcomes, marked, feedforward)] += 1.0
-    return {m: c / trials for m, c in distribution.items()}
-
-
-def grover_lab_distribution(marked: str, input_state: Optional[State] = None):
-    """Distribution of raw detector bits for one oracle choice.
-
-    Keys are 'z1 z2 z3 z4' lab bits.  The same apparatus serves every
-    oracle choice, so this distribution is identical for all four marks;
-    only the outcome labelling the black box reports differs.
-    """
-    m1, m2 = _check_marked(marked)
-    box = to_box_frame(_search_input(input_state))
-    pattern = grover_pattern(marked)
-    out: Dict[str, float] = {}
     for outcomes, prob, _ in branch_distribution(box, pattern):
-        s_b2, s_b3, s_b1, s_b4 = outcomes
-        z1 = 1 ^ s_b1
-        z2 = s_b3 if m2 else 1 ^ s_b3
-        z3 = s_b2 if m1 else 1 ^ s_b2
-        z4 = 1 ^ s_b4
-        key = f"{z1}{z2}{z3}{z4}"
-        out[key] = out.get(key, 0.0) + prob
-    return out
+        distribution[_search_output(outcomes, marked, feedforward)] += prob
+    return distribution
 
 
 # ---------------------------------------------------------------------------
@@ -430,23 +380,3 @@ def bell_probabilities(state: State) -> Dict[str, float]:
     probe = beam_splitter(probe, 1)
     probs = np.maximum(_basis_probabilities(probe, (_PM_BASIS, _Z_BASIS)), 0.0)
     return dict(zip(BELL_LABELS, probs.tolist()))
-
-
-def bell_discriminate(state: State, outcome_source=None) -> str:
-    """Label of the discrimination outcome for a single photon state.
-
-    Deterministic inputs (the four gate output states) return their
-    label directly; anything else needs a numpy Generator to draw one.
-    """
-    probs = bell_probabilities(state)
-    best = max(probs, key=probs.get)
-    if probs[best] > 1.0 - 1e-10:
-        return best
-    if isinstance(outcome_source, np.random.Generator):
-        labels = list(probs)
-        weights = np.array([probs[k] for k in labels])
-        weights = weights / weights.sum()
-        return labels[outcome_source.choice(len(labels), p=weights)]
-    raise ValueError(
-        "outcome is not deterministic for this input; pass a numpy Generator"
-    )

@@ -157,7 +157,9 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("path_dephasing_a", "path_dephasing_b", "white_noise"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and 0.0 <= value <= 1.0
+            ):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
     @classmethod
@@ -267,10 +269,6 @@ def _b_alpha_basis(alpha: float) -> np.ndarray:
     return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
 
 
-def _projectors(labels: Tuple[str, str], basis: np.ndarray) -> Dict[str, np.ndarray]:
-    return {label: np.outer(row.conj(), row) for label, row in zip(labels, basis)}
-
-
 @dataclass(frozen=True)
 class ApparatusSetting:
     """Per-photon analysis configuration.
@@ -300,36 +298,17 @@ class ApparatusSetting:
         if self.kind == "path_and_pol_Z" and self.polarization_basis != "HV":
             raise ValueError("path_and_pol_Z reads polarization in H/V")
 
-    def _path_readout(self) -> Tuple[Tuple[str, str], np.ndarray]:
-        """Outcome labels and readout basis of the path qubit."""
+    def _path_readout(self) -> np.ndarray:
+        """Readout basis of the path qubit: rows R', L' or L, R."""
         if self.kind == "path_B_alpha":
-            return ("R'", "L'"), _b_alpha_basis(self.alpha)
-        return ("L", "R"), _Z_BASIS
+            return _b_alpha_basis(self.alpha)
+        return _Z_BASIS
 
-    def _polarization_readout(self) -> Tuple[Tuple[str, str], np.ndarray]:
-        """Outcome labels and readout basis of the polarization qubit."""
+    def _polarization_readout(self) -> np.ndarray:
+        """Readout basis of the polarization qubit: rows +, - or H, V."""
         if self.polarization_basis == "PM":
-            return ("+", "-"), _PM_BASIS
-        return ("H", "V"), _Z_BASIS
-
-    def path_projectors(self) -> Dict[str, np.ndarray]:
-        return _projectors(*self._path_readout())
-
-    def polarization_projectors(self) -> Dict[str, np.ndarray]:
-        return _projectors(*self._polarization_readout())
-
-
-def apparatus_projectors(setting: ApparatusSetting) -> Dict[Tuple[str, str], np.ndarray]:
-    """Projectors of one photon's apparatus on its (path, pol) space.
-
-    Keys are (path_label, pol_label); the 4x4 operators act on the
-    two-qubit space with the path qubit as the most significant bit.
-    """
-    out = {}
-    for path_label, path_proj in setting.path_projectors().items():
-        for pol_label, pol_proj in setting.polarization_projectors().items():
-            out[(path_label, pol_label)] = np.kron(path_proj, pol_proj)
-    return out
+            return _PM_BASIS
+        return _Z_BASIS
 
 
 WITNESS_SETTINGS: Dict[str, Tuple[ApparatusSetting, ApparatusSetting]] = {
@@ -352,7 +331,7 @@ _OUTCOME_KEYS = tuple(format(index, "04b") for index in range(16))
 
 
 def _register_readouts(settings: Tuple[ApparatusSetting, ApparatusSetting]):
-    """Per-qubit (labels, readout basis) pairs in register order."""
+    """Per-qubit readout bases in register order."""
     setting_a, setting_b = settings
     return (
         setting_b._polarization_readout(),
@@ -374,20 +353,8 @@ def joint_distribution(
     """
     if state.num_qubits != 4:
         raise ValueError("joint distribution is defined on the four-qubit register")
-    bases = [basis for _, basis in _register_readouts(settings)]
-    probs = np.maximum(_basis_probabilities(state, bases), 0.0)
+    probs = np.maximum(_basis_probabilities(state, _register_readouts(settings)), 0.0)
     return dict(zip(_OUTCOME_KEYS, probs.tolist()))
-
-
-def joint_outcome_labels(
-    settings: Tuple[ApparatusSetting, ApparatusSetting]
-) -> Dict[str, Tuple[str, str, str, str]]:
-    """Physical labels of each joint outcome key, in register order."""
-    label_sets = [labels for labels, _ in _register_readouts(settings)]
-    return {
-        key: tuple(labels[int(bit)] for labels, bit in zip(label_sets, key))
-        for key in _OUTCOME_KEYS
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +402,6 @@ def _fringe_table(model: NoiseModel, thetas) -> np.ndarray:
     return _rotated_diagonal(_BEAM_SPLITTERS, stack[:, :4, :4]).reshape(-1, 2, 2)
 
 
-def visibility_fringe(model: NoiseModel, detector_pair: str, theta: float) -> float:
-    """Coincidence probability of one H-detector pair at source phase theta.
-
-    Both paths interfere on their beam splitters and both polarizations
-    are analyzed along H; the pair selects one output port per photon.
-    """
-    port_a, port_b = _parse_pair(detector_pair)
-    thetas = [SourceParams(theta).theta]  # SourceParams rejects a non-finite phase
-    return float(_fringe_table(model, thetas)[0, port_a, port_b])
-
-
 @dataclass(frozen=True)
 class VisibilityScan:
     """Sampled fringe of one detector pair over a full phase turn."""
@@ -486,10 +442,3 @@ def visibility_scans(
             )
         )
     return tuple(scans)
-
-
-def visibility_scan(
-    model: NoiseModel, detector_pair: str, samples: int = 24
-) -> VisibilityScan:
-    """One detector pair's fringe; see :func:`visibility_scans`."""
-    return visibility_scans(model, (detector_pair,), samples)[0]

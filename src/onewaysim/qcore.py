@@ -407,12 +407,6 @@ def _split(state: State, qubit: int, alpha: float):
     return branches, _weight(branches[0])
 
 
-def measurement_probabilities(state: State, qubit: int, alpha: float):
-    """Born probabilities (p0, p1) for a B(alpha) measurement."""
-    (_, b1), p0 = _split(state, qubit, alpha)
-    return p0, _weight(b1)
-
-
 def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of 2x2 matrices, qubit 0 first."""
     u = np.ones((1, 1), dtype=complex)

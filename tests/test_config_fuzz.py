@@ -8,6 +8,9 @@ command does not read.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -106,7 +109,9 @@ def _configs(draw, command):
     valid = {("experiment",): st.just(command), **_VALID}
     read = [path for path in sorted(valid) if command in _READERS[path]]
     config: dict = {}
-    for path in draw(st.sets(st.sampled_from(read))):
+    # a set iterates in hash order, which varies with PYTHONHASHSEED; drawing
+    # the values in sorted path order keeps the generated configs reproducible
+    for path in sorted(draw(st.sets(st.sampled_from(read)))):
         _set(config, path, draw(valid[path]))
     if shape <= 4:  # one field gets a wrong type or value
         path = draw(st.sampled_from(sorted(_WRONG) + sorted(valid)))
@@ -127,3 +132,37 @@ def test_generated_config_exits_0_or_2(command, data):
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
         code = main([command, "--config", str(path), "--out", str(Path(scratch) / "run")])
     assert code in (0, 2), f"exit {code} for {config!r}"
+
+
+# draws the first configs of every command and prints their reprs, one a line
+_DRAW_CONFIGS = """
+from hypothesis import given, settings, strategies as st
+import test_config_fuzz as fuzz
+
+for command in fuzz.COMMANDS:
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def record(data):
+        print(repr(data.draw(fuzz._configs(command))))
+
+    record()
+"""
+
+
+def test_generated_configs_do_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    drawn = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", _DRAW_CONFIGS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        drawn.append(result.stdout.splitlines())
+    assert len(drawn[0]) >= 4 * 30
+    assert drawn[0] == drawn[1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from onewaysim import qcore
 from onewaysim.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
@@ -21,7 +22,6 @@ from onewaysim.qcore import (
     ket,
     measure,
     measurement_branches,
-    measurement_probabilities,
     overlap,
     pauli_x,
     pauli_z,
@@ -243,11 +243,17 @@ def test_measure_residual_keeps_qubit_order():
     assert np.allclose(np.abs(residual.amplitudes), ket("01").amplitudes)
 
 
+def _branch_weights(state, qubit, alpha):
+    """(p0, p1) of a B(alpha) measurement, each the weight of its own branch."""
+    (b0, b1), _ = qcore._split(state, qubit, alpha)
+    return qcore._weight(b0), qcore._weight(b1)
+
+
 def test_measurement_probabilities_sum(rng):
     for _ in range(20):
         psi = random_state(rng, 3)
         alpha = float(rng.uniform(0, 2 * math.pi))
-        p0, p1 = measurement_probabilities(psi, 1, alpha)
+        p0, p1 = _branch_weights(psi, 1, alpha)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -255,7 +261,7 @@ def test_measure_branch_decomposition(rng):
     # p0 * |b0><b0| + p1 * |b1><b1| tensored back must reproduce the marginal
     psi = random_state(rng, 2)
     alpha = 0.7
-    p0, p1 = measurement_probabilities(psi, 0, alpha)
+    p0, p1 = _branch_weights(psi, 0, alpha)
     _, q0, r0 = measure(psi, 0, alpha, 0)
     _, q1, r1 = measure(psi, 0, alpha, 1)
     assert (q0, q1) == pytest.approx((p0, p1))
@@ -273,8 +279,8 @@ def test_measure_mixed_matches_pure(rng):
         psi = random_state(rng, 3)
         rho = DensityMatrix.from_state(psi)
         alpha = float(rng.uniform(0, 2 * math.pi))
-        p_pure = measurement_probabilities(psi, 2, alpha)
-        p_mixed = measurement_probabilities(rho, 2, alpha)
+        p_pure = _branch_weights(psi, 2, alpha)
+        p_mixed = _branch_weights(rho, 2, alpha)
         assert p_pure == pytest.approx(p_mixed, abs=1e-12)
         for branch in (0, 1):
             if p_pure[branch] < 1e-9:
