@@ -29,7 +29,7 @@ from .cluster import BOX_FRAME, HORSESHOE_FRAME, FrameMap, c4_state
 from .mbqc import (
     GateOutputSpec,
     MeasurementPattern,
-    _apply_byproducts,
+    _byproduct_arrays,
     box_gate,
     box_pattern,
     grover_run,
@@ -51,6 +51,7 @@ from .qcore import (
     ImpossibleOutcomeError,
     PauliString,
     State,
+    _checked_states,
     _density_array,
     _product_basis,
     expectation,
@@ -360,10 +361,10 @@ def gate_fidelity_report(
     rho = _density_array(_prepare_state(noise))
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
-    target = target_fn(GateOutputSpec(alpha, beta))
-    targets = np.array(
-        [_apply_byproducts(target, pattern, branch).amplitudes for branch in branches]
-    )
+    target = target_fn(GateOutputSpec(alpha, beta)).amplitudes
+    chains = [_byproduct_arrays(target, pattern, branch) for branch in branches]
+    _checked_states([a for chain in chains for a in chain])  # every byproduct step
+    targets = np.array([chain[-1] if chain else target for chain in chains])
     overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     report = {}
     for branch, weight, value in zip(branches, weights, overlaps):

@@ -28,12 +28,15 @@ from .qcore import (
     SingleQubitGate,
     State,
     StateVector,
+    _array,
+    _check_qubit,
+    _checked_states,
+    _gate_array,
+    _swap_array,
     apply_cphase,
-    apply_gate,
     hadamard,
     overlap,
     plus_state,
-    swap_qubits,
 )
 
 
@@ -127,17 +130,20 @@ class FrameMap:
             raise ValueError("frame map needs one gate slot per qubit")
 
     def apply(self, state: State) -> State:
-        out = state
+        """The state in the new frame.  The swaps and gates run on arrays,
+        and their intermediate states are checked as one stack."""
+        _check_qubit(state, len(self.sources) - 1)
+        steps = [_array(state)]
         held = list(range(len(self.sources)))
         for q, source in enumerate(self.sources):
             j = held.index(source)
             if j != q:
-                out = swap_qubits(out, q, j)
+                steps.append(_swap_array(steps[-1], q, j))
                 held[q], held[j] = held[j], held[q]
         for q, gate in enumerate(self.gates):
             if gate is not None:
-                out = apply_gate(out, q, gate)
-        return out
+                steps.append(_gate_array(steps[-1], q, gate.matrix))
+        return _checked_states(steps[1:])[-1] if len(steps) > 1 else state
 
     def local_matrix(self, qubit: int) -> np.ndarray:
         gate = self.gates[qubit]

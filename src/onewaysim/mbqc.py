@@ -25,18 +25,23 @@ from .photonics import _PM_BASIS, _Z_BASIS, beam_splitter
 from .qcore import (
     State,
     StateVector,
+    _array,
     _basis_probabilities,
+    _branches,
+    _checked_residuals,
+    _checked_states,
+    _cphase_array,
+    _gate_array,
     apply_cphase,
-    apply_gate,
     hadamard,
     measure,
-    measurement_branches,
     pauli_x,
     pauli_z,
     rz,
 )
 
 _CORRECTION_GATES = {"X": pauli_x(), "Z": pauli_z()}
+_HADAMARD = hadamard()
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class OutcomeRecord:
     probabilities: Tuple[float, ...]
 
     def joint_probability(self) -> float:
-        return float(np.prod(self.probabilities))
+        return float(math.prod(self.probabilities))
 
 
 def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
@@ -155,18 +160,26 @@ def _finish(pattern: MeasurementPattern, outcomes, probs, current):
     return OutcomeRecord(tuple(q for q, _ in pattern.steps), outcomes, probs), current
 
 
-def _apply_byproducts(state: State, pattern: MeasurementPattern, outcomes) -> State:
-    """The pattern's feedforward Paulis for these step outcomes, applied in
-    step order to ``state`` (the readout qubits in ascending order)."""
+def _byproduct_arrays(a: np.ndarray, pattern: MeasurementPattern, outcomes):
+    """The state arrays after each of the pattern's feedforward Paulis for
+    these step outcomes, applied in step order to the state array ``a``
+    (the readout qubits in ascending order); empty if none applies."""
     corrections = pattern.correction_map()
+    steps = []
     for (qubit, _), out in zip(pattern.steps, outcomes):
         if out != 1:
             continue
         for letter, target in corrections.get(qubit, ()):
-            state = apply_gate(
-                state, pattern.readout.index(target), _CORRECTION_GATES[letter]
-            )
-    return state
+            a = _gate_array(a, pattern.readout.index(target), _CORRECTION_GATES[letter].matrix)
+            steps.append(a)
+    return steps
+
+
+def _apply_byproducts(state: State, pattern: MeasurementPattern, outcomes) -> State:
+    """``state`` after the pattern's feedforward Paulis for these step
+    outcomes (see :func:`_byproduct_arrays`), checked as one stack."""
+    steps = _byproduct_arrays(_array(state), pattern, outcomes)
+    return _checked_states(steps)[-1] if steps else state
 
 
 def branch_distribution(state: State, pattern: MeasurementPattern):
@@ -177,18 +190,20 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     forced-outcome floor (1e-12 at some step) are dropped.  Each step is
     measured once per surviving branch prefix, both outcomes from one
     split, so every triple equals the forced-outcome :func:`run_pattern`
-    bit for bit.
+    bit for bit.  The residuals of each step are checked as one stack.
     """
     _check_cover(state, pattern)
     live = list(range(state.num_qubits))
     level = [((), (), state)]
     for qubit, alpha in pattern.steps:
         pos = live.index(qubit)
-        level = [
-            (outcomes + (out,), probs + (p,), residual)
-            for outcomes, probs, current in level
-            for out, p, residual in measurement_branches(current, pos, alpha)
-        ]
+        level = _checked_residuals(
+            [
+                (outcomes + (out,), probs + (p,), residual)
+                for outcomes, probs, current in level
+                for out, p, residual in _branches(_array(current), pos, alpha)
+            ]
+        )
         live.pop(pos)
     branches = []
     for outcomes, probs, current in level:
@@ -239,12 +254,13 @@ def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> Measurem
 
 
 def _rotated_pair(spec: GateOutputSpec) -> StateVector:
-    """(H Rz(-alpha) x H Rz(-beta)) CPhase |++>, shared by both gates."""
-    out = apply_cphase(StateVector(np.full(4, 0.5, dtype=complex)), 0, 1)
-    out = apply_gate(out, 0, rz(-spec.alpha))
-    out = apply_gate(out, 1, rz(-spec.beta))
-    h = hadamard()
-    return apply_gate(apply_gate(out, 0, h), 1, h)
+    """(H Rz(-alpha) x H Rz(-beta)) CPhase |++>, shared by both gates; |++>
+    and every later state are checked as one stack."""
+    steps = [np.full(4, 0.5, dtype=complex)]
+    steps.append(_cphase_array(steps[-1], 0, 1))
+    for qubit, gate in ((0, rz(-spec.alpha)), (1, rz(-spec.beta)), (0, _HADAMARD), (1, _HADAMARD)):
+        steps.append(_gate_array(steps[-1], qubit, gate.matrix))
+    return _checked_states(steps)[-1]
 
 
 def horseshoe_gate(spec: GateOutputSpec) -> StateVector:

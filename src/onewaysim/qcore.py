@@ -9,7 +9,18 @@ qubits and favours clarity over asymptotic speed.
 Every operation is written once for pure and mixed states: a state's
 array has a ket axis, followed by a bra axis for a mixed state only, and
 gates, CPhase, swaps and the B(alpha) split loop over the sides present.
-``_array``/``_state`` alone map between the two classes and arrays.
+Each is a private kernel on arrays (``_gate_array``, ``_cphase_array``,
+``_swap_array``, ``_branches``); the public function is the kernel
+wrapped by ``_state``.  ``_array``/``_state`` alone map between the two
+classes and arrays.
+
+States are checked where they enter: the public constructors check
+every state they build (unit norm; Hermitian, trace 1 and positive
+semidefinite), and each public operation builds its result through
+them.  A caller that chains kernels (a frame change, one level of a
+measurement walk) checks its intermediate arrays once per stack instead,
+with ``_checked_states``: the same checks, tolerances and messages, in
+one numpy call per check.
 
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
@@ -94,10 +105,19 @@ def _check_density(m: np.ndarray) -> None:
     if np.abs(m - m.conj().swapaxes(-1, -2)).max() > TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
-    if np.abs(tr - 1.0).max() > TOL:
-        raise ValueError(f"density matrix trace {tr!r} is not 1")
+    err = np.abs(tr - 1.0)
+    if err.max() > TOL:  # name the trace that misses 1 the most
+        raise ValueError(f"density matrix trace {np.ravel(tr)[err.argmax()]!r} is not 1")
     if np.linalg.eigvalsh(m).min() < -TOL:
         raise ValueError("density matrix has a negative eigenvalue")
+
+
+def _check_norms(kets: np.ndarray) -> None:
+    """Raise the ValueError of :class:`StateVector` unless every ket of the
+    stack ``kets`` has unit norm within TOL."""
+    bad = np.abs(np.linalg.norm(kets, axis=-1) - 1.0) > TOL
+    if bad.any():
+        StateVector(kets[bad.argmax()])  # raises the constructor's message
 
 
 class DensityMatrix:
@@ -238,9 +258,47 @@ def _array(state: State) -> np.ndarray:
     return state.amplitudes if isinstance(state, StateVector) else state.matrix
 
 
+def _qubits(a: np.ndarray) -> int:
+    """The qubit count of a state array."""
+    return int(a.shape[0]).bit_length() - 1
+
+
 def _state(array: np.ndarray) -> State:
     """The (checked) state whose array is ``array``; see :func:`_array`."""
     return StateVector(array) if array.ndim == 1 else DensityMatrix(array)
+
+
+def _checked_states(arrays: Sequence[np.ndarray]) -> list:
+    """The states of same-shape arrays, checked as one stack.
+
+    The arrays are copied into one C-contiguous stack, and each check of
+    the public constructors runs once on the whole stack, with the same
+    tolerance and message: the norms of kets, or :func:`_check_density`.
+    Each row is then wrapped in its class without a second check.
+    """
+    stack = np.array(arrays, dtype=complex)
+    pure = stack.ndim == 2
+    (_check_norms if pure else _check_density)(stack)
+    stack.setflags(write=False)
+    cls, field = (StateVector, "amplitudes") if pure else (DensityMatrix, "matrix")
+    n = _qubits(stack[0])
+    states = []
+    for row in stack:
+        state = object.__new__(cls)
+        setattr(state, field, row)
+        state.num_qubits = n
+        states.append(state)
+    return states
+
+
+def _checked_residuals(branches):
+    """Branch tuples whose last entry, a residual array (all of one shape)
+    or None, is replaced by its state; the residuals are checked as one
+    stack (:func:`_checked_states`)."""
+    residuals = [branch[-1] for branch in branches]
+    if residuals and residuals[0] is not None:
+        residuals = _checked_states(residuals)
+    return [branch[:-1] + (residual,) for branch, residual in zip(branches, residuals)]
 
 
 def _density_array(state: State) -> np.ndarray:
@@ -273,7 +331,14 @@ def _renormalized(branch: np.ndarray, prob: float) -> np.ndarray:
     if branch.ndim == 1:
         return branch / np.linalg.norm(branch)
     block = branch / prob
-    return (block + block.conj().T) / 2.0  # remove numerical Hermiticity drift
+    block = (block + block.conj().T) / 2.0  # remove numerical Hermiticity drift
+    trace = np.trace(block).real
+    if abs(trace - 1.0) > TOL:
+        # prob = 1 - p0 of a branch of weight ~1e-11 carries the cancellation
+        # error of 1 - p0; such a block is scaled by its own trace instead
+        # (scaling every block so would move the pinned tables by ulps)
+        block = block / trace
+    return block
 
 
 def _rotated_diagonal(u: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -289,6 +354,38 @@ def _rotated_diagonal(u: np.ndarray, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _gate_array(a: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """The 2x2 unitary ``u`` on one qubit of the state array ``a``,
+    conjugating a density matrix: rho -> U rho U^dagger."""
+    n = _qubits(a)
+    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
+    for side in range(a.ndim):
+        axis = side * n + qubit
+        t = np.tensordot(u if side == 0 else u.conj(), t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    return t.reshape(a.shape)
+
+
+def _cphase_array(a: np.ndarray, qubit_j: int, qubit_k: int) -> np.ndarray:
+    """CPhase between two distinct qubits of the state array ``a``."""
+    n = _qubits(a)
+    t = a.reshape((2,) * (n * a.ndim)).copy()
+    for side in range(a.ndim):
+        both = [slice(None)] * t.ndim  # the |11> block of this side
+        both[side * n + qubit_j] = both[side * n + qubit_k] = 1
+        t[tuple(both)] *= -1.0
+    return t.reshape(a.shape)
+
+
+def _swap_array(a: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """The state array ``a`` with two distinct qubit labels exchanged."""
+    n = _qubits(a)
+    perm = list(range(n))
+    perm[qubit_a], perm[qubit_b] = perm[qubit_b], perm[qubit_a]
+    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
+    return t.transpose([s * n + p for s in range(a.ndim) for p in perm]).reshape(a.shape)
+
+
 def apply_gate(state: State, qubit: int, gate: SingleQubitGate) -> State:
     """Apply a single-qubit gate to one tensor factor.
 
@@ -296,15 +393,7 @@ def apply_gate(state: State, qubit: int, gate: SingleQubitGate) -> State:
     conjugated, rho -> U rho U^dagger).
     """
     _check_qubit(state, qubit)
-    a = _array(state)
-    n = state.num_qubits
-    u = gate.matrix
-    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
-    for side in range(a.ndim):
-        axis = side * n + qubit
-        t = np.tensordot(u if side == 0 else u.conj(), t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
-    return _state(t.reshape(a.shape))
+    return _state(_gate_array(_array(state), qubit, gate.matrix))
 
 
 def apply_cphase(state: State, qubit_j: int, qubit_k: int) -> State:
@@ -313,14 +402,7 @@ def apply_cphase(state: State, qubit_j: int, qubit_k: int) -> State:
     _check_qubit(state, qubit_k)
     if qubit_j == qubit_k:
         raise ValueError("CPhase needs two distinct qubits")
-    a = _array(state)
-    n = state.num_qubits
-    t = a.reshape((2,) * (n * a.ndim)).copy()
-    for side in range(a.ndim):
-        both = [slice(None)] * t.ndim  # the |11> block of this side
-        both[side * n + qubit_j] = both[side * n + qubit_k] = 1
-        t[tuple(both)] *= -1.0
-    return _state(t.reshape(a.shape))
+    return _state(_cphase_array(_array(state), qubit_j, qubit_k))
 
 
 def swap_qubits(state: State, qubit_a: int, qubit_b: int) -> State:
@@ -329,12 +411,7 @@ def swap_qubits(state: State, qubit_a: int, qubit_b: int) -> State:
     _check_qubit(state, qubit_b)
     if qubit_a == qubit_b:
         return state
-    a = _array(state)
-    n = state.num_qubits
-    perm = list(range(n))
-    perm[qubit_a], perm[qubit_b] = perm[qubit_b], perm[qubit_a]
-    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
-    return _state(t.transpose([s * n + p for s in range(a.ndim) for p in perm]).reshape(a.shape))
+    return _state(_swap_array(_array(state), qubit_a, qubit_b))
 
 
 def expectation(state: State, observable: PauliString) -> float:
@@ -382,15 +459,14 @@ def _split_coefficients(alpha: float, sides: int):
     return tuple(table)
 
 
-def _split(state: State, qubit: int, alpha: float):
-    """Both unnormalized branches of a B(alpha) measurement, and the weight of 0.
+def _split(a: np.ndarray, qubit: int, alpha: float):
+    """Both unnormalized branches of a B(alpha) measurement of the state
+    array ``a``, and the weight of 0.
 
     Each side of the array contracts the qubit with the outcome's bra; the
     terms are summed in index order and scaled by 2**(-sides/2).
     """
-    _check_qubit(state, qubit)
-    a = _array(state)
-    n, sides = state.num_qubits, a.ndim
+    n, sides = _qubits(a), a.ndim
     blocks = [a.reshape((2,) * (n * sides))]
     for side in range(sides):
         # earlier sides have lost their measured axis already; take copies,
@@ -405,6 +481,23 @@ def _split(state: State, qubit: int, alpha: float):
             branch = branch + coef * block
         branches.append((branch / scale).reshape((2 ** (n - 1),) * sides))
     return branches, _weight(branches[0])
+
+
+def _residual(branch: np.ndarray, prob: float):
+    """The renormalized residual array of a branch; None if no qubit remains."""
+    return None if branch.size == 1 else _renormalized(branch, prob)
+
+
+def _branches(a: np.ndarray, qubit: int, alpha: float):
+    """(outcome, probability, residual array) of every possible outcome of
+    a B(alpha) measurement of the state array ``a``, from one split; an
+    outcome below the forced-outcome floor (1e-12) is left out."""
+    branches, p0 = _split(a, qubit, alpha)
+    return [
+        (outcome, prob, _residual(branches[outcome], prob))
+        for outcome, prob in enumerate((p0, 1.0 - p0))
+        if prob >= _FORCED_MIN_WEIGHT
+    ]
 
 
 def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
@@ -449,9 +542,16 @@ def measure(state: State, qubit: int, basis_angle: float, outcome_source):
     ImpossibleOutcomeError
         If a forced outcome has projection weight below 1e-12.
     """
-    branches, p0 = _split(state, qubit, basis_angle)
+    _check_qubit(state, qubit)
+    branches, p0 = _split(_array(state), qubit, basis_angle)
     outcome = _resolve_outcome(outcome_source, p0)
-    return _settle(state, qubit, outcome, branches[outcome], (p0, 1.0 - p0)[outcome])
+    prob = (p0, 1.0 - p0)[outcome]
+    if prob < _FORCED_MIN_WEIGHT:
+        raise ImpossibleOutcomeError(
+            f"outcome {outcome} on qubit {qubit} has weight {prob:.3e}"
+        )
+    residual = _residual(branches[outcome], prob)
+    return outcome, prob, None if residual is None else _state(residual)
 
 
 def measurement_branches(state: State, qubit: int, basis_angle: float):
@@ -462,23 +562,8 @@ def measurement_branches(state: State, qubit: int, basis_angle: float):
     bit, in outcome order; an outcome whose weight is below the
     forced-outcome floor (1e-12) is left out.
     """
-    branches, p0 = _split(state, qubit, basis_angle)
-    return [
-        _settle(state, qubit, outcome, branches[outcome], prob)
-        for outcome, prob in enumerate((p0, 1.0 - p0))
-        if prob >= _FORCED_MIN_WEIGHT
-    ]
-
-
-def _settle(state: State, qubit: int, outcome: int, branch: np.ndarray, prob: float):
-    """(outcome, probability, renormalized residual) of one branch."""
-    if prob < _FORCED_MIN_WEIGHT:
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} on qubit {qubit} has weight {prob:.3e}"
-        )
-    if state.num_qubits == 1:
-        return outcome, prob, None
-    return outcome, prob, _state(_renormalized(branch, prob))
+    _check_qubit(state, qubit)
+    return _checked_residuals(_branches(_array(state), qubit, basis_angle))
 
 
 def fidelity(rho: State, target: StateVector) -> float:

@@ -16,6 +16,7 @@ import test_config_fuzz
 import test_golden
 from onewaysim import cli
 from onewaysim.cli import ConfigError, ExperimentConfig, load_config, main, resolve_noise
+from onewaysim.mbqc import grover_run
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -206,6 +207,26 @@ def test_grover_command(tmp_path):
     csv_lines = (tmp_path / "g_distribution.csv").read_text().splitlines()
     assert csv_lines[0] == "outcome,probability"
     assert len(csv_lines) == 5
+
+
+@pytest.mark.parametrize("white_noise", ["3.0e-12", "1.0e-11", "1.0e-10", "1.0e-9", "1.0e-6"])
+@pytest.mark.parametrize("marked", ["00", "01", "10", "11"])
+@pytest.mark.parametrize("feedforward", ["true", "false"])
+def test_grover_runs_on_near_ideal_noise(tmp_path, capsys, white_noise, marked, feedforward):
+    # an outcome-1 branch of weight ~1e-11 is renormalized by 1 - p0, whose
+    # cancellation error alone would put its trace ~1e-5 off 1 (exit 1)
+    config = _write(
+        tmp_path,
+        "config.yaml",
+        f'noise: {{white_noise: {white_noise}}}\n'
+        f'grover: {{marked: "{marked}", feedforward: {feedforward}}}\n',
+    )
+    code, document = _result(capsys, ["grover", "--config", config])
+    assert code == 0
+    table = document["distribution"]
+    ideal = grover_run(marked, feedforward == "true")
+    assert abs(sum(table.values()) - 1.0) <= 1e-12
+    assert max(abs(table[key] - ideal[key]) for key in ideal) <= float(white_noise)
 
 
 def test_gate_command(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from onewaysim.cluster import (
+    BOX_FRAME,
     BOX_GRAPH,
+    HORSESHOE_FRAME,
     HORSESHOE_GRAPH,
     LINEAR_GRAPH,
     ClusterGraph,
@@ -17,7 +19,19 @@ from onewaysim.cluster import (
     to_box_frame,
     to_horseshoe_frame,
 )
-from onewaysim.qcore import DensityMatrix, PauliString, expectation, hadamard, ket
+from onewaysim.qcore import (
+    DensityMatrix,
+    PauliString,
+    _array,
+    apply_gate,
+    expectation,
+    hadamard,
+    ket,
+    rz,
+    swap_qubits,
+)
+
+from conftest import random_density, random_state
 
 
 def test_graph_normalizes_edges():
@@ -128,6 +142,32 @@ def test_frame_map_relabels_before_its_gates():
     expected = (ket("000").amplitudes - ket("100").amplitudes) / np.sqrt(2)
     assert np.allclose(out.amplitudes, expected)
     assert np.array_equal(frame.local_matrix(1), np.eye(2))
+
+
+def _apply_one_by_one(frame, state):
+    """The frame change through the public operations, each result checked."""
+    held = list(range(len(frame.sources)))
+    for q, source in enumerate(frame.sources):
+        j = held.index(source)
+        if j != q:
+            state = swap_qubits(state, q, j)
+            held[q], held[j] = held[j], held[q]
+    for q, gate in enumerate(frame.gates):
+        if gate is not None:
+            state = apply_gate(state, q, gate)
+    return state
+
+
+def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
+    states = [c4_state(), random_state(rng, 4), random_density(rng, 4)]
+    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (None, hadamard(), rz(0.3), None)))
+    for frame in frames:
+        for state in states:
+            mapped, oracle = frame.apply(state), _apply_one_by_one(frame, state)
+            assert type(mapped) is type(oracle)
+            assert np.array_equal(_array(mapped), _array(oracle))
+    with pytest.raises(IndexError):
+        BOX_FRAME.apply(ket("010"))
 
 
 def test_frame_map_rejects_bad_layouts():

@@ -36,6 +36,10 @@ _junk = st.one_of(
     st.dictionaries(st.sampled_from(["a", "fit"]), st.integers(-1, 1), max_size=2),
 )
 _unit = st.floats(0.0, 1.0)
+# near-ideal noise, which a uniform draw from [0, 1] practically never
+# reaches; PyYAML writes these as 1.0e-12 etc., which YAML 1.1 reads as floats
+_tiny = st.sampled_from([1.0e-12, 3.0e-12, 1.0e-11, 1.0e-10, 1.0e-9])
+_noise_level = st.one_of(_unit, _tiny)
 
 # fields a user may set besides the experiment guard, each with values a
 # command that reads it accepts; the sample count and the coincidence budget
@@ -47,11 +51,12 @@ _VALID = {
         st.fixed_dictionaries(
             {},
             optional={
-                "path_dephasing_a": _unit,
-                "path_dephasing_b": _unit,
-                "white_noise": _unit,
+                "path_dephasing_a": _noise_level,
+                "path_dephasing_b": _noise_level,
+                "white_noise": _noise_level,
             },
         ),
+        st.fixed_dictionaries({"white_noise": _tiny}),
         st.fixed_dictionaries(
             {"fit": st.fixed_dictionaries(
                 {"targets": st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)}

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from onewaysim import qcore
 from onewaysim.cluster import (
     BOX_GRAPH,
     HORSESHOE_GRAPH,
@@ -453,3 +454,40 @@ def test_bell_discriminate_mixed_input():
     state = horseshoe_gate(GateOutputSpec(0.0, 0.0, 1, 0))
     rho = DensityMatrix.from_state(state)
     assert bell_probabilities(rho)["+-"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixed_search_checks_every_intermediate_state_once_per_stack(monkeypatch):
+    sizes = []
+    check = qcore._check_density
+
+    def counted(matrices):
+        sizes.append(1 if matrices.ndim == 2 else len(matrices))
+        check(matrices)
+
+    monkeypatch.setattr(qcore, "_check_density", counted)
+    noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, 0.1))
+    grover_run("10", True, noisy)
+    # the noisy source, the five frame-map steps, then the residuals of the
+    # first three walk levels: 20 matrices, one per intermediate state, in
+    # 5 calls
+    assert sizes == [1, 5, 2, 4, 8]
+
+
+def test_pure_search_checks_as_many_kets_as_one_call_each_would(monkeypatch):
+    ideal = c4_state()
+    constructed, stacked = [], []
+    init, check = StateVector.__init__, qcore._check_norms
+
+    def counted_init(self, amplitudes):
+        constructed.append(1)
+        init(self, amplitudes)
+
+    def counted_norms(kets):
+        stacked.append(len(kets))
+        check(kets)
+
+    monkeypatch.setattr(StateVector, "__init__", counted_init)
+    monkeypatch.setattr(qcore, "_check_norms", counted_norms)
+    grover_run("10", True, ideal)
+    # 15 kets, as in one constructor call per intermediate state
+    assert constructed == [] and stacked == [5, 2, 4, 4]

@@ -91,6 +91,39 @@ def test_density_checks_cover_every_matrix_of_a_stack(rng):
             _check_density(broken)
 
 
+def _raised(fn, arg) -> str:
+    with pytest.raises(ValueError) as caught:
+        fn(arg)
+    return str(caught.value)
+
+
+def test_stacked_checks_raise_the_constructor_message_for_one_bad_member(rng):
+    matrices = [random_density(rng, 2).matrix for _ in range(5)]
+    for bad in (
+        np.eye(4, dtype=complex),  # trace 4
+        np.array(matrices[0]) + np.triu(np.full((4, 4), 0.1j), 1),  # not Hermitian
+        np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
+    ):
+        stack = matrices[:2] + [bad] + matrices[2:]
+        assert _raised(qcore._checked_states, stack) == _raised(DensityMatrix, bad)
+    kets = [random_state(rng, 2).amplitudes for _ in range(5)]
+    stack = kets[:3] + [1.5 * kets[0]] + kets[3:]
+    assert _raised(qcore._checked_states, stack) == _raised(StateVector, 1.5 * kets[0])
+
+
+def test_stacked_checks_wrap_each_member_like_the_constructor(rng):
+    for arrays, cls in (
+        ([random_state(rng, 3).amplitudes for _ in range(4)], StateVector),
+        ([random_density(rng, 2).matrix for _ in range(3)], DensityMatrix),
+    ):
+        states = qcore._checked_states(arrays)
+        for state, array in zip(states, arrays):
+            expected = cls(array)
+            assert type(state) is cls and state.num_qubits == expected.num_qubits
+            assert np.array_equal(qcore._array(state), qcore._array(expected))
+            assert not qcore._array(state).flags.writeable
+
+
 def test_density_matrix_from_state(rng):
     psi = random_state(rng, 2)
     rho = DensityMatrix.from_state(psi)
@@ -245,7 +278,7 @@ def test_measure_residual_keeps_qubit_order():
 
 def _branch_weights(state, qubit, alpha):
     """(p0, p1) of a B(alpha) measurement, each the weight of its own branch."""
-    (b0, b1), _ = qcore._split(state, qubit, alpha)
+    (b0, b1), _ = qcore._split(qcore._array(state), qubit, alpha)
     return qcore._weight(b0), qcore._weight(b1)
 
 
