@@ -53,7 +53,6 @@ from .photonics import (
 from .mbqc import (
     GateOutputSpec,
     MeasurementPattern,
-    OutcomeRecord,
     bell_probabilities,
     box_gate,
     box_pattern,

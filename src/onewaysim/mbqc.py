@@ -2,8 +2,11 @@
 
 A pattern measures cluster qubits one at a time in equatorial bases
 B(alpha) and optionally applies Pauli byproduct corrections to the
-unmeasured (readout) qubits conditioned on the outcomes.  On top of
-:func:`run_pattern` this module provides
+unmeasured (readout) qubits conditioned on the outcomes.  A pattern is
+given by its branches, and one walk over its steps gives them all:
+:func:`branch_distribution` returns every branch, and :func:`run_pattern`
+picks the branch of given forced outcomes from it.  On top of the walk
+this module provides
 
 * the two-qubit gate patterns of the horseshoe and box clusters with
   their closed-form output states,
@@ -21,20 +24,20 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .cluster import c4_state, to_box_frame
-from .photonics import _PM_BASIS, _Z_BASIS, beam_splitter
+from .photonics import _PM_BASIS, _Z_BASIS, _is_number, beam_splitter
 from .qcore import (
+    ImpossibleOutcomeError,
     State,
     StateVector,
     _array,
     _basis_probabilities,
     _branches,
-    _checked_residuals,
+    _check_bit,
     _checked_states,
     _cphase_array,
     _gate_array,
     apply_cphase,
     hadamard,
-    measure,
     pauli_x,
     pauli_z,
     rz,
@@ -89,77 +92,6 @@ class MeasurementPattern:
         return {qubit: corrections for qubit, corrections in self.feedforward}
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """Outcomes of one pattern run, in step order."""
-
-    qubits: Tuple[int, ...]
-    outcomes: Tuple[int, ...]
-    probabilities: Tuple[float, ...]
-
-    def joint_probability(self) -> float:
-        return float(math.prod(self.probabilities))
-
-
-def run_pattern(state: State, pattern: MeasurementPattern, outcome_source):
-    """Execute a measurement pattern on a state.
-
-    Parameters
-    ----------
-    state : StateVector or DensityMatrix
-    pattern : MeasurementPattern
-        Step and readout qubits must exactly cover the register.
-    outcome_source
-        A numpy Generator, a callable mapping p0 to a bit (used for
-        every step), or a sequence of forced bits, one per step.
-
-    Returns
-    -------
-    (OutcomeRecord, residual)
-        residual is the post-measurement state on the readout qubits
-        in ascending original order, or None when all qubits are
-        measured.  Byproduct corrections have been applied.
-    """
-    _check_cover(state, pattern)
-    forced: Optional[Sequence[int]] = None
-    if isinstance(outcome_source, (list, tuple)):
-        if len(outcome_source) != len(pattern.steps):
-            raise ValueError("need one forced outcome per step")
-        forced = tuple(int(b) for b in outcome_source)
-    elif isinstance(outcome_source, (int, np.integer)) and not isinstance(
-        outcome_source, bool
-    ):
-        raise TypeError("pass a sequence of forced bits, one per step")
-
-    live = list(range(state.num_qubits))
-    current: Optional[State] = state
-    outcomes = []
-    probs = []
-    for index, (qubit, alpha) in enumerate(pattern.steps):
-        pos = live.index(qubit)
-        source = forced[index] if forced is not None else outcome_source
-        out, p, current = measure(current, pos, alpha, source)
-        live.pop(pos)
-        outcomes.append(out)
-        probs.append(p)
-    return _finish(pattern, tuple(outcomes), tuple(probs), current)
-
-
-def _check_cover(state: State, pattern: MeasurementPattern) -> None:
-    n = state.num_qubits
-    step_qubits = [q for q, _ in pattern.steps]
-    covered = set(step_qubits) | set(pattern.readout)
-    if covered != set(range(n)) or len(step_qubits) + len(pattern.readout) != n:
-        raise ValueError("pattern qubits do not match the register")
-
-
-def _finish(pattern: MeasurementPattern, outcomes, probs, current):
-    """The record of a finished run and its byproduct-corrected residual."""
-    if current is not None:
-        current = _apply_byproducts(current, pattern, outcomes)
-    return OutcomeRecord(tuple(q for q, _ in pattern.steps), outcomes, probs), current
-
-
 def _byproduct_arrays(a: np.ndarray, pattern: MeasurementPattern, outcomes):
     """The state arrays after each of the pattern's feedforward Paulis for
     these step outcomes, applied in step order to the state array ``a``
@@ -186,30 +118,59 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     """All outcome branches of a pattern with their joint probabilities.
 
     Returns a list of (outcomes, probability, residual) triples in
-    lexicographic outcome order.  Branches whose weight falls below the
-    forced-outcome floor (1e-12 at some step) are dropped.  Each step is
-    measured once per surviving branch prefix, both outcomes from one
-    split, so every triple equals the forced-outcome :func:`run_pattern`
-    bit for bit.  The residuals of each step are checked as one stack.
+    lexicographic outcome order; residual is the byproduct-corrected
+    state on the readout qubits in ascending original order, or None when
+    all qubits are measured.  Step and readout qubits must exactly cover
+    the register.  Each step is measured once per surviving branch prefix,
+    both outcomes from one split; a branch whose weight falls below the
+    forced-outcome floor (1e-12 at some step) is dropped.  The residuals
+    of each step are checked as one stack.
     """
-    _check_cover(state, pattern)
     live = list(range(state.num_qubits))
+    if sorted([q for q, _ in pattern.steps] + list(pattern.readout)) != live:
+        raise ValueError("pattern qubits do not match the register")
     level = [((), (), state)]
     for qubit, alpha in pattern.steps:
         pos = live.index(qubit)
-        level = _checked_residuals(
-            [
-                (outcomes + (out,), probs + (p,), residual)
-                for outcomes, probs, current in level
-                for out, p, residual in _branches(_array(current), pos, alpha)
-            ]
-        )
+        level = [
+            (outcomes + (out,), probs + (p,), residual)
+            for outcomes, probs, current in level
+            for out, p, residual in _branches(_array(current), pos, alpha)
+        ]
+        if level[0][2] is not None:
+            states = _checked_states([residual for _, _, residual in level])
+            level = [branch[:2] + (checked,) for branch, checked in zip(level, states)]
         live.pop(pos)
-    branches = []
-    for outcomes, probs, current in level:
-        record, residual = _finish(pattern, outcomes, probs, current)
-        branches.append((outcomes, record.joint_probability(), residual))
-    return branches
+    return [
+        (
+            outcomes,
+            float(math.prod(probs)),
+            None if current is None else _apply_byproducts(current, pattern, outcomes),
+        )
+        for outcomes, probs, current in level
+    ]
+
+
+def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[int]):
+    """The branch of a pattern with the forced ``outcomes``, one bit per step:
+    its (outcomes, probability, residual) triple from
+    :func:`branch_distribution`.
+
+    Raises
+    ------
+    ValueError
+        If an outcome is not a bit or the count is not one per step.
+    ImpossibleOutcomeError
+        If the walk dropped the branch (weight below 1e-12 at some step).
+    """
+    if len(outcomes) != len(pattern.steps):
+        raise ValueError("need one forced outcome per step")
+    for bit in outcomes:
+        _check_bit(bit)
+    for branch in branch_distribution(state, pattern):
+        if branch[0] == tuple(outcomes):
+            return branch
+    raise ImpossibleOutcomeError(f"outcomes {tuple(outcomes)} have weight below 1e-12")
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +190,10 @@ class GateOutputSpec:
     def __post_init__(self):
         if self.s2 not in (0, 1) or self.s3 not in (0, 1):
             raise ValueError("branch outcomes must be bits")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("angles must be finite")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def horseshoe_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:

@@ -111,8 +111,13 @@ class SourceParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        if not (_is_number(self.theta) and math.isfinite(self.theta)):
+            raise ValueError(f"theta must be a finite number, got {self.theta!r}")
+
+
+def _is_number(value) -> bool:
+    """True for an int or a float; a bool, an int subclass, is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def source_state(params: SourceParams) -> StateVector:
@@ -157,9 +162,7 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("path_dephasing_a", "path_dephasing_b", "white_noise"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and 0.0 <= value <= 1.0
-            ):
+            if not (_is_number(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
     @classmethod

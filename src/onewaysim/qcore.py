@@ -30,8 +30,11 @@ Measurements use the equatorial basis family
 
     B(alpha) = { |alpha+>, |alpha-> },   |alpha+-> = (|0> +- e^{i alpha}|1>)/sqrt(2)
 
-with outcome 0 meaning a projection onto |alpha+>; :func:`measure`
-takes either kind of state.  Z measurements are not part of this
+with outcome 0 meaning a projection onto |alpha+>.  One split,
+``_branches``, gives both outcomes of such a measurement; :func:`measure`
+takes either kind of state and a forced bit, and returns that bit's
+entry.  There is no random outcome source: sampled counts are drawn from
+exact tables (see the analysis module).  Z measurements are not part of this
 family; readouts in any product basis (see the photonics module) rotate
 each qubit's basis onto Z and read the diagonal of the rotated state.
 """
@@ -291,16 +294,6 @@ def _checked_states(arrays: Sequence[np.ndarray]) -> list:
     return states
 
 
-def _checked_residuals(branches):
-    """Branch tuples whose last entry, a residual array (all of one shape)
-    or None, is replaced by its state; the residuals are checked as one
-    stack (:func:`_checked_states`)."""
-    residuals = [branch[-1] for branch in branches]
-    if residuals and residuals[0] is not None:
-        residuals = _checked_states(residuals)
-    return [branch[:-1] + (residual,) for branch, residual in zip(branches, residuals)]
-
-
 def _density_array(state: State) -> np.ndarray:
     """The state's density matrix, |a><a| for a pure state."""
     a = _array(state)
@@ -425,25 +418,6 @@ def expectation(state: State, observable: PauliString) -> float:
     return observable.coefficient * _pairing(_array(state), word, "expectation")
 
 
-def _resolve_outcome(outcome_source, p0: float) -> int:
-    """Turn an outcome source (forced bit, RNG, or callable) into a bit."""
-    if isinstance(outcome_source, (bool, int, np.integer)):
-        bit = int(outcome_source)
-        if bit not in (0, 1):
-            raise ValueError(f"forced outcome must be 0 or 1, got {outcome_source!r}")
-        return bit
-    if isinstance(outcome_source, np.random.Generator):
-        return 0 if outcome_source.random() < p0 else 1
-    if callable(outcome_source):
-        bit = int(outcome_source(p0))
-        if bit not in (0, 1):
-            raise ValueError("outcome callable must return 0 or 1")
-        return bit
-    raise TypeError(
-        "outcome_source must be a bit, a numpy Generator, or a callable of p0"
-    )
-
-
 @lru_cache(maxsize=256)
 def _split_coefficients(alpha: float, sides: int):
     """Per outcome, the coefficients of the split's blocks after the first:
@@ -483,18 +457,14 @@ def _split(a: np.ndarray, qubit: int, alpha: float):
     return branches, _weight(branches[0])
 
 
-def _residual(branch: np.ndarray, prob: float):
-    """The renormalized residual array of a branch; None if no qubit remains."""
-    return None if branch.size == 1 else _renormalized(branch, prob)
-
-
 def _branches(a: np.ndarray, qubit: int, alpha: float):
     """(outcome, probability, residual array) of every possible outcome of
     a B(alpha) measurement of the state array ``a``, from one split; an
-    outcome below the forced-outcome floor (1e-12) is left out."""
+    outcome below the forced-outcome floor (1e-12) is left out, and the
+    residual is None when no qubit remains."""
     branches, p0 = _split(a, qubit, alpha)
     return [
-        (outcome, prob, _residual(branches[outcome], prob))
+        (outcome, prob, None if _qubits(a) == 1 else _renormalized(branches[outcome], prob))
         for outcome, prob in enumerate((p0, 1.0 - p0))
         if prob >= _FORCED_MIN_WEIGHT
     ]
@@ -518,8 +488,14 @@ def _basis_probabilities(state: State, bases: Sequence[np.ndarray]) -> np.ndarra
     return _rotated_diagonal(_product_basis(bases), _array(state))
 
 
-def measure(state: State, qubit: int, basis_angle: float, outcome_source):
-    """Measure one qubit in B(basis_angle).
+def _check_bit(outcome) -> None:
+    """Raise ValueError unless ``outcome`` is the bit 0 or 1."""
+    if not isinstance(outcome, (int, np.integer)) or outcome not in (0, 1):
+        raise ValueError(f"forced outcome must be 0 or 1, got {outcome!r}")
+
+
+def measure(state: State, qubit: int, basis_angle: float, outcome: int):
+    """Measure one qubit in B(basis_angle) with a forced outcome.
 
     Parameters
     ----------
@@ -527,43 +503,31 @@ def measure(state: State, qubit: int, basis_angle: float, outcome_source):
     qubit : int
     basis_angle : float
         alpha in radians; outcome 0 projects onto |alpha+>.
-    outcome_source : int, numpy Generator, or callable
-        A forced bit, a random source, or a callable mapping p0 to a bit.
+    outcome : int
+        The forced bit, 0 or 1.
 
     Returns
     -------
     (outcome, probability, residual)
-        The reported bit, its Born probability, and the renormalized
-        residual, of the input's kind, on the remaining qubits in their
-        original order (None when none remain).
+        The bit, its Born probability, and the renormalized residual, of
+        the input's kind, on the remaining qubits in their original order
+        (None when none remain).
 
     Raises
     ------
+    ValueError
+        If the outcome is not 0 or 1.
     ImpossibleOutcomeError
-        If a forced outcome has projection weight below 1e-12.
+        If the outcome has projection weight below 1e-12.
     """
     _check_qubit(state, qubit)
-    branches, p0 = _split(_array(state), qubit, basis_angle)
-    outcome = _resolve_outcome(outcome_source, p0)
-    prob = (p0, 1.0 - p0)[outcome]
-    if prob < _FORCED_MIN_WEIGHT:
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} on qubit {qubit} has weight {prob:.3e}"
-        )
-    residual = _residual(branches[outcome], prob)
-    return outcome, prob, None if residual is None else _state(residual)
-
-
-def measurement_branches(state: State, qubit: int, basis_angle: float):
-    """Every possible outcome of a B(alpha) measurement, from one split.
-
-    Returns the (outcome, probability, residual) triples that
-    :func:`measure` gives for each forced outcome, equal to them bit for
-    bit, in outcome order; an outcome whose weight is below the
-    forced-outcome floor (1e-12) is left out.
-    """
-    _check_qubit(state, qubit)
-    return _checked_residuals(_branches(_array(state), qubit, basis_angle))
+    _check_bit(outcome)
+    for out, prob, residual in _branches(_array(state), qubit, basis_angle):
+        if out == outcome:
+            return out, prob, None if residual is None else _state(residual)
+    raise ImpossibleOutcomeError(
+        f"outcome {outcome} on qubit {qubit} has weight below {_FORCED_MIN_WEIGHT:.0e}"
+    )
 
 
 def fidelity(rho: State, target: StateVector) -> float:

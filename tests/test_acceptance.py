@@ -161,7 +161,7 @@ def test_criterion_4_gate_formulas_match_simulation(verdict):
             for beta in GRID:
                 pattern = pattern_fn(alpha, beta, feedforward=False)
                 for s2, s3 in BRANCHES:
-                    _, residual = run_pattern(state, pattern, (s2, s3))
+                    _, _, residual = run_pattern(state, pattern, (s2, s3))
                     target = gate_fn(GateOutputSpec(alpha, beta, s2, s3))
                     worst = min(worst, fidelity(residual, target))
 

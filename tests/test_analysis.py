@@ -303,7 +303,7 @@ def _gate_report_by_branches(kind, alpha, beta, state):
     report = {}
     for s2 in (0, 1):
         for s3 in (0, 1):
-            _, residual = run_pattern(mapped, pattern, (s2, s3))
+            _, _, residual = run_pattern(mapped, pattern, (s2, s3))
             report[(s2, s3)] = fidelity(residual, target_fn(GateOutputSpec(alpha, beta, s2, s3)))
     return report
 

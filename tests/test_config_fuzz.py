@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from onewaysim.cli import _FIELDS, main
 from onewaysim.photonics import DETECTOR_PAIRS
 
+pytest_plugins = ("pytester",)
+
 COMMANDS = ("witness", "grover", "gate", "visibility")
 
 # field path -> the subcommands that read it
@@ -171,3 +173,27 @@ def test_generated_configs_do_not_depend_on_the_hash_seed():
         drawn.append(result.stdout.splitlines())
     assert len(drawn[0]) >= 4 * 30
     assert drawn[0] == drawn[1]
+
+
+# a falsifying example must be reported as one failure: with warnings as
+# errors, a DeprecationWarning from mypy_extensions raised in hypothesis's
+# report hook used to end the session in INTERNALERROR, and every later
+# test was lost
+_FALSIFIED_PROBE = """
+from hypothesis import given, strategies as st
+
+@given(st.integers(0, 10))
+def test_falsified(x):
+    assert x < 5
+
+def test_after():
+    pass
+"""
+
+
+def test_a_falsifying_example_leaves_later_tests_running(pytester):
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    pytester.makepyprojecttoml(pyproject.read_text(encoding="utf-8"))
+    pytester.makepyfile(test_probe=_FALSIFIED_PROBE)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider", "test_probe.py", timeout=120)
+    result.assert_outcomes(failed=1, passed=1)

@@ -20,7 +20,6 @@ from onewaysim.mbqc import (
     BELL_LABELS,
     GateOutputSpec,
     MeasurementPattern,
-    OutcomeRecord,
     bell_probabilities,
     box_gate,
     box_pattern,
@@ -90,14 +89,28 @@ def test_run_pattern_register_checks(rng):
 
 def test_run_pattern_records_step_order(rng):
     state = build_cluster(HORSESHOE_GRAPH)
-    record, residual = run_pattern(state, horseshoe_pattern(0.3, 0.9), [0, 1])
-    assert record.qubits == (1, 2)
-    assert record.outcomes == (0, 1)
-    assert isinstance(record, OutcomeRecord)
+    outcomes, prob, residual = run_pattern(state, horseshoe_pattern(0.3, 0.9), [0, 1])
+    assert outcomes == (0, 1)
     assert residual.num_qubits == 2
-    assert record.joint_probability() == pytest.approx(
-        record.probabilities[0] * record.probabilities[1]
-    )
+    _, p1, rest = qcore.measure(state, 1, 0.3, 0)
+    _, p2, _ = qcore.measure(rest, 1, 0.9, 1)
+    assert prob == pytest.approx(p1 * p2)
+
+
+def test_run_pattern_rejects_impossible_and_invalid_outcomes():
+    # |+>|+> never reads 1 in B(0)
+    pattern = MeasurementPattern(steps=((0, 0.0), (1, 0.0)))
+    for state in (qcore.plus_state(2), DensityMatrix.from_state(qcore.plus_state(2))):
+        assert run_pattern(state, pattern, (0, 0))[:2] == ((0, 0), pytest.approx(1.0))
+        for bits in ((0, 1), (1, 0), (1, 1)):
+            with pytest.raises(ImpossibleOutcomeError):
+                run_pattern(state, pattern, bits)
+        for bits in ((0, 2), (0, -1), (0, "1"), (0, 0.0)):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                run_pattern(state, pattern, bits)
+        for bits in ((), (0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="one forced outcome per step"):
+                run_pattern(state, pattern, bits)
 
 
 def test_branch_distribution_is_lexicographic_and_normalized():
@@ -107,10 +120,10 @@ def test_branch_distribution_is_lexicographic_and_normalized():
     assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
     # forced runs must agree branch by branch
     for bits, prob, residual in branches:
-        record, res2 = run_pattern(
+        _, forced_prob, res2 = run_pattern(
             state, horseshoe_pattern(0.4, 1.3, feedforward=False), list(bits)
         )
-        assert record.joint_probability() == pytest.approx(prob)
+        assert forced_prob == pytest.approx(prob)
         assert np.allclose(res2.amplitudes, residual.amplitudes)
 
 
@@ -140,10 +153,10 @@ def test_gate_formula_matches_simulation(kind):
         for beta in GRID:
             for s2, s3 in BRANCHES:
                 pattern = _pattern_for(kind, alpha, beta, feedforward=False)
-                record, residual = run_pattern(state, pattern, [s2, s3])
+                _, prob, residual = run_pattern(state, pattern, [s2, s3])
                 target = _gate_for(kind, GateOutputSpec(alpha, beta, s2, s3))
                 assert fidelity(residual, target) == pytest.approx(1.0, abs=1e-10)
-                assert record.joint_probability() == pytest.approx(0.25, abs=1e-12)
+                assert prob == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["horseshoe", "box"])
@@ -154,7 +167,7 @@ def test_feedforward_collapses_branches(kind):
     alpha, beta = 0.8, 2.1
     reference = _gate_for(kind, GateOutputSpec(alpha, beta, 0, 0))
     for s2, s3 in BRANCHES:
-        _, residual = run_pattern(
+        _, _, residual = run_pattern(
             state, _pattern_for(kind, alpha, beta, feedforward=True), [s2, s3]
         )
         assert overlap(residual, reference) == pytest.approx(1.0, abs=1e-12)
@@ -164,8 +177,8 @@ def test_pattern_runs_on_density_matrices():
     state = _cluster_for("box")
     rho = DensityMatrix.from_state(state)
     pattern = box_pattern(0.5, 1.7, feedforward=False)
-    _, pure = run_pattern(state, pattern, [1, 0])
-    _, mixed = run_pattern(rho, pattern, [1, 0])
+    _, _, pure = run_pattern(state, pattern, [1, 0])
+    _, _, mixed = run_pattern(rho, pattern, [1, 0])
     assert np.allclose(
         mixed.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj()), atol=1e-10
     )
@@ -309,21 +322,32 @@ def test_lab_distribution_rejects_other_registers():
             grover_run("00", input_state=state)
 
 
-# the prefix-sharing enumeration against one forced run per branch, the
-# way every branch used to be computed: equal bit for bit, so the exact
-# search tables and the counts drawn from them are unchanged
+# the prefix-sharing walk against an independent sequential run of each
+# branch: chained forced measurements, then the byproducts gate by gate,
+# the way every branch used to be computed.  Equal bit for bit, so the
+# exact search tables and the counts drawn from them are unchanged
 
 MARKS = ("00", "01", "10", "11")
+CORRECTIONS = {"X": qcore.pauli_x(), "Z": qcore.pauli_z()}
 
 
 def _forced_branches(state, pattern):
     branches = []
     for bits in itertools.product((0, 1), repeat=len(pattern.steps)):
+        live, current, probs = list(range(state.num_qubits)), state, []
         try:
-            record, residual = run_pattern(state, pattern, bits)
+            for (qubit, alpha), bit in zip(pattern.steps, bits):
+                _, prob, current = qcore.measure(current, live.index(qubit), alpha, bit)
+                live.remove(qubit)
+                probs.append(prob)
         except ImpossibleOutcomeError:
             continue
-        branches.append((bits, record.joint_probability(), residual))
+        corrections = pattern.correction_map()
+        for (qubit, _), bit in zip(pattern.steps, bits):
+            if bit:
+                for letter, target in corrections.get(qubit, ()):
+                    current = apply_gate(current, pattern.readout.index(target), CORRECTIONS[letter])
+        branches.append((bits, float(math.prod(probs)), current))
     return branches
 
 

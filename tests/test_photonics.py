@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from onewaysim.cluster import c4_state
+from onewaysim.mbqc import GateOutputSpec
 from onewaysim.photonics import (
     COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
@@ -95,12 +96,23 @@ def test_noise_model_validation():
     assert not NoiseModel(0.0, 0.0, 0.1).is_ideal()
 
 
-@pytest.mark.parametrize("field", ["path_dephasing_a", "path_dephasing_b", "white_noise"])
-@pytest.mark.parametrize("flag", [False, True])
+NUMBER_FIELDS = {
+    "path_dephasing_a": NoiseModel,
+    "path_dephasing_b": NoiseModel,
+    "white_noise": NoiseModel,
+    "theta": SourceParams,
+    "alpha": lambda **bad: GateOutputSpec(**{"alpha": 0.0, "beta": 0.0, **bad}),
+    "beta": lambda **bad: GateOutputSpec(**{"alpha": 0.0, "beta": 0.0, **bad}),
+}
+
+
+@pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+@pytest.mark.parametrize("flag", [False, True, "x", None])
 def test_noise_model_rejects_booleans(field, flag):
-    # bool is an int subclass; True would otherwise pass as a weight of 1
+    # bool is an int subclass; True would otherwise pass as a weight of 1 or
+    # an angle of 1 rad, and a non-number must not end in a bare TypeError
     with pytest.raises(ValueError, match=field):
-        NoiseModel(**{field: flag})
+        NUMBER_FIELDS[field](**{field: flag})
 
 
 def test_apply_noise_matches_elementwise_reference(rng):

@@ -21,7 +21,6 @@ from onewaysim.qcore import (
     hadamard,
     ket,
     measure,
-    measurement_branches,
     overlap,
     pauli_x,
     pauli_z,
@@ -257,8 +256,10 @@ def test_measure_plus_in_b0_is_deterministic():
 
 def test_measure_b_pi_flips_the_deterministic_outcome():
     # |+> lies in the alpha=0 basis, so at alpha=pi it is the "minus" vector
-    outcome, prob, _ = measure(plus_state(1), 0, math.pi, np.random.default_rng(0))
+    outcome, prob, _ = measure(plus_state(1), 0, math.pi, 1)
     assert outcome == 1 and prob == pytest.approx(1.0)
+    with pytest.raises(ImpossibleOutcomeError):
+        measure(plus_state(1), 0, math.pi, 0)
 
 
 def test_measure_forced_impossible_outcome():
@@ -350,28 +351,27 @@ def test_measure_mixed_single_qubit():
 
 
 def test_measurement_branches_equal_forced_measurements(rng):
+    # both outcomes of one split (the walk's kernel) against forced measure
     for make in (random_state, random_density):
         for num_qubits in (1, 3):
             state = make(rng, num_qubits)
             qubit = int(rng.integers(num_qubits))
             alpha = float(rng.uniform(0, 2 * math.pi))
-            branches = measurement_branches(state, qubit, alpha)
+            branches = qcore._branches(qcore._array(state), qubit, alpha)
             assert [b[0] for b in branches] == [0, 1]
             for outcome, prob, residual in branches:
-                _, forced_prob, forced = measure(state, qubit, alpha, outcome)
-                assert prob == forced_prob
+                forced_outcome, forced_prob, forced = measure(state, qubit, alpha, outcome)
+                assert (forced_outcome, forced_prob) == (outcome, prob)
                 if forced is None:
                     assert residual is None
-                elif make is random_state:
-                    assert np.array_equal(residual.amplitudes, forced.amplitudes)
                 else:
-                    assert np.array_equal(residual.matrix, forced.matrix)
+                    assert np.array_equal(residual, qcore._array(forced))
 
 
 def test_measurement_branches_leave_out_impossible_outcomes():
     # |+> on qubit 1 never reads 1 in B(0)
     for state in (plus_state(2), DensityMatrix.from_state(plus_state(2))):
-        branches = measurement_branches(state, 1, 0.0)
+        branches = qcore._branches(qcore._array(state), 1, 0.0)
         assert [(outcome, prob) for outcome, prob, _ in branches] == [
             (0, pytest.approx(1.0, abs=1e-12))
         ]
@@ -380,22 +380,16 @@ def test_measurement_branches_leave_out_impossible_outcomes():
 
 
 def test_outcome_sources():
-    rng_a = np.random.default_rng(5)
-    rng_b = np.random.default_rng(5)
+    # a forced bit is the only outcome source
     psi = plus_state(1)
-    seq_a = [measure(psi, 0, math.pi / 2, rng_a)[0] for _ in range(20)]
-    seq_b = [measure(psi, 0, math.pi / 2, rng_b)[0] for _ in range(20)]
-    assert seq_a == seq_b
-    assert set(seq_a) == {0, 1}
-    # callable source
-    outcome, _, _ = measure(psi, 0, math.pi / 2, lambda p0: 1)
-    assert outcome == 1
+    assert measure(psi, 0, 0.0, np.int64(0))[:2] == (0, pytest.approx(1.0))
+    assert measure(psi, 0, 0.0, False)[:2] == (0, pytest.approx(1.0))
     with pytest.raises(ValueError):
         measure(psi, 0, 0.0, 7)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         measure(psi, 0, 0.0, "zero")
     with pytest.raises(ValueError):
-        measure(psi, 0, math.pi / 2, lambda p0: 3)
+        measure(psi, 0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
