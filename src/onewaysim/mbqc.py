@@ -33,6 +33,7 @@ from .qcore import (
     _basis_probabilities,
     _branches,
     _check_bit,
+    _check_stack,
     _checked_states,
     _cphase_array,
     _gate_array,
@@ -73,8 +74,9 @@ class MeasurementPattern:
         step_qubits = [q for q, _ in self.steps]
         if len(set(step_qubits)) != len(step_qubits):
             raise ValueError("duplicate step qubit")
-        if any(not math.isfinite(a) for _, a in self.steps):
-            raise ValueError("measurement angle must be finite")
+        for qubit, angle in self.steps:
+            if not (_is_number(angle) and math.isfinite(angle)):
+                raise ValueError(f"steps: angle of qubit {qubit} must be finite, got {angle!r}")
         readout = tuple(sorted(int(q) for q in self.readout))
         if set(readout) & set(step_qubits):
             raise ValueError("readout qubits overlap with step qubits")
@@ -121,33 +123,31 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     lexicographic outcome order; residual is the byproduct-corrected
     state on the readout qubits in ascending original order, or None when
     all qubits are measured.  Step and readout qubits must exactly cover
-    the register.  Each step is measured once per surviving branch prefix,
-    both outcomes from one split; a branch whose weight falls below the
-    forced-outcome floor (1e-12 at some step) is dropped.  The residuals
-    of each step are checked as one stack.
+    the register.  The surviving branch prefixes of each step are one stack
+    of state arrays, split in one call into both outcomes of every prefix;
+    a branch whose weight falls below the forced-outcome floor (1e-12 at
+    some step) is dropped.  Each level's residuals are checked once as one
+    stack, and only the last level's are wrapped as states.
     """
     live = list(range(state.num_qubits))
     if sorted([q for q, _ in pattern.steps] + list(pattern.readout)) != live:
         raise ValueError("pattern qubits do not match the register")
-    level = [((), (), state)]
+    prefixes, stack = [((), ())], _array(state)[None]
     for qubit, alpha in pattern.steps:
         pos = live.index(qubit)
-        level = [
-            (outcomes + (out,), probs + (p,), residual)
-            for outcomes, probs, current in level
-            for out, p, residual in _branches(_array(current), pos, alpha)
-        ]
-        if level[0][2] is not None:
-            states = _checked_states([residual for _, _, residual in level])
-            level = [branch[:2] + (checked,) for branch, checked in zip(level, states)]
+        kept, stack = _branches(stack, pos, alpha)
+        prefixes = [(prefixes[row][0] + (out,), prefixes[row][1] + (p,)) for row, out, p in kept]
         live.pop(pos)
+        if len(live) > len(pattern.readout):  # a later step splits this level
+            _check_stack(stack)
+    residuals = [None] * len(prefixes) if stack is None else _checked_states(stack)
     return [
         (
             outcomes,
             float(math.prod(probs)),
-            None if current is None else _apply_byproducts(current, pattern, outcomes),
+            None if residual is None else _apply_byproducts(residual, pattern, outcomes),
         )
-        for outcomes, probs, current in level
+        for (outcomes, probs), residual in zip(prefixes, residuals)
     ]
 
 
@@ -188,12 +188,14 @@ class GateOutputSpec:
     s3: int = 0
 
     def __post_init__(self):
-        if self.s2 not in (0, 1) or self.s3 not in (0, 1):
-            raise ValueError("branch outcomes must be bits")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("s2", "s3"):
+            value = getattr(self, name)
+            if not (_is_number(value) and isinstance(value, int) and value in (0, 1)):
+                raise ValueError(f"{name} must be the bit 0 or 1, got {value!r}")
 
 
 def horseshoe_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:

@@ -10,17 +10,17 @@ Every operation is written once for pure and mixed states: a state's
 array has a ket axis, followed by a bra axis for a mixed state only, and
 gates, CPhase, swaps and the B(alpha) split loop over the sides present.
 Each is a private kernel on arrays (``_gate_array``, ``_cphase_array``,
-``_swap_array``, ``_branches``); the public function is the kernel
-wrapped by ``_state``.  ``_array``/``_state`` alone map between the two
-classes and arrays.
+``_swap_array``, and ``_branches`` on a stack of arrays); the public
+function is the kernel wrapped by ``_state``.  ``_array``/``_state``
+alone map between the two classes and arrays.
 
 States are checked where they enter: the public constructors check
 every state they build (unit norm; Hermitian, trace 1 and positive
 semidefinite), and each public operation builds its result through
 them.  A caller that chains kernels (a frame change, one level of a
 measurement walk) checks its intermediate arrays once per stack instead,
-with ``_checked_states``: the same checks, tolerances and messages, in
-one numpy call per check.
+with ``_check_stack`` (``_checked_states`` also wraps them): the same
+checks, tolerances and messages, in one numpy call per check.
 
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
@@ -31,12 +31,14 @@ Measurements use the equatorial basis family
     B(alpha) = { |alpha+>, |alpha-> },   |alpha+-> = (|0> +- e^{i alpha}|1>)/sqrt(2)
 
 with outcome 0 meaning a projection onto |alpha+>.  One split,
-``_branches``, gives both outcomes of such a measurement; :func:`measure`
-takes either kind of state and a forced bit, and returns that bit's
-entry.  There is no random outcome source: sampled counts are drawn from
-exact tables (see the analysis module).  Z measurements are not part of this
-family; readouts in any product basis (see the photonics module) rotate
-each qubit's basis onto Z and read the diagonal of the rotated state.
+``_branches``, gives both outcomes of such a measurement for every state
+of a stack (a whole level of a measurement walk); :func:`measure` takes
+either kind of state and a forced bit, splits a stack of one, and returns
+that bit's entry.  There is no random outcome source: sampled counts are
+drawn from exact tables (see the analysis module).  Z measurements are not
+part of this family; readouts in any product basis (see the photonics
+module) rotate each qubit's basis onto Z and read the diagonal of the
+rotated state.
 """
 
 from __future__ import annotations
@@ -271,17 +273,23 @@ def _state(array: np.ndarray) -> State:
     return StateVector(array) if array.ndim == 1 else DensityMatrix(array)
 
 
+def _check_stack(stack: np.ndarray) -> None:
+    """Each check of the public constructors, run once on a stack of
+    same-shape state arrays with the same tolerance and message: the norms
+    of kets, or :func:`_check_density`."""
+    (_check_norms if stack.ndim == 2 else _check_density)(stack)
+
+
 def _checked_states(arrays: Sequence[np.ndarray]) -> list:
     """The states of same-shape arrays, checked as one stack.
 
-    The arrays are copied into one C-contiguous stack, and each check of
-    the public constructors runs once on the whole stack, with the same
-    tolerance and message: the norms of kets, or :func:`_check_density`.
-    Each row is then wrapped in its class without a second check.
+    The arrays are copied into one C-contiguous stack and checked by
+    :func:`_check_stack`; each row is then wrapped in its class without a
+    second check.
     """
     stack = np.array(arrays, dtype=complex)
     pure = stack.ndim == 2
-    (_check_norms if pure else _check_density)(stack)
+    _check_stack(stack)
     stack.setflags(write=False)
     cls, field = (StateVector, "amplitudes") if pure else (DensityMatrix, "matrix")
     n = _qubits(stack[0])
@@ -312,28 +320,6 @@ def _pairing(a: np.ndarray, op: np.ndarray, what: str) -> float:
     return float(val.real)
 
 
-def _weight(branch: np.ndarray) -> float:
-    """Weight of an unnormalized branch: squared norm of a ket, else trace."""
-    if branch.ndim == 1:
-        return float(np.linalg.norm(branch) ** 2)
-    return float(np.trace(branch).real)
-
-
-def _renormalized(branch: np.ndarray, prob: float) -> np.ndarray:
-    """A branch scaled to unit weight (a ket by its own norm)."""
-    if branch.ndim == 1:
-        return branch / np.linalg.norm(branch)
-    block = branch / prob
-    block = (block + block.conj().T) / 2.0  # remove numerical Hermiticity drift
-    trace = np.trace(block).real
-    if abs(trace - 1.0) > TOL:
-        # prob = 1 - p0 of a branch of weight ~1e-11 carries the cancellation
-        # error of 1 - p0; such a block is scaled by its own trace instead
-        # (scaling every block so would move the pinned tables by ulps)
-        block = block / trace
-    return block
-
-
 def _rotated_diagonal(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Real diagonal of u rho u^dagger for the state array ``a`` (|u a|^2
     for a ket); a stack of matrices gives a stack of diagonals."""
@@ -353,9 +339,11 @@ def _gate_array(a: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     n = _qubits(a)
     t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
     for side in range(a.ndim):
+        # np.tensordot's steps without its wrapper: axis first, np.dot, axis back
         axis = side * n + qubit
-        t = np.tensordot(u if side == 0 else u.conj(), t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
+        front = t.transpose([axis] + [k for k in range(t.ndim) if k != axis])
+        t = np.dot(u if side == 0 else u.conj(), front.reshape(2, -1)).reshape(front.shape)
+        t = t.transpose(list(range(1, axis + 1)) + [0] + list(range(axis + 1, t.ndim)))
     return t.reshape(a.shape)
 
 
@@ -433,41 +421,60 @@ def _split_coefficients(alpha: float, sides: int):
     return tuple(table)
 
 
-def _split(a: np.ndarray, qubit: int, alpha: float):
-    """Both unnormalized branches of a B(alpha) measurement of the state
-    array ``a``, and the weight of 0.
+def _branches(stack: np.ndarray, qubit: int, alpha: float):
+    """Every possible outcome of a B(alpha) measurement of each state array
+    in ``stack`` (same-shape arrays along a leading axis), from one split.
 
-    Each side of the array contracts the qubit with the outcome's bra; the
-    terms are summed in index order and scaled by 2**(-sides/2).
+    Returns ``(kept, residuals)``: the (row, outcome, probability) of every
+    outcome at or above the forced-outcome floor (1e-12), row by row with
+    outcome 0 first, and the stack of their renormalized residual arrays in
+    that order (None when no qubit remains).  Each side of a row contracts
+    the qubit with the outcome's bra; the terms are summed in index order
+    and scaled by 2**(-sides/2).  The weight of 0 is a matrix's trace, or a
+    ket's squared norm taken row by row (a norm over the stack rounds
+    differently).
     """
-    n, sides = _qubits(a), a.ndim
-    blocks = [a.reshape((2,) * (n * sides))]
+    rows, n, sides = len(stack), _qubits(stack[0]), stack.ndim - 1
+    blocks = [stack.reshape((rows,) + (2,) * (n * sides))]
     for side in range(sides):
         # earlier sides have lost their measured axis already; take copies,
         # since numpy's arithmetic rounds differently on strided views
-        axis = side * (n - 1) + qubit
+        axis = 1 + side * (n - 1) + qubit
         blocks = [block.take(k, axis=axis) for block in blocks for k in (0, 1)]
+    if n == 1:  # one number per row, kept as numpy scalars: their products round unlike arrays'
+        blocks = [np.array(list(block), dtype=object) for block in blocks]
     scale = 2 ** (sides / 2)
     branches = []
     for coefs in _split_coefficients(alpha, sides):
         branch = blocks[0]
         for coef, block in zip(coefs, blocks[1:]):
             branch = branch + coef * block
-        branches.append((branch / scale).reshape((2 ** (n - 1),) * sides))
-    return branches, _weight(branches[0])
-
-
-def _branches(a: np.ndarray, qubit: int, alpha: float):
-    """(outcome, probability, residual array) of every possible outcome of
-    a B(alpha) measurement of the state array ``a``, from one split; an
-    outcome below the forced-outcome floor (1e-12) is left out, and the
-    residual is None when no qubit remains."""
-    branches, p0 = _split(a, qubit, alpha)
-    return [
-        (outcome, prob, None if _qubits(a) == 1 else _renormalized(branches[outcome], prob))
-        for outcome, prob in enumerate((p0, 1.0 - p0))
-        if prob >= _FORCED_MIN_WEIGHT
-    ]
+        branch = (branch / scale).astype(complex, copy=False)
+        branches.append(branch.reshape((rows,) + (2 ** (n - 1),) * sides))
+    if sides == 1:
+        norm0 = [np.linalg.norm(row) for row in branches[0]]
+        p0 = np.array([norm**2 for norm in norm0])
+    else:
+        p0 = branches[0].trace(axis1=1, axis2=2).real
+    probs = np.array([p0, 1.0 - p0]).T
+    kept_rows, outcomes = np.nonzero(probs >= _FORCED_MIN_WEIGHT)
+    probs = probs[kept_rows, outcomes]
+    kept = list(zip(kept_rows.tolist(), outcomes.tolist(), probs.tolist()))
+    if n == 1:
+        return kept, None
+    picked = np.array(branches)[outcomes, kept_rows]
+    if sides == 1:  # each ket by its own norm
+        norms = [np.linalg.norm(branches[1][r]) if out else norm0[r] for r, out, _ in kept]
+        return kept, picked / np.array(norms)[:, None]
+    picked = picked / probs[:, None, None]
+    picked = (picked + picked.conj().swapaxes(1, 2)) / 2.0  # remove Hermiticity drift
+    traces = picked.trace(axis1=1, axis2=2).real
+    # prob = 1 - p0 of a branch of weight ~1e-11 carries the cancellation
+    # error of 1 - p0; such a block is scaled by its own trace instead
+    # (scaling every block so would move the pinned tables by ulps)
+    off = np.abs(traces - 1.0) > TOL
+    picked[off] /= traces[off][:, None, None]
+    return kept, picked
 
 
 def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
@@ -522,9 +529,10 @@ def measure(state: State, qubit: int, basis_angle: float, outcome: int):
     """
     _check_qubit(state, qubit)
     _check_bit(outcome)
-    for out, prob, residual in _branches(_array(state), qubit, basis_angle):
+    kept, residuals = _branches(_array(state)[None], qubit, basis_angle)
+    for i, (_, out, prob) in enumerate(kept):
         if out == outcome:
-            return out, prob, None if residual is None else _state(residual)
+            return out, prob, None if residuals is None else _state(residuals[i])
     raise ImpossibleOutcomeError(
         f"outcome {outcome} on qubit {qubit} has weight below {_FORCED_MIN_WEIGHT:.0e}"
     )

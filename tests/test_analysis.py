@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onewaysim import analysis
 from onewaysim.analysis import (
@@ -23,15 +25,20 @@ from onewaysim.mbqc import (
     GateOutputSpec,
     box_gate,
     box_pattern,
+    grover_run,
     horseshoe_gate,
     horseshoe_pattern,
     run_pattern,
 )
 from onewaysim.photonics import (
+    DETECTOR_PAIRS,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
     NoiseModel,
+    SourceParams,
     apply_noise,
+    source_state,
+    visibility_scans,
 )
 from onewaysim.qcore import ImpossibleOutcomeError, StateVector, fidelity
 
@@ -387,3 +394,73 @@ def test_grover_report_under_fitted_noise():
 def test_grover_report_zero_counts():
     with pytest.raises(ValueError):
         grover_report(rate=1e-9, duration=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the noise model
+# ---------------------------------------------------------------------------
+
+# every exact output has a closed form in the white-noise weight p and the
+# dephasing product q = (1 - a)(1 - b); the draws include the near-ideal
+# weights 1e-12..1e-9 and the edges p = 1 and q = 0
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_ANGLE = st.floats(-math.pi, math.pi)
+_FRINGE_SIGN = {"D1-D2": 1.0, "D1-D4": -1.0, "D3-D2": -1.0, "D3-D4": 1.0}
+
+
+def _noisy(state, model):
+    return state if model.is_ideal() else apply_noise(state, model)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    a=_UNIT,
+    b=_UNIT,
+    p=st.one_of(_UNIT, st.floats(-12.0, -9.0).map(lambda e: 10.0**e)),
+    theta=_ANGLE,
+    alpha=_ANGLE,
+    beta=_ANGLE,
+)
+def test_exact_outputs_match_the_closed_forms(a, b, p, theta, alpha, beta):
+    model, q = NoiseModel(a, b, p), (1.0 - a) * (1.0 - b)
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+
+    terms = witness_value(_noisy(source_state(SourceParams(theta)), model)).terms
+    for word in WITNESS_OBSERVABLES:
+        close(terms[word], (1.0 - p) * q * math.cos(theta) if word in ("IZXX", "ZIXX") else 1.0 - p)
+    cluster = _noisy(c4_state(), model)
+    # the search walk drops a branch whose conditional weight, here ~p/4,
+    # falls below the forced-outcome floor (1e-12): a known defect, pinned
+    # by the xfail test below, so the weights where it exceeds 1e-13 are
+    # left out here
+    for marked in () if 4e-13 <= p < 5e-12 else ("00", "01", "10", "11"):
+        for mark, value in grover_run(marked, True, cluster).items():
+            close(value, 1.0 - 0.75 * p if mark == marked else p / 4.0)
+        for value in grover_run(marked, False, cluster).values():
+            close(value, 0.25)
+    gates = {
+        "horseshoe": (1.0 - p) * (1.0 + q) / 2.0 + p / 4.0,
+        "box": (1.0 - p) * (1.0 - (1.0 - q) * math.sin(alpha) ** 2 / 2.0) + p / 4.0,
+    }
+    for kind, closed in gates.items():
+        for value in gate_fidelity_report(kind, alpha, beta, model).values():
+            close(value, closed)
+    for scan in visibility_scans(model, DETECTOR_PAIRS):
+        sign = _FRINGE_SIGN[scan.detector_pair]
+        for phase, value in zip(scan.thetas, scan.probabilities):
+            close(value, (1.0 - p) / 8.0 + p / 16.0 + sign * (1.0 - p) * q * math.cos(phase) / 8.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the search walk drops each branch of conditional weight below 1e-12",
+)
+@pytest.mark.parametrize("feedforward", [True, False])
+def test_near_ideal_search_keeps_weights_below_the_floor(feedforward):
+    cluster = apply_noise(c4_state(), NoiseModel(0.0, 0.0, 1e-12))
+    for mark, value in grover_run("00", feedforward, cluster).items():
+        want = (1.0 - 0.75e-12 if mark == "00" else 0.25e-12) if feedforward else 0.25
+        assert value == pytest.approx(want, rel=0.0, abs=1e-13)

@@ -63,6 +63,9 @@ def test_pattern_validation():
         MeasurementPattern(steps=((0, 0.0),), readout=(0,))  # overlap
     with pytest.raises(ValueError):
         MeasurementPattern(steps=((0, float("nan")),))
+    for angle in (True, "x", None):
+        with pytest.raises(ValueError, match="angle"):
+            MeasurementPattern(steps=((0, angle),))
     with pytest.raises(ValueError):
         MeasurementPattern(
             steps=((0, 0.0),), readout=(1,), feedforward=((0, (("Y", 1),)),)
@@ -231,6 +234,10 @@ def test_gate_output_spec_validation():
         GateOutputSpec(0.0, 0.0, s2=2)
     with pytest.raises(ValueError):
         GateOutputSpec(float("inf"), 0.0)
+    for name in ("s2", "s3"):
+        for bit in (True, 1.0, "1", None):
+            with pytest.raises(ValueError, match=name):
+                GateOutputSpec(0.0, 0.0, **{name: bit})
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +377,8 @@ def _oracle_inputs(seed):
     states = [ideal, DensityMatrix.from_state(ideal)]
     models = [NoiseModel(0.0, 0.0, 1.0), NoiseModel(1.0, 0.0, 0.0), NoiseModel(0.0, 1.0, 0.0)]
     models += [NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(4)]
+    # near-ideal noise: walk rows of weight ~1e-11 take the trace rescue
+    models += [NoiseModel(a, 0.0, w) for w in (1e-12, 1e-10, 1e-9) for a in (0.0, w)]
     states += [apply_noise(ideal, model) for model in models]
     states += [random_state(rng, 4) for _ in range(2)]
     states += [random_density(rng, 4) for _ in range(2)]

@@ -277,10 +277,108 @@ def test_measure_residual_keeps_qubit_order():
     assert np.allclose(np.abs(residual.amplitudes), ket("01").amplitudes)
 
 
+# the per-array B(alpha) split that the stacked kernel qcore._branches
+# replaced, kept as its reference: the stacked kernel must give each row's
+# outcomes, probabilities and residuals bit for bit as this does alone
+
+
+def _reference_weight(branch):
+    """Weight of an unnormalized branch: squared norm of a ket, else trace."""
+    if branch.ndim == 1:
+        return float(np.linalg.norm(branch) ** 2)
+    return float(np.trace(branch).real)
+
+
+def _reference_renormalized(branch, prob):
+    """A branch scaled to unit weight (a ket by its own norm)."""
+    if branch.ndim == 1:
+        return branch / np.linalg.norm(branch)
+    block = branch / prob
+    block = (block + block.conj().T) / 2.0
+    trace = np.trace(block).real
+    if abs(trace - 1.0) > qcore.TOL:
+        block = block / trace
+    return block
+
+
+def _reference_split(a, qubit, alpha):
+    """Both unnormalized branches of a B(alpha) measurement of the state
+    array ``a``, and the weight of 0."""
+    n, sides = qcore._qubits(a), a.ndim
+    blocks = [a.reshape((2,) * (n * sides))]
+    for side in range(sides):
+        axis = side * (n - 1) + qubit
+        blocks = [block.take(k, axis=axis) for block in blocks for k in (0, 1)]
+    scale = 2 ** (sides / 2)
+    branches = []
+    for coefs in qcore._split_coefficients(alpha, sides):
+        branch = blocks[0]
+        for coef, block in zip(coefs, blocks[1:]):
+            branch = branch + coef * block
+        branches.append((branch / scale).reshape((2 ** (n - 1),) * sides))
+    return branches, _reference_weight(branches[0])
+
+
+def _reference_branches(a, qubit, alpha):
+    """(outcome, probability, residual array or None) of every outcome of
+    the state array ``a`` at or above the forced-outcome floor."""
+    branches, p0 = _reference_split(a, qubit, alpha)
+    return [
+        (outcome, prob, None if qcore._qubits(a) == 1 else _reference_renormalized(branch, prob))
+        for outcome, (prob, branch) in enumerate(zip((p0, 1.0 - p0), branches))
+        if prob >= qcore._FORCED_MIN_WEIGHT
+    ]
+
+
 def _branch_weights(state, qubit, alpha):
     """(p0, p1) of a B(alpha) measurement, each the weight of its own branch."""
-    (b0, b1), _ = qcore._split(qcore._array(state), qubit, alpha)
-    return qcore._weight(b0), qcore._weight(b1)
+    (b0, b1), _ = _reference_split(qcore._array(state), qubit, alpha)
+    return _reference_weight(b0), _reference_weight(b1)
+
+
+def _eigen_rows(rng, num_qubits, qubit, alpha, kind):
+    """States whose qubit sits in |alpha+> up to a white-noise weight w:
+    outcome 1 has weight ~w/2, so w ~ 1e-11 takes the trace rescue and
+    w ~ 1e-14 (or a pure row) falls below the floor."""
+    rest = random_state(rng, num_qubits - 1).amplitudes if num_qubits > 1 else np.ones(1)
+    plus = np.array([1.0, np.exp(1j * alpha)]) / math.sqrt(2)
+    t = np.multiply.outer(plus, rest).reshape((2,) * num_qubits)
+    psi = np.moveaxis(t, 0, qubit).reshape(-1)
+    if kind == "pure":
+        return [psi]
+    dim = 2**num_qubits
+    proj = np.outer(psi, psi.conj())
+    return [(1 - w) * proj + w * np.eye(dim) / dim for w in (3e-11, 1e-11, 2e-12, 1e-14, 0.0)]
+
+
+def test_stacked_split_equals_the_per_array_reference(rng):
+    rescued = dropped = 0
+    for num_qubits in (1, 2, 3, 4):
+        for kind, make in (("pure", random_state), ("mixed", random_density)):
+            for _ in range(6):
+                qubit = int(rng.integers(num_qubits))
+                alpha = float(rng.choice([0.0, math.pi, rng.uniform(-4.0, 4.0)]))
+                rows = [qcore._array(make(rng, num_qubits)) for _ in range(3)]
+                rows[1:1] = _eigen_rows(rng, num_qubits, qubit, alpha, kind)
+                stack = np.array(rows)
+                kept, residuals = qcore._branches(stack, qubit, alpha)
+                want = [
+                    (row, outcome, prob, residual)
+                    for row, a in enumerate(rows)
+                    for outcome, prob, residual in _reference_branches(a, qubit, alpha)
+                ]
+                assert kept == [branch[:3] for branch in want]
+                if num_qubits == 1:
+                    assert residuals is None
+                    continue
+                assert len(residuals) == len(want)
+                for got, (row, outcome, prob, residual) in zip(residuals, want):
+                    assert np.array_equal(got, residual)
+                    if kind == "mixed":
+                        block = _reference_split(rows[row], qubit, alpha)[0][outcome] / prob
+                        rescued += abs(np.trace(block).real - 1.0) > qcore.TOL
+                dropped += 2 * len(rows) - len(kept)
+    assert rescued > 0 and dropped > 0  # both edge paths were taken
 
 
 def test_measurement_probabilities_sum(rng):
@@ -357,24 +455,22 @@ def test_measurement_branches_equal_forced_measurements(rng):
             state = make(rng, num_qubits)
             qubit = int(rng.integers(num_qubits))
             alpha = float(rng.uniform(0, 2 * math.pi))
-            branches = qcore._branches(qcore._array(state), qubit, alpha)
-            assert [b[0] for b in branches] == [0, 1]
-            for outcome, prob, residual in branches:
+            kept, residuals = qcore._branches(qcore._array(state)[None], qubit, alpha)
+            assert [b[:2] for b in kept] == [(0, 0), (0, 1)]
+            for i, (_, outcome, prob) in enumerate(kept):
                 forced_outcome, forced_prob, forced = measure(state, qubit, alpha, outcome)
                 assert (forced_outcome, forced_prob) == (outcome, prob)
                 if forced is None:
-                    assert residual is None
+                    assert residuals is None
                 else:
-                    assert np.array_equal(residual, qcore._array(forced))
+                    assert np.array_equal(residuals[i], qcore._array(forced))
 
 
 def test_measurement_branches_leave_out_impossible_outcomes():
     # |+> on qubit 1 never reads 1 in B(0)
     for state in (plus_state(2), DensityMatrix.from_state(plus_state(2))):
-        branches = qcore._branches(qcore._array(state), 1, 0.0)
-        assert [(outcome, prob) for outcome, prob, _ in branches] == [
-            (0, pytest.approx(1.0, abs=1e-12))
-        ]
+        kept, residuals = qcore._branches(qcore._array(state)[None], 1, 0.0)
+        assert kept == [(0, 0, pytest.approx(1.0, abs=1e-12))] and len(residuals) == 1
         with pytest.raises(ImpossibleOutcomeError):
             measure(state, 1, 0.0, 1)
 
