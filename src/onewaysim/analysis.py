@@ -12,8 +12,13 @@ F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
 
 Counting statistics follow the experiment: a Poisson distributed total
 number of coincidences per setting is split multinomially over the 16
-outcomes.  Standard errors propagate through the outcome signs by the
-delta method.
+outcomes.  Standard errors propagate through the +/-1 outcome signs by
+the delta method, which has two closed forms here.  A term estimated as
+e from N counts has variance (1 - e**2)/N.  Within one setting the
+product of two words' signs is the third word's sign (XXIZ*XXZI = IIZZ,
+IZXX*ZIXX = ZZII), so the three signs of an outcome sum to 3 or -1; that
+sum, estimated as S, has variance (3 - S)(1 + S)/N, and the witness
+variance is the sum of these over both settings divided by 4.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .photonics import (
     NoiseModel,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
+    _OUTCOME_KEYS,
     _b_alpha_basis,
     apply_noise,
     joint_distribution,
@@ -186,96 +192,26 @@ def simulate_witness_records(
     return tuple(records)
 
 
-def _classify_setting(
-    settings: Optional[Tuple[ApparatusSetting, ApparatusSetting]]
-) -> str:
-    if settings is None:
-        raise ValueError("count record carries no apparatus setting")
-    a, b = settings
-    if (
-        a.kind == b.kind == "path_Z"
-        and a.polarization_basis == b.polarization_basis == "PM"
-    ):
-        return "XXZZ"
-    if (
-        a.kind == b.kind == "path_B_alpha"
-        and abs(a.alpha) < 1e-9
-        and abs(b.alpha) < 1e-9
-        and a.polarization_basis == b.polarization_basis == "HV"
-    ):
-        return "ZZXX"
-    raise ValueError("setting pair does not match either witness setting")
+# the setting pair of a record -> its name; a pair matches by equality
+_SETTING_NAMES = {pair: name for name, pair in WITNESS_SETTINGS.items()}
 
+_KEY_INDEX = {key: index for index, key in enumerate(_OUTCOME_KEYS)}
 
-# the +-1.0 eigenvalue of each witness word on each four-bit outcome key:
-# -1.0 when an odd number of the word's non-identity letters read bit 1
-_SIGNS = {
-    word: {
-        key: (-1.0) ** sum(bit == "1" for letter, bit in zip(word, key) if letter != "I")
-        for key in map("".join, itertools.product("01", repeat=4))
-    }
-    for word in WITNESS_OBSERVABLES
+# per setting, the +-1.0 eigenvalue of each of its three words (rows) on
+# each outcome key (columns, in _OUTCOME_KEYS order): -1.0 when an odd
+# number of the word's non-identity letters read bit 1
+_SIGN_MATRICES = {
+    name: np.array(
+        [
+            [
+                (-1.0) ** sum(bit == "1" for letter, bit in zip(word, key) if letter != "I")
+                for key in _OUTCOME_KEYS
+            ]
+            for word in words
+        ]
+    )
+    for name, words in _SETTING_TERMS.items()
 }
-
-
-def _merge_counts(records: Iterable[CountRecord]) -> Dict[str, Dict[str, int]]:
-    merged: Dict[str, Dict[str, int]] = {}
-    for record in records:
-        name = _classify_setting(record.setting)
-        bucket = merged.setdefault(name, {})
-        for key, count in record.counts.items():
-            if len(key) != 4 or any(ch not in "01" for ch in key):
-                raise ValueError(f"invalid outcome key {key!r}")
-            if count < 0:
-                raise ValueError("negative count")
-            bucket[key] = bucket.get(key, 0) + int(count)
-    missing = set(_SETTING_TERMS) - set(merged)
-    if missing:
-        raise ValueError(f"missing counts for settings: {sorted(missing)}")
-    return merged
-
-
-def _estimate_terms(bucket: Dict[str, int], words) -> Dict[str, float]:
-    total = sum(bucket.values())
-    if total == 0:
-        raise NoCountsError("a witness setting has zero counts")
-    out = {}
-    for word in words:
-        signs = _SIGNS[word]
-        out[word] = sum(count * signs[key] for key, count in bucket.items()) / total
-    return out
-
-
-def _delta_stderrs(merged):
-    term_err: Dict[str, float] = {}
-    witness_var = 0.0
-    for name, words in _SETTING_TERMS.items():
-        bucket = merged[name]
-        total = sum(bucket.values())
-        estimates = _estimate_terms(bucket, words)
-        for word in words:
-            signs = _SIGNS[word]
-            var = (
-                sum(
-                    count * (signs[key] - estimates[word]) ** 2
-                    for key, count in bucket.items()
-                )
-                / total**2
-            )
-            term_err[word] = math.sqrt(var)
-        # the three words of one setting share counts, so their sum is
-        # propagated jointly rather than term by term
-        sum_value = sum(estimates.values())
-        sum_var = (
-            sum(
-                count
-                * (sum(_SIGNS[w][key] for w in words) - sum_value) ** 2
-                for key, count in bucket.items()
-            )
-            / total**2
-        )
-        witness_var += sum_var / 4.0
-    return term_err, math.sqrt(witness_var)
 
 
 def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
@@ -283,18 +219,54 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
 
     ``records`` must cover both witness settings (duplicates are summed).
     Standard errors come from the delta method, linearized around the
-    estimate.
+    estimate, in its closed form for +-1 outcome signs (see the module
+    docstring).
     """
-    merged = _merge_counts(records)
+    # exact integer counts per setting, in _OUTCOME_KEYS order
+    counts: Dict[str, list] = {}
+    for record in records:
+        if record.setting is None:
+            raise ValueError("count record carries no apparatus setting")
+        name = _SETTING_NAMES.get(tuple(record.setting))
+        if name is None:
+            raise ValueError("setting pair does not match either witness setting")
+        bucket = counts.setdefault(name, [0] * len(_OUTCOME_KEYS))
+        for key, count in record.counts.items():
+            index = _KEY_INDEX.get(key)
+            if index is None:
+                raise ValueError(f"invalid outcome key {key!r}")
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"count of outcome {key!r} must be an integer, got {count!r}")
+            if count < 0:
+                raise ValueError("negative count")
+            bucket[index] += int(count)
+    missing = set(_SETTING_TERMS) - set(counts)
+    if missing:
+        raise ValueError(f"missing counts for settings: {sorted(missing)}")
     terms: Dict[str, float] = {}
+    term_err: Dict[str, float] = {}
+    totals: Dict[str, int] = {}
+    witness_var = 0.0
     for name, words in _SETTING_TERMS.items():
-        terms.update(_estimate_terms(merged[name], words))
-    term_err, witness_err = _delta_stderrs(merged)
-    totals = {name: sum(merged[name].values()) for name in _SETTING_TERMS}
+        totals[name] = sum(counts[name])
+        if totals[name] == 0:
+            raise NoCountsError("a witness setting has zero counts")
+        n = float(totals[name])
+        signs, vector = _SIGN_MATRICES[name], np.array(counts[name], dtype=float)
+        estimates = signs @ vector / n
+        # S from the summed signs, not from three rounded terms: where every
+        # outcome's signs sum to -1, S is then -1 exactly, as an ulp off would
+        # give a stderr of ~sqrt(1e-16 / N); past 2**53 counts a term or S can
+        # still round an ulp beyond its bound, hence the clamps
+        s = float(signs.sum(axis=0) @ vector) / n
+        errors = np.sqrt(np.maximum(1.0 - estimates**2, 0.0) / n)
+        terms.update(zip(words, estimates.tolist()))
+        term_err.update(zip(words, errors.tolist()))
+        witness_var += max((3.0 - s) * (1.0 + s), 0.0) / (4.0 * n)
     return _report_from_terms(
         terms,
         term_stderrs=term_err,
-        witness_stderr=witness_err,
+        witness_stderr=math.sqrt(witness_var),
         setting_totals=totals,
     )
 

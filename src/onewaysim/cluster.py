@@ -19,7 +19,7 @@ states between the |C4> frame and either graph frame, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -14,12 +14,11 @@ theta = 0 this is exactly the linear cluster.  Imperfections are
 modelled by independent phase damping on the two path qubits (the
 interferometric arms) followed by an isotropic white noise admixture.
 
-Measurement apparatus for one photon comes in three kinds:
+Measurement apparatus for one photon comes in two kinds:
 
     path_Z           path read in Z (which arm), polarization analyzed
     path_B_alpha     the two arms interfere on a beam splitter, giving
                      a B(alpha) path measurement; polarization analyzed
-    path_and_pol_Z   both degrees of freedom read in Z
 
 Outcome bit 0 always maps to the first label of a basis (H, L, R', +),
 so a Pauli eigenvalue is (-1)**bit at every position.
@@ -258,7 +257,7 @@ def beam_splitter(state: State, path_qubit: int) -> State:
     return apply_gate(state, path_qubit, hadamard())
 
 
-_APPARATUS_KINDS = ("path_Z", "path_B_alpha", "path_and_pol_Z")
+_APPARATUS_KINDS = ("path_Z", "path_B_alpha")
 _POL_BASES = ("HV", "PM")
 
 # A readout basis is a 2x2 unitary whose row k is the bra of outcome k:
@@ -298,8 +297,6 @@ class ApparatusSetting:
                 raise ValueError("path_B_alpha needs a finite alpha")
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} does not take an alpha")
-        if self.kind == "path_and_pol_Z" and self.polarization_basis != "HV":
-            raise ValueError("path_and_pol_Z reads polarization in H/V")
 
     def _path_readout(self) -> np.ndarray:
         """Readout basis of the path qubit: rows R', L' or L, R."""

@@ -34,6 +34,7 @@ from onewaysim.photonics import (
     DETECTOR_PAIRS,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
+    ApparatusSetting,
     NoiseModel,
     SourceParams,
     apply_noise,
@@ -204,6 +205,91 @@ def test_witness_from_counts_validation():
         witness_from_counts(
             [rec_a, CountRecord({"0000": -1}, 1.0, 1.0, rec_b.setting)]
         )
+    # a count that is not an integer is rejected with its outcome key,
+    # neither truncated nor, for a bool, read as 0 or 1
+    for key, counts in (
+        ("0000", {"0000": 99.9, "0001": 0.9}),
+        ("0110", {"0110": True}),
+        ("0011", {"0011": math.nan}),
+    ):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            witness_from_counts([rec_a, CountRecord(counts, 1.0, 1.0, rec_b.setting)])
+
+
+def test_witness_settings_match_by_equality():
+    rec_a, rec_b = _hand_built_records()
+    fresh = tuple(
+        ApparatusSetting("path_B_alpha", alpha=0.0, polarization_basis="HV") for _ in range(2)
+    )
+    assert fresh == WITNESS_SETTINGS["ZZXX"] and fresh is not WITNESS_SETTINGS["ZZXX"]
+    report = witness_from_counts([rec_a, CountRecord(rec_b.counts, 1.0, 1.0, fresh)])
+    assert report.terms == witness_from_counts([rec_a, rec_b]).terms
+    # a beam splitter phase off by 1e-10 is another setting
+    tilted = (ApparatusSetting("path_B_alpha", alpha=1e-10), fresh[1])
+    with pytest.raises(ValueError, match="does not match"):
+        witness_from_counts([rec_a, CountRecord(rec_b.counts, 1.0, 1.0, tilted)])
+
+
+def test_setting_totals_stay_exact_past_float_precision():
+    rec_a, rec_b = _hand_built_records()
+    big = CountRecord({"0000": 2**53, "0101": 1}, 1.0, 1.0, rec_a.setting)
+    report = witness_from_counts([big, rec_b])
+    assert report.setting_totals["XXZZ"] == 2**53 + 1
+    assert type(report.setting_totals["XXZZ"]) is int
+
+
+def _sign(word, key):
+    return (-1.0) ** sum(bit == "1" for letter, bit in zip(word, key) if letter != "I")
+
+
+_SETTING_WORDS = {"XXZZ": ("XXIZ", "XXZI", "IIZZ"), "ZZXX": ("IZXX", "ZIXX", "ZZII")}
+_KEYS = [format(index, "04b") for index in range(16)]
+
+
+def _delta_method_reference(buckets):
+    """The delta-method sums written out: a term's variance is
+    sum c (s - e)**2 / N**2 over the outcomes of its setting, and the
+    witness variance adds up, per setting, the same sum over the three
+    words' summed signs, divided by 4."""
+    term_err, witness_var = {}, 0.0
+    for name, words in _SETTING_WORDS.items():
+        bucket = buckets[name]
+        total = sum(bucket.values())
+        estimates = {w: sum(c * _sign(w, k) for k, c in bucket.items()) / total for w in words}
+        for word in words:
+            var = sum(c * (_sign(word, k) - estimates[word]) ** 2 for k, c in bucket.items())
+            term_err[word] = math.sqrt(var / total**2)
+        summed = sum(estimates.values())
+        var = sum(c * (sum(_sign(w, k) for w in words) - summed) ** 2 for k, c in bucket.items())
+        witness_var += var / total**2 / 4.0
+    return term_err, math.sqrt(witness_var)
+
+
+def test_closed_form_stderrs_equal_the_delta_method_sums():
+    rng = np.random.default_rng(53)
+    # per setting, the outcomes on which its three signs sum to -1
+    minus = {
+        name: [k for k in _KEYS if sum(_sign(w, k) for w in words) == -1.0]
+        for name, words in _SETTING_WORDS.items()
+    }
+    for trial in range(300):
+        buckets = {}
+        for name in _SETTING_WORDS:
+            shape = (trial + len(buckets)) % 3
+            if shape == 0:  # one outcome: every term is +-1
+                keys = [_KEYS[int(rng.integers(16))]]
+            elif shape == 1:  # signs summing to -1 only: S = -1
+                keys = list(rng.choice(minus[name], size=int(rng.integers(1, 5)), replace=False))
+            else:
+                keys = list(rng.choice(_KEYS, size=int(rng.integers(1, 17)), replace=False))
+            scale = int(10 ** rng.integers(0, 7))
+            buckets[name] = {str(k): int(rng.integers(1, scale + 1)) for k in keys}
+        records = [CountRecord(buckets[name], 1.0, 1.0, WITNESS_SETTINGS[name]) for name in buckets]
+        report = witness_from_counts(records)
+        term_err, witness_err = _delta_method_reference(buckets)
+        for word in WITNESS_OBSERVABLES:
+            assert report.term_stderrs[word] == pytest.approx(term_err[word], rel=0.0, abs=1e-12)
+        assert report.witness_stderr == pytest.approx(witness_err, rel=0.0, abs=1e-12)
 
 
 def test_counted_witness_tracks_the_exact_value():
@@ -219,26 +305,24 @@ def test_counted_witness_tracks_the_exact_value():
 
 
 def _bootstrap_stderrs(records, n_boot: int, seed: int):
-    """Parametric bootstrap of the witness: every count resampled as a
-    Poisson variable n_boot times; the spread of the re-estimated terms
-    and witness is the oracle for the delta-method errors."""
-    merged = analysis._merge_counts(records)
+    """Parametric bootstrap of the witness: every record's count vector
+    resampled as Poisson variables n_boot times; the spread of the
+    re-estimated terms and witness is the oracle for the delta-method
+    errors."""
     rng = np.random.default_rng((int(seed), 0xB007))
-    term_samples = {w: [] for w in WITNESS_OBSERVABLES}
-    witness_samples = []
+    reports = []
     for _ in range(n_boot):
-        terms = {}
-        for name, words in analysis._SETTING_TERMS.items():
-            bucket = merged[name]
-            resampled = {k: int(rng.poisson(bucket[k])) for k in sorted(bucket)}
-            if sum(resampled.values()) == 0:
-                resampled = dict(bucket)
-            terms.update(analysis._estimate_terms(resampled, words))
-        for word, value in terms.items():
-            term_samples[word].append(value)
-        witness_samples.append((4.0 - sum(terms.values())) / 2.0)
-    term_err = {w: float(np.std(v, ddof=1)) for w, v in term_samples.items()}
-    return term_err, float(np.std(witness_samples, ddof=1))
+        resampled = []
+        for record in records:
+            keys = sorted(record.counts)
+            drawn = rng.poisson([record.counts[key] for key in keys]).tolist()
+            resampled.append(CountRecord(dict(zip(keys, drawn)), 1.0, 1.0, record.setting))
+        reports.append(witness_from_counts(resampled))
+    term_err = {
+        word: float(np.std([report.terms[word] for report in reports], ddof=1))
+        for word in WITNESS_OBSERVABLES
+    }
+    return term_err, float(np.std([report.witness for report in reports], ddof=1))
 
 
 def test_delta_and_bootstrap_stderrs_agree():

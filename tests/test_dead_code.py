@@ -1,0 +1,77 @@
+"""No dead names in the package: every module-level private name is used
+by some module of ``src/onewaysim``, and every import is used by the
+module that makes it.
+
+A deletion that leaves a helper, a table or an import behind fails here.
+The package's ``__init__`` re-exports what it imports, and
+``from __future__`` imports switch on language features; both are exempt
+from the import check.
+"""
+
+import ast
+from pathlib import Path
+
+import onewaysim
+
+PACKAGE = Path(onewaysim.__file__).resolve().parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def _loaded_names(tree):
+    """Every name the module reads: bare names, attributes and the names
+    it imports from other modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _private_definitions(tree):
+    """Module-level private names: functions, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_name_is_used_in_the_package():
+    used = set().union(*map(_loaded_names, MODULES.values()))
+    unused = [
+        f"{module}.{name}"
+        for module, tree in sorted(MODULES.items())
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+    assert unused == []
+
+
+def test_every_import_is_used_by_its_module():
+    unused = []
+    for module, tree in sorted(MODULES.items()):
+        if module == "__init__":
+            continue
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{module}: {alias.name}")
+    assert unused == []

@@ -311,8 +311,6 @@ def test_apparatus_setting_validation():
     with pytest.raises(ValueError):
         ApparatusSetting("path_Z", alpha=0.3)  # alpha forbidden
     with pytest.raises(ValueError):
-        ApparatusSetting("path_and_pol_Z", polarization_basis="PM")
-    with pytest.raises(ValueError):
         ApparatusSetting("path_Z", polarization_basis="XY")
 
 
@@ -327,7 +325,7 @@ def _readout_projectors(basis):
         ApparatusSetting("path_Z", polarization_basis="PM"),
         ApparatusSetting("path_B_alpha", alpha=0.0),
         ApparatusSetting("path_B_alpha", alpha=1.1, polarization_basis="PM"),
-        ApparatusSetting("path_and_pol_Z"),
+        ApparatusSetting("path_Z"),
     ],
 )
 def test_apparatus_projectors_complete_and_idempotent(setting):
@@ -624,9 +622,11 @@ def _oracle_settings(rng):
     for _ in range(6):
         pair = []
         for _ in range(2):
-            kind = rng.choice(["path_Z", "path_B_alpha", "path_and_pol_Z"])
-            if kind == "path_and_pol_Z":
-                pair.append(ApparatusSetting(kind))
+            # a third of the draws take path_Z with H/V polarization and
+            # draw no basis
+            kind = rng.choice(["path_Z", "path_B_alpha", "path_Z in H/V"])
+            if kind == "path_Z in H/V":
+                pair.append(ApparatusSetting("path_Z"))
                 continue
             alpha = float(rng.uniform(-math.pi, 3.0 * math.pi)) if kind == "path_B_alpha" else None
             basis = str(rng.choice(["HV", "PM"]))
