@@ -10,11 +10,15 @@ files.
 Without ``--out`` the JSON document is the only thing on stdout and the
 summary line goes to stderr, so stdout always parses as one document.
 
-Each config field is one row of ``_FIELDS``: its path, the check its
-value must pass, and the subcommands that read it.  A field the invoked
-subcommand does not read is rejected rather than ignored; all four read
-``seed``, ``duration``, ``rate`` and ``noise``, which every output
-document reports, and the ``experiment`` guard.
+Each config field is one row of ``_FIELDS``: its path, its default, the
+check its value must pass, and the subcommands that read it.  A checked
+config maps each path to its value, e.g. ``cfg["gate.alpha"]``; the
+noise check also builds (or fits) the noise model, so a bad noise
+parameter or fit target is named by its path like any other field.  A
+field the invoked subcommand does not read is rejected rather than
+ignored; all four read ``seed``, ``duration``, ``rate`` and ``noise``,
+which ``main`` adds to every output document, and the ``experiment``
+guard.
 
 Exit codes: 0 on success, 2 for configuration or usage problems (a
 config file larger than 8192 bytes or not valid UTF-8 among them), 1 for
@@ -34,7 +38,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
@@ -156,13 +160,20 @@ def _choice(*options: str, hint: str = ""):
     return check
 
 
-def _noise(spec, name: str):
-    if spec == "ideal" or spec == "fit":
-        return spec
-    mapping = _as_mapping(spec, name)
-    if "fit" in mapping:
-        _check_keys(mapping, {"fit"}, f"{name}.")
-        fit = _as_mapping(mapping["fit"], f"{name}.fit")
+def _noise(spec, name: str) -> Tuple[NoiseModel, Dict[str, object]]:
+    """The noise model and the noise block of the output documents."""
+    if spec == "ideal":
+        return NoiseModel.ideal(), {"kind": "ideal"}
+    if spec == "fit":
+        targets = [REFERENCE_WITNESS_TERMS[w][0] for w in WITNESS_OBSERVABLES]
+    elif not isinstance(spec, dict):
+        raise ConfigError(
+            f"config field {name!r} must be 'ideal', 'fit', a mapping of noise parameters "
+            f"({', '.join(_NOISE_KEYS)}) or a mapping {{fit: {{targets: [six numbers]}}}}"
+        )
+    elif "fit" in spec:
+        _check_keys(spec, {"fit"}, f"{name}.")
+        fit = _as_mapping(spec["fit"], f"{name}.fit")
         _check_keys(fit, {"targets"}, f"{name}.fit.")
         targets = fit.get("targets")
         if (
@@ -175,74 +186,73 @@ def _noise(spec, name: str):
                 f"config field '{name}.fit.targets' must list six numbers in the "
                 "order " + ", ".join(WITNESS_OBSERVABLES) + hints
             )
-        return {"fit": {"targets": [float(t) for t in targets]}}
-    _check_keys(mapping, _NOISE_KEYS, f"{name}.")
-    # a parameter left out keeps the NoiseModel default
-    return {key: _number(value, f"{name}.{key}") for key, value in mapping.items()}
+        targets = [float(t) for t in targets]
+    else:
+        _check_keys(spec, _NOISE_KEYS, f"{name}.")
+        # a parameter left out keeps the NoiseModel default
+        params = {key: _number(value, f"{name}.{key}") for key, value in spec.items()}
+        for key, value in params.items():
+            try:
+                NoiseModel(**{key: value})  # its range check, one parameter at a time
+            except ValueError as exc:
+                raise ConfigError(f"config field '{name}.{key}': {exc}") from exc
+        model = NoiseModel(**params)
+        return model, {"kind": "parameters", **vars(model)}
+    try:
+        model, residual = fit_noise(targets)
+    except ValueError as exc:
+        raise ConfigError(f"config field '{name}.fit.targets': {exc}") from exc
+    return model, {
+        "kind": "fit", "fit_targets": targets, "fit_residual": residual, **vars(model)
+    }
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated run configuration with experiment defaults."""
+def from_mapping(data: Optional[dict], command: str) -> Dict[str, object]:
+    """Check a parsed config for the ``command`` subcommand.
 
-    experiment: Optional[str] = None
-    theta: float = 0.0
-    noise: object = "ideal"
-    seed: int = 0
-    duration: float = 1.0
-    rate: float = COINCIDENCE_RATE_HZ
-    grover_marked: str = "00"
-    grover_feedforward: bool = True
-    gate_kind: str = "horseshoe"
-    gate_alpha: float = 0.0
-    gate_beta: float = 0.0
-    visibility_pair: str = "all"
-    visibility_samples: int = 24
-
-    @classmethod
-    def from_mapping(cls, data: Optional[dict], command: str) -> "ExperimentConfig":
-        """Check a parsed config for the ``command`` subcommand.
-
-        Every key must be a ``_FIELDS`` path that ``command`` reads, and
-        ``experiment``, if set, must be ``command``; a field the config
-        leaves out keeps the default above.
-        """
-        data = _as_mapping({} if data is None else data, "<top level>")
-        experiment = data.get("experiment", command)
-        if experiment != command and experiment in _EVERY:
-            raise ConfigError(
-                f"config is for experiment {experiment!r}, "
-                f"but the {command!r} command was invoked"
-            )
-        cfg = cls()
-        for top, entry in data.items():
-            if top in _SECTIONS:
-                items = [(f"{top}.{key}", v) for key, v in _as_mapping(entry, top).items()]
-            else:
-                items = [(top, entry)]
-            for path, value in items:
-                field = _FIELD_AT.get(path)
-                if field is None:
-                    raise ConfigError(f"unknown config field {path!r}")
-                if command not in field.commands:
-                    raise ConfigError(
-                        f"config field {path!r} only applies to the "
-                        f"{'/'.join(field.commands)} command; {command!r} would ignore it"
-                    )
-                setattr(cfg, field.attr, field.check(value, path))
-        expected = cfg.rate * cfg.duration
-        if expected > _MAX_EXPECTED_COUNTS:
-            raise ConfigError(
-                f"config fields 'rate' and 'duration' ask for {expected:.3g} "
-                f"coincidences, more than the {_MAX_EXPECTED_COUNTS:.0e} that can be drawn"
-            )
-        return cfg
+    Every key must be a ``_FIELDS`` path that ``command`` reads, and
+    ``experiment``, if set, must be ``command``.  Returns every field's
+    checked value, or checked default, keyed by its path.
+    """
+    data = _as_mapping({} if data is None else data, "<top level>")
+    experiment = data.get("experiment", command)
+    if experiment != command and experiment in _EVERY:
+        raise ConfigError(
+            f"config is for experiment {experiment!r}, "
+            f"but the {command!r} command was invoked"
+        )
+    cfg: Dict[str, object] = {"experiment": command}
+    for top, entry in data.items():
+        if top in _SECTIONS:
+            items = [(f"{top}.{key}", v) for key, v in _as_mapping(entry, top).items()]
+        else:
+            items = [(top, entry)]
+        for path, value in items:
+            field = _FIELD_AT.get(path)
+            if field is None:
+                raise ConfigError(f"unknown config field {path!r}")
+            if command not in field.commands:
+                raise ConfigError(
+                    f"config field {path!r} only applies to the "
+                    f"{'/'.join(field.commands)} command; {command!r} would ignore it"
+                )
+            cfg[path] = field.check(value, path)
+    for field in _FIELDS:
+        if field.path not in cfg:
+            cfg[field.path] = field.check(field.default, field.path)
+    expected = cfg["rate"] * cfg["duration"]
+    if expected > _MAX_EXPECTED_COUNTS:
+        raise ConfigError(
+            f"config fields 'rate' and 'duration' ask for {expected:.3g} "
+            f"coincidences, more than the {_MAX_EXPECTED_COUNTS:.0e} that can be drawn"
+        )
+    return cfg
 
 
-def load_config(path: Optional[str], command: str) -> ExperimentConfig:
+def load_config(path: Optional[str], command: str) -> Dict[str, object]:
     """Read and check the config file at ``path`` for ``command``."""
     if path is None:
-        return ExperimentConfig.from_mapping(None, command)
+        return from_mapping(None, command)
     try:
         with open(path, "rb") as handle:
             raw = handle.read(_MAX_CONFIG_BYTES + 1)
@@ -254,42 +264,12 @@ def load_config(path: Optional[str], command: str) -> ExperimentConfig:
         )
     try:
         data = yaml.load(raw.decode("utf-8"), Loader=_YAML_LOADER)
-    except (
-        yaml.YAMLError, ValueError, IndexError, AttributeError, RecursionError
-    ) as exc:
+    except (yaml.YAMLError, ValueError, IndexError, AttributeError, RecursionError) as exc:
         # besides bytes that are not UTF-8, PyYAML's safe constructor raises the
         # three builtin errors on some scalars ('2001-13-01', '!!int', '!!timestamp
         # x'), and its pure-Python composer recurses once per nesting level
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    return ExperimentConfig.from_mapping(data, command)
-
-
-def resolve_noise(cfg: ExperimentConfig) -> Tuple[NoiseModel, Dict[str, object]]:
-    """Build the noise model, fitting it when the config asks for that."""
-    spec = cfg.noise
-    if spec == "ideal":
-        return NoiseModel.ideal(), {"kind": "ideal"}
-    if spec == "fit":
-        targets = [REFERENCE_WITNESS_TERMS[w][0] for w in WITNESS_OBSERVABLES]
-    elif isinstance(spec, dict) and "fit" in spec:
-        targets = spec["fit"]["targets"]
-    else:
-        try:
-            model = NoiseModel(**spec)
-        except ValueError as exc:
-            raise ConfigError(f"invalid noise parameters: {exc}") from exc
-        return model, {"kind": "parameters", **vars(model)}
-    try:
-        model, residual = fit_noise(targets)
-    except ValueError as exc:
-        raise ConfigError(f"invalid fit targets: {exc}") from exc
-    info = {
-        "kind": "fit",
-        "fit_targets": list(targets),
-        "fit_residual": residual,
-        **vars(model),
-    }
-    return model, info
+    return from_mapping(data, command)
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +278,7 @@ def resolve_noise(cfg: ExperimentConfig) -> Tuple[NoiseModel, Dict[str, object]]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
-
-
-def _write_json(path: str, document: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(document, indent=2, sort_keys=True))
-        handle.write("\n")
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
 # what a subcommand hands to _emit: document, CSV name, header, rows, summary
@@ -325,80 +288,59 @@ _Result = Tuple[dict, str, Tuple[str, ...], list, str]
 def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
     """Write the requested outputs and report them; return the exit code.
 
-    Without a prefix the JSON document goes to stdout and the summary to
-    stderr, so stdout holds nothing but the document.
+    Without a prefix (``fmt`` is then json) the JSON document goes to
+    stdout and the summary to stderr, so stdout holds nothing but the
+    document, in the same text as the JSON file.
     """
     document, csv_name, header, rows, summary = result
+    outputs = []
+    if fmt in ("json", "both"):
+        outputs.append((".json", json.dumps(document, indent=2, sort_keys=True) + "\n"))
+    if fmt in ("csv", "both"):
+        lines = [header] + [[_fmt(cell) for cell in row] for row in rows]
+        csv_text = "".join(",".join(line) + "\n" for line in lines)
+        outputs.append((f"_{csv_name}.csv", csv_text))
     if prefix is None:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.write(outputs[0][1])
         print(summary, file=sys.stderr)
         return 0
-    written = []
-    try:
-        if fmt in ("json", "both"):
-            written.append(f"{prefix}.json")
-            _write_json(written[-1], document)
-        if fmt in ("csv", "both"):
-            written.append(f"{prefix}_{csv_name}.csv")
-            _write_csv(written[-1], header, rows)
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot write {written[-1]!r}: {exc.strerror}") from exc
+    for suffix, text in outputs:
+        path = prefix + suffix
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from exc
     print(summary)
-    for path in written:
-        print(f"wrote {path}")
+    for suffix, _ in outputs:
+        print(f"wrote {prefix}{suffix}")
     return 0
 
 
-def _common_document(cfg: ExperimentConfig, noise_info: dict) -> dict:
-    return {
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "rate": cfg.rate,
-        "noise": noise_info,
-    }
+def _report_fields(report) -> dict:
+    """The fields of an analysis report that are set."""
+    return {key: value for key, value in vars(report).items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its own document fields, and main adds the rest
 # ---------------------------------------------------------------------------
 
 
-def cmd_witness(cfg: ExperimentConfig) -> _Result:
-    model, noise_info = resolve_noise(cfg)
-    state = source_state(SourceParams(cfg.theta))
+def cmd_witness(cfg: dict, model: NoiseModel) -> _Result:
+    theta = cfg["source.theta"]
+    state = source_state(SourceParams(theta))
     prepared = state if model.is_ideal() else apply_noise(state, model)
     exact = witness_value(prepared)
-    records = simulate_witness_records(prepared, cfg.rate, cfg.duration, cfg.seed)
+    records = simulate_witness_records(prepared, cfg["rate"], cfg["duration"], cfg["seed"])
     counted = witness_from_counts(records)
-
-    document = _common_document(cfg, noise_info)
-    document.update(
-        {
-            "command": "witness",
-            "theta": cfg.theta,
-            "exact": {
-                "terms": exact.terms,
-                "witness": exact.witness,
-                "fidelity_bound": exact.fidelity_bound,
-            },
-            "counted": {
-                "terms": counted.terms,
-                "term_stderrs": counted.term_stderrs,
-                "witness": counted.witness,
-                "witness_stderr": counted.witness_stderr,
-                "fidelity_bound": counted.fidelity_bound,
-                "fidelity_bound_stderr": counted.fidelity_bound_stderr,
-                "setting_totals": counted.setting_totals,
-            },
-        }
-    )
+    document = {
+        "theta": theta,
+        "exact": _report_fields(exact),
+        "counted": _report_fields(counted),
+    }
     rows = [
-        (
-            word,
-            exact.terms[word],
-            counted.terms[word],
-            counted.term_stderrs[word],
-        )
+        (word, exact.terms[word], counted.terms[word], counted.term_stderrs[word])
         for word in WITNESS_OBSERVABLES
     ]
     summary = "witness %.6f (exact %.6f), fidelity bound %.6f" % (
@@ -407,91 +349,57 @@ def cmd_witness(cfg: ExperimentConfig) -> _Result:
     return document, "terms", ("term", "exact", "estimate", "stderr"), rows, summary
 
 
-def cmd_grover(cfg: ExperimentConfig) -> _Result:
-    model, noise_info = resolve_noise(cfg)
+def cmd_grover(cfg: dict, model: NoiseModel) -> _Result:
     report = grover_report(
-        noise=None if model.is_ideal() else model,
-        feedforward=cfg.grover_feedforward,
-        marked=cfg.grover_marked,
-        rate=cfg.rate,
-        duration=cfg.duration,
-        seed=cfg.seed,
+        noise=model,
+        feedforward=cfg["grover.feedforward"],
+        marked=cfg["grover.marked"],
+        rate=cfg["rate"],
+        duration=cfg["duration"],
+        seed=cfg["seed"],
     )
-    document = _common_document(cfg, noise_info)
-    document.update(
-        {
-            "command": "grover",
-            "marked": report.marked,
-            "feedforward": report.feedforward,
-            "distribution": report.distribution,
-            "success_probability": report.success_probability,
-            "trials": report.trials,
-            "estimated_success": report.estimated_success,
-            "estimate_stderr": report.estimate_stderr,
-        }
-    )
-    rows = [
-        (outcome, report.distribution[outcome])
-        for outcome in sorted(report.distribution)
-    ]
+    rows = sorted(report.distribution.items())
     summary = "search success %.6f (estimated %.6f +- %.6f from %d counts)" % (
         report.success_probability,
         report.estimated_success,
         report.estimate_stderr,
         report.trials,
     )
-    return document, "distribution", ("outcome", "probability"), rows, summary
+    return _report_fields(report), "distribution", ("outcome", "probability"), rows, summary
 
 
-def cmd_gate(cfg: ExperimentConfig) -> _Result:
-    model, noise_info = resolve_noise(cfg)
-    report = gate_fidelity_report(
-        cfg.gate_kind,
-        cfg.gate_alpha,
-        cfg.gate_beta,
-        noise=None if model.is_ideal() else model,
-    )
-    fidelities = {f"{s2}{s3}": value for (s2, s3), value in report.items()}
+def cmd_gate(cfg: dict, model: NoiseModel) -> _Result:
+    kind, alpha, beta = cfg["gate.kind"], cfg["gate.alpha"], cfg["gate.beta"]
+    report = gate_fidelity_report(kind, alpha, beta, noise=model)
     mean = sum(report.values()) / len(report)
-    document = _common_document(cfg, noise_info)
-    document.update(
-        {
-            "command": "gate",
-            "kind": cfg.gate_kind,
-            "alpha": cfg.gate_alpha,
-            "beta": cfg.gate_beta,
-            "fidelities": fidelities,
-            "mean_fidelity": mean,
-        }
-    )
-    rows = [
-        (s2, s3, report[(s2, s3)]) for s2 in (0, 1) for s3 in (0, 1)
-    ]
+    document = {
+        "kind": kind,
+        "alpha": alpha,
+        "beta": beta,
+        "fidelities": {f"{s2}{s3}": value for (s2, s3), value in report.items()},
+        "mean_fidelity": mean,
+    }
+    rows = [(s2, s3, report[(s2, s3)]) for s2 in (0, 1) for s3 in (0, 1)]
     summary = "%s gate alpha=%.4f beta=%.4f mean branch fidelity %.6f" % (
-        cfg.gate_kind, cfg.gate_alpha, cfg.gate_beta, mean
+        kind, alpha, beta, mean
     )
     return document, "fidelities", ("s2", "s3", "fidelity"), rows, summary
 
 
-def cmd_visibility(cfg: ExperimentConfig) -> _Result:
-    model, noise_info = resolve_noise(cfg)
-    pairs = DETECTOR_PAIRS if cfg.visibility_pair == "all" else (cfg.visibility_pair,)
-    scans = visibility_scans(model, pairs, cfg.visibility_samples)
-    document = _common_document(cfg, noise_info)
-    document.update(
-        {
-            "command": "visibility",
-            "samples": cfg.visibility_samples,
-            "visibilities": {scan.detector_pair: scan.visibility for scan in scans},
-            "fringes": {
-                scan.detector_pair: {
-                    "thetas": list(scan.thetas),
-                    "probabilities": list(scan.probabilities),
-                }
-                for scan in scans
-            },
-        }
-    )
+def cmd_visibility(cfg: dict, model: NoiseModel) -> _Result:
+    pair, samples = cfg["visibility.detector_pair"], cfg["visibility.samples"]
+    scans = visibility_scans(model, DETECTOR_PAIRS if pair == "all" else (pair,), samples)
+    document = {
+        "samples": samples,
+        "visibilities": {scan.detector_pair: scan.visibility for scan in scans},
+        "fringes": {
+            scan.detector_pair: {
+                "thetas": list(scan.thetas),
+                "probabilities": list(scan.probabilities),
+            }
+            for scan in scans
+        },
+    }
     rows = [
         (scan.detector_pair, theta, probability)
         for scan in scans
@@ -513,40 +421,38 @@ _COMMANDS = {
 
 
 class _Field(NamedTuple):
-    path: str  # dotted config path
-    attr: str  # the ExperimentConfig attribute it sets
-    check: Callable[[object, str], object]  # (value, path) -> value to store
+    path: str  # dotted config path, and the field's key in a checked config
+    default: object  # taken, and checked, when a config leaves the field out
+    check: Callable[[object, str], object]  # (value, path) -> checked value
     commands: Tuple[str, ...]  # the subcommands that read it
 
 
 _EVERY = tuple(_COMMANDS)
 
 # every config field; a subcommand rejects a field it does not read, and
-# all of them read the counting and noise fields their documents report
+# all of them read the counting and noise fields their documents report.
+# The experiment guard's value is always the invoked command.
 _FIELDS = (
-    _Field("experiment", "experiment", _choice(*_COMMANDS), _EVERY),
-    _Field("source.theta", "theta", _number, ("witness",)),
-    _Field("noise", "noise", _noise, _EVERY),
-    _Field("seed", "seed", functools.partial(_integer, minimum=0), _EVERY),
-    _Field("duration", "duration", functools.partial(_number, positive=True), _EVERY),
-    _Field("rate", "rate", functools.partial(_number, positive=True), _EVERY),
+    _Field("experiment", None, _choice(*_COMMANDS), _EVERY),
+    _Field("source.theta", 0.0, _number, ("witness",)),
+    _Field("noise", "ideal", _noise, _EVERY),
+    _Field("seed", 0, functools.partial(_integer, minimum=0), _EVERY),
+    _Field("duration", 1.0, functools.partial(_number, positive=True), _EVERY),
+    _Field("rate", COINCIDENCE_RATE_HZ, functools.partial(_number, positive=True), _EVERY),
     _Field(
         "grover.marked",
-        "grover_marked",
+        "00",
         _choice(*_MARKS, hint=" (quote it, YAML reads bare 00 as a number)"),
         ("grover",),
     ),
-    _Field("grover.feedforward", "grover_feedforward", _boolean, ("grover",)),
-    _Field("gate.kind", "gate_kind", _choice("horseshoe", "box"), ("gate",)),
-    _Field("gate.alpha", "gate_alpha", _number, ("gate",)),
-    _Field("gate.beta", "gate_beta", _number, ("gate",)),
+    _Field("grover.feedforward", True, _boolean, ("grover",)),
+    _Field("gate.kind", "horseshoe", _choice("horseshoe", "box"), ("gate",)),
+    _Field("gate.alpha", 0.0, _number, ("gate",)),
+    _Field("gate.beta", 0.0, _number, ("gate",)),
     _Field(
-        "visibility.detector_pair",
-        "visibility_pair",
-        _choice("all", *DETECTOR_PAIRS),
-        ("visibility",),
+        "visibility.detector_pair", "all", _choice("all", *DETECTOR_PAIRS), ("visibility",)
     ),
-    _Field("visibility.samples", "visibility_samples", _samples, ("visibility",)),
+    _Field("visibility.samples", 24, _samples, ("visibility",)),
 )
 
 _FIELD_AT = {field.path: field for field in _FIELDS}
@@ -583,17 +489,22 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
-            cfg.seed = args.seed
+            cfg["seed"] = args.seed
         fmt = args.format or ("both" if args.out else "json")
         if args.out is None and fmt != "json":
             raise ConfigError("--format csv/both requires --out")
+        model, noise = cfg["noise"]
         try:
-            result = _COMMANDS[args.command][0](cfg)
+            result = _COMMANDS[args.command][0](cfg, model)
         except NoCountsError as exc:
             raise ConfigError(
                 f"{exc} (config fields 'rate' and 'duration' expect "
-                f"{cfg.rate * cfg.duration:.3g} coincidences per setting)"
+                f"{cfg['rate'] * cfg['duration']:.3g} coincidences per setting)"
             ) from exc
+        result[0].update(
+            command=args.command, seed=cfg["seed"], duration=cfg["duration"],
+            rate=cfg["rate"], noise=noise,
+        )
         return _emit(args.out, fmt, result)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .cluster import c4_state, to_box_frame
-from .photonics import _PM_BASIS, _Z_BASIS, _is_number, beam_splitter
+from .photonics import _PM_BASIS, _Z_BASIS, beam_splitter
 from .qcore import (
     ImpossibleOutcomeError,
     State,
@@ -37,6 +37,7 @@ from .qcore import (
     _checked_states,
     _cphase_array,
     _gate_array,
+    _is_number,
     apply_cphase,
     hadamard,
     pauli_x,

@@ -40,6 +40,7 @@ from .qcore import (
     _basis_probabilities,
     _check_density,
     _density_array,
+    _is_number,
     _rotated_diagonal,
     apply_gate,
     hadamard,
@@ -112,11 +113,6 @@ class SourceParams:
     def __post_init__(self):
         if not (_is_number(self.theta) and math.isfinite(self.theta)):
             raise ValueError(f"theta must be a finite number, got {self.theta!r}")
-
-
-def _is_number(value) -> bool:
-    """True for an int or a float; a bool, an int subclass, is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def source_state(params: SourceParams) -> StateVector:
@@ -293,8 +289,10 @@ class ApparatusSetting:
                 f"polarization basis must be HV or PM, got {self.polarization_basis!r}"
             )
         if self.kind == "path_B_alpha":
-            if self.alpha is None or not math.isfinite(self.alpha):
-                raise ValueError("path_B_alpha needs a finite alpha")
+            if not (_is_number(self.alpha) and math.isfinite(self.alpha)):
+                raise ValueError(
+                    f"path_B_alpha needs a finite number alpha, got {self.alpha!r}"
+                )
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} does not take an alpha")
 

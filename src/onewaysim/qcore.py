@@ -50,6 +50,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+# state and gate checks test ``not err <= TOL``, which NaN fails
 TOL = 1e-10
 
 _FORCED_MIN_WEIGHT = 1e-12
@@ -57,6 +58,11 @@ _FORCED_MIN_WEIGHT = 1e-12
 
 class ImpossibleOutcomeError(ValueError):
     """Raised when a forced measurement outcome has (near) zero weight."""
+
+
+def _is_number(value) -> bool:
+    """True for an int or a float; a bool, an int subclass, is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +88,7 @@ class StateVector:
         if amps.size < 2 or amps.size != 2**n:
             raise ValueError("amplitude count must be a power of two, >= 2")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL:
+        if not abs(norm - 1.0) <= TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {TOL}")
         amps.setflags(write=False)
         self.amplitudes = amps
@@ -107,20 +113,20 @@ class StateVector:
 def _check_density(m: np.ndarray) -> None:
     """Raise ValueError unless ``m`` (one matrix, or a stack of them along
     the leading axes) is Hermitian, trace-1 and positive semidefinite."""
-    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > TOL:
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
     err = np.abs(tr - 1.0)
-    if err.max() > TOL:  # name the trace that misses 1 the most
+    if not err.max() <= TOL:  # name the trace that misses 1 the most
         raise ValueError(f"density matrix trace {np.ravel(tr)[err.argmax()]!r} is not 1")
-    if np.linalg.eigvalsh(m).min() < -TOL:
+    if not np.linalg.eigvalsh(m).min() >= -TOL:
         raise ValueError("density matrix has a negative eigenvalue")
 
 
 def _check_norms(kets: np.ndarray) -> None:
     """Raise the ValueError of :class:`StateVector` unless every ket of the
     stack ``kets`` has unit norm within TOL."""
-    bad = np.abs(np.linalg.norm(kets, axis=-1) - 1.0) > TOL
+    bad = ~(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) <= TOL)
     if bad.any():
         StateVector(kets[bad.argmax()])  # raises the constructor's message
 
@@ -180,8 +186,10 @@ class PauliString:
     def __post_init__(self):
         if not self.letters or any(ch not in "IXYZ" for ch in self.letters):
             raise ValueError(f"invalid Pauli word {self.letters!r}")
-        if not math.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
+        if not (_is_number(self.coefficient) and math.isfinite(self.coefficient)):
+            raise ValueError(
+                f"coefficient must be a finite number, got {self.coefficient!r}"
+            )
 
     @property
     def num_qubits(self) -> int:
@@ -202,7 +210,7 @@ class SingleQubitGate:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("gate matrix must be 2x2")
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > TOL:
+        if not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= TOL:
             raise ValueError("gate matrix is not unitary within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

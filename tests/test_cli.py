@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import test_config_fuzz
 import test_golden
 from onewaysim import cli
-from onewaysim.cli import ConfigError, ExperimentConfig, load_config, main, resolve_noise
+from onewaysim.cli import ConfigError, from_mapping, load_config, main
 from onewaysim.mbqc import grover_run
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -46,11 +46,12 @@ def _run_fresh(argv, **env):
 
 def test_load_config_defaults():
     cfg = load_config(None, "witness")
-    assert cfg.noise == "ideal"
-    assert cfg.seed == 0
-    assert cfg.duration == 1.0
-    assert cfg.gate_kind == "horseshoe"
-    assert cfg.visibility_pair == "all"
+    model, info = cfg["noise"]
+    assert model.is_ideal() and info == {"kind": "ideal"}
+    assert cfg["seed"] == 0
+    assert cfg["duration"] == 1.0
+    assert cfg["gate.kind"] == "horseshoe"
+    assert cfg["visibility.detector_pair"] == "all"
 
 
 def test_load_config_full(tmp_path):
@@ -71,12 +72,12 @@ grover:
 """,
     )
     cfg = load_config(path, "grover")
-    assert cfg.experiment == "grover"
-    assert cfg.seed == 12
-    assert cfg.duration == 2.5
-    assert cfg.grover_marked == "01"
-    assert cfg.grover_feedforward is False
-    model, info = resolve_noise(cfg)
+    assert cfg["experiment"] == "grover"
+    assert cfg["seed"] == 12
+    assert cfg["duration"] == 2.5
+    assert cfg["grover.marked"] == "01"
+    assert cfg["grover.feedforward"] is False
+    model, info = cfg["noise"]
     assert model.path_dephasing_b == 0.05
     assert info["kind"] == "parameters"
 
@@ -96,9 +97,8 @@ def test_load_config_rejects_unquoted_mark(tmp_path):
 
 def test_load_config_rejects_bad_noise(tmp_path):
     path = _write(tmp_path, "config.yaml", "noise:\n  white_noise: 1.5\n")
-    cfg = load_config(path, "witness")
-    with pytest.raises(ConfigError, match="white_noise"):
-        resolve_noise(cfg)
+    with pytest.raises(ConfigError, match="'noise.white_noise'"):
+        load_config(path, "witness")
 
 
 def test_load_config_missing_file():
@@ -109,8 +109,8 @@ def test_load_config_missing_file():
 def test_load_config_accepts_json(tmp_path):
     path = _write(tmp_path, "config.json", '{"seed": 3, "noise": "fit"}')
     cfg = load_config(path, "witness")
-    assert cfg.seed == 3
-    model, info = resolve_noise(cfg)
+    assert cfg["seed"] == 3
+    model, info = cfg["noise"]
     assert info["kind"] == "fit"
     assert 0.0 < model.white_noise < 0.2
     assert info["fit_residual"] > 0.0
@@ -122,7 +122,7 @@ def test_resolve_noise_fit_targets(tmp_path):
         "config.yaml",
         "noise:\n  fit:\n    targets: [0.9, 0.9, 0.9, 0.9, 0.9, 0.9]\n",
     )
-    model, info = resolve_noise(load_config(path, "witness"))
+    model, info = load_config(path, "witness")["noise"]
     assert info["kind"] == "fit"
     assert model.white_noise == pytest.approx(0.1, abs=1e-4)
     assert model.path_dephasing_b == pytest.approx(0.0, abs=1e-4)
@@ -183,6 +183,17 @@ def test_stdout_is_one_json_document(command, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["command"] == command
     assert captured.err.strip()
+
+
+@pytest.mark.parametrize("name", test_golden.CONFIGS)
+def test_stdout_document_is_the_json_file(name, tmp_path, capsys):
+    config = test_golden.ROOT / "configs" / f"{name}.yaml"
+    command = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
+    argv = [command, "--config", str(config), "--seed", "3"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "run"), "--format", "json"]) == 0
+    assert stdout == (tmp_path / "run.json").read_text(encoding="utf-8")
 
 
 def test_witness_fitted_run(tmp_path):
@@ -277,8 +288,8 @@ def test_visibility_oversized_samples_exit_code(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "visibility.samples" in message and "65536" in message
     assert not (tmp_path / "v.json").exists()
-    cfg = ExperimentConfig.from_mapping({"visibility": {"samples": 65536}}, "visibility")
-    assert cfg.visibility_samples == 65536
+    cfg = from_mapping({"visibility": {"samples": 65536}}, "visibility")
+    assert cfg["visibility.samples"] == 65536
 
 
 def test_visibility_all_pairs(tmp_path):
@@ -611,6 +622,42 @@ def test_noise_error_names_the_same_field_under_every_hash_seed(tmp_path):
     assert {(run.returncode, run.stderr) for run in runs} == {(2, runs[0].stderr)}
     # the first bad parameter in the file
     assert "'noise.white_noise'" in runs[0].stderr
+
+
+_NOISE_FORMS = (
+    "config field 'noise' must be 'ideal', 'fit', a mapping of noise parameters "
+    "(path_dephasing_a, path_dephasing_b, white_noise) or a mapping "
+    "{fit: {targets: [six numbers]}}"
+)
+
+
+@pytest.mark.parametrize(
+    "noise, message",
+    [
+        (
+            "{white_noise: 1.5}",
+            "config field 'noise.white_noise': white_noise must lie in [0, 1], got 1.5",
+        ),
+        (
+            "{white_noise: 0.1, path_dephasing_b: -0.5}",
+            "config field 'noise.path_dephasing_b': "
+            "path_dephasing_b must lie in [0, 1], got -0.5",
+        ),
+        (
+            "{fit: {targets: [0.9, 0.9, 0.9, 0.9, 0.9, 2.0]}}",
+            "config field 'noise.fit.targets': target 2.0 is not an expectation value",
+        ),
+        ("bogus", _NOISE_FORMS),
+        ("[0.1]", _NOISE_FORMS),
+    ],
+)
+def test_noise_error_names_its_config_path(tmp_path, capsys, noise, message):
+    # noise values are checked with the other fields, in file order, so the
+    # rate beyond the sampler further down is not reached
+    config = _write(tmp_path, "config.yaml", f"noise: {noise}\nrate: 1.0e+30\n")
+    for command in cli._COMMANDS:
+        assert main([command, "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_threads_key_is_rejected(tmp_path, capsys):

@@ -63,6 +63,15 @@ _VALID = {
             },
         ),
         st.fixed_dictionaries({"white_noise": _tiny}),
+        # generic white noise: the optional keys above are mostly left out,
+        # and their draws favour 0 and values near it
+        st.fixed_dictionaries(
+            {
+                "path_dephasing_a": _unit,
+                "path_dephasing_b": _unit,
+                "white_noise": st.floats(1e-6, 1.0),
+            }
+        ),
         st.fixed_dictionaries(
             {"fit": st.fixed_dictionaries(
                 {"targets": st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)}

@@ -308,6 +308,9 @@ def test_apparatus_setting_validation():
         ApparatusSetting("bogus")
     with pytest.raises(ValueError):
         ApparatusSetting("path_B_alpha")  # alpha required
+    for alpha in (True, "x", math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            ApparatusSetting("path_B_alpha", alpha=alpha)
     with pytest.raises(ValueError):
         ApparatusSetting("path_Z", alpha=0.3)  # alpha forbidden
     with pytest.raises(ValueError):

@@ -76,6 +76,26 @@ def test_density_matrix_validation():
         DensityMatrix(m)  # negative eigenvalue
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@np.errstate(invalid="ignore")  # inf - inf in the checks warns before it fails them
+def test_constructors_reject_nan_and_inf(value):
+    with pytest.raises(ValueError, match="state norm"):
+        StateVector([value, 1.0])
+    with pytest.raises(ValueError, match="state norm"):
+        StateVector([value * 1j, 0.0])
+    for matrix in (
+        np.full((2, 2), value),
+        [[0.5, value], [value, 0.5]],
+        [[value, 0.0], [0.0, 0.5]],
+    ):
+        with pytest.raises(ValueError, match="density matrix"):
+            DensityMatrix(matrix)
+        with pytest.raises(ValueError, match="not unitary"):
+            SingleQubitGate(matrix)
+    with pytest.raises(ValueError, match="not unitary"):
+        rz(value)
+
+
 def test_density_checks_cover_every_matrix_of_a_stack(rng):
     stack = np.stack([random_density(rng, 2).matrix for _ in range(5)])
     _check_density(stack)  # a valid stack passes
@@ -96,18 +116,22 @@ def _raised(fn, arg) -> str:
     return str(caught.value)
 
 
+@np.errstate(invalid="ignore")  # for the member with an inf entry
 def test_stacked_checks_raise_the_constructor_message_for_one_bad_member(rng):
     matrices = [random_density(rng, 2).matrix for _ in range(5)]
     for bad in (
         np.eye(4, dtype=complex),  # trace 4
         np.array(matrices[0]) + np.triu(np.full((4, 4), 0.1j), 1),  # not Hermitian
         np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
+        np.full((4, 4), math.nan, dtype=complex),
+        np.diag([math.inf, 0.0, 0.0, 0.0]).astype(complex),
     ):
         stack = matrices[:2] + [bad] + matrices[2:]
         assert _raised(qcore._checked_states, stack) == _raised(DensityMatrix, bad)
     kets = [random_state(rng, 2).amplitudes for _ in range(5)]
-    stack = kets[:3] + [1.5 * kets[0]] + kets[3:]
-    assert _raised(qcore._checked_states, stack) == _raised(StateVector, 1.5 * kets[0])
+    for bad in (1.5 * kets[0], np.array([math.nan, 1, 0, 0]), np.array([math.inf, 0, 0, 0])):
+        stack = kets[:3] + [bad.astype(complex)] + kets[3:]
+        assert _raised(qcore._checked_states, stack) == _raised(StateVector, bad)
 
 
 def test_stacked_checks_wrap_each_member_like_the_constructor(rng):
@@ -209,8 +233,9 @@ def test_swap_qubits_roundtrip(rng):
 def test_pauli_string_validation():
     with pytest.raises(ValueError):
         PauliString("AB")
-    with pytest.raises(ValueError):
-        PauliString("XZ", coefficient=float("nan"))
+    for coefficient in (float("nan"), math.inf, True, "x", None):
+        with pytest.raises(ValueError, match="coefficient"):
+            PauliString("XZ", coefficient)
     assert np.allclose(
         PauliString("XZ", coefficient=2.0).matrix(),
         2.0 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]),
