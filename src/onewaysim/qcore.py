@@ -14,13 +14,13 @@ Each is a private kernel on arrays (``_gate_array``, ``_cphase_array``,
 function is the kernel wrapped by ``_state``.  ``_array``/``_state``
 alone map between the two classes and arrays.
 
-States are checked where they enter: the public constructors check
-every state they build (unit norm; Hermitian, trace 1 and positive
-semidefinite), and each public operation builds its result through
-them.  A caller that chains kernels (a frame change, one level of a
-measurement walk) checks its intermediate arrays once per stack instead,
-with ``_check_stack`` (``_checked_states`` also wraps them): the same
-checks, tolerances and messages, in one numpy call per check.
+States are checked where they enter: the public constructors check every
+state they build (finite; unit norm, or Hermitian, trace 1 and positive
+semidefinite: rho + 1e-10*I has a Cholesky factor), and each public
+operation builds its result through them.  A caller that chains kernels
+(a frame change, one level of a measurement walk) checks its intermediate
+arrays once per stack instead, with ``_check_stack`` (``_checked_states``
+also wraps them): the same checks, tolerances and messages, one call each.
 
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
@@ -112,21 +112,28 @@ class StateVector:
 
 def _check_density(m: np.ndarray) -> None:
     """Raise ValueError unless ``m`` (one matrix, or a stack of them along
-    the leading axes) is Hermitian, trace-1 and positive semidefinite."""
+    the leading axes) is finite, Hermitian, trace-1 and positive semidefinite
+    within TOL: every eigenvalue >= -TOL, i.e. m + TOL*I has a Cholesky factor
+    (one batched call; like an eigensolver it reads the lower triangle only)."""
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has a non-finite entry")
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
     err = np.abs(tr - 1.0)
     if not err.max() <= TOL:  # name the trace that misses 1 the most
         raise ValueError(f"density matrix trace {np.ravel(tr)[err.argmax()]!r} is not 1")
-    if not np.linalg.eigvalsh(m).min() >= -TOL:
-        raise ValueError("density matrix has a negative eigenvalue")
+    try:
+        np.linalg.cholesky(m + TOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix has a negative eigenvalue") from None
 
 
 def _check_norms(kets: np.ndarray) -> None:
     """Raise the ValueError of :class:`StateVector` unless every ket of the
     stack ``kets`` has unit norm within TOL."""
-    bad = ~(np.abs(np.linalg.norm(kets, axis=-1) - 1.0) <= TOL)
+    # the norms of |kets|: a complex product with an inf entry would warn
+    bad = ~(np.abs(np.linalg.norm(np.abs(kets), axis=-1) - 1.0) <= TOL)
     if bad.any():
         StateVector(kets[bad.argmax()])  # raises the constructor's message
 
@@ -210,7 +217,7 @@ class SingleQubitGate:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("gate matrix must be 2x2")
-        if not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= TOL:
+        if not (np.isfinite(m).all() and np.max(np.abs(m.conj().T @ m - np.eye(2))) <= TOL):
             raise ValueError("gate matrix is not unitary within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -222,7 +229,9 @@ def hadamard() -> SingleQubitGate:
 
 
 def rz(alpha: float) -> SingleQubitGate:
-    """R_z(alpha) = exp(-i alpha Z / 2)."""
+    """R_z(alpha) = exp(-i alpha Z / 2) for a finite angle alpha."""
+    if not math.isfinite(alpha):  # before np.exp, which warns on inf
+        raise ValueError(f"rz angle must be finite, got {alpha!r}")
     return SingleQubitGate(np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)]))
 
 

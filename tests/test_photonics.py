@@ -620,6 +620,30 @@ def test_fringe_kernel_checks_its_stack(monkeypatch):
         visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=4)
 
 
+@pytest.mark.parametrize("model", [NoiseModel.ideal(), NoiseModel(0.1, 0.05, 0.2)])
+def test_fringe_kernel_catches_one_slightly_negative_member(monkeypatch, model):
+    # one of 48 phases gets an eigenvalue of -2e-10, twice the tolerance
+    import onewaysim.photonics as photonics
+
+    visibility_scans(model, DETECTOR_PAIRS, samples=48)  # the true stack passes
+    channel = photonics._noise_channel
+
+    def one_bad_member(rho, model):
+        stack = channel(rho, model).copy()
+        assert stack.shape == (48, 16, 16)
+        values, vectors = np.linalg.eigh(stack[17])
+        low, high = vectors[:, 0], vectors[:, -1]
+        # move the smallest eigenvalue to -2e-10 and its weight to the largest
+        shift = values[0] + 2e-10
+        stack[17] += shift * (np.outer(high, high.conj()) - np.outer(low, low.conj()))
+        assert np.linalg.eigvalsh(stack[17])[0] == pytest.approx(-2e-10, abs=1e-14)
+        return stack
+
+    monkeypatch.setattr(photonics, "_noise_channel", one_bad_member)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        visibility_scans(model, DETECTOR_PAIRS, samples=48)
+
+
 def _oracle_settings(rng):
     settings = list(WITNESS_SETTINGS.values())
     for _ in range(6):

@@ -77,7 +77,6 @@ def test_density_matrix_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@np.errstate(invalid="ignore")  # inf - inf in the checks warns before it fails them
 def test_constructors_reject_nan_and_inf(value):
     with pytest.raises(ValueError, match="state norm"):
         StateVector([value, 1.0])
@@ -88,11 +87,11 @@ def test_constructors_reject_nan_and_inf(value):
         [[0.5, value], [value, 0.5]],
         [[value, 0.0], [0.0, 0.5]],
     ):
-        with pytest.raises(ValueError, match="density matrix"):
+        with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
             DensityMatrix(matrix)
         with pytest.raises(ValueError, match="not unitary"):
             SingleQubitGate(matrix)
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="rz angle must be finite"):
         rz(value)
 
 
@@ -103,11 +102,59 @@ def test_density_checks_cover_every_matrix_of_a_stack(rng):
         (np.eye(4), "trace"),
         (np.array(stack[0]) + np.triu(np.full((4, 4), 0.1j), 1), "Hermitian"),
         (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
+        (np.diag([1 + 2e-10, -2e-10, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
     ):
         broken = stack.copy()
         broken[3] = bad
         with pytest.raises(ValueError, match=message):
             _check_density(broken)
+    within = stack.copy()  # an eigenvalue of -5e-11 is within the tolerance
+    within[3] = np.diag([1 + 5e-11, -5e-11, 0.0, 0.0])
+    _check_density(within)
+
+
+def _spectrum_density(rng, dim, values):
+    """A Hermitian matrix with eigenvalues ``values`` in a random basis."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(g)
+    m = (q * values) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _accepted(m) -> bool:
+    try:
+        _check_density(m)
+    except ValueError as error:
+        assert "negative eigenvalue" in str(error)
+        return False
+    return True
+
+
+def test_density_check_verdict_matches_the_smallest_eigenvalue(rng):
+    # reference: positive semidefinite within TOL means no eigenvalue below -TOL
+    tol = qcore.TOL
+    verdicts = set()
+    for n in range(1, 5):
+        dim = 2**n
+        for rank in range(1, dim + 1):
+            # rank positive eigenvalues; below full rank one more sits at
+            # -TOL +- delta (delta >= 1e-14) or at 0, and the rest are 0
+            deltas = np.concatenate([[1e-14], 10.0 ** rng.uniform(-14, -10, 3)])
+            lows = [0.0] + [-tol + sign * d for sign in (-1, 1) for d in deltas]
+            stack = []
+            for low in lows if rank < dim else [0.0]:
+                values = np.zeros(dim)
+                values[:rank] = rng.uniform(0.1, 1.0, rank)
+                values[rank:][:1] = low
+                values[:rank] *= (1.0 - values[rank:].sum()) / values[:rank].sum()
+                m = _spectrum_density(rng, dim, values)
+                reference = np.linalg.eigvalsh(m).min() >= -tol
+                assert reference == (low >= -tol)  # delta is far above rounding
+                assert _accepted(m) == reference, (n, rank, low)
+                verdicts.add(reference)
+                stack.append(m)
+            assert _accepted(np.array(stack)) == all(_accepted(m) for m in stack)
+    assert verdicts == {True, False}
 
 
 def _raised(fn, arg) -> str:
@@ -116,7 +163,6 @@ def _raised(fn, arg) -> str:
     return str(caught.value)
 
 
-@np.errstate(invalid="ignore")  # for the member with an inf entry
 def test_stacked_checks_raise_the_constructor_message_for_one_bad_member(rng):
     matrices = [random_density(rng, 2).matrix for _ in range(5)]
     for bad in (
