@@ -37,14 +37,11 @@ from .cluster import (
 from .photonics import (
     COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
-    ApparatusSetting,
     NoiseModel,
-    SourceParams,
     VisibilityScan,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
     apply_noise,
-    beam_splitter,
     fit_noise,
     joint_distribution,
     source_state,

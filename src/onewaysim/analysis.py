@@ -43,12 +43,12 @@ from .mbqc import (
 )
 from .photonics import (
     COINCIDENCE_RATE_HZ,
-    ApparatusSetting,
     NoiseModel,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
     _OUTCOME_KEYS,
     _b_alpha_basis,
+    _check_setting,
     apply_noise,
     joint_distribution,
 )
@@ -125,12 +125,13 @@ class NoCountsError(ValueError):
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Coincidence counts of one run at one apparatus setting."""
+    """Coincidence counts of one run; ``setting`` names the witness
+    setting (a key of WITNESS_SETTINGS) the counts were taken in."""
 
     counts: Dict[str, int]
     duration: float
     rate: float
-    setting: Optional[Tuple[ApparatusSetting, ApparatusSetting]] = None
+    setting: Optional[str] = None
 
     def total(self) -> int:
         return int(sum(self.counts.values()))
@@ -141,7 +142,7 @@ def simulate_counts(
     rate: float,
     duration: float,
     seed,
-    setting: Optional[Tuple[ApparatusSetting, ApparatusSetting]] = None,
+    setting: Optional[str] = None,
 ) -> CountRecord:
     """Draw counts for one setting: Poisson total, multinomial split.
 
@@ -182,18 +183,12 @@ def simulate_witness_records(
     """Counts for both witness settings of a four-qubit state."""
     records = []
     for index, name in enumerate(sorted(WITNESS_SETTINGS)):
-        settings = WITNESS_SETTINGS[name]
-        probabilities = joint_distribution(state, settings)
+        probabilities = joint_distribution(state, name)
         records.append(
-            simulate_counts(
-                probabilities, rate, duration, (int(seed), index), setting=settings
-            )
+            simulate_counts(probabilities, rate, duration, (int(seed), index), setting=name)
         )
     return tuple(records)
 
-
-# the setting pair of a record -> its name; a pair matches by equality
-_SETTING_NAMES = {pair: name for name, pair in WITNESS_SETTINGS.items()}
 
 _KEY_INDEX = {key: index for index, key in enumerate(_OUTCOME_KEYS)}
 
@@ -217,7 +212,8 @@ _SIGN_MATRICES = {
 def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
     """Estimate the witness from coincidence counts.
 
-    ``records`` must cover both witness settings (duplicates are summed).
+    ``records`` must cover both witness settings (duplicates are summed),
+    and a record whose setting is not one of their names is a ValueError.
     Standard errors come from the delta method, linearized around the
     estimate, in its closed form for +-1 outcome signs (see the module
     docstring).
@@ -225,12 +221,8 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
     # exact integer counts per setting, in _OUTCOME_KEYS order
     counts: Dict[str, list] = {}
     for record in records:
-        if record.setting is None:
-            raise ValueError("count record carries no apparatus setting")
-        name = _SETTING_NAMES.get(tuple(record.setting))
-        if name is None:
-            raise ValueError("setting pair does not match either witness setting")
-        bucket = counts.setdefault(name, [0] * len(_OUTCOME_KEYS))
+        _check_setting(record.setting)
+        bucket = counts.setdefault(record.setting, [0] * len(_OUTCOME_KEYS))
         for key, count in record.counts.items():
             index = _KEY_INDEX.get(key)
             if index is None:

@@ -57,7 +57,6 @@ from .photonics import (
     DETECTOR_PAIRS,
     NoiseModel,
     REFERENCE_WITNESS_TERMS,
-    SourceParams,
     WITNESS_OBSERVABLES,
     apply_noise,
     fit_noise,
@@ -329,7 +328,7 @@ def _report_fields(report) -> dict:
 
 def cmd_witness(cfg: dict, model: NoiseModel) -> _Result:
     theta = cfg["source.theta"]
-    state = source_state(SourceParams(theta))
+    state = source_state(theta)
     prepared = state if model.is_ideal() else apply_noise(state, model)
     exact = witness_value(prepared)
     records = simulate_witness_records(prepared, cfg["rate"], cfg["duration"], cfg["seed"])

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .cluster import c4_state, to_box_frame
-from .photonics import _PM_BASIS, _Z_BASIS, beam_splitter
+from .photonics import _PM_BASIS, _Z_BASIS
 from .qcore import (
     ImpossibleOutcomeError,
     State,
@@ -39,6 +39,7 @@ from .qcore import (
     _gate_array,
     _is_number,
     apply_cphase,
+    apply_gate,
     hadamard,
     pauli_x,
     pauli_z,
@@ -359,6 +360,6 @@ def bell_probabilities(state: State) -> Dict[str, float]:
     if state.num_qubits != 2:
         raise ValueError("discrimination acts on one photon: two qubits")
     probe = apply_cphase(state, 0, 1)
-    probe = beam_splitter(probe, 1)
+    probe = apply_gate(probe, 1, _HADAMARD)
     probs = np.maximum(_basis_probabilities(probe, (_PM_BASIS, _Z_BASIS)), 0.0)
     return dict(zip(BELL_LABELS, probs.tolist()))

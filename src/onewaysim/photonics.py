@@ -14,11 +14,12 @@ theta = 0 this is exactly the linear cluster.  Imperfections are
 modelled by independent phase damping on the two path qubits (the
 interferometric arms) followed by an isotropic white noise admixture.
 
-Measurement apparatus for one photon comes in two kinds:
+The witness is read in two coincidence settings, and WITNESS_SETTINGS
+holds the readout basis of each qubit in register order for both:
 
-    path_Z           path read in Z (which arm), polarization analyzed
-    path_B_alpha     the two arms interfere on a beam splitter, giving
-                     a B(alpha) path measurement; polarization analyzed
+    XXZZ    polarizations along +/-, paths read in Z (which arm)
+    ZZXX    polarizations in H/V, both arms interfered on beam splitters
+            (a B(0) path measurement)
 
 Outcome bit 0 always maps to the first label of a basis (H, L, R', +),
 so a Pauli eigenvalue is (-1)**bit at every position.
@@ -27,9 +28,8 @@ so a Pauli eigenvalue is (-1)**bit at every position.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .qcore import (
     _density_array,
     _is_number,
     _rotated_diagonal,
-    apply_gate,
     hadamard,
 )
 
@@ -103,24 +102,15 @@ _PATH_QUBITS = {"A": 2, "B": 3}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SourceParams:
-    """Adjustable source settings; theta is the relative phase of the
-    RR double pair against LL."""
-
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not (_is_number(self.theta) and math.isfinite(self.theta)):
-            raise ValueError(f"theta must be a finite number, got {self.theta!r}")
-
-
-def source_state(params: SourceParams) -> StateVector:
+def source_state(theta: float) -> StateVector:
     """State emitted by the source: ((HH+VV)LL + e^{i theta}(HH-VV)RR)/2.
 
-    At theta = 0 this equals the linear cluster state componentwise.
+    theta is the relative phase of the RR double pair against LL; at
+    theta = 0 this equals the linear cluster state componentwise.
     """
-    return StateVector(_source_amplitudes(params.theta))
+    if not (_is_number(theta) and math.isfinite(theta)):
+        raise ValueError(f"theta must be a finite number, got {theta!r}")
+    return StateVector(_source_amplitudes(theta))
 
 
 def _source_amplitudes(thetas) -> np.ndarray:
@@ -240,25 +230,10 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 # ---------------------------------------------------------------------------
 
 
-def beam_splitter(state: State, path_qubit: int) -> State:
-    """Interfere the two arms of one path qubit (a Hadamard on it).
-
-    Output port 0 is labelled R', port 1 is L'.
-    """
-    if state.num_qubits == 4 and path_qubit not in _PATH_QUBITS.values():
-        warnings.warn(
-            f"qubit {path_qubit} is not a path mode of the four-qubit encoding",
-            stacklevel=2,
-        )
-    return apply_gate(state, path_qubit, hadamard())
-
-
-_APPARATUS_KINDS = ("path_Z", "path_B_alpha")
-_POL_BASES = ("HV", "PM")
-
 # A readout basis is a 2x2 unitary whose row k is the bra of outcome k:
 # rotating a qubit by it turns the readout into a Z measurement.
 _Z_BASIS = np.eye(2, dtype=complex)
+_Z_BASIS.setflags(write=False)
 _PM_BASIS = hadamard().matrix
 
 
@@ -267,91 +242,42 @@ def _b_alpha_basis(alpha: float) -> np.ndarray:
     return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
 
 
-@dataclass(frozen=True)
-class ApparatusSetting:
-    """Per-photon analysis configuration.
+# both arms of a photon meet on a beam splitter: B(0), rows R', L'
+_B0_BASIS = _b_alpha_basis(0.0)
+_B0_BASIS.setflags(write=False)
 
-    kind selects how the path qubit is read; polarization_basis is the
-    polarization analysis (HV or PM, i.e. +/-).  ``alpha`` is only
-    meaningful (and required) for path_B_alpha, the beam splitter with
-    a phase shifter in one input arm.
-    """
-
-    kind: str
-    alpha: Optional[float] = None
-    polarization_basis: str = "HV"
-
-    def __post_init__(self):
-        if self.kind not in _APPARATUS_KINDS:
-            raise ValueError(f"unknown apparatus kind {self.kind!r}")
-        if self.polarization_basis not in _POL_BASES:
-            raise ValueError(
-                f"polarization basis must be HV or PM, got {self.polarization_basis!r}"
-            )
-        if self.kind == "path_B_alpha":
-            if not (_is_number(self.alpha) and math.isfinite(self.alpha)):
-                raise ValueError(
-                    f"path_B_alpha needs a finite number alpha, got {self.alpha!r}"
-                )
-        elif self.alpha is not None:
-            raise ValueError(f"{self.kind} does not take an alpha")
-
-    def _path_readout(self) -> np.ndarray:
-        """Readout basis of the path qubit: rows R', L' or L, R."""
-        if self.kind == "path_B_alpha":
-            return _b_alpha_basis(self.alpha)
-        return _Z_BASIS
-
-    def _polarization_readout(self) -> np.ndarray:
-        """Readout basis of the polarization qubit: rows +, - or H, V."""
-        if self.polarization_basis == "PM":
-            return _PM_BASIS
-        return _Z_BASIS
-
-
-WITNESS_SETTINGS: Dict[str, Tuple[ApparatusSetting, ApparatusSetting]] = {
-    # polarizations along +/- and paths in Z: words XXIZ, XXZI, IIZZ
-    "XXZZ": (
-        ApparatusSetting("path_Z", polarization_basis="PM"),
-        ApparatusSetting("path_Z", polarization_basis="PM"),
-    ),
-    # polarizations in H/V and paths interfered on beam splitters:
+# setting name -> readout basis of each qubit in register order
+# (B pol, A pol, A path, B path); every array is read-only
+WITNESS_SETTINGS: Dict[str, Tuple[np.ndarray, ...]] = {
+    # words XXIZ, XXZI, IIZZ
+    "XXZZ": (_PM_BASIS, _PM_BASIS, _Z_BASIS, _Z_BASIS),
     # words IZXX, ZIXX, ZZII
-    "ZZXX": (
-        ApparatusSetting("path_B_alpha", alpha=0.0, polarization_basis="HV"),
-        ApparatusSetting("path_B_alpha", alpha=0.0, polarization_basis="HV"),
-    ),
+    "ZZXX": (_Z_BASIS, _Z_BASIS, _B0_BASIS, _B0_BASIS),
 }
+
+
+def _check_setting(setting) -> None:
+    if not (isinstance(setting, str) and setting in WITNESS_SETTINGS):
+        raise ValueError(f"setting must be one of {tuple(WITNESS_SETTINGS)}, got {setting!r}")
 
 
 # joint outcome keys: bit strings in register order, indexed like basis states
 _OUTCOME_KEYS = tuple(format(index, "04b") for index in range(16))
 
 
-def _register_readouts(settings: Tuple[ApparatusSetting, ApparatusSetting]):
-    """Per-qubit readout bases in register order."""
-    setting_a, setting_b = settings
-    return (
-        setting_b._polarization_readout(),
-        setting_a._polarization_readout(),
-        setting_a._path_readout(),
-        setting_b._path_readout(),
-    )
+def joint_distribution(state: State, setting: str) -> Dict[str, float]:
+    """Probabilities of the 16 coincidence outcomes in a witness setting.
 
-
-def joint_distribution(
-    state: State, settings: Tuple[ApparatusSetting, ApparatusSetting]
-) -> Dict[str, float]:
-    """Probabilities of the 16 coincidence outcomes for a setting pair.
-
-    Keys are bit strings in register order (qubits 1..4); bit 0 stands
-    for the first label of each basis, so eigenvalue signs follow
-    (-1)**bit.  Each qubit is rotated into its readout basis, and the
-    probabilities are the diagonal of the rotated state.
+    ``setting`` names an entry of WITNESS_SETTINGS.  Keys are bit strings
+    in register order (qubits 1..4); bit 0 stands for the first label of
+    each basis, so eigenvalue signs follow (-1)**bit.  Each qubit is
+    rotated into its readout basis, and the probabilities are the
+    diagonal of the rotated state.
     """
+    _check_setting(setting)
     if state.num_qubits != 4:
         raise ValueError("joint distribution is defined on the four-qubit register")
-    probs = np.maximum(_basis_probabilities(state, _register_readouts(settings)), 0.0)
+    probs = np.maximum(_basis_probabilities(state, WITNESS_SETTINGS[setting]), 0.0)
     return dict(zip(_OUTCOME_KEYS, probs.tolist()))
 
 

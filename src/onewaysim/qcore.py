@@ -15,7 +15,8 @@ function is the kernel wrapped by ``_state``.  ``_array``/``_state``
 alone map between the two classes and arrays.
 
 States are checked where they enter: the public constructors check every
-state they build (finite; unit norm, or Hermitian, trace 1 and positive
+state they build (no NaN and no entry too large for a state, which would
+overflow the later checks; unit norm, or Hermitian, trace 1 and positive
 semidefinite: rho + 1e-10*I has a Cholesky factor), and each public
 operation builds its result through them.  A caller that chains kernels
 (a frame change, one level of a measurement walk) checks its intermediate
@@ -87,6 +88,9 @@ class StateVector:
         n = int(amps.size).bit_length() - 1
         if amps.size < 2 or amps.size != 2**n:
             raise ValueError("amplitude count must be a power of two, >= 2")
+        peak = float(np.abs(amps).max())
+        if not peak <= 1.0 + TOL:  # NaN, inf or too large: the norm could overflow
+            raise ValueError(f"state norm is not 1 within {TOL}: amplitude of modulus {peak!r}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {TOL}")
@@ -115,8 +119,10 @@ def _check_density(m: np.ndarray) -> None:
     the leading axes) is finite, Hermitian, trace-1 and positive semidefinite
     within TOL: every eigenvalue >= -TOL, i.e. m + TOL*I has a Cholesky factor
     (one batched call; like an eigensolver it reads the lower triangle only)."""
-    if not np.isfinite(m).all():
-        raise ValueError("density matrix has a non-finite entry")
+    # NaN, inf and entries large enough to overflow the checks below stop
+    # here; no matrix that passes them has an entry above 1 + (d + 2)*TOL
+    if not np.abs(m).max() <= 2.0:
+        raise ValueError("density matrix has an entry that is NaN or of modulus above 2")
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
@@ -132,8 +138,11 @@ def _check_density(m: np.ndarray) -> None:
 def _check_norms(kets: np.ndarray) -> None:
     """Raise the ValueError of :class:`StateVector` unless every ket of the
     stack ``kets`` has unit norm within TOL."""
-    # the norms of |kets|: a complex product with an inf entry would warn
-    bad = ~(np.abs(np.linalg.norm(np.abs(kets), axis=-1) - 1.0) <= TOL)
+    # the norms of |kets| with each modulus capped at 2: a complex product
+    # with an inf entry would warn and a huge entry would overflow, while a
+    # ket with a modulus above 1 + TOL still gets a norm above it
+    mags = np.minimum(np.abs(kets), 2.0)
+    bad = ~(np.abs(np.linalg.norm(mags, axis=-1) - 1.0) <= TOL)
     if bad.any():
         StateVector(kets[bad.argmax()])  # raises the constructor's message
 
@@ -217,7 +226,9 @@ class SingleQubitGate:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("gate matrix must be 2x2")
-        if not (np.isfinite(m).all() and np.max(np.abs(m.conj().T @ m - np.eye(2))) <= TOL):
+        # no entry of a unitary exceeds 1: NaN, inf and huge entries fail
+        # before the product, which could overflow
+        if not (np.abs(m).max() <= 1.0 + TOL and np.abs(m.conj().T @ m - np.eye(2)).max() <= TOL):
             raise ValueError("gate matrix is not unitary within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

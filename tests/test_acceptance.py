@@ -46,7 +46,6 @@ from onewaysim.photonics import (
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
     NoiseModel,
-    SourceParams,
     apply_noise,
     fit_noise,
     source_state,
@@ -118,7 +117,7 @@ def test_criterion_2_ideal_witness_suite(verdict):
     term_err = max(abs(v - 1.0) for v in report.terms.values())
     witness_err = abs(report.witness - (-1.0))
     source_err = float(
-        np.max(np.abs(source_state(SourceParams(0.0)).amplitudes - c4_state().amplitudes))
+        np.max(np.abs(source_state(0.0).amplitudes - c4_state().amplitudes))
     )
     ok = term_err <= 1e-10 and witness_err <= 1e-10 and source_err <= 1e-10
     verdict(

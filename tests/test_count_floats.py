@@ -56,8 +56,8 @@ def pinned_tables():
             for feedforward in (True, False):
                 key = f"grover_{marked}_{'ff' if feedforward else 'noff'}"
                 tables[key] = _hex_table(grover_run(marked, feedforward, state))
-        for setting, pair in WITNESS_SETTINGS.items():
-            tables[f"joint_{setting}"] = _hex_table(joint_distribution(state, pair))
+        for setting in WITNESS_SETTINGS:
+            tables[f"joint_{setting}"] = _hex_table(joint_distribution(state, setting))
         out[name] = tables
     return out
 

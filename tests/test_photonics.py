@@ -1,7 +1,6 @@
 """Tests for the photonic source, noise channel, and apparatus."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +14,9 @@ from onewaysim.photonics import (
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
-    ApparatusSetting,
     NoiseModel,
-    SourceParams,
     _fringe_table,
     apply_noise,
-    beam_splitter,
     fit_noise,
     joint_distribution,
     source_state,
@@ -30,7 +26,9 @@ from onewaysim.qcore import (
     DensityMatrix,
     PauliString,
     StateVector,
+    apply_gate,
     expectation,
+    hadamard,
     ket,
 )
 
@@ -43,11 +41,11 @@ from conftest import random_density, random_state
 
 
 def test_source_matches_cluster_at_zero_phase():
-    assert np.allclose(source_state(SourceParams(0.0)).amplitudes, c4_state().amplitudes)
+    assert np.allclose(source_state(0.0).amplitudes, c4_state().amplitudes)
 
 
 def test_source_phase_moves_only_the_rr_pair():
-    amps = source_state(SourceParams(math.pi)).amplitudes
+    amps = source_state(math.pi).amplitudes
     expected = np.zeros(16, dtype=complex)
     expected[0b0000] = 0.5
     expected[0b1100] = 0.5
@@ -59,15 +57,15 @@ def test_source_phase_moves_only_the_rr_pair():
 def test_source_phase_rotates_the_path_coherence_terms():
     # words without X on the path qubits are insensitive to theta
     for theta in (0.0, 0.7, math.pi / 2, math.pi):
-        psi = source_state(SourceParams(theta))
+        psi = source_state(theta)
         for word in ("XXIZ", "XXZI", "IIZZ", "ZZII"):
             assert expectation(psi, PauliString(word)) == pytest.approx(1.0, abs=1e-12)
         for word in ("IZXX", "ZIXX"):
             assert expectation(psi, PauliString(word)) == pytest.approx(
                 math.cos(theta), abs=1e-12
             )
-    with pytest.raises(ValueError):
-        SourceParams(float("inf"))
+    with pytest.raises(ValueError, match="theta must be a finite number"):
+        source_state(float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ NUMBER_FIELDS = {
     "path_dephasing_a": NoiseModel,
     "path_dephasing_b": NoiseModel,
     "white_noise": NoiseModel,
-    "theta": SourceParams,
+    "theta": source_state,
     "alpha": lambda **bad: GateOutputSpec(**{"alpha": 0.0, "beta": 0.0, **bad}),
     "beta": lambda **bad: GateOutputSpec(**{"alpha": 0.0, "beta": 0.0, **bad}),
 }
@@ -303,20 +301,6 @@ def test_fit_noise_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_apparatus_setting_validation():
-    with pytest.raises(ValueError):
-        ApparatusSetting("bogus")
-    with pytest.raises(ValueError):
-        ApparatusSetting("path_B_alpha")  # alpha required
-    for alpha in (True, "x", math.nan, math.inf):
-        with pytest.raises(ValueError, match="alpha"):
-            ApparatusSetting("path_B_alpha", alpha=alpha)
-    with pytest.raises(ValueError):
-        ApparatusSetting("path_Z", alpha=0.3)  # alpha forbidden
-    with pytest.raises(ValueError):
-        ApparatusSetting("path_Z", polarization_basis="XY")
-
-
 def _readout_projectors(basis):
     """One projector per outcome: row k of a readout basis is outcome k's bra."""
     return [np.outer(row.conj(), row) for row in basis]
@@ -325,18 +309,20 @@ def _readout_projectors(basis):
 @pytest.mark.parametrize(
     "setting",
     [
-        ApparatusSetting("path_Z", polarization_basis="PM"),
-        ApparatusSetting("path_B_alpha", alpha=0.0),
-        ApparatusSetting("path_B_alpha", alpha=1.1, polarization_basis="PM"),
-        ApparatusSetting("path_Z"),
+        # one photon's (path, polarization) readout: A is (qubit 2, qubit 1)
+        # and B (qubit 3, qubit 0) in register order
+        (bases[path], bases[pol])
+        for bases in WITNESS_SETTINGS.values()
+        for path, pol in ((2, 1), (3, 0))
     ],
 )
 def test_apparatus_projectors_complete_and_idempotent(setting):
     # the projectors of one photon's (path, pol) readout, path qubit first
+    path_basis, pol_basis = setting
     projs = [
         np.kron(path, pol)
-        for path in _readout_projectors(setting._path_readout())
-        for pol in _readout_projectors(setting._polarization_readout())
+        for path in _readout_projectors(path_basis)
+        for pol in _readout_projectors(pol_basis)
     ]
     assert len(projs) == 4
     total = sum(projs)
@@ -347,21 +333,20 @@ def test_apparatus_projectors_complete_and_idempotent(setting):
 
 
 def test_b_alpha_at_zero_equals_plus_minus():
-    setting = ApparatusSetting("path_B_alpha", alpha=0.0)
-    p0, p1 = _readout_projectors(setting._path_readout())
-    assert np.allclose(p0, np.full((2, 2), 0.5))
-    assert np.allclose(p1, np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    # the beam splitters of the ZZXX setting read both paths in B(0)
+    for qubit in (2, 3):
+        p0, p1 = _readout_projectors(WITNESS_SETTINGS["ZZXX"][qubit])
+        assert np.allclose(p0, np.full((2, 2), 0.5))
+        assert np.allclose(p1, np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
 
-def test_beam_splitter_warns_off_path():
-    psi = c4_state()
-    with pytest.warns(UserWarning):
-        beam_splitter(psi, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        beam_splitter(psi, 2)
-        beam_splitter(psi, 3)
-        beam_splitter(ket("01"), 0)  # small registers are unconstrained
+def test_witness_settings_are_read_only():
+    assert sorted(WITNESS_SETTINGS) == ["XXZZ", "ZZXX"]
+    for bases in WITNESS_SETTINGS.values():
+        assert len(bases) == 4
+        for basis in bases:
+            with pytest.raises(ValueError, match="read-only"):
+                basis[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +369,10 @@ _SETTING_WORDS = {
 
 
 def test_joint_distribution_normalization(rng):
-    for name, settings in WITNESS_SETTINGS.items():
+    for name in WITNESS_SETTINGS:
         for _ in range(5):
             psi = random_state(rng, 4)
-            dist = joint_distribution(psi, settings)
+            dist = joint_distribution(psi, name)
             assert len(dist) == 16
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
             assert all(v >= 0.0 for v in dist.values())
@@ -396,10 +381,10 @@ def test_joint_distribution_normalization(rng):
 def test_joint_distribution_reproduces_expectations(rng):
     # signed sums over the coincidence distribution must equal the
     # operator expectation values for every word the setting measures
-    for name, settings in WITNESS_SETTINGS.items():
+    for name in WITNESS_SETTINGS:
         for _ in range(8):
             psi = random_state(rng, 4)
-            dist = joint_distribution(psi, settings)
+            dist = joint_distribution(psi, name)
             for word in _SETTING_WORDS[name]:
                 signed = sum(_word_sign(word, k) * v for k, v in dist.items())
                 assert signed == pytest.approx(
@@ -410,8 +395,8 @@ def test_joint_distribution_reproduces_expectations(rng):
 def test_joint_distribution_on_mixed_states(rng):
     psi = random_state(rng, 4)
     rho = apply_noise(psi, NoiseModel(0.1, 0.2, 0.15))
-    for name, settings in WITNESS_SETTINGS.items():
-        dist = joint_distribution(rho, settings)
+    for name in WITNESS_SETTINGS:
+        dist = joint_distribution(rho, name)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
         for word in _SETTING_WORDS[name]:
             signed = sum(_word_sign(word, k) * v for k, v in dist.items())
@@ -422,12 +407,18 @@ def test_joint_distribution_on_mixed_states(rng):
 
 def test_joint_distribution_requires_four_qubits():
     with pytest.raises(ValueError):
-        joint_distribution(ket("00"), WITNESS_SETTINGS["XXZZ"])
+        joint_distribution(ket("00"), "XXZZ")
+
+
+@pytest.mark.parametrize("setting", ["XXXX", "xxzz", None, ("XXZZ",), WITNESS_SETTINGS["ZZXX"]])
+def test_joint_distribution_rejects_other_settings(setting):
+    with pytest.raises(ValueError, match="setting must be one of"):
+        joint_distribution(c4_state(), setting)
 
 
 def test_ideal_cluster_coincidences_are_half_even_parity():
     # on the ideal state each setting shows the stabilizer correlations
-    dist = joint_distribution(c4_state(), WITNESS_SETTINGS["XXZZ"])
+    dist = joint_distribution(c4_state(), "XXZZ")
     for word in _SETTING_WORDS["XXZZ"]:
         signed = sum(_word_sign(word, k) * v for k, v in dist.items())
         assert signed == pytest.approx(1.0, abs=1e-12)
@@ -513,24 +504,13 @@ _ORACLE_PORTS = {"D1-D2": (0, 0), "D1-D4": (0, 1), "D3-D2": (1, 0), "D3-D4": (1,
 _ORACLE_TOL = 1e-12
 
 
-def _oracle_b_alpha(alpha):
-    phase = np.exp(1j * alpha)
-    plus = np.array([1.0, phase], dtype=complex) / math.sqrt(2)
-    minus = np.array([1.0, -phase], dtype=complex) / math.sqrt(2)
-    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+def _oracle_joint_distribution(state, setting):
+    """Sixteen Kronecker-product projectors, one expectation each.
 
-
-def _oracle_joint_distribution(state, settings):
-    """Sixteen Kronecker-product projectors, one expectation each."""
-
-    def path(setting):
-        return _oracle_b_alpha(setting.alpha) if setting.kind == "path_B_alpha" else _ORACLE_Z
-
-    def pol(setting):
-        return _ORACLE_PM if setting.polarization_basis == "PM" else _ORACLE_Z
-
-    setting_a, setting_b = settings
-    families = (pol(setting_b), pol(setting_a), path(setting_a), path(setting_b))
+    The setting's name gives the readout of each qubit in register order:
+    X along +/- (a beam splitter reads a path in B(0), which is +/-) and
+    Z in the computational basis."""
+    families = [{"X": _ORACLE_PM, "Z": _ORACLE_Z}[letter] for letter in setting]
     out = {}
     for index in range(16):
         bits = [(index >> (3 - q)) & 1 for q in range(4)]
@@ -546,11 +526,12 @@ def _oracle_joint_distribution(state, settings):
 
 
 def _oracle_fringe(model, pair, theta):
-    """apply_noise, two checked beam splitters, then a 16x16 projector."""
+    """apply_noise, two checked beam splitters (a Hadamard on each path
+    qubit), then a 16x16 projector."""
     port_a, port_b = _ORACLE_PORTS[pair]
-    probe = apply_noise(source_state(SourceParams(theta)), model)
-    probe = beam_splitter(probe, 2)
-    probe = beam_splitter(probe, 3)
+    probe = apply_noise(source_state(theta), model)
+    probe = apply_gate(probe, 2, hadamard())
+    probe = apply_gate(probe, 3, hadamard())
     op = np.array([[1.0 + 0j]])
     for proj in (_ORACLE_Z[0], _ORACLE_Z[0], _ORACLE_Z[port_a], _ORACLE_Z[port_b]):
         op = np.kron(op, proj)
@@ -644,33 +625,15 @@ def test_fringe_kernel_catches_one_slightly_negative_member(monkeypatch, model):
         visibility_scans(model, DETECTOR_PAIRS, samples=48)
 
 
-def _oracle_settings(rng):
-    settings = list(WITNESS_SETTINGS.values())
-    for _ in range(6):
-        pair = []
-        for _ in range(2):
-            # a third of the draws take path_Z with H/V polarization and
-            # draw no basis
-            kind = rng.choice(["path_Z", "path_B_alpha", "path_Z in H/V"])
-            if kind == "path_Z in H/V":
-                pair.append(ApparatusSetting("path_Z"))
-                continue
-            alpha = float(rng.uniform(-math.pi, 3.0 * math.pi)) if kind == "path_B_alpha" else None
-            basis = str(rng.choice(["HV", "PM"]))
-            pair.append(ApparatusSetting(str(kind), alpha=alpha, polarization_basis=basis))
-        settings.append(tuple(pair))
-    return settings
-
-
 def test_joint_distribution_matches_projector_oracle(rng):
-    states = [c4_state(), source_state(SourceParams(0.4))]
+    states = [c4_state(), source_state(0.4)]
     states += [random_state(rng, 4) for _ in range(3)]
     states += [random_density(rng, 4) for _ in range(3)]
     states += [apply_noise(random_state(rng, 4), m) for m in _oracle_models(rng, 2)]
-    for settings in _oracle_settings(rng):
+    for setting in WITNESS_SETTINGS:
         for state in states:
-            got = joint_distribution(state, settings)
-            expected = _oracle_joint_distribution(state, settings)
+            got = joint_distribution(state, setting)
+            expected = _oracle_joint_distribution(state, setting)
             assert list(got) == list(expected)
             assert list(got.values()) == pytest.approx(list(expected.values()), abs=_ORACLE_TOL)
             assert min(got.values()) >= 0.0

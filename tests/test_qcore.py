@@ -87,12 +87,19 @@ def test_constructors_reject_nan_and_inf(value):
         [[0.5, value], [value, 0.5]],
         [[value, 0.0], [0.0, 0.5]],
     ):
-        with pytest.raises(ValueError, match="density matrix has a non-finite entry"):
+        with pytest.raises(ValueError, match="density matrix has an entry that is NaN or of modulus"):
             DensityMatrix(matrix)
         with pytest.raises(ValueError, match="not unitary"):
             SingleQubitGate(matrix)
     with pytest.raises(ValueError, match="rz angle must be finite"):
         rz(value)
+    # huge finite entries raise the check's error before any arithmetic overflows
+    with pytest.raises(ValueError, match="state norm"):
+        StateVector([1e200, 1.0])
+    with pytest.raises(ValueError, match="density matrix has an entry that is NaN or of modulus"):
+        DensityMatrix([[1e308, -1e308], [1e308, 0.0]])
+    with pytest.raises(ValueError, match="not unitary"):
+        SingleQubitGate([[1e200, 0.0], [0.0, 1.0]])
 
 
 def test_density_checks_cover_every_matrix_of_a_stack(rng):
@@ -171,11 +178,17 @@ def test_stacked_checks_raise_the_constructor_message_for_one_bad_member(rng):
         np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
         np.full((4, 4), math.nan, dtype=complex),
         np.diag([math.inf, 0.0, 0.0, 0.0]).astype(complex),
+        np.pad([[1e308, -1e308], [1e308, 0.0]], (0, 2)).astype(complex),  # huge, finite
     ):
         stack = matrices[:2] + [bad] + matrices[2:]
         assert _raised(qcore._checked_states, stack) == _raised(DensityMatrix, bad)
     kets = [random_state(rng, 2).amplitudes for _ in range(5)]
-    for bad in (1.5 * kets[0], np.array([math.nan, 1, 0, 0]), np.array([math.inf, 0, 0, 0])):
+    for bad in (
+        1.5 * kets[0],
+        np.array([math.nan, 1, 0, 0]),
+        np.array([math.inf, 0, 0, 0]),
+        np.array([1e200, 1, 0, 0]),
+    ):
         stack = kets[:3] + [bad.astype(complex)] + kets[3:]
         assert _raised(qcore._checked_states, stack) == _raised(StateVector, bad)
 
