@@ -13,14 +13,11 @@ from .qcore import (
     expectation,
     fidelity,
     hadamard,
-    ket,
-    measure,
     overlap,
     pauli_x,
     pauli_z,
     plus_state,
     rz,
-    swap_qubits,
 )
 from .cluster import (
     BOX_GRAPH,

@@ -10,8 +10,9 @@ Every operation is written once for pure and mixed states: a state's
 array has a ket axis, followed by a bra axis for a mixed state only, and
 gates, CPhase, swaps and the B(alpha) split loop over the sides present.
 Each is a private kernel on arrays (``_gate_array``, ``_cphase_array``,
-``_swap_array``, and ``_branches`` on a stack of arrays); the public
-function is the kernel wrapped by ``_state``.  ``_array``/``_state``
+``_swap_array``, and ``_branches`` on a stack of arrays); the public gate
+and CPhase functions are their kernels wrapped by ``_state``, and the
+frame maps and measurement walks chain the kernels.  ``_array``/``_state``
 alone map between the two classes and arrays.
 
 States are checked where they enter: the public constructors check every
@@ -33,13 +34,13 @@ Measurements use the equatorial basis family
 
 with outcome 0 meaning a projection onto |alpha+>.  One split,
 ``_branches``, gives both outcomes of such a measurement for every state
-of a stack (a whole level of a measurement walk); :func:`measure` takes
-either kind of state and a forced bit, splits a stack of one, and returns
-that bit's entry.  There is no random outcome source: sampled counts are
-drawn from exact tables (see the analysis module).  Z measurements are not
-part of this family; readouts in any product basis (see the photonics
-module) rotate each qubit's basis onto Z and read the diagonal of the
-rotated state.
+of a stack (a whole level of a measurement walk).  A single forced
+measurement is a pattern of one step (see the mbqc module), whose walk
+splits a stack of one.  There is no random outcome source: sampled
+counts are drawn from exact tables (see the analysis module).  Z
+measurements are not part of this family; readouts in any product basis
+(see the photonics module) rotate each qubit's basis onto Z and read the
+diagonal of the rotated state.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class StateVector:
             raise ValueError(f"state norm is not 1 within {TOL}: amplitude of modulus {peak!r}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {TOL}")
+            raise ValueError(f"state norm {float(norm)!r} is not 1 within {TOL}")
         amps.setflags(write=False)
         self.amplitudes = amps
         self.num_qubits = n
@@ -128,7 +129,7 @@ def _check_density(m: np.ndarray) -> None:
     tr = m.trace(axis1=-2, axis2=-1)
     err = np.abs(tr - 1.0)
     if not err.max() <= TOL:  # name the trace that misses 1 the most
-        raise ValueError(f"density matrix trace {np.ravel(tr)[err.argmax()]!r} is not 1")
+        raise ValueError(f"density matrix trace {complex(np.ravel(tr)[err.argmax()])!r} is not 1")
     try:
         np.linalg.cholesky(m + TOL * np.eye(m.shape[-1]))
     except np.linalg.LinAlgError:
@@ -257,15 +258,6 @@ def pauli_z() -> SingleQubitGate:
 # ---------------------------------------------------------------------------
 # state construction helpers
 # ---------------------------------------------------------------------------
-
-
-def ket(bits: str) -> StateVector:
-    """Computational basis state from a bit string, e.g. ket('0110')."""
-    if not bits or any(b not in "01" for b in bits):
-        raise ValueError(f"invalid bit string {bits!r}")
-    amps = np.zeros(2 ** len(bits), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(amps)
 
 
 def plus_state(num_qubits: int) -> StateVector:
@@ -414,15 +406,6 @@ def apply_cphase(state: State, qubit_j: int, qubit_k: int) -> State:
     return _state(_cphase_array(_array(state), qubit_j, qubit_k))
 
 
-def swap_qubits(state: State, qubit_a: int, qubit_b: int) -> State:
-    """Exchange two qubit labels (a wiring permutation, not a gate cost)."""
-    _check_qubit(state, qubit_a)
-    _check_qubit(state, qubit_b)
-    if qubit_a == qubit_b:
-        return state
-    return _state(_swap_array(_array(state), qubit_a, qubit_b))
-
-
 def expectation(state: State, observable: PauliString) -> float:
     """<P> on a pure or mixed state; the imaginary residue must vanish."""
     if observable.num_qubits != state.num_qubits:
@@ -527,43 +510,6 @@ def _check_bit(outcome) -> None:
     """Raise ValueError unless ``outcome`` is the bit 0 or 1."""
     if not isinstance(outcome, (int, np.integer)) or outcome not in (0, 1):
         raise ValueError(f"forced outcome must be 0 or 1, got {outcome!r}")
-
-
-def measure(state: State, qubit: int, basis_angle: float, outcome: int):
-    """Measure one qubit in B(basis_angle) with a forced outcome.
-
-    Parameters
-    ----------
-    state : StateVector or DensityMatrix
-    qubit : int
-    basis_angle : float
-        alpha in radians; outcome 0 projects onto |alpha+>.
-    outcome : int
-        The forced bit, 0 or 1.
-
-    Returns
-    -------
-    (outcome, probability, residual)
-        The bit, its Born probability, and the renormalized residual, of
-        the input's kind, on the remaining qubits in their original order
-        (None when none remain).
-
-    Raises
-    ------
-    ValueError
-        If the outcome is not 0 or 1.
-    ImpossibleOutcomeError
-        If the outcome has projection weight below 1e-12.
-    """
-    _check_qubit(state, qubit)
-    _check_bit(outcome)
-    kept, residuals = _branches(_array(state)[None], qubit, basis_angle)
-    for i, (_, out, prob) in enumerate(kept):
-        if out == outcome:
-            return out, prob, None if residuals is None else _state(residuals[i])
-    raise ImpossibleOutcomeError(
-        f"outcome {outcome} on qubit {qubit} has weight below {_FORCED_MIN_WEIGHT:.0e}"
-    )
 
 
 def fidelity(rho: State, target: StateVector) -> float:

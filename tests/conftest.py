@@ -4,6 +4,15 @@ import pytest
 from onewaysim.qcore import DensityMatrix, SingleQubitGate, StateVector
 
 
+def ket(bits: str) -> StateVector:
+    """Computational basis state from a bit string, e.g. ket('0110')."""
+    if not bits or any(b not in "01" for b in bits):
+        raise ValueError(f"invalid bit string {bits!r}")
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(amps)
+
+
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
     dim = 2**num_qubits
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)

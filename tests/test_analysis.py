@@ -41,6 +41,7 @@ from onewaysim.photonics import (
 )
 from onewaysim.qcore import ImpossibleOutcomeError, StateVector, fidelity
 
+import closed_forms
 from conftest import random_density, random_state
 
 # frozen fit of the reference stabilizer table (see test_photonics for
@@ -467,11 +468,10 @@ def test_grover_report_zero_counts():
 # ---------------------------------------------------------------------------
 
 # every exact output has a closed form in the white-noise weight p and the
-# dephasing product q = (1 - a)(1 - b); the draws include the near-ideal
-# weights 1e-12..1e-9 and the edges p = 1 and q = 0
+# dephasing product q = (1 - a)(1 - b) (see closed_forms); the draws include
+# the near-ideal weights 1e-12..1e-9 and the edges p = 1 and q = 0
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _ANGLE = st.floats(-math.pi, math.pi)
-_FRINGE_SIGN = {"D1-D2": 1.0, "D1-D4": -1.0, "D3-D2": -1.0, "D3-D4": 1.0}
 
 
 def _noisy(state, model):
@@ -488,35 +488,29 @@ def _noisy(state, model):
     beta=_ANGLE,
 )
 def test_exact_outputs_match_the_closed_forms(a, b, p, theta, alpha, beta):
-    model, q = NoiseModel(a, b, p), (1.0 - a) * (1.0 - b)
+    model, q = NoiseModel(a, b, p), closed_forms.dephasing_product(a, b)
 
     def close(got, want):
         assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
     terms = witness_value(_noisy(source_state(theta), model)).terms
     for word in WITNESS_OBSERVABLES:
-        close(terms[word], (1.0 - p) * q * math.cos(theta) if word in ("IZXX", "ZIXX") else 1.0 - p)
+        close(terms[word], closed_forms.witness_term(word, p, q, theta))
     cluster = _noisy(c4_state(), model)
     # the search walk drops a branch whose conditional weight, here ~p/4,
     # falls below the forced-outcome floor (1e-12): a known defect, pinned
     # by the xfail test below, so the weights where it exceeds 1e-13 are
     # left out here
     for marked in () if 4e-13 <= p < 5e-12 else ("00", "01", "10", "11"):
-        for mark, value in grover_run(marked, True, cluster).items():
-            close(value, 1.0 - 0.75 * p if mark == marked else p / 4.0)
-        for value in grover_run(marked, False, cluster).values():
-            close(value, 0.25)
-    gates = {
-        "horseshoe": (1.0 - p) * (1.0 + q) / 2.0 + p / 4.0,
-        "box": (1.0 - p) * (1.0 - (1.0 - q) * math.sin(alpha) ** 2 / 2.0) + p / 4.0,
-    }
-    for kind, closed in gates.items():
+        for feedforward in (True, False):
+            for mark, value in grover_run(marked, feedforward, cluster).items():
+                close(value, closed_forms.search_probability(mark, marked, feedforward, p))
+    for kind in ("horseshoe", "box"):
         for value in gate_fidelity_report(kind, alpha, beta, model).values():
-            close(value, closed)
+            close(value, closed_forms.gate_fidelity(kind, p, q, alpha))
     for scan in visibility_scans(model, DETECTOR_PAIRS):
-        sign = _FRINGE_SIGN[scan.detector_pair]
         for phase, value in zip(scan.thetas, scan.probabilities):
-            close(value, (1.0 - p) / 8.0 + p / 16.0 + sign * (1.0 - p) * q * math.cos(phase) / 8.0)
+            close(value, closed_forms.fringe(scan.detector_pair, p, q, phase))
 
 
 @pytest.mark.xfail(

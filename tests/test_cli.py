@@ -193,7 +193,10 @@ def test_stdout_document_is_the_json_file(name, tmp_path, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert main([*argv, "--out", str(tmp_path / "run"), "--format", "json"]) == 0
-    assert stdout == (tmp_path / "run.json").read_text(encoding="utf-8")
+    text = (tmp_path / "run.json").read_text(encoding="utf-8")
+    assert stdout == text
+    # the text format, indented by two with sorted keys, without pinning numbers
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_witness_fitted_run(tmp_path):

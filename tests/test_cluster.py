@@ -26,12 +26,10 @@ from onewaysim.qcore import (
     apply_gate,
     expectation,
     hadamard,
-    ket,
     rz,
-    swap_qubits,
 )
 
-from conftest import random_density, random_state
+from conftest import ket, random_density, random_state
 
 
 def test_graph_normalizes_edges():
@@ -144,13 +142,24 @@ def test_frame_map_relabels_before_its_gates():
     assert np.array_equal(frame.local_matrix(1), np.eye(2))
 
 
+def _swapped(state, q, j):
+    """The state with qubits q and j exchanged: the two axes of each side
+    of its tensor swapped, rebuilt (and checked) by its constructor."""
+    a, n = _array(state), state.num_qubits
+    t = a.reshape((2,) * (n * a.ndim))
+    for side in range(a.ndim):
+        t = t.swapaxes(side * n + q, side * n + j)
+    return type(state)(t.reshape(a.shape))
+
+
 def _apply_one_by_one(frame, state):
-    """The frame change through the public operations, each result checked."""
+    """The frame change through the public operations and the public
+    constructors, each result checked."""
     held = list(range(len(frame.sources)))
     for q, source in enumerate(frame.sources):
         j = held.index(source)
         if j != q:
-            state = swap_qubits(state, q, j)
+            state = _swapped(state, q, j)
             held[q], held[j] = held[j], held[q]
     for q, gate in enumerate(frame.gates):
         if gate is not None:

@@ -23,6 +23,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_forms
 from onewaysim.cli import _FIELDS, main
 from onewaysim.photonics import COINCIDENCE_RATE_HZ, DETECTOR_PAIRS
 
@@ -163,25 +164,23 @@ def _valid_configs(draw, command):
     return config
 
 
-_FRINGE_SIGN = {"D1-D2": 1.0, "D1-D4": -1.0, "D3-D2": -1.0, "D3-D4": 1.0}
-
-
 def _check_closed_forms(document):
     """Every exact number of a document against the noise model's closed
     forms, with white-noise weight p and dephasing product q = (1-a)(1-b)
     read from the document's noise block."""
     noise = document["noise"]
     p = noise.get("white_noise", 0.0)
-    q = (1.0 - noise.get("path_dephasing_a", 0.0)) * (1.0 - noise.get("path_dephasing_b", 0.0))
+    q = closed_forms.dephasing_product(
+        noise.get("path_dephasing_a", 0.0), noise.get("path_dephasing_b", 0.0)
+    )
 
     def close(got, want):
         assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
     command = document["command"]
     if command == "witness":
-        mixed = (1.0 - p) * q * math.cos(document["theta"])
         for word, value in document["exact"]["terms"].items():
-            close(value, mixed if word in ("IZXX", "ZIXX") else 1.0 - p)
+            close(value, closed_forms.witness_term(word, p, q, document["theta"]))
     elif command == "grover":
         # below p ~ 5e-12 the search walk drops the off-mark branches, a
         # known defect pinned by a strict xfail in test_analysis
@@ -189,23 +188,15 @@ def _check_closed_forms(document):
             return
         marked, feedforward = document["marked"], document["feedforward"]
         for mark, value in document["distribution"].items():
-            if feedforward:
-                close(value, 1.0 - 0.75 * p if mark == marked else p / 4.0)
-            else:
-                close(value, 0.25)
+            close(value, closed_forms.search_probability(mark, marked, feedforward, p))
     elif command == "gate":
-        if document["kind"] == "horseshoe":
-            closed = (1.0 - p) * (1.0 + q) / 2.0 + p / 4.0
-        else:
-            closed = (1.0 - p) * (1.0 - (1.0 - q) * math.sin(document["alpha"]) ** 2 / 2.0)
-            closed += p / 4.0
+        closed = closed_forms.gate_fidelity(document["kind"], p, q, document["alpha"])
         for value in document["fidelities"].values():
             close(value, closed)
     else:
         for pair, fringe in document["fringes"].items():
             for theta, value in zip(fringe["thetas"], fringe["probabilities"]):
-                coherent = _FRINGE_SIGN[pair] * (1.0 - p) * q * math.cos(theta) / 8.0
-                close(value, (1.0 - p) / 8.0 + p / 16.0 + coherent)
+                close(value, closed_forms.fringe(pair, p, q, theta))
 
 
 @pytest.mark.parametrize("command", COMMANDS)

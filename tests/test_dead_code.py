@@ -1,6 +1,7 @@
 """No dead names in the package: every module-level private name is used
-by some module of ``src/onewaysim``, and every import is used by the
-module that makes it.
+by some module of ``src/onewaysim``, every export is reached by the
+package or the acceptance gate, and every import is used by the module
+that makes it.
 
 A deletion that leaves a helper, a table or an import behind fails here.
 The package's ``__init__`` re-exports what it imports, and
@@ -15,6 +16,7 @@ import onewaysim
 
 PACKAGE = Path(onewaysim.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _loaded_names(tree):
@@ -54,6 +56,19 @@ def test_every_private_name_is_used_in_the_package():
         if name not in used
     ]
     assert unused == []
+
+
+def test_every_export_is_read_by_the_package_or_the_acceptance_gate():
+    exports = {
+        alias.name
+        for node in MODULES["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    trees = [tree for module, tree in MODULES.items() if module != "__init__"]
+    trees.append(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    read = set().union(*map(_loaded_names, trees))
+    assert sorted(exports - read) == []
 
 
 def test_every_import_is_used_by_its_module():

@@ -43,6 +43,7 @@ from onewaysim.qcore import (
     overlap,
 )
 
+import closed_forms
 from conftest import random_density, random_state
 
 GRID = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
@@ -95,8 +96,8 @@ def test_run_pattern_records_step_order(rng):
     outcomes, prob, residual = run_pattern(state, horseshoe_pattern(0.3, 0.9), [0, 1])
     assert outcomes == (0, 1)
     assert residual.num_qubits == 2
-    _, p1, rest = qcore.measure(state, 1, 0.3, 0)
-    _, p2, _ = qcore.measure(rest, 1, 0.9, 1)
+    p1, rest = _forced_measure(state, 1, 0.3, 0)
+    p2, _ = _forced_measure(rest, 1, 0.9, 1)
     assert prob == pytest.approx(p1 * p2)
 
 
@@ -283,7 +284,7 @@ def test_search_success_under_white_noise():
     noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, p))
     for marked in ("00", "11"):
         dist = grover_run(marked, feedforward=True, input_state=noisy)
-        assert dist[marked] == pytest.approx(1.0 - 0.75 * p, abs=1e-9)
+        assert dist[marked] == pytest.approx(closed_forms.search_probability(marked, marked, True, p), abs=1e-9)
 
 
 def test_search_argument_errors():
@@ -329,22 +330,61 @@ def test_lab_distribution_rejects_other_registers():
             grover_run("00", input_state=state)
 
 
-# the prefix-sharing walk against an independent sequential run of each
-# branch: chained forced measurements, then the byproducts gate by gate,
-# the way every branch used to be computed.  Equal bit for bit, so the
-# exact search tables and the counts drawn from them are unchanged
+# the prefix-sharing walk against two independent sequential runs of each
+# branch: chained forced measurements, then the byproducts gate by gate.
+# The first splits each state as a stack of one with the walk's kernel, the
+# way every branch used to be computed; equal bit for bit, so the exact
+# search tables and the counts drawn from them are unchanged.  The second
+# projects with bras written out here and reads no private kernel; it
+# agrees within 1e-12
 
 MARKS = ("00", "01", "10", "11")
 CORRECTIONS = {"X": qcore.pauli_x(), "Z": qcore.pauli_z()}
 
 
-def _forced_branches(state, pattern):
+def _forced_measure(state, qubit, alpha, bit):
+    """One forced B(alpha) measurement, (probability, residual): a stack of
+    one split by the walk's kernel and the bit's branch taken."""
+    kept, residuals = qcore._branches(qcore._array(state)[None], qubit, alpha)
+    for i, (_, out, prob) in enumerate(kept):
+        if out == bit:
+            return prob, None if residuals is None else qcore._state(residuals[i])
+    raise ImpossibleOutcomeError(f"outcome {bit} on qubit {qubit} has weight below 1e-12")
+
+
+def _projected(state, qubit, alpha, bit):
+    """One forced B(alpha) measurement, (probability, residual), through the
+    bra (1, +-e^{-i alpha})/sqrt(2) on the qubit: the weight is the squared
+    norm or the trace of the projected branch, which is then renormalized."""
+    bra = np.array([1.0, (-1) ** bit * np.exp(-1j * alpha)]) / math.sqrt(2)
+    n = state.num_qubits
+    if isinstance(state, StateVector):
+        branch = np.tensordot(bra, state.tensor(), axes=(0, qubit)).reshape(-1)
+        weight = float(np.linalg.norm(branch) ** 2)
+    else:
+        k = np.kron(np.kron(np.eye(2**qubit), bra[None, :]), np.eye(2 ** (n - 1 - qubit)))
+        branch = k @ state.matrix @ k.conj().T
+        weight = float(np.trace(branch).real)
+    if weight < 1e-12:
+        raise ImpossibleOutcomeError(f"outcome {bit} on qubit {qubit} has weight {weight:.1e}")
+    if n == 1:
+        return weight, None
+    if isinstance(state, StateVector):
+        return weight, StateVector(branch / np.linalg.norm(branch))
+    branch = branch / weight
+    return weight, DensityMatrix((branch + branch.conj().T) / 2.0)
+
+
+def _sequential_branches(state, pattern, measure):
+    """Every branch (bits, probability, residual) of the pattern in
+    lexicographic order, each run alone with the forced measurement
+    ``measure``; a branch with a step below its floor is left out."""
     branches = []
     for bits in itertools.product((0, 1), repeat=len(pattern.steps)):
         live, current, probs = list(range(state.num_qubits)), state, []
         try:
             for (qubit, alpha), bit in zip(pattern.steps, bits):
-                _, prob, current = qcore.measure(current, live.index(qubit), alpha, bit)
+                prob, current = measure(current, live.index(qubit), alpha, bit)
                 live.remove(qubit)
                 probs.append(prob)
         except ImpossibleOutcomeError:
@@ -356,6 +396,10 @@ def _forced_branches(state, pattern):
                     current = apply_gate(current, pattern.readout.index(target), CORRECTIONS[letter])
         branches.append((bits, float(math.prod(probs)), current))
     return branches
+
+
+def _forced_branches(state, pattern):
+    return _sequential_branches(state, pattern, _forced_measure)
 
 
 def _assert_same_branches(got, want):
@@ -402,6 +446,25 @@ def test_branch_distribution_equals_forced_runs():
                 _assert_same_branches(
                     branch_distribution(mapped, pattern), _forced_branches(mapped, pattern)
                 )
+
+
+def test_branch_distribution_matches_projector_runs():
+    rng = np.random.default_rng(41)
+    for state in _oracle_inputs(41):
+        patterns = [(to_box_frame, grover_pattern(marked)) for marked in MARKS]
+        alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
+        for frame, pattern_fn in ((to_horseshoe_frame, horseshoe_pattern), (to_box_frame, box_pattern)):
+            patterns += [(frame, pattern_fn(alpha, beta, feedforward=ff)) for ff in (True, False)]
+        for frame, pattern in patterns:
+            mapped = frame(state)
+            got = branch_distribution(mapped, pattern)
+            want = _sequential_branches(mapped, pattern, _projected)
+            assert [bits for bits, _, _ in got] == [bits for bits, _, _ in want]
+            for (_, prob, residual), (_, oracle_prob, oracle) in zip(got, want):
+                assert prob == pytest.approx(oracle_prob, rel=0.0, abs=1e-12)
+                assert type(residual) is type(oracle)
+                if oracle is not None:
+                    assert np.allclose(qcore._array(residual), qcore._array(oracle), rtol=0.0, atol=1e-12)
 
 
 def test_branch_distribution_checks_the_register():

@@ -29,10 +29,10 @@ from onewaysim.qcore import (
     apply_gate,
     expectation,
     hadamard,
-    ket,
 )
 
-from conftest import random_density, random_state
+import closed_forms
+from conftest import ket, random_density, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,9 @@ def test_noise_model_validation():
         NoiseModel(white_noise=1.5)
     with pytest.raises(ValueError):
         NoiseModel(path_dephasing_a=-0.1)
+    for name in ("path_dephasing_a", "path_dephasing_b", "white_noise"):
+        with pytest.raises(ValueError, match=name):
+            NoiseModel(**{name: 1.0 + 1e-9})  # just above the range
     assert NoiseModel.ideal().is_ideal()
     assert not NoiseModel(0.0, 0.0, 0.1).is_ideal()
 
@@ -429,13 +432,9 @@ def test_ideal_cluster_coincidences_are_half_even_parity():
 # ---------------------------------------------------------------------------
 
 
-_PAIR_SIGNS = {"D1-D2": 1.0, "D1-D4": -1.0, "D3-D2": -1.0, "D3-D4": 1.0}
-
-
 def _fringe_formula(model: NoiseModel, pair: str, theta: float) -> float:
-    p = model.white_noise
-    q = (1.0 - model.path_dephasing_a) * (1.0 - model.path_dephasing_b)
-    return (1.0 - p) / 8.0 * (1.0 + _PAIR_SIGNS[pair] * q * math.cos(theta)) + p / 16.0
+    q = closed_forms.dephasing_product(model.path_dephasing_a, model.path_dephasing_b)
+    return closed_forms.fringe(pair, model.white_noise, q, theta)
 
 
 def _fringe(model: NoiseModel, pair: str, theta: float) -> float:

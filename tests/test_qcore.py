@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from onewaysim import qcore
+from onewaysim.mbqc import MeasurementPattern, run_pattern
 from onewaysim.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
@@ -19,17 +20,14 @@ from onewaysim.qcore import (
     expectation,
     fidelity,
     hadamard,
-    ket,
-    measure,
     overlap,
     pauli_x,
     pauli_z,
     plus_state,
     rz,
-    swap_qubits,
 )
 
-from conftest import random_density, random_state, random_unitary_gate
+from conftest import ket, random_density, random_state, random_unitary_gate
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +63,8 @@ def test_tensor_view_shape():
 
 
 def test_density_matrix_validation():
+    with pytest.raises(ValueError, match="density matrix must be square"):
+        DensityMatrix(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3))  # dimension not a power of two
     with pytest.raises(ValueError):
@@ -193,6 +193,17 @@ def test_stacked_checks_raise_the_constructor_message_for_one_bad_member(rng):
         assert _raised(qcore._checked_states, stack) == _raised(StateVector, bad)
 
 
+def test_check_messages_print_plain_numbers():
+    # the norm and the trace read as Python numbers, not numpy scalar reprs,
+    # alone and when a stacked check raises the constructor's message
+    norm = "state norm 0.9055385138137417 is not 1 within 1e-10"
+    trace = "density matrix trace (2+0j) is not 1"
+    assert _raised(StateVector, [0.9, 0.1]) == norm
+    assert _raised(qcore._checked_states, [np.array([1.0, 0.0]), np.array([0.9, 0.1])]) == norm
+    assert _raised(DensityMatrix, np.eye(2)) == trace
+    assert _raised(qcore._checked_states, [np.eye(2) / 2, np.eye(2)]) == trace
+
+
 def test_stacked_checks_wrap_each_member_like_the_constructor(rng):
     for arrays, cls in (
         ([random_state(rng, 3).amplitudes for _ in range(4)], StateVector),
@@ -275,13 +286,11 @@ def test_cphase_is_symmetric_and_validated(rng):
 
 
 def test_swap_qubits_roundtrip(rng):
-    psi = random_state(rng, 4)
-    once = swap_qubits(psi, 1, 3)
-    twice = swap_qubits(once, 1, 3)
-    assert np.allclose(twice.amplitudes, psi.amplitudes)
-    assert np.allclose(
-        swap_qubits(ket("0100"), 1, 3).amplitudes, ket("0001").amplitudes
-    )
+    psi = random_state(rng, 4).amplitudes
+    once = qcore._swap_array(psi, 1, 3)
+    twice = qcore._swap_array(once, 1, 3)
+    assert np.allclose(twice, psi)
+    assert np.allclose(qcore._swap_array(ket("0100").amplitudes, 1, 3), ket("0001").amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +341,30 @@ def test_expectation_mixed_matches_pure(rng):
 # ---------------------------------------------------------------------------
 
 
+def _measure(state, qubit, alpha, bit):
+    """One forced B(alpha) measurement: the branch (outcomes, probability,
+    residual) of a one-step pattern that reads out every other qubit."""
+    rest = tuple(q for q in range(state.num_qubits) if q != qubit)
+    return run_pattern(state, MeasurementPattern(((qubit, alpha),), readout=rest), (bit,))
+
+
 def test_measure_plus_in_b0_is_deterministic():
-    outcome, prob, residual = measure(plus_state(1), 0, 0.0, 0)
-    assert outcome == 0 and prob == pytest.approx(1.0)
+    outcomes, prob, residual = _measure(plus_state(1), 0, 0.0, 0)
+    assert outcomes == (0,) and prob == pytest.approx(1.0)
     assert residual is None
 
 
 def test_measure_b_pi_flips_the_deterministic_outcome():
     # |+> lies in the alpha=0 basis, so at alpha=pi it is the "minus" vector
-    outcome, prob, _ = measure(plus_state(1), 0, math.pi, 1)
-    assert outcome == 1 and prob == pytest.approx(1.0)
+    outcomes, prob, _ = _measure(plus_state(1), 0, math.pi, 1)
+    assert outcomes == (1,) and prob == pytest.approx(1.0)
     with pytest.raises(ImpossibleOutcomeError):
-        measure(plus_state(1), 0, math.pi, 0)
+        _measure(plus_state(1), 0, math.pi, 0)
 
 
 def test_measure_forced_impossible_outcome():
     with pytest.raises(ImpossibleOutcomeError):
-        measure(plus_state(1), 0, 0.0, 1)
+        _measure(plus_state(1), 0, 0.0, 1)
 
 
 def test_measure_residual_keeps_qubit_order():
@@ -356,8 +372,8 @@ def test_measure_residual_keeps_qubit_order():
     state = StateVector(
         np.kron(np.kron(ket("0").amplitudes, plus_state(1).amplitudes), ket("1").amplitudes)
     )
-    outcome, prob, residual = measure(state, 1, 0.0, 0)
-    assert outcome == 0 and prob == pytest.approx(1.0)
+    outcomes, prob, residual = _measure(state, 1, 0.0, 0)
+    assert outcomes == (0,) and prob == pytest.approx(1.0)
     assert np.allclose(np.abs(residual.amplitudes), ket("01").amplitudes)
 
 
@@ -478,8 +494,8 @@ def test_measure_branch_decomposition(rng):
     psi = random_state(rng, 2)
     alpha = 0.7
     p0, p1 = _branch_weights(psi, 0, alpha)
-    _, q0, r0 = measure(psi, 0, alpha, 0)
-    _, q1, r1 = measure(psi, 0, alpha, 1)
+    _, q0, r0 = _measure(psi, 0, alpha, 0)
+    _, q1, r1 = _measure(psi, 0, alpha, 1)
     assert (q0, q1) == pytest.approx((p0, p1))
     mix = p0 * np.outer(r0.amplitudes, r0.amplitudes.conj()) + p1 * np.outer(
         r1.amplitudes, r1.amplitudes.conj()
@@ -501,8 +517,8 @@ def test_measure_mixed_matches_pure(rng):
         for branch in (0, 1):
             if p_pure[branch] < 1e-9:
                 continue
-            _, _, res_pure = measure(psi, 2, alpha, branch)
-            _, _, res_mixed = measure(rho, 2, alpha, branch)
+            _, _, res_pure = _measure(psi, 2, alpha, branch)
+            _, _, res_mixed = _measure(rho, 2, alpha, branch)
             assert np.allclose(
                 res_mixed.matrix,
                 np.outer(res_pure.amplitudes, res_pure.amplitudes.conj()),
@@ -520,20 +536,20 @@ def test_measure_mixed_matches_pure(rng):
             k = np.kron(np.kron(factors[0], factors[1]), factors[2])
             r = k @ rho.matrix @ k.conj().T
             weight = np.trace(r).real
-            outcome, prob, residual = measure(rho, qubit, alpha, branch)
-            assert outcome == branch
+            outcomes, prob, residual = _measure(rho, qubit, alpha, branch)
+            assert outcomes == (branch,)
             assert prob == pytest.approx(weight, abs=1e-12)
             assert np.allclose(residual.matrix, r / weight, atol=1e-12)
 
 
 def test_measure_mixed_single_qubit():
     rho = DensityMatrix(np.eye(2) / 2)
-    outcome, prob, residual = measure(rho, 0, 0.0, 0)
-    assert outcome == 0 and prob == pytest.approx(0.5) and residual is None
+    outcomes, prob, residual = _measure(rho, 0, 0.0, 0)
+    assert outcomes == (0,) and prob == pytest.approx(0.5) and residual is None
 
 
 def test_measurement_branches_equal_forced_measurements(rng):
-    # both outcomes of one split (the walk's kernel) against forced measure
+    # both outcomes of one split (the walk's kernel) against one-step patterns
     for make in (random_state, random_density):
         for num_qubits in (1, 3):
             state = make(rng, num_qubits)
@@ -542,8 +558,8 @@ def test_measurement_branches_equal_forced_measurements(rng):
             kept, residuals = qcore._branches(qcore._array(state)[None], qubit, alpha)
             assert [b[:2] for b in kept] == [(0, 0), (0, 1)]
             for i, (_, outcome, prob) in enumerate(kept):
-                forced_outcome, forced_prob, forced = measure(state, qubit, alpha, outcome)
-                assert (forced_outcome, forced_prob) == (outcome, prob)
+                forced_outcomes, forced_prob, forced = _measure(state, qubit, alpha, outcome)
+                assert (forced_outcomes, forced_prob) == ((outcome,), prob)
                 if forced is None:
                     assert residuals is None
                 else:
@@ -556,20 +572,20 @@ def test_measurement_branches_leave_out_impossible_outcomes():
         kept, residuals = qcore._branches(qcore._array(state)[None], 1, 0.0)
         assert kept == [(0, 0, pytest.approx(1.0, abs=1e-12))] and len(residuals) == 1
         with pytest.raises(ImpossibleOutcomeError):
-            measure(state, 1, 0.0, 1)
+            _measure(state, 1, 0.0, 1)
 
 
 def test_outcome_sources():
     # a forced bit is the only outcome source
     psi = plus_state(1)
-    assert measure(psi, 0, 0.0, np.int64(0))[:2] == (0, pytest.approx(1.0))
-    assert measure(psi, 0, 0.0, False)[:2] == (0, pytest.approx(1.0))
+    assert _measure(psi, 0, 0.0, np.int64(0))[:2] == ((0,), pytest.approx(1.0))
+    assert _measure(psi, 0, 0.0, False)[:2] == ((0,), pytest.approx(1.0))
     with pytest.raises(ValueError):
-        measure(psi, 0, 0.0, 7)
+        _measure(psi, 0, 0.0, 7)
     with pytest.raises(ValueError):
-        measure(psi, 0, 0.0, "zero")
+        _measure(psi, 0, 0.0, "zero")
     with pytest.raises(ValueError):
-        measure(psi, 0, 0.0, 1.0)
+        _measure(psi, 0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +614,8 @@ def test_entanglement_entropy_product_and_bell():
         entanglement_entropy(bell, [0, 1])
     with pytest.raises(IndexError):
         entanglement_entropy(bell, [5])
+    with pytest.raises(IndexError):
+        entanglement_entropy(bell, [2])  # the first index past the register
 
 
 def test_unitary_invariance_properties(rng):
