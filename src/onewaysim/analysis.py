@@ -30,17 +30,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cluster import BOX_FRAME, HORSESHOE_FRAME, FrameMap, c4_state
-from .mbqc import (
-    GateOutputSpec,
-    MeasurementPattern,
-    _byproduct_arrays,
-    box_gate,
-    box_pattern,
-    grover_run,
-    horseshoe_gate,
-    horseshoe_pattern,
-)
+from .cluster import FrameMap, c4_state
+from .mbqc import _GATES, GateOutputSpec, MeasurementPattern, _gate_output, grover_run
 from .photonics import (
     COINCIDENCE_RATE_HZ,
     NoiseModel,
@@ -57,7 +48,7 @@ from .qcore import (
     ImpossibleOutcomeError,
     PauliString,
     State,
-    _checked_states,
+    _check_stack,
     _density_array,
     _product_basis,
     expectation,
@@ -284,21 +275,11 @@ def _branch_maps(frame: FrameMap, pattern: MeasurementPattern) -> np.ndarray:
     source index), branches in lexicographic outcome order.
     """
     n = len(frame.sources)
-    rows = [frame.local_matrix(q) for q in range(n)]
-    for qubit, alpha in pattern.steps:
-        rows[qubit] = _b_alpha_basis(alpha) @ rows[qubit]
-    u = _product_basis(rows).reshape((2,) * (2 * n))
     steps = [q for q, _ in pattern.steps]
-    inputs = [n + frame.sources.index(k) for k in range(n)]
-    u = u.transpose(steps + list(pattern.readout) + inputs)
-    return u.reshape(2 ** len(steps), 2 ** len(pattern.readout), 2**n)
-
-
-# gate kind -> (graph frame, pattern, closed-form branch output)
-_GATES = {
-    "horseshoe": (HORSESHOE_FRAME, horseshoe_pattern, horseshoe_gate),
-    "box": (BOX_FRAME, box_pattern, box_gate),
-}
+    rows = frame.matrix.reshape((2,) * n + (2**n,))
+    rows = rows.transpose(steps + list(pattern.readout) + [n]).reshape(2 ** len(steps), -1)
+    bras = _product_basis([_b_alpha_basis(alpha) for _, alpha in pattern.steps])
+    return (bras @ rows).reshape(2 ** len(steps), 2 ** len(pattern.readout), 2**n)
 
 
 def gate_fidelity_report(
@@ -313,24 +294,23 @@ def gate_fidelity_report(
     unnormalised residual is R_s = K_s rho K_s^dagger (see
     :func:`_branch_maps`), read straight off the source-frame state for
     all four branches at once.  The fidelity is t_s^dagger R_s t_s /
-    tr R_s, with t_s the closed-form branch output: the (0, 0) output
-    with the pattern's feedforward Paulis of branch s.
+    tr R_s, with t_s the closed-form branch output: the gate's constant
+    byproduct table times the (0, 0) output, all four checked as one
+    stack.
     """
     if kind not in _GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
-    frame, pattern_fn, target_fn = _GATES[kind]
+    frame, pattern_fn, byproducts = _GATES[kind]
     pattern = pattern_fn(alpha, beta)
     maps = _branch_maps(frame, pattern)
-    branches = list(itertools.product((0, 1), repeat=len(pattern.steps)))
     rho = _density_array(_prepare_state(noise))
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
-    target = target_fn(GateOutputSpec(alpha, beta)).amplitudes
-    chains = [_byproduct_arrays(target, pattern, branch) for branch in branches]
-    _checked_states([a for chain in chains for a in chain])  # every byproduct step
-    targets = np.array([chain[-1] if chain else target for chain in chains])
+    targets = byproducts @ _gate_output(kind, GateOutputSpec(alpha, beta)).amplitudes
+    _check_stack(targets)
     overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     report = {}
+    branches = itertools.product((0, 1), repeat=len(pattern.steps))
     for branch, weight, value in zip(branches, weights, overlaps):
         if weight < _FORCED_MIN_WEIGHT:
             raise ImpossibleOutcomeError(f"gate branch {branch} has weight {weight:.3e}")

@@ -18,7 +18,7 @@ states between the |C4> frame and either graph frame, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,6 +32,7 @@ from .qcore import (
     _check_qubit,
     _checked_states,
     _gate_array,
+    _product_basis,
     _swap_array,
     apply_cphase,
     hadamard,
@@ -117,17 +118,26 @@ class FrameMap:
     one gate per qubit.
 
     Frame qubit q holds source qubit ``sources[q]`` and is then acted on
-    by ``gates[q]`` (None leaves it as it is).
+    by ``gates[q]`` (None leaves it as it is).  ``matrix`` is the whole
+    map on kets, built once and read-only.
     """
 
     sources: Tuple[int, ...]
     gates: Tuple[Optional[SingleQubitGate], ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.sources) != list(range(len(self.sources))):
             raise ValueError("frame sources must be a permutation of the qubits")
         if len(self.gates) != len(self.sources):
             raise ValueError("frame map needs one gate slot per qubit")
+        # the relabelling moves source ket entry order[i] to frame entry i
+        n = len(self.sources)
+        order = np.arange(2**n).reshape((2,) * n).transpose(self.sources).reshape(-1)
+        local = _product_basis([np.eye(2) if g is None else g.matrix for g in self.gates])
+        m = local[:, np.argsort(order)]
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     def apply(self, state: State) -> State:
         """The state in the new frame.  The swaps and gates run on arrays,
@@ -144,10 +154,6 @@ class FrameMap:
             if gate is not None:
                 steps.append(_gate_array(steps[-1], q, gate.matrix))
         return _checked_states(steps[1:])[-1] if len(steps) > 1 else state
-
-    def local_matrix(self, qubit: int) -> np.ndarray:
-        gate = self.gates[qubit]
-        return np.eye(2, dtype=complex) if gate is None else gate.matrix
 
 
 # |C4> frame -> graph frames

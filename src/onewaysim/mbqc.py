@@ -17,13 +17,14 @@ this module provides
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cluster import c4_state, to_box_frame
+from .cluster import BOX_FRAME, HORSESHOE_FRAME, c4_state, to_box_frame
 from .photonics import _PM_BASIS, _Z_BASIS
 from .qcore import (
     ImpossibleOutcomeError,
@@ -35,7 +36,6 @@ from .qcore import (
     _check_bit,
     _check_stack,
     _checked_states,
-    _cphase_array,
     _gate_array,
     _is_number,
     apply_cphase,
@@ -220,36 +220,60 @@ def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> Measurem
     )
 
 
-def _rotated_pair(spec: GateOutputSpec) -> StateVector:
-    """(H Rz(-alpha) x H Rz(-beta)) CPhase |++>, shared by both gates; |++>
-    and every later state are checked as one stack."""
-    steps = [np.full(4, 0.5, dtype=complex)]
-    steps.append(_cphase_array(steps[-1], 0, 1))
-    for qubit, gate in ((0, rz(-spec.alpha)), (1, rz(-spec.beta)), (0, _HADAMARD), (1, _HADAMARD)):
-        steps.append(_gate_array(steps[-1], qubit, gate.matrix))
-    return _checked_states(steps)[-1]
+def _byproduct_table(pattern: MeasurementPattern) -> np.ndarray:
+    """Each branch's feedforward as one Pauli product on the readout qubits,
+    stacked read-only as (branch, row, column) in lexicographic branch order:
+    column j is :func:`_byproduct_arrays`'s image of basis ket j."""
+    basis = np.eye(2 ** len(pattern.readout), dtype=complex)
+    branches = itertools.product((0, 1), repeat=len(pattern.steps))
+    images = [[(_byproduct_arrays(e, pattern, s) or [e])[-1] for e in basis] for s in branches]
+    table = np.array(images).transpose(0, 2, 1)
+    table.setflags(write=False)
+    return table
+
+
+# gate kind -> (graph frame, pattern, byproduct table); the feedforward
+# does not depend on the angles
+_GATES = {
+    kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))
+    for kind, frame, pattern_fn in (
+        ("horseshoe", HORSESHOE_FRAME, horseshoe_pattern),
+        ("box", BOX_FRAME, box_pattern),
+    )
+}
+
+# CZ|++> with one axis per qubit: entry (i, j) is the amplitude of |ij>
+_CZ_PLUS = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
+
+
+def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
+    """Branch (s2, s3): its byproducts times the (0, 0) output
+    (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
+    B = H Rz(-beta), whose |11> entry the box's extra CZ negates."""
+    a, b = (_HADAMARD.matrix @ rz(-t).matrix for t in (spec.alpha, spec.beta))
+    target = a @ _CZ_PLUS @ b.T
+    if kind == "box":
+        target[1, 1] = -target[1, 1]
+    return StateVector(_GATES[kind][2][2 * spec.s2 + spec.s3] @ target.reshape(4))
 
 
 def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
     """Closed-form output of the horseshoe pattern for one branch.
 
     Qubit 0 of the result is cluster qubit 1, qubit 1 is cluster qubit 4.
-    The pattern's byproducts X^{s2} (qubit 0) and X^{s3} (qubit 1) are
-    kept in the state, matching an uncorrected run.
+    The pattern's byproducts X^{s2} (qubit 0) and X^{s3} (qubit 1), one
+    entry of a constant table, are kept in the state as in an uncorrected run.
     """
-    pattern = horseshoe_pattern(spec.alpha, spec.beta)
-    return _apply_byproducts(_rotated_pair(spec), pattern, (spec.s2, spec.s3))
+    return _gate_output("horseshoe", spec)
 
 
 def box_gate(spec: GateOutputSpec) -> StateVector:
     """Closed-form output of the box pattern for one branch.
 
-    Same qubit convention as :func:`horseshoe_gate`; the pattern's
-    byproducts are (X x Z)^{s2} followed by (Z x X)^{s3}.
+    Same qubit convention and byproduct table as :func:`horseshoe_gate`;
+    the pattern's byproducts are (X x Z)^{s2} followed by (Z x X)^{s3}.
     """
-    pattern = box_pattern(spec.alpha, spec.beta)
-    pair = apply_cphase(_rotated_pair(spec), 0, 1)
-    return _apply_byproducts(pair, pattern, (spec.s2, spec.s3))
+    return _gate_output("box", spec)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onewaysim import analysis
+from onewaysim import analysis, qcore
 from onewaysim.analysis import (
     CountRecord,
     GroverReport,
@@ -121,6 +121,11 @@ def test_simulate_counts_validation():
         simulate_counts({"0": 0.7, "1": -0.3}, 100.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         simulate_counts({"0": 0.7, "1": 0.7}, 100.0, 1.0, seed=0)
+    # rounding residue down to -1e-9 is clipped to zero and never drawn
+    with pytest.raises(ValueError, match="negative probability"):
+        simulate_counts({"0": 1.0 + 2e-9, "1": -2e-9}, 100.0, 1.0, seed=0)
+    record = simulate_counts({"0": 1.0 + 5e-10, "1": -5e-10}, 100.0, 1.0, seed=0)
+    assert record.counts == {"0": record.total(), "1": 0} and record.total() > 0
 
 
 def test_simulate_witness_records_shape():
@@ -433,6 +438,37 @@ def test_gate_report_rejects_an_impossible_branch(monkeypatch):
         _gate_report_by_branches("horseshoe", 0.0, 0.3, state)
     with pytest.raises(ImpossibleOutcomeError, match="branch"):
         gate_fidelity_report("horseshoe", 0.0, 0.3)
+
+
+def test_gate_report_checks_the_source_the_target_and_one_stack(monkeypatch):
+    calls = []
+    init, norms, density = StateVector.__init__, qcore._check_norms, qcore._check_density
+
+    def counted_init(self, amplitudes):
+        calls.append("ket")
+        init(self, amplitudes)
+
+    def counted_norms(kets):
+        calls.append(("kets", len(kets)))
+        norms(kets)
+
+    def counted_density(matrices):
+        calls.append(("density", matrices.shape))
+        density(matrices)
+
+    monkeypatch.setattr(StateVector, "__init__", counted_init)
+    monkeypatch.setattr(qcore, "_check_norms", counted_norms)
+    monkeypatch.setattr(qcore, "_check_density", counted_density)
+    for kind, gate in (("horseshoe", horseshoe_gate), ("box", box_gate)):
+        # the source (the cluster ket, then the noisy matrix), the (0, 0)
+        # target, and its four byproduct images as one stack
+        for noise, source in ((None, ["ket"]), (FITTED_MODEL, ["ket", ("density", (16, 16))])):
+            calls.clear()
+            gate_fidelity_report(kind, 0.3, 1.1, noise)
+            assert calls == source + ["ket", ("kets", 4)]
+        calls.clear()
+        gate(GateOutputSpec(0.3, 1.1, 1, 1))
+        assert calls == ["ket"]
 
 
 # ---------------------------------------------------------------------------

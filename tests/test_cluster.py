@@ -23,6 +23,7 @@ from onewaysim.qcore import (
     DensityMatrix,
     PauliString,
     _array,
+    _density_array,
     apply_gate,
     expectation,
     hadamard,
@@ -139,7 +140,7 @@ def test_frame_map_relabels_before_its_gates():
     out = frame.apply(ket("001"))
     expected = (ket("000").amplitudes - ket("100").amplitudes) / np.sqrt(2)
     assert np.allclose(out.amplitudes, expected)
-    assert np.array_equal(frame.local_matrix(1), np.eye(2))
+    assert np.allclose(frame.matrix @ ket("001").amplitudes, expected)
 
 
 def _swapped(state, q, j):
@@ -175,6 +176,8 @@ def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
             mapped, oracle = frame.apply(state), _apply_one_by_one(frame, state)
             assert type(mapped) is type(oracle)
             assert np.array_equal(_array(mapped), _array(oracle))
+            m, rho = frame.matrix, _density_array(state)
+            assert np.allclose(m @ rho @ m.conj().T, _density_array(mapped), atol=1e-12)
     with pytest.raises(IndexError):
         BOX_FRAME.apply(ket("010"))
 

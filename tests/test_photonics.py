@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from onewaysim import photonics
 from onewaysim.cluster import c4_state
 from onewaysim.mbqc import GateOutputSpec
 from onewaysim.photonics import (
@@ -271,6 +272,9 @@ def test_fit_noise_is_no_worse_than_brute_force_on_random_targets():
         (1.0, -0.5, 0.0, 1.0, 2 * 0.25),  # keep = 1 and q = 0
         (-0.3, 0.2, 1.0, 0.0, 4 * 0.09 + 2 * 0.04),  # negative flat, positive mixed
         (0.3, -0.9, 0.7, 1.0, 2 * 0.81),  # positive flat, negative mixed
+        (-0.5, -0.5, 1.0, 0.0, 6 * 0.25),  # all negative: keep clipped to 0, q reported as 1
+        (1e-7, -0.5, 1.0 - 1e-7, 1.0, 2 * 0.25),  # q = 0 edge with keep just above 0
+        (0.0, 3e-7, 1.0 - 1e-7, 0.0, 4e-14 + 8e-14),  # q = 1 edge with keep just above 0
     ],
 )
 def test_fit_noise_boundary_targets(flat, mixed, white_noise, path_dephasing_b, residual):
@@ -644,3 +648,39 @@ def test_reference_tables_are_consistent():
     assert COINCIDENCE_RATE_HZ > 0
     for value, err in REFERENCE_WITNESS_TERMS.values():
         assert 0.0 < value < 1.0 and err > 0.0
+    # the acceptance gate reads some of these only through a mean or a
+    # margin, so a moved digit or a renamed key would pass it
+    quoted = {
+        "REFERENCE_WITNESS_TERMS": {
+            "XXIZ": (0.9070, 0.0036),
+            "XXZI": (0.9076, 0.0035),
+            "IIZZ": (0.9812, 0.0016),
+            "IZXX": (0.9071, 0.0037),
+            "ZIXX": (0.8911, 0.0040),
+            "ZZII": (0.9372, 0.0030),
+        },
+        "REFERENCE_WITNESS": (-0.766, 0.004),
+        "REFERENCE_FIDELITY_BOUND": (0.883, 0.002),
+        "REFERENCE_SEARCH_SUCCESS": (0.961, 0.002),
+        "REFERENCE_SEARCH_NO_FEEDFORWARD": (0.249, 0.004),
+        "REFERENCE_HORSESHOE_FIDELITIES": {
+            (0, 0): (0.954, 0.003),
+            (0, 1): (0.940, 0.004),
+            (1, 0): (0.936, 0.005),
+            (1, 1): (0.910, 0.005),
+        },
+        "REFERENCE_BOX_FIDELITIES": {
+            (0, 0): (0.935, 0.005),
+            (0, 1): (0.962, 0.004),
+            (1, 0): (0.969, 0.003),
+            (1, 1): (0.975, 0.003),
+        },
+        "REFERENCE_VISIBILITIES": {
+            "D1-D2": (0.842, 0.008),
+            "D1-D4": (0.943, 0.006),
+            "D3-D2": (0.968, 0.004),
+            "D3-D4": (0.949, 0.006),
+        },
+    }
+    tables = {name: table for name, table in vars(photonics).items() if "REFERENCE_" in name}
+    assert tables == quoted
