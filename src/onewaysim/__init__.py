@@ -17,7 +17,6 @@ from .qcore import (
     pauli_x,
     pauli_z,
     plus_state,
-    rz,
 )
 from .cluster import (
     BOX_GRAPH,

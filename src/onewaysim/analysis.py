@@ -9,6 +9,9 @@ polarizations along +/-) yields XXIZ, XXZI, IIZZ and ZZXX (paths on
 beam splitters, polarizations in H/V) yields IZXX, ZIXX, ZZII.  A
 negative expectation proves genuine four-partite entanglement, and
 F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
+Each setting's 3x16 matrix of its words' +/-1 outcome signs, applied to
+its coincidence table (photonics.joint_distribution), gives the exact
+terms, and applied to the counts drawn from that same table, estimates.
 
 Counting statistics follow the experiment: a Poisson distributed total
 number of coincidences per setting is split multinomially over the 16
@@ -36,7 +39,6 @@ from .photonics import (
     COINCIDENCE_RATE_HZ,
     NoiseModel,
     WITNESS_OBSERVABLES,
-    WITNESS_SETTINGS,
     _OUTCOME_KEYS,
     _b_alpha_basis,
     _check_setting,
@@ -46,12 +48,10 @@ from .photonics import (
 from .qcore import (
     _FORCED_MIN_WEIGHT,
     ImpossibleOutcomeError,
-    PauliString,
     State,
     _check_stack,
     _density_array,
     _product_basis,
-    expectation,
 )
 
 _SETTING_TERMS = {
@@ -96,13 +96,23 @@ def _report_from_terms(
     )
 
 
-_WITNESS_WORDS = tuple(PauliString(word) for word in WITNESS_OBSERVABLES)
+def _witness_tables(state: State) -> Dict[str, Dict[str, float]]:
+    """The coincidence table of each witness setting, by name."""
+    return {name: joint_distribution(state, name) for name in _SETTING_TERMS}
+
+
+def _exact_report(tables: Mapping[str, Mapping[str, float]]) -> WitnessReport:
+    """Each setting's sign matrix applied to its table, in joint_distribution's key order."""
+    terms: Dict[str, float] = {}
+    for name, words in _SETTING_TERMS.items():
+        terms.update(zip(words, (_SIGN_MATRICES[name] @ list(tables[name].values())).tolist()))
+    return _report_from_terms(terms)
 
 
 def witness_value(state: State) -> WitnessReport:
-    """Exact witness evaluation on a four-qubit state."""
-    terms = {word.letters: expectation(state, word) for word in _WITNESS_WORDS}
-    return _report_from_terms(terms)
+    """Exact witness evaluation on a four-qubit state, read off the same
+    coincidence tables the counts are drawn from."""
+    return _exact_report(_witness_tables(state))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +182,15 @@ def simulate_witness_records(
     seed: int = 0,
 ) -> Tuple[CountRecord, CountRecord]:
     """Counts for both witness settings of a four-qubit state."""
-    records = []
-    for index, name in enumerate(sorted(WITNESS_SETTINGS)):
-        probabilities = joint_distribution(state, name)
-        records.append(
-            simulate_counts(probabilities, rate, duration, (int(seed), index), setting=name)
-        )
-    return tuple(records)
+    return _draw_records(_witness_tables(state), rate, duration, seed)
+
+
+def _draw_records(tables, rate: float, duration: float, seed: int) -> Tuple[CountRecord, ...]:
+    """One record per setting, drawn from its table with seed (seed, sorted index)."""
+    return tuple(
+        simulate_counts(tables[name], rate, duration, (int(seed), index), setting=name)
+        for index, name in enumerate(sorted(tables))
+    )
 
 
 _KEY_INDEX = {key: index for index, key in enumerate(_OUTCOME_KEYS)}

@@ -43,14 +43,8 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
 
-from .analysis import (
-    NoCountsError,
-    gate_fidelity_report,
-    grover_report,
-    simulate_witness_records,
-    witness_from_counts,
-    witness_value,
-)
+from .analysis import NoCountsError, _draw_records, _exact_report, _witness_tables
+from .analysis import gate_fidelity_report, grover_report, witness_from_counts
 from .mbqc import _MARKS
 from .photonics import (
     COINCIDENCE_RATE_HZ,
@@ -330,9 +324,9 @@ def cmd_witness(cfg: dict, model: NoiseModel) -> _Result:
     theta = cfg["source.theta"]
     state = source_state(theta)
     prepared = state if model.is_ideal() else apply_noise(state, model)
-    exact = witness_value(prepared)
-    records = simulate_witness_records(prepared, cfg["rate"], cfg["duration"], cfg["seed"])
-    counted = witness_from_counts(records)
+    tables = _witness_tables(prepared)  # one per setting, for both reports
+    exact = _exact_report(tables)
+    counted = witness_from_counts(_draw_records(tables, cfg["rate"], cfg["duration"], cfg["seed"]))
     document = {
         "theta": theta,
         "exact": _report_fields(exact),

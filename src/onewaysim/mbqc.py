@@ -38,12 +38,12 @@ from .qcore import (
     _checked_states,
     _gate_array,
     _is_number,
+    _rz_matrix,
     apply_cphase,
     apply_gate,
     hadamard,
     pauli_x,
     pauli_z,
-    rz,
 )
 
 _CORRECTION_GATES = {"X": pauli_x(), "Z": pauli_z()}
@@ -250,7 +250,7 @@ def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
     """Branch (s2, s3): its byproducts times the (0, 0) output
     (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
     B = H Rz(-beta), whose |11> entry the box's extra CZ negates."""
-    a, b = (_HADAMARD.matrix @ rz(-t).matrix for t in (spec.alpha, spec.beta))
+    a, b = (_HADAMARD.matrix @ _rz_matrix(-t) for t in (spec.alpha, spec.beta))
     target = a @ _CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]

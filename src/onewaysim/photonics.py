@@ -37,10 +37,11 @@ from .qcore import (
     DensityMatrix,
     State,
     StateVector,
-    _basis_probabilities,
+    _array,
     _check_density,
     _density_array,
     _is_number,
+    _product_basis,
     _rotated_diagonal,
     hadamard,
 )
@@ -255,6 +256,9 @@ WITNESS_SETTINGS: Dict[str, Tuple[np.ndarray, ...]] = {
     "ZZXX": (_Z_BASIS, _Z_BASIS, _B0_BASIS, _B0_BASIS),
 }
 
+# setting name -> its readout rotation (x)U, built once (read-only)
+_SETTING_ROTATIONS = {name: _product_basis(bases) for name, bases in WITNESS_SETTINGS.items()}
+
 
 def _check_setting(setting) -> None:
     if not (isinstance(setting, str) and setting in WITNESS_SETTINGS):
@@ -270,14 +274,14 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
 
     ``setting`` names an entry of WITNESS_SETTINGS.  Keys are bit strings
     in register order (qubits 1..4); bit 0 stands for the first label of
-    each basis, so eigenvalue signs follow (-1)**bit.  Each qubit is
-    rotated into its readout basis, and the probabilities are the
-    diagonal of the rotated state.
+    each basis, so eigenvalue signs follow (-1)**bit.  The probabilities
+    are the diagonal of the state after the setting's readout rotation
+    (x)U, clipped at 0.
     """
     _check_setting(setting)
     if state.num_qubits != 4:
         raise ValueError("joint distribution is defined on the four-qubit register")
-    probs = np.maximum(_basis_probabilities(state, WITNESS_SETTINGS[setting]), 0.0)
+    probs = np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], _array(state)), 0.0)
     return dict(zip(_OUTCOME_KEYS, probs.tolist()))
 
 

@@ -240,11 +240,16 @@ def hadamard() -> SingleQubitGate:
     return SingleQubitGate((_PAULI_1Q["X"] + _PAULI_1Q["Z"]) / math.sqrt(2))
 
 
+def _rz_matrix(alpha: float) -> np.ndarray:
+    """diag(e^{-i alpha/2}, e^{i alpha/2}), unchecked: alpha must be finite."""
+    return np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+
+
 def rz(alpha: float) -> SingleQubitGate:
     """R_z(alpha) = exp(-i alpha Z / 2) for a finite angle alpha."""
     if not math.isfinite(alpha):  # before np.exp, which warns on inf
         raise ValueError(f"rz angle must be finite, got {alpha!r}")
-    return SingleQubitGate(np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)]))
+    return SingleQubitGate(_rz_matrix(alpha))
 
 
 def pauli_x() -> SingleQubitGate:
@@ -489,10 +494,11 @@ def _branches(stack: np.ndarray, qubit: int, alpha: float):
 
 
 def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of 2x2 matrices, qubit 0 first."""
+    """Kronecker product of 2x2 matrices, qubit 0 first (read-only)."""
     u = np.ones((1, 1), dtype=complex)
     for basis in bases:  # without np.kron's call overhead
         u = (u[:, None, :, None] * basis[None, :, None, :]).reshape(2 * len(u), 2 * len(u))
+    u.setflags(write=False)
     return u
 
 

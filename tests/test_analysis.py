@@ -1,6 +1,7 @@
 """Tests for witness evaluation, count simulation, and the gate and
 search summaries."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onewaysim import analysis, qcore
+from onewaysim import analysis, mbqc, qcore
 from onewaysim.analysis import (
     CountRecord,
     GroverReport,
@@ -20,9 +21,16 @@ from onewaysim.analysis import (
     witness_from_counts,
     witness_value,
 )
-from onewaysim.cluster import c4_state, to_box_frame, to_horseshoe_frame
+from onewaysim.cluster import (
+    BOX_FRAME,
+    HORSESHOE_FRAME,
+    c4_state,
+    to_box_frame,
+    to_horseshoe_frame,
+)
 from onewaysim.mbqc import (
     GateOutputSpec,
+    MeasurementPattern,
     box_gate,
     box_pattern,
     grover_run,
@@ -39,7 +47,7 @@ from onewaysim.photonics import (
     source_state,
     visibility_scans,
 )
-from onewaysim.qcore import ImpossibleOutcomeError, StateVector, fidelity
+from onewaysim.qcore import ImpossibleOutcomeError, PauliString, StateVector, expectation, fidelity
 
 import closed_forms
 from conftest import random_density, random_state
@@ -86,6 +94,37 @@ def test_witness_on_white_noise_only():
     for value in report.terms.values():
         assert value == pytest.approx(0.5, abs=1e-12)
     assert report.witness == pytest.approx(0.5, abs=1e-12)
+
+
+def _oracle_states(rng):
+    """Seeded random pure and mixed states, the ideal and fitted clusters,
+    and the noisy source over a phase grid."""
+    yield c4_state()
+    yield _fitted_state()
+    for _ in range(10):
+        yield random_state(rng, 4)
+        yield random_density(rng, 4)
+    for theta in np.linspace(-math.pi, math.pi, 13):
+        yield source_state(float(theta))
+        yield apply_noise(source_state(float(theta)), NoiseModel(0.05, 0.2, 0.1))
+
+
+def test_exact_terms_equal_the_pauli_word_traces(rng):
+    # the exact terms are sign tables applied to the coincidence tables; the
+    # trace tr(P rho) of each word is the independent oracle
+    for state in _oracle_states(rng):
+        report = witness_value(state)
+        for word in WITNESS_OBSERVABLES:
+            want = expectation(state, PauliString(word))
+            assert report.terms[word] == pytest.approx(want, rel=0.0, abs=1e-14), word
+        total = sum(expectation(state, PauliString(word)) for word in WITNESS_OBSERVABLES)
+        assert report.witness == pytest.approx((4.0 - total) / 2.0, rel=0.0, abs=1e-14)
+        assert report.fidelity_bound == 0.5 - 0.5 * report.witness
+
+
+def test_witness_value_needs_four_qubits():
+    with pytest.raises(ValueError, match="four-qubit register"):
+        witness_value(random_state(np.random.default_rng(0), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +477,40 @@ def test_gate_report_rejects_an_impossible_branch(monkeypatch):
         _gate_report_by_branches("horseshoe", 0.0, 0.3, state)
     with pytest.raises(ImpossibleOutcomeError, match="branch"):
         gate_fidelity_report("horseshoe", 0.0, 0.3)
+
+
+def test_gate_report_keeps_a_branch_at_the_floor(monkeypatch):
+    # a branch is kept at or above the forced-outcome floor, as in a walk
+    frame, pattern, _ = mbqc._GATES["box"]
+    maps = analysis._branch_maps(frame, pattern(0.4, 1.3))
+    rho = qcore._density_array(c4_state())
+    lightest = np.trace(maps @ rho @ maps.conj().swapaxes(1, 2), axis1=1, axis2=2).real.min()
+    monkeypatch.setattr(analysis, "_FORCED_MIN_WEIGHT", lightest)
+    assert len(gate_fidelity_report("box", 0.4, 1.3)) == 4
+    monkeypatch.setattr(analysis, "_FORCED_MIN_WEIGHT", np.nextafter(lightest, 1.0))
+    with pytest.raises(ImpossibleOutcomeError, match="branch"):
+        gate_fidelity_report("box", 0.4, 1.3)
+
+
+@pytest.mark.parametrize("frame", (HORSESHOE_FRAME, BOX_FRAME), ids=("horseshoe", "box"))
+@pytest.mark.parametrize("steps", ((2,), (1, 3, 0), (3, 0, 2)))
+def test_branch_maps_match_forced_runs_for_any_step_count(frame, steps):
+    # the gates measure two qubits of four; one or three steps (three or one
+    # readout qubits) pin the branch and readout dimensions of the maps
+    rng = np.random.default_rng(107)
+    alphas = (float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, size=len(steps)))
+    readout = tuple(q for q in range(4) if q not in steps)
+    pattern = MeasurementPattern(tuple(zip(steps, alphas)), readout)
+    maps = analysis._branch_maps(frame, pattern)
+    assert maps.shape == (2 ** len(steps), 2 ** len(readout), 16)
+    for make in (random_state, random_density):
+        state = make(rng, 4)
+        rho = qcore._density_array(state)
+        residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
+        for index, outcomes in enumerate(itertools.product((0, 1), repeat=len(steps))):
+            _, probability, residual = run_pattern(frame.apply(state), pattern, outcomes)
+            expected = probability * qcore._density_array(residual)
+            np.testing.assert_allclose(residuals[index], expected, rtol=0, atol=1e-13)
 
 
 def test_gate_report_checks_the_source_the_target_and_one_stack(monkeypatch):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import test_config_fuzz
 import test_golden
-from onewaysim import cli
+from onewaysim import analysis, cli, cluster, mbqc, photonics, qcore
+from onewaysim.analysis import simulate_witness_records, witness_from_counts, witness_value
 from onewaysim.cli import ConfigError, from_mapping, load_config, main
 from onewaysim.mbqc import grover_run
 
@@ -209,6 +210,40 @@ def test_witness_fitted_run(tmp_path):
     assert abs(document["counted"]["witness"] - document["exact"]["witness"]) < 0.03
 
 
+def _count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` made through any package module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for module in (qcore, cluster, photonics, mbqc, analysis, cli):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("noise", ["ideal", {"white_noise": 0.05, "path_dephasing_b": 0.1}])
+def test_witness_reads_one_table_per_setting(monkeypatch, noise):
+    cfg = from_mapping({"noise": noise, "source": {"theta": 0.4}, "seed": 9}, "witness")
+    model = cfg["noise"][0]
+    state = photonics.source_state(0.4)
+    state = state if model.is_ideal() else photonics.apply_noise(state, model)
+    exact = cli._report_fields(witness_value(state))
+    records = simulate_witness_records(state, cfg["rate"], cfg["duration"], cfg["seed"])
+    counted = cli._report_fields(witness_from_counts(records))
+    tables = _count_calls(monkeypatch, qcore._rotated_diagonal)
+    products = _count_calls(monkeypatch, qcore._product_basis)
+    traces = _count_calls(monkeypatch, qcore.expectation)
+    document = cli.cmd_witness(cfg, model)[0]
+    # one readout of each setting's table; no rotation built, no word traced
+    assert (len(tables), len(products), len(traces)) == (2, 0, 0)
+    assert document["exact"] == exact
+    assert document["counted"] == counted
+
+
 def test_grover_command(tmp_path):
     config = _write(
         tmp_path, "config.yaml", 'grover:\n  marked: "11"\n  feedforward: true\n'
@@ -358,7 +393,7 @@ def test_unparsable_config_bytes_exit_code(tmp_path, capsys, content):
 
 
 def test_oversized_config_exit_code(tmp_path, capsys):
-    cap = cli._MAX_CONFIG_BYTES
+    cap = 8192  # the limit the cli docstring states
     padded = "seed: 1\n" + "#" * (cap - 9) + "\n"
     assert main(["witness", "--config", _write(tmp_path, "at_cap.yaml", padded)]) == 0
     capsys.readouterr()
@@ -491,6 +526,7 @@ def test_negative_seed_exit_code(tmp_path, capsys):
     assert "'seed'" in capsys.readouterr().err
     assert main(["witness", "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+    assert main(["witness", "--seed", "0"]) == 0
 
 
 def test_rate_beyond_the_sampler_exit_code(tmp_path, capsys):
@@ -498,6 +534,8 @@ def test_rate_beyond_the_sampler_exit_code(tmp_path, capsys):
     assert main(["witness", "--config", config]) == 2
     message = capsys.readouterr().err
     assert "'rate'" in message and "'duration'" in message
+    # the cap itself, 1e18 expected coincidences, can still be drawn
+    assert from_mapping({"rate": 1e18}, "witness")["rate"] == 1e18
 
 
 @pytest.mark.parametrize(

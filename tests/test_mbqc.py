@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from onewaysim import qcore
+from onewaysim import mbqc, qcore
 from onewaysim.cluster import (
     BOX_GRAPH,
     HORSESHOE_GRAPH,
@@ -34,6 +34,7 @@ from onewaysim.photonics import NoiseModel, apply_noise
 from onewaysim.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
+    SingleQubitGate,
     StateVector,
     apply_cphase,
     apply_gate,
@@ -41,6 +42,7 @@ from onewaysim.qcore import (
     fidelity,
     hadamard,
     overlap,
+    rz,
 )
 
 import closed_forms
@@ -239,6 +241,37 @@ def test_gate_output_spec_validation():
         for bit in (True, 1.0, "1", None):
             with pytest.raises(ValueError, match=name):
                 GateOutputSpec(0.0, 0.0, **{name: bit})
+
+
+def _written_rz(t):
+    """R_z(t) = diag(e^{-i t/2}, e^{i t/2}), written out."""
+    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+
+def _with_written_rz(kind, spec):
+    """A gate output built from the written-out R_z: byproducts times
+    A C B^T, with A = H Rz(-alpha) and B = H Rz(-beta)."""
+    a, b = (hadamard().matrix @ _written_rz(-t) for t in (spec.alpha, spec.beta))
+    target = a @ mbqc._CZ_PLUS @ b.T
+    if kind == "box":
+        target[1, 1] = -target[1, 1]
+    return mbqc._GATES[kind][2][2 * spec.s2 + spec.s3] @ target.reshape(4)
+
+
+def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(rng, monkeypatch):
+    angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=(40, 2)).tolist()
+    angles += [[0.0, 0.0], [math.pi, -math.pi], [1e-300, 1e12]]
+    for t in np.ravel(angles):
+        assert np.array_equal(qcore._rz_matrix(t), _written_rz(t))
+        assert np.array_equal(rz(t).matrix, _written_rz(t))
+    specs = [GateOutputSpec(a, b, s2, s3) for a, b in angles for s2, s3 in BRANCHES]
+    expected = {kind: [_with_written_rz(kind, s) for s in specs] for kind in mbqc._GATES}
+    checks = []
+    monkeypatch.setattr(SingleQubitGate, "__post_init__", lambda self: checks.append(self))
+    for kind, build in (("horseshoe", horseshoe_gate), ("box", box_gate)):
+        for spec, want in zip(specs, expected[kind]):
+            assert np.array_equal(build(spec).amplitudes, want)
+    assert checks == []
 
 
 # ---------------------------------------------------------------------------

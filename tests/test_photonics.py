@@ -95,6 +95,7 @@ def test_noise_model_validation():
         with pytest.raises(ValueError, match=name):
             NoiseModel(**{name: 1.0 + 1e-9})  # just above the range
     assert NoiseModel.ideal().is_ideal()
+    assert NoiseModel() == NoiseModel.ideal()  # every parameter defaults to 0
     assert not NoiseModel(0.0, 0.0, 0.1).is_ideal()
 
 

@@ -74,6 +74,9 @@ def test_density_matrix_validation():
     m = np.diag([1.5, -0.5])
     with pytest.raises(ValueError):
         DensityMatrix(m)  # negative eigenvalue
+    # the entry bound is 2 itself: just above it, the entry check speaks first
+    with pytest.raises(ValueError, match="density matrix has an entry that is NaN or of modulus"):
+        DensityMatrix([[1.0, 2.001], [2.001, 0.0]])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
