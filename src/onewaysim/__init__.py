@@ -14,8 +14,6 @@ from .qcore import (
     fidelity,
     hadamard,
     overlap,
-    pauli_x,
-    pauli_z,
     plus_state,
 )
 from .cluster import (

@@ -130,8 +130,6 @@ class CountRecord:
     setting (a key of WITNESS_SETTINGS) the counts were taken in."""
 
     counts: Dict[str, int]
-    duration: float
-    rate: float
     setting: Optional[str] = None
 
     def total(self) -> int:
@@ -169,8 +167,6 @@ def simulate_counts(
     drawn = rng.multinomial(total, values) if total > 0 else np.zeros(len(keys), int)
     return CountRecord(
         counts={k: int(c) for k, c in zip(keys, drawn)},
-        duration=float(duration),
-        rate=float(rate),
         setting=setting,
     )
 

@@ -33,7 +33,6 @@ from .qcore import (
     _checked_states,
     _gate_array,
     _product_basis,
-    _swap_array,
     apply_cphase,
     hadamard,
     overlap,
@@ -140,20 +139,18 @@ class FrameMap:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, state: State) -> State:
-        """The state in the new frame.  The swaps and gates run on arrays,
-        and their intermediate states are checked as one stack."""
+        """The state in the new frame.  The relabelling is one transpose of
+        each side's qubit axes, the gates run on arrays, and the intermediate
+        states are checked as one stack."""
         _check_qubit(state, len(self.sources) - 1)
-        steps = [_array(state)]
-        held = list(range(len(self.sources)))
-        for q, source in enumerate(self.sources):
-            j = held.index(source)
-            if j != q:
-                steps.append(_swap_array(steps[-1], q, j))
-                held[q], held[j] = held[j], held[q]
+        a, n = _array(state), len(self.sources)
+        t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
+        axes = [s * n + q for s in range(a.ndim) for q in self.sources]
+        steps = [t.transpose(axes).reshape(a.shape)]
         for q, gate in enumerate(self.gates):
             if gate is not None:
                 steps.append(_gate_array(steps[-1], q, gate.matrix))
-        return _checked_states(steps[1:])[-1] if len(steps) > 1 else state
+        return _checked_states(steps)[-1]
 
 
 # |C4> frame -> graph frames

@@ -30,23 +30,21 @@ from .qcore import (
     ImpossibleOutcomeError,
     State,
     StateVector,
+    _PAULI_1Q,
     _array,
     _basis_probabilities,
     _branches,
     _check_bit,
     _check_stack,
     _checked_states,
-    _gate_array,
     _is_number,
+    _product_basis,
     _rz_matrix,
     apply_cphase,
     apply_gate,
     hadamard,
-    pauli_x,
-    pauli_z,
 )
 
-_CORRECTION_GATES = {"X": pauli_x(), "Z": pauli_z()}
 _HADAMARD = hadamard()
 
 
@@ -87,35 +85,29 @@ class MeasurementPattern:
             if qubit not in step_qubits:
                 raise ValueError(f"feedforward key {qubit} is not a step qubit")
             for letter, target in corrections:
-                if letter not in _CORRECTION_GATES:
+                if letter not in ("X", "Z"):
                     raise ValueError(f"unsupported correction {letter!r}")
                 if target not in readout:
                     raise ValueError(f"correction target {target} is not a readout qubit")
 
-    def correction_map(self) -> Dict[int, Tuple[Tuple[str, int], ...]]:
-        return {qubit: corrections for qubit, corrections in self.feedforward}
 
-
-def _byproduct_arrays(a: np.ndarray, pattern: MeasurementPattern, outcomes):
-    """The state arrays after each of the pattern's feedforward Paulis for
-    these step outcomes, applied in step order to the state array ``a``
-    (the readout qubits in ascending order); empty if none applies."""
-    corrections = pattern.correction_map()
-    steps = []
-    for (qubit, _), out in zip(pattern.steps, outcomes):
-        if out != 1:
-            continue
-        for letter, target in corrections.get(qubit, ()):
-            a = _gate_array(a, pattern.readout.index(target), _CORRECTION_GATES[letter].matrix)
-            steps.append(a)
-    return steps
-
-
-def _apply_byproducts(state: State, pattern: MeasurementPattern, outcomes) -> State:
-    """``state`` after the pattern's feedforward Paulis for these step
-    outcomes (see :func:`_byproduct_arrays`), checked as one stack."""
-    steps = _byproduct_arrays(_array(state), pattern, outcomes)
-    return _checked_states(steps)[-1] if steps else state
+def _byproduct_table(pattern: MeasurementPattern) -> np.ndarray:
+    """Each branch's feedforward as one Pauli product on the readout qubits,
+    stacked read-only as (branch, row, column) in lexicographic branch order.
+    Each correction of a step with outcome 1 is its letter's Pauli on the
+    target's readout position; in step order, each multiplies on the left."""
+    corrections = dict(pattern.feedforward)
+    table = []
+    for branch in itertools.product((0, 1), repeat=len(pattern.steps)):
+        m = np.eye(2 ** len(pattern.readout), dtype=complex)
+        for (qubit, _), bit in zip(pattern.steps, branch):
+            for letter, target in corrections.get(qubit, ()) if bit else ():
+                paulis = [_PAULI_1Q[letter if q == target else "I"] for q in pattern.readout]
+                m = _product_basis(paulis) @ m
+        table.append(m)
+    table = np.array(table)
+    table.setflags(write=False)
+    return table
 
 
 def branch_distribution(state: State, pattern: MeasurementPattern):
@@ -129,7 +121,9 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     of state arrays, split in one call into both outcomes of every prefix;
     a branch whose weight falls below the forced-outcome floor (1e-12 at
     some step) is dropped.  Each level's residuals are checked once as one
-    stack, and only the last level's are wrapped as states.
+    stack.  The last level's are corrected as one stack by their branches'
+    rows T of :func:`_byproduct_table`, T r for kets and T R T^dagger for
+    matrices, a signed permutation that moves no bit, then wrapped as states.
     """
     live = list(range(state.num_qubits))
     if sorted([q for q, _ in pattern.steps] + list(pattern.readout)) != live:
@@ -142,14 +136,17 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
         live.pop(pos)
         if len(live) > len(pattern.readout):  # a later step splits this level
             _check_stack(stack)
-    residuals = [None] * len(prefixes) if stack is None else _checked_states(stack)
+    if stack is None:
+        return [(outcomes, float(math.prod(probs)), None) for outcomes, probs in prefixes]
+    if pattern.feedforward:
+        t = _byproduct_table(pattern)[[int("".join(map(str, bits)), 2) for bits, _ in prefixes]]
+        if stack.ndim == 2:
+            stack = (t @ stack[..., None])[..., 0]
+        else:
+            stack = t @ stack @ t.conj().swapaxes(1, 2)
     return [
-        (
-            outcomes,
-            float(math.prod(probs)),
-            None if residual is None else _apply_byproducts(residual, pattern, outcomes),
-        )
-        for (outcomes, probs), residual in zip(prefixes, residuals)
+        (outcomes, float(math.prod(probs)), residual)
+        for (outcomes, probs), residual in zip(prefixes, _checked_states(stack))
     ]
 
 
@@ -218,18 +215,6 @@ def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> Measurem
     return MeasurementPattern(
         steps=((1, alpha), (2, beta)), readout=(0, 3), feedforward=ff
     )
-
-
-def _byproduct_table(pattern: MeasurementPattern) -> np.ndarray:
-    """Each branch's feedforward as one Pauli product on the readout qubits,
-    stacked read-only as (branch, row, column) in lexicographic branch order:
-    column j is :func:`_byproduct_arrays`'s image of basis ket j."""
-    basis = np.eye(2 ** len(pattern.readout), dtype=complex)
-    branches = itertools.product((0, 1), repeat=len(pattern.steps))
-    images = [[(_byproduct_arrays(e, pattern, s) or [e])[-1] for e in basis] for s in branches]
-    table = np.array(images).transpose(0, 2, 1)
-    table.setflags(write=False)
-    return table
 
 
 # gate kind -> (graph frame, pattern, byproduct table); the feedforward

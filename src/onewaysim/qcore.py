@@ -8,12 +8,12 @@ qubits and favours clarity over asymptotic speed.
 
 Every operation is written once for pure and mixed states: a state's
 array has a ket axis, followed by a bra axis for a mixed state only, and
-gates, CPhase, swaps and the B(alpha) split loop over the sides present.
-Each is a private kernel on arrays (``_gate_array``, ``_cphase_array``,
-``_swap_array``, and ``_branches`` on a stack of arrays); the public gate
-and CPhase functions are their kernels wrapped by ``_state``, and the
-frame maps and measurement walks chain the kernels.  ``_array``/``_state``
-alone map between the two classes and arrays.
+gates, CPhase and the B(alpha) split loop over the sides present.  Each
+is a private kernel on arrays (``_gate_array``, ``_cphase_array``, and
+``_branches`` on a stack of arrays); the public gate and CPhase functions
+are their kernels wrapped by ``_state``, and the frame maps and
+measurement walks chain the kernels.  ``_array``/``_state`` alone map
+between the two classes and arrays.
 
 States are checked where they enter: the public constructors check every
 state they build (no NaN and no entry too large for a state, which would
@@ -195,26 +195,17 @@ def _pauli_word_matrix(letters: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor word over {I, X, Y, Z} with a real coefficient, e.g. 'XXIZ'."""
+    """Tensor word over {I, X, Y, Z}, e.g. 'XXIZ'."""
 
     letters: str
-    coefficient: float = 1.0
 
     def __post_init__(self):
         if not self.letters or any(ch not in "IXYZ" for ch in self.letters):
             raise ValueError(f"invalid Pauli word {self.letters!r}")
-        if not (_is_number(self.coefficient) and math.isfinite(self.coefficient)):
-            raise ValueError(
-                f"coefficient must be a finite number, got {self.coefficient!r}"
-            )
 
     @property
     def num_qubits(self) -> int:
         return len(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix of the word times the coefficient."""
-        return self.coefficient * _pauli_word_matrix(self.letters)
 
 
 @dataclass(frozen=True)
@@ -243,21 +234,6 @@ def hadamard() -> SingleQubitGate:
 def _rz_matrix(alpha: float) -> np.ndarray:
     """diag(e^{-i alpha/2}, e^{i alpha/2}), unchecked: alpha must be finite."""
     return np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
-
-
-def rz(alpha: float) -> SingleQubitGate:
-    """R_z(alpha) = exp(-i alpha Z / 2) for a finite angle alpha."""
-    if not math.isfinite(alpha):  # before np.exp, which warns on inf
-        raise ValueError(f"rz angle must be finite, got {alpha!r}")
-    return SingleQubitGate(_rz_matrix(alpha))
-
-
-def pauli_x() -> SingleQubitGate:
-    return SingleQubitGate(_PAULI_1Q["X"])
-
-
-def pauli_z() -> SingleQubitGate:
-    return SingleQubitGate(_PAULI_1Q["Z"])
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +359,6 @@ def _cphase_array(a: np.ndarray, qubit_j: int, qubit_k: int) -> np.ndarray:
     return t.reshape(a.shape)
 
 
-def _swap_array(a: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """The state array ``a`` with two distinct qubit labels exchanged."""
-    n = _qubits(a)
-    perm = list(range(n))
-    perm[qubit_a], perm[qubit_b] = perm[qubit_b], perm[qubit_a]
-    t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
-    return t.transpose([s * n + p for s in range(a.ndim) for p in perm]).reshape(a.shape)
-
-
 def apply_gate(state: State, qubit: int, gate: SingleQubitGate) -> State:
     """Apply a single-qubit gate to one tensor factor.
 
@@ -418,8 +385,7 @@ def expectation(state: State, observable: PauliString) -> float:
             f"observable acts on {observable.num_qubits} qubits, "
             f"state has {state.num_qubits}"
         )
-    word = _pauli_word_matrix(observable.letters)
-    return observable.coefficient * _pairing(_array(state), word, "expectation")
+    return _pairing(_array(state), _pauli_word_matrix(observable.letters), "expectation")
 
 
 @lru_cache(maxsize=256)

@@ -86,6 +86,8 @@ EQUIVALENT = {
      "record.counts.get(marked, 1)"):
         "simulate_counts gives every outcome of the search table a key, so the "
         "default never applies",
+    ("mbqc", "_byproduct_table", "(0, 1)", "(0, 2)"):
+        "a branch bit is only tested for truth, and 2 is as true as 1",
 }
 RESHAPE = "numpy reads any negative length in a reshape as the one it infers"
 

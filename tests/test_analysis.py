@@ -137,7 +137,6 @@ def test_simulate_counts_reproducible():
     a = simulate_counts(probs, 1000.0, 1.0, seed=5)
     b = simulate_counts(probs, 1000.0, 1.0, seed=5)
     assert a.counts == b.counts
-    assert a.duration == 1.0 and a.rate == 1000.0
     c = simulate_counts(probs, 1000.0, 1.0, seed=6)
     assert c.counts != a.counts
 
@@ -165,6 +164,10 @@ def test_simulate_counts_validation():
         simulate_counts({"0": 1.0 + 2e-9, "1": -2e-9}, 100.0, 1.0, seed=0)
     record = simulate_counts({"0": 1.0 + 5e-10, "1": -5e-10}, 100.0, 1.0, seed=0)
     assert record.counts == {"0": record.total(), "1": 0} and record.total() > 0
+    # the bound itself: -1e-9 is clipped, and one part in 2000 below it is not
+    assert simulate_counts({"0": 1.0 + 1e-9, "1": -1e-9}, 100.0, 1.0, seed=0).counts["1"] == 0
+    with pytest.raises(ValueError, match="negative probability"):
+        simulate_counts({"0": 1.0 + 1.0005e-9, "1": -1.0005e-9}, 100.0, 1.0, seed=0)
 
 
 def test_simulate_witness_records_shape():
@@ -183,19 +186,9 @@ def test_simulate_witness_records_shape():
 
 def _hand_built_records():
     # XXZZ setting: every coincidence in the all-zero outcome
-    rec_a = CountRecord(
-        counts={"0000": 100},
-        duration=1.0,
-        rate=100.0,
-        setting="XXZZ",
-    )
+    rec_a = CountRecord(counts={"0000": 100}, setting="XXZZ")
     # ZZXX setting: an even split between all-zero and all-one outcomes
-    rec_b = CountRecord(
-        counts={"0000": 50, "1111": 50},
-        duration=1.0,
-        rate=100.0,
-        setting="ZZXX",
-    )
+    rec_b = CountRecord(counts={"0000": 50, "1111": 50}, setting="ZZXX")
     return [rec_a, rec_b]
 
 
@@ -222,8 +215,8 @@ def test_witness_from_hand_built_counts():
 
 def test_witness_from_counts_merges_duplicate_settings():
     rec_a, rec_b = _hand_built_records()
-    half_1 = CountRecord({"0000": 30, "1111": 20}, 0.5, 100.0, rec_b.setting)
-    half_2 = CountRecord({"0000": 20, "1111": 30}, 0.5, 100.0, rec_b.setting)
+    half_1 = CountRecord({"0000": 30, "1111": 20}, rec_b.setting)
+    half_2 = CountRecord({"0000": 20, "1111": 30}, rec_b.setting)
     merged = witness_from_counts([rec_a, half_1, half_2])
     combined = witness_from_counts([rec_a, rec_b])
     assert merged.terms == combined.terms
@@ -237,14 +230,14 @@ def test_witness_from_counts_validation():
     # the setting is one of the two names, nothing else
     for setting in (None, "XXXX", "zzxx", ("ZZXX",), WITNESS_SETTINGS["ZZXX"]):
         with pytest.raises(ValueError, match="setting must be one of"):
-            witness_from_counts([rec_a, CountRecord({"0000": 1}, 1.0, 1.0, setting)])
+            witness_from_counts([rec_a, CountRecord({"0000": 1}, setting)])
     with pytest.raises(ValueError):
         witness_from_counts(
-            [rec_a, CountRecord({"00": 1}, 1.0, 1.0, rec_b.setting)]
+            [rec_a, CountRecord({"00": 1}, rec_b.setting)]
         )
     with pytest.raises(ValueError):
         witness_from_counts(
-            [rec_a, CountRecord({"0000": -1}, 1.0, 1.0, rec_b.setting)]
+            [rec_a, CountRecord({"0000": -1}, rec_b.setting)]
         )
     # a count that is not an integer is rejected with its outcome key,
     # neither truncated nor, for a bool, read as 0 or 1
@@ -254,12 +247,12 @@ def test_witness_from_counts_validation():
         ("0011", {"0011": math.nan}),
     ):
         with pytest.raises(ValueError, match=f"'{key}'"):
-            witness_from_counts([rec_a, CountRecord(counts, 1.0, 1.0, rec_b.setting)])
+            witness_from_counts([rec_a, CountRecord(counts, rec_b.setting)])
 
 
 def test_setting_totals_stay_exact_past_float_precision():
     rec_a, rec_b = _hand_built_records()
-    big = CountRecord({"0000": 2**53, "0101": 1}, 1.0, 1.0, rec_a.setting)
+    big = CountRecord({"0000": 2**53, "0101": 1}, rec_a.setting)
     report = witness_from_counts([big, rec_b])
     assert report.setting_totals["XXZZ"] == 2**53 + 1
     assert type(report.setting_totals["XXZZ"]) is int
@@ -311,7 +304,7 @@ def test_closed_form_stderrs_equal_the_delta_method_sums():
                 keys = list(rng.choice(_KEYS, size=int(rng.integers(1, 17)), replace=False))
             scale = int(10 ** rng.integers(0, 7))
             buckets[name] = {str(k): int(rng.integers(1, scale + 1)) for k in keys}
-        records = [CountRecord(buckets[name], 1.0, 1.0, name) for name in buckets]
+        records = [CountRecord(buckets[name], name) for name in buckets]
         report = witness_from_counts(records)
         term_err, witness_err = _delta_method_reference(buckets)
         for word in WITNESS_OBSERVABLES:
@@ -343,7 +336,7 @@ def _bootstrap_stderrs(records, n_boot: int, seed: int):
         for record in records:
             keys = sorted(record.counts)
             drawn = rng.poisson([record.counts[key] for key in keys]).tolist()
-            resampled.append(CountRecord(dict(zip(keys, drawn)), 1.0, 1.0, record.setting))
+            resampled.append(CountRecord(dict(zip(keys, drawn)), record.setting))
         reports.append(witness_from_counts(resampled))
     term_err = {
         word: float(np.std([report.terms[word] for report in reports], ddof=1))

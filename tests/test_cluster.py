@@ -22,12 +22,13 @@ from onewaysim.cluster import (
 from onewaysim.qcore import (
     DensityMatrix,
     PauliString,
+    SingleQubitGate,
     _array,
     _density_array,
     apply_gate,
+    entanglement_entropy,
     expectation,
     hadamard,
-    rz,
 )
 
 from conftest import ket, random_density, random_state
@@ -105,6 +106,20 @@ def test_c4_witness_words_are_stabilizers():
         assert expectation(state, PauliString(word)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cluster_entropy_of_every_cut():
+    # the entropy across a cut of a graph state is the GF(2) rank of the
+    # adjacency block between its sides; cuts of 1, 2 and 3 qubits
+    expected = {
+        LINEAR_GRAPH: {(0,): 1, (1,): 1, (0, 1): 1, (0, 2): 2, (0, 3): 2, (0, 1, 2): 1},
+        BOX_GRAPH: {(0,): 1, (1,): 1, (0, 1): 2, (0, 2): 1, (0, 3): 2, (0, 1, 2): 1},
+    }
+    for graph, cuts in expected.items():
+        state = build_cluster(graph)
+        for keep, entropy in cuts.items():
+            assert entanglement_entropy(state, keep) == pytest.approx(entropy, abs=1e-12)
+    assert entanglement_entropy(c4_state(), (0, 2)) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_horseshoe_equivalence():
     built, mapped, value = horseshoe_equivalence()
     assert value == pytest.approx(1.0, abs=1e-12)
@@ -170,7 +185,8 @@ def _apply_one_by_one(frame, state):
 
 def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
     states = [c4_state(), random_state(rng, 4), random_density(rng, 4)]
-    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (None, hadamard(), rz(0.3), None)))
+    rz = SingleQubitGate(np.diag([np.exp(-0.15j), np.exp(0.15j)]))  # R_z(0.3)
+    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (None, hadamard(), rz, None)))
     for frame in frames:
         for state in states:
             mapped, oracle = frame.apply(state), _apply_one_by_one(frame, state)

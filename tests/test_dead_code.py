@@ -1,7 +1,8 @@
 """No dead names in the package: every module-level private name is used
 by some module of ``src/onewaysim``, every export is reached by the
-package or the acceptance gate, and every import is used by the module
-that makes it.
+package or the acceptance gate, every module-level public function or
+class is exported or read outside its own definition, and every import
+is used by the module that makes it.
 
 A deletion that leaves a helper, a table or an import behind fails here.
 The package's ``__init__`` re-exports what it imports, and
@@ -47,6 +48,16 @@ def _private_definitions(tree):
         yield from (name for name in targets if name.startswith("_") and not name.endswith("__"))
 
 
+def _exports():
+    """The names the package's ``__init__`` imports and so exports."""
+    return {
+        alias.name
+        for node in MODULES["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def test_every_private_name_is_used_in_the_package():
     used = set().union(*map(_loaded_names, MODULES.values()))
     unused = [
@@ -59,16 +70,30 @@ def test_every_private_name_is_used_in_the_package():
 
 
 def test_every_export_is_read_by_the_package_or_the_acceptance_gate():
-    exports = {
-        alias.name
-        for node in MODULES["__init__"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exports = _exports()
     trees = [tree for module, tree in MODULES.items() if module != "__init__"]
     trees.append(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
     read = set().union(*map(_loaded_names, trees))
     assert sorted(exports - read) == []
+
+
+def test_every_public_function_and_class_is_exported_or_read():
+    exports = _exports()
+    # the names each top-level statement reads, so that a definition's
+    # reads of its own name (recursion) do not keep it alive
+    statements = [node for tree in MODULES.values() for node in tree.body]
+    statements.append(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    reads = [(node, _loaded_names(node)) for node in statements]
+    dead = [
+        f"{module}.{node.name}"
+        for module, tree in sorted(MODULES.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exports
+        and not any(node.name in names for other, names in reads if other is not node)
+    ]
+    assert dead == []
 
 
 def test_every_import_is_used_by_its_module():

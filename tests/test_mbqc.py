@@ -42,7 +42,6 @@ from onewaysim.qcore import (
     fidelity,
     hadamard,
     overlap,
-    rz,
 )
 
 import closed_forms
@@ -263,7 +262,6 @@ def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(rng, monkeypatch):
     angles += [[0.0, 0.0], [math.pi, -math.pi], [1e-300, 1e12]]
     for t in np.ravel(angles):
         assert np.array_equal(qcore._rz_matrix(t), _written_rz(t))
-        assert np.array_equal(rz(t).matrix, _written_rz(t))
     specs = [GateOutputSpec(a, b, s2, s3) for a, b in angles for s2, s3 in BRANCHES]
     expected = {kind: [_with_written_rz(kind, s) for s in specs] for kind in mbqc._GATES}
     checks = []
@@ -372,7 +370,11 @@ def test_lab_distribution_rejects_other_registers():
 # agrees within 1e-12
 
 MARKS = ("00", "01", "10", "11")
-CORRECTIONS = {"X": qcore.pauli_x(), "Z": qcore.pauli_z()}
+# the byproduct Paulis, written out
+CORRECTIONS = {
+    "X": SingleQubitGate([[0, 1], [1, 0]]),
+    "Z": SingleQubitGate([[1, 0], [0, -1]]),
+}
 
 
 def _forced_measure(state, qubit, alpha, bit):
@@ -422,7 +424,7 @@ def _sequential_branches(state, pattern, measure):
                 probs.append(prob)
         except ImpossibleOutcomeError:
             continue
-        corrections = pattern.correction_map()
+        corrections = dict(pattern.feedforward)
         for (qubit, _), bit in zip(pattern.steps, bits):
             if bit:
                 for letter, target in corrections.get(qubit, ()):
@@ -462,6 +464,32 @@ def _oracle_inputs(seed):
     return states
 
 
+def _random_feedforward_patterns(rng):
+    """Seeded patterns with feedforward, three for each count of 1-3 steps
+    and 1-3 readout qubits, with qubits and steps in random order: one where
+    each step corrects a random list of readout targets, listed in random
+    order; one where a single step puts X then Z on one target (the order
+    flips a ket's sign); and one where every step corrects that target,
+    alternating Z and X."""
+    patterns = []
+    for num_steps, num_readout in itertools.product((1, 2, 3), repeat=2):
+        qubits = rng.permutation(num_steps + num_readout).tolist()
+        step_qubits, readout = qubits[:num_steps], qubits[num_steps:]
+        steps = tuple(zip(step_qubits, rng.uniform(-math.pi, math.pi, size=num_steps).tolist()))
+        lists = [
+            (q, tuple((str(rng.choice(["X", "Z"])), int(rng.choice(readout))) for _ in range(size)))
+            for q, size in zip(step_qubits, rng.integers(1, 4, size=num_steps).tolist())
+        ]
+        target = int(rng.choice(readout))
+        for feedforward in (
+            tuple(lists[i] for i in rng.permutation(num_steps)),
+            ((step_qubits[-1], (("X", target), ("Z", target))),),
+            tuple((q, (("ZX"[k % 2], target),)) for k, q in enumerate(step_qubits)),
+        ):
+            patterns.append(MeasurementPattern(steps, tuple(readout), feedforward))
+    return patterns
+
+
 def test_branch_distribution_equals_forced_runs():
     rng = np.random.default_rng(41)
     for state in _oracle_inputs(41):
@@ -479,6 +507,12 @@ def test_branch_distribution_equals_forced_runs():
                 _assert_same_branches(
                     branch_distribution(mapped, pattern), _forced_branches(mapped, pattern)
                 )
+    for pattern in _random_feedforward_patterns(rng):
+        n = len(pattern.steps) + len(pattern.readout)
+        for state in (random_state(rng, n), random_density(rng, n)):
+            _assert_same_branches(
+                branch_distribution(state, pattern), _forced_branches(state, pattern)
+            )
 
 
 def test_branch_distribution_matches_projector_runs():

@@ -581,11 +581,22 @@ def test_visibility_scans_match_projector_oracle(rng, samples):
             assert visibility_scans(model, (scan.detector_pair,), samples) == (scan,)
 
 
-def test_long_scan_is_built_in_blocks():
-    # more phases than one stack holds: the blocks must join seamlessly
+def test_long_scan_is_built_in_blocks(monkeypatch):
+    # more phases than one stack holds: the blocks must join seamlessly,
+    # and no stack holds more than 1024 phases (~4 MB)
+    sizes = []
+    check = photonics._check_density
+
+    def counted(stack):
+        sizes.append(len(stack))
+        check(stack)
+
+    monkeypatch.setattr(photonics, "_check_density", counted)
     model = NoiseModel(0.1, 0.05, 0.2)
     samples = 2 * 1024 + 6
-    for scan in visibility_scans(model, DETECTOR_PAIRS, samples):
+    scans = visibility_scans(model, DETECTOR_PAIRS, samples)
+    assert sizes == [1024, 1024, 6]
+    for scan in scans:
         assert len(scan.probabilities) == samples
         expected = [_fringe_formula(model, scan.detector_pair, t) for t in scan.thetas]
         assert scan.probabilities == pytest.approx(expected, abs=1e-12)

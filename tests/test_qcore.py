@@ -21,10 +21,7 @@ from onewaysim.qcore import (
     fidelity,
     hadamard,
     overlap,
-    pauli_x,
-    pauli_z,
     plus_state,
-    rz,
 )
 
 from conftest import ket, random_density, random_state, random_unitary_gate
@@ -94,8 +91,6 @@ def test_constructors_reject_nan_and_inf(value):
             DensityMatrix(matrix)
         with pytest.raises(ValueError, match="not unitary"):
             SingleQubitGate(matrix)
-    with pytest.raises(ValueError, match="rz angle must be finite"):
-        rz(value)
     # huge finite entries raise the check's error before any arithmetic overflows
     with pytest.raises(ValueError, match="state norm"):
         StateVector([1e200, 1.0])
@@ -243,20 +238,21 @@ def test_ket_and_plus():
 def test_gate_constructors():
     h = hadamard().matrix
     assert np.allclose(h @ h, np.eye(2))
-    assert np.allclose(rz(0.0).matrix, np.eye(2))
+    assert np.allclose(qcore._rz_matrix(0.0), np.eye(2))
     # Rz(pi) = -iZ
-    assert np.allclose(rz(math.pi).matrix, -1j * pauli_z().matrix)
+    assert np.allclose(qcore._rz_matrix(math.pi), -1j * np.diag([1, -1]))
     with pytest.raises(ValueError):
         SingleQubitGate(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_apply_gate_single_qubit_placement():
-    psi = apply_gate(ket("00"), 1, pauli_x())
+    x = SingleQubitGate([[0, 1], [1, 0]])
+    psi = apply_gate(ket("00"), 1, x)
     assert np.allclose(psi.amplitudes, ket("01").amplitudes)
-    psi = apply_gate(ket("00"), 0, pauli_x())
+    psi = apply_gate(ket("00"), 0, x)
     assert np.allclose(psi.amplitudes, ket("10").amplitudes)
     with pytest.raises(IndexError):
-        apply_gate(ket("00"), 2, pauli_x())
+        apply_gate(ket("00"), 2, x)
 
 
 def test_apply_gate_density_consistency(rng):
@@ -288,14 +284,6 @@ def test_cphase_is_symmetric_and_validated(rng):
         apply_cphase(psi, 1, 1)
 
 
-def test_swap_qubits_roundtrip(rng):
-    psi = random_state(rng, 4).amplitudes
-    once = qcore._swap_array(psi, 1, 3)
-    twice = qcore._swap_array(once, 1, 3)
-    assert np.allclose(twice, psi)
-    assert np.allclose(qcore._swap_array(ket("0100").amplitudes, 1, 3), ket("0001").amplitudes)
-
-
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
@@ -304,13 +292,6 @@ def test_swap_qubits_roundtrip(rng):
 def test_pauli_string_validation():
     with pytest.raises(ValueError):
         PauliString("AB")
-    for coefficient in (float("nan"), math.inf, True, "x", None):
-        with pytest.raises(ValueError, match="coefficient"):
-            PauliString("XZ", coefficient)
-    assert np.allclose(
-        PauliString("XZ", coefficient=2.0).matrix(),
-        2.0 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]),
-    )
 
 
 def test_expectation_known_values():
