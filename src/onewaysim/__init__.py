@@ -7,14 +7,11 @@ from .qcore import (
     PauliString,
     SingleQubitGate,
     StateVector,
-    apply_cphase,
-    apply_gate,
     entanglement_entropy,
     expectation,
     fidelity,
     hadamard,
     overlap,
-    plus_state,
 )
 from .cluster import (
     BOX_GRAPH,

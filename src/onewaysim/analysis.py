@@ -155,16 +155,21 @@ def simulate_counts(
     if not keys:
         raise ValueError("empty probability table")
     values = np.array([float(probabilities[k]) for k in keys])
+    # NaN, inf and any entry the sum check would reject, before summing
+    bad = ~(np.isfinite(values) & (values <= 1.0 + 1e-6))
+    if bad.any():
+        key = keys[int(bad.argmax())]
+        raise ValueError(f"probability of {key!r} is {float(probabilities[key])!r}, not in [0, 1]")
     if values.min() < -1e-9:
         raise ValueError("negative probability")
     values = np.clip(values, 0.0, None)
-    total_p = values.sum()
+    total_p = float(values.sum())
     if abs(total_p - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total_p!r}, not 1")
     values = values / total_p
     rng = np.random.default_rng(seed)
     total = int(rng.poisson(rate * duration))
-    drawn = rng.multinomial(total, values) if total > 0 else np.zeros(len(keys), int)
+    drawn = rng.multinomial(total, values)
     return CountRecord(
         counts={k: int(c) for k, c in zip(keys, drawn)},
         setting=setting,

@@ -32,16 +32,14 @@ from .qcore import (
     StateVector,
     _PAULI_1Q,
     _array,
-    _basis_probabilities,
     _branches,
     _check_bit,
     _check_stack,
     _checked_states,
     _is_number,
     _product_basis,
+    _rotated_diagonal,
     _rz_matrix,
-    apply_cphase,
-    apply_gate,
     hadamard,
 )
 
@@ -81,9 +79,12 @@ class MeasurementPattern:
         if set(readout) & set(step_qubits):
             raise ValueError("readout qubits overlap with step qubits")
         object.__setattr__(self, "readout", readout)
+        keys = [qubit for qubit, _ in self.feedforward]
         for qubit, corrections in self.feedforward:
             if qubit not in step_qubits:
                 raise ValueError(f"feedforward key {qubit} is not a step qubit")
+            if keys.count(qubit) > 1:
+                raise ValueError(f"feedforward key {qubit} is listed more than once")
             for letter, target in corrections:
                 if letter not in ("X", "Z"):
                     raise ValueError(f"unsupported correction {letter!r}")
@@ -355,6 +356,15 @@ def grover_run(
 
 BELL_LABELS = ("++", "+-", "-+", "--")
 
+# the whole interferometer as one readout rotation, (PM x Z)(I x H) CZ:
+# row k is the bra of outcome k (polarization bit first)
+_BELL_READOUT = (
+    _product_basis((_PM_BASIS, _Z_BASIS))
+    @ _product_basis((np.eye(2), _HADAMARD.matrix))
+    @ np.diag([1.0, 1.0, 1.0, -1.0])
+)
+_BELL_READOUT.setflags(write=False)
+
 
 def bell_probabilities(state: State) -> Dict[str, float]:
     """Outcome probabilities of the discrimination interferometer.
@@ -363,12 +373,11 @@ def bell_probabilities(state: State) -> Dict[str, float]:
     of a single photon.  A birefringent element applies a CPhase between
     the two degrees of freedom, the path meets a beam splitter, then
     polarization is analyzed along +/- and the output port is recorded.
-    Labels: first character is the polarization ('+' for outcome 0),
-    second the port ('+' for port 0).
+    The three steps are one constant rotation, and the probabilities are
+    the diagonal of the rotated state.  Labels: first character is the
+    polarization ('+' for outcome 0), second the port ('+' for port 0).
     """
     if state.num_qubits != 2:
         raise ValueError("discrimination acts on one photon: two qubits")
-    probe = apply_cphase(state, 0, 1)
-    probe = apply_gate(probe, 1, _HADAMARD)
-    probs = np.maximum(_basis_probabilities(probe, (_PM_BASIS, _Z_BASIS)), 0.0)
+    probs = np.maximum(_rotated_diagonal(_BELL_READOUT, _array(state)), 0.0)
     return dict(zip(BELL_LABELS, probs.tolist()))

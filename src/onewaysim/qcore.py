@@ -8,12 +8,15 @@ qubits and favours clarity over asymptotic speed.
 
 Every operation is written once for pure and mixed states: a state's
 array has a ket axis, followed by a bra axis for a mixed state only, and
-gates, CPhase and the B(alpha) split loop over the sides present.  Each
-is a private kernel on arrays (``_gate_array``, ``_cphase_array``, and
-``_branches`` on a stack of arrays); the public gate and CPhase functions
-are their kernels wrapped by ``_state``, and the frame maps and
-measurement walks chain the kernels.  ``_array``/``_state`` alone map
-between the two classes and arrays.
+the gate and the B(alpha) split loop over the sides present.  Each is a
+private kernel on arrays (``_gate_array`` on one array, ``_branches`` on
+a stack of arrays); the frame maps chain the gate kernel, whose rounding
+the search tables keep, and the measurement walks the split.  No other
+fixed circuit runs gate by gate: a cluster is one closed form, and a
+readout (the witness settings, the output interferometer) is one
+read-only matrix whose rotated diagonal ``_rotated_diagonal`` reads.
+``_array`` maps a state to its array; the constructors, or
+``_checked_states`` for a stack, map arrays back.
 
 States are checked where they enter: the public constructors check every
 state they build (no NaN and no entry too large for a state, which would
@@ -237,24 +240,6 @@ def _rz_matrix(alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state construction helpers
-# ---------------------------------------------------------------------------
-
-
-def plus_state(num_qubits: int) -> StateVector:
-    """|+>^n, the starting point of every cluster."""
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
-    dim = 2**num_qubits
-    return StateVector(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
-
-
-def _check_qubit(state: State, qubit: int) -> None:
-    if not 0 <= qubit < state.num_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-
-
-# ---------------------------------------------------------------------------
 # state arrays
 # ---------------------------------------------------------------------------
 
@@ -267,11 +252,6 @@ def _array(state: State) -> np.ndarray:
 def _qubits(a: np.ndarray) -> int:
     """The qubit count of a state array."""
     return int(a.shape[0]).bit_length() - 1
-
-
-def _state(array: np.ndarray) -> State:
-    """The (checked) state whose array is ``array``; see :func:`_array`."""
-    return StateVector(array) if array.ndim == 1 else DensityMatrix(array)
 
 
 def _check_stack(stack: np.ndarray) -> None:
@@ -346,36 +326,6 @@ def _gate_array(a: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
         t = np.dot(u if side == 0 else u.conj(), front.reshape(2, -1)).reshape(front.shape)
         t = t.transpose(list(range(1, axis + 1)) + [0] + list(range(axis + 1, t.ndim)))
     return t.reshape(a.shape)
-
-
-def _cphase_array(a: np.ndarray, qubit_j: int, qubit_k: int) -> np.ndarray:
-    """CPhase between two distinct qubits of the state array ``a``."""
-    n = _qubits(a)
-    t = a.reshape((2,) * (n * a.ndim)).copy()
-    for side in range(a.ndim):
-        both = [slice(None)] * t.ndim  # the |11> block of this side
-        both[side * n + qubit_j] = both[side * n + qubit_k] = 1
-        t[tuple(both)] *= -1.0
-    return t.reshape(a.shape)
-
-
-def apply_gate(state: State, qubit: int, gate: SingleQubitGate) -> State:
-    """Apply a single-qubit gate to one tensor factor.
-
-    Works on state vectors and density matrices (the latter are
-    conjugated, rho -> U rho U^dagger).
-    """
-    _check_qubit(state, qubit)
-    return _state(_gate_array(_array(state), qubit, gate.matrix))
-
-
-def apply_cphase(state: State, qubit_j: int, qubit_k: int) -> State:
-    """CPhase: |j>|k> -> (-1)^{jk} |j>|k> on the two given qubits."""
-    _check_qubit(state, qubit_j)
-    _check_qubit(state, qubit_k)
-    if qubit_j == qubit_k:
-        raise ValueError("CPhase needs two distinct qubits")
-    return _state(_cphase_array(_array(state), qubit_j, qubit_k))
 
 
 def expectation(state: State, observable: PauliString) -> float:
@@ -466,16 +416,6 @@ def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
         u = (u[:, None, :, None] * basis[None, :, None, :]).reshape(2 * len(u), 2 * len(u))
     u.setflags(write=False)
     return u
-
-
-def _basis_probabilities(state: State, bases: Sequence[np.ndarray]) -> np.ndarray:
-    """Born probabilities of reading every qubit in its own basis.
-
-    ``bases[q]`` is a 2x2 unitary whose row k is the bra of outcome k on
-    qubit q, so the probabilities are the diagonal of (x)U rho (x)U^dagger,
-    indexed like basis states.
-    """
-    return _rotated_diagonal(_product_basis(bases), _array(state))
 
 
 def _check_bit(outcome) -> None:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from onewaysim.qcore import DensityMatrix, SingleQubitGate, StateVector
+from onewaysim.cluster import ClusterGraph, build_cluster
+from onewaysim.qcore import DensityMatrix, SingleQubitGate, StateVector, _array, _gate_array
 
 
 def ket(bits: str) -> StateVector:
@@ -11,6 +12,17 @@ def ket(bits: str) -> StateVector:
     amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[int(bits, 2)] = 1.0
     return StateVector(amps)
+
+
+def plus(num_qubits: int) -> StateVector:
+    """|+>^n: the cluster of a graph with no edges."""
+    return build_cluster(ClusterGraph(num_qubits, ()))
+
+
+def one_qubit_gate(state, qubit: int, u: np.ndarray):
+    """The 2x2 matrix ``u`` on one qubit of a state through the gate
+    kernel, the result checked by the state's constructor."""
+    return type(state)(_gate_array(_array(state), qubit, u))
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:

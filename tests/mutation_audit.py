@@ -88,6 +88,9 @@ EQUIVALENT = {
         "default never applies",
     ("mbqc", "_byproduct_table", "(0, 1)", "(0, 2)"):
         "a branch bit is only tested for truth, and 2 is as true as 1",
+    ("analysis", "simulate_counts", "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06"):
+        "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "
+        "so the two never meet",
 }
 RESHAPE = "numpy reads any negative length in a reshape as the one it infers"
 

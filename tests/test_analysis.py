@@ -153,6 +153,8 @@ def test_simulate_counts_validation():
         simulate_counts({"0": 0.5, "1": 0.5}, 0.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         simulate_counts({"0": 0.5, "1": 0.5}, 100.0, -1.0, seed=0)
+    with pytest.raises(ValueError, match="rate and duration must be positive"):
+        simulate_counts({"0": 0.5, "1": 0.5}, 100.0, 0.0, seed=0)
     with pytest.raises(ValueError):
         simulate_counts({}, 100.0, 1.0, seed=0)
     with pytest.raises(ValueError):
@@ -168,6 +170,25 @@ def test_simulate_counts_validation():
     assert simulate_counts({"0": 1.0 + 1e-9, "1": -1e-9}, 100.0, 1.0, seed=0).counts["1"] == 0
     with pytest.raises(ValueError, match="negative probability"):
         simulate_counts({"0": 1.0 + 1.0005e-9, "1": -1.0005e-9}, 100.0, 1.0, seed=0)
+    # entries that are not numbers in [0, 1] are named before the sum
+    bad = (
+        ({"a": 0.5, "b": float("nan")}, r"probability of 'b' is nan, not in \[0, 1\]"),
+        ({"a": float("inf"), "b": 0.0}, r"probability of 'a' is inf, not in \[0, 1\]"),
+        ({"a": 0.5, "b": -float("inf")}, r"probability of 'b' is -inf, not in \[0, 1\]"),
+        ({"a": 1e308, "b": 1e308}, r"probability of 'a' is 1e\+308, not in \[0, 1\]"),
+        # the first double above the bound 1 + 1e-6
+        ({"a": 1.0000010000000001}, r"probability of 'a' is 1.0000010000000001, not in \[0, 1\]"),
+        ({"a": 0.3, "b": 0.3}, r"probabilities sum to 0.6, not 1"),
+        # sums just past the tolerance 1e-6 on either side
+        ({"a": 0.5, "b": 0.5000010005}, r"probabilities sum to 1.0000010005, not 1"),
+        ({"a": 0.5, "b": 0.4999989995}, r"probabilities sum to 0.9999989995, not 1"),
+    )
+    for table, message in bad:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_counts(table, 100.0, 1.0, seed=0)
+    # the entry bound 1 + 1e-6 is inclusive, as is the sum check's
+    record = simulate_counts({"a": 1.0 + 1e-6, "b": 0.0}, 100.0, 1.0, seed=0)
+    assert record.counts == {"a": record.total(), "b": 0} and record.total() > 0
 
 
 def test_simulate_witness_records_shape():

@@ -53,6 +53,10 @@ def test_load_config_defaults():
     assert cfg["duration"] == 1.0
     assert cfg["gate.kind"] == "horseshoe"
     assert cfg["visibility.detector_pair"] == "all"
+    assert cfg["source.theta"] == cfg["gate.alpha"] == cfg["gate.beta"] == 0.0
+    assert cfg["rate"] == 12000.0
+    assert (cfg["grover.marked"], cfg["grover.feedforward"]) == ("00", True)
+    assert cfg["visibility.samples"] == 24
 
 
 def test_load_config_full(tmp_path):

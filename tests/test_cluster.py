@@ -1,5 +1,8 @@
 """Tests for cluster-state construction and frame equivalences."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -25,13 +28,12 @@ from onewaysim.qcore import (
     SingleQubitGate,
     _array,
     _density_array,
-    apply_gate,
     entanglement_entropy,
     expectation,
     hadamard,
 )
 
-from conftest import ket, random_density, random_state
+from conftest import ket, one_qubit_gate, random_density, random_state
 
 
 def test_graph_normalizes_edges():
@@ -60,6 +62,40 @@ def test_build_cluster_two_qubits():
     # CZ|++> has amplitudes (1,1,1,-1)/2
     state = build_cluster(ClusterGraph(2, ((0, 1),)))
     assert np.allclose(state.amplitudes, np.array([1, 1, 1, -1]) / 2)
+
+
+def _cphase_chain(graph):
+    """|+>^n, then each edge's CPhase one at a time: the edge's |11> block
+    of the amplitude tensor negated."""
+    n = graph.num_vertices
+    t = np.full((2,) * n, 1.0 / math.sqrt(2**n), dtype=complex)
+    for a, b in graph.edges:
+        block = [slice(None)] * n
+        block[a] = block[b] = 1
+        t[tuple(block)] *= -1.0
+    return t.reshape(-1)
+
+
+def test_build_cluster_equals_the_cphase_chain(rng):
+    # every graph of 1-4 vertices, then seeded random graphs of 5-6
+    graphs = []
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            graphs.append(ClusterGraph(n, tuple(p for p, k in zip(pairs, keep) if k)))
+    for _ in range(40):
+        n = int(rng.integers(5, 7))
+        pairs = itertools.combinations(range(n), 2)
+        graphs.append(ClusterGraph(n, tuple(p for p in pairs if rng.random() < 0.5)))
+    assert len(graphs) == 75 + 40
+    for graph in graphs:
+        assert np.array_equal(build_cluster(graph).amplitudes, _cphase_chain(graph))
+    # CPhase acts on |11> alone, and is symmetric in its two qubits
+    cz_plus = build_cluster(ClusterGraph(2, ((1, 0),)))
+    assert np.array_equal(cz_plus.amplitudes, [0.5, 0.5, 0.5, -0.5])
+    assert np.array_equal(build_cluster(ClusterGraph(1, ())).amplitudes, [1 / math.sqrt(2)] * 2)
+    with pytest.raises(ValueError):
+        build_cluster(ClusterGraph(0, ()))
 
 
 def test_c4_amplitudes():
@@ -169,8 +205,8 @@ def _swapped(state, q, j):
 
 
 def _apply_one_by_one(frame, state):
-    """The frame change through the public operations and the public
-    constructors, each result checked."""
+    """The frame change one step at a time, each result checked by the
+    public constructors."""
     held = list(range(len(frame.sources)))
     for q, source in enumerate(frame.sources):
         j = held.index(source)
@@ -179,7 +215,7 @@ def _apply_one_by_one(frame, state):
             held[q], held[j] = held[j], held[q]
     for q, gate in enumerate(frame.gates):
         if gate is not None:
-            state = apply_gate(state, q, gate)
+            state = one_qubit_gate(state, q, gate.matrix)
     return state
 
 
@@ -194,8 +230,10 @@ def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
             assert np.array_equal(_array(mapped), _array(oracle))
             m, rho = frame.matrix, _density_array(state)
             assert np.allclose(m @ rho @ m.conj().T, _density_array(mapped), atol=1e-12)
-    with pytest.raises(IndexError):
-        BOX_FRAME.apply(ket("010"))
+    short, long = ket("010"), random_state(rng, 5)
+    for state in (short, DensityMatrix.from_state(short), long, random_density(rng, 5)):
+        with pytest.raises(ValueError, match=f"acts on 4 qubits, state has {state.num_qubits}"):
+            BOX_FRAME.apply(state)
 
 
 def test_frame_map_rejects_bad_layouts():

@@ -36,8 +36,6 @@ from onewaysim.qcore import (
     ImpossibleOutcomeError,
     SingleQubitGate,
     StateVector,
-    apply_cphase,
-    apply_gate,
     entanglement_entropy,
     fidelity,
     hadamard,
@@ -45,7 +43,7 @@ from onewaysim.qcore import (
 )
 
 import closed_forms
-from conftest import random_density, random_state
+from conftest import one_qubit_gate, plus, random_density, random_state
 
 GRID = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
 BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -80,6 +78,11 @@ def test_pattern_validation():
         MeasurementPattern(
             steps=((0, 0.0),), readout=(1,), feedforward=((2, (("X", 1),)),)
         )
+    # a step listed twice: one of its corrections would be dropped
+    with pytest.raises(ValueError, match="feedforward key 1 is listed more than once"):
+        MeasurementPattern(((1, 0.3),), (0, 2, 3), ((1, (("X", 0),)), (1, (("Z", 2),))))
+    with pytest.raises(ValueError, match="feedforward key 0 is listed more than once"):
+        MeasurementPattern(((0, 0.0), (1, 0.0)), (2,), ((1, ()), (0, ()), (0, ())))
 
 
 def test_run_pattern_register_checks(rng):
@@ -105,7 +108,7 @@ def test_run_pattern_records_step_order(rng):
 def test_run_pattern_rejects_impossible_and_invalid_outcomes():
     # |+>|+> never reads 1 in B(0)
     pattern = MeasurementPattern(steps=((0, 0.0), (1, 0.0)))
-    for state in (qcore.plus_state(2), DensityMatrix.from_state(qcore.plus_state(2))):
+    for state in (plus(2), DensityMatrix.from_state(plus(2))):
         assert run_pattern(state, pattern, (0, 0))[:2] == ((0, 0), pytest.approx(1.0))
         for bits in ((0, 1), (1, 0), (1, 1)):
             with pytest.raises(ImpossibleOutcomeError):
@@ -372,8 +375,8 @@ def test_lab_distribution_rejects_other_registers():
 MARKS = ("00", "01", "10", "11")
 # the byproduct Paulis, written out
 CORRECTIONS = {
-    "X": SingleQubitGate([[0, 1], [1, 0]]),
-    "Z": SingleQubitGate([[1, 0], [0, -1]]),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
 
@@ -383,7 +386,7 @@ def _forced_measure(state, qubit, alpha, bit):
     kept, residuals = qcore._branches(qcore._array(state)[None], qubit, alpha)
     for i, (_, out, prob) in enumerate(kept):
         if out == bit:
-            return prob, None if residuals is None else qcore._state(residuals[i])
+            return prob, None if residuals is None else type(state)(residuals[i])
     raise ImpossibleOutcomeError(f"outcome {bit} on qubit {qubit} has weight below 1e-12")
 
 
@@ -428,7 +431,8 @@ def _sequential_branches(state, pattern, measure):
         for (qubit, _), bit in zip(pattern.steps, bits):
             if bit:
                 for letter, target in corrections.get(qubit, ()):
-                    current = apply_gate(current, pattern.readout.index(target), CORRECTIONS[letter])
+                    position = pattern.readout.index(target)
+                    current = one_qubit_gate(current, position, CORRECTIONS[letter])
         branches.append((bits, float(math.prod(probs)), current))
     return branches
 
@@ -575,8 +579,9 @@ def _oracle_bell_probabilities(state):
     """The projector path: CPhase, beam splitter, then +/- times Z projectors."""
     pm = (np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
     z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    probe = apply_cphase(state, 0, 1)
-    probe = apply_gate(probe, 1, hadamard())
+    cz, a = np.diag([1.0, 1.0, 1.0, -1.0]), qcore._array(state)
+    probe = type(state)(cz @ a if a.ndim == 1 else cz @ a @ cz)
+    probe = one_qubit_gate(probe, 1, hadamard().matrix)
     probs = {}
     for i, pol in enumerate("+-"):
         for j, port in enumerate("+-"):
@@ -608,6 +613,7 @@ def test_bell_discriminates_the_four_gate_outputs():
         probs = bell_probabilities(state)
         label = max(probs, key=probs.get)
         assert probs[label] == pytest.approx(1.0, abs=1e-12)
+        assert sum(probs.values()) - probs[label] == pytest.approx(0.0, abs=1e-12)
         expected[(s2, s3)] = label
     assert sorted(expected.values()) == sorted(BELL_LABELS)
     assert expected == {(0, 0): "++", (0, 1): "-+", (1, 0): "+-", (1, 1): "--"}

@@ -27,13 +27,12 @@ from onewaysim.qcore import (
     DensityMatrix,
     PauliString,
     StateVector,
-    apply_gate,
     expectation,
     hadamard,
 )
 
 import closed_forms
-from conftest import ket, random_density, random_state
+from conftest import ket, one_qubit_gate, random_density, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +303,16 @@ def test_fit_noise_validation():
         fit_noise([0.9, 0.9, 0.9, 0.9, 0.9, 1.3])
 
 
+def test_fit_noise_takes_targets_in_minus_one_to_one_only():
+    # both bounds are inclusive; the doubles just past them are not targets
+    for edge in (-1.0, 1.0):
+        model, _ = fit_noise([edge] * 6)
+        assert isinstance(model, NoiseModel)
+    for bad in (math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0), math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"^target {bad!r} is not an expectation value$"):
+            fit_noise([0.9] * 5 + [bad])
+
+
 # ---------------------------------------------------------------------------
 # apparatus
 # ---------------------------------------------------------------------------
@@ -534,8 +543,8 @@ def _oracle_fringe(model, pair, theta):
     qubit), then a 16x16 projector."""
     port_a, port_b = _ORACLE_PORTS[pair]
     probe = apply_noise(source_state(theta), model)
-    probe = apply_gate(probe, 2, hadamard())
-    probe = apply_gate(probe, 3, hadamard())
+    probe = one_qubit_gate(probe, 2, hadamard().matrix)
+    probe = one_qubit_gate(probe, 3, hadamard().matrix)
     op = np.array([[1.0 + 0j]])
     for proj in (_ORACLE_Z[0], _ORACLE_Z[0], _ORACLE_Z[port_a], _ORACLE_Z[port_b]):
         op = np.kron(op, proj)

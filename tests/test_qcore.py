@@ -14,17 +14,14 @@ from onewaysim.qcore import (
     SingleQubitGate,
     StateVector,
     _check_density,
-    apply_cphase,
-    apply_gate,
     entanglement_entropy,
     expectation,
     fidelity,
     hadamard,
     overlap,
-    plus_state,
 )
 
-from conftest import ket, random_density, random_state, random_unitary_gate
+from conftest import ket, one_qubit_gate, plus, random_density, random_state, random_unitary_gate
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +52,7 @@ def test_normalized_constructor():
 
 
 def test_tensor_view_shape():
-    psi = plus_state(3)
+    psi = plus(3)
     assert psi.tensor().shape == (2, 2, 2)
 
 
@@ -223,11 +220,11 @@ def test_density_matrix_from_state(rng):
 
 def test_ket_and_plus():
     assert np.allclose(ket("10").amplitudes, [0, 0, 1, 0])
-    assert np.allclose(plus_state(2).amplitudes, [0.5] * 4)
+    assert np.allclose(plus(2).amplitudes, [0.5] * 4)
     with pytest.raises(ValueError):
         ket("012")
     with pytest.raises(ValueError):
-        plus_state(0)
+        plus(0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,43 +242,27 @@ def test_gate_constructors():
         SingleQubitGate(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-def test_apply_gate_single_qubit_placement():
-    x = SingleQubitGate([[0, 1], [1, 0]])
-    psi = apply_gate(ket("00"), 1, x)
+def test_gate_kernel_single_qubit_placement():
+    x = SingleQubitGate([[0, 1], [1, 0]]).matrix
+    psi = one_qubit_gate(ket("00"), 1, x)
     assert np.allclose(psi.amplitudes, ket("01").amplitudes)
-    psi = apply_gate(ket("00"), 0, x)
+    psi = one_qubit_gate(ket("00"), 0, x)
     assert np.allclose(psi.amplitudes, ket("10").amplitudes)
-    with pytest.raises(IndexError):
-        apply_gate(ket("00"), 2, x)
+    psi = one_qubit_gate(ket("000"), 1, x)
+    assert np.allclose(psi.amplitudes, ket("010").amplitudes)
 
 
-def test_apply_gate_density_consistency(rng):
+def test_gate_kernel_density_consistency(rng):
     # conjugating the density matrix must match the pure-state route
     for _ in range(10):
         psi = random_state(rng, 3)
-        gate = random_unitary_gate(rng)
+        u = random_unitary_gate(rng).matrix
         qubit = int(rng.integers(3))
-        pure = apply_gate(psi, qubit, gate)
-        mixed = apply_gate(DensityMatrix.from_state(psi), qubit, gate)
+        pure = one_qubit_gate(psi, qubit, u)
+        mixed = one_qubit_gate(DensityMatrix.from_state(psi), qubit, u)
         assert np.allclose(
             mixed.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj())
         )
-
-
-def test_cphase_basis_action():
-    # only |11> on the touched pair picks up a sign
-    for bits, sign in [("00", 1), ("01", 1), ("10", 1), ("11", -1)]:
-        out = apply_cphase(ket(bits), 0, 1)
-        assert np.allclose(out.amplitudes, sign * ket(bits).amplitudes)
-
-
-def test_cphase_is_symmetric_and_validated(rng):
-    psi = random_state(rng, 3)
-    a = apply_cphase(psi, 0, 2)
-    b = apply_cphase(psi, 2, 0)
-    assert np.allclose(a.amplitudes, b.amplitudes)
-    with pytest.raises(ValueError):
-        apply_cphase(psi, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +276,12 @@ def test_pauli_string_validation():
 
 
 def test_expectation_known_values():
-    plus = plus_state(1)
-    assert expectation(plus, PauliString("X")) == pytest.approx(1.0)
-    assert expectation(plus, PauliString("Z")) == pytest.approx(0.0)
+    psi = plus(1)
+    assert expectation(psi, PauliString("X")) == pytest.approx(1.0)
+    assert expectation(psi, PauliString("Z")) == pytest.approx(0.0)
     assert expectation(ket("1"), PauliString("Z")) == pytest.approx(-1.0)
     with pytest.raises(ValueError):
-        expectation(plus, PauliString("XX"))
+        expectation(psi, PauliString("XX"))
 
 
 def test_expectation_bounds(rng):
@@ -333,28 +314,28 @@ def _measure(state, qubit, alpha, bit):
 
 
 def test_measure_plus_in_b0_is_deterministic():
-    outcomes, prob, residual = _measure(plus_state(1), 0, 0.0, 0)
+    outcomes, prob, residual = _measure(plus(1), 0, 0.0, 0)
     assert outcomes == (0,) and prob == pytest.approx(1.0)
     assert residual is None
 
 
 def test_measure_b_pi_flips_the_deterministic_outcome():
     # |+> lies in the alpha=0 basis, so at alpha=pi it is the "minus" vector
-    outcomes, prob, _ = _measure(plus_state(1), 0, math.pi, 1)
+    outcomes, prob, _ = _measure(plus(1), 0, math.pi, 1)
     assert outcomes == (1,) and prob == pytest.approx(1.0)
     with pytest.raises(ImpossibleOutcomeError):
-        _measure(plus_state(1), 0, math.pi, 0)
+        _measure(plus(1), 0, math.pi, 0)
 
 
 def test_measure_forced_impossible_outcome():
     with pytest.raises(ImpossibleOutcomeError):
-        _measure(plus_state(1), 0, 0.0, 1)
+        _measure(plus(1), 0, 0.0, 1)
 
 
 def test_measure_residual_keeps_qubit_order():
     # measure the middle qubit of |0>|+>|1>; the leftover must be |01>
     state = StateVector(
-        np.kron(np.kron(ket("0").amplitudes, plus_state(1).amplitudes), ket("1").amplitudes)
+        np.kron(np.kron(ket("0").amplitudes, plus(1).amplitudes), ket("1").amplitudes)
     )
     outcomes, prob, residual = _measure(state, 1, 0.0, 0)
     assert outcomes == (0,) and prob == pytest.approx(1.0)
@@ -552,7 +533,7 @@ def test_measurement_branches_equal_forced_measurements(rng):
 
 def test_measurement_branches_leave_out_impossible_outcomes():
     # |+> on qubit 1 never reads 1 in B(0)
-    for state in (plus_state(2), DensityMatrix.from_state(plus_state(2))):
+    for state in (plus(2), DensityMatrix.from_state(plus(2))):
         kept, residuals = qcore._branches(qcore._array(state)[None], 1, 0.0)
         assert kept == [(0, 0, pytest.approx(1.0, abs=1e-12))] and len(residuals) == 1
         with pytest.raises(ImpossibleOutcomeError):
@@ -561,7 +542,7 @@ def test_measurement_branches_leave_out_impossible_outcomes():
 
 def test_outcome_sources():
     # a forced bit is the only outcome source
-    psi = plus_state(1)
+    psi = plus(1)
     assert _measure(psi, 0, 0.0, np.int64(0))[:2] == ((0,), pytest.approx(1.0))
     assert _measure(psi, 0, 0.0, False)[:2] == ((0,), pytest.approx(1.0))
     with pytest.raises(ValueError):
@@ -586,7 +567,7 @@ def test_fidelity_and_overlap(rng):
     rho = random_density(rng, 2)
     assert 0.0 <= fidelity(rho, psi) <= 1.0
     with pytest.raises(ValueError):
-        fidelity(psi, plus_state(3))
+        fidelity(psi, plus(3))
 
 
 def test_entanglement_entropy_product_and_bell():
@@ -606,8 +587,7 @@ def test_unitary_invariance_properties(rng):
     # norm preserved, entropy invariant under local unitaries
     for _ in range(10):
         psi = random_state(rng, 3)
-        gate = random_unitary_gate(rng)
-        out = apply_gate(psi, 1, gate)
+        out = one_qubit_gate(psi, 1, random_unitary_gate(rng).matrix)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0)
         assert entanglement_entropy(out, [0]) == pytest.approx(
             entanglement_entropy(psi, [0]), abs=1e-9
