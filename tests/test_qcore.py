@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from onewaysim import qcore
+from onewaysim.cluster import ClusterGraph, build_cluster
 from onewaysim.mbqc import MeasurementPattern, run_pattern
 from onewaysim.qcore import (
     DensityMatrix,
@@ -263,6 +264,26 @@ def test_gate_kernel_density_consistency(rng):
         assert np.allclose(
             mixed.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj())
         )
+
+
+def test_cphase_basis_action():
+    # CPhase enters only through build_cluster: an edge's cluster differs
+    # from |+>^n by a sign on the basis states whose two ends read 1
+    for n, edge in [(2, (0, 1)), (3, (0, 2)), (3, (1, 2))]:
+        with_edge = build_cluster(ClusterGraph(n, (edge,))).amplitudes
+        ratio = with_edge / plus(n).amplitudes
+        for x in range(2**n):
+            bits = format(x, f"0{n}b")
+            sign = -1 if bits[edge[0]] == bits[edge[1]] == "1" else 1
+            assert ratio[x] == sign
+
+
+def test_cphase_is_symmetric_and_validated():
+    a = build_cluster(ClusterGraph(3, ((0, 2),)))
+    b = build_cluster(ClusterGraph(3, ((2, 0),)))
+    assert np.array_equal(a.amplitudes, b.amplitudes)
+    with pytest.raises(ValueError):
+        ClusterGraph(3, ((1, 1),))
 
 
 # ---------------------------------------------------------------------------
