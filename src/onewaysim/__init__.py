@@ -5,12 +5,10 @@ from .qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
     PauliString,
-    SingleQubitGate,
     StateVector,
     entanglement_entropy,
     expectation,
     fidelity,
-    hadamard,
     overlap,
 )
 from .cluster import (

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -58,6 +59,9 @@ _SETTING_TERMS = {
     "XXZZ": ("XXIZ", "XXZI", "IIZZ"),
     "ZZXX": ("IZXX", "ZIXX", "ZZII"),
 }
+
+# numpy's Poisson sampler refuses means beyond the int64 range (~9.2e18)
+_MAX_EXPECTED_COUNTS = 1e18
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,14 @@ def simulate_counts(
     of ints).  Outcome keys are processed in sorted order, so a fixed
     seed fully determines the counts.
     """
-    if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be positive")
+    for name, value in (("rate", rate), ("duration", duration)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and 0 < value < math.inf):  # NaN fails too
+            raise ValueError(f"rate and duration must be positive and finite: {name} is {value!r}")
+    if not 0 < rate * duration <= _MAX_EXPECTED_COUNTS:
+        raise ValueError(
+            f"rate * duration must lie in (0, {_MAX_EXPECTED_COUNTS:.0e}], got {rate * duration!r}"
+        )
     keys = sorted(probabilities)
     if not keys:
         raise ValueError("empty probability table")

@@ -43,8 +43,8 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
 
-from .analysis import NoCountsError, _draw_records, _exact_report, _witness_tables
-from .analysis import gate_fidelity_report, grover_report, witness_from_counts
+from .analysis import _MAX_EXPECTED_COUNTS, NoCountsError, _draw_records, _exact_report
+from .analysis import _witness_tables, gate_fidelity_report, grover_report, witness_from_counts
 from .mbqc import _MARKS
 from .photonics import (
     COINCIDENCE_RATE_HZ,
@@ -62,9 +62,6 @@ from .photonics import (
 class ConfigError(Exception):
     """Invalid configuration; reported with exit code 2."""
 
-
-# numpy's Poisson sampler refuses means beyond the int64 range (~9.2e18)
-_MAX_EXPECTED_COUNTS = 1e18
 
 # fringe phases per scan: the whole phase grid is allocated at once
 _MAX_VISIBILITY_SAMPLES = 65536
@@ -234,10 +231,10 @@ def from_mapping(data: Optional[dict], command: str) -> Dict[str, object]:
         if field.path not in cfg:
             cfg[field.path] = field.check(field.default, field.path)
     expected = cfg["rate"] * cfg["duration"]
-    if expected > _MAX_EXPECTED_COUNTS:
+    if not 0.0 < expected <= _MAX_EXPECTED_COUNTS:  # 0.0 when the product underflows
         raise ConfigError(
             f"config fields 'rate' and 'duration' ask for {expected:.3g} "
-            f"coincidences, more than the {_MAX_EXPECTED_COUNTS:.0e} that can be drawn"
+            f"coincidences, outside the (0, {_MAX_EXPECTED_COUNTS:.0e}] that can be drawn"
         )
     return cfg
 

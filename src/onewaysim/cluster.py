@@ -26,15 +26,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .qcore import (
+    _HADAMARD,
     PauliString,
-    SingleQubitGate,
     State,
     StateVector,
     _array,
     _checked_states,
     _gate_array,
     _product_basis,
-    hadamard,
     overlap,
 )
 
@@ -47,15 +46,16 @@ class ClusterGraph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
+        n = self.num_vertices
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"num_vertices must be an integer >= 1, got {n!r}")
         seen = set()
         normalized = []
         for edge in self.edges:
             a, b = int(edge[0]), int(edge[1])
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
-            if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge {edge!r} out of range")
             key = (min(a, b), max(a, b))
             if key in seen:
@@ -112,19 +112,21 @@ def c4_state() -> StateVector:
     return StateVector(amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameMap:
     """A local-unitary change of frame: relabel the qubits, then apply
-    one gate per qubit.
+    one 2x2 matrix per qubit.
 
     Frame qubit q holds source qubit ``sources[q]`` and is then acted on
-    by ``gates[q]`` (None leaves it as it is).  ``matrix`` is the whole
-    map on kets, built once and read-only.
+    by ``gates[q]``, an unchecked 2x2 array (``_HADAMARD`` in both frames
+    below; every state :meth:`apply` returns is checked), or None.
+    ``matrix`` is the whole map on kets, built once and read-only.
+    Compared by identity: a tuple of arrays has no truth value.
     """
 
     sources: Tuple[int, ...]
-    gates: Tuple[Optional[SingleQubitGate], ...]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    gates: Tuple[Optional[np.ndarray], ...]
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if sorted(self.sources) != list(range(len(self.sources))):
@@ -134,7 +136,7 @@ class FrameMap:
         # the relabelling moves source ket entry order[i] to frame entry i
         n = len(self.sources)
         order = np.arange(2**n).reshape((2,) * n).transpose(self.sources).reshape(-1)
-        local = _product_basis([np.eye(2) if g is None else g.matrix for g in self.gates])
+        local = _product_basis([np.eye(2) if g is None else g for g in self.gates])
         m = local[:, np.argsort(order)]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -151,13 +153,13 @@ class FrameMap:
         steps = [t.transpose(axes).reshape(a.shape)]
         for q, gate in enumerate(self.gates):
             if gate is not None:
-                steps.append(_gate_array(steps[-1], q, gate.matrix))
+                steps.append(_gate_array(steps[-1], q, gate))
         return _checked_states(steps)[-1]
 
 
 # |C4> frame -> graph frames
-HORSESHOE_FRAME = FrameMap((0, 1, 2, 3), (hadamard(), None, None, hadamard()))
-BOX_FRAME = FrameMap((0, 2, 1, 3), (hadamard(),) * 4)
+HORSESHOE_FRAME = FrameMap((0, 1, 2, 3), (_HADAMARD, None, None, _HADAMARD))
+BOX_FRAME = FrameMap((0, 2, 1, 3), (_HADAMARD,) * 4)
 
 
 def to_horseshoe_frame(state: State) -> State:

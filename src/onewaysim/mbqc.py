@@ -27,6 +27,7 @@ import numpy as np
 from .cluster import BOX_FRAME, HORSESHOE_FRAME, c4_state, to_box_frame
 from .photonics import _PM_BASIS, _Z_BASIS
 from .qcore import (
+    _HADAMARD,
     ImpossibleOutcomeError,
     State,
     StateVector,
@@ -40,10 +41,7 @@ from .qcore import (
     _product_basis,
     _rotated_diagonal,
     _rz_matrix,
-    hadamard,
 )
-
-_HADAMARD = hadamard()
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
     """Branch (s2, s3): its byproducts times the (0, 0) output
     (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
     B = H Rz(-beta), whose |11> entry the box's extra CZ negates."""
-    a, b = (_HADAMARD.matrix @ _rz_matrix(-t) for t in (spec.alpha, spec.beta))
+    a, b = (_HADAMARD @ _rz_matrix(-t) for t in (spec.alpha, spec.beta))
     target = a @ _CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]
@@ -299,7 +297,7 @@ def _check_marked(marked: str) -> Tuple[int, int]:
     return int(marked[0]), int(marked[1])
 
 
-def _search_output(outcomes, marked: str, feedforward: bool) -> str:
+def _search_output(outcomes, feedforward: bool) -> str:
     # step order: oracle on box qubits 2,3 then readout on box qubits 1,4
     s_b2, s_b3, s_b1, s_b4 = outcomes
     if feedforward:
@@ -346,7 +344,7 @@ def grover_run(
     box = to_box_frame(_search_input(input_state))
     distribution = {m: 0.0 for m in _MARKS}
     for outcomes, prob, _ in branch_distribution(box, pattern):
-        distribution[_search_output(outcomes, marked, feedforward)] += prob
+        distribution[_search_output(outcomes, feedforward)] += prob
     return distribution
 
 
@@ -360,7 +358,7 @@ BELL_LABELS = ("++", "+-", "-+", "--")
 # row k is the bra of outcome k (polarization bit first)
 _BELL_READOUT = (
     _product_basis((_PM_BASIS, _Z_BASIS))
-    @ _product_basis((np.eye(2), _HADAMARD.matrix))
+    @ _product_basis((np.eye(2), _HADAMARD))
     @ np.diag([1.0, 1.0, 1.0, -1.0])
 )
 _BELL_READOUT.setflags(write=False)

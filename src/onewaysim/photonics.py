@@ -34,6 +34,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .qcore import (
+    _HADAMARD,
     DensityMatrix,
     State,
     StateVector,
@@ -43,7 +44,6 @@ from .qcore import (
     _is_number,
     _product_basis,
     _rotated_diagonal,
-    hadamard,
 )
 
 # ---------------------------------------------------------------------------
@@ -235,17 +235,13 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 # rotating a qubit by it turns the readout into a Z measurement.
 _Z_BASIS = np.eye(2, dtype=complex)
 _Z_BASIS.setflags(write=False)
-_PM_BASIS = hadamard().matrix
+_PM_BASIS = _B0_BASIS = _HADAMARD  # +/- polarization; beam splitter B(0), rows R', L'
 
 
 def _b_alpha_basis(alpha: float) -> np.ndarray:
     phase = np.exp(-1j * alpha)
     return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
 
-
-# both arms of a photon meet on a beam splitter: B(0), rows R', L'
-_B0_BASIS = _b_alpha_basis(0.0)
-_B0_BASIS.setflags(write=False)
 
 # setting name -> readout basis of each qubit in register order
 # (B pol, A pol, A path, B path); every array is read-only
@@ -304,8 +300,8 @@ def _parse_pair(detector_pair: str) -> Tuple[int, int]:
     return _DETECTORS[name_a][1], _DETECTORS[name_b][1]
 
 
-# both beam splitters, a Hadamard on each path qubit
-_BEAM_SPLITTERS = np.kron(hadamard().matrix, hadamard().matrix)
+# both beam splitters, a Hadamard on each path qubit (read-only)
+_BEAM_SPLITTERS = _product_basis((_HADAMARD, _HADAMARD))
 
 # phases per stack, so a long scan needs no more than ~4 MB per stack
 _FRINGE_BLOCK = 1024

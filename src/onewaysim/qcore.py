@@ -10,11 +10,12 @@ Every operation is written once for pure and mixed states: a state's
 array has a ket axis, followed by a bra axis for a mixed state only, and
 the gate and the B(alpha) split loop over the sides present.  Each is a
 private kernel on arrays (``_gate_array`` on one array, ``_branches`` on
-a stack of arrays); the frame maps chain the gate kernel, whose rounding
-the search tables keep, and the measurement walks the split.  No other
-fixed circuit runs gate by gate: a cluster is one closed form, and a
-readout (the witness settings, the output interferometer) is one
-read-only matrix whose rotated diagonal ``_rotated_diagonal`` reads.
+a stack of arrays); a frame map runs the gate kernel once per Hadamard
+(``_HADAMARD``, the one fixed one-qubit operator), whose rounding the
+search tables keep, and the measurement walks the split.  No other fixed
+circuit runs gate by gate: a cluster is one closed form, and a readout
+(the witness settings, the output interferometer) is one read-only
+matrix whose rotated diagonal ``_rotated_diagonal`` reads.
 ``_array`` maps a state to its array; the constructors, or
 ``_checked_states`` for a stack, map arrays back.
 
@@ -169,10 +170,6 @@ class DensityMatrix:
         self.matrix = m
         self.num_qubits = n
 
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        return cls(_density_array(state))
-
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
@@ -185,6 +182,11 @@ _PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# H = (X + Z)/sqrt(2), read-only: the +/- analysis, each photon's beam
+# splitter B(0) and the frame maps' local rotations are all this matrix
+_HADAMARD = (_PAULI_1Q["X"] + _PAULI_1Q["Z"]) / math.sqrt(2)
+_HADAMARD.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -209,29 +211,6 @@ class PauliString:
     @property
     def num_qubits(self) -> int:
         return len(self.letters)
-
-
-@dataclass(frozen=True)
-class SingleQubitGate:
-    """A 2x2 unitary."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("gate matrix must be 2x2")
-        # no entry of a unitary exceeds 1: NaN, inf and huge entries fail
-        # before the product, which could overflow
-        if not (np.abs(m).max() <= 1.0 + TOL and np.abs(m.conj().T @ m - np.eye(2)).max() <= TOL):
-            raise ValueError("gate matrix is not unitary within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def hadamard() -> SingleQubitGate:
-    """H = (X + Z)/sqrt(2)."""
-    return SingleQubitGate((_PAULI_1Q["X"] + _PAULI_1Q["Z"]) / math.sqrt(2))
 
 
 def _rz_matrix(alpha: float) -> np.ndarray:

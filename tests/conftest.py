@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from onewaysim.cluster import ClusterGraph, build_cluster
-from onewaysim.qcore import DensityMatrix, SingleQubitGate, StateVector, _array, _gate_array
+from onewaysim.qcore import DensityMatrix, StateVector, _array, _density_array, _gate_array
+
+# H written out, for oracles that do not read the package's own matrix
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def ket(bits: str) -> StateVector:
@@ -38,12 +43,17 @@ def random_density(rng: np.random.Generator, num_qubits: int) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho).real)
 
 
-def random_unitary_gate(rng: np.random.Generator) -> SingleQubitGate:
+def as_density(state) -> DensityMatrix:
+    """The density matrix of a state, |a><a| for a pure one."""
+    return DensityMatrix(_density_array(state))
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     # fix the phase freedom so the decomposition is a proper unitary
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return SingleQubitGate(q)
+    return q
 
 
 @pytest.fixture

@@ -72,13 +72,6 @@ COMPOUND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.For, ast.Wh
 EQUIVALENT = {
     ("cli", "load_config", "_MAX_CONFIG_BYTES + 1", "_MAX_CONFIG_BYTES + 2"):
         "reading one more byte still finds every file over the cap, and no other",
-    ("qcore", "SingleQubitGate.__post_init__", "np.abs(m).max() <= 1.0 + TOL",
-     "np.abs(m).max() < 1.0 + TOL"):
-        "an entry of modulus 1 + TOL fails the unitarity check that follows, "
-        "with the same message",
-    ("qcore", "SingleQubitGate.__post_init__", "1.0 + TOL", "1.001 + TOL"):
-        "an entry of modulus up to 1.001 + TOL fails the unitarity check that "
-        "follows, with the same message, and cannot overflow it",
     ("qcore", "StateVector.__init__", "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL"):
         "norm - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
@@ -88,6 +81,12 @@ EQUIVALENT = {
         "default never applies",
     ("mbqc", "_byproduct_table", "(0, 1)", "(0, 2)"):
         "a branch bit is only tested for truth, and 2 is as true as 1",
+    ("mbqc", "<module>", "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)"):
+        "a gate pattern's feedforward does not depend on its angles, so the "
+        "byproduct table built from it is the same",
+    ("mbqc", "<module>", "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)"):
+        "a gate pattern's feedforward does not depend on its angles, so the "
+        "byproduct table built from it is the same",
     ("analysis", "simulate_counts", "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06"):
         "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "
         "so the two never meet",

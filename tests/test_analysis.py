@@ -3,6 +3,7 @@ search summaries."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,28 @@ def test_simulate_counts_validation():
     # the entry bound 1 + 1e-6 is inclusive, as is the sum check's
     record = simulate_counts({"a": 1.0 + 1e-6, "b": 0.0}, 100.0, 1.0, seed=0)
     assert record.counts == {"a": record.total(), "b": 0} and record.total() > 0
+    # rate and duration: each a finite positive real number, named when not
+    table = {"0": 0.5, "1": 0.5}
+    hostile = (math.nan, math.inf, -math.inf, -1.0, 0, True, False, "100", None, 1j)
+    for value in hostile + (np.float64(math.nan), np.int64(0), np.bool_(True)):
+        for name, args in (("rate", (value, 1.0)), ("duration", (100.0, value))):
+            message = rf"^rate and duration must be positive and finite: {name} is "
+            with pytest.raises(ValueError, match=message):
+                simulate_counts(table, *args, seed=0)
+    # a product past the sampler's cap 1e18 (inclusive) or the double range,
+    # or one that underflows to 0
+    above = math.nextafter(1e18, math.inf)
+    for rate, duration in ((1e300, 1e300), (1e10, 1e10), (above, 1.0), (1e-200, 1e-200)):
+        product = re.escape(repr(rate * duration))
+        message = rf"^rate \* duration must lie in \(0, 1e\+18\], got {product}$"
+        with pytest.raises(ValueError, match=message):
+            simulate_counts(table, rate, duration, seed=0)
+    assert simulate_counts(table, 1e18, 1.0, seed=0).total() > 0
+    # accepted inputs draw as before: ints and numpy scalars, the Poisson mean
+    drawn = simulate_counts(table, 100.0, 1.0, seed=4).counts
+    assert simulate_counts(table, 100, 1, seed=4).counts == drawn
+    assert simulate_counts(table, np.float64(50.0), 2.0, seed=4).counts == drawn
+    assert simulate_counts(table, np.int64(100), np.float32(1.0), seed=4).counts == drawn
 
 
 def test_simulate_witness_records_shape():
@@ -575,6 +598,7 @@ def test_grover_report_ideal():
 
 def test_grover_report_under_fitted_noise():
     report = grover_report(noise=FITTED_MODEL, marked="10", seed=1)
+    assert grover_report(noise=FITTED_MODEL, marked="10", seed=1, duration=1.0) == report
     expected = 1.0 - 0.75 * FIT_P
     assert report.success_probability == pytest.approx(expected, abs=1e-9)
     assert report.estimate_stderr > 0.0

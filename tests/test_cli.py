@@ -533,6 +533,17 @@ def test_negative_seed_exit_code(tmp_path, capsys):
     assert main(["witness", "--seed", "0"]) == 0
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a fault in a command rather than in its input exits 1 and says so
+    def broken(cfg, model):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(cli._COMMANDS, "witness", (broken,) + cli._COMMANDS["witness"][1:])
+    assert main(["witness"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: broken handler\n")
+
+
 def test_rate_beyond_the_sampler_exit_code(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "rate: 1.0e+20\n")
     assert main(["witness", "--config", config]) == 2
@@ -550,6 +561,13 @@ def test_zero_counts_exit_code(tmp_path, capsys, command, reason):
     assert main([command, "--config", config]) == 2
     message = capsys.readouterr().err
     assert reason in message and "'rate'" in message and "'duration'" in message
+    # a product that underflows to 0 is refused before any count is drawn
+    config = _write(tmp_path, "tiny.yaml", "rate: 1.0e-200\nduration: 1.0e-200\n")
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        "error: config fields 'rate' and 'duration' ask for 0 coincidences, "
+        "outside the (0, 1e+18] that can be drawn\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["gate", "grover", "visibility"])

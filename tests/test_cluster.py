@@ -23,17 +23,14 @@ from onewaysim.cluster import (
     to_horseshoe_frame,
 )
 from onewaysim.qcore import (
-    DensityMatrix,
     PauliString,
-    SingleQubitGate,
     _array,
     _density_array,
     entanglement_entropy,
     expectation,
-    hadamard,
 )
 
-from conftest import ket, one_qubit_gate, random_density, random_state
+from conftest import HADAMARD, as_density, ket, one_qubit_gate, random_density, random_state
 
 
 def test_graph_normalizes_edges():
@@ -44,12 +41,21 @@ def test_graph_normalizes_edges():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        ClusterGraph(0, ())
+    for count in (0, -1, 2.5, 4.0, True, False, "4", None, np.float64(4.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="^num_vertices must be an integer >= 1, got "):
+            ClusterGraph(count, ())
+    with pytest.raises(ValueError, match="num_vertices"):
+        ClusterGraph(2.5, ((0, 1),))
+    # a numpy integer is an integer
+    graph = ClusterGraph(np.int64(4), ((0, 1),))
+    assert graph == ClusterGraph(4, ((0, 1),))
+    built = build_cluster(ClusterGraph(4, ((0, 1),))).amplitudes
+    assert np.array_equal(build_cluster(graph).amplitudes, built)
     with pytest.raises(ValueError):
         ClusterGraph(2, ((0, 0),))  # self loop
-    with pytest.raises(ValueError):
-        ClusterGraph(2, ((0, 2),))  # vertex out of range
+    for edge in ((0, 2), (2, 0), (-1, 1), (1, -1)):  # an end out of range
+        with pytest.raises(ValueError, match="out of range"):
+            ClusterGraph(2, (edge,))
 
 
 def test_named_graphs():
@@ -169,7 +175,7 @@ def test_box_equivalence():
 
 def test_frame_maps_are_polymorphic():
     psi = c4_state()
-    rho = DensityMatrix.from_state(psi)
+    rho = as_density(psi)
     for map_fn in (to_horseshoe_frame, to_box_frame):
         pure = map_fn(psi)
         mixed = map_fn(rho)
@@ -187,7 +193,7 @@ def test_frame_maps_preserve_basis_labels():
 
 def test_frame_map_relabels_before_its_gates():
     # source qubit 2 lands on frame qubit 0 and is then flipped by H
-    frame = FrameMap((2, 0, 1), (hadamard(), None, None))
+    frame = FrameMap((2, 0, 1), (HADAMARD, None, None))
     out = frame.apply(ket("001"))
     expected = (ket("000").amplitudes - ket("100").amplitudes) / np.sqrt(2)
     assert np.allclose(out.amplitudes, expected)
@@ -215,14 +221,14 @@ def _apply_one_by_one(frame, state):
             held[q], held[j] = held[j], held[q]
     for q, gate in enumerate(frame.gates):
         if gate is not None:
-            state = one_qubit_gate(state, q, gate.matrix)
+            state = one_qubit_gate(state, q, gate)
     return state
 
 
 def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
     states = [c4_state(), random_state(rng, 4), random_density(rng, 4)]
-    rz = SingleQubitGate(np.diag([np.exp(-0.15j), np.exp(0.15j)]))  # R_z(0.3)
-    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (None, hadamard(), rz, None)))
+    rz = np.diag([np.exp(-0.15j), np.exp(0.15j)])  # R_z(0.3)
+    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (None, HADAMARD, rz, None)))
     for frame in frames:
         for state in states:
             mapped, oracle = frame.apply(state), _apply_one_by_one(frame, state)
@@ -231,7 +237,7 @@ def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
             m, rho = frame.matrix, _density_array(state)
             assert np.allclose(m @ rho @ m.conj().T, _density_array(mapped), atol=1e-12)
     short, long = ket("010"), random_state(rng, 5)
-    for state in (short, DensityMatrix.from_state(short), long, random_density(rng, 5)):
+    for state in (short, as_density(short), long, random_density(rng, 5)):
         with pytest.raises(ValueError, match=f"acts on 4 qubits, state has {state.num_qubits}"):
             BOX_FRAME.apply(state)
 

@@ -23,16 +23,10 @@ from onewaysim.photonics import (
     source_state,
     visibility_scans,
 )
-from onewaysim.qcore import (
-    DensityMatrix,
-    PauliString,
-    StateVector,
-    expectation,
-    hadamard,
-)
+from onewaysim.qcore import PauliString, StateVector, expectation
 
 import closed_forms
-from conftest import ket, one_qubit_gate, random_density, random_state
+from conftest import HADAMARD, as_density, ket, one_qubit_gate, random_density, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ def test_apply_noise_accepts_density_input(rng):
     psi = random_state(rng, 4)
     model = NoiseModel(0.2, 0.1, 0.05)
     from_pure = apply_noise(psi, model)
-    from_mixed = apply_noise(DensityMatrix.from_state(psi), model)
+    from_mixed = apply_noise(as_density(psi), model)
     assert np.allclose(from_pure.matrix, from_mixed.matrix)
 
 
@@ -543,8 +537,8 @@ def _oracle_fringe(model, pair, theta):
     qubit), then a 16x16 projector."""
     port_a, port_b = _ORACLE_PORTS[pair]
     probe = apply_noise(source_state(theta), model)
-    probe = one_qubit_gate(probe, 2, hadamard().matrix)
-    probe = one_qubit_gate(probe, 3, hadamard().matrix)
+    probe = one_qubit_gate(probe, 2, HADAMARD)
+    probe = one_qubit_gate(probe, 3, HADAMARD)
     op = np.array([[1.0 + 0j]])
     for proj in (_ORACLE_Z[0], _ORACLE_Z[0], _ORACLE_Z[port_a], _ORACLE_Z[port_b]):
         op = np.kron(op, proj)

@@ -12,17 +12,24 @@ from onewaysim.qcore import (
     DensityMatrix,
     ImpossibleOutcomeError,
     PauliString,
-    SingleQubitGate,
     StateVector,
     _check_density,
     entanglement_entropy,
     expectation,
     fidelity,
-    hadamard,
     overlap,
 )
 
-from conftest import ket, one_qubit_gate, plus, random_density, random_state, random_unitary_gate
+from conftest import (
+    HADAMARD,
+    as_density,
+    ket,
+    one_qubit_gate,
+    plus,
+    random_density,
+    random_state,
+    random_unitary,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +79,8 @@ def test_density_matrix_validation():
     # the entry bound is 2 itself: just above it, the entry check speaks first
     with pytest.raises(ValueError, match="density matrix has an entry that is NaN or of modulus"):
         DensityMatrix([[1.0, 2.001], [2.001, 0.0]])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix([[2.0, 0.0], [0.0, -1.0]])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -87,15 +96,11 @@ def test_constructors_reject_nan_and_inf(value):
     ):
         with pytest.raises(ValueError, match="density matrix has an entry that is NaN or of modulus"):
             DensityMatrix(matrix)
-        with pytest.raises(ValueError, match="not unitary"):
-            SingleQubitGate(matrix)
     # huge finite entries raise the check's error before any arithmetic overflows
     with pytest.raises(ValueError, match="state norm"):
         StateVector([1e200, 1.0])
     with pytest.raises(ValueError, match="density matrix has an entry that is NaN or of modulus"):
         DensityMatrix([[1e308, -1e308], [1e308, 0.0]])
-    with pytest.raises(ValueError, match="not unitary"):
-        SingleQubitGate([[1e200, 0.0], [0.0, 1.0]])
 
 
 def test_density_checks_cover_every_matrix_of_a_stack(rng):
@@ -213,12 +218,6 @@ def test_stacked_checks_wrap_each_member_like_the_constructor(rng):
             assert not qcore._array(state).flags.writeable
 
 
-def test_density_matrix_from_state(rng):
-    psi = random_state(rng, 2)
-    rho = DensityMatrix.from_state(psi)
-    assert np.allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-
-
 def test_ket_and_plus():
     assert np.allclose(ket("10").amplitudes, [0, 0, 1, 0])
     assert np.allclose(plus(2).amplitudes, [0.5] * 4)
@@ -234,17 +233,17 @@ def test_ket_and_plus():
 
 
 def test_gate_constructors():
-    h = hadamard().matrix
+    # the package's one Hadamard: H written out, bit for bit, and read-only
+    h = qcore._HADAMARD
+    assert np.array_equal(h, HADAMARD) and not h.flags.writeable
     assert np.allclose(h @ h, np.eye(2))
     assert np.allclose(qcore._rz_matrix(0.0), np.eye(2))
     # Rz(pi) = -iZ
     assert np.allclose(qcore._rz_matrix(math.pi), -1j * np.diag([1, -1]))
-    with pytest.raises(ValueError):
-        SingleQubitGate(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_gate_kernel_single_qubit_placement():
-    x = SingleQubitGate([[0, 1], [1, 0]]).matrix
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = one_qubit_gate(ket("00"), 1, x)
     assert np.allclose(psi.amplitudes, ket("01").amplitudes)
     psi = one_qubit_gate(ket("00"), 0, x)
@@ -257,10 +256,10 @@ def test_gate_kernel_density_consistency(rng):
     # conjugating the density matrix must match the pure-state route
     for _ in range(10):
         psi = random_state(rng, 3)
-        u = random_unitary_gate(rng).matrix
+        u = random_unitary(rng)
         qubit = int(rng.integers(3))
         pure = one_qubit_gate(psi, qubit, u)
-        mixed = one_qubit_gate(DensityMatrix.from_state(psi), qubit, u)
+        mixed = one_qubit_gate(as_density(psi), qubit, u)
         assert np.allclose(
             mixed.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj())
         )
@@ -317,7 +316,7 @@ def test_expectation_mixed_matches_pure(rng):
     for _ in range(10):
         psi = random_state(rng, 2)
         word = PauliString("XZ")
-        assert expectation(DensityMatrix.from_state(psi), word) == pytest.approx(
+        assert expectation(as_density(psi), word) == pytest.approx(
             expectation(psi, word), abs=1e-12
         )
 
@@ -495,7 +494,7 @@ def test_measure_branch_decomposition(rng):
 def test_measure_mixed_matches_pure(rng):
     for _ in range(10):
         psi = random_state(rng, 3)
-        rho = DensityMatrix.from_state(psi)
+        rho = as_density(psi)
         alpha = float(rng.uniform(0, 2 * math.pi))
         p_pure = _branch_weights(psi, 2, alpha)
         p_mixed = _branch_weights(rho, 2, alpha)
@@ -554,7 +553,7 @@ def test_measurement_branches_equal_forced_measurements(rng):
 
 def test_measurement_branches_leave_out_impossible_outcomes():
     # |+> on qubit 1 never reads 1 in B(0)
-    for state in (plus(2), DensityMatrix.from_state(plus(2))):
+    for state in (plus(2), as_density(plus(2))):
         kept, residuals = qcore._branches(qcore._array(state)[None], 1, 0.0)
         assert kept == [(0, 0, pytest.approx(1.0, abs=1e-12))] and len(residuals) == 1
         with pytest.raises(ImpossibleOutcomeError):
@@ -582,7 +581,7 @@ def test_outcome_sources():
 def test_fidelity_and_overlap(rng):
     psi = random_state(rng, 2)
     assert fidelity(psi, psi) == pytest.approx(1.0)
-    assert fidelity(DensityMatrix.from_state(psi), psi) == pytest.approx(1.0)
+    assert fidelity(as_density(psi), psi) == pytest.approx(1.0)
     phase = np.exp(1j * 0.3) * psi.amplitudes
     assert overlap(StateVector(phase), psi) == pytest.approx(1.0)
     rho = random_density(rng, 2)
@@ -604,11 +603,20 @@ def test_entanglement_entropy_product_and_bell():
         entanglement_entropy(bell, [2])  # the first index past the register
 
 
+def test_entanglement_entropy_counts_eigenvalues_above_1e_12_only():
+    # sqrt(1 - e)|00> + sqrt(e)|11>: the reduced state is diag(1 - e, e), and
+    # e counts only above 1e-12 (sqrt(1e-12) squares back to 1e-12 exactly)
+    for e, counted in ((1e-12, False), (1.0005e-12, True)):
+        psi = StateVector([math.sqrt(1 - e), 0.0, 0.0, math.sqrt(e)])
+        expected = -(1 - e) * math.log2(1 - e) - (e * math.log2(e) if counted else 0.0)
+        assert entanglement_entropy(psi, [0]) == pytest.approx(expected, rel=1e-3)
+
+
 def test_unitary_invariance_properties(rng):
     # norm preserved, entropy invariant under local unitaries
     for _ in range(10):
         psi = random_state(rng, 3)
-        out = one_qubit_gate(psi, 1, random_unitary_gate(rng).matrix)
+        out = one_qubit_gate(psi, 1, random_unitary(rng))
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0)
         assert entanglement_entropy(out, [0]) == pytest.approx(
             entanglement_entropy(psi, [0]), abs=1e-9
