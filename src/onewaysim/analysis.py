@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -50,8 +49,8 @@ from .qcore import (
     _FORCED_MIN_WEIGHT,
     ImpossibleOutcomeError,
     State,
-    _check_stack,
     _density_array,
+    _is_number,
     _product_basis,
 )
 
@@ -154,8 +153,11 @@ def simulate_counts(
     seed fully determines the counts.
     """
     for name, value in (("rate", rate), ("duration", duration)):
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and 0 < value < math.inf):  # NaN fails too
+        try:  # NaN fails too, and an int beyond the float range raises
+            positive = _is_number(value) and 0 < float(value) < math.inf
+        except OverflowError:
+            positive = False
+        if not positive:
             raise ValueError(f"rate and duration must be positive and finite: {name} is {value!r}")
     if not 0 < rate * duration <= _MAX_EXPECTED_COUNTS:
         raise ValueError(
@@ -318,8 +320,8 @@ def gate_fidelity_report(
     :func:`_branch_maps`), read straight off the source-frame state for
     all four branches at once.  The fidelity is t_s^dagger R_s t_s /
     tr R_s, with t_s the closed-form branch output: the gate's constant
-    byproduct table times the (0, 0) output, all four checked as one
-    stack.
+    byproduct table, a signed permutation, times the (0, 0) output, which
+    :class:`StateVector` checks.
     """
     if kind not in _GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
@@ -330,7 +332,6 @@ def gate_fidelity_report(
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
     targets = byproducts @ _gate_output(kind, GateOutputSpec(alpha, beta)).amplitudes
-    _check_stack(targets)
     overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     report = {}
     branches = itertools.product((0, 1), repeat=len(pattern.steps))

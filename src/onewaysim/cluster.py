@@ -31,8 +31,8 @@ from .qcore import (
     State,
     StateVector,
     _array,
-    _checked_states,
     _gate_array,
+    _is_integer,
     _product_basis,
     overlap,
 )
@@ -47,11 +47,13 @@ class ClusterGraph:
 
     def __post_init__(self):
         n = self.num_vertices
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise ValueError(f"num_vertices must be an integer >= 1, got {n!r}")
         seen = set()
         normalized = []
         for edge in self.edges:
+            if not (_is_integer(edge[0]) and _is_integer(edge[1])):
+                raise ValueError(f"edge {edge!r} must join two integer vertices")
             a, b = int(edge[0]), int(edge[1])
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
@@ -119,7 +121,7 @@ class FrameMap:
 
     Frame qubit q holds source qubit ``sources[q]`` and is then acted on
     by ``gates[q]``, an unchecked 2x2 array (``_HADAMARD`` in both frames
-    below; every state :meth:`apply` returns is checked), or None.
+    below), or None.  :meth:`apply` checks only the state it returns.
     ``matrix`` is the whole map on kets, built once and read-only.
     Compared by identity: a tuple of arrays has no truth value.
     """
@@ -143,18 +145,18 @@ class FrameMap:
 
     def apply(self, state: State) -> State:
         """The state in the new frame.  The relabelling is one transpose of
-        each side's qubit axes, the gates run on arrays, and the intermediate
-        states are checked as one stack."""
+        each side's qubit axes and the gates run on plain arrays; only the
+        state returned is checked, by its constructor."""
         a, n = _array(state), len(self.sources)
         if state.num_qubits != n:
             raise ValueError(f"frame map acts on {n} qubits, state has {state.num_qubits}")
         t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
         axes = [s * n + q for s in range(a.ndim) for q in self.sources]
-        steps = [t.transpose(axes).reshape(a.shape)]
+        frame = t.transpose(axes).reshape(a.shape)
         for q, gate in enumerate(self.gates):
             if gate is not None:
-                steps.append(_gate_array(steps[-1], q, gate))
-        return _checked_states(steps)[-1]
+                frame = _gate_array(frame, q, gate)
+        return type(state)(frame)
 
 
 # |C4> frame -> graph frames

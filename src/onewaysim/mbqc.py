@@ -35,8 +35,6 @@ from .qcore import (
     _array,
     _branches,
     _check_bit,
-    _check_stack,
-    _checked_states,
     _is_number,
     _product_basis,
     _rotated_diagonal,
@@ -119,10 +117,10 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     the register.  The surviving branch prefixes of each step are one stack
     of state arrays, split in one call into both outcomes of every prefix;
     a branch whose weight falls below the forced-outcome floor (1e-12 at
-    some step) is dropped.  Each level's residuals are checked once as one
-    stack.  The last level's are corrected as one stack by their branches'
-    rows T of :func:`_byproduct_table`, T r for kets and T R T^dagger for
-    matrices, a signed permutation that moves no bit, then wrapped as states.
+    some step) is dropped.  The last level's residuals are corrected as one
+    stack by their branches' rows T of :func:`_byproduct_table`, T r for
+    kets and T R T^dagger for matrices (a signed permutation that moves no
+    bit); only these returned states are checked, each by its constructor.
     """
     live = list(range(state.num_qubits))
     if sorted([q for q, _ in pattern.steps] + list(pattern.readout)) != live:
@@ -133,8 +131,6 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
         kept, stack = _branches(stack, pos, alpha)
         prefixes = [(prefixes[row][0] + (out,), prefixes[row][1] + (p,)) for row, out, p in kept]
         live.pop(pos)
-        if len(live) > len(pattern.readout):  # a later step splits this level
-            _check_stack(stack)
     if stack is None:
         return [(outcomes, float(math.prod(probs)), None) for outcomes, probs in prefixes]
     if pattern.feedforward:
@@ -144,8 +140,8 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
         else:
             stack = t @ stack @ t.conj().swapaxes(1, 2)
     return [
-        (outcomes, float(math.prod(probs)), residual)
-        for (outcomes, probs), residual in zip(prefixes, _checked_states(stack))
+        (outcomes, float(math.prod(probs)), type(state)(residual))
+        for (outcomes, probs), residual in zip(prefixes, stack)
     ]
 
 

@@ -39,7 +39,6 @@ from .qcore import (
     State,
     StateVector,
     _array,
-    _check_density,
     _density_array,
     _is_number,
     _product_basis,
@@ -310,19 +309,19 @@ _FRINGE_BLOCK = 1024
 def _fringe_table(model: NoiseModel, thetas) -> np.ndarray:
     """H-polarized coincidence probabilities behind both beam splitters.
 
-    The noisy source for every phase in ``thetas`` is built as one stack
-    and checked once.  Both polarizations read H, so only the leading
-    4x4 block (the two path qubits) matters; it is rotated by the beam
-    splitters and its diagonal read off.  Returns an array of shape
-    (len(thetas), 2, 2) indexed [theta, photon A port, photon B port],
-    which holds the fringes of all four detector pairs.
+    The noisy source for every phase in ``thetas`` is built as one stack,
+    unchecked: it is never returned, and ``NoiseModel`` checked the model.
+    Both polarizations read H, so only the leading 4x4 block (the two path
+    qubits) matters; it is rotated by the beam splitters and its diagonal
+    read off.  Returns an array of shape (len(thetas), 2, 2) indexed
+    [theta, photon A port, photon B port], which holds the fringes of all
+    four detector pairs.
     """
     if len(thetas) > _FRINGE_BLOCK:
         blocks = [thetas[i : i + _FRINGE_BLOCK] for i in range(0, len(thetas), _FRINGE_BLOCK)]
         return np.concatenate([_fringe_table(model, block) for block in blocks])
     amps = _source_amplitudes(thetas)
     stack = _noise_channel(amps[:, :, None] * amps[:, None, :].conj(), model)
-    _check_density(stack)
     return _rotated_diagonal(_BEAM_SPLITTERS, stack[:, :4, :4]).reshape(-1, 2, 2)
 
 

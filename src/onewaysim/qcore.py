@@ -15,18 +15,16 @@ a stack of arrays); a frame map runs the gate kernel once per Hadamard
 search tables keep, and the measurement walks the split.  No other fixed
 circuit runs gate by gate: a cluster is one closed form, and a readout
 (the witness settings, the output interferometer) is one read-only
-matrix whose rotated diagonal ``_rotated_diagonal`` reads.
-``_array`` maps a state to its array; the constructors, or
-``_checked_states`` for a stack, map arrays back.
+matrix whose rotated diagonal ``_rotated_diagonal`` reads.  ``_array``
+maps a state to its array, and the constructors map arrays back.
 
-States are checked where they enter: the public constructors check every
-state they build (no NaN and no entry too large for a state, which would
-overflow the later checks; unit norm, or Hermitian, trace 1 and positive
-semidefinite: rho + 1e-10*I has a Cholesky factor), and each public
-operation builds its result through them.  A caller that chains kernels
-(a frame change, one level of a measurement walk) checks its intermediate
-arrays once per stack instead, with ``_check_stack`` (``_checked_states``
-also wraps them): the same checks, tolerances and messages, one call each.
+A state is checked where it enters the library and where it leaves it:
+the public constructors check every state they build (no NaN and no
+entry too large for a state, which would overflow the later checks; unit
+norm, or Hermitian, trace 1 and positive semidefinite: rho + 1e-10*I has
+a Cholesky factor), and every state a public function returns is built
+by them.  The arrays in between (a frame change's steps, the levels of a
+measurement walk) are exact local maps of checked states, left unchecked.
 
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
@@ -50,6 +48,7 @@ diagonal of the rotated state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -67,8 +66,13 @@ class ImpossibleOutcomeError(ValueError):
 
 
 def _is_number(value) -> bool:
-    """True for an int or a float; a bool, an int subclass, is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a real number, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """True for an int, numpy's included; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -120,36 +124,22 @@ class StateVector:
 
 
 def _check_density(m: np.ndarray) -> None:
-    """Raise ValueError unless ``m`` (one matrix, or a stack of them along
-    the leading axes) is finite, Hermitian, trace-1 and positive semidefinite
-    within TOL: every eigenvalue >= -TOL, i.e. m + TOL*I has a Cholesky factor
-    (one batched call; like an eigensolver it reads the lower triangle only)."""
+    """Raise ValueError unless the matrix ``m`` is finite, Hermitian, trace-1
+    and positive semidefinite within TOL: every eigenvalue >= -TOL, i.e. m +
+    TOL*I has a Cholesky factor (which, like eigvalsh, reads one triangle)."""
     # NaN, inf and entries large enough to overflow the checks below stop
     # here; no matrix that passes them has an entry above 1 + (d + 2)*TOL
     if not np.abs(m).max() <= 2.0:
         raise ValueError("density matrix has an entry that is NaN or of modulus above 2")
-    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= TOL:
+    if not np.abs(m - m.conj().T).max() <= TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = m.trace(axis1=-2, axis2=-1)
-    err = np.abs(tr - 1.0)
-    if not err.max() <= TOL:  # name the trace that misses 1 the most
-        raise ValueError(f"density matrix trace {complex(np.ravel(tr)[err.argmax()])!r} is not 1")
+    tr = np.trace(m)
+    if not abs(tr - 1.0) <= TOL:
+        raise ValueError(f"density matrix trace {complex(tr)!r} is not 1")
     try:
-        np.linalg.cholesky(m + TOL * np.eye(m.shape[-1]))
+        np.linalg.cholesky(m + TOL * np.eye(len(m)))
     except np.linalg.LinAlgError:
         raise ValueError("density matrix has a negative eigenvalue") from None
-
-
-def _check_norms(kets: np.ndarray) -> None:
-    """Raise the ValueError of :class:`StateVector` unless every ket of the
-    stack ``kets`` has unit norm within TOL."""
-    # the norms of |kets| with each modulus capped at 2: a complex product
-    # with an inf entry would warn and a huge entry would overflow, while a
-    # ket with a modulus above 1 + TOL still gets a norm above it
-    mags = np.minimum(np.abs(kets), 2.0)
-    bad = ~(np.abs(np.linalg.norm(mags, axis=-1) - 1.0) <= TOL)
-    if bad.any():
-        StateVector(kets[bad.argmax()])  # raises the constructor's message
 
 
 class DensityMatrix:
@@ -231,35 +221,6 @@ def _array(state: State) -> np.ndarray:
 def _qubits(a: np.ndarray) -> int:
     """The qubit count of a state array."""
     return int(a.shape[0]).bit_length() - 1
-
-
-def _check_stack(stack: np.ndarray) -> None:
-    """Each check of the public constructors, run once on a stack of
-    same-shape state arrays with the same tolerance and message: the norms
-    of kets, or :func:`_check_density`."""
-    (_check_norms if stack.ndim == 2 else _check_density)(stack)
-
-
-def _checked_states(arrays: Sequence[np.ndarray]) -> list:
-    """The states of same-shape arrays, checked as one stack.
-
-    The arrays are copied into one C-contiguous stack and checked by
-    :func:`_check_stack`; each row is then wrapped in its class without a
-    second check.
-    """
-    stack = np.array(arrays, dtype=complex)
-    pure = stack.ndim == 2
-    _check_stack(stack)
-    stack.setflags(write=False)
-    cls, field = (StateVector, "amplitudes") if pure else (DensityMatrix, "matrix")
-    n = _qubits(stack[0])
-    states = []
-    for row in stack:
-        state = object.__new__(cls)
-        setattr(state, field, row)
-        state.num_qubits = n
-        states.append(state)
-    return states
 
 
 def _density_array(state: State) -> np.ndarray:

@@ -90,6 +90,15 @@ EQUIVALENT = {
     ("analysis", "simulate_counts", "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06"):
         "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "
         "so the two never meet",
+    ("qcore", "_branches", "np.abs(traces - 1.0) > TOL", "np.abs(traces - 1.0) >= TOL"):
+        "traces - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
+        "so the two never meet",
+    ("qcore", "DensityMatrix.__init__", "m.shape[0]", "m.shape[1]"):
+        "at dim = m.shape[0] the matrix is already known to be square; the same "
+        "nudge inside the squareness test itself is killed by the non-square case",
+    ("photonics", "fit_noise", "0.0 <= keep_q <= keep", "0.0 < keep_q <= keep"):
+        "at keep_q = 0 the interior candidate (keep, 0.0) equals the q = 0 edge "
+        "candidate, which min already takes first",
 }
 RESHAPE = "numpy reads any negative length in a reshape as the one it infers"
 

@@ -4,6 +4,7 @@ search summaries."""
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from onewaysim.mbqc import (
     run_pattern,
 )
 from onewaysim.photonics import (
+    COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
@@ -192,7 +194,8 @@ def test_simulate_counts_validation():
     assert record.counts == {"a": record.total(), "b": 0} and record.total() > 0
     # rate and duration: each a finite positive real number, named when not
     table = {"0": 0.5, "1": 0.5}
-    hostile = (math.nan, math.inf, -math.inf, -1.0, 0, True, False, "100", None, 1j)
+    # 10**400 passes an exact comparison with inf, but no float holds it
+    hostile = (math.nan, math.inf, -math.inf, -1.0, 0, True, False, "100", None, 1j, 10**400)
     for value in hostile + (np.float64(math.nan), np.int64(0), np.bool_(True)):
         for name, args in (("rate", (value, 1.0)), ("duration", (100.0, value))):
             message = rf"^rate and duration must be positive and finite: {name} is "
@@ -212,6 +215,14 @@ def test_simulate_counts_validation():
     assert simulate_counts(table, 100, 1, seed=4).counts == drawn
     assert simulate_counts(table, np.float64(50.0), 2.0, seed=4).counts == drawn
     assert simulate_counts(table, np.int64(100), np.float32(1.0), seed=4).counts == drawn
+    assert simulate_counts(table, Fraction(100), 1, seed=4).counts == drawn
+
+
+def test_simulate_witness_records_defaults():
+    state = c4_state()
+    assert simulate_witness_records(state) == simulate_witness_records(
+        state, COINCIDENCE_RATE_HZ, 1.0, 0
+    )
 
 
 def test_simulate_witness_records_shape():
@@ -552,30 +563,26 @@ def test_branch_maps_match_forced_runs_for_any_step_count(frame, steps):
 
 def test_gate_report_checks_the_source_the_target_and_one_stack(monkeypatch):
     calls = []
-    init, norms, density = StateVector.__init__, qcore._check_norms, qcore._check_density
+    init, density = StateVector.__init__, qcore._check_density
 
     def counted_init(self, amplitudes):
         calls.append("ket")
         init(self, amplitudes)
 
-    def counted_norms(kets):
-        calls.append(("kets", len(kets)))
-        norms(kets)
-
-    def counted_density(matrices):
-        calls.append(("density", matrices.shape))
-        density(matrices)
+    def counted_density(matrix):
+        calls.append(("density", matrix.shape))
+        density(matrix)
 
     monkeypatch.setattr(StateVector, "__init__", counted_init)
-    monkeypatch.setattr(qcore, "_check_norms", counted_norms)
     monkeypatch.setattr(qcore, "_check_density", counted_density)
     for kind, gate in (("horseshoe", horseshoe_gate), ("box", box_gate)):
-        # the source (the cluster ket, then the noisy matrix), the (0, 0)
-        # target, and its four byproduct images as one stack
+        # the source (the cluster ket, then the noisy matrix) and the (0, 0)
+        # target; its four byproduct images, signed permutations of it, are
+        # not checked again
         for noise, source in ((None, ["ket"]), (FITTED_MODEL, ["ket", ("density", (16, 16))])):
             calls.clear()
             gate_fidelity_report(kind, 0.3, 1.1, noise)
-            assert calls == source + ["ket", ("kets", 4)]
+            assert calls == source + ["ket"]
         calls.clear()
         gate(GateOutputSpec(0.3, 1.1, 1, 1))
         assert calls == ["ket"]

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from onewaysim import cluster
 from onewaysim.cluster import (
     BOX_FRAME,
     BOX_GRAPH,
@@ -56,6 +58,11 @@ def test_graph_validation():
     for edge in ((0, 2), (2, 0), (-1, 1), (1, -1)):  # an end out of range
         with pytest.raises(ValueError, match="out of range"):
             ClusterGraph(2, (edge,))
+    # an end that is not an integer is named, never truncated
+    for edge in ((0, 1.5), (True, 2), (0, np.float64(1.0)), (np.bool_(False), 1), ("0", 1)):
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} must join two"):
+            ClusterGraph(3, (edge,))
+    assert ClusterGraph(3, ((np.int64(0), np.int32(2)),)).edges == ((0, 2),)
 
 
 def test_named_graphs():
@@ -240,6 +247,30 @@ def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
     for state in (short, as_density(short), long, random_density(rng, 5)):
         with pytest.raises(ValueError, match=f"acts on 4 qubits, state has {state.num_qubits}"):
             BOX_FRAME.apply(state)
+
+
+def test_frame_map_checks_the_state_it_returns(monkeypatch, rng):
+    # no step of the frame change is checked, so a faulty gate kernel must
+    # still meet the returned state's constructor, with its message
+    out = []
+    gate_array = cluster._gate_array
+
+    def doubled(a, qubit, u):
+        out.append(2.0 * gate_array(a, qubit, u))
+        return out[-1]
+
+    monkeypatch.setattr(cluster, "_gate_array", doubled)
+    for state, prefix in (
+        (c4_state(), "state norm"),
+        (random_state(rng, 4), "state norm"),
+        (random_density(rng, 4), "density matrix"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            to_box_frame(state)
+        assert str(caught.value).startswith(prefix)
+        with pytest.raises(ValueError) as expected:
+            type(state)(out[-1])  # the last gate's result
+        assert str(caught.value) == str(expected.value)
 
 
 def test_frame_map_rejects_bad_layouts():

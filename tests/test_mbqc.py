@@ -620,38 +620,70 @@ def test_bell_discriminate_mixed_input():
     assert bell_probabilities(rho)["+-"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mixed_search_checks_every_intermediate_state_once_per_stack(monkeypatch):
-    sizes = []
+def test_run_pattern_checks_the_residual_it_returns(monkeypatch, rng):
+    # no level of the walk is checked, so a faulty split must still meet
+    # the returned residual's constructor, with its message
+    out = []
+    branches = mbqc._branches
+
+    def doubled(stack, qubit, alpha):
+        kept, residuals = branches(stack, qubit, alpha)
+        out.append(2.0 * residuals)
+        return kept, out[-1]
+
+    monkeypatch.setattr(mbqc, "_branches", doubled)
+    pattern = MeasurementPattern(((1, 0.3),), readout=(0, 2, 3))
+    for state, prefix in (
+        (c4_state(), "state norm"),
+        (random_state(rng, 4), "state norm"),
+        (random_density(rng, 4), "density matrix trace"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            run_pattern(state, pattern, (1,))
+        assert str(caught.value).startswith(prefix)
+        with pytest.raises(ValueError) as expected:
+            type(state)(out[-1][0])  # every branch is built, outcome 0 first
+        assert str(caught.value) == str(expected.value)
+
+
+def _count_checks(monkeypatch, calls):
+    """Record every state constructor call and every density check in ``calls``."""
+    ket_init, density_init = StateVector.__init__, DensityMatrix.__init__
     check = qcore._check_density
 
-    def counted(matrices):
-        sizes.append(1 if matrices.ndim == 2 else len(matrices))
-        check(matrices)
+    def counted_ket(self, amplitudes):
+        calls.append("ket")
+        ket_init(self, amplitudes)
 
-    monkeypatch.setattr(qcore, "_check_density", counted)
+    def counted_density(self, matrix):
+        calls.append("density")
+        density_init(self, matrix)
+
+    def counted_check(m):
+        calls.append(("check", m.shape))
+        check(m)
+
+    monkeypatch.setattr(StateVector, "__init__", counted_ket)
+    monkeypatch.setattr(DensityMatrix, "__init__", counted_density)
+    monkeypatch.setattr(qcore, "_check_density", counted_check)
+
+
+def test_mixed_search_checks_every_intermediate_state_once_per_stack(monkeypatch):
+    calls = []
+    _count_checks(monkeypatch, calls)
     noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, 0.1))
+    calls.clear()
     grover_run("10", True, noisy)
-    # the noisy source, the five frame-map steps, then the residuals of the
-    # first three walk levels: 20 matrices, one per intermediate state, in
-    # 5 calls
-    assert sizes == [1, 5, 2, 4, 8]
+    # only the box-frame state is checked, by its constructor: the frame
+    # map's steps and the walk's levels are not, and the search measures
+    # every qubit, so no residual state is returned
+    assert calls == ["density", ("check", (16, 16))]
 
 
 def test_pure_search_checks_as_many_kets_as_one_call_each_would(monkeypatch):
+    calls = []
+    _count_checks(monkeypatch, calls)
     ideal = c4_state()
-    constructed, stacked = [], []
-    init, check = StateVector.__init__, qcore._check_norms
-
-    def counted_init(self, amplitudes):
-        constructed.append(1)
-        init(self, amplitudes)
-
-    def counted_norms(kets):
-        stacked.append(len(kets))
-        check(kets)
-
-    monkeypatch.setattr(StateVector, "__init__", counted_init)
-    monkeypatch.setattr(qcore, "_check_norms", counted_norms)
+    calls.clear()
     grover_run("10", True, ideal)
-    # 15 kets, as in one constructor call per intermediate state
-    assert constructed == [] and stacked == [5, 2, 4, 4]
+    assert calls == ["ket"]  # the box-frame state, one constructor call

@@ -105,20 +105,22 @@ def test_constructors_reject_nan_and_inf(value):
 
 def test_density_checks_cover_every_matrix_of_a_stack(rng):
     stack = np.stack([random_density(rng, 2).matrix for _ in range(5)])
-    _check_density(stack)  # a valid stack passes
+    for m in stack:
+        _check_density(m)  # each valid matrix passes
     for bad, message in (
         (np.eye(4), "trace"),
         (np.array(stack[0]) + np.triu(np.full((4, 4), 0.1j), 1), "Hermitian"),
         (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
         (np.diag([1 + 2e-10, -2e-10, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
     ):
-        broken = stack.copy()
-        broken[3] = bad
         with pytest.raises(ValueError, match=message):
-            _check_density(broken)
-    within = stack.copy()  # an eigenvalue of -5e-11 is within the tolerance
-    within[3] = np.diag([1 + 5e-11, -5e-11, 0.0, 0.0])
-    _check_density(within)
+            _check_density(bad)
+    # an eigenvalue of -5e-11 is within the tolerance
+    _check_density(np.diag([1 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex))
+    # so are an asymmetry and a trace error of exactly 1e-10 (every sum and
+    # modulus on the way is exact)
+    assert DensityMatrix([[0.5, 1e-10], [0.0, 0.5]]).matrix[0, 1] == 1e-10
+    assert np.trace(DensityMatrix(np.diag([0.5 + 5e-11j, 0.5 + 5e-11j])).matrix) == 1 + 1e-10j
 
 
 def _spectrum_density(rng, dim, values):
@@ -149,7 +151,6 @@ def test_density_check_verdict_matches_the_smallest_eigenvalue(rng):
             # -TOL +- delta (delta >= 1e-14) or at 0, and the rest are 0
             deltas = np.concatenate([[1e-14], 10.0 ** rng.uniform(-14, -10, 3)])
             lows = [0.0] + [-tol + sign * d for sign in (-1, 1) for d in deltas]
-            stack = []
             for low in lows if rank < dim else [0.0]:
                 values = np.zeros(dim)
                 values[:rank] = rng.uniform(0.1, 1.0, rank)
@@ -160,8 +161,6 @@ def test_density_check_verdict_matches_the_smallest_eigenvalue(rng):
                 assert reference == (low >= -tol)  # delta is far above rounding
                 assert _accepted(m) == reference, (n, rank, low)
                 verdicts.add(reference)
-                stack.append(m)
-            assert _accepted(np.array(stack)) == all(_accepted(m) for m in stack)
     assert verdicts == {True, False}
 
 
@@ -171,51 +170,12 @@ def _raised(fn, arg) -> str:
     return str(caught.value)
 
 
-def test_stacked_checks_raise_the_constructor_message_for_one_bad_member(rng):
-    matrices = [random_density(rng, 2).matrix for _ in range(5)]
-    for bad in (
-        np.eye(4, dtype=complex),  # trace 4
-        np.array(matrices[0]) + np.triu(np.full((4, 4), 0.1j), 1),  # not Hermitian
-        np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
-        np.full((4, 4), math.nan, dtype=complex),
-        np.diag([math.inf, 0.0, 0.0, 0.0]).astype(complex),
-        np.pad([[1e308, -1e308], [1e308, 0.0]], (0, 2)).astype(complex),  # huge, finite
-    ):
-        stack = matrices[:2] + [bad] + matrices[2:]
-        assert _raised(qcore._checked_states, stack) == _raised(DensityMatrix, bad)
-    kets = [random_state(rng, 2).amplitudes for _ in range(5)]
-    for bad in (
-        1.5 * kets[0],
-        np.array([math.nan, 1, 0, 0]),
-        np.array([math.inf, 0, 0, 0]),
-        np.array([1e200, 1, 0, 0]),
-    ):
-        stack = kets[:3] + [bad.astype(complex)] + kets[3:]
-        assert _raised(qcore._checked_states, stack) == _raised(StateVector, bad)
-
-
 def test_check_messages_print_plain_numbers():
-    # the norm and the trace read as Python numbers, not numpy scalar reprs,
-    # alone and when a stacked check raises the constructor's message
+    # the norm and the trace read as Python numbers, not numpy scalar reprs
     norm = "state norm 0.9055385138137417 is not 1 within 1e-10"
     trace = "density matrix trace (2+0j) is not 1"
     assert _raised(StateVector, [0.9, 0.1]) == norm
-    assert _raised(qcore._checked_states, [np.array([1.0, 0.0]), np.array([0.9, 0.1])]) == norm
     assert _raised(DensityMatrix, np.eye(2)) == trace
-    assert _raised(qcore._checked_states, [np.eye(2) / 2, np.eye(2)]) == trace
-
-
-def test_stacked_checks_wrap_each_member_like_the_constructor(rng):
-    for arrays, cls in (
-        ([random_state(rng, 3).amplitudes for _ in range(4)], StateVector),
-        ([random_density(rng, 2).matrix for _ in range(3)], DensityMatrix),
-    ):
-        states = qcore._checked_states(arrays)
-        for state, array in zip(states, arrays):
-            expected = cls(array)
-            assert type(state) is cls and state.num_qubits == expected.num_qubits
-            assert np.array_equal(qcore._array(state), qcore._array(expected))
-            assert not qcore._array(state).flags.writeable
 
 
 def test_ket_and_plus():
@@ -558,6 +518,16 @@ def test_measurement_branches_leave_out_impossible_outcomes():
         assert kept == [(0, 0, pytest.approx(1.0, abs=1e-12))] and len(residuals) == 1
         with pytest.raises(ImpossibleOutcomeError):
             _measure(state, 1, 0.0, 1)
+
+
+def test_a_weight_exactly_at_the_floor_is_kept(monkeypatch):
+    # with the floor at 2**-40, this state reads 0 in B(0) with weight
+    # exactly 2**-40: each sum in the split is exact in binary
+    floor = 2.0**-40
+    monkeypatch.setattr(qcore, "_FORCED_MIN_WEIGHT", floor)
+    rho = np.array([[0.5, floor - 0.5], [floor - 0.5, 0.5]], dtype=complex)
+    kept, _ = qcore._branches(rho[None], 0, 0.0)
+    assert kept == [(0, 0, floor), (0, 1, 1.0 - floor)]
 
 
 def test_outcome_sources():
