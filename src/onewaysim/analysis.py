@@ -50,6 +50,7 @@ from .qcore import (
     ImpossibleOutcomeError,
     State,
     _density_array,
+    _is_integer,
     _is_number,
     _product_basis,
 )
@@ -363,9 +364,14 @@ def grover_report(
     duration: float = 1.0,
     seed: int = 0,
 ) -> GroverReport:
-    """Run the search on the (optionally noisy) cluster and count answers."""
-    state = _prepare_state(noise)
-    distribution = grover_run(marked, feedforward, state)
+    """Run the search on the (optionally noisy) cluster and count answers;
+    ``noise`` is a NoiseModel or None, ``seed`` a non-negative integer."""
+    if not (noise is None or isinstance(noise, NoiseModel)):
+        raise ValueError(f"noise must be a NoiseModel or None, got {noise!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    ideal = noise is None or noise.is_ideal()
+    distribution = grover_run(marked, feedforward, None if ideal else _prepare_state(noise))
     record = simulate_counts(distribution, rate, duration, (int(seed), 0x5ea))
     total = record.total()
     if total == 0:

@@ -17,6 +17,7 @@ this module provides
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .qcore import (
     _array,
     _branches,
     _check_bit,
+    _is_integer,
     _is_number,
     _product_basis,
     _rotated_diagonal,
@@ -188,7 +190,7 @@ class GateOutputSpec:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("s2", "s3"):
             value = getattr(self, name)
-            if not (_is_number(value) and isinstance(value, int) and value in (0, 1)):
+            if not (_is_integer(value) and value in (0, 1)):
                 raise ValueError(f"{name} must be the bit 0 or 1, got {value!r}")
 
 
@@ -303,11 +305,22 @@ def _search_output(outcomes, feedforward: bool) -> str:
     return f"{1 ^ s_b4}{1 ^ s_b1}"
 
 
-def _search_input(input_state: Optional[State]) -> State:
-    state = input_state if input_state is not None else c4_state()
+# mark -> its search pattern, built once
+_SEARCH_PATTERNS = {mark: grover_pattern(mark) for mark in _MARKS}
+
+
+def _search_branches(state: State, marked: str) -> tuple:
+    """(outcomes, probability) of every search branch of a source-frame state."""
     if state.num_qubits != 4:
         raise ValueError("search input must be a four-qubit state")
-    return state
+    box = to_box_frame(state)
+    return tuple((o, p) for o, p, _ in branch_distribution(box, _SEARCH_PATTERNS[marked]))
+
+
+@functools.cache
+def _ideal_search_branches(marked: str) -> tuple:
+    """:func:`_search_branches` of the ideal cluster, walked once per mark."""
+    return _search_branches(c4_state(), marked)
 
 
 def grover_run(
@@ -318,7 +331,8 @@ def grover_run(
     """The exact answer distribution of the four-entry search.
 
     The distribution sums :func:`branch_distribution` of the box-frame
-    state, which measures each step once per surviving outcome prefix.
+    state, which measures each step once per surviving outcome prefix;
+    the ideal cluster's branches are walked once per mark and process.
 
     Parameters
     ----------
@@ -334,12 +348,17 @@ def grover_run(
 
     Returns
     -------
-    dict mapping '00'..'11' to probability.
+    A new dict mapping '00'..'11' to probability.
     """
-    pattern = grover_pattern(marked)
-    box = to_box_frame(_search_input(input_state))
+    m1, m2 = _check_marked(marked)
+    if not isinstance(feedforward, (bool, np.bool_)):
+        raise ValueError(f"feedforward must be a bool, got {feedforward!r}")
+    if input_state is None:
+        branches = _ideal_search_branches(_MARKS[2 * m1 + m2])
+    else:
+        branches = _search_branches(input_state, marked)
     distribution = {m: 0.0 for m in _MARKS}
-    for outcomes, prob, _ in branch_distribution(box, pattern):
+    for outcomes, prob in branches:
         distribution[_search_output(outcomes, feedforward)] += prob
     return distribution
 

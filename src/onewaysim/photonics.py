@@ -170,17 +170,20 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
 
 
 def _noise_channel(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """The noise channel on one 16x16 matrix or a stack of them."""
+    """The noise channel on a 16x16 register matrix, its leading d x d
+    block, or a stack of either: it acts entry by entry, so a block comes
+    out as the same block of the full result, bit for bit."""
+    d = rho.shape[-1]
     for photon, lam in (("A", model.path_dephasing_a), ("B", model.path_dephasing_b)):
         if lam == 0.0:
             continue
         qubit = _PATH_QUBITS[photon]
-        bits = (np.arange(16) >> (3 - qubit)) & 1
+        bits = (np.arange(d) >> (3 - qubit)) & 1
         differ = bits[:, None] != bits[None, :]
         rho = np.where(differ, (1.0 - lam) * rho, rho)
     p = model.white_noise
     if p:
-        rho = (1.0 - p) * rho + p * np.eye(16) / 16.0
+        rho = (1.0 - p) * rho + p * np.eye(d) / 16.0
     return rho
 
 
@@ -302,27 +305,27 @@ def _parse_pair(detector_pair: str) -> Tuple[int, int]:
 # both beam splitters, a Hadamard on each path qubit (read-only)
 _BEAM_SPLITTERS = _product_basis((_HADAMARD, _HADAMARD))
 
-# phases per stack, so a long scan needs no more than ~4 MB per stack
+# phases per stack, so a long scan needs no more than ~256 KB per stack
 _FRINGE_BLOCK = 1024
 
 
 def _fringe_table(model: NoiseModel, thetas) -> np.ndarray:
     """H-polarized coincidence probabilities behind both beam splitters.
 
-    The noisy source for every phase in ``thetas`` is built as one stack,
-    unchecked: it is never returned, and ``NoiseModel`` checked the model.
-    Both polarizations read H, so only the leading 4x4 block (the two path
-    qubits) matters; it is rotated by the beam splitters and its diagonal
-    read off.  Returns an array of shape (len(thetas), 2, 2) indexed
-    [theta, photon A port, photon B port], which holds the fringes of all
-    four detector pairs.
+    Both polarizations read H, so only the leading 4x4 (HH) block of the
+    noisy source matters: for every phase in ``thetas`` it is built from
+    the four HH amplitudes as one (n, 4, 4) stack, unchecked (it is never
+    returned, and ``NoiseModel`` checked the model), rotated by the beam
+    splitters, and its diagonal read off.  Returns an array of shape
+    (len(thetas), 2, 2) indexed [theta, photon A port, photon B port],
+    which holds the fringes of all four detector pairs.
     """
     if len(thetas) > _FRINGE_BLOCK:
         blocks = [thetas[i : i + _FRINGE_BLOCK] for i in range(0, len(thetas), _FRINGE_BLOCK)]
         return np.concatenate([_fringe_table(model, block) for block in blocks])
-    amps = _source_amplitudes(thetas)
+    amps = _source_amplitudes(thetas)[:, :4]
     stack = _noise_channel(amps[:, :, None] * amps[:, None, :].conj(), model)
-    return _rotated_diagonal(_BEAM_SPLITTERS, stack[:, :4, :4]).reshape(-1, 2, 2)
+    return _rotated_diagonal(_BEAM_SPLITTERS, stack).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)

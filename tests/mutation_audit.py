@@ -24,7 +24,10 @@ mutant, a passing run lets it survive, and a run past ``TIMEOUT``
 (600 s) counts as killed.  A mutant listed in ``EQUIVALENT``, or a
 -1 -> -2 nudge in a reshape, changes no behaviour, so no test can kill
 it: it is still run, but it counts in neither the killed nor the
-survived total.  The score is killed / (killed + survived).
+survived total.  An ``EQUIVALENT`` entry names its site's source line,
+so sites of the same text in one function keep their own verdicts, and
+an entry that matches no site is printed at the start.  The score is
+killed / (killed + survived).
 
 Not collected by pytest (the file name does not start with ``test_``),
 and not run in CI: it takes minutes.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import json
 import os
 import platform
@@ -68,35 +72,47 @@ COMPARISONS = {
 COMPOUND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.For, ast.While, ast.If,
             ast.With, ast.Try)
 
-# (module, function, original, mutated) -> why the mutant behaves as the original
+# (module, function, source line, original, mutated) -> why the mutant
+# behaves as the original; the line tells apart sites of the same text
 EQUIVALENT = {
-    ("cli", "load_config", "_MAX_CONFIG_BYTES + 1", "_MAX_CONFIG_BYTES + 2"):
+    ("cli", "load_config", "raw = handle.read(_MAX_CONFIG_BYTES + 1)",
+     "_MAX_CONFIG_BYTES + 1", "_MAX_CONFIG_BYTES + 2"):
         "reading one more byte still finds every file over the cap, and no other",
-    ("qcore", "StateVector.__init__", "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL"):
+    ("qcore", "StateVector.__init__", "if not abs(norm - 1.0) <= TOL:",
+     "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL"):
         "norm - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
-    ("analysis", "grover_report", "record.counts.get(marked, 0)",
-     "record.counts.get(marked, 1)"):
+    ("analysis", "grover_report", "hit = record.counts.get(marked, 0)",
+     "record.counts.get(marked, 0)", "record.counts.get(marked, 1)"):
         "simulate_counts gives every outcome of the search table a key, so the "
         "default never applies",
-    ("mbqc", "_byproduct_table", "(0, 1)", "(0, 2)"):
+    ("mbqc", "_byproduct_table",
+     "for branch in itertools.product((0, 1), repeat=len(pattern.steps)):",
+     "(0, 1)", "(0, 2)"):
         "a branch bit is only tested for truth, and 2 is as true as 1",
-    ("mbqc", "<module>", "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)"):
+    ("mbqc", "<module>", "kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))",
+     "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)"):
         "a gate pattern's feedforward does not depend on its angles, so the "
         "byproduct table built from it is the same",
-    ("mbqc", "<module>", "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)"):
+    ("mbqc", "<module>", "kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))",
+     "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)"):
         "a gate pattern's feedforward does not depend on its angles, so the "
         "byproduct table built from it is the same",
-    ("analysis", "simulate_counts", "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06"):
+    ("analysis", "simulate_counts", "if abs(total_p - 1.0) > 1e-6:",
+     "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06"):
         "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "
         "so the two never meet",
-    ("qcore", "_branches", "np.abs(traces - 1.0) > TOL", "np.abs(traces - 1.0) >= TOL"):
+    ("qcore", "_branches", "off = np.abs(traces - 1.0) > TOL",
+     "np.abs(traces - 1.0) > TOL", "np.abs(traces - 1.0) >= TOL"):
         "traces - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
-    ("qcore", "DensityMatrix.__init__", "m.shape[0]", "m.shape[1]"):
-        "at dim = m.shape[0] the matrix is already known to be square; the same "
-        "nudge inside the squareness test itself is killed by the non-square case",
-    ("photonics", "fit_noise", "0.0 <= keep_q <= keep", "0.0 < keep_q <= keep"):
+    ("qcore", "DensityMatrix.__init__", "dim = m.shape[0]", "m.shape[0]", "m.shape[1]"):
+        "the squareness test one line earlier makes m.shape[0] == m.shape[1]",
+    ("photonics", "_noise_channel", "d = rho.shape[-1]", "rho.shape[-1]", "rho.shape[-2]"):
+        "the channel only receives square matrices or stacks of them, whose "
+        "last two axes have the same length",
+    ("photonics", "fit_noise", "if keep > 0.0 and 0.0 <= keep_q <= keep:",
+     "0.0 <= keep_q <= keep", "0.0 < keep_q <= keep"):
         "at keep_q = 0 the interior candidate (keep, 0.0) equals the q = 0 edge "
         "candidate, which min already takes first",
 }
@@ -105,7 +121,7 @@ RESHAPE = "numpy reads any negative length in a reshape as the one it infers"
 
 def _equivalence(site):
     """Why a site's mutant is equivalent, or None."""
-    key = (site["module"], site["function"], site["original"], site["mutated"])
+    key = (site["module"], site["function"], site["source"], site["original"], site["mutated"])
     if key in EQUIVALENT:
         return EQUIVALENT[key]
     original, mutated = site["original"], site["mutated"]
@@ -161,24 +177,44 @@ def _mutate(node, kind) -> None:
         node.ops[index] = COMPARISONS[type(node.ops[index])]()
 
 
-def _site_list():
-    """Every site as a dict, with the mutant's module text."""
+def _module_sites(module: str, source: str):
+    """Every site of one module's ``source`` as a dict; ``source`` in the
+    dict is the stripped text of the site's line, and ``index`` its place
+    among the module's sites."""
+    lines = source.splitlines()
     sites = []
-    for module in MODULES:
-        source = (ROOT / "src" / "onewaysim" / f"{module}.py").read_text(encoding="utf-8")
-        count = len(_sites(ast.parse(source)))
-        for index in range(count):
-            tree = ast.parse(source)  # a fresh tree per mutant
-            node, function, context, kind = _sites(tree)[index]
-            original = ast.unparse(context) if context is not None else repr(node.value)
-            _mutate(node, kind)
-            mutated = ast.unparse(context) if context is not None else repr(node.value)
-            sites.append({
-                "module": module, "line": node.lineno, "function": function or "<module>",
-                "kind": kind.split()[0], "original": original, "mutated": mutated,
-                "text": ast.unparse(tree),
-            })
+    for index, (node, function, context, kind) in enumerate(_sites(ast.parse(source))):
+        attr = {"operator": "op", "constant": "value"}.get(kind, "ops")
+        saved = copy.copy(getattr(node, attr))
+        original = ast.unparse(context) if context is not None else repr(node.value)
+        _mutate(node, kind)
+        mutated = ast.unparse(context) if context is not None else repr(node.value)
+        setattr(node, attr, saved)
+        sites.append({
+            "module": module, "line": node.lineno, "function": function or "<module>",
+            "kind": kind.split()[0], "original": original, "mutated": mutated,
+            "source": lines[node.lineno - 1].strip(), "index": index,
+        })
     return sites
+
+
+def _site_list():
+    """Every site of the package, module by module."""
+    return [
+        site
+        for module in MODULES
+        for site in _module_sites(
+            module, (ROOT / "src" / "onewaysim" / f"{module}.py").read_text(encoding="utf-8")
+        )
+    ]
+
+
+def _mutant_text(site, source: str) -> str:
+    """The text of a site's mutant, from a fresh tree of its module's ``source``."""
+    tree = ast.parse(source)
+    node, _, _, kind = _sites(tree)[site["index"]]
+    _mutate(node, kind)
+    return ast.unparse(tree)
 
 
 def _limit_memory() -> None:
@@ -212,6 +248,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sites = _site_list()
+    keys = {(s["module"], s["function"], s["source"], s["original"], s["mutated"])
+            for s in sites}
+    for key in set(EQUIVALENT) - keys:
+        print(f"EQUIVALENT entry matches no site: {key}")
     chosen = []
     for i, seed in enumerate(args.seed):
         share = args.sample // len(args.seed) + (i < args.sample % len(args.seed))
@@ -230,10 +270,11 @@ def main(argv=None) -> int:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*SKIPPED))
         package = copy / "src" / "onewaysim"
-        baseline = {}
+        sources, baseline = {}, {}
         for module in MODULES:
             path = package / f"{module}.py"
-            baseline[module] = ast.unparse(ast.parse(path.read_text(encoding="utf-8")))
+            sources[module] = path.read_text(encoding="utf-8")
+            baseline[module] = ast.unparse(ast.parse(sources[module]))
             path.write_text(baseline[module], encoding="utf-8")
         passed, seconds, failed = _run_tests(copy)
         print(f"unmutated copy: {'pass' if passed else 'FAIL ' + str(failed)} ({seconds:.0f} s)")
@@ -242,7 +283,7 @@ def main(argv=None) -> int:
         for n, k in enumerate(chosen, 1):
             site = dict(sites[k])
             path = package / f"{site['module']}.py"
-            path.write_text(site.pop("text"), encoding="utf-8")
+            path.write_text(_mutant_text(site, sources[site["module"]]), encoding="utf-8")
             try:
                 passed, seconds, failed = _run_tests(copy)
             finally:

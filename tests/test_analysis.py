@@ -606,6 +606,11 @@ def test_grover_report_ideal():
 def test_grover_report_under_fitted_noise():
     report = grover_report(noise=FITTED_MODEL, marked="10", seed=1)
     assert grover_report(noise=FITTED_MODEL, marked="10", seed=1, duration=1.0) == report
+    # the default seed is 0
+    assert grover_report(noise=FITTED_MODEL, marked="10") == grover_report(
+        noise=FITTED_MODEL, marked="10", seed=0
+    )
+    assert grover_report(noise=FITTED_MODEL, marked="10", seed=0).trials != report.trials
     expected = 1.0 - 0.75 * FIT_P
     assert report.success_probability == pytest.approx(expected, abs=1e-9)
     assert report.estimate_stderr > 0.0
@@ -615,6 +620,40 @@ def test_grover_report_under_fitted_noise():
 def test_grover_report_zero_counts():
     with pytest.raises(ValueError):
         grover_report(rate=1e-9, duration=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        *(
+            ({"seed": seed}, "seed")
+            for seed in (1.5, True, np.bool_(True), -1, np.int64(-1), "3", None)
+        ),
+        *(({"noise": noise}, "noise") for noise in ("ideal", {}, 0.0, (0.0, 0.0, 0.0))),
+        *(({"feedforward": flag}, "feedforward") for flag in ("no", None, 1, np.int64(0))),
+        ({"marked": ["0", "0"]}, "marked"),
+    ],
+)
+def test_grover_report_names_a_bad_argument(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        grover_report(**kwargs)
+
+
+def test_grover_report_reads_the_ideal_search_without_a_state(monkeypatch):
+    expected = grover_report(noise=None, marked="01", feedforward=False, seed=5)
+
+    def refused(noise):
+        raise AssertionError("no state is prepared for the ideal search")
+
+    monkeypatch.setattr(analysis, "_prepare_state", refused)
+    for noise in (None, NoiseModel.ideal(), NoiseModel(0, 0, 0)):
+        for seed in (5, np.int64(5), np.uint8(5)):
+            for feedforward in (False, np.bool_(False)):
+                report = grover_report(noise, feedforward, "01", seed=seed)
+                assert report == expected
+                assert report.distribution == grover_run("01", False, c4_state())
+    with pytest.raises(AssertionError, match="no state"):
+        grover_report(noise=FITTED_MODEL)
 
 
 # ---------------------------------------------------------------------------

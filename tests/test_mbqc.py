@@ -238,9 +238,15 @@ def test_gate_output_spec_validation():
     with pytest.raises(ValueError):
         GateOutputSpec(float("inf"), 0.0)
     for name in ("s2", "s3"):
-        for bit in (True, 1.0, "1", None):
+        for bit in (True, np.bool_(True), 1.0, "1", None, np.int64(2), -1):
             with pytest.raises(ValueError, match=name):
                 GateOutputSpec(0.0, 0.0, **{name: bit})
+    # numpy integer bits act as ints, down to the gate output's last bit
+    for s2, s3 in BRANCHES:
+        spec = GateOutputSpec(0.3, -1.1, np.int64(s2), np.int8(s3))
+        plain = GateOutputSpec(0.3, -1.1, s2, s3)
+        assert spec == plain
+        assert np.array_equal(box_gate(spec).amplitudes, box_gate(plain).amplitudes)
 
 
 def _written_rz(t):
@@ -321,6 +327,62 @@ def test_search_argument_errors():
         grover_run("22")
     with pytest.raises(ValueError):
         grover_run("00", input_state=StateVector(np.array([1.0, 0.0], dtype=complex)))
+    # the mark is checked before the ideal branch lists are looked up, so
+    # an unhashable mark fails like any other unknown one
+    for marked in (["0", "0"], {"00": 1}, None, 0, b"00"):
+        with pytest.raises(ValueError, match="marked element must be one of"):
+            grover_run(marked)
+    for flag in ("no", None, 0, 1, np.int64(1), 1.0):
+        for state in (None, c4_state()):
+            with pytest.raises(ValueError, match="feedforward must be a bool"):
+                grover_run("00", flag, state)
+
+
+def _hex(distribution):
+    return [(mark, float.hex(value)) for mark, value in distribution.items()]
+
+
+def test_ideal_search_reads_the_walk_bit_for_bit():
+    for marked in MARKS:
+        for feedforward in (True, False, np.bool_(True), np.bool_(False)):
+            walked = _hex(grover_run(marked, feedforward, c4_state()))
+            assert _hex(grover_run(marked, feedforward)) == walked
+            assert _hex(grover_run(np.str_(marked), feedforward)) == walked  # read again
+
+
+def test_ideal_search_walks_once_per_mark(monkeypatch):
+    walks = []
+    walk = mbqc.branch_distribution
+
+    def counted(state, pattern):
+        walks.append(pattern)
+        return walk(state, pattern)
+
+    monkeypatch.setattr(mbqc, "branch_distribution", counted)
+    mbqc._ideal_search_branches.cache_clear()
+    for _ in range(3):
+        for marked in MARKS:
+            for feedforward in (True, False):
+                grover_run(marked, feedforward)
+    assert walks == [grover_pattern(marked) for marked in MARKS]
+    # an explicit input, even the ideal cluster itself, is walked each call
+    grover_run("01", True, c4_state())
+    grover_run("01", True, c4_state())
+    assert len(walks) == 6
+
+
+def test_ideal_search_returns_a_new_dict_each_call():
+    for marked in MARKS:
+        expected = _hex(grover_run(marked, True, c4_state()))
+        first = grover_run(marked, True)
+        first[marked] = -1.0
+        first["spare"] = 2.0
+        second = grover_run(marked, True)
+        assert second is not first
+        assert _hex(second) == expected
+    branches = mbqc._ideal_search_branches("10")
+    assert isinstance(branches, tuple)
+    assert all(isinstance(branch, tuple) and isinstance(branch[0], tuple) for branch in branches)
 
 
 def _lab_distribution(marked):

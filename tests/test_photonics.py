@@ -607,6 +607,65 @@ def test_long_scan_is_built_in_blocks(monkeypatch):
         assert scan.probabilities == pytest.approx(expected, abs=1e-12)
 
 
+def _full_register_fringes(model, thetas):
+    """The fringe table from whole-register (n, 16, 16) stacks: the channel
+    applied entry by entry to all 16 x 16 entries, then the HH block
+    rotated by both beam splitters and its diagonal read off."""
+    amps = photonics._source_amplitudes(thetas)
+    rho = amps[:, :, None] * amps[:, None, :].conj()
+    index = np.arange(16)
+    for lam, bit in ((model.path_dephasing_a, 1), (model.path_dephasing_b, 0)):
+        if lam != 0.0:
+            differ = ((index[:, None] >> bit) & 1) != ((index[None, :] >> bit) & 1)
+            rho = np.where(differ, (1.0 - lam) * rho, rho)
+    p = model.white_noise
+    if p:
+        rho = (1.0 - p) * rho + p * np.eye(16) / 16.0
+    splitters = np.kron(HADAMARD, HADAMARD)
+    return ((splitters @ rho[:, :4, :4]) * splitters.conj()).sum(axis=-1).real.reshape(-1, 2, 2)
+
+
+def test_fringe_table_equals_the_full_register_bit_for_bit(rng):
+    assert np.array_equal(np.kron(HADAMARD, HADAMARD), photonics._BEAM_SPLITTERS)
+    models = _oracle_models(rng, 12) + [NoiseModel(0.1, 0.0, 0.0), NoiseModel(0.0, 0.0, 0.05)]
+    for model in models:
+        for size in (1, 4, 24, 48, int(rng.integers(2, 200))):
+            thetas = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=size)
+            table = _fringe_table(model, thetas)
+            assert np.array_equal(table, _full_register_fringes(model, thetas))
+    # a scan split into blocks reads the same bits as one whole stack
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * 1024 + 2, endpoint=False)
+    for model in models[:6]:
+        table = _fringe_table(model, thetas)
+        assert np.array_equal(table, _full_register_fringes(model, thetas))
+
+
+def test_noise_channel_on_the_leading_block_keeps_every_bit(rng):
+    for model in _oracle_models(rng, 6):
+        for rho in [as_density(random_state(rng, 4)).matrix, random_density(rng, 4).matrix]:
+            full = photonics._noise_channel(rho, model)
+            assert np.array_equal(photonics._noise_channel(rho[:4, :4], model), full[:4, :4])
+            stack = np.stack([rho, full])
+            assert np.array_equal(
+                photonics._noise_channel(stack[:, :4, :4], model),
+                photonics._noise_channel(stack, model)[:, :4, :4],
+            )
+
+
+@pytest.mark.parametrize("samples, blocks", [(24, [24]), (2050, [1024, 1024, 2])])
+def test_fringes_send_only_4x4_blocks_through_the_channel(monkeypatch, samples, blocks):
+    shapes = []
+    channel = photonics._noise_channel
+
+    def recorded(stack, model):
+        shapes.append(stack.shape)
+        return channel(stack, model)
+
+    monkeypatch.setattr(photonics, "_noise_channel", recorded)
+    visibility_scans(NoiseModel(0.1, 0.05, 0.2), DETECTOR_PAIRS, samples)
+    assert shapes == [(n, 4, 4) for n in blocks]
+
+
 def test_visibility_scans_validate_every_pair():
     with pytest.raises(ValueError, match="detector pair"):
         visibility_scans(NoiseModel.ideal(), ("D1-D2", "D2-D1"))

@@ -44,6 +44,12 @@ def test_statevector_rejects_bad_shapes():
         StateVector([1.0])  # single amplitude
     with pytest.raises(ValueError):
         StateVector([1.0, 1.0])  # unnormalized
+    # the amplitude bound is 1 + 1e-10 itself: at it the norm check speaks,
+    # just above it the amplitude check
+    with pytest.raises(ValueError, match=r"^state norm [\d.]+ is not 1 within 1e-10$"):
+        StateVector([1.0 + 1e-10, 0.0])
+    with pytest.raises(ValueError, match="amplitude of modulus"):
+        StateVector([1.0 + 2e-10, 0.0])
 
 
 def test_statevector_is_read_only():
