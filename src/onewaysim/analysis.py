@@ -370,8 +370,7 @@ def grover_report(
         raise ValueError(f"noise must be a NoiseModel or None, got {noise!r}")
     if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    ideal = noise is None or noise.is_ideal()
-    distribution = grover_run(marked, feedforward, None if ideal else _prepare_state(noise))
+    distribution = grover_run(marked, feedforward, _prepare_state(noise))
     record = simulate_counts(distribution, rate, duration, (int(seed), 0x5ea))
     total = record.total()
     if total == 0:

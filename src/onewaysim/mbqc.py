@@ -17,7 +17,6 @@ this module provides
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -309,20 +308,6 @@ def _search_output(outcomes, feedforward: bool) -> str:
 _SEARCH_PATTERNS = {mark: grover_pattern(mark) for mark in _MARKS}
 
 
-def _search_branches(state: State, marked: str) -> tuple:
-    """(outcomes, probability) of every search branch of a source-frame state."""
-    if state.num_qubits != 4:
-        raise ValueError("search input must be a four-qubit state")
-    box = to_box_frame(state)
-    return tuple((o, p) for o, p, _ in branch_distribution(box, _SEARCH_PATTERNS[marked]))
-
-
-@functools.cache
-def _ideal_search_branches(marked: str) -> tuple:
-    """:func:`_search_branches` of the ideal cluster, walked once per mark."""
-    return _search_branches(c4_state(), marked)
-
-
 def grover_run(
     marked: str,
     feedforward: bool = True,
@@ -331,8 +316,7 @@ def grover_run(
     """The exact answer distribution of the four-entry search.
 
     The distribution sums :func:`branch_distribution` of the box-frame
-    state, which measures each step once per surviving outcome prefix;
-    the ideal cluster's branches are walked once per mark and process.
+    state, which measures each step once per surviving outcome prefix.
 
     Parameters
     ----------
@@ -348,17 +332,17 @@ def grover_run(
 
     Returns
     -------
-    A new dict mapping '00'..'11' to probability.
+    dict mapping '00'..'11' to probability.
     """
     m1, m2 = _check_marked(marked)
     if not isinstance(feedforward, (bool, np.bool_)):
         raise ValueError(f"feedforward must be a bool, got {feedforward!r}")
-    if input_state is None:
-        branches = _ideal_search_branches(_MARKS[2 * m1 + m2])
-    else:
-        branches = _search_branches(input_state, marked)
+    state = input_state if input_state is not None else c4_state()
+    if state.num_qubits != 4:
+        raise ValueError("search input must be a four-qubit state")
+    pattern = _SEARCH_PATTERNS[_MARKS[2 * m1 + m2]]
     distribution = {m: 0.0 for m in _MARKS}
-    for outcomes, prob in branches:
+    for outcomes, prob, _ in branch_distribution(to_box_frame(state), pattern):
         distribution[_search_output(outcomes, feedforward)] += prob
     return distribution
 

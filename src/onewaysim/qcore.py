@@ -293,6 +293,14 @@ def _split_coefficients(alpha: float, sides: int):
     return tuple(table)
 
 
+def _row_norms(kets: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each ket along the last axis, bit for bit: norm
+    sums re.re + im.im with numpy's 1-D dot, and a (1, L) @ (L, 1) matmul
+    is that dot, called once for the whole stack."""
+    re, im = kets.real[..., None, :], kets.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def _branches(stack: np.ndarray, qubit: int, alpha: float):
     """Every possible outcome of a B(alpha) measurement of each state array
     in ``stack`` (same-shape arrays along a leading axis), from one split.
@@ -303,8 +311,8 @@ def _branches(stack: np.ndarray, qubit: int, alpha: float):
     that order (None when no qubit remains).  Each side of a row contracts
     the qubit with the outcome's bra; the terms are summed in index order
     and scaled by 2**(-sides/2).  The weight of 0 is a matrix's trace, or a
-    ket's squared norm taken row by row (a norm over the stack rounds
-    differently).
+    ket's squared norm, each row's summed as :func:`np.linalg.norm` sums it
+    (a norm along the stack's axis rounds differently).
     """
     rows, n, sides = len(stack), _qubits(stack[0]), stack.ndim - 1
     blocks = [stack.reshape((rows,) + (2,) * (n * sides))]
@@ -315,30 +323,32 @@ def _branches(stack: np.ndarray, qubit: int, alpha: float):
         blocks = [block.take(k, axis=axis) for block in blocks for k in (0, 1)]
     if n == 1:  # one number per row, kept as numpy scalars: their products round unlike arrays'
         blocks = [np.array(list(block), dtype=object) for block in blocks]
-    scale = 2 ** (sides / 2)
+    scale, shape = 2 ** (sides / 2), (rows,) + (2 ** (n - 1),) * sides
     branches = []
     for coefs in _split_coefficients(alpha, sides):
         branch = blocks[0]
         for coef, block in zip(coefs, blocks[1:]):
             branch = branch + coef * block
-        branch = (branch / scale).astype(complex, copy=False)
-        branches.append(branch.reshape((rows,) + (2 ** (n - 1),) * sides))
+        branches.append((branch / scale).astype(complex, copy=False).reshape(shape))
+    split = np.array(branches)
     if sides == 1:
-        norm0 = [np.linalg.norm(row) for row in branches[0]]
-        p0 = np.array([norm**2 for norm in norm0])
+        norms = _row_norms(split)
+        p0 = [norm**2 for norm in norms[0].tolist()]
     else:
-        p0 = branches[0].trace(axis1=1, axis2=2).real
-    probs = np.array([p0, 1.0 - p0]).T
-    kept_rows, outcomes = np.nonzero(probs >= _FORCED_MIN_WEIGHT)
-    probs = probs[kept_rows, outcomes]
-    kept = list(zip(kept_rows.tolist(), outcomes.tolist(), probs.tolist()))
+        p0 = branches[0].trace(axis1=1, axis2=2).real.tolist()
+    kept = [
+        (row, out, p)
+        for row, w in enumerate(p0)
+        for out, p in ((0, w), (1, 1.0 - w))
+        if p >= _FORCED_MIN_WEIGHT
+    ]
     if n == 1:
         return kept, None
-    picked = np.array(branches)[outcomes, kept_rows]
+    kept_rows, outcomes, probs = zip(*kept)
+    picked = split[outcomes, kept_rows]
     if sides == 1:  # each ket by its own norm
-        norms = [np.linalg.norm(branches[1][r]) if out else norm0[r] for r, out, _ in kept]
-        return kept, picked / np.array(norms)[:, None]
-    picked = picked / probs[:, None, None]
+        return kept, picked / norms[outcomes, kept_rows][:, None]
+    picked = picked / np.array(probs)[:, None, None]
     picked = (picked + picked.conj().swapaxes(1, 2)) / 2.0  # remove Hermiticity drift
     traces = picked.trace(axis1=1, axis2=2).real
     # prob = 1 - p0 of a branch of weight ~1e-11 carries the cancellation

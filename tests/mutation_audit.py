@@ -24,9 +24,11 @@ mutant, a passing run lets it survive, and a run past ``TIMEOUT``
 (600 s) counts as killed.  A mutant listed in ``EQUIVALENT``, or a
 -1 -> -2 nudge in a reshape, changes no behaviour, so no test can kill
 it: it is still run, but it counts in neither the killed nor the
-survived total.  An ``EQUIVALENT`` entry names its site's source line,
-so sites of the same text in one function keep their own verdicts, and
-an entry that matches no site is printed at the start.  The score is
+survived total.  An ``EQUIVALENT`` entry names its site's source line
+and the site's occurrence among the function's sites with that line and
+mutation (0 for the first), so sites of the same text in one function,
+even on one line, keep their own verdicts; an entry that matches no site
+is printed at the start.  The score is
 killed / (killed + survived).
 
 Not collected by pytest (the file name does not start with ``test_``),
@@ -72,58 +74,67 @@ COMPARISONS = {
 COMPOUND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.For, ast.While, ast.If,
             ast.With, ast.Try)
 
-# (module, function, source line, original, mutated) -> why the mutant
-# behaves as the original; the line tells apart sites of the same text
+# (module, function, source line, original, mutated, occurrence) -> why
+# the mutant behaves as the original; the line and the occurrence tell
+# apart sites of the same text
 EQUIVALENT = {
     ("cli", "load_config", "raw = handle.read(_MAX_CONFIG_BYTES + 1)",
-     "_MAX_CONFIG_BYTES + 1", "_MAX_CONFIG_BYTES + 2"):
+     "_MAX_CONFIG_BYTES + 1", "_MAX_CONFIG_BYTES + 2", 0):
         "reading one more byte still finds every file over the cap, and no other",
     ("qcore", "StateVector.__init__", "if not abs(norm - 1.0) <= TOL:",
-     "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL"):
+     "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL", 0):
         "norm - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
     ("analysis", "grover_report", "hit = record.counts.get(marked, 0)",
-     "record.counts.get(marked, 0)", "record.counts.get(marked, 1)"):
+     "record.counts.get(marked, 0)", "record.counts.get(marked, 1)", 0):
         "simulate_counts gives every outcome of the search table a key, so the "
         "default never applies",
     ("mbqc", "_byproduct_table",
      "for branch in itertools.product((0, 1), repeat=len(pattern.steps)):",
-     "(0, 1)", "(0, 2)"):
+     "(0, 1)", "(0, 2)", 0):
         "a branch bit is only tested for truth, and 2 is as true as 1",
     ("mbqc", "<module>", "kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))",
-     "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)"):
+     "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)", 0):
         "a gate pattern's feedforward does not depend on its angles, so the "
         "byproduct table built from it is the same",
     ("mbqc", "<module>", "kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))",
-     "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)"):
+     "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)", 0):
         "a gate pattern's feedforward does not depend on its angles, so the "
         "byproduct table built from it is the same",
     ("analysis", "simulate_counts", "if abs(total_p - 1.0) > 1e-6:",
-     "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06"):
+     "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06", 0):
         "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "
         "so the two never meet",
     ("qcore", "_branches", "off = np.abs(traces - 1.0) > TOL",
-     "np.abs(traces - 1.0) > TOL", "np.abs(traces - 1.0) >= TOL"):
+     "np.abs(traces - 1.0) > TOL", "np.abs(traces - 1.0) >= TOL", 0):
         "traces - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
-    ("qcore", "DensityMatrix.__init__", "dim = m.shape[0]", "m.shape[0]", "m.shape[1]"):
+    ("qcore", "_split_coefficients", "@lru_cache(maxsize=256)",
+     "lru_cache(maxsize=256)", "lru_cache(maxsize=257)", 0):
+        "the cache's size decides only which angles stay cached, never a coefficient",
+    ("qcore", "DensityMatrix.__init__", "dim = m.shape[0]", "m.shape[0]", "m.shape[1]", 0):
         "the squareness test one line earlier makes m.shape[0] == m.shape[1]",
-    ("photonics", "_noise_channel", "d = rho.shape[-1]", "rho.shape[-1]", "rho.shape[-2]"):
+    ("photonics", "_noise_channel", "d = rho.shape[-1]", "rho.shape[-1]", "rho.shape[-2]", 0):
         "the channel only receives square matrices or stacks of them, whose "
         "last two axes have the same length",
     ("photonics", "fit_noise", "if keep > 0.0 and 0.0 <= keep_q <= keep:",
-     "0.0 <= keep_q <= keep", "0.0 < keep_q <= keep"):
+     "0.0 <= keep_q <= keep", "0.0 < keep_q <= keep", 0):
         "at keep_q = 0 the interior candidate (keep, 0.0) equals the q = 0 edge "
         "candidate, which min already takes first",
 }
 RESHAPE = "numpy reads any negative length in a reshape as the one it infers"
 
 
+def _key(site):
+    """A site's ``EQUIVALENT`` key."""
+    return tuple(site[name] for name in
+                 ("module", "function", "source", "original", "mutated", "occurrence"))
+
+
 def _equivalence(site):
     """Why a site's mutant is equivalent, or None."""
-    key = (site["module"], site["function"], site["source"], site["original"], site["mutated"])
-    if key in EQUIVALENT:
-        return EQUIVALENT[key]
+    if _key(site) in EQUIVALENT:
+        return EQUIVALENT[_key(site)]
     original, mutated = site["original"], site["mutated"]
     if ".reshape(" in original and mutated == original[::-1].replace("1-", "2-", 1)[::-1]:
         return RESHAPE  # the last -1 nudged to -2
@@ -179,10 +190,11 @@ def _mutate(node, kind) -> None:
 
 def _module_sites(module: str, source: str):
     """Every site of one module's ``source`` as a dict; ``source`` in the
-    dict is the stripped text of the site's line, and ``index`` its place
-    among the module's sites."""
+    dict is the stripped text of the site's line, ``index`` its place
+    among the module's sites, and ``occurrence`` the number of earlier
+    sites with the same function, line text and mutation."""
     lines = source.splitlines()
-    sites = []
+    sites, seen = [], {}
     for index, (node, function, context, kind) in enumerate(_sites(ast.parse(source))):
         attr = {"operator": "op", "constant": "value"}.get(kind, "ops")
         saved = copy.copy(getattr(node, attr))
@@ -195,6 +207,8 @@ def _module_sites(module: str, source: str):
             "kind": kind.split()[0], "original": original, "mutated": mutated,
             "source": lines[node.lineno - 1].strip(), "index": index,
         })
+        same = _key({**sites[-1], "occurrence": None})
+        sites[-1]["occurrence"] = seen[same] = seen.get(same, -1) + 1
     return sites
 
 
@@ -248,8 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sites = _site_list()
-    keys = {(s["module"], s["function"], s["source"], s["original"], s["mutated"])
-            for s in sites}
+    keys = {_key(site) for site in sites}
     for key in set(EQUIVALENT) - keys:
         print(f"EQUIVALENT entry matches no site: {key}")
     chosen = []

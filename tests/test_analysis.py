@@ -639,21 +639,13 @@ def test_grover_report_names_a_bad_argument(kwargs, name):
         grover_report(**kwargs)
 
 
-def test_grover_report_reads_the_ideal_search_without_a_state(monkeypatch):
+def test_grover_report_reads_canonical_arguments_alike():
     expected = grover_report(noise=None, marked="01", feedforward=False, seed=5)
-
-    def refused(noise):
-        raise AssertionError("no state is prepared for the ideal search")
-
-    monkeypatch.setattr(analysis, "_prepare_state", refused)
+    assert expected.distribution == grover_run("01", False, c4_state())
     for noise in (None, NoiseModel.ideal(), NoiseModel(0, 0, 0)):
         for seed in (5, np.int64(5), np.uint8(5)):
             for feedforward in (False, np.bool_(False)):
-                report = grover_report(noise, feedforward, "01", seed=seed)
-                assert report == expected
-                assert report.distribution == grover_run("01", False, c4_state())
-    with pytest.raises(AssertionError, match="no state"):
-        grover_report(noise=FITTED_MODEL)
+                assert grover_report(noise, feedforward, "01", seed=seed) == expected
 
 
 # ---------------------------------------------------------------------------

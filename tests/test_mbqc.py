@@ -327,8 +327,7 @@ def test_search_argument_errors():
         grover_run("22")
     with pytest.raises(ValueError):
         grover_run("00", input_state=StateVector(np.array([1.0, 0.0], dtype=complex)))
-    # the mark is checked before the ideal branch lists are looked up, so
-    # an unhashable mark fails like any other unknown one
+    # an unhashable or non-string mark fails like any other unknown one
     for marked in (["0", "0"], {"00": 1}, None, 0, b"00"):
         with pytest.raises(ValueError, match="marked element must be one of"):
             grover_run(marked)
@@ -347,10 +346,12 @@ def test_ideal_search_reads_the_walk_bit_for_bit():
         for feedforward in (True, False, np.bool_(True), np.bool_(False)):
             walked = _hex(grover_run(marked, feedforward, c4_state()))
             assert _hex(grover_run(marked, feedforward)) == walked
-            assert _hex(grover_run(np.str_(marked), feedforward)) == walked  # read again
+            assert _hex(grover_run(np.str_(marked), feedforward)) == walked
 
 
-def test_ideal_search_walks_once_per_mark(monkeypatch):
+def test_every_search_call_walks_its_input(monkeypatch):
+    # no search result is kept between calls: each call walks, and a
+    # returned dict is the caller's own
     walks = []
     walk = mbqc.branch_distribution
 
@@ -359,30 +360,13 @@ def test_ideal_search_walks_once_per_mark(monkeypatch):
         return walk(state, pattern)
 
     monkeypatch.setattr(mbqc, "branch_distribution", counted)
-    mbqc._ideal_search_branches.cache_clear()
-    for _ in range(3):
+    for state in (None, c4_state()):
         for marked in MARKS:
-            for feedforward in (True, False):
-                grover_run(marked, feedforward)
-    assert walks == [grover_pattern(marked) for marked in MARKS]
-    # an explicit input, even the ideal cluster itself, is walked each call
-    grover_run("01", True, c4_state())
-    grover_run("01", True, c4_state())
-    assert len(walks) == 6
-
-
-def test_ideal_search_returns_a_new_dict_each_call():
-    for marked in MARKS:
-        expected = _hex(grover_run(marked, True, c4_state()))
-        first = grover_run(marked, True)
-        first[marked] = -1.0
-        first["spare"] = 2.0
-        second = grover_run(marked, True)
-        assert second is not first
-        assert _hex(second) == expected
-    branches = mbqc._ideal_search_branches("10")
-    assert isinstance(branches, tuple)
-    assert all(isinstance(branch, tuple) and isinstance(branch[0], tuple) for branch in branches)
+            first = grover_run(marked, True, state)
+            expected = _hex(first)
+            first[marked] = -1.0
+            assert _hex(grover_run(marked, True, state)) == expected
+    assert walks == [grover_pattern(marked) for marked in MARKS for _ in range(2)] * 2
 
 
 def _lab_distribution(marked):

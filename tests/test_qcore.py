@@ -432,6 +432,14 @@ def test_stacked_split_equals_the_per_array_reference(rng):
     assert rescued > 0 and dropped > 0  # both edge paths were taken
 
 
+def test_row_norms_are_numpy_norms_bit_for_bit(rng):
+    for length in (1, 2, 3, 8, 16, 33):
+        for scale in (1e-9, 1.0, 3.0):
+            kets = scale * (rng.normal(size=(2, 5, length)) + 1j * rng.normal(size=(2, 5, length)))
+            want = [[np.linalg.norm(row) for row in block] for block in kets]
+            assert qcore._row_norms(kets).tolist() == want
+
+
 def test_measurement_probabilities_sum(rng):
     for _ in range(20):
         psi = random_state(rng, 3)
