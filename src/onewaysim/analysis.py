@@ -33,8 +33,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cluster import FrameMap, c4_state
-from .mbqc import _GATES, GateOutputSpec, MeasurementPattern, _gate_output, grover_run
+from .cluster import _C4, FrameMap
+from .mbqc import _GATES, _MARKS, _check_angles, _check_search, _gate_targets, _search
 from .photonics import (
     COINCIDENCE_RATE_HZ,
     NoiseModel,
@@ -42,14 +42,13 @@ from .photonics import (
     _OUTCOME_KEYS,
     _b_alpha_basis,
     _check_setting,
-    apply_noise,
+    _noisy,
     joint_distribution,
 )
 from .qcore import (
     _FORCED_MIN_WEIGHT,
     ImpossibleOutcomeError,
     State,
-    _density_array,
     _is_integer,
     _is_number,
     _product_basis,
@@ -153,17 +152,7 @@ def simulate_counts(
     of ints).  Outcome keys are processed in sorted order, so a fixed
     seed fully determines the counts.
     """
-    for name, value in (("rate", rate), ("duration", duration)):
-        try:  # NaN fails too, and an int beyond the float range raises
-            positive = _is_number(value) and 0 < float(value) < math.inf
-        except OverflowError:
-            positive = False
-        if not positive:
-            raise ValueError(f"rate and duration must be positive and finite: {name} is {value!r}")
-    if not 0 < rate * duration <= _MAX_EXPECTED_COUNTS:
-        raise ValueError(
-            f"rate * duration must lie in (0, {_MAX_EXPECTED_COUNTS:.0e}], got {rate * duration!r}"
-        )
+    _check_rate(rate, duration)
     keys = sorted(probabilities)
     if not keys:
         raise ValueError("empty probability table")
@@ -175,6 +164,26 @@ def simulate_counts(
         raise ValueError(f"probability of {key!r} is {float(probabilities[key])!r}, not in [0, 1]")
     if values.min() < -1e-9:
         raise ValueError("negative probability")
+    drawn = _draw(values, rate, duration, seed)
+    return CountRecord(counts={k: int(c) for k, c in zip(keys, drawn)}, setting=setting)
+
+
+def _check_rate(rate: float, duration: float) -> None:
+    for name, value in (("rate", rate), ("duration", duration)):
+        try:  # NaN fails too, and an int beyond the float range raises
+            positive = _is_number(value) and 0 < float(value) < math.inf
+        except OverflowError:
+            positive = False
+        if not positive:
+            raise ValueError(f"rate and duration must be positive and finite: {name} is {value!r}")
+    if not 0 < rate * duration <= _MAX_EXPECTED_COUNTS:
+        raise ValueError(
+            f"rate * duration must lie in (0, {_MAX_EXPECTED_COUNTS:.0e}], got {rate * duration!r}"
+        )
+
+
+def _draw(values: np.ndarray, rate: float, duration: float, seed) -> np.ndarray:
+    """:func:`simulate_counts`' draw from a table whose entries it checked."""
     values = np.clip(values, 0.0, None)
     total_p = float(values.sum())
     if abs(total_p - 1.0) > 1e-6:
@@ -182,11 +191,7 @@ def simulate_counts(
     values = values / total_p
     rng = np.random.default_rng(seed)
     total = int(rng.poisson(rate * duration))
-    drawn = rng.multinomial(total, values)
-    return CountRecord(
-        counts={k: int(c) for k, c in zip(keys, drawn)},
-        setting=setting,
-    )
+    return rng.multinomial(total, values)
 
 
 def simulate_witness_records(
@@ -195,8 +200,15 @@ def simulate_witness_records(
     duration: float = 1.0,
     seed: int = 0,
 ) -> Tuple[CountRecord, CountRecord]:
-    """Counts for both witness settings of a four-qubit state."""
-    return _draw_records(_witness_tables(state), rate, duration, seed)
+    """Counts for both witness settings of a four-qubit state; ``seed`` is an int >= 0."""
+    tables = _witness_tables(state)
+    _check_seed(seed)
+    return _draw_records(tables, rate, duration, seed)
+
+
+def _check_seed(seed) -> None:
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _draw_records(tables, rate: float, duration: float, seed: int) -> Tuple[CountRecord, ...]:
@@ -285,15 +297,15 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_state(noise: Optional[NoiseModel]) -> State:
-    base = c4_state()
-    if noise is None or noise.is_ideal():
-        return base
-    return apply_noise(base, noise)
+def _prepare_state(noise: Optional[NoiseModel]) -> np.ndarray:
+    """The array both reports start from: the (noisy) |C4>, unchecked."""
+    if not (noise is None or isinstance(noise, NoiseModel)):
+        raise ValueError(f"noise must be a NoiseModel or None, got {noise!r}")
+    return _C4 if noise is None else _noisy(_C4, noise)
 
 
-def _branch_maps(frame: FrameMap, pattern: MeasurementPattern) -> np.ndarray:
-    """K_s for every outcome branch s of a pattern, without its feedforward.
+def _branch_maps(frame: FrameMap, steps, readout) -> np.ndarray:
+    """K_s for every outcome branch s of a pattern's steps and readout.
 
     K_s maps a source-frame (|C4>) state onto the unnormalised residual
     of branch s on the readout qubits: the frame map, then the bra of its
@@ -301,11 +313,11 @@ def _branch_maps(frame: FrameMap, pattern: MeasurementPattern) -> np.ndarray:
     source index), branches in lexicographic outcome order.
     """
     n = len(frame.sources)
-    steps = [q for q, _ in pattern.steps]
+    qubits = [q for q, _ in steps]
     rows = frame.matrix.reshape((2,) * n + (2**n,))
-    rows = rows.transpose(steps + list(pattern.readout) + [n]).reshape(2 ** len(steps), -1)
-    bras = _product_basis([_b_alpha_basis(alpha) for _, alpha in pattern.steps])
-    return (bras @ rows).reshape(2 ** len(steps), 2 ** len(pattern.readout), 2**n)
+    rows = rows.transpose(qubits + list(readout) + [n]).reshape(2 ** len(steps), -1)
+    bras = _product_basis([_b_alpha_basis(alpha) for _, alpha in steps])
+    return (bras @ rows).reshape(2 ** len(steps), 2 ** len(readout), 2**n)
 
 
 def gate_fidelity_report(
@@ -321,21 +333,21 @@ def gate_fidelity_report(
     :func:`_branch_maps`), read straight off the source-frame state for
     all four branches at once.  The fidelity is t_s^dagger R_s t_s /
     tr R_s, with t_s the closed-form branch output: the gate's constant
-    byproduct table, a signed permutation, times the (0, 0) output, which
-    :class:`StateVector` checks.
+    byproduct table, a signed permutation, times the (0, 0) output.  Only
+    the arguments are checked; every array is the library's own.
     """
     if kind not in _GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
-    frame, pattern_fn, byproducts = _GATES[kind]
-    pattern = pattern_fn(alpha, beta)
-    maps = _branch_maps(frame, pattern)
-    rho = _density_array(_prepare_state(noise))
+    _check_angles(alpha, beta)
+    maps = _branch_maps(_GATES[kind][0], ((1, alpha), (2, beta)), (0, 3))  # both gates' layout
+    a = _prepare_state(noise)
+    rho = np.outer(a, a.conj()) if a.ndim == 1 else a
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
-    targets = byproducts @ _gate_output(kind, GateOutputSpec(alpha, beta)).amplitudes
+    targets = _gate_targets(kind, alpha, beta)
     overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     report = {}
-    branches = itertools.product((0, 1), repeat=len(pattern.steps))
+    branches = itertools.product((0, 1), repeat=2)
     for branch, weight, value in zip(branches, weights, overlaps):
         if weight < _FORCED_MIN_WEIGHT:
             raise ImpossibleOutcomeError(f"gate branch {branch} has weight {weight:.3e}")
@@ -366,17 +378,16 @@ def grover_report(
 ) -> GroverReport:
     """Run the search on the (optionally noisy) cluster and count answers;
     ``noise`` is a NoiseModel or None, ``seed`` a non-negative integer."""
-    if not (noise is None or isinstance(noise, NoiseModel)):
-        raise ValueError(f"noise must be a NoiseModel or None, got {noise!r}")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    distribution = grover_run(marked, feedforward, _prepare_state(noise))
-    record = simulate_counts(distribution, rate, duration, (int(seed), 0x5ea))
-    total = record.total()
+    a = _prepare_state(noise)
+    _check_seed(seed)
+    _check_search(marked, feedforward)
+    distribution = _search(a, marked, feedforward)
+    _check_rate(rate, duration)
+    drawn = _draw(np.array(list(distribution.values())), rate, duration, (int(seed), 0x5ea))
+    total = int(drawn.sum())
     if total == 0:
         raise NoCountsError("no counts drawn; increase rate or duration")
-    hit = record.counts.get(marked, 0)
-    estimate = hit / total
+    estimate = int(drawn[_MARKS.index(marked)]) / total
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / total)
     return GroverReport(
         marked=marked,

@@ -44,7 +44,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import yaml
 
 from .analysis import _MAX_EXPECTED_COUNTS, NoCountsError, _draw_records, _exact_report
-from .analysis import _witness_tables, gate_fidelity_report, grover_report, witness_from_counts
+from .analysis import gate_fidelity_report, grover_report, witness_from_counts
 from .mbqc import _MARKS
 from .photonics import (
     COINCIDENCE_RATE_HZ,
@@ -52,9 +52,11 @@ from .photonics import (
     NoiseModel,
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
-    apply_noise,
+    WITNESS_SETTINGS,
+    _joint_table,
+    _noisy,
+    _source_amplitudes,
     fit_noise,
-    source_state,
     visibility_scans,
 )
 
@@ -319,9 +321,8 @@ def _report_fields(report) -> dict:
 
 def cmd_witness(cfg: dict, model: NoiseModel) -> _Result:
     theta = cfg["source.theta"]
-    state = source_state(theta)
-    prepared = state if model.is_ideal() else apply_noise(state, model)
-    tables = _witness_tables(prepared)  # one per setting, for both reports
+    prepared = _noisy(_source_amplitudes(theta), model)
+    tables = {name: _joint_table(prepared, name) for name in WITNESS_SETTINGS}  # for both reports
     exact = _exact_report(tables)
     counted = witness_from_counts(_draw_records(tables, cfg["rate"], cfg["duration"], cfg["seed"]))
     document = {

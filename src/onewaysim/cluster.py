@@ -104,14 +104,16 @@ def stabilizer_generators(graph: ClusterGraph) -> Tuple[PauliString, ...]:
     return tuple(gens)
 
 
+# |C4>'s amplitudes (read-only), from which the library's own stages start
+_C4 = np.zeros(16, dtype=complex)
+_C4[[0b0000, 0b0011, 0b1100]] = 0.5
+_C4[0b1111] = -0.5
+_C4.setflags(write=False)
+
+
 def c4_state() -> StateVector:
     """The linear four-qubit cluster (|0000> + |0011> + |1100> - |1111>)/2."""
-    amps = np.zeros(16, dtype=complex)
-    amps[0b0000] = 0.5
-    amps[0b0011] = 0.5
-    amps[0b1100] = 0.5
-    amps[0b1111] = -0.5
-    return StateVector(amps)
+    return StateVector(_C4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,19 +146,22 @@ class FrameMap:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, state: State) -> State:
-        """The state in the new frame.  The relabelling is one transpose of
-        each side's qubit axes and the gates run on plain arrays; only the
-        state returned is checked, by its constructor."""
+        """The state in the new frame, checked by its constructor."""
         a, n = _array(state), len(self.sources)
         if state.num_qubits != n:
             raise ValueError(f"frame map acts on {n} qubits, state has {state.num_qubits}")
-        t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side
+        return type(state)(self._frame(a))
+
+    def _frame(self, a: np.ndarray) -> np.ndarray:
+        """:meth:`apply` on a state array, unchecked; the result is C-ordered."""
+        n = len(self.sources)
+        t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side, relabelled at once
         axes = [s * n + q for s in range(a.ndim) for q in self.sources]
         frame = t.transpose(axes).reshape(a.shape)
         for q, gate in enumerate(self.gates):
             if gate is not None:
                 frame = _gate_array(frame, q, gate)
-        return type(state)(frame)
+        return np.ascontiguousarray(frame)
 
 
 # |C4> frame -> graph frames

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cluster import BOX_FRAME, HORSESHOE_FRAME, c4_state, to_box_frame
+from .cluster import _C4, BOX_FRAME, HORSESHOE_FRAME
 from .photonics import _PM_BASIS, _Z_BASIS
 from .qcore import (
     _HADAMARD,
@@ -38,6 +38,7 @@ from .qcore import (
     _is_integer,
     _is_number,
     _product_basis,
+    _qubits,
     _rotated_diagonal,
     _rz_matrix,
 )
@@ -108,6 +109,19 @@ def _byproduct_table(pattern: MeasurementPattern) -> np.ndarray:
     return table
 
 
+def _walk(a: np.ndarray, pattern: MeasurementPattern):
+    """The surviving (outcomes, probabilities) prefixes of a walk on the
+    state array ``a``, and their residuals' stack (None if none is left)."""
+    live = list(range(_qubits(a)))
+    prefixes, stack = [((), ())], a[None]
+    for qubit, alpha in pattern.steps:
+        pos = live.index(qubit)
+        kept, stack = _branches(stack, pos, alpha)
+        prefixes = [(prefixes[row][0] + (out,), prefixes[row][1] + (p,)) for row, out, p in kept]
+        live.pop(pos)
+    return prefixes, stack
+
+
 def branch_distribution(state: State, pattern: MeasurementPattern):
     """All outcome branches of a pattern with their joint probabilities.
 
@@ -126,12 +140,7 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     live = list(range(state.num_qubits))
     if sorted([q for q, _ in pattern.steps] + list(pattern.readout)) != live:
         raise ValueError("pattern qubits do not match the register")
-    prefixes, stack = [((), ())], _array(state)[None]
-    for qubit, alpha in pattern.steps:
-        pos = live.index(qubit)
-        kept, stack = _branches(stack, pos, alpha)
-        prefixes = [(prefixes[row][0] + (out,), prefixes[row][1] + (p,)) for row, out, p in kept]
-        live.pop(pos)
+    prefixes, stack = _walk(_array(state), pattern)
     if stack is None:
         return [(outcomes, float(math.prod(probs)), None) for outcomes, probs in prefixes]
     if pattern.feedforward:
@@ -173,6 +182,13 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
 # ---------------------------------------------------------------------------
 
 
+def _check_angles(alpha, beta) -> None:
+    """Raise ValueError, naming the angle, unless both are finite numbers."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (_is_number(value) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateOutputSpec:
     """Angles and branch outcomes selecting one gate output state."""
@@ -183,10 +199,7 @@ class GateOutputSpec:
     s3: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        _check_angles(self.alpha, self.beta)
         for name in ("s2", "s3"):
             value = getattr(self, name)
             if not (_is_integer(value) and value in (0, 1)):
@@ -213,10 +226,10 @@ def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> Measurem
     )
 
 
-# gate kind -> (graph frame, pattern, byproduct table); the feedforward
-# does not depend on the angles
+# gate kind -> (graph frame, byproduct table); the feedforward does not
+# depend on the angles
 _GATES = {
-    kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))
+    kind: (frame, _byproduct_table(pattern_fn(0.0, 0.0)))
     for kind, frame, pattern_fn in (
         ("horseshoe", HORSESHOE_FRAME, horseshoe_pattern),
         ("box", BOX_FRAME, box_pattern),
@@ -227,15 +240,19 @@ _GATES = {
 _CZ_PLUS = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
 
 
-def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
-    """Branch (s2, s3): its byproducts times the (0, 0) output
+def _gate_targets(kind: str, alpha: float, beta: float) -> np.ndarray:
+    """Row 2 s2 + s3: branch (s2, s3)'s byproducts times the (0, 0) output
     (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
-    B = H Rz(-beta), whose |11> entry the box's extra CZ negates."""
-    a, b = (_HADAMARD @ _rz_matrix(-t) for t in (spec.alpha, spec.beta))
+    B = H Rz(-beta), whose |11> entry the box's extra CZ negates; unchecked."""
+    a, b = (_HADAMARD @ _rz_matrix(-t) for t in (alpha, beta))
     target = a @ _CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]
-    return StateVector(_GATES[kind][2][2 * spec.s2 + spec.s3] @ target.reshape(4))
+    return _GATES[kind][1] @ target.reshape(4)
+
+
+def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
+    return StateVector(_gate_targets(kind, spec.alpha, spec.beta)[2 * spec.s2 + spec.s3])
 
 
 def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
@@ -278,7 +295,7 @@ def _oracle_angle(mark_bit: int) -> float:
 
 def grover_pattern(marked: str) -> MeasurementPattern:
     """Box-frame measurement pattern for one oracle choice."""
-    m1, m2 = _check_marked(marked)
+    m1, m2 = _check_search(marked)
     steps = (
         (_ORACLE_POSITIONS[0], _oracle_angle(m1)),
         (_ORACLE_POSITIONS[1], _oracle_angle(m2)),
@@ -288,20 +305,13 @@ def grover_pattern(marked: str) -> MeasurementPattern:
     return MeasurementPattern(steps=steps)
 
 
-def _check_marked(marked: str) -> Tuple[int, int]:
+def _check_search(marked: str, feedforward: bool = True) -> Tuple[int, int]:
+    """The mark's two bits, once the mark and the feedforward flag pass."""
     if marked not in _MARKS:
         raise ValueError(f"marked element must be one of {_MARKS}, got {marked!r}")
+    if not isinstance(feedforward, (bool, np.bool_)):
+        raise ValueError(f"feedforward must be a bool, got {feedforward!r}")
     return int(marked[0]), int(marked[1])
-
-
-def _search_output(outcomes, feedforward: bool) -> str:
-    # step order: oracle on box qubits 2,3 then readout on box qubits 1,4
-    s_b2, s_b3, s_b1, s_b4 = outcomes
-    if feedforward:
-        return f"{s_b2 ^ s_b4}{s_b1 ^ s_b3}"
-    # without the black box outcomes only the readout bits remain, read
-    # in the lab basis (readout B(pi): lab bit = 1 xor outcome)
-    return f"{1 ^ s_b4}{1 ^ s_b1}"
 
 
 # mark -> its search pattern, built once
@@ -315,7 +325,7 @@ def grover_run(
 ) -> Dict[str, float]:
     """The exact answer distribution of the four-entry search.
 
-    The distribution sums :func:`branch_distribution` of the box-frame
+    The distribution sums the branch weights of a walk on the box-frame
     state, which measures each step once per surviving outcome prefix.
 
     Parameters
@@ -334,16 +344,22 @@ def grover_run(
     -------
     dict mapping '00'..'11' to probability.
     """
-    m1, m2 = _check_marked(marked)
-    if not isinstance(feedforward, (bool, np.bool_)):
-        raise ValueError(f"feedforward must be a bool, got {feedforward!r}")
-    state = input_state if input_state is not None else c4_state()
-    if state.num_qubits != 4:
+    _check_search(marked, feedforward)
+    if input_state is not None and input_state.num_qubits != 4:
         raise ValueError("search input must be a four-qubit state")
-    pattern = _SEARCH_PATTERNS[_MARKS[2 * m1 + m2]]
+    return _search(_C4 if input_state is None else _array(input_state), marked, feedforward)
+
+
+def _search(a: np.ndarray, marked: str, feedforward: bool) -> Dict[str, float]:
+    """:func:`grover_run` on a source-frame state array, all unchecked."""
+    prefixes, _ = _walk(BOX_FRAME._frame(a), _SEARCH_PATTERNS[marked])
     distribution = {m: 0.0 for m in _MARKS}
-    for outcomes, prob, _ in branch_distribution(to_box_frame(state), pattern):
-        distribution[_search_output(outcomes, feedforward)] += prob
+    # step order: oracle on box qubits 2,3 then readout on box qubits 1,4;
+    # without the black box outcomes only the readout bits remain, read in
+    # the lab basis (readout B(pi): lab bit = 1 xor outcome)
+    for (s_b2, s_b3, s_b1, s_b4), probs in prefixes:
+        answer = f"{s_b2 ^ s_b4}{s_b1 ^ s_b3}" if feedforward else f"{1 ^ s_b4}{1 ^ s_b1}"
+        distribution[answer] += float(math.prod(probs))
     return distribution
 
 

@@ -40,6 +40,7 @@ from .qcore import (
     StateVector,
     _array,
     _density_array,
+    _is_integer,
     _is_number,
     _product_basis,
     _rotated_diagonal,
@@ -166,7 +167,18 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     """Send a four-qubit state through the noise channel."""
     if ideal.num_qubits != 4:
         raise ValueError("the noise model is defined on the four-qubit register")
+    _check_model(model)
     return DensityMatrix(_noise_channel(_density_array(ideal), model))
+
+
+def _check_model(model) -> None:
+    if not isinstance(model, NoiseModel):
+        raise ValueError(f"model must be a NoiseModel, got {model!r}")
+
+
+def _noisy(amps: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """The ket ``amps``, or under a non-ideal model :func:`apply_noise`'s matrix, unchecked."""
+    return amps if model.is_ideal() else _noise_channel(np.outer(amps, amps.conj()), model)
 
 
 def _noise_channel(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -279,7 +291,12 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
     _check_setting(setting)
     if state.num_qubits != 4:
         raise ValueError("joint distribution is defined on the four-qubit register")
-    probs = np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], _array(state)), 0.0)
+    return _joint_table(_array(state), setting)
+
+
+def _joint_table(a: np.ndarray, setting: str) -> Dict[str, float]:
+    """:func:`joint_distribution` of a four-qubit state array, unchecked."""
+    probs = np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], a), 0.0)
     return dict(zip(_OUTCOME_KEYS, probs.tolist()))
 
 
@@ -344,14 +361,20 @@ def visibility_scans(
     """Scan the source phase once and report the fringe of each pair.
 
     Visibility is (max - min)/(max + min) over the sampled fringe.
-    ``samples`` must be even, so that it includes both extremes of this
-    source (theta = 0 and pi); an odd count understates the visibility.
+    ``samples`` must be an even integer >= 4, so that it includes both
+    extremes of this source (theta = 0 and pi); an odd count understates
+    the visibility.  ``detector_pairs`` lists names from DETECTOR_PAIRS.
     """
+    if not _is_integer(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 4:
-        raise ValueError("need at least four samples per turn")
+        raise ValueError(f"samples: need at least four samples per turn, got {samples}")
     if samples % 2:
         raise ValueError(f"samples must be even, got {samples}")
+    if isinstance(detector_pairs, str):
+        raise ValueError(f"detector_pairs must be a sequence of names, got {detector_pairs!r}")
     ports = [_parse_pair(pair) for pair in detector_pairs]
+    _check_model(model)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     table = _fringe_table(model, thetas)
     thetas = tuple(thetas.tolist())

@@ -23,8 +23,10 @@ the public constructors check every state they build (no NaN and no
 entry too large for a state, which would overflow the later checks; unit
 norm, or Hermitian, trace 1 and positive semidefinite: rho + 1e-10*I has
 a Cholesky factor), and every state a public function returns is built
-by them.  The arrays in between (a frame change's steps, the levels of a
-measurement walk) are exact local maps of checked states, left unchecked.
+by them.  The library's own stages pass plain arrays to each other, left
+unchecked: a frame change's steps, the levels of a measurement walk, and
+the source, noisy source and targets that the search, gate and witness
+pipelines build from constants and checked arguments.
 
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
@@ -324,8 +326,8 @@ def _branches(stack: np.ndarray, qubit: int, alpha: float):
     if n == 1:  # one number per row, kept as numpy scalars: their products round unlike arrays'
         blocks = [np.array(list(block), dtype=object) for block in blocks]
     scale, shape = 2 ** (sides / 2), (rows,) + (2 ** (n - 1),) * sides
-    branches = []
-    for coefs in _split_coefficients(alpha, sides):
+    branches, splits = [], _split_coefficients(alpha, sides)
+    for coefs in splits if n > 1 else splits[:1]:  # a last qubit's weights need outcome 0 only
         branch = blocks[0]
         for coef, block in zip(coefs, blocks[1:]):
             branch = branch + coef * block

@@ -85,23 +85,19 @@ EQUIVALENT = {
      "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL", 0):
         "norm - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
-    ("analysis", "grover_report", "hit = record.counts.get(marked, 0)",
-     "record.counts.get(marked, 0)", "record.counts.get(marked, 1)", 0):
-        "simulate_counts gives every outcome of the search table a key, so the "
-        "default never applies",
     ("mbqc", "_byproduct_table",
      "for branch in itertools.product((0, 1), repeat=len(pattern.steps)):",
      "(0, 1)", "(0, 2)", 0):
         "a branch bit is only tested for truth, and 2 is as true as 1",
-    ("mbqc", "<module>", "kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))",
+    ("mbqc", "<module>", "kind: (frame, _byproduct_table(pattern_fn(0.0, 0.0)))",
      "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)", 0):
         "a gate pattern's feedforward does not depend on its angles, so the "
         "byproduct table built from it is the same",
-    ("mbqc", "<module>", "kind: (frame, pattern_fn, _byproduct_table(pattern_fn(0.0, 0.0)))",
+    ("mbqc", "<module>", "kind: (frame, _byproduct_table(pattern_fn(0.0, 0.0)))",
      "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)", 0):
         "a gate pattern's feedforward does not depend on its angles, so the "
         "byproduct table built from it is the same",
-    ("analysis", "simulate_counts", "if abs(total_p - 1.0) > 1e-6:",
+    ("analysis", "_draw", "if abs(total_p - 1.0) > 1e-6:",
      "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06", 0):
         "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "
         "so the two never meet",
@@ -109,6 +105,16 @@ EQUIVALENT = {
      "np.abs(traces - 1.0) > TOL", "np.abs(traces - 1.0) >= TOL", 0):
         "traces - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
+    ("qcore", "_branches",
+     "for coefs in splits if n > 1 else splits[:1]:  # a last qubit's weights need outcome 0 only",
+     "n > 1", "n >= 1", 0):
+        "it also builds the last qubit's outcome-1 branch, which nothing reads: both "
+        "weights come from outcome 0's branch, and no residual is returned",
+    ("qcore", "_branches",
+     "for coefs in splits if n > 1 else splits[:1]:  # a last qubit's weights need outcome 0 only",
+     ":1", ":2", 0):
+        "it also builds the last qubit's outcome-1 branch, which nothing reads: both "
+        "weights come from outcome 0's branch, and no residual is returned",
     ("qcore", "_split_coefficients", "@lru_cache(maxsize=256)",
      "lru_cache(maxsize=256)", "lru_cache(maxsize=257)", 0):
         "the cache's size decides only which angles stay cached, never a coefficient",

@@ -50,7 +50,14 @@ from onewaysim.photonics import (
     source_state,
     visibility_scans,
 )
-from onewaysim.qcore import ImpossibleOutcomeError, PauliString, StateVector, expectation, fidelity
+from onewaysim.qcore import (
+    DensityMatrix,
+    ImpossibleOutcomeError,
+    PauliString,
+    StateVector,
+    expectation,
+    fidelity,
+)
 
 import closed_forms
 from conftest import random_density, random_state
@@ -223,6 +230,18 @@ def test_simulate_witness_records_defaults():
     assert simulate_witness_records(state) == simulate_witness_records(
         state, COINCIDENCE_RATE_HZ, 1.0, 0
     )
+
+
+@pytest.mark.parametrize("seed", (1.5, True, np.bool_(True), -1, np.int64(-1), "3", None))
+def test_simulate_witness_records_names_a_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        simulate_witness_records(c4_state(), seed=seed)
+
+
+def test_simulate_witness_records_reads_numpy_seeds_alike():
+    expected = simulate_witness_records(c4_state(), 2000.0, 1.0, seed=5)
+    for seed in (np.int64(5), np.uint8(5)):
+        assert simulate_witness_records(c4_state(), 2000.0, 1.0, seed=seed) == expected
 
 
 def test_simulate_witness_records_shape():
@@ -511,7 +530,7 @@ def test_gate_report_matches_branch_runs_on_any_state(kind, monkeypatch):
     rng = np.random.default_rng(101)
     for make in (random_state, random_density) * 3:
         state = make(rng, 4)
-        monkeypatch.setattr(analysis, "_prepare_state", lambda noise, state=state: state)
+        monkeypatch.setattr(analysis, "_prepare_state", lambda noise, a=qcore._array(state): a)
         alpha, beta = (float(v) for v in rng.uniform(-2 * math.pi, 2 * math.pi, size=2))
         report = gate_fidelity_report(kind, alpha, beta)
         _assert_reports_match(report, _gate_report_by_branches(kind, alpha, beta, state))
@@ -520,7 +539,7 @@ def test_gate_report_matches_branch_runs_on_any_state(kind, monkeypatch):
 def test_gate_report_rejects_an_impossible_branch(monkeypatch):
     # source qubit 1 in |+> never gives outcome 1 in B(0) on the horseshoe
     state = StateVector(np.kron(np.kron([1, 0], [1, 1]), [1, 0, 0, 0]) / math.sqrt(2))
-    monkeypatch.setattr(analysis, "_prepare_state", lambda noise: state)
+    monkeypatch.setattr(analysis, "_prepare_state", lambda noise: qcore._array(state))
     with pytest.raises(ImpossibleOutcomeError):
         _gate_report_by_branches("horseshoe", 0.0, 0.3, state)
     with pytest.raises(ImpossibleOutcomeError, match="branch"):
@@ -529,8 +548,8 @@ def test_gate_report_rejects_an_impossible_branch(monkeypatch):
 
 def test_gate_report_keeps_a_branch_at_the_floor(monkeypatch):
     # a branch is kept at or above the forced-outcome floor, as in a walk
-    frame, pattern, _ = mbqc._GATES["box"]
-    maps = analysis._branch_maps(frame, pattern(0.4, 1.3))
+    pattern = box_pattern(0.4, 1.3)
+    maps = analysis._branch_maps(mbqc._GATES["box"][0], pattern.steps, pattern.readout)
     rho = qcore._density_array(c4_state())
     lightest = np.trace(maps @ rho @ maps.conj().swapaxes(1, 2), axis1=1, axis2=2).real.min()
     monkeypatch.setattr(analysis, "_FORCED_MIN_WEIGHT", lightest)
@@ -549,7 +568,7 @@ def test_branch_maps_match_forced_runs_for_any_step_count(frame, steps):
     alphas = (float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, size=len(steps)))
     readout = tuple(q for q in range(4) if q not in steps)
     pattern = MeasurementPattern(tuple(zip(steps, alphas)), readout)
-    maps = analysis._branch_maps(frame, pattern)
+    maps = analysis._branch_maps(frame, pattern.steps, pattern.readout)
     assert maps.shape == (2 ** len(steps), 2 ** len(readout), 16)
     for make in (random_state, random_density):
         state = make(rng, 4)
@@ -561,31 +580,119 @@ def test_branch_maps_match_forced_runs_for_any_step_count(frame, steps):
             np.testing.assert_allclose(residuals[index], expected, rtol=0, atol=1e-13)
 
 
-def test_gate_report_checks_the_source_the_target_and_one_stack(monkeypatch):
-    calls = []
-    init, density = StateVector.__init__, qcore._check_density
+def _count_states(monkeypatch, calls):
+    """Record every state constructor call and every density check in ``calls``."""
+    ket, density, check = StateVector.__init__, DensityMatrix.__init__, qcore._check_density
 
-    def counted_init(self, amplitudes):
+    def counted_ket(self, amplitudes):
         calls.append("ket")
-        init(self, amplitudes)
+        ket(self, amplitudes)
 
-    def counted_density(matrix):
-        calls.append(("density", matrix.shape))
-        density(matrix)
+    def counted_density(self, matrix):
+        calls.append("density")
+        density(self, matrix)
 
-    monkeypatch.setattr(StateVector, "__init__", counted_init)
-    monkeypatch.setattr(qcore, "_check_density", counted_density)
-    for kind, gate in (("horseshoe", horseshoe_gate), ("box", box_gate)):
-        # the source (the cluster ket, then the noisy matrix) and the (0, 0)
-        # target; its four byproduct images, signed permutations of it, are
-        # not checked again
-        for noise, source in ((None, ["ket"]), (FITTED_MODEL, ["ket", ("density", (16, 16))])):
-            calls.clear()
+    def counted_check(matrix):
+        calls.append(("check", matrix.shape))
+        check(matrix)
+
+    monkeypatch.setattr(StateVector, "__init__", counted_ket)
+    monkeypatch.setattr(DensityMatrix, "__init__", counted_density)
+    monkeypatch.setattr(qcore, "_check_density", counted_check)
+
+
+def test_reports_build_no_intermediate_state(monkeypatch):
+    calls = []
+    _count_states(monkeypatch, calls)
+    # the prepared source, the branch maps, the targets and the search walk
+    # are the library's own arrays: a report checks its arguments only
+    for noise in (None, NoiseModel.ideal(), FITTED_MODEL):
+        for kind in ("horseshoe", "box"):
             gate_fidelity_report(kind, 0.3, 1.1, noise)
-            assert calls == source + ["ket"]
-        calls.clear()
+        for feedforward in (True, False):
+            grover_report(noise, feedforward, "10")
+    assert calls == []
+    # a public gate output is checked once, by its constructor
+    for gate in (horseshoe_gate, box_gate):
         gate(GateOutputSpec(0.3, 1.1, 1, 1))
-        assert calls == ["ket"]
+    assert calls == ["ket", "ket"]
+
+
+# the reports' array paths against the public chain they replaced, bit for
+# bit, on the states whose count-feeding tables test_count_floats pins: the
+# ideal cluster, the fitted source and three seeded noise models
+
+PIN_MODELS = {
+    "ideal": NoiseModel.ideal(),
+    "fitted": FITTED_MODEL,
+    **{
+        f"noise_{seed}": NoiseModel(*np.random.default_rng(seed).uniform(0, 0.4, size=3).tolist())
+        for seed in (5, 17, 2024)
+    },
+}
+
+
+def _public_cluster(model):
+    return c4_state() if model.is_ideal() else apply_noise(c4_state(), model)
+
+
+def _hex(mapping):
+    return {key: float.hex(value) for key, value in mapping.items()}
+
+
+def test_arrays_passed_between_stages_are_c_ordered():
+    # numpy's BLAS and SIMD paths can round differently on strided views, so
+    # each array a stage hands on is laid out as a constructor's copy would be
+    for model in (None, *PIN_MODELS.values()):
+        source = analysis._prepare_state(model)
+        assert source.flags.c_contiguous
+        for frame in (BOX_FRAME, HORSESHOE_FRAME):
+            assert frame._frame(source).flags.c_contiguous
+    for kind in ("horseshoe", "box"):
+        assert mbqc._gate_targets(kind, 0.3, 1.1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("model", PIN_MODELS.values(), ids=PIN_MODELS.keys())
+def test_grover_report_equals_the_public_chain_bit_for_bit(model):
+    state = _public_cluster(model)
+    for marked in ("00", "01", "10", "11"):
+        for feedforward in (True, False):
+            distribution = grover_run(marked, feedforward, state)
+            for noise in (model, None) if model.is_ideal() else (model,):
+                report = grover_report(noise, feedforward, marked, 9000.0, 0.8, seed=3)
+                assert _hex(report.distribution) == _hex(distribution)
+                record = simulate_counts(distribution, 9000.0, 0.8, (3, 0x5ea))
+                assert report.trials == record.total()
+                assert report.estimated_success == record.counts[marked] / record.total()
+
+
+def _gate_report_by_public_chain(kind, alpha, beta, model):
+    """The report from the checked public objects: the gate's pattern, the
+    (noisy) cluster state and the (0, 0) output state."""
+    frame, pattern_fn, gate = {
+        "horseshoe": (HORSESHOE_FRAME, horseshoe_pattern, horseshoe_gate),
+        "box": (BOX_FRAME, box_pattern, box_gate),
+    }[kind]
+    pattern = pattern_fn(alpha, beta)
+    maps = analysis._branch_maps(frame, pattern.steps, pattern.readout)
+    rho = qcore._density_array(_public_cluster(model))
+    residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
+    weights = np.trace(residuals, axis1=1, axis2=2).real
+    targets = mbqc._GATES[kind][1] @ gate(GateOutputSpec(alpha, beta)).amplitudes
+    overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
+    branches = itertools.product((0, 1), repeat=2)
+    return {b: float(value / weight) for b, weight, value in zip(branches, weights, overlaps)}
+
+
+@pytest.mark.parametrize("kind", ("horseshoe", "box"))
+@pytest.mark.parametrize("model", PIN_MODELS.values(), ids=PIN_MODELS.keys())
+def test_gate_report_equals_the_public_chain_bit_for_bit(model, kind):
+    rng = np.random.default_rng(109)
+    grid = (0.0, math.pi / 2, math.pi, -3 * math.pi / 4)
+    angles = [(a, b) for a in grid for b in grid] + rng.uniform(-7.0, 7.0, size=(8, 2)).tolist()
+    for alpha, beta in angles:
+        report = gate_fidelity_report(kind, alpha, beta, model)
+        assert _hex(report) == _hex(_gate_report_by_public_chain(kind, alpha, beta, model))
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +744,19 @@ def test_grover_report_zero_counts():
 def test_grover_report_names_a_bad_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         grover_report(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        *(({"alpha": bad}, "alpha") for bad in (math.nan, math.inf, True, "0.3", None)),
+        *(({"beta": bad}, "beta") for bad in (math.nan, -math.inf, np.bool_(False), [0.3])),
+        *(({"noise": noise}, "noise") for noise in ("ideal", {}, 0.0, (0.0, 0.0, 0.0))),
+    ],
+)
+def test_gate_report_names_a_bad_argument(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        gate_fidelity_report(**{"kind": "box", "alpha": 0.3, "beta": 1.1, **kwargs})
 
 
 def test_grover_report_reads_canonical_arguments_alike():

@@ -1,12 +1,14 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -246,6 +248,43 @@ def test_witness_reads_one_table_per_setting(monkeypatch, noise):
     assert (len(tables), len(products), len(traces)) == (2, 0, 0)
     assert document["exact"] == exact
     assert document["counted"] == counted
+
+
+def _recorded(init, calls):
+    def recorded(self, array):
+        calls.append(type(self).__name__)
+        init(self, array)
+
+    return recorded
+
+
+def _bits(value):
+    """``value`` with every float replaced by its ``float.hex``, recursively."""
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    return float.hex(value) if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("seed", (None, 5, 17, 2024))
+def test_witness_command_equals_the_public_chain_bit_for_bit(monkeypatch, seed):
+    # the ideal source, and the noise models whose tables test_count_floats pins
+    draw = (0.0,) * 3 if seed is None else np.random.default_rng(seed).uniform(0.0, 0.4, size=3)
+    model = photonics.NoiseModel(*(float(v) for v in draw))
+    for theta in (0.0, 0.4, math.pi, -2.5):
+        cfg = {"source.theta": theta, "rate": 9000.0, "duration": 0.8, "seed": 4}
+        state = photonics.source_state(theta)
+        state = state if model.is_ideal() else photonics.apply_noise(state, model)
+        exact = cli._report_fields(witness_value(state))
+        records = simulate_witness_records(state, cfg["rate"], cfg["duration"], cfg["seed"])
+        counted = cli._report_fields(witness_from_counts(records))
+        built = []
+        for cls in (qcore.StateVector, qcore.DensityMatrix):
+            monkeypatch.setattr(cls, "__init__", _recorded(cls.__init__, built))
+        document = cli.cmd_witness(cfg, model)[0]
+        monkeypatch.undo()
+        assert built == []  # the source and its noisy matrix stay arrays
+        assert _bits(document["exact"]) == _bits(exact)
+        assert _bits(document["counted"]) == _bits(counted)
 
 
 def test_grover_command(tmp_path):

@@ -122,7 +122,7 @@ def test_flow_patterns_are_deterministic():
 
         # the same branches from the maps K_s: R_s = C_s K_s rho K_s^dagger C_s^dagger
         identity = FrameMap(tuple(range(state.num_qubits)), (None,) * state.num_qubits)
-        maps = _branch_maps(identity, pattern)
+        maps = _branch_maps(identity, pattern.steps, pattern.readout)
         rho = _density_array(state)
         for branch, k_s in zip(itertools.product((0, 1), repeat=k), maps):
             c = _correction(pattern, flow, neighbours, branch)

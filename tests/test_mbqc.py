@@ -261,7 +261,7 @@ def _with_written_rz(kind, spec):
     target = a @ mbqc._CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]
-    return mbqc._GATES[kind][2][2 * spec.s2 + spec.s3] @ target.reshape(4)
+    return mbqc._GATES[kind][1][2 * spec.s2 + spec.s3] @ target.reshape(4)
 
 
 def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(rng):
@@ -350,23 +350,25 @@ def test_ideal_search_reads_the_walk_bit_for_bit():
 
 
 def test_every_search_call_walks_its_input(monkeypatch):
-    # no search result is kept between calls: each call walks, and a
-    # returned dict is the caller's own
+    # no search result is kept between calls: each call walks the box-frame
+    # array it was given, and a returned dict is the caller's own
     walks = []
-    walk = mbqc.branch_distribution
+    walk = mbqc._walk
 
-    def counted(state, pattern):
-        walks.append(pattern)
-        return walk(state, pattern)
+    def counted(a, pattern):
+        walks.append((a.shape, pattern))
+        return walk(a, pattern)
 
-    monkeypatch.setattr(mbqc, "branch_distribution", counted)
-    for state in (None, c4_state()):
+    monkeypatch.setattr(mbqc, "_walk", counted)
+    noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, 0.1))
+    for state in (None, c4_state(), noisy):
         for marked in MARKS:
             first = grover_run(marked, True, state)
             expected = _hex(first)
             first[marked] = -1.0
             assert _hex(grover_run(marked, True, state)) == expected
-    assert walks == [grover_pattern(marked) for marked in MARKS for _ in range(2)] * 2
+    shapes = ((16,), (16,), (16, 16))
+    assert walks == [(s, grover_pattern(m)) for s in shapes for m in MARKS for _ in range(2)]
 
 
 def _lab_distribution(marked):
@@ -714,22 +716,25 @@ def _count_checks(monkeypatch, calls):
     monkeypatch.setattr(qcore, "_check_density", counted_check)
 
 
-def test_mixed_search_checks_every_intermediate_state_once_per_stack(monkeypatch):
+def test_mixed_search_builds_no_intermediate_state(monkeypatch):
     calls = []
     _count_checks(monkeypatch, calls)
     noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, 0.1))
+    assert calls == ["ket", "density", ("check", (16, 16))]  # the inputs, where they enter
     calls.clear()
-    grover_run("10", True, noisy)
-    # only the box-frame state is checked, by its constructor: the frame
-    # map's steps and the walk's levels are not, and the search measures
-    # every qubit, so no residual state is returned
-    assert calls == ["density", ("check", (16, 16))]
+    # the box frame and the walk's levels stay arrays, and the search
+    # measures every qubit, so no state is built, let alone checked
+    for feedforward in (True, False):
+        grover_run("10", feedforward, noisy)
+    assert calls == []
 
 
-def test_pure_search_checks_as_many_kets_as_one_call_each_would(monkeypatch):
+def test_pure_search_builds_no_intermediate_state(monkeypatch):
     calls = []
     _count_checks(monkeypatch, calls)
     ideal = c4_state()
+    assert calls == ["ket"]
     calls.clear()
-    grover_run("10", True, ideal)
-    assert calls == ["ket"]  # the box-frame state, one constructor call
+    for state in (ideal, None):  # None reads the cluster's constant amplitudes
+        grover_run("10", True, state)
+    assert calls == []

@@ -281,6 +281,14 @@ def test_fit_noise_boundary_targets(flat, mixed, white_noise, path_dephasing_b, 
     assert got == pytest.approx(residual, abs=1e-12)
 
 
+def test_fit_noise_takes_the_interior_fit_where_the_means_agree():
+    # equal means give q = 1 inside the box: the interior candidate keeps the
+    # flat mean 0.8 with residual 0, while the q = 1 edge's mean of all six
+    # values rounds away from 0.8 and so leaves a residual
+    assert (sum([0.8] * 4) + sum([0.8] * 2)) / 6.0 != 0.8
+    assert fit_noise([0.8] * 6) == (NoiseModel(0.0, 0.0, 1.0 - 0.8), 0.0)
+
+
 def test_fit_noise_exact_recovery():
     # targets generated by the channel itself must fit with ~zero residual
     truth = NoiseModel(0.0, 0.05, 0.08)
@@ -669,6 +677,34 @@ def test_fringes_send_only_4x4_blocks_through_the_channel(monkeypatch, samples, 
 def test_visibility_scans_validate_every_pair():
     with pytest.raises(ValueError, match="detector pair"):
         visibility_scans(NoiseModel.ideal(), ("D1-D2", "D2-D1"))
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        *(((NoiseModel.ideal(), ("D1-D2",), s), "samples") for s in (24.0, "24", True, None, 3)),
+        ((NoiseModel.ideal(), "D1-D2", 24), "detector_pairs"),
+        *(((model, ("D1-D2",), 24), "model") for model in (None, "ideal", (0.0, 0.0, 0.0))),
+    ],
+)
+def test_visibility_scans_name_a_bad_argument(args, name):
+    with pytest.raises(ValueError, match=name):
+        visibility_scans(*args)
+
+
+def test_visibility_scans_read_a_numpy_sample_count_alike():
+    model = NoiseModel(0.1, 0.05, 0.2)
+    expected = visibility_scans(model, ("D1-D4",), 16)
+    assert visibility_scans(model, ["D1-D4"], np.int64(16)) == expected
+
+
+def test_apply_noise_names_a_bad_model():
+    for model in (None, "x", (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="model must be a NoiseModel"):
+            apply_noise(c4_state(), model)
+    # the register is checked first, as before
+    with pytest.raises(ValueError, match="four-qubit register"):
+        apply_noise(ket("00"), "x")
 
 
 def test_joint_distribution_matches_projector_oracle(rng):
