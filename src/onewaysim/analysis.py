@@ -12,6 +12,8 @@ F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
 Each setting's 3x16 matrix of its words' +/-1 outcome signs, applied to
 its coincidence table (photonics.joint_distribution), gives the exact
 terms, and applied to the counts drawn from that same table, estimates.
+A witness run draws with simulate_counts' kernel and estimates with
+witness_from_counts' arithmetic; neither re-checks the library's tables.
 
 Counting statistics follow the experiment: a Poisson distributed total
 number of coincidences per setting is split multinomially over the 16
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,15 +44,16 @@ from .photonics import (
     _OUTCOME_KEYS,
     _b_alpha_basis,
     _check_setting,
+    _joint_table,
     _noisy,
-    joint_distribution,
+    _register_array,
 )
 from .qcore import (
     _FORCED_MIN_WEIGHT,
     ImpossibleOutcomeError,
     State,
+    _is_finite,
     _is_integer,
-    _is_number,
     _product_basis,
 )
 
@@ -99,23 +102,23 @@ def _report_from_terms(
     )
 
 
-def _witness_tables(state: State) -> Dict[str, Dict[str, float]]:
-    """The coincidence table of each witness setting, by name."""
-    return {name: joint_distribution(state, name) for name in _SETTING_TERMS}
+def _setting_tables(a: np.ndarray) -> Dict[str, np.ndarray]:
+    """Each witness setting's ``_joint_table`` of a four-qubit state array, by name."""
+    return {name: _joint_table(a, name) for name in _SETTING_TERMS}
 
 
-def _exact_report(tables: Mapping[str, Mapping[str, float]]) -> WitnessReport:
-    """Each setting's sign matrix applied to its table, in joint_distribution's key order."""
+def _exact_report(probs: Mapping[str, np.ndarray]) -> WitnessReport:
+    """Each setting's sign matrix applied to its table."""
     terms: Dict[str, float] = {}
     for name, words in _SETTING_TERMS.items():
-        terms.update(zip(words, (_SIGN_MATRICES[name] @ list(tables[name].values())).tolist()))
+        terms.update(zip(words, (_SIGN_MATRICES[name] @ probs[name]).tolist()))
     return _report_from_terms(terms)
 
 
 def witness_value(state: State) -> WitnessReport:
     """Exact witness evaluation on a four-qubit state, read off the same
     coincidence tables the counts are drawn from."""
-    return _exact_report(_witness_tables(state))
+    return _exact_report(_setting_tables(_register_array(state)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +173,7 @@ def simulate_counts(
 
 def _check_rate(rate: float, duration: float) -> None:
     for name, value in (("rate", rate), ("duration", duration)):
-        try:  # NaN fails too, and an int beyond the float range raises
-            positive = _is_number(value) and 0 < float(value) < math.inf
-        except OverflowError:
-            positive = False
-        if not positive:
+        if not (_is_finite(value) and float(value) > 0):
             raise ValueError(f"rate and duration must be positive and finite: {name} is {value!r}")
     if not 0 < rate * duration <= _MAX_EXPECTED_COUNTS:
         raise ValueError(
@@ -201,9 +200,10 @@ def simulate_witness_records(
     seed: int = 0,
 ) -> Tuple[CountRecord, CountRecord]:
     """Counts for both witness settings of a four-qubit state; ``seed`` is an int >= 0."""
-    tables = _witness_tables(state)
+    tables = _setting_tables(_register_array(state))
     _check_seed(seed)
-    return _draw_records(tables, rate, duration, seed)
+    drawn = _draw_tables(tables, rate, duration, seed).items()  # in sorted setting order
+    return tuple(CountRecord(dict(zip(_OUTCOME_KEYS, c.tolist())), name) for name, c in drawn)
 
 
 def _check_seed(seed) -> None:
@@ -211,12 +211,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _draw_records(tables, rate: float, duration: float, seed: int) -> Tuple[CountRecord, ...]:
-    """One record per setting, drawn from its table with seed (seed, sorted index)."""
-    return tuple(
-        simulate_counts(tables[name], rate, duration, (int(seed), index), setting=name)
+def _draw_tables(tables, rate: float, duration: float, seed: int) -> Dict[str, np.ndarray]:
+    """:func:`simulate_counts`' draw of each setting's table, in sorted order with
+    seed (seed, sorted index); the library's own tables are not re-checked."""
+    _check_rate(rate, duration)
+    return {
+        name: _draw(tables[name], rate, duration, (int(seed), index))
         for index, name in enumerate(sorted(tables))
-    )
+    }
 
 
 _KEY_INDEX = {key: index for index, key in enumerate(_OUTCOME_KEYS)}
@@ -264,12 +266,18 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
     missing = set(_SETTING_TERMS) - set(counts)
     if missing:
         raise ValueError(f"missing counts for settings: {sorted(missing)}")
+    return _counted_report(counts)
+
+
+def _counted_report(counts: Mapping[str, Sequence[int]]) -> WitnessReport:
+    """:func:`witness_from_counts`' estimate from each setting's integer
+    count vector, in _OUTCOME_KEYS order, unchecked."""
     terms: Dict[str, float] = {}
     term_err: Dict[str, float] = {}
     totals: Dict[str, int] = {}
     witness_var = 0.0
     for name, words in _SETTING_TERMS.items():
-        totals[name] = sum(counts[name])
+        totals[name] = int(sum(counts[name]))  # a Python int, as JSON needs
         if totals[name] == 0:
             raise NoCountsError("a witness setting has zero counts")
         n = float(totals[name])

@@ -43,8 +43,8 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
 
-from .analysis import _MAX_EXPECTED_COUNTS, NoCountsError, _draw_records, _exact_report
-from .analysis import gate_fidelity_report, grover_report, witness_from_counts
+from .analysis import _MAX_EXPECTED_COUNTS, NoCountsError, _counted_report, _draw_tables
+from .analysis import _exact_report, _setting_tables, gate_fidelity_report, grover_report
 from .mbqc import _MARKS
 from .photonics import (
     COINCIDENCE_RATE_HZ,
@@ -52,8 +52,6 @@ from .photonics import (
     NoiseModel,
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
-    WITNESS_SETTINGS,
-    _joint_table,
     _noisy,
     _source_amplitudes,
     fit_noise,
@@ -322,9 +320,9 @@ def _report_fields(report) -> dict:
 def cmd_witness(cfg: dict, model: NoiseModel) -> _Result:
     theta = cfg["source.theta"]
     prepared = _noisy(_source_amplitudes(theta), model)
-    tables = {name: _joint_table(prepared, name) for name in WITNESS_SETTINGS}  # for both reports
+    tables = _setting_tables(prepared)  # for both reports
     exact = _exact_report(tables)
-    counted = witness_from_counts(_draw_records(tables, cfg["rate"], cfg["duration"], cfg["seed"]))
+    counted = _counted_report(_draw_tables(tables, cfg["rate"], cfg["duration"], cfg["seed"]))
     document = {
         "theta": theta,
         "exact": _report_fields(exact),

@@ -35,8 +35,8 @@ from .qcore import (
     _array,
     _branches,
     _check_bit,
+    _is_finite,
     _is_integer,
-    _is_number,
     _product_basis,
     _qubits,
     _rotated_diagonal,
@@ -71,7 +71,7 @@ class MeasurementPattern:
         if len(set(step_qubits)) != len(step_qubits):
             raise ValueError("duplicate step qubit")
         for qubit, angle in self.steps:
-            if not (_is_number(angle) and math.isfinite(angle)):
+            if not _is_finite(angle):
                 raise ValueError(f"steps: angle of qubit {qubit} must be finite, got {angle!r}")
         readout = tuple(sorted(int(q) for q in self.readout))
         if set(readout) & set(step_qubits):
@@ -185,7 +185,7 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
 def _check_angles(alpha, beta) -> None:
     """Raise ValueError, naming the angle, unless both are finite numbers."""
     for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (_is_number(value) and math.isfinite(value)):
+        if not _is_finite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

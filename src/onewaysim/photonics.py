@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -181,18 +181,26 @@ def _noisy(amps: np.ndarray, model: NoiseModel) -> np.ndarray:
     return amps if model.is_ideal() else _noise_channel(np.outer(amps, amps.conj()), model)
 
 
+def _bits_differ(d: int, qubit: int) -> np.ndarray:
+    """Read-only d x d mask of the entries whose row and column differ in ``qubit``'s bit."""
+    bits = (np.arange(d) >> (3 - qubit)) & 1
+    differ = np.not_equal.outer(bits, bits)
+    differ.setflags(write=False)
+    return differ
+
+
+# (d, photon) -> the entries its path dephasing shrinks, in the register matrix or its HH block
+_DEPHASING_MASKS = {(d, p): _bits_differ(d, q) for d in (16, 4) for p, q in _PATH_QUBITS.items()}
+
+
 def _noise_channel(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """The noise channel on a 16x16 register matrix, its leading d x d
+    """The noise channel on a 16x16 register matrix, its leading 4x4
     block, or a stack of either: it acts entry by entry, so a block comes
     out as the same block of the full result, bit for bit."""
     d = rho.shape[-1]
     for photon, lam in (("A", model.path_dephasing_a), ("B", model.path_dephasing_b)):
-        if lam == 0.0:
-            continue
-        qubit = _PATH_QUBITS[photon]
-        bits = (np.arange(d) >> (3 - qubit)) & 1
-        differ = bits[:, None] != bits[None, :]
-        rho = np.where(differ, (1.0 - lam) * rho, rho)
+        if lam:
+            rho = np.where(_DEPHASING_MASKS[d, photon], (1.0 - lam) * rho, rho)
     p = model.white_noise
     if p:
         rho = (1.0 - p) * rho + p * np.eye(d) / 16.0
@@ -289,15 +297,19 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
     (x)U, clipped at 0.
     """
     _check_setting(setting)
+    return dict(zip(_OUTCOME_KEYS, _joint_table(_register_array(state), setting).tolist()))
+
+
+def _register_array(state: State) -> np.ndarray:
+    """The array of a four-qubit state, the one check a joint table needs."""
     if state.num_qubits != 4:
         raise ValueError("joint distribution is defined on the four-qubit register")
-    return _joint_table(_array(state), setting)
+    return _array(state)
 
 
-def _joint_table(a: np.ndarray, setting: str) -> Dict[str, float]:
-    """:func:`joint_distribution` of a four-qubit state array, unchecked."""
-    probs = np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], a), 0.0)
-    return dict(zip(_OUTCOME_KEYS, probs.tolist()))
+def _joint_table(a: np.ndarray, setting: str) -> np.ndarray:
+    """:func:`joint_distribution`'s values for a four-qubit state array, unchecked."""
+    return np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], a), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +383,7 @@ def visibility_scans(
         raise ValueError(f"samples: need at least four samples per turn, got {samples}")
     if samples % 2:
         raise ValueError(f"samples must be even, got {samples}")
-    if isinstance(detector_pairs, str):
+    if isinstance(detector_pairs, str) or not isinstance(detector_pairs, Iterable):
         raise ValueError(f"detector_pairs must be a sequence of names, got {detector_pairs!r}")
     ports = [_parse_pair(pair) for pair in detector_pairs]
     _check_model(model)

@@ -72,6 +72,15 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """True for a real number a float holds finitely; NaN, +-inf and an
+    int beyond the float range (which ``math.isfinite`` cannot take) fail."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_integer(value) -> bool:
     """True for an int, numpy's included; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

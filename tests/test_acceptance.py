@@ -10,6 +10,7 @@ import pytest
 
 from onewaysim.analysis import (
     gate_fidelity_report,
+    simulate_counts,
     simulate_witness_records,
     witness_from_counts,
     witness_value,
@@ -45,9 +46,11 @@ from onewaysim.photonics import (
     REFERENCE_WITNESS,
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
+    WITNESS_SETTINGS,
     NoiseModel,
     apply_noise,
     fit_noise,
+    joint_distribution,
     source_state,
 )
 from onewaysim.qcore import (
@@ -290,9 +293,14 @@ def test_criterion_8_count_statistics_are_realistic(verdict):
     model = _fitted_model()
     noisy = apply_noise(c4_state(), model)
 
-    report = witness_from_counts(
-        simulate_witness_records(noisy, COINCIDENCE_RATE_HZ, 1.0, seed=0)
+    records = simulate_witness_records(noisy, COINCIDENCE_RATE_HZ, 1.0, seed=0)
+    # the same counts, drawn setting by setting from the public tables
+    chain = tuple(
+        simulate_counts(joint_distribution(noisy, name), COINCIDENCE_RATE_HZ, 1.0, (0, index), name)
+        for index, name in enumerate(sorted(WITNESS_SETTINGS))
     )
+    assert chain == records
+    report = witness_from_counts(records)
     term_lo = min(report.term_stderrs.values())
     term_hi = max(report.term_stderrs.values())
     terms_ok = 0.0008 <= term_lo and term_hi <= 0.0080

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onewaysim import analysis, mbqc, qcore
+from onewaysim import analysis, mbqc, photonics, qcore
 from onewaysim.analysis import (
     CountRecord,
     GroverReport,
@@ -165,7 +165,7 @@ def test_simulate_counts_validation():
         simulate_counts({"0": 0.5, "1": 0.5}, 100.0, -1.0, seed=0)
     with pytest.raises(ValueError, match="rate and duration must be positive"):
         simulate_counts({"0": 0.5, "1": 0.5}, 100.0, 0.0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty probability table$"):
         simulate_counts({}, 100.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         simulate_counts({"0": 0.7, "1": -0.3}, 100.0, 1.0, seed=0)
@@ -242,6 +242,15 @@ def test_simulate_witness_records_reads_numpy_seeds_alike():
     expected = simulate_witness_records(c4_state(), 2000.0, 1.0, seed=5)
     for seed in (np.int64(5), np.uint8(5)):
         assert simulate_witness_records(c4_state(), 2000.0, 1.0, seed=seed) == expected
+
+
+def test_simulate_witness_records_checks_state_then_seed_then_rate():
+    with pytest.raises(ValueError, match="four-qubit register"):
+        simulate_witness_records(StateVector([1.0, 0.0]), rate=0.0, seed=-1)
+    with pytest.raises(ValueError, match="seed must be"):
+        simulate_witness_records(c4_state(), rate=0.0, seed=-1)
+    with pytest.raises(ValueError, match="rate and duration must be positive"):
+        simulate_witness_records(c4_state(), rate=0.0, seed=0)
 
 
 def test_simulate_witness_records_shape():
@@ -640,6 +649,38 @@ def _hex(mapping):
     return {key: float.hex(value) for key, value in mapping.items()}
 
 
+def test_witness_tables_hold_the_public_distributions_bit_for_bit():
+    # the draw reads a table in key order and simulate_counts in sorted
+    # order: the two agree because the outcome keys are already sorted
+    assert list(photonics._OUTCOME_KEYS) == sorted(photonics._OUTCOME_KEYS)
+    for model in PIN_MODELS.values():
+        state = _public_cluster(model)
+        tables = analysis._setting_tables(qcore._array(state))
+        assert list(tables) == sorted(WITNESS_SETTINGS)
+        for name, table in tables.items():
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            # the floats the public dict held, and a list round trip keeps them
+            public = photonics.joint_distribution(state, name)
+            assert _hex(dict(zip(photonics._OUTCOME_KEYS, table.tolist()))) == _hex(public)
+            assert np.array(list(public.values())).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("model", PIN_MODELS.values(), ids=PIN_MODELS.keys())
+def test_witness_records_equal_the_public_chain(model):
+    state = _public_cluster(model)
+    for seed in (0, 4, 2**31 - 1):
+        chain = tuple(
+            simulate_counts(photonics.joint_distribution(state, name), 9000.0, 0.8, (seed, i), name)
+            for i, name in enumerate(sorted(WITNESS_SETTINGS))
+        )
+        records = simulate_witness_records(state, 9000.0, 0.8, seed)
+        assert records == chain
+        assert all(type(c) is int for record in records for c in record.counts.values())
+        assert list(records[0].counts) == sorted(records[0].counts)
+        report = witness_from_counts(records)
+        assert all(type(n) is int for n in report.setting_totals.values())
+
+
 def test_arrays_passed_between_stages_are_c_ordered():
     # numpy's BLAS and SIMD paths can round differently on strided views, so
     # each array a stage hands on is laid out as a constructor's copy would be
@@ -752,6 +793,9 @@ def test_grover_report_names_a_bad_argument(kwargs, name):
         *(({"alpha": bad}, "alpha") for bad in (math.nan, math.inf, True, "0.3", None)),
         *(({"beta": bad}, "beta") for bad in (math.nan, -math.inf, np.bool_(False), [0.3])),
         *(({"noise": noise}, "noise") for noise in ("ideal", {}, 0.0, (0.0, 0.0, 0.0))),
+        # an int no float holds, which math.isfinite cannot take
+        ({"alpha": 10**400}, "alpha"),
+        ({"beta": -(10**400)}, "beta"),
     ],
 )
 def test_gate_report_names_a_bad_argument(kwargs, name):

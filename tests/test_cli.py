@@ -251,9 +251,9 @@ def test_witness_reads_one_table_per_setting(monkeypatch, noise):
 
 
 def _recorded(init, calls):
-    def recorded(self, array):
+    def recorded(self, *args, **kwargs):
         calls.append(type(self).__name__)
-        init(self, array)
+        init(self, *args, **kwargs)
 
     return recorded
 
@@ -265,18 +265,59 @@ def _bits(value):
     return float.hex(value) if isinstance(value, float) else value
 
 
-@pytest.mark.parametrize("seed", (None, 5, 17, 2024))
+# every setting's words, and each word's +-1 eigenvalue on each outcome
+# key of a joint distribution (its non-identity letters' bits, in order)
+_SETTING_WORDS = {"XXZZ": ("XXIZ", "XXZI", "IIZZ"), "ZZXX": ("IZXX", "ZIXX", "ZZII")}
+
+
+def _exact_by_public_chain(state):
+    """The exact witness fields from joint_distribution and the sign rule."""
+    terms = {}
+    for setting, words in _SETTING_WORDS.items():
+        table = photonics.joint_distribution(state, setting)
+        signs = np.array(
+            [
+                [(-1.0) ** sum(b == "1" for w, b in zip(word, key) if w != "I") for key in table]
+                for word in words
+            ]
+        )
+        terms.update(zip(words, (signs @ np.array(list(table.values()))).tolist()))
+    witness = (4.0 - sum(terms[word] for word in photonics.WITNESS_OBSERVABLES)) / 2.0
+    return {"terms": terms, "witness": witness, "fidelity_bound": 0.5 - 0.5 * witness}
+
+
+def _counted_by_public_chain(state, rate, duration, seed):
+    """The counted witness fields from joint_distribution, simulate_counts and
+    witness_from_counts, each setting drawn with seed (seed, sorted index)."""
+    records = [
+        analysis.simulate_counts(
+            photonics.joint_distribution(state, setting), rate, duration, (seed, index), setting
+        )
+        for index, setting in enumerate(sorted(photonics.WITNESS_SETTINGS))
+    ]
+    return cli._report_fields(witness_from_counts(records))
+
+
+_FITTED = photonics.fit_noise(
+    [photonics.REFERENCE_WITNESS_TERMS[w][0] for w in photonics.WITNESS_OBSERVABLES]
+)[0]
+
+
+@pytest.mark.parametrize("seed", (None, "fitted", 5, 17, 2024))
 def test_witness_command_equals_the_public_chain_bit_for_bit(monkeypatch, seed):
-    # the ideal source, and the noise models whose tables test_count_floats pins
-    draw = (0.0,) * 3 if seed is None else np.random.default_rng(seed).uniform(0.0, 0.4, size=3)
-    model = photonics.NoiseModel(*(float(v) for v in draw))
+    # the ideal source, the fitted model, and the noise models whose tables
+    # test_count_floats pins; the oracle is built from checked public calls only
+    if seed == "fitted":
+        model = _FITTED
+    else:
+        draw = (0.0,) * 3 if seed is None else np.random.default_rng(seed).uniform(0, 0.4, size=3)
+        model = photonics.NoiseModel(*(float(v) for v in draw))
     for theta in (0.0, 0.4, math.pi, -2.5):
         cfg = {"source.theta": theta, "rate": 9000.0, "duration": 0.8, "seed": 4}
         state = photonics.source_state(theta)
         state = state if model.is_ideal() else photonics.apply_noise(state, model)
-        exact = cli._report_fields(witness_value(state))
-        records = simulate_witness_records(state, cfg["rate"], cfg["duration"], cfg["seed"])
-        counted = cli._report_fields(witness_from_counts(records))
+        exact = _exact_by_public_chain(state)
+        counted = _counted_by_public_chain(state, cfg["rate"], cfg["duration"], cfg["seed"])
         built = []
         for cls in (qcore.StateVector, qcore.DensityMatrix):
             monkeypatch.setattr(cls, "__init__", _recorded(cls.__init__, built))
@@ -285,6 +326,24 @@ def test_witness_command_equals_the_public_chain_bit_for_bit(monkeypatch, seed):
         assert built == []  # the source and its noisy matrix stay arrays
         assert _bits(document["exact"]) == _bits(exact)
         assert _bits(document["counted"]) == _bits(counted)
+        # JSON takes the totals as they are: Python ints, not numpy's
+        assert all(type(n) is int for n in document["counted"]["setting_totals"].values())
+
+
+@pytest.mark.parametrize("noise", ["ideal", {"white_noise": 0.05, "path_dephasing_a": 0.02}])
+def test_witness_run_draws_and_counts_without_the_public_checks(monkeypatch, noise):
+    # the tables are the library's own: a witness run re-checks none of them,
+    # so it neither calls the public draw or estimate nor builds a record
+    cfg = from_mapping({"noise": noise, "seed": 3}, "witness")
+    draws = _count_calls(monkeypatch, analysis.simulate_counts)
+    estimates = _count_calls(monkeypatch, analysis.witness_from_counts)
+    records = []
+    monkeypatch.setattr(
+        analysis.CountRecord, "__init__", _recorded(analysis.CountRecord.__init__, records)
+    )
+    document = cli.cmd_witness(cfg, cfg["noise"][0])[0]
+    assert (draws, estimates, records) == ([], [], [])
+    assert sum(document["counted"]["setting_totals"].values()) > 0
 
 
 def test_grover_command(tmp_path):
@@ -581,6 +640,29 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert main(["witness"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "internal error: broken handler\n")
+
+
+@pytest.mark.parametrize("field", ["rate", "duration"])
+def test_zero_rate_or_duration_exit_code(tmp_path, capsys, field):
+    # refused by the field check, before any expected count is formed
+    config = _write(tmp_path, "config.yaml", f"{field}: 0\n")
+    assert main(["witness", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: config field {field!r} must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("witness", "seed: 1.5\n", "seed"),
+        ("grover", "seed: 2.0\n", "seed"),
+        ("visibility", "visibility: {samples: 24.0}\n", "visibility.samples"),
+    ],
+)
+def test_float_integer_field_exit_code(tmp_path, capsys, command, text, field):
+    # an integer field takes no float, not even a whole one
+    config = _write(tmp_path, "config.yaml", text)
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: config field {field!r} must be an integer\n"
 
 
 def test_rate_beyond_the_sampler_exit_code(tmp_path, capsys):

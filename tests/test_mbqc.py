@@ -64,6 +64,12 @@ def test_pattern_validation():
     for angle in (True, "x", None):
         with pytest.raises(ValueError, match="angle"):
             MeasurementPattern(steps=((0, angle),))
+    # ints no float holds: named, not an OverflowError from math.isfinite
+    for angle in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="^steps: angle of qubit 1 must be finite"):
+            MeasurementPattern(steps=((0, 0.5), (1, angle)))
+        with pytest.raises(ValueError, match="^alpha must be a finite number"):
+            GateOutputSpec(angle, 0.0)
     with pytest.raises(ValueError):
         MeasurementPattern(
             steps=((0, 0.0),), readout=(1,), feedforward=((0, (("Y", 1),)),)

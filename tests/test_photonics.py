@@ -289,6 +289,13 @@ def test_fit_noise_takes_the_interior_fit_where_the_means_agree():
     assert fit_noise([0.8] * 6) == (NoiseModel(0.0, 0.0, 1.0 - 0.8), 0.0)
 
 
+def test_fit_noise_takes_an_interior_fit_with_keep_near_zero():
+    # keep = 5e-7 and q = 0.5 fit all six targets exactly: the interior
+    # candidate wins for any positive keep, however small
+    targets = [5e-7, 5e-7, 5e-7, 2.5e-7, 2.5e-7, 5e-7]
+    assert fit_noise(targets) == (NoiseModel(0.0, 0.5, 0.9999995), 0.0)
+
+
 def test_fit_noise_exact_recovery():
     # targets generated by the channel itself must fit with ~zero residual
     truth = NoiseModel(0.0, 0.05, 0.08)
@@ -660,6 +667,17 @@ def test_noise_channel_on_the_leading_block_keeps_every_bit(rng):
             )
 
 
+def test_dephasing_masks_are_read_only_and_nested():
+    for photon in ("A", "B"):
+        full, block = photonics._DEPHASING_MASKS[16, photon], photonics._DEPHASING_MASKS[4, photon]
+        assert not (full.flags.writeable or block.flags.writeable)
+        assert np.array_equal(block, full[:4, :4])
+        # a register index's path bit: bit 1 for photon A, bit 0 for photon B
+        shift = {"A": 1, "B": 0}[photon]
+        bits = (np.arange(16) >> shift) & 1
+        assert np.array_equal(full, bits[:, None] != bits[None, :])
+
+
 @pytest.mark.parametrize("samples, blocks", [(24, [24]), (2050, [1024, 1024, 2])])
 def test_fringes_send_only_4x4_blocks_through_the_channel(monkeypatch, samples, blocks):
     shapes = []
@@ -685,6 +703,7 @@ def test_visibility_scans_validate_every_pair():
         *(((NoiseModel.ideal(), ("D1-D2",), s), "samples") for s in (24.0, "24", True, None, 3)),
         ((NoiseModel.ideal(), "D1-D2", 24), "detector_pairs"),
         *(((model, ("D1-D2",), 24), "model") for model in (None, "ideal", (0.0, 0.0, 0.0))),
+        *(((NoiseModel.ideal(), pairs, 24), "detector_pairs") for pairs in (None, 12, 1.5)),
     ],
 )
 def test_visibility_scans_name_a_bad_argument(args, name):
