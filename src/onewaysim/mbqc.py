@@ -67,12 +67,17 @@ class MeasurementPattern:
     def __post_init__(self):
         if not self.steps:
             raise ValueError("pattern needs at least one measurement step")
+        for qubit, angle in self.steps:
+            if not _is_integer(qubit):
+                raise ValueError(f"steps: qubit {qubit!r} must be an integer")
+            if not _is_finite(angle):
+                raise ValueError(f"steps: angle of qubit {qubit} must be finite, got {angle!r}")
         step_qubits = [q for q, _ in self.steps]
         if len(set(step_qubits)) != len(step_qubits):
             raise ValueError("duplicate step qubit")
-        for qubit, angle in self.steps:
-            if not _is_finite(angle):
-                raise ValueError(f"steps: angle of qubit {qubit} must be finite, got {angle!r}")
+        for qubit in self.readout:
+            if not _is_integer(qubit):
+                raise ValueError(f"readout: qubit {qubit!r} must be an integer")
         readout = tuple(sorted(int(q) for q in self.readout))
         if set(readout) & set(step_qubits):
             raise ValueError("readout qubits overlap with step qubits")

@@ -40,6 +40,7 @@ from .qcore import (
     StateVector,
     _array,
     _density_array,
+    _is_finite,
     _is_integer,
     _is_number,
     _product_basis,
@@ -109,7 +110,7 @@ def source_state(theta: float) -> StateVector:
     theta is the relative phase of the RR double pair against LL; at
     theta = 0 this equals the linear cluster state componentwise.
     """
-    if not (_is_number(theta) and math.isfinite(theta)):
+    if not _is_finite(theta):
         raise ValueError(f"theta must be a finite number, got {theta!r}")
     return StateVector(_source_amplitudes(theta))
 
@@ -225,13 +226,13 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 
     Returns (model, residual) with residual the summed squared misfit.
     """
-    values = tuple(float(t) for t in targets)
+    values = tuple(targets)
     if len(values) != 6:
         raise ValueError("expected six target values")
     for v in values:
-        if not (math.isfinite(v) and -1.0 <= v <= 1.0):
+        if not (_is_finite(v) and -1.0 <= v <= 1.0):
             raise ValueError(f"target {v!r} is not an expectation value")
-    named = dict(zip(WITNESS_OBSERVABLES, values))
+    named = dict(zip(WITNESS_OBSERVABLES, map(float, values)))
     flat = [named[w] for w in ("XXIZ", "XXZI", "IIZZ", "ZZII")]
     mixed = [named[w] for w in ("IZXX", "ZIXX")]
 
@@ -385,6 +386,7 @@ def visibility_scans(
         raise ValueError(f"samples must be even, got {samples}")
     if isinstance(detector_pairs, str) or not isinstance(detector_pairs, Iterable):
         raise ValueError(f"detector_pairs must be a sequence of names, got {detector_pairs!r}")
+    detector_pairs = tuple(detector_pairs)  # an iterator is read once
     ports = [_parse_pair(pair) for pair in detector_pairs]
     _check_model(model)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)

@@ -401,6 +401,10 @@ def overlap(a: StateVector, b: StateVector) -> float:
 
 def entanglement_entropy(state: StateVector, partition: Iterable[int]) -> float:
     """Von Neumann entropy (base 2) of the reduced state on ``partition``."""
+    partition = tuple(partition)
+    for q in partition:
+        if not _is_integer(q):
+            raise ValueError(f"partition: qubit {q!r} must be an integer")
     keep = sorted(set(int(q) for q in partition))
     n = state.num_qubits
     if not keep or len(keep) >= n:

@@ -23,13 +23,7 @@ from onewaysim.analysis import (
     witness_from_counts,
     witness_value,
 )
-from onewaysim.cluster import (
-    BOX_FRAME,
-    HORSESHOE_FRAME,
-    c4_state,
-    to_box_frame,
-    to_horseshoe_frame,
-)
+from onewaysim.cluster import BOX_FRAME, HORSESHOE_FRAME, c4_state
 from onewaysim.mbqc import (
     GateOutputSpec,
     MeasurementPattern,
@@ -37,7 +31,6 @@ from onewaysim.mbqc import (
     box_pattern,
     grover_run,
     horseshoe_gate,
-    horseshoe_pattern,
     run_pattern,
 )
 from onewaysim.photonics import (
@@ -51,7 +44,6 @@ from onewaysim.photonics import (
     visibility_scans,
 )
 from onewaysim.qcore import (
-    DensityMatrix,
     ImpossibleOutcomeError,
     PauliString,
     StateVector,
@@ -59,14 +51,21 @@ from onewaysim.qcore import (
     fidelity,
 )
 
-import closed_forms
-from conftest import random_density, random_state
-
-# frozen fit of the reference stabilizer table (see test_photonics for
-# the closed form): white noise p and dephasing product q
-FIT_P = 0.06675
-FIT_Q = 0.9634074470934906
-FITTED_MODEL = NoiseModel(0.0, 1.0 - FIT_Q, FIT_P)
+import oracles
+from conftest import (
+    FIT_P,
+    FIT_Q,
+    FITTED_MODEL,
+    GATES,
+    PIN_MODELS,
+    count_states,
+    hex_floats,
+    noisy,
+    oracle_models,
+    oracle_states,
+    random_density,
+    random_state,
+)
 
 
 def _fitted_state():
@@ -106,23 +105,13 @@ def test_witness_on_white_noise_only():
     assert report.witness == pytest.approx(0.5, abs=1e-12)
 
 
-def _oracle_states(rng):
-    """Seeded random pure and mixed states, the ideal and fitted clusters,
-    and the noisy source over a phase grid."""
-    yield c4_state()
-    yield _fitted_state()
-    for _ in range(10):
-        yield random_state(rng, 4)
-        yield random_density(rng, 4)
-    for theta in np.linspace(-math.pi, math.pi, 13):
-        yield source_state(float(theta))
-        yield apply_noise(source_state(float(theta)), NoiseModel(0.05, 0.2, 0.1))
-
-
 def test_exact_terms_equal_the_pauli_word_traces(rng):
     # the exact terms are sign tables applied to the coincidence tables; the
-    # trace tr(P rho) of each word is the independent oracle
-    for state in _oracle_states(rng):
+    # trace tr(P rho) of each word is the independent oracle, on the oracle
+    # states and the noisy source over a phase grid
+    sources = [source_state(float(theta)) for theta in np.linspace(-math.pi, math.pi, 13)]
+    sources += [apply_noise(source, NoiseModel(0.05, 0.2, 0.1)) for source in sources]
+    for state in oracle_states(rng, 10) + sources:
         report = witness_value(state)
         for word in WITNESS_OBSERVABLES:
             want = expectation(state, PauliString(word))
@@ -341,55 +330,29 @@ def test_setting_totals_stay_exact_past_float_precision():
     assert type(report.setting_totals["XXZZ"]) is int
 
 
-def _sign(word, key):
-    return (-1.0) ** sum(bit == "1" for letter, bit in zip(word, key) if letter != "I")
-
-
-_SETTING_WORDS = {"XXZZ": ("XXIZ", "XXZI", "IIZZ"), "ZZXX": ("IZXX", "ZIXX", "ZZII")}
-_KEYS = [format(index, "04b") for index in range(16)]
-
-
-def _delta_method_reference(buckets):
-    """The delta-method sums written out: a term's variance is
-    sum c (s - e)**2 / N**2 over the outcomes of its setting, and the
-    witness variance adds up, per setting, the same sum over the three
-    words' summed signs, divided by 4."""
-    term_err, witness_var = {}, 0.0
-    for name, words in _SETTING_WORDS.items():
-        bucket = buckets[name]
-        total = sum(bucket.values())
-        estimates = {w: sum(c * _sign(w, k) for k, c in bucket.items()) / total for w in words}
-        for word in words:
-            var = sum(c * (_sign(word, k) - estimates[word]) ** 2 for k, c in bucket.items())
-            term_err[word] = math.sqrt(var / total**2)
-        summed = sum(estimates.values())
-        var = sum(c * (sum(_sign(w, k) for w in words) - summed) ** 2 for k, c in bucket.items())
-        witness_var += var / total**2 / 4.0
-    return term_err, math.sqrt(witness_var)
-
-
 def test_closed_form_stderrs_equal_the_delta_method_sums():
     rng = np.random.default_rng(53)
     # per setting, the outcomes on which its three signs sum to -1
+    keys = oracles.OUTCOME_KEYS
     minus = {
-        name: [k for k in _KEYS if sum(_sign(w, k) for w in words) == -1.0]
-        for name, words in _SETTING_WORDS.items()
+        name: [k for k in keys if sum(oracles.sign(w, k) for w in words) == -1.0]
+        for name, words in oracles.SETTING_WORDS.items()
     }
     for trial in range(300):
         buckets = {}
-        for name in _SETTING_WORDS:
+        for name in oracles.SETTING_WORDS:
             shape = (trial + len(buckets)) % 3
             if shape == 0:  # one outcome: every term is +-1
-                keys = [_KEYS[int(rng.integers(16))]]
+                drawn = [keys[int(rng.integers(16))]]
             elif shape == 1:  # signs summing to -1 only: S = -1
-                keys = list(rng.choice(minus[name], size=int(rng.integers(1, 5)), replace=False))
+                drawn = list(rng.choice(minus[name], size=int(rng.integers(1, 5)), replace=False))
             else:
-                keys = list(rng.choice(_KEYS, size=int(rng.integers(1, 17)), replace=False))
+                drawn = list(rng.choice(keys, size=int(rng.integers(1, 17)), replace=False))
             scale = int(10 ** rng.integers(0, 7))
-            buckets[name] = {str(k): int(rng.integers(1, scale + 1)) for k in keys}
+            buckets[name] = {str(k): int(rng.integers(1, scale + 1)) for k in drawn}
         records = [CountRecord(buckets[name], name) for name in buckets]
         report = witness_from_counts(records)
-        term_err, witness_err = _delta_method_reference(buckets)
+        term_err, witness_err = oracles.delta_method_stderrs(buckets)
         for word in WITNESS_OBSERVABLES:
             assert report.term_stderrs[word] == pytest.approx(term_err[word], rel=0.0, abs=1e-12)
         assert report.witness_stderr == pytest.approx(witness_err, rel=0.0, abs=1e-12)
@@ -484,15 +447,9 @@ def test_box_report_under_fitted_noise():
 # state mapped into the gate's graph frame, the uncorrected pattern run for
 # each outcome pair, and the residual compared with the closed form
 
-GATE_PARTS = {
-    "horseshoe": (to_horseshoe_frame, horseshoe_pattern, horseshoe_gate),
-    "box": (to_box_frame, box_pattern, box_gate),
-}
-
-
 def _gate_report_by_branches(kind, alpha, beta, state):
-    frame, pattern_fn, target_fn = GATE_PARTS[kind]
-    mapped = frame(state)
+    frame, pattern_fn, target_fn = GATES[kind]
+    mapped = frame.apply(state)
     pattern = pattern_fn(alpha, beta, feedforward=False)
     report = {}
     for s2 in (0, 1):
@@ -508,24 +465,11 @@ def _assert_reports_match(report, oracle):
         assert report[branch] == pytest.approx(value, abs=1e-12)
 
 
-def _oracle_models(rng):
-    models = [
-        NoiseModel.ideal(),
-        FITTED_MODEL,
-        NoiseModel(0.0, 0.0, 1.0),
-        NoiseModel(1.0, 0.0, 0.0),
-        NoiseModel(0.0, 1.0, 0.0),
-    ]
-    return models + [
-        NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(4)
-    ]
-
-
 @pytest.mark.parametrize("kind", ("horseshoe", "box"))
 def test_gate_report_matches_branch_runs(kind):
     rng = np.random.default_rng(97)
-    for model in _oracle_models(rng):
-        state = c4_state() if model.is_ideal() else apply_noise(c4_state(), model)
+    for model in oracle_models(rng):
+        state = noisy(c4_state(), model)
         for _ in range(3):
             alpha, beta = (float(v) for v in rng.uniform(-2 * math.pi, 2 * math.pi, size=2))
             report = gate_fidelity_report(kind, alpha, beta, noise=model)
@@ -589,30 +533,9 @@ def test_branch_maps_match_forced_runs_for_any_step_count(frame, steps):
             np.testing.assert_allclose(residuals[index], expected, rtol=0, atol=1e-13)
 
 
-def _count_states(monkeypatch, calls):
-    """Record every state constructor call and every density check in ``calls``."""
-    ket, density, check = StateVector.__init__, DensityMatrix.__init__, qcore._check_density
-
-    def counted_ket(self, amplitudes):
-        calls.append("ket")
-        ket(self, amplitudes)
-
-    def counted_density(self, matrix):
-        calls.append("density")
-        density(self, matrix)
-
-    def counted_check(matrix):
-        calls.append(("check", matrix.shape))
-        check(matrix)
-
-    monkeypatch.setattr(StateVector, "__init__", counted_ket)
-    monkeypatch.setattr(DensityMatrix, "__init__", counted_density)
-    monkeypatch.setattr(qcore, "_check_density", counted_check)
-
-
 def test_reports_build_no_intermediate_state(monkeypatch):
     calls = []
-    _count_states(monkeypatch, calls)
+    count_states(monkeypatch, calls)
     # the prepared source, the branch maps, the targets and the search walk
     # are the library's own arrays: a report checks its arguments only
     for noise in (None, NoiseModel.ideal(), FITTED_MODEL):
@@ -628,25 +551,7 @@ def test_reports_build_no_intermediate_state(monkeypatch):
 
 
 # the reports' array paths against the public chain they replaced, bit for
-# bit, on the states whose count-feeding tables test_count_floats pins: the
-# ideal cluster, the fitted source and three seeded noise models
-
-PIN_MODELS = {
-    "ideal": NoiseModel.ideal(),
-    "fitted": FITTED_MODEL,
-    **{
-        f"noise_{seed}": NoiseModel(*np.random.default_rng(seed).uniform(0, 0.4, size=3).tolist())
-        for seed in (5, 17, 2024)
-    },
-}
-
-
-def _public_cluster(model):
-    return c4_state() if model.is_ideal() else apply_noise(c4_state(), model)
-
-
-def _hex(mapping):
-    return {key: float.hex(value) for key, value in mapping.items()}
+# bit, on the states whose count-feeding tables test_count_floats pins
 
 
 def test_witness_tables_hold_the_public_distributions_bit_for_bit():
@@ -654,20 +559,20 @@ def test_witness_tables_hold_the_public_distributions_bit_for_bit():
     # order: the two agree because the outcome keys are already sorted
     assert list(photonics._OUTCOME_KEYS) == sorted(photonics._OUTCOME_KEYS)
     for model in PIN_MODELS.values():
-        state = _public_cluster(model)
+        state = noisy(c4_state(), model)
         tables = analysis._setting_tables(qcore._array(state))
         assert list(tables) == sorted(WITNESS_SETTINGS)
         for name, table in tables.items():
             assert table.dtype == np.float64 and table.flags.c_contiguous
             # the floats the public dict held, and a list round trip keeps them
             public = photonics.joint_distribution(state, name)
-            assert _hex(dict(zip(photonics._OUTCOME_KEYS, table.tolist()))) == _hex(public)
+            assert hex_floats(dict(zip(photonics._OUTCOME_KEYS, table.tolist()))) == hex_floats(public)
             assert np.array(list(public.values())).tobytes() == table.tobytes()
 
 
 @pytest.mark.parametrize("model", PIN_MODELS.values(), ids=PIN_MODELS.keys())
 def test_witness_records_equal_the_public_chain(model):
-    state = _public_cluster(model)
+    state = noisy(c4_state(), model)
     for seed in (0, 4, 2**31 - 1):
         chain = tuple(
             simulate_counts(photonics.joint_distribution(state, name), 9000.0, 0.8, (seed, i), name)
@@ -695,13 +600,13 @@ def test_arrays_passed_between_stages_are_c_ordered():
 
 @pytest.mark.parametrize("model", PIN_MODELS.values(), ids=PIN_MODELS.keys())
 def test_grover_report_equals_the_public_chain_bit_for_bit(model):
-    state = _public_cluster(model)
+    state = noisy(c4_state(), model)
     for marked in ("00", "01", "10", "11"):
         for feedforward in (True, False):
             distribution = grover_run(marked, feedforward, state)
             for noise in (model, None) if model.is_ideal() else (model,):
                 report = grover_report(noise, feedforward, marked, 9000.0, 0.8, seed=3)
-                assert _hex(report.distribution) == _hex(distribution)
+                assert hex_floats(report.distribution) == hex_floats(distribution)
                 record = simulate_counts(distribution, 9000.0, 0.8, (3, 0x5ea))
                 assert report.trials == record.total()
                 assert report.estimated_success == record.counts[marked] / record.total()
@@ -710,13 +615,10 @@ def test_grover_report_equals_the_public_chain_bit_for_bit(model):
 def _gate_report_by_public_chain(kind, alpha, beta, model):
     """The report from the checked public objects: the gate's pattern, the
     (noisy) cluster state and the (0, 0) output state."""
-    frame, pattern_fn, gate = {
-        "horseshoe": (HORSESHOE_FRAME, horseshoe_pattern, horseshoe_gate),
-        "box": (BOX_FRAME, box_pattern, box_gate),
-    }[kind]
+    frame, pattern_fn, gate = GATES[kind]
     pattern = pattern_fn(alpha, beta)
     maps = analysis._branch_maps(frame, pattern.steps, pattern.readout)
-    rho = qcore._density_array(_public_cluster(model))
+    rho = qcore._density_array(noisy(c4_state(), model))
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
     targets = mbqc._GATES[kind][1] @ gate(GateOutputSpec(alpha, beta)).amplitudes
@@ -733,7 +635,7 @@ def test_gate_report_equals_the_public_chain_bit_for_bit(model, kind):
     angles = [(a, b) for a in grid for b in grid] + rng.uniform(-7.0, 7.0, size=(8, 2)).tolist()
     for alpha, beta in angles:
         report = gate_fidelity_report(kind, alpha, beta, model)
-        assert _hex(report) == _hex(_gate_report_by_public_chain(kind, alpha, beta, model))
+        assert hex_floats(report) == hex_floats(_gate_report_by_public_chain(kind, alpha, beta, model))
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +719,10 @@ def test_grover_report_reads_canonical_arguments_alike():
 # ---------------------------------------------------------------------------
 
 # every exact output has a closed form in the white-noise weight p and the
-# dephasing product q = (1 - a)(1 - b) (see closed_forms); the draws include
+# dephasing product q = (1 - a)(1 - b) (see oracles); the draws include
 # the near-ideal weights 1e-12..1e-9 and the edges p = 1 and q = 0
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _ANGLE = st.floats(-math.pi, math.pi)
-
-
-def _noisy(state, model):
-    return state if model.is_ideal() else apply_noise(state, model)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -837,15 +735,15 @@ def _noisy(state, model):
     beta=_ANGLE,
 )
 def test_exact_outputs_match_the_closed_forms(a, b, p, theta, alpha, beta):
-    model, q = NoiseModel(a, b, p), closed_forms.dephasing_product(a, b)
+    model, q = NoiseModel(a, b, p), oracles.dephasing_product(a, b)
 
     def close(got, want):
         assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
-    terms = witness_value(_noisy(source_state(theta), model)).terms
+    terms = witness_value(noisy(source_state(theta), model)).terms
     for word in WITNESS_OBSERVABLES:
-        close(terms[word], closed_forms.witness_term(word, p, q, theta))
-    cluster = _noisy(c4_state(), model)
+        close(terms[word], oracles.witness_term(word, p, q, theta))
+    cluster = noisy(c4_state(), model)
     # the search walk drops a branch whose conditional weight, here ~p/4,
     # falls below the forced-outcome floor (1e-12): a known defect, pinned
     # by the xfail test below, so the weights where it exceeds 1e-13 are
@@ -853,13 +751,13 @@ def test_exact_outputs_match_the_closed_forms(a, b, p, theta, alpha, beta):
     for marked in () if 4e-13 <= p < 5e-12 else ("00", "01", "10", "11"):
         for feedforward in (True, False):
             for mark, value in grover_run(marked, feedforward, cluster).items():
-                close(value, closed_forms.search_probability(mark, marked, feedforward, p))
+                close(value, oracles.search_probability(mark, marked, feedforward, p))
     for kind in ("horseshoe", "box"):
         for value in gate_fidelity_report(kind, alpha, beta, model).values():
-            close(value, closed_forms.gate_fidelity(kind, p, q, alpha))
+            close(value, oracles.gate_fidelity(kind, p, q, alpha))
     for scan in visibility_scans(model, DETECTOR_PAIRS):
         for phase, value in zip(scan.thetas, scan.probabilities):
-            close(value, closed_forms.fringe(scan.detector_pair, p, q, phase))
+            close(value, oracles.fringe(scan.detector_pair, p, q, phase))
 
 
 @pytest.mark.xfail(
@@ -871,5 +769,5 @@ def test_exact_outputs_match_the_closed_forms(a, b, p, theta, alpha, beta):
 def test_near_ideal_search_keeps_weights_below_the_floor(feedforward):
     cluster = apply_noise(c4_state(), NoiseModel(0.0, 0.0, 1e-12))
     for mark, value in grover_run("00", feedforward, cluster).items():
-        want = (1.0 - 0.75e-12 if mark == "00" else 0.25e-12) if feedforward else 0.25
+        want = oracles.search_probability(mark, "00", feedforward, 1e-12)
         assert value == pytest.approx(want, rel=0.0, abs=1e-13)

@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 
 import test_config_fuzz
 import test_golden
-from onewaysim import analysis, cli, cluster, mbqc, photonics, qcore
+from onewaysim import analysis, cli, photonics, qcore
 from onewaysim.analysis import simulate_witness_records, witness_from_counts, witness_value
 from onewaysim.cli import ConfigError, from_mapping, load_config, main
 from onewaysim.mbqc import grover_run
+
+import oracles
+from conftest import PIN_MODELS, count_states, hex_floats, noisy, spy
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -216,33 +219,17 @@ def test_witness_fitted_run(tmp_path):
     assert abs(document["counted"]["witness"] - document["exact"]["witness"]) < 0.03
 
 
-def _count_calls(monkeypatch, fn):
-    """Count the calls of ``fn`` made through any package module."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for module in (qcore, cluster, photonics, mbqc, analysis, cli):
-        for name, value in list(vars(module).items()):
-            if value is fn:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("noise", ["ideal", {"white_noise": 0.05, "path_dephasing_b": 0.1}])
 def test_witness_reads_one_table_per_setting(monkeypatch, noise):
     cfg = from_mapping({"noise": noise, "source": {"theta": 0.4}, "seed": 9}, "witness")
     model = cfg["noise"][0]
-    state = photonics.source_state(0.4)
-    state = state if model.is_ideal() else photonics.apply_noise(state, model)
+    state = noisy(photonics.source_state(0.4), model)
     exact = cli._report_fields(witness_value(state))
     records = simulate_witness_records(state, cfg["rate"], cfg["duration"], cfg["seed"])
     counted = cli._report_fields(witness_from_counts(records))
-    tables = _count_calls(monkeypatch, qcore._rotated_diagonal)
-    products = _count_calls(monkeypatch, qcore._product_basis)
-    traces = _count_calls(monkeypatch, qcore.expectation)
+    tables = spy(monkeypatch, qcore._rotated_diagonal)
+    products = spy(monkeypatch, qcore._product_basis)
+    traces = spy(monkeypatch, qcore.expectation)
     document = cli.cmd_witness(cfg, model)[0]
     # one readout of each setting's table; no rotation built, no word traced
     assert (len(tables), len(products), len(traces)) == (2, 0, 0)
@@ -250,37 +237,12 @@ def test_witness_reads_one_table_per_setting(monkeypatch, noise):
     assert document["counted"] == counted
 
 
-def _recorded(init, calls):
-    def recorded(self, *args, **kwargs):
-        calls.append(type(self).__name__)
-        init(self, *args, **kwargs)
-
-    return recorded
-
-
-def _bits(value):
-    """``value`` with every float replaced by its ``float.hex``, recursively."""
-    if isinstance(value, dict):
-        return {key: _bits(item) for key, item in value.items()}
-    return float.hex(value) if isinstance(value, float) else value
-
-
-# every setting's words, and each word's +-1 eigenvalue on each outcome
-# key of a joint distribution (its non-identity letters' bits, in order)
-_SETTING_WORDS = {"XXZZ": ("XXIZ", "XXZI", "IIZZ"), "ZZXX": ("IZXX", "ZIXX", "ZZII")}
-
-
 def _exact_by_public_chain(state):
     """The exact witness fields from joint_distribution and the sign rule."""
     terms = {}
-    for setting, words in _SETTING_WORDS.items():
+    for setting, words in oracles.SETTING_WORDS.items():
         table = photonics.joint_distribution(state, setting)
-        signs = np.array(
-            [
-                [(-1.0) ** sum(b == "1" for w, b in zip(word, key) if w != "I") for key in table]
-                for word in words
-            ]
-        )
+        signs = np.array([[oracles.sign(word, key) for key in table] for word in words])
         terms.update(zip(words, (signs @ np.array(list(table.values()))).tolist()))
     witness = (4.0 - sum(terms[word] for word in photonics.WITNESS_OBSERVABLES)) / 2.0
     return {"terms": terms, "witness": witness, "fidelity_bound": 0.5 - 0.5 * witness}
@@ -298,34 +260,22 @@ def _counted_by_public_chain(state, rate, duration, seed):
     return cli._report_fields(witness_from_counts(records))
 
 
-_FITTED = photonics.fit_noise(
-    [photonics.REFERENCE_WITNESS_TERMS[w][0] for w in photonics.WITNESS_OBSERVABLES]
-)[0]
-
-
-@pytest.mark.parametrize("seed", (None, "fitted", 5, 17, 2024))
-def test_witness_command_equals_the_public_chain_bit_for_bit(monkeypatch, seed):
-    # the ideal source, the fitted model, and the noise models whose tables
-    # test_count_floats pins; the oracle is built from checked public calls only
-    if seed == "fitted":
-        model = _FITTED
-    else:
-        draw = (0.0,) * 3 if seed is None else np.random.default_rng(seed).uniform(0, 0.4, size=3)
-        model = photonics.NoiseModel(*(float(v) for v in draw))
+@pytest.mark.parametrize("model", PIN_MODELS.values(), ids=("None", "fitted", "5", "17", "2024"))
+def test_witness_command_equals_the_public_chain_bit_for_bit(monkeypatch, model):
+    # the models whose tables test_count_floats pins; the oracle is built
+    # from checked public calls only
     for theta in (0.0, 0.4, math.pi, -2.5):
         cfg = {"source.theta": theta, "rate": 9000.0, "duration": 0.8, "seed": 4}
-        state = photonics.source_state(theta)
-        state = state if model.is_ideal() else photonics.apply_noise(state, model)
+        state = noisy(photonics.source_state(theta), model)
         exact = _exact_by_public_chain(state)
         counted = _counted_by_public_chain(state, cfg["rate"], cfg["duration"], cfg["seed"])
         built = []
-        for cls in (qcore.StateVector, qcore.DensityMatrix):
-            monkeypatch.setattr(cls, "__init__", _recorded(cls.__init__, built))
+        count_states(monkeypatch, built)
         document = cli.cmd_witness(cfg, model)[0]
         monkeypatch.undo()
         assert built == []  # the source and its noisy matrix stay arrays
-        assert _bits(document["exact"]) == _bits(exact)
-        assert _bits(document["counted"]) == _bits(counted)
+        assert hex_floats(document["exact"]) == hex_floats(exact)
+        assert hex_floats(document["counted"]) == hex_floats(counted)
         # JSON takes the totals as they are: Python ints, not numpy's
         assert all(type(n) is int for n in document["counted"]["setting_totals"].values())
 
@@ -335,12 +285,9 @@ def test_witness_run_draws_and_counts_without_the_public_checks(monkeypatch, noi
     # the tables are the library's own: a witness run re-checks none of them,
     # so it neither calls the public draw or estimate nor builds a record
     cfg = from_mapping({"noise": noise, "seed": 3}, "witness")
-    draws = _count_calls(monkeypatch, analysis.simulate_counts)
-    estimates = _count_calls(monkeypatch, analysis.witness_from_counts)
-    records = []
-    monkeypatch.setattr(
-        analysis.CountRecord, "__init__", _recorded(analysis.CountRecord.__init__, records)
-    )
+    draws = spy(monkeypatch, analysis.simulate_counts)
+    estimates = spy(monkeypatch, analysis.witness_from_counts)
+    records = spy(monkeypatch, analysis.CountRecord)
     document = cli.cmd_witness(cfg, cfg["noise"][0])[0]
     assert (draws, estimates, records) == ([], [], [])
     assert sum(document["counted"]["setting_totals"].values()) > 0

@@ -32,7 +32,8 @@ from onewaysim.qcore import (
     expectation,
 )
 
-from conftest import HADAMARD, as_density, ket, one_qubit_gate, random_density, random_state
+import oracles
+from conftest import as_density, ket, one_qubit_gate, random_density, random_state
 
 
 def test_graph_normalizes_edges():
@@ -77,18 +78,6 @@ def test_build_cluster_two_qubits():
     assert np.allclose(state.amplitudes, np.array([1, 1, 1, -1]) / 2)
 
 
-def _cphase_chain(graph):
-    """|+>^n, then each edge's CPhase one at a time: the edge's |11> block
-    of the amplitude tensor negated."""
-    n = graph.num_vertices
-    t = np.full((2,) * n, 1.0 / math.sqrt(2**n), dtype=complex)
-    for a, b in graph.edges:
-        block = [slice(None)] * n
-        block[a] = block[b] = 1
-        t[tuple(block)] *= -1.0
-    return t.reshape(-1)
-
-
 def test_build_cluster_equals_the_cphase_chain(rng):
     # every graph of 1-4 vertices, then seeded random graphs of 5-6
     graphs = []
@@ -102,7 +91,8 @@ def test_build_cluster_equals_the_cphase_chain(rng):
         graphs.append(ClusterGraph(n, tuple(p for p in pairs if rng.random() < 0.5)))
     assert len(graphs) == 75 + 40
     for graph in graphs:
-        assert np.array_equal(build_cluster(graph).amplitudes, _cphase_chain(graph))
+        chain = oracles.cphase_chain(graph.num_vertices, graph.edges)
+        assert np.array_equal(build_cluster(graph).amplitudes, chain)
     # CPhase acts on |11> alone, and is symmetric in its two qubits
     cz_plus = build_cluster(ClusterGraph(2, ((1, 0),)))
     assert np.array_equal(cz_plus.amplitudes, [0.5, 0.5, 0.5, -0.5])
@@ -200,7 +190,7 @@ def test_frame_maps_preserve_basis_labels():
 
 def test_frame_map_relabels_before_its_gates():
     # source qubit 2 lands on frame qubit 0 and is then flipped by H
-    frame = FrameMap((2, 0, 1), (HADAMARD, None, None))
+    frame = FrameMap((2, 0, 1), (oracles.HADAMARD, None, None))
     out = frame.apply(ket("001"))
     expected = (ket("000").amplitudes - ket("100").amplitudes) / np.sqrt(2)
     assert np.allclose(out.amplitudes, expected)
@@ -234,8 +224,8 @@ def _apply_one_by_one(frame, state):
 
 def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
     states = [c4_state(), random_state(rng, 4), random_density(rng, 4)]
-    rz = np.diag([np.exp(-0.15j), np.exp(0.15j)])  # R_z(0.3)
-    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (None, HADAMARD, rz, None)))
+    gates = (None, oracles.HADAMARD, oracles.rz(0.3), None)
+    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), gates))
     for frame in frames:
         for state in states:
             mapped, oracle = frame.apply(state), _apply_one_by_one(frame, state)

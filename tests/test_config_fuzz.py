@@ -23,9 +23,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import closed_forms
 from onewaysim.cli import _FIELDS, main
 from onewaysim.photonics import COINCIDENCE_RATE_HZ, DETECTOR_PAIRS
+
+import oracles
 
 pytest_plugins = ("pytester",)
 
@@ -170,7 +171,7 @@ def _check_closed_forms(document):
     read from the document's noise block."""
     noise = document["noise"]
     p = noise.get("white_noise", 0.0)
-    q = closed_forms.dephasing_product(
+    q = oracles.dephasing_product(
         noise.get("path_dephasing_a", 0.0), noise.get("path_dephasing_b", 0.0)
     )
 
@@ -180,7 +181,7 @@ def _check_closed_forms(document):
     command = document["command"]
     if command == "witness":
         for word, value in document["exact"]["terms"].items():
-            close(value, closed_forms.witness_term(word, p, q, document["theta"]))
+            close(value, oracles.witness_term(word, p, q, document["theta"]))
     elif command == "grover":
         # below p ~ 5e-12 the search walk drops the off-mark branches, a
         # known defect pinned by a strict xfail in test_analysis
@@ -188,15 +189,15 @@ def _check_closed_forms(document):
             return
         marked, feedforward = document["marked"], document["feedforward"]
         for mark, value in document["distribution"].items():
-            close(value, closed_forms.search_probability(mark, marked, feedforward, p))
+            close(value, oracles.search_probability(mark, marked, feedforward, p))
     elif command == "gate":
-        closed = closed_forms.gate_fidelity(document["kind"], p, q, document["alpha"])
+        closed = oracles.gate_fidelity(document["kind"], p, q, document["alpha"])
         for value in document["fidelities"].values():
             close(value, closed)
     else:
         for pair, fringe in document["fringes"].items():
             for theta, value in zip(fringe["thetas"], fringe["probabilities"]):
-                close(value, closed_forms.fringe(pair, p, q, theta))
+                close(value, oracles.fringe(pair, p, q, theta))
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -16,48 +16,26 @@ CHANGES.md.
 import json
 from pathlib import Path
 
-import numpy as np
-
 from onewaysim.cluster import c4_state
 from onewaysim.mbqc import _MARKS, grover_run
-from onewaysim.photonics import (
-    REFERENCE_WITNESS_TERMS,
-    WITNESS_OBSERVABLES,
-    WITNESS_SETTINGS,
-    NoiseModel,
-    apply_noise,
-    fit_noise,
-    joint_distribution,
-)
+from onewaysim.photonics import WITNESS_SETTINGS, joint_distribution
+
+from conftest import PIN_MODELS, hex_floats, noisy
 
 PINS = Path(__file__).resolve().parent / "golden" / "count_floats.json"
-NOISE_SEEDS = (5, 17, 2024)
-
-
-def _states():
-    fitted, _ = fit_noise([REFERENCE_WITNESS_TERMS[w][0] for w in WITNESS_OBSERVABLES])
-    states = {"ideal": c4_state(), "fitted": apply_noise(c4_state(), fitted)}
-    for seed in NOISE_SEEDS:
-        model = NoiseModel(*np.random.default_rng(seed).uniform(0.0, 0.4, size=3).tolist())
-        states[f"noise_{seed}"] = apply_noise(c4_state(), model)
-    return states
-
-
-def _hex_table(table):
-    return {key: float(value).hex() for key, value in table.items()}
 
 
 def pinned_tables():
     """Every pinned table, keyed by state, then by search case or setting."""
     out = {}
-    for name, state in _states().items():
-        tables = {}
+    for name, model in PIN_MODELS.items():
+        state, tables = noisy(c4_state(), model), {}
         for marked in _MARKS:
             for feedforward in (True, False):
                 key = f"grover_{marked}_{'ff' if feedforward else 'noff'}"
-                tables[key] = _hex_table(grover_run(marked, feedforward, state))
+                tables[key] = dict(hex_floats(grover_run(marked, feedforward, state)))
         for setting in WITNESS_SETTINGS:
-            tables[f"joint_{setting}"] = _hex_table(joint_distribution(state, setting))
+            tables[f"joint_{setting}"] = dict(hex_floats(joint_distribution(state, setting)))
         out[name] = tables
     return out
 

@@ -28,13 +28,8 @@ from onewaysim.cluster import FrameMap
 from onewaysim.mbqc import MeasurementPattern, branch_distribution
 from onewaysim.qcore import DensityMatrix, StateVector, _array, _density_array
 
+import oracles
 from conftest import random_density, random_state
-
-PAULI = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Z": np.diag([1.0, -1.0]),
-}
 
 
 def _flow_pattern(rng):
@@ -92,18 +87,8 @@ def _correction(pattern, flow, neighbours, branch):
     for (m, _), bit in zip(pattern.steps, branch):
         if bit:
             letters = {flow[m]: "X", **{w: "Z" for w in neighbours[flow[m]] - {m}}}
-            factor = np.eye(1)
-            for q in pattern.readout:
-                factor = np.kron(factor, PAULI[letters.get(q, "I")])
-            c = c @ factor
+            c = c @ oracles.kron(*(oracles.PAULI[letters.get(q, "I")] for q in pattern.readout))
     return c
-
-
-def _infidelity(a, b):
-    """1 - F for two density matrices, F = tr(a b) / sqrt(tr(a a) tr(b b)):
-    |<a|b>|^2 for pure states, and 1 exactly when a = b."""
-    overlap = np.vdot(a, b).real
-    return 1.0 - overlap / math.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
 
 
 def test_flow_patterns_are_deterministic():
@@ -118,7 +103,7 @@ def test_flow_patterns_are_deterministic():
         reference = _density_array(branches[0][2])
         for outcomes, prob, residual in branches:
             assert abs(prob - 2.0**-k) <= 1e-12
-            assert _infidelity(_density_array(residual), reference) <= 1e-12
+            assert oracles.infidelity(_density_array(residual), reference) <= 1e-12
 
         # the same branches from the maps K_s: R_s = C_s K_s rho K_s^dagger C_s^dagger
         identity = FrameMap(tuple(range(state.num_qubits)), (None,) * state.num_qubits)
@@ -129,7 +114,7 @@ def test_flow_patterns_are_deterministic():
             r = c @ k_s @ rho @ k_s.conj().T @ c.conj().T
             weight = np.trace(r).real
             assert abs(weight - 2.0**-k) <= 1e-12
-            assert _infidelity(r / weight, reference) <= 1e-12
+            assert oracles.infidelity(r / weight, reference) <= 1e-12
     # the draws cover every register size, one to three measured qubits,
     # and pure and mixed inputs
     assert {n for n, _, _ in kinds} == {2, 3, 4, 5, 6}

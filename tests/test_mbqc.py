@@ -3,6 +3,7 @@ protocol, and the single-photon output discrimination."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from onewaysim.cluster import (
     build_cluster,
     c4_state,
     to_box_frame,
-    to_horseshoe_frame,
 )
 from onewaysim.mbqc import (
     BELL_LABELS,
@@ -32,7 +32,6 @@ from onewaysim.mbqc import (
 )
 from onewaysim.photonics import NoiseModel, apply_noise
 from onewaysim.qcore import (
-    DensityMatrix,
     ImpossibleOutcomeError,
     StateVector,
     entanglement_entropy,
@@ -40,8 +39,20 @@ from onewaysim.qcore import (
     overlap,
 )
 
-import closed_forms
-from conftest import HADAMARD, as_density, one_qubit_gate, plus, random_density, random_state
+import oracles
+from conftest import (
+    FIT_P,
+    FITTED_MODEL,
+    GATES,
+    as_density,
+    count_states,
+    hex_floats,
+    oracle_states,
+    plus,
+    random_density,
+    random_state,
+    spy,
+)
 
 GRID = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
 BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -82,6 +93,13 @@ def test_pattern_validation():
         MeasurementPattern(
             steps=((0, 0.0),), readout=(1,), feedforward=((2, (("X", 1),)),)
         )
+    # qubit indices are integers, named when not, never truncated
+    for bad in (1.5, np.float64(1.0), True, "a", None):
+        with pytest.raises(ValueError, match=f"^steps: qubit {re.escape(repr(bad))} must be an"):
+            MeasurementPattern(((0, 0.1), (bad, 0.2)))
+        with pytest.raises(ValueError, match=f"^readout: qubit {re.escape(repr(bad))} must be"):
+            MeasurementPattern(((0, 0.1),), (2, bad))
+    assert MeasurementPattern(((np.int64(0), 0.1),), (np.int8(1),)).readout == (1,)
     # a step listed twice: one of its corrections would be dropped
     with pytest.raises(ValueError, match="feedforward key 1 is listed more than once"):
         MeasurementPattern(((1, 0.3),), (0, 2, 3), ((1, (("X", 0),)), (1, (("Z", 2),))))
@@ -104,7 +122,7 @@ def test_run_pattern_records_step_order(rng):
     outcomes, prob, residual = run_pattern(state, horseshoe_pattern(0.3, 0.9), [0, 1])
     assert outcomes == (0, 1)
     assert residual.num_qubits == 2
-    p1, rest = _forced_measure(state, 1, 0.3, 0)
+    p1, rest = _forced_measure(state.amplitudes, 1, 0.3, 0)
     p2, _ = _forced_measure(rest, 1, 0.9, 1)
     assert prob == pytest.approx(p1 * p2)
 
@@ -144,29 +162,19 @@ def test_branch_distribution_is_lexicographic_and_normalized():
 # ---------------------------------------------------------------------------
 
 
-def _cluster_for(kind: str) -> StateVector:
-    graph = HORSESHOE_GRAPH if kind == "horseshoe" else BOX_GRAPH
-    return build_cluster(graph)
-
-
-def _pattern_for(kind: str, alpha: float, beta: float, feedforward: bool):
-    fn = horseshoe_pattern if kind == "horseshoe" else box_pattern
-    return fn(alpha, beta, feedforward=feedforward)
-
-
-def _gate_for(kind: str, spec: GateOutputSpec) -> StateVector:
-    return horseshoe_gate(spec) if kind == "horseshoe" else box_gate(spec)
+GRAPHS = {"horseshoe": HORSESHOE_GRAPH, "box": BOX_GRAPH}
 
 
 @pytest.mark.parametrize("kind", ["horseshoe", "box"])
 def test_gate_formula_matches_simulation(kind):
-    state = _cluster_for(kind)
+    state = build_cluster(GRAPHS[kind])
+    _, pattern_fn, gate = GATES[kind]
     for alpha in GRID:
         for beta in GRID:
             for s2, s3 in BRANCHES:
-                pattern = _pattern_for(kind, alpha, beta, feedforward=False)
+                pattern = pattern_fn(alpha, beta, feedforward=False)
                 _, prob, residual = run_pattern(state, pattern, [s2, s3])
-                target = _gate_for(kind, GateOutputSpec(alpha, beta, s2, s3))
+                target = gate(GateOutputSpec(alpha, beta, s2, s3))
                 assert fidelity(residual, target) == pytest.approx(1.0, abs=1e-10)
                 assert prob == pytest.approx(0.25, abs=1e-12)
 
@@ -175,18 +183,17 @@ def test_gate_formula_matches_simulation(kind):
 def test_feedforward_collapses_branches(kind):
     # corrected outputs coincide with the s2 = s3 = 0 branch up to the
     # global phase each measurement branch carries
-    state = _cluster_for(kind)
+    state = build_cluster(GRAPHS[kind])
+    _, pattern_fn, gate = GATES[kind]
     alpha, beta = 0.8, 2.1
-    reference = _gate_for(kind, GateOutputSpec(alpha, beta, 0, 0))
+    reference = gate(GateOutputSpec(alpha, beta, 0, 0))
     for s2, s3 in BRANCHES:
-        _, _, residual = run_pattern(
-            state, _pattern_for(kind, alpha, beta, feedforward=True), [s2, s3]
-        )
+        _, _, residual = run_pattern(state, pattern_fn(alpha, beta, feedforward=True), [s2, s3])
         assert overlap(residual, reference) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pattern_runs_on_density_matrices():
-    state = _cluster_for("box")
+    state = build_cluster(BOX_GRAPH)
     rho = as_density(state)
     pattern = box_pattern(0.5, 1.7, feedforward=False)
     _, _, pure = run_pattern(state, pattern, [1, 0])
@@ -224,12 +231,12 @@ def test_box_equal_angles_entangle():
 
 
 def test_box_alpha_pi_branches_are_orthogonal_products():
-    pm = {"+": np.array([1, 1]) / math.sqrt(2), "-": np.array([1, -1]) / math.sqrt(2)}
+    pm = dict(zip("+-", oracles.HADAMARD))  # the rows of H are |+> and |->
     expected = {(0, 0): "+-", (0, 1): "--", (1, 0): "++", (1, 1): "-+"}
     states = {}
     for (s2, s3), label in expected.items():
         out = box_gate(GateOutputSpec(math.pi, 0.0, s2, s3))
-        target = StateVector(np.kron(pm[label[0]], pm[label[1]]).astype(complex))
+        target = StateVector(np.kron(pm[label[0]], pm[label[1]]))
         assert overlap(out, target) == pytest.approx(1.0, abs=1e-10)
         states[(s2, s3)] = out
     keys = list(states)
@@ -255,15 +262,10 @@ def test_gate_output_spec_validation():
         assert np.array_equal(box_gate(spec).amplitudes, box_gate(plain).amplitudes)
 
 
-def _written_rz(t):
-    """R_z(t) = diag(e^{-i t/2}, e^{i t/2}), written out."""
-    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-
-
 def _with_written_rz(kind, spec):
     """A gate output built from the written-out R_z: byproducts times
     A C B^T, with A = H Rz(-alpha) and B = H Rz(-beta)."""
-    a, b = (HADAMARD @ _written_rz(-t) for t in (spec.alpha, spec.beta))
+    a, b = (oracles.HADAMARD @ oracles.rz(-t) for t in (spec.alpha, spec.beta))
     target = a @ mbqc._CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]
@@ -274,7 +276,7 @@ def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(rng):
     angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=(40, 2)).tolist()
     angles += [[0.0, 0.0], [math.pi, -math.pi], [1e-300, 1e12]]
     for t in np.ravel(angles):
-        assert np.array_equal(qcore._rz_matrix(t), _written_rz(t))
+        assert np.array_equal(qcore._rz_matrix(t), oracles.rz(t))
     specs = [GateOutputSpec(a, b, s2, s3) for a, b in angles for s2, s3 in BRANCHES]
     expected = {kind: [_with_written_rz(kind, s) for s in specs] for kind in mbqc._GATES}
     for kind, build in (("horseshoe", horseshoe_gate), ("box", box_gate)):
@@ -321,11 +323,11 @@ def test_search_no_feedforward_stays_uniform_under_noise():
 def test_search_success_under_white_noise():
     # an answer bit pair flips whenever the white-noise branch draws one
     # of the 3 non-matching pairs: success = 1 - 3p/4
-    p = 0.06675
-    noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, p))
+    noisy = apply_noise(c4_state(), FITTED_MODEL)
     for marked in ("00", "11"):
         dist = grover_run(marked, feedforward=True, input_state=noisy)
-        assert dist[marked] == pytest.approx(closed_forms.search_probability(marked, marked, True, p), abs=1e-9)
+        want = oracles.search_probability(marked, marked, True, FIT_P)
+        assert dist[marked] == pytest.approx(want, abs=1e-9)
 
 
 def test_search_argument_errors():
@@ -343,36 +345,25 @@ def test_search_argument_errors():
                 grover_run("00", flag, state)
 
 
-def _hex(distribution):
-    return [(mark, float.hex(value)) for mark, value in distribution.items()]
-
-
 def test_ideal_search_reads_the_walk_bit_for_bit():
     for marked in MARKS:
         for feedforward in (True, False, np.bool_(True), np.bool_(False)):
-            walked = _hex(grover_run(marked, feedforward, c4_state()))
-            assert _hex(grover_run(marked, feedforward)) == walked
-            assert _hex(grover_run(np.str_(marked), feedforward)) == walked
+            walked = hex_floats(grover_run(marked, feedforward, c4_state()))
+            assert hex_floats(grover_run(marked, feedforward)) == walked
+            assert hex_floats(grover_run(np.str_(marked), feedforward)) == walked
 
 
 def test_every_search_call_walks_its_input(monkeypatch):
     # no search result is kept between calls: each call walks the box-frame
     # array it was given, and a returned dict is the caller's own
-    walks = []
-    walk = mbqc._walk
-
-    def counted(a, pattern):
-        walks.append((a.shape, pattern))
-        return walk(a, pattern)
-
-    monkeypatch.setattr(mbqc, "_walk", counted)
+    walks = spy(monkeypatch, mbqc._walk, lambda a, pattern: (a.shape, pattern))
     noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, 0.1))
     for state in (None, c4_state(), noisy):
         for marked in MARKS:
             first = grover_run(marked, True, state)
-            expected = _hex(first)
+            expected = hex_floats(first)
             first[marked] = -1.0
-            assert _hex(grover_run(marked, True, state)) == expected
+            assert hex_floats(grover_run(marked, True, state)) == expected
     shapes = ((16,), (16,), (16, 16))
     assert walks == [(s, grover_pattern(m)) for s in shapes for m in MARKS for _ in range(2)]
 
@@ -414,107 +405,44 @@ def test_lab_distribution_rejects_other_registers():
 
 
 # the prefix-sharing walk against two independent sequential runs of each
-# branch: chained forced measurements, then the byproducts gate by gate.
-# The first splits each state as a stack of one with the walk's kernel, the
-# way every branch used to be computed; equal bit for bit, so the exact
-# search tables and the counts drawn from them are unchanged.  The second
-# projects with bras written out here and reads no private kernel; it
-# agrees within 1e-12
+# branch (oracles.sequential_branches): chained forced measurements, then
+# the byproducts gate by gate.  The first splits each state as a stack of
+# one with the walk's kernel, the way every branch used to be computed;
+# equal bit for bit, so the exact search tables and the counts drawn from
+# them are unchanged.  The second projects with the oracle's written-out
+# bras and reads no private kernel; it agrees within 1e-12
 
 MARKS = ("00", "01", "10", "11")
-# the byproduct Paulis, written out
-CORRECTIONS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
-def _forced_measure(state, qubit, alpha, bit):
-    """One forced B(alpha) measurement, (probability, residual): a stack of
-    one split by the walk's kernel and the bit's branch taken."""
-    kept, residuals = qcore._branches(qcore._array(state)[None], qubit, alpha)
+def _forced_measure(a, qubit, alpha, bit):
+    """One forced B(alpha) measurement of the state array ``a``,
+    (probability, residual array): a stack of one split by the walk's
+    kernel and the bit's branch taken; None below the walk's floor."""
+    kept, residuals = qcore._branches(a[None], qubit, alpha)
     for i, (_, out, prob) in enumerate(kept):
         if out == bit:
-            return prob, None if residuals is None else type(state)(residuals[i])
-    raise ImpossibleOutcomeError(f"outcome {bit} on qubit {qubit} has weight below 1e-12")
+            return prob, None if residuals is None else residuals[i]
+    return None
 
 
-def _projected(state, qubit, alpha, bit):
-    """One forced B(alpha) measurement, (probability, residual), through the
-    bra (1, +-e^{-i alpha})/sqrt(2) on the qubit: the weight is the squared
-    norm or the trace of the projected branch, which is then renormalized."""
-    bra = np.array([1.0, (-1) ** bit * np.exp(-1j * alpha)]) / math.sqrt(2)
-    n = state.num_qubits
-    if isinstance(state, StateVector):
-        branch = np.tensordot(bra, state.tensor(), axes=(0, qubit)).reshape(-1)
-        weight = float(np.linalg.norm(branch) ** 2)
-    else:
-        k = np.kron(np.kron(np.eye(2**qubit), bra[None, :]), np.eye(2 ** (n - 1 - qubit)))
-        branch = k @ state.matrix @ k.conj().T
-        weight = float(np.trace(branch).real)
-    if weight < 1e-12:
-        raise ImpossibleOutcomeError(f"outcome {bit} on qubit {qubit} has weight {weight:.1e}")
-    if n == 1:
-        return weight, None
-    if isinstance(state, StateVector):
-        return weight, StateVector(branch / np.linalg.norm(branch))
-    branch = branch / weight
-    return weight, DensityMatrix((branch + branch.conj().T) / 2.0)
+def _sequential_branches(state, pattern, measure=oracles.projected):
+    """The oracle's branches of ``pattern`` on ``state``, each step forced by ``measure``."""
+    fields = (pattern.steps, pattern.readout, pattern.feedforward)
+    return oracles.sequential_branches(qcore._array(state), *fields, measure)
 
 
-def _sequential_branches(state, pattern, measure):
-    """Every branch (bits, probability, residual) of the pattern in
-    lexicographic order, each run alone with the forced measurement
-    ``measure``; a branch with a step below its floor is left out."""
-    branches = []
-    for bits in itertools.product((0, 1), repeat=len(pattern.steps)):
-        live, current, probs = list(range(state.num_qubits)), state, []
-        try:
-            for (qubit, alpha), bit in zip(pattern.steps, bits):
-                prob, current = measure(current, live.index(qubit), alpha, bit)
-                live.remove(qubit)
-                probs.append(prob)
-        except ImpossibleOutcomeError:
-            continue
-        corrections = dict(pattern.feedforward)
-        for (qubit, _), bit in zip(pattern.steps, bits):
-            if bit:
-                for letter, target in corrections.get(qubit, ()):
-                    position = pattern.readout.index(target)
-                    current = one_qubit_gate(current, position, CORRECTIONS[letter])
-        branches.append((bits, float(math.prod(probs)), current))
-    return branches
-
-
-def _forced_branches(state, pattern):
-    return _sequential_branches(state, pattern, _forced_measure)
-
-
-def _assert_same_branches(got, want):
-    assert [(bits, prob) for bits, prob, _ in got] == [(bits, prob) for bits, prob, _ in want]
-    for (_, _, a), (_, _, b) in zip(got, want):
-        if b is None:
-            assert a is None
-        elif isinstance(b, StateVector):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
-        else:
-            assert np.array_equal(a.matrix, b.matrix)
-
-
-def _oracle_inputs(seed):
-    """Pure and mixed four-qubit inputs: the ideal, edge and random noisy
-    clusters, plus random states that break the cluster's symmetries."""
-    rng = np.random.default_rng(seed)
-    ideal = c4_state()
-    states = [ideal, as_density(ideal)]
-    models = [NoiseModel(0.0, 0.0, 1.0), NoiseModel(1.0, 0.0, 0.0), NoiseModel(0.0, 1.0, 0.0)]
-    models += [NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(4)]
-    # near-ideal noise: walk rows of weight ~1e-11 take the trace rescue
-    models += [NoiseModel(a, 0.0, w) for w in (1e-12, 1e-10, 1e-9) for a in (0.0, w)]
-    states += [apply_noise(ideal, model) for model in models]
-    states += [random_state(rng, 4) for _ in range(2)]
-    states += [random_density(rng, 4) for _ in range(2)]
-    return states
+def _oracle_runs(rng):
+    """(state in its frame, pattern) for every oracle state of seed 41: the
+    four search patterns in the box frame, and both gates' patterns with
+    and without feedforward at angles drawn from ``rng``."""
+    for state in oracle_states(np.random.default_rng(41)):
+        box = to_box_frame(state)
+        yield from ((box, grover_pattern(marked)) for marked in MARKS)
+        alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
+        for frame, pattern_fn, _ in GATES.values():
+            mapped = frame.apply(state)
+            yield from ((mapped, pattern_fn(alpha, beta, feedforward=ff)) for ff in (True, False))
 
 
 def _random_feedforward_patterns(rng):
@@ -545,46 +473,33 @@ def _random_feedforward_patterns(rng):
 
 def test_branch_distribution_equals_forced_runs():
     rng = np.random.default_rng(41)
-    for state in _oracle_inputs(41):
-        box = to_box_frame(state)
-        for marked in MARKS:
-            pattern = grover_pattern(marked)
-            _assert_same_branches(
-                branch_distribution(box, pattern), _forced_branches(box, pattern)
-            )
-        alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
-        for frame, pattern_fn in ((to_horseshoe_frame, horseshoe_pattern), (to_box_frame, box_pattern)):
-            for feedforward in (True, False):
-                pattern = pattern_fn(alpha, beta, feedforward=feedforward)
-                mapped = frame(state)
-                _assert_same_branches(
-                    branch_distribution(mapped, pattern), _forced_branches(mapped, pattern)
-                )
-    for pattern in _random_feedforward_patterns(rng):
-        n = len(pattern.steps) + len(pattern.readout)
-        for state in (random_state(rng, n), random_density(rng, n)):
-            _assert_same_branches(
-                branch_distribution(state, pattern), _forced_branches(state, pattern)
-            )
+    runs = list(_oracle_runs(rng))
+    runs += [
+        (make(rng, len(pattern.steps) + len(pattern.readout)), pattern)
+        for pattern in _random_feedforward_patterns(rng)
+        for make in (random_state, random_density)
+    ]
+    for state, pattern in runs:
+        got = branch_distribution(state, pattern)
+        want = _sequential_branches(state, pattern, _forced_measure)
+        assert [(bits, prob) for bits, prob, _ in got] == [(bits, prob) for bits, prob, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert (a is None) == (b is None)
+            assert b is None or np.array_equal(qcore._array(a), b)
 
 
 def test_branch_distribution_matches_projector_runs():
-    rng = np.random.default_rng(41)
-    for state in _oracle_inputs(41):
-        patterns = [(to_box_frame, grover_pattern(marked)) for marked in MARKS]
-        alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
-        for frame, pattern_fn in ((to_horseshoe_frame, horseshoe_pattern), (to_box_frame, box_pattern)):
-            patterns += [(frame, pattern_fn(alpha, beta, feedforward=ff)) for ff in (True, False)]
-        for frame, pattern in patterns:
-            mapped = frame(state)
-            got = branch_distribution(mapped, pattern)
-            want = _sequential_branches(mapped, pattern, _projected)
-            assert [bits for bits, _, _ in got] == [bits for bits, _, _ in want]
-            for (_, prob, residual), (_, oracle_prob, oracle) in zip(got, want):
-                assert prob == pytest.approx(oracle_prob, rel=0.0, abs=1e-12)
-                assert type(residual) is type(oracle)
-                if oracle is not None:
-                    assert np.allclose(qcore._array(residual), qcore._array(oracle), rtol=0.0, atol=1e-12)
+    for state, pattern in _oracle_runs(np.random.default_rng(41)):
+        got = branch_distribution(state, pattern)
+        want = _sequential_branches(state, pattern)
+        assert [bits for bits, _, _ in got] == [bits for bits, _, _ in want]
+        for (_, prob, residual), (_, oracle_prob, oracle) in zip(got, want):
+            assert prob == pytest.approx(oracle_prob, rel=0.0, abs=1e-12)
+            assert (residual is None) == (oracle is None)
+            if oracle is not None:
+                got_array = qcore._array(residual)
+                assert got_array.shape == oracle.shape
+                assert np.allclose(got_array, oracle, rtol=0.0, atol=1e-12)
 
 
 def test_branch_distribution_checks_the_register():
@@ -595,10 +510,10 @@ def test_branch_distribution_checks_the_register():
 
 
 def test_exact_search_equals_forced_branch_sums():
-    for state in _oracle_inputs(43):
+    for state in oracle_states(np.random.default_rng(43)):
         box = to_box_frame(state)
         for marked in MARKS:
-            branches = _forced_branches(box, grover_pattern(marked))
+            branches = _sequential_branches(box, grover_pattern(marked), _forced_measure)
             for feedforward in (True, False):
                 oracle = {m: 0.0 for m in MARKS}
                 for (s_b2, s_b3, s_b1, s_b4), prob, _ in branches:
@@ -624,30 +539,11 @@ def test_bell_probabilities_normalized(rng):
         bell_probabilities(random_state(rng, 3))
 
 
-def _oracle_bell_probabilities(state):
-    """The projector path: CPhase, beam splitter, then +/- times Z projectors."""
-    pm = (np.full((2, 2), 0.5, dtype=complex), np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
-    z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    cz, a = np.diag([1.0, 1.0, 1.0, -1.0]), qcore._array(state)
-    probe = type(state)(cz @ a if a.ndim == 1 else cz @ a @ cz)
-    probe = one_qubit_gate(probe, 1, HADAMARD)
-    probs = {}
-    for i, pol in enumerate("+-"):
-        for j, port in enumerate("+-"):
-            proj = np.kron(pm[i], z[j])
-            if isinstance(probe, StateVector):
-                value = np.vdot(probe.amplitudes, proj @ probe.amplitudes).real
-            else:
-                value = np.trace(proj @ probe.matrix).real
-            probs[pol + port] = float(max(value, 0.0))
-    return probs
-
-
 def test_bell_probabilities_match_projector_oracle(rng):
     states = [random_state(rng, 2) for _ in range(5)] + [random_density(rng, 2) for _ in range(5)]
     for state in states:
         got = bell_probabilities(state)
-        expected = _oracle_bell_probabilities(state)
+        expected = oracles.bell_probabilities(qcore._array(state))
         assert list(got) == list(expected)
         assert list(got.values()) == pytest.approx(list(expected.values()), abs=1e-12)
 
@@ -700,31 +596,9 @@ def test_run_pattern_checks_the_residual_it_returns(monkeypatch, rng):
         assert str(caught.value) == str(expected.value)
 
 
-def _count_checks(monkeypatch, calls):
-    """Record every state constructor call and every density check in ``calls``."""
-    ket_init, density_init = StateVector.__init__, DensityMatrix.__init__
-    check = qcore._check_density
-
-    def counted_ket(self, amplitudes):
-        calls.append("ket")
-        ket_init(self, amplitudes)
-
-    def counted_density(self, matrix):
-        calls.append("density")
-        density_init(self, matrix)
-
-    def counted_check(m):
-        calls.append(("check", m.shape))
-        check(m)
-
-    monkeypatch.setattr(StateVector, "__init__", counted_ket)
-    monkeypatch.setattr(DensityMatrix, "__init__", counted_density)
-    monkeypatch.setattr(qcore, "_check_density", counted_check)
-
-
 def test_mixed_search_builds_no_intermediate_state(monkeypatch):
     calls = []
-    _count_checks(monkeypatch, calls)
+    count_states(monkeypatch, calls)
     noisy = apply_noise(c4_state(), NoiseModel(0.0, 0.0365925529065094, 0.1))
     assert calls == ["ket", "density", ("check", (16, 16))]  # the inputs, where they enter
     calls.clear()
@@ -737,7 +611,7 @@ def test_mixed_search_builds_no_intermediate_state(monkeypatch):
 
 def test_pure_search_builds_no_intermediate_state(monkeypatch):
     calls = []
-    _count_checks(monkeypatch, calls)
+    count_states(monkeypatch, calls)
     ideal = c4_state()
     assert calls == ["ket"]
     calls.clear()

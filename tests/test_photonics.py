@@ -1,6 +1,8 @@
 """Tests for the photonic source, noise channel, and apparatus."""
 
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ from onewaysim.photonics import (
     source_state,
     visibility_scans,
 )
-from onewaysim.qcore import PauliString, StateVector, expectation
+from onewaysim.qcore import PauliString, _array, expectation
 
-import closed_forms
-from conftest import HADAMARD, as_density, ket, one_qubit_gate, random_density, random_state
+import oracles
+from conftest import as_density, ket, oracle_models, random_density, random_state, spy
 
 
 # ---------------------------------------------------------------------------
@@ -52,31 +54,18 @@ def test_source_phase_rotates_the_path_coherence_terms():
     # words without X on the path qubits are insensitive to theta
     for theta in (0.0, 0.7, math.pi / 2, math.pi):
         psi = source_state(theta)
-        for word in ("XXIZ", "XXZI", "IIZZ", "ZZII"):
-            assert expectation(psi, PauliString(word)) == pytest.approx(1.0, abs=1e-12)
-        for word in ("IZXX", "ZIXX"):
-            assert expectation(psi, PauliString(word)) == pytest.approx(
-                math.cos(theta), abs=1e-12
-            )
-    with pytest.raises(ValueError, match="theta must be a finite number"):
-        source_state(float("inf"))
+        for word in WITNESS_OBSERVABLES:
+            want = oracles.witness_term(word, 0.0, 1.0, theta)
+            assert expectation(psi, PauliString(word)) == pytest.approx(want, abs=1e-12)
+    # an int no float holds is named, not an OverflowError from math.isfinite
+    for bad in (float("inf"), 10**400):
+        with pytest.raises(ValueError, match="^theta must be a finite number"):
+            source_state(bad)
 
 
 # ---------------------------------------------------------------------------
 # noise channel
 # ---------------------------------------------------------------------------
-
-
-def _reference_noise(ideal: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """Elementwise restatement of the channel, as an independent oracle."""
-    out = ideal.astype(complex).copy()
-    for i in range(16):
-        for j in range(16):
-            if (i >> 1) & 1 != (j >> 1) & 1:  # path A is bit 1 from the right
-                out[i, j] *= 1.0 - model.path_dephasing_a
-            if i & 1 != j & 1:  # path B is the least significant bit
-                out[i, j] *= 1.0 - model.path_dephasing_b
-    return (1.0 - model.white_noise) * out + model.white_noise * np.eye(16) / 16.0
 
 
 def test_noise_model_validation():
@@ -119,7 +108,7 @@ def test_apply_noise_matches_elementwise_reference(rng):
         model = NoiseModel(*(float(v) for v in rng.uniform(0.0, 0.6, size=3)))
         rho = apply_noise(psi, model)
         ideal = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        assert np.allclose(rho.matrix, _reference_noise(ideal, model), atol=1e-12)
+        assert np.allclose(rho.matrix, oracles.noise_channel(ideal, *astuple(model)), atol=1e-12)
 
 
 def test_apply_noise_ideal_model_is_identity():
@@ -144,18 +133,13 @@ def test_apply_noise_requires_four_qubits():
 def test_noise_pauli_transfer_factors(rng):
     # every Pauli word scales by (1-p) times (1-lambda) per path qubit
     # on which the word has an off-diagonal letter
-    letters = "IXYZ"
     for _ in range(40):
         psi = random_state(rng, 4)
-        word = "".join(rng.choice(list(letters)) for _ in range(4))
+        word = "".join(rng.choice(list(oracles.PAULI)) for _ in range(4))
         if word == "IIII":
             continue
         model = NoiseModel(*(float(v) for v in rng.uniform(0.0, 0.8, size=3)))
-        factor = 1.0 - model.white_noise
-        if word[2] in "XY":
-            factor *= 1.0 - model.path_dephasing_a
-        if word[3] in "XY":
-            factor *= 1.0 - model.path_dephasing_b
+        factor = oracles.pauli_transfer(word, *astuple(model))
         raw = expectation(psi, PauliString(word))
         noisy = expectation(apply_noise(psi, model), PauliString(word))
         assert noisy == pytest.approx(factor * raw, abs=1e-10)
@@ -166,13 +150,7 @@ def test_noise_pauli_transfer_factors(rng):
 # ---------------------------------------------------------------------------
 
 
-_FLAT_WORDS = ("XXIZ", "XXZI", "IIZZ", "ZZII")
-_MIXED_WORDS = ("IZXX", "ZIXX")
-
-
-def _model_targets(keep, q):
-    """Stabilizer values of the noise model: keep = 1 - p, q the dephasing product."""
-    return {w: (keep * q if w in _MIXED_WORDS else keep) for w in WITNESS_OBSERVABLES}
+_FLAT_WORDS = tuple(w for w in WITNESS_OBSERVABLES if w not in oracles.DEPHASED_WORDS)
 
 
 def _closed_form_fit(targets):
@@ -183,7 +161,7 @@ def _closed_form_fit(targets):
     b = mean of the four, b*q = mean of the two.
     """
     flat = [targets[w] for w in _FLAT_WORDS]
-    mixed = [targets[w] for w in _MIXED_WORDS]
+    mixed = [targets[w] for w in oracles.DEPHASED_WORDS]
     b = sum(flat) / 4.0
     bq = sum(mixed) / 2.0
     residual = sum((b - t) ** 2 for t in flat) + sum((bq - t) ** 2 for t in mixed)
@@ -199,7 +177,7 @@ def _brute_force_fit(targets):
     (keep, q, residual) of the best grid point found.
     """
     flat = np.array([targets[w] for w in _FLAT_WORDS])
-    mixed = np.array([targets[w] for w in _MIXED_WORDS])
+    mixed = np.array([targets[w] for w in oracles.DEPHASED_WORDS])
     keep_lo, keep_hi, q_lo, q_hi = 0.0, 1.0, 0.0, 1.0
     for _ in range(14):
         keep, q = np.meshgrid(
@@ -222,8 +200,8 @@ def _assert_no_worse_than_oracle(targets):
     _, _, oracle = _brute_force_fit(targets)
     assert residual <= oracle + 1e-12
     # the reported residual is the misfit of the returned model
-    predicted = _model_targets(1.0 - model.white_noise, 1.0 - model.path_dephasing_b)
-    misfit = sum((predicted[w] - targets[w]) ** 2 for w in WITNESS_OBSERVABLES)
+    p, q = model.white_noise, 1.0 - model.path_dephasing_b
+    misfit = sum((oracles.witness_term(w, p, q, 0.0) - targets[w]) ** 2 for w in targets)
     assert residual == pytest.approx(misfit, abs=1e-12)
     return model, residual
 
@@ -249,8 +227,9 @@ def test_fit_noise_is_no_worse_than_brute_force_on_random_targets():
             values = rng.uniform(-1.0, 1.0, size=6)
         else:
             # near the physical region: a model's values plus measurement noise
-            model = _model_targets(*rng.uniform(0.5, 1.0, size=2))
-            values = [model[w] + rng.normal(0.0, 0.05) for w in WITNESS_OBSERVABLES]
+            keep, q = rng.uniform(0.5, 1.0, size=2)
+            model = [oracles.witness_term(w, 1.0 - keep, q, 0.0) for w in WITNESS_OBSERVABLES]
+            values = [value + rng.normal(0.0, 0.05) for value in model]
             values = np.clip(values, -1.0, 1.0)
         _assert_no_worse_than_oracle(dict(zip(WITNESS_OBSERVABLES, map(float, values))))
 
@@ -274,7 +253,7 @@ def test_fit_noise_is_no_worse_than_brute_force_on_random_targets():
     ],
 )
 def test_fit_noise_boundary_targets(flat, mixed, white_noise, path_dephasing_b, residual):
-    targets = {w: (mixed if w in _MIXED_WORDS else flat) for w in WITNESS_OBSERVABLES}
+    targets = {w: (mixed if w in oracles.DEPHASED_WORDS else flat) for w in WITNESS_OBSERVABLES}
     model, got = _assert_no_worse_than_oracle(targets)
     assert model.white_noise == pytest.approx(white_noise, abs=1e-12)
     assert model.path_dephasing_b == pytest.approx(path_dephasing_b, abs=1e-12)
@@ -319,8 +298,11 @@ def test_fit_noise_takes_targets_in_minus_one_to_one_only():
     for edge in (-1.0, 1.0):
         model, _ = fit_noise([edge] * 6)
         assert isinstance(model, NoiseModel)
-    for bad in (math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0), math.nan, -math.inf):
-        with pytest.raises(ValueError, match=f"^target {bad!r} is not an expectation value$"):
+    # and each target is a real number: an int no float holds, a bool or a
+    # string is named, never an OverflowError or read as a number
+    edges = (math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0), math.nan, -math.inf)
+    for bad in edges + (10**400, -(10**400), True, "0.9", None):
+        with pytest.raises(ValueError, match=f"^target {re.escape(repr(bad))} is not an"):
             fit_noise([0.9] * 5 + [bad])
 
 
@@ -363,9 +345,8 @@ def test_apparatus_projectors_complete_and_idempotent(setting):
 def test_b_alpha_at_zero_equals_plus_minus():
     # the beam splitters of the ZZXX setting read both paths in B(0)
     for qubit in (2, 3):
-        p0, p1 = _readout_projectors(WITNESS_SETTINGS["ZZXX"][qubit])
-        assert np.allclose(p0, np.full((2, 2), 0.5))
-        assert np.allclose(p1, np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        projectors = _readout_projectors(WITNESS_SETTINGS["ZZXX"][qubit])
+        assert np.allclose(projectors, oracles.PM_PROJECTORS)
 
 
 def test_witness_settings_are_read_only():
@@ -380,20 +361,6 @@ def test_witness_settings_are_read_only():
 # ---------------------------------------------------------------------------
 # joint outcome distributions
 # ---------------------------------------------------------------------------
-
-
-def _word_sign(word: str, key: str) -> int:
-    sign = 1
-    for letter, bit in zip(word, key):
-        if letter != "I" and bit == "1":
-            sign = -sign
-    return sign
-
-
-_SETTING_WORDS = {
-    "XXZZ": ("XXIZ", "XXZI", "IIZZ"),
-    "ZZXX": ("IZXX", "ZIXX", "ZZII"),
-}
 
 
 def test_joint_distribution_normalization(rng):
@@ -413,8 +380,8 @@ def test_joint_distribution_reproduces_expectations(rng):
         for _ in range(8):
             psi = random_state(rng, 4)
             dist = joint_distribution(psi, name)
-            for word in _SETTING_WORDS[name]:
-                signed = sum(_word_sign(word, k) * v for k, v in dist.items())
+            for word in oracles.SETTING_WORDS[name]:
+                signed = sum(oracles.sign(word, k) * v for k, v in dist.items())
                 assert signed == pytest.approx(
                     expectation(psi, PauliString(word)), abs=1e-10
                 )
@@ -426,8 +393,8 @@ def test_joint_distribution_on_mixed_states(rng):
     for name in WITNESS_SETTINGS:
         dist = joint_distribution(rho, name)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-        for word in _SETTING_WORDS[name]:
-            signed = sum(_word_sign(word, k) * v for k, v in dist.items())
+        for word in oracles.SETTING_WORDS[name]:
+            signed = sum(oracles.sign(word, k) * v for k, v in dist.items())
             assert signed == pytest.approx(
                 expectation(rho, PauliString(word)), abs=1e-10
             )
@@ -447,8 +414,8 @@ def test_joint_distribution_rejects_other_settings(setting):
 def test_ideal_cluster_coincidences_are_half_even_parity():
     # on the ideal state each setting shows the stabilizer correlations
     dist = joint_distribution(c4_state(), "XXZZ")
-    for word in _SETTING_WORDS["XXZZ"]:
-        signed = sum(_word_sign(word, k) * v for k, v in dist.items())
+    for word in oracles.SETTING_WORDS["XXZZ"]:
+        signed = sum(oracles.sign(word, k) * v for k, v in dist.items())
         assert signed == pytest.approx(1.0, abs=1e-12)
 
 
@@ -458,13 +425,13 @@ def test_ideal_cluster_coincidences_are_half_even_parity():
 
 
 def _fringe_formula(model: NoiseModel, pair: str, theta: float) -> float:
-    q = closed_forms.dephasing_product(model.path_dephasing_a, model.path_dephasing_b)
-    return closed_forms.fringe(pair, model.white_noise, q, theta)
+    q = oracles.dephasing_product(model.path_dephasing_a, model.path_dephasing_b)
+    return oracles.fringe(pair, model.white_noise, q, theta)
 
 
 def _fringe(model: NoiseModel, pair: str, theta: float) -> float:
     """One pair's coincidence probability at one phase, off the fringe table."""
-    port_a, port_b = _ORACLE_PORTS[pair]
+    port_a, port_b = oracles.DETECTOR_PORTS[pair]
     return float(_fringe_table(model, [theta])[0, port_a, port_b])
 
 
@@ -489,9 +456,8 @@ def test_fringe_pair_signs():
 def test_visibility_scan_closed_form(rng):
     for _ in range(6):
         model = NoiseModel(*(float(v) for v in rng.uniform(0.0, 0.4, size=3)))
-        p = model.white_noise
-        q = (1.0 - model.path_dephasing_a) * (1.0 - model.path_dephasing_b)
-        expected = q * (1.0 - p) / (1.0 - p / 2.0)
+        q = oracles.dephasing_product(model.path_dephasing_a, model.path_dephasing_b)
+        expected = oracles.visibility(model.white_noise, q)
         (scan,) = visibility_scans(model, ("D3-D2",), samples=24)
         assert scan.visibility == pytest.approx(expected, abs=1e-12)
         assert len(scan.thetas) == 24 and len(scan.probabilities) == 24
@@ -511,86 +477,30 @@ def test_visibility_scan_rejects_odd_samples():
 
 
 # ---------------------------------------------------------------------------
-# oracles: every readout restated with explicit projectors (Kronecker
-# products, one expectation per outcome), independent of the basis-rotation
-# kernels they check
+# every readout against the projector readouts of ``oracles``, independent
+# of the basis-rotation kernels they check
 # ---------------------------------------------------------------------------
 
-_ORACLE_Z = (
-    np.diag([1.0, 0.0]).astype(complex),
-    np.diag([0.0, 1.0]).astype(complex),
-)
-_ORACLE_PM = (
-    np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-)
-_ORACLE_PORTS = {"D1-D2": (0, 0), "D1-D4": (0, 1), "D3-D2": (1, 0), "D3-D4": (1, 1)}
 _ORACLE_TOL = 1e-12
 
 
-def _oracle_joint_distribution(state, setting):
-    """Sixteen Kronecker-product projectors, one expectation each.
-
-    The setting's name gives the readout of each qubit in register order:
-    X along +/- (a beam splitter reads a path in B(0), which is +/-) and
-    Z in the computational basis."""
-    families = [{"X": _ORACLE_PM, "Z": _ORACLE_Z}[letter] for letter in setting]
-    out = {}
-    for index in range(16):
-        bits = [(index >> (3 - q)) & 1 for q in range(4)]
-        op = np.array([[1.0 + 0j]])
-        for q in range(4):
-            op = np.kron(op, families[q][bits[q]])
-        if isinstance(state, StateVector):
-            value = np.vdot(state.amplitudes, op @ state.amplitudes).real
-        else:
-            value = np.trace(op @ state.matrix).real
-        out["".join(map(str, bits))] = float(max(value, 0.0))
-    return out
-
-
-def _oracle_fringe(model, pair, theta):
-    """apply_noise, two checked beam splitters (a Hadamard on each path
-    qubit), then a 16x16 projector."""
-    port_a, port_b = _ORACLE_PORTS[pair]
-    probe = apply_noise(source_state(theta), model)
-    probe = one_qubit_gate(probe, 2, HADAMARD)
-    probe = one_qubit_gate(probe, 3, HADAMARD)
-    op = np.array([[1.0 + 0j]])
-    for proj in (_ORACLE_Z[0], _ORACLE_Z[0], _ORACLE_Z[port_a], _ORACLE_Z[port_b]):
-        op = np.kron(op, proj)
-    return float(np.trace(op @ probe.matrix).real)
-
-
-def _oracle_models(rng, count):
-    models = [
-        NoiseModel.ideal(),
-        NoiseModel(0.0, 0.0, 1.0),
-        NoiseModel(1.0, 0.0, 0.0),
-        NoiseModel(0.0, 1.0, 0.0),
-        NoiseModel(1.0, 1.0, 0.3),
-    ]
-    models += [NoiseModel(*(float(v) for v in rng.uniform(0.0, 1.0, size=3))) for _ in range(count)]
-    return models
-
-
 def test_fringe_matches_projector_oracle(rng):
-    for model in _oracle_models(rng, 10):
-        for theta in rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=4):
+    for model in oracle_models(rng, 10):
+        for theta in rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=4).tolist():
             for pair in DETECTOR_PAIRS:
-                assert _fringe(model, pair, float(theta)) == pytest.approx(
-                    _oracle_fringe(model, pair, float(theta)), abs=_ORACLE_TOL
-                )
+                oracle = oracles.fringe_probability(pair, *astuple(model), theta)
+                assert _fringe(model, pair, theta) == pytest.approx(oracle, abs=_ORACLE_TOL)
 
 
 @pytest.mark.parametrize("samples", [4, 10, 24])
 def test_visibility_scans_match_projector_oracle(rng, samples):
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    for model in _oracle_models(rng, 4):
+    for model in oracle_models(rng):
         scans = visibility_scans(model, DETECTOR_PAIRS, samples)
         assert [scan.detector_pair for scan in scans] == list(DETECTOR_PAIRS)
         for scan in scans:
-            expected = [_oracle_fringe(model, scan.detector_pair, t) for t in thetas]
+            pair = scan.detector_pair
+            expected = [oracles.fringe_probability(pair, *astuple(model), t) for t in thetas]
             assert scan.thetas == tuple(float(t) for t in thetas)
             assert scan.probabilities == pytest.approx(expected, abs=_ORACLE_TOL)
             top, bottom = max(expected), min(expected)
@@ -604,14 +514,7 @@ def test_visibility_scans_match_projector_oracle(rng, samples):
 def test_long_scan_is_built_in_blocks(monkeypatch):
     # more phases than one stack holds: the blocks must join seamlessly,
     # and no stack holds more than 1024 phases (~4 MB)
-    sizes = []
-    channel = photonics._noise_channel
-
-    def counted(stack, model):
-        sizes.append(len(stack))
-        return channel(stack, model)
-
-    monkeypatch.setattr(photonics, "_noise_channel", counted)
+    sizes = spy(monkeypatch, photonics._noise_channel, lambda stack, model: len(stack))
     model = NoiseModel(0.1, 0.05, 0.2)
     samples = 2 * 1024 + 6
     scans = visibility_scans(model, DETECTOR_PAIRS, samples)
@@ -627,22 +530,14 @@ def _full_register_fringes(model, thetas):
     applied entry by entry to all 16 x 16 entries, then the HH block
     rotated by both beam splitters and its diagonal read off."""
     amps = photonics._source_amplitudes(thetas)
-    rho = amps[:, :, None] * amps[:, None, :].conj()
-    index = np.arange(16)
-    for lam, bit in ((model.path_dephasing_a, 1), (model.path_dephasing_b, 0)):
-        if lam != 0.0:
-            differ = ((index[:, None] >> bit) & 1) != ((index[None, :] >> bit) & 1)
-            rho = np.where(differ, (1.0 - lam) * rho, rho)
-    p = model.white_noise
-    if p:
-        rho = (1.0 - p) * rho + p * np.eye(16) / 16.0
-    splitters = np.kron(HADAMARD, HADAMARD)
+    rho = oracles.noise_channel(amps[:, :, None] * amps[:, None, :].conj(), *astuple(model))
+    splitters = np.kron(oracles.HADAMARD, oracles.HADAMARD)
     return ((splitters @ rho[:, :4, :4]) * splitters.conj()).sum(axis=-1).real.reshape(-1, 2, 2)
 
 
 def test_fringe_table_equals_the_full_register_bit_for_bit(rng):
-    assert np.array_equal(np.kron(HADAMARD, HADAMARD), photonics._BEAM_SPLITTERS)
-    models = _oracle_models(rng, 12) + [NoiseModel(0.1, 0.0, 0.0), NoiseModel(0.0, 0.0, 0.05)]
+    assert np.array_equal(np.kron(oracles.HADAMARD, oracles.HADAMARD), photonics._BEAM_SPLITTERS)
+    models = oracle_models(rng, 12) + [NoiseModel(0.1, 0.0, 0.0), NoiseModel(0.0, 0.0, 0.05)]
     for model in models:
         for size in (1, 4, 24, 48, int(rng.integers(2, 200))):
             thetas = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=size)
@@ -650,13 +545,13 @@ def test_fringe_table_equals_the_full_register_bit_for_bit(rng):
             assert np.array_equal(table, _full_register_fringes(model, thetas))
     # a scan split into blocks reads the same bits as one whole stack
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * 1024 + 2, endpoint=False)
-    for model in models[:6]:
+    for model in models[:7]:
         table = _fringe_table(model, thetas)
         assert np.array_equal(table, _full_register_fringes(model, thetas))
 
 
 def test_noise_channel_on_the_leading_block_keeps_every_bit(rng):
-    for model in _oracle_models(rng, 6):
+    for model in oracle_models(rng, 6):
         for rho in [as_density(random_state(rng, 4)).matrix, random_density(rng, 4).matrix]:
             full = photonics._noise_channel(rho, model)
             assert np.array_equal(photonics._noise_channel(rho[:4, :4], model), full[:4, :4])
@@ -672,22 +567,14 @@ def test_dephasing_masks_are_read_only_and_nested():
         full, block = photonics._DEPHASING_MASKS[16, photon], photonics._DEPHASING_MASKS[4, photon]
         assert not (full.flags.writeable or block.flags.writeable)
         assert np.array_equal(block, full[:4, :4])
-        # a register index's path bit: bit 1 for photon A, bit 0 for photon B
-        shift = {"A": 1, "B": 0}[photon]
-        bits = (np.arange(16) >> shift) & 1
-        assert np.array_equal(full, bits[:, None] != bits[None, :])
+        # the entries the oracle channel zeroes at full dephasing of the photon
+        weights = (1.0, 0.0, 0.0) if photon == "A" else (0.0, 1.0, 0.0)
+        assert np.array_equal(full, oracles.noise_channel(np.ones((16, 16)), *weights) == 0)
 
 
 @pytest.mark.parametrize("samples, blocks", [(24, [24]), (2050, [1024, 1024, 2])])
 def test_fringes_send_only_4x4_blocks_through_the_channel(monkeypatch, samples, blocks):
-    shapes = []
-    channel = photonics._noise_channel
-
-    def recorded(stack, model):
-        shapes.append(stack.shape)
-        return channel(stack, model)
-
-    monkeypatch.setattr(photonics, "_noise_channel", recorded)
+    shapes = spy(monkeypatch, photonics._noise_channel, lambda stack, model: stack.shape)
     visibility_scans(NoiseModel(0.1, 0.05, 0.2), DETECTOR_PAIRS, samples)
     assert shapes == [(n, 4, 4) for n in blocks]
 
@@ -711,6 +598,11 @@ def test_visibility_scans_name_a_bad_argument(args, name):
         visibility_scans(*args)
 
 
+def test_visibility_scans_read_an_iterator_of_pairs_alike():
+    model, pairs = NoiseModel(0.1, 0.05, 0.2), ("D1-D2", "D3-D4")
+    assert visibility_scans(model, iter(pairs)) == visibility_scans(model, pairs)
+
+
 def test_visibility_scans_read_a_numpy_sample_count_alike():
     model = NoiseModel(0.1, 0.05, 0.2)
     expected = visibility_scans(model, ("D1-D4",), 16)
@@ -730,11 +622,11 @@ def test_joint_distribution_matches_projector_oracle(rng):
     states = [c4_state(), source_state(0.4)]
     states += [random_state(rng, 4) for _ in range(3)]
     states += [random_density(rng, 4) for _ in range(3)]
-    states += [apply_noise(random_state(rng, 4), m) for m in _oracle_models(rng, 2)]
+    states += [apply_noise(random_state(rng, 4), m) for m in oracle_models(rng, 2)]
     for setting in WITNESS_SETTINGS:
         for state in states:
             got = joint_distribution(state, setting)
-            expected = _oracle_joint_distribution(state, setting)
+            expected = oracles.joint_table(_array(state), setting)
             assert list(got) == list(expected)
             assert list(got.values()) == pytest.approx(list(expected.values()), abs=_ORACLE_TOL)
             assert min(got.values()) >= 0.0

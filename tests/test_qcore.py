@@ -1,6 +1,7 @@
 """Unit tests for the state/gate/measurement core."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from onewaysim.qcore import (
     overlap,
 )
 
+import oracles
 from conftest import (
-    HADAMARD,
     as_density,
     ket,
     one_qubit_gate,
@@ -199,17 +200,21 @@ def test_ket_and_plus():
 
 
 def test_gate_constructors():
-    # the package's one Hadamard: H written out, bit for bit, and read-only
+    # the package's Paulis and its one Hadamard: written out, bit for bit,
+    # and H read-only
+    assert list(qcore._PAULI_1Q) == list(oracles.PAULI)
+    for letter, matrix in oracles.PAULI.items():
+        assert np.array_equal(qcore._PAULI_1Q[letter], matrix)
     h = qcore._HADAMARD
-    assert np.array_equal(h, HADAMARD) and not h.flags.writeable
+    assert np.array_equal(h, oracles.HADAMARD) and not h.flags.writeable
     assert np.allclose(h @ h, np.eye(2))
     assert np.allclose(qcore._rz_matrix(0.0), np.eye(2))
     # Rz(pi) = -iZ
-    assert np.allclose(qcore._rz_matrix(math.pi), -1j * np.diag([1, -1]))
+    assert np.allclose(qcore._rz_matrix(math.pi), -1j * oracles.PAULI["Z"])
 
 
 def test_gate_kernel_single_qubit_placement():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    x = oracles.PAULI["X"]
     psi = one_qubit_gate(ket("00"), 1, x)
     assert np.allclose(psi.amplitudes, ket("01").amplitudes)
     psi = one_qubit_gate(ket("00"), 0, x)
@@ -236,11 +241,8 @@ def test_cphase_basis_action():
     # from |+>^n by a sign on the basis states whose two ends read 1
     for n, edge in [(2, (0, 1)), (3, (0, 2)), (3, (1, 2))]:
         with_edge = build_cluster(ClusterGraph(n, (edge,))).amplitudes
-        ratio = with_edge / plus(n).amplitudes
-        for x in range(2**n):
-            bits = format(x, f"0{n}b")
-            sign = -1 if bits[edge[0]] == bits[edge[1]] == "1" else 1
-            assert ratio[x] == sign
+        signs = oracles.cphase_chain(n, (edge,)) / oracles.cphase_chain(n, ())
+        assert np.array_equal(with_edge / plus(n).amplitudes, signs)
 
 
 def test_cphase_is_symmetric_and_validated():
@@ -489,16 +491,11 @@ def test_measure_mixed_matches_pure(rng):
         qubit = int(rng.integers(3))
         alpha = float(rng.uniform(0, 2 * math.pi))
         for branch in (0, 1):
-            bra = np.array([1.0, (-1) ** branch * np.exp(-1j * alpha)]) / math.sqrt(2)
-            factors = [np.eye(2)] * 3
-            factors[qubit] = bra[None, :]
-            k = np.kron(np.kron(factors[0], factors[1]), factors[2])
-            r = k @ rho.matrix @ k.conj().T
-            weight = np.trace(r).real
+            weight, want = oracles.projected(rho.matrix, qubit, alpha, branch)
             outcomes, prob, residual = _measure(rho, qubit, alpha, branch)
             assert outcomes == (branch,)
             assert prob == pytest.approx(weight, abs=1e-12)
-            assert np.allclose(residual.matrix, r / weight, atol=1e-12)
+            assert np.allclose(residual.matrix, want, atol=1e-12)
 
 
 def test_measure_mixed_single_qubit():
@@ -585,6 +582,11 @@ def test_entanglement_entropy_product_and_bell():
         entanglement_entropy(bell, [5])
     with pytest.raises(IndexError):
         entanglement_entropy(bell, [2])  # the first index past the register
+    # an index that is not an integer is named, never truncated
+    for bad in (1.5, np.float64(0.0), True, "0", None):
+        with pytest.raises(ValueError, match=f"^partition: qubit {re.escape(repr(bad))} must be"):
+            entanglement_entropy(bell, [0, bad])
+    assert entanglement_entropy(bell, (np.int64(1),)) == entanglement_entropy(bell, [1])
 
 
 def test_entanglement_entropy_counts_eigenvalues_above_1e_12_only():
