@@ -138,6 +138,11 @@ class CountRecord:
     counts: Dict[str, int]
     setting: Optional[str] = None
 
+    def __post_init__(self):
+        for key, count in self.counts.items():
+            if not (_is_integer(count) and count >= 0):
+                raise ValueError(f"counts[{key!r}] must be an integer >= 0, got {count!r}")
+
     def total(self) -> int:
         return int(sum(self.counts.values()))
 
@@ -258,10 +263,6 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
             index = _KEY_INDEX.get(key)
             if index is None:
                 raise ValueError(f"invalid outcome key {key!r}")
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"count of outcome {key!r} must be an integer, got {count!r}")
-            if count < 0:
-                raise ValueError("negative count")
             bucket[index] += int(count)
     missing = set(_SETTING_TERMS) - set(counts)
     if missing:

@@ -9,6 +9,8 @@ files.
 
 Without ``--out`` the JSON document is the only thing on stdout and the
 summary line goes to stderr, so stdout always parses as one document.
+It is ``json.dumps(indent=2, sort_keys=True)``'s text, written by ``_json``:
+before Python 3.13 ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 
 Each config field is one row of ``_FIELDS``: its path, its default, the
 check its value must pass, and the subcommands that read it.  A checked
@@ -39,6 +41,7 @@ import math
 import re
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
@@ -267,12 +270,22 @@ def load_config(path: Optional[str], command: str) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    return "%.12g" % value if isinstance(value, float) else str(value)
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``; a non-str key raises TypeError."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    keys = sorted(value) if isinstance(value, dict) else None
+    items, ends = (value, "[]") if keys is None else ([value[k] for k in keys], "{}")
+    inner = indent + "  "
+    # finite floats inline: a call per element would cost what this saves
+    texts = [repr(v) if type(v) is float and v - v == 0 else _json(v, inner) for v in items]
+    if keys is not None:
+        texts = [encode_basestring_ascii(k) + ": " + t for k, t in zip(keys, texts)]
+    return ends[0] + inner + ("," + inner).join(texts) + indent + ends[1] if texts else ends
 
 
-# what a subcommand hands to _emit: document, CSV name, header, rows, summary
-_Result = Tuple[dict, str, Tuple[str, ...], list, str]
+# a subcommand's result: document, CSV name, header, line format, rows, summary
+_Result = Tuple[dict, str, str, str, list, str]
 
 
 def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
@@ -282,14 +295,13 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
     stdout and the summary to stderr, so stdout holds nothing but the
     document, in the same text as the JSON file.
     """
-    document, csv_name, header, rows, summary = result
+    document, csv_name, header, line, rows, summary = result
     outputs = []
     if fmt in ("json", "both"):
-        outputs.append((".json", json.dumps(document, indent=2, sort_keys=True) + "\n"))
+        outputs.append((".json", _json(document) + "\n"))
     if fmt in ("csv", "both"):
-        lines = [header] + [[_fmt(cell) for cell in row] for row in rows]
-        csv_text = "".join(",".join(line) + "\n" for line in lines)
-        outputs.append((f"_{csv_name}.csv", csv_text))
+        lines = [header] + [line % row for row in rows]
+        outputs.append((f"_{csv_name}.csv", "\n".join(lines) + "\n"))
     if prefix is None:
         sys.stdout.write(outputs[0][1])
         print(summary, file=sys.stderr)
@@ -335,7 +347,7 @@ def cmd_witness(cfg: dict, model: NoiseModel) -> _Result:
     summary = "witness %.6f (exact %.6f), fidelity bound %.6f" % (
         counted.witness, exact.witness, counted.fidelity_bound
     )
-    return document, "terms", ("term", "exact", "estimate", "stderr"), rows, summary
+    return document, "terms", "term,exact,estimate,stderr", "%s,%.12g,%.12g,%.12g", rows, summary
 
 
 def cmd_grover(cfg: dict, model: NoiseModel) -> _Result:
@@ -354,7 +366,7 @@ def cmd_grover(cfg: dict, model: NoiseModel) -> _Result:
         report.estimate_stderr,
         report.trials,
     )
-    return _report_fields(report), "distribution", ("outcome", "probability"), rows, summary
+    return _report_fields(report), "distribution", "outcome,probability", "%s,%.12g", rows, summary
 
 
 def cmd_gate(cfg: dict, model: NoiseModel) -> _Result:
@@ -372,7 +384,7 @@ def cmd_gate(cfg: dict, model: NoiseModel) -> _Result:
     summary = "%s gate alpha=%.4f beta=%.4f mean branch fidelity %.6f" % (
         kind, alpha, beta, mean
     )
-    return document, "fidelities", ("s2", "s3", "fidelity"), rows, summary
+    return document, "fidelities", "s2,s3,fidelity", "%s,%s,%.12g", rows, summary
 
 
 def cmd_visibility(cfg: dict, model: NoiseModel) -> _Result:
@@ -397,7 +409,7 @@ def cmd_visibility(cfg: dict, model: NoiseModel) -> _Result:
     summary = "\n".join(
         "visibility %s %.6f" % (scan.detector_pair, scan.visibility) for scan in scans
     )
-    return document, "fringes", ("detector_pair", "theta", "probability"), rows, summary
+    return document, "fringes", "detector_pair,theta,probability", "%s,%.12g,%.12g", rows, summary
 
 
 # subcommand -> (handler, help text), in the order --help lists them

@@ -37,6 +37,7 @@ from .qcore import (
     _check_bit,
     _is_finite,
     _is_integer,
+    _is_state,
     _product_basis,
     _qubits,
     _rotated_diagonal,
@@ -172,8 +173,8 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
     ImpossibleOutcomeError
         If the walk dropped the branch (weight below 1e-12 at some step).
     """
-    if len(outcomes) != len(pattern.steps):
-        raise ValueError("need one forced outcome per step")
+    if np.ndim(outcomes) != 1 or len(outcomes) != len(pattern.steps):
+        raise ValueError(f"outcomes: need one forced outcome per step, got {outcomes!r}")
     for bit in outcomes:
         _check_bit(bit)
     for branch in branch_distribution(state, pattern):
@@ -350,8 +351,8 @@ def grover_run(
     dict mapping '00'..'11' to probability.
     """
     _check_search(marked, feedforward)
-    if input_state is not None and input_state.num_qubits != 4:
-        raise ValueError("search input must be a four-qubit state")
+    if not (input_state is None or _is_state(input_state, 4)):
+        raise ValueError(f"search input must be a four-qubit state; input_state={input_state!r}")
     return _search(_C4 if input_state is None else _array(input_state), marked, feedforward)
 
 
@@ -395,7 +396,7 @@ def bell_probabilities(state: State) -> Dict[str, float]:
     the diagonal of the rotated state.  Labels: first character is the
     polarization ('+' for outcome 0), second the port ('+' for port 0).
     """
-    if state.num_qubits != 2:
-        raise ValueError("discrimination acts on one photon: two qubits")
+    if not _is_state(state, 2):
+        raise ValueError(f"state: discrimination acts on one photon, two qubits; got {state!r}")
     probs = np.maximum(_rotated_diagonal(_BELL_READOUT, _array(state)), 0.0)
     return dict(zip(BELL_LABELS, probs.tolist()))

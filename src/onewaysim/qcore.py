@@ -224,6 +224,11 @@ def _rz_matrix(alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _is_state(value, qubits: int) -> bool:
+    """True for a StateVector or DensityMatrix of ``qubits`` qubits."""
+    return isinstance(value, (StateVector, DensityMatrix)) and value.num_qubits == qubits
+
+
 def _array(state: State) -> np.ndarray:
     """The state's array: a ket axis, then a bra axis for a mixed state."""
     return state.amplitudes if isinstance(state, StateVector) else state.matrix
@@ -248,7 +253,7 @@ def _pairing(a: np.ndarray, op: np.ndarray, what: str) -> float:
     else:
         val = np.vdot(a, op @ a) if a.ndim == 1 else np.trace(op @ a)
     if abs(val.imag) > TOL:
-        raise ArithmeticError(f"{what} has imaginary residue {val.imag!r}")
+        raise ArithmeticError(f"{what} has imaginary residue {float(val.imag)!r}")
     return float(val.real)
 
 

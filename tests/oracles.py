@@ -253,3 +253,10 @@ def infidelity(a, b):
     |<a|b>|^2 for pure states, and 1 exactly when a = b."""
     overlap = np.vdot(a, b).real
     return 1.0 - overlap / math.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
+
+
+def csv_text(header, rows):
+    """CSV text written cell by cell: a float cell as %.12g, any other as
+    its str(), one line for the header and one per row."""
+    cells = [["%.12g" % c if isinstance(c, float) else str(c) for c in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in [header] + cells)

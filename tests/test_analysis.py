@@ -322,6 +322,14 @@ def test_witness_from_counts_validation():
             witness_from_counts([rec_a, CountRecord(counts, rec_b.setting)])
 
 
+@pytest.mark.parametrize("count", [1.5, 2.0, True, -1, math.nan, None, "3", np.float64(1.0)])
+def test_count_record_names_a_count_that_is_not_one(count):
+    # a count is an integer >= 0, numpy's included, and nothing is truncated
+    with pytest.raises(ValueError, match=r"^counts\['0101'\] must be an integer >= 0"):
+        CountRecord({"0000": 3, "0101": count})
+    assert CountRecord({"0000": 3, "0101": np.int64(2)}).total() == 5
+
+
 def test_setting_totals_stay_exact_past_float_precision():
     rec_a, rec_b = _hand_built_records()
     big = CountRecord({"0000": 2**53, "0101": 1}, rec_a.setting)

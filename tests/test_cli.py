@@ -209,6 +209,81 @@ def test_stdout_document_is_the_json_file(name, tmp_path, capsys):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# output text
+# ---------------------------------------------------------------------------
+
+# keys with quotes, backslashes, control and non-ASCII characters, a lone
+# surrogate included; floats with NaN, +-inf, -0.0 and subnormals
+_KEYS = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "é ü", "\u2028", "\ud800", "😀"]
+)
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1e-310]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | _KEYS
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_KEYS, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(document=_DOCUMENTS)
+def test_json_writer_gives_the_stdlib_text(document):
+    assert cli._json(document) == json.dumps(document, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "document", [{1: 0}, {True: 0}, {None: 0}, {1.5: 0}, {("a",): 0}, {"a": [{"b": 0, 2: 0}]}]
+)
+def test_json_writer_rejects_a_key_that_is_no_str(document):
+    with pytest.raises(TypeError):
+        cli._json(document)
+
+
+def test_json_writer_formats_list_floats_without_a_call_each(monkeypatch):
+    # a finite float in a list is formatted inline; the rest go to json.dumps
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda value: calls.append(value) or dumps(value))
+    values = [0.1, -2.5e-300, 1e300, 0.0, -0.0, 5e-324]
+    assert cli._json({"x": values}) == dumps({"x": values}, indent=2, sort_keys=True)
+    assert calls == []
+    others = [math.inf, math.nan, np.float64(0.5), 1, True, None, "a"]
+    assert cli._json(others) == dumps(others, indent=2, sort_keys=True)
+    assert list(map(repr, calls)) == list(map(repr, others))
+
+
+@pytest.mark.parametrize("name", test_golden.CONFIGS)
+def test_csv_lines_are_the_cell_by_cell_text(name, tmp_path, monkeypatch):
+    # each subcommand's line format writes what formatting cell by cell did
+    config = test_golden.ROOT / "configs" / f"{name}.yaml"
+    command = yaml.safe_load(config.read_text(encoding="utf-8"))["experiment"]
+    handler, results = cli._COMMANDS[command][0], []
+    monkeypatch.setitem(
+        cli._COMMANDS,
+        command,
+        (lambda *args: results.append(handler(*args)) or results[-1],)
+        + cli._COMMANDS[command][1:],
+    )
+    prefix = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(prefix), "--format", "csv"]) == 0
+    _, csv_name, header, _, rows, _ = results[0]
+    text = (tmp_path / f"run_{csv_name}.csv").read_text(encoding="utf-8")
+    assert text == oracles.csv_text(header.split(","), rows)
+
+
 def test_witness_fitted_run(tmp_path):
     config = _write(tmp_path, "config.yaml", "experiment: witness\nnoise: fit\n")
     prefix = str(tmp_path / "wf")

@@ -33,6 +33,7 @@ from onewaysim.mbqc import (
 from onewaysim.photonics import NoiseModel, apply_noise
 from onewaysim.qcore import (
     ImpossibleOutcomeError,
+    PauliString,
     StateVector,
     entanglement_entropy,
     fidelity,
@@ -113,7 +114,7 @@ def test_run_pattern_register_checks(rng):
         run_pattern(psi, MeasurementPattern(steps=((0, 0.0),), readout=(1,)), [0])
     with pytest.raises(ValueError):
         run_pattern(psi, horseshoe_pattern(0.0, 0.0), [0])  # one bit, two steps
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="outcomes"):
         run_pattern(psi, horseshoe_pattern(0.0, 0.0), 0)  # bare int ambiguous
 
 
@@ -402,6 +403,14 @@ def test_lab_distribution_rejects_other_registers():
     ):
         with pytest.raises(ValueError, match="search input must be a four-qubit state"):
             grover_run("00", input_state=state)
+
+
+@pytest.mark.parametrize("value", ["x", 3, PauliString("XXXX"), c4_state().amplitudes])
+def test_a_state_argument_that_is_no_state_is_named(value):
+    with pytest.raises(ValueError, match="input_state="):
+        grover_run("00", True, value)
+    with pytest.raises(ValueError, match="^state: "):
+        bell_probabilities(value)
 
 
 # the prefix-sharing walk against two independent sequential runs of each

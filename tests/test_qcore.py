@@ -541,6 +541,30 @@ def test_a_weight_exactly_at_the_floor_is_kept(monkeypatch):
     assert kept == [(0, 0, floor), (0, 1, 1.0 - floor)]
 
 
+@pytest.mark.parametrize("weight, kept", [(1.0005e-12, True), (0.9995e-12, False)])
+def test_the_shipped_floor_keeps_a_weight_just_above_1e_12(weight, kept):
+    # outcome 1 in B(0) of this ket has weight eps**2 / (1 + eps**2): the
+    # weight to ~1e-24, within 1e-3 of the floor at 1e-12
+    eps = math.sqrt(weight)
+    psi = StateVector(np.array([1 + eps, 1 - eps]) / math.sqrt(2 * (1 + eps**2)))
+    if kept:
+        assert _measure(psi, 0, 0.0, 1)[:2] == ((1,), pytest.approx(weight, rel=1e-9))
+    else:
+        with pytest.raises(ImpossibleOutcomeError):
+            _measure(psi, 0, 0.0, 1)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_an_imaginary_residue_raises_only_above_tol(mixed):
+    # <0000| op |0000> is op's first diagonal entry, exactly
+    a = np.eye(16, dtype=complex)[0]
+    a = np.outer(a, a) if mixed else a
+    at_tol = np.diag(np.full(16, 1 + 1e-10j))
+    assert qcore._pairing(a, at_tol, "expectation") == 1.0
+    with pytest.raises(ArithmeticError, match="imaginary residue 1.0005e-10"):
+        qcore._pairing(a, np.diag(np.full(16, 1 + 1.0005e-10j)), "expectation")
+
+
 def test_outcome_sources():
     # a forced bit is the only outcome source
     psi = plus(1)
