@@ -52,8 +52,9 @@ from .qcore import (
     _FORCED_MIN_WEIGHT,
     ImpossibleOutcomeError,
     State,
-    _is_finite,
-    _is_integer,
+    _check_finite,
+    _check_integer,
+    _check_member,
     _product_basis,
 )
 
@@ -140,8 +141,7 @@ class CountRecord:
 
     def __post_init__(self):
         for key, count in self.counts.items():
-            if not (_is_integer(count) and count >= 0):
-                raise ValueError(f"counts[{key!r}] must be an integer >= 0, got {count!r}")
+            _check_integer(count, f"counts[{key!r}]", 0)
 
     def total(self) -> int:
         return int(sum(self.counts.values()))
@@ -156,11 +156,13 @@ def simulate_counts(
 ) -> CountRecord:
     """Draw counts for one setting: Poisson total, multinomial split.
 
-    ``seed`` is anything numpy's default_rng accepts (int or a sequence
-    of ints).  Outcome keys are processed in sorted order, so a fixed
-    seed fully determines the counts.
+    ``seed`` is an int >= 0, or a list or tuple of them (numpy's
+    default_rng takes both).  Outcome keys are processed in sorted order,
+    so a fixed seed fully determines the counts.
     """
     _check_rate(rate, duration)
+    for part in seed if isinstance(seed, (list, tuple)) else (seed,):
+        _check_seed(part)
     keys = sorted(probabilities)
     if not keys:
         raise ValueError("empty probability table")
@@ -177,12 +179,11 @@ def simulate_counts(
 
 
 def _check_rate(rate: float, duration: float) -> None:
-    for name, value in (("rate", rate), ("duration", duration)):
-        if not (_is_finite(value) and float(value) > 0):
-            raise ValueError(f"rate and duration must be positive and finite: {name} is {value!r}")
-    if not 0 < rate * duration <= _MAX_EXPECTED_COUNTS:
+    rate = _check_finite(rate, "rate", positive=True)
+    expected = rate * _check_finite(duration, "duration", positive=True)
+    if not 0 < expected <= _MAX_EXPECTED_COUNTS:
         raise ValueError(
-            f"rate * duration must lie in (0, {_MAX_EXPECTED_COUNTS:.0e}], got {rate * duration!r}"
+            f"rate * duration must lie in (0, {_MAX_EXPECTED_COUNTS:.0e}], got {expected!r}"
         )
 
 
@@ -212,8 +213,7 @@ def simulate_witness_records(
 
 
 def _check_seed(seed) -> None:
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_integer(seed, "seed", 0)
 
 
 def _draw_tables(tables, rate: float, duration: float, seed: int) -> Dict[str, np.ndarray]:
@@ -345,8 +345,7 @@ def gate_fidelity_report(
     byproduct table, a signed permutation, times the (0, 0) output.  Only
     the arguments are checked; every array is the library's own.
     """
-    if kind not in _GATES:
-        raise ValueError(f"unknown gate kind {kind!r}")
+    _check_member(kind, "kind", tuple(_GATES))
     _check_angles(alpha, beta)
     maps = _branch_maps(_GATES[kind][0], ((1, alpha), (2, beta)), (0, 3))  # both gates' layout
     a = _prepare_state(noise)

@@ -13,14 +13,20 @@ It is ``json.dumps(indent=2, sort_keys=True)``'s text, written by ``_json``:
 before Python 3.13 ``indent`` sends ``json.dumps`` to its pure-Python encoder.
 
 Each config field is one row of ``_FIELDS``: its path, its default, the
-check its value must pass, and the subcommands that read it.  A checked
-config maps each path to its value, e.g. ``cfg["gate.alpha"]``; the
-noise check also builds (or fits) the noise model, so a bad noise
-parameter or fit target is named by its path like any other field.  A
-field the invoked subcommand does not read is rejected rather than
-ignored; all four read ``seed``, ``duration``, ``rate`` and ``noise``,
-which ``main`` adds to every output document, and the ``experiment``
-guard.
+check its value must pass, and the subcommands that read it.  The check
+is the library's own check of the same argument (``qcore._check_finite``
+for ``gate.alpha``, ``photonics._check_samples`` for
+``visibility.samples``, ...), run once with the name ``config field
+'<path>'``; ``_check`` turns its ValueError into a ConfigError.  Only
+the YAML shapes, unknown and ignored fields, the ``experiment`` guard,
+the ``"all"`` detector pair and the YAML-text hints are the CLI's own.
+A checked config maps each path to its value, e.g. ``cfg["gate.alpha"]``,
+a float field's value always a float; the noise check also builds (or
+fits) the noise model, so a bad noise parameter or fit target is named
+by its path like any other field.  A field the invoked subcommand does
+not read is rejected rather than ignored; all four read ``seed``,
+``duration``, ``rate`` and ``noise``, which ``main`` adds to every
+output document, and the ``experiment`` guard.
 
 Exit codes: 0 on success, 2 for configuration or usage problems (a
 config file larger than 8192 bytes or not valid UTF-8 among them), 1 for
@@ -37,7 +43,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import fields
@@ -46,28 +51,27 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
 
-from .analysis import _MAX_EXPECTED_COUNTS, NoCountsError, _counted_report, _draw_tables
+from .analysis import NoCountsError, _check_rate, _counted_report, _draw_tables
 from .analysis import _exact_report, _setting_tables, gate_fidelity_report, grover_report
-from .mbqc import _MARKS
+from .mbqc import _GATES, _MARKS
 from .photonics import (
     COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
     NoiseModel,
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
+    _check_samples,
     _noisy,
     _source_amplitudes,
     fit_noise,
     visibility_scans,
 )
+from .qcore import _check_finite, _check_integer, _check_member, _check_unit
 
 
 class ConfigError(Exception):
     """Invalid configuration; reported with exit code 2."""
 
-
-# fringe phases per scan: the whole phase grid is allocated at once
-_MAX_VISIBILITY_SAMPLES = 65536
 
 # bytes read from a config file: each nesting level takes at least one byte,
 # and libyaml's composer recurses in C once per level, crashing the process
@@ -104,53 +108,19 @@ def _number_hint(value) -> str:
     return f" (YAML 1.1 reads {value!r} as text; write {written})"
 
 
-# field checks: each takes a config value and the field's path, and returns
-# the value to store or raises a ConfigError that names the path
+def _check(check, value, name: str, *args, hint: str = ""):
+    """``check(value, name, *args)``, one of the library's argument checks,
+    whose ValueError is raised as a ConfigError ending in the YAML hints."""
+    try:
+        return check(value, name, *args)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}{_number_hint(value)}{hint}") from exc
 
 
-def _number(value, name: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field {name!r} must be a number{_number_hint(value)}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"config field {name!r} must be finite")
-    if positive and value <= 0:
-        raise ConfigError(f"config field {name!r} must be positive")
-    return value
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config field {name!r} must be an integer")
-    if value < minimum:
-        raise ConfigError(f"config field {name!r} must be >= {minimum}")
-    return int(value)
-
-
-def _samples(value, name: str) -> int:
-    samples = _integer(value, name, minimum=4)
-    if samples % 2:
-        raise ConfigError(f"config field {name!r} must be even")
-    if samples > _MAX_VISIBILITY_SAMPLES:
-        raise ConfigError(f"config field {name!r} must be <= {_MAX_VISIBILITY_SAMPLES}")
-    return samples
-
-
-def _boolean(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config field {name!r} must be a boolean")
-    return value
-
-
-def _choice(*options: str, hint: str = ""):
-    shown = ", ".join(map(repr, options))
-
-    def check(value, name: str) -> str:
-        if not isinstance(value, str) or value not in options:
-            raise ConfigError(f"config field {name!r} must be one of {shown}{hint}")
-        return value
-
-    return check
+def _field(check, *args, hint: str = ""):
+    """A ``_FIELDS`` check: the library's ``check`` with the name
+    ``config field '<path>'``."""
+    return lambda value, path: _check(check, value, f"config field {path!r}", *args, hint=hint)
 
 
 def _noise(spec, name: str) -> Tuple[NoiseModel, Dict[str, object]]:
@@ -169,32 +139,27 @@ def _noise(spec, name: str) -> Tuple[NoiseModel, Dict[str, object]]:
         fit = _as_mapping(spec["fit"], f"{name}.fit")
         _check_keys(fit, {"targets"}, f"{name}.fit.")
         targets = fit.get("targets")
-        if (
-            not isinstance(targets, (list, tuple))
-            or len(targets) != 6
-            or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in targets)
-        ):
-            hints = "".join(map(_number_hint, targets)) if isinstance(targets, list) else ""
+        if not isinstance(targets, (list, tuple)) or len(targets) != 6:
             raise ConfigError(
                 f"config field '{name}.fit.targets' must list six numbers in the "
-                "order " + ", ".join(WITNESS_OBSERVABLES) + hints
+                "order " + ", ".join(WITNESS_OBSERVABLES)
             )
-        targets = [float(t) for t in targets]
+        # fit_noise's check of each target, named by its config path
+        targets = [
+            _check(_check_unit, t, f"config field '{name}.fit.targets[{i}]'", -1.0)
+            for i, t in enumerate(targets)
+        ]
     else:
         _check_keys(spec, _NOISE_KEYS, f"{name}.")
-        # a parameter left out keeps the NoiseModel default
-        params = {key: _number(value, f"{name}.{key}") for key, value in spec.items()}
-        for key, value in params.items():
-            try:
-                NoiseModel(**{key: value})  # its range check, one parameter at a time
-            except ValueError as exc:
-                raise ConfigError(f"config field '{name}.{key}': {exc}") from exc
+        # NoiseModel's check of each parameter, in file order; one left out
+        # keeps its default
+        params = {
+            key: _check(_check_unit, value, f"config field '{name}.{key}'")
+            for key, value in spec.items()
+        }
         model = NoiseModel(**params)
         return model, {"kind": "parameters", **vars(model)}
-    try:
-        model, residual = fit_noise(targets)
-    except ValueError as exc:
-        raise ConfigError(f"config field '{name}.fit.targets': {exc}") from exc
+    model, residual = fit_noise(targets)
     return model, {
         "kind": "fit", "fit_targets": targets, "fit_residual": residual, **vars(model)
     }
@@ -214,7 +179,7 @@ def from_mapping(data: Optional[dict], command: str) -> Dict[str, object]:
             f"config is for experiment {experiment!r}, "
             f"but the {command!r} command was invoked"
         )
-    cfg: Dict[str, object] = {"experiment": command}
+    cfg: Dict[str, object] = {**_DEFAULTS, "experiment": command}
     for top, entry in data.items():
         if top in _SECTIONS:
             items = [(f"{top}.{key}", v) for key, v in _as_mapping(entry, top).items()]
@@ -230,15 +195,10 @@ def from_mapping(data: Optional[dict], command: str) -> Dict[str, object]:
                     f"{'/'.join(field.commands)} command; {command!r} would ignore it"
                 )
             cfg[path] = field.check(value, path)
-    for field in _FIELDS:
-        if field.path not in cfg:
-            cfg[field.path] = field.check(field.default, field.path)
-    expected = cfg["rate"] * cfg["duration"]
-    if not 0.0 < expected <= _MAX_EXPECTED_COUNTS:  # 0.0 when the product underflows
-        raise ConfigError(
-            f"config fields 'rate' and 'duration' ask for {expected:.3g} "
-            f"coincidences, outside the (0, {_MAX_EXPECTED_COUNTS:.0e}] that can be drawn"
-        )
+    try:
+        _check_rate(cfg["rate"], cfg["duration"])
+    except ValueError as exc:
+        raise ConfigError(f"config fields 'rate' and 'duration': {exc}") from exc
     return cfg
 
 
@@ -423,40 +383,48 @@ _COMMANDS = {
 
 class _Field(NamedTuple):
     path: str  # dotted config path, and the field's key in a checked config
-    default: object  # taken, and checked, when a config leaves the field out
+    default: object  # checked once, and taken when a config leaves the field out
     check: Callable[[object, str], object]  # (value, path) -> checked value
     commands: Tuple[str, ...]  # the subcommands that read it
 
 
 _EVERY = tuple(_COMMANDS)
 
+# rate and duration, each checked as _check_rate checks it
+_POSITIVE = _field(functools.partial(_check_finite, positive=True))
+
 # every config field; a subcommand rejects a field it does not read, and
 # all of them read the counting and noise fields their documents report.
 # The experiment guard's value is always the invoked command.
 _FIELDS = (
-    _Field("experiment", None, _choice(*_COMMANDS), _EVERY),
-    _Field("source.theta", 0.0, _number, ("witness",)),
+    _Field("experiment", None, _field(_check_member, _EVERY), _EVERY),
+    _Field("source.theta", 0.0, _field(_check_finite), ("witness",)),
     _Field("noise", "ideal", _noise, _EVERY),
-    _Field("seed", 0, functools.partial(_integer, minimum=0), _EVERY),
-    _Field("duration", 1.0, functools.partial(_number, positive=True), _EVERY),
-    _Field("rate", COINCIDENCE_RATE_HZ, functools.partial(_number, positive=True), _EVERY),
+    _Field("seed", 0, _field(_check_integer, 0), _EVERY),
+    _Field("duration", 1.0, _POSITIVE, _EVERY),
+    _Field("rate", COINCIDENCE_RATE_HZ, _POSITIVE, _EVERY),
     _Field(
         "grover.marked",
         "00",
-        _choice(*_MARKS, hint=" (quote it, YAML reads bare 00 as a number)"),
+        _field(_check_member, _MARKS, hint=" (quote it, YAML reads bare 00 as a number)"),
         ("grover",),
     ),
-    _Field("grover.feedforward", True, _boolean, ("grover",)),
-    _Field("gate.kind", "horseshoe", _choice("horseshoe", "box"), ("gate",)),
-    _Field("gate.alpha", 0.0, _number, ("gate",)),
-    _Field("gate.beta", 0.0, _number, ("gate",)),
+    _Field("grover.feedforward", True, _field(_check_member, (True, False)), ("grover",)),
+    _Field("gate.kind", "horseshoe", _field(_check_member, tuple(_GATES)), ("gate",)),
+    _Field("gate.alpha", 0.0, _field(_check_finite), ("gate",)),
+    _Field("gate.beta", 0.0, _field(_check_finite), ("gate",)),
     _Field(
-        "visibility.detector_pair", "all", _choice("all", *DETECTOR_PAIRS), ("visibility",)
+        "visibility.detector_pair",
+        "all",
+        _field(_check_member, ("all",) + DETECTOR_PAIRS),
+        ("visibility",),
     ),
-    _Field("visibility.samples", 24, _samples, ("visibility",)),
+    _Field("visibility.samples", 24, _field(_check_samples), ("visibility",)),
 )
 
 _FIELD_AT = {field.path: field for field in _FIELDS}
+# each default, checked once: a config that leaves its field out gets it
+_DEFAULTS = {f.path: f.check(f.default, f.path) for f in _FIELDS if f.default is not None}
 _SECTIONS = {field.path.partition(".")[0] for field in _FIELDS if "." in field.path}
 
 
@@ -488,9 +456,7 @@ def main(argv=None) -> int:
         if args.out == "":
             raise ConfigError("--out must name a path prefix, got an empty string")
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            cfg["seed"] = args.seed
+            cfg["seed"] = _check(_check_integer, args.seed, "--seed", 0)
         fmt = args.format or ("both" if args.out else "json")
         if args.out is None and fmt != "json":
             raise ConfigError("--format csv/both requires --out")

@@ -31,6 +31,7 @@ from .qcore import (
     State,
     StateVector,
     _array,
+    _check_integer,
     _gate_array,
     _is_integer,
     _product_basis,
@@ -46,9 +47,7 @@ class ClusterGraph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.num_vertices
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"num_vertices must be an integer >= 1, got {n!r}")
+        n = _check_integer(self.num_vertices, "num_vertices", 1)
         seen = set()
         normalized = []
         for edge in self.edges:

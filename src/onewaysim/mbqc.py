@@ -35,6 +35,8 @@ from .qcore import (
     _array,
     _branches,
     _check_bit,
+    _check_finite,
+    _check_member,
     _is_finite,
     _is_integer,
     _is_state,
@@ -191,8 +193,7 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
 def _check_angles(alpha, beta) -> None:
     """Raise ValueError, naming the angle, unless both are finite numbers."""
     for name, value in (("alpha", alpha), ("beta", beta)):
-        if not _is_finite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        _check_finite(value, name)
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,7 @@ class GateOutputSpec:
     def __post_init__(self):
         _check_angles(self.alpha, self.beta)
         for name in ("s2", "s3"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value in (0, 1)):
-                raise ValueError(f"{name} must be the bit 0 or 1, got {value!r}")
+            _check_member(getattr(self, name), name, (0, 1))
 
 
 def horseshoe_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:
@@ -313,10 +312,8 @@ def grover_pattern(marked: str) -> MeasurementPattern:
 
 def _check_search(marked: str, feedforward: bool = True) -> Tuple[int, int]:
     """The mark's two bits, once the mark and the feedforward flag pass."""
-    if marked not in _MARKS:
-        raise ValueError(f"marked element must be one of {_MARKS}, got {marked!r}")
-    if not isinstance(feedforward, (bool, np.bool_)):
-        raise ValueError(f"feedforward must be a bool, got {feedforward!r}")
+    _check_member(marked, "marked", _MARKS)
+    _check_member(feedforward, "feedforward", (True, False))
     return int(marked[0]), int(marked[1])
 
 

@@ -39,10 +39,12 @@ from .qcore import (
     State,
     StateVector,
     _array,
+    _check_finite,
+    _check_integer,
+    _check_member,
+    _check_unit,
     _density_array,
-    _is_finite,
-    _is_integer,
-    _is_number,
+    _is_state,
     _product_basis,
     _rotated_diagonal,
 )
@@ -110,9 +112,7 @@ def source_state(theta: float) -> StateVector:
     theta is the relative phase of the RR double pair against LL; at
     theta = 0 this equals the linear cluster state componentwise.
     """
-    if not _is_finite(theta):
-        raise ValueError(f"theta must be a finite number, got {theta!r}")
-    return StateVector(_source_amplitudes(theta))
+    return StateVector(_source_amplitudes(_check_finite(theta, "theta")))
 
 
 def _source_amplitudes(thetas) -> np.ndarray:
@@ -148,9 +148,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("path_dephasing_a", "path_dephasing_b", "white_noise"):
-            value = getattr(self, name)
-            if not (_is_number(value) and 0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            _check_unit(getattr(self, name), name)
 
     @classmethod
     def ideal(cls) -> "NoiseModel":
@@ -166,8 +164,8 @@ class NoiseModel:
 
 def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     """Send a four-qubit state through the noise channel."""
-    if ideal.num_qubits != 4:
-        raise ValueError("the noise model is defined on the four-qubit register")
+    if not _is_state(ideal, 4):
+        raise ValueError(f"ideal must be a state of the four-qubit register, got {ideal!r}")
     _check_model(model)
     return DensityMatrix(_noise_channel(_density_array(ideal), model))
 
@@ -229,10 +227,8 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
     values = tuple(targets)
     if len(values) != 6:
         raise ValueError("expected six target values")
-    for v in values:
-        if not (_is_finite(v) and -1.0 <= v <= 1.0):
-            raise ValueError(f"target {v!r} is not an expectation value")
-    named = dict(zip(WITNESS_OBSERVABLES, map(float, values)))
+    checked = [_check_unit(v, f"targets[{i}]", -1.0) for i, v in enumerate(values)]
+    named = dict(zip(WITNESS_OBSERVABLES, checked))
     flat = [named[w] for w in ("XXIZ", "XXZI", "IIZZ", "ZZII")]
     mixed = [named[w] for w in ("IZXX", "ZIXX")]
 
@@ -280,8 +276,7 @@ _SETTING_ROTATIONS = {name: _product_basis(bases) for name, bases in WITNESS_SET
 
 
 def _check_setting(setting) -> None:
-    if not (isinstance(setting, str) and setting in WITNESS_SETTINGS):
-        raise ValueError(f"setting must be one of {tuple(WITNESS_SETTINGS)}, got {setting!r}")
+    _check_member(setting, "setting", tuple(WITNESS_SETTINGS))
 
 
 # joint outcome keys: bit strings in register order, indexed like basis states
@@ -303,8 +298,8 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
 
 def _register_array(state: State) -> np.ndarray:
     """The array of a four-qubit state, the one check a joint table needs."""
-    if state.num_qubits != 4:
-        raise ValueError("joint distribution is defined on the four-qubit register")
+    if not _is_state(state, 4):
+        raise ValueError(f"state must be a state of the four-qubit register, got {state!r}")
     return _array(state)
 
 
@@ -324,11 +319,7 @@ DETECTOR_PAIRS = ("D1-D2", "D1-D4", "D3-D2", "D3-D4")
 
 
 def _parse_pair(detector_pair: str) -> Tuple[int, int]:
-    if detector_pair not in DETECTOR_PAIRS:
-        raise ValueError(
-            f"detector pair must be one of {DETECTOR_PAIRS}, got {detector_pair!r}"
-        )
-    name_a, name_b = detector_pair.split("-")
+    name_a, name_b = _check_member(detector_pair, "detector pair", DETECTOR_PAIRS).split("-")
     return _DETECTORS[name_a][1], _DETECTORS[name_b][1]
 
 
@@ -337,6 +328,17 @@ _BEAM_SPLITTERS = _product_basis((_HADAMARD, _HADAMARD))
 
 # phases per stack, so a long scan needs no more than ~256 KB per stack
 _FRINGE_BLOCK = 1024
+
+# phases per scan: the whole phase grid is allocated at once
+_MAX_SAMPLES = 65536
+
+
+def _check_samples(samples, name: str) -> int:
+    """``samples`` as an int, once it is an even integer in [4, 65536]."""
+    samples = _check_integer(samples, name, 4)
+    if samples % 2 or samples > _MAX_SAMPLES:
+        raise ValueError(f"{name} must be even and at most {_MAX_SAMPLES}, got {samples!r}")
+    return samples
 
 
 def _fringe_table(model: NoiseModel, thetas) -> np.ndarray:
@@ -374,16 +376,11 @@ def visibility_scans(
     """Scan the source phase once and report the fringe of each pair.
 
     Visibility is (max - min)/(max + min) over the sampled fringe.
-    ``samples`` must be an even integer >= 4, so that it includes both
-    extremes of this source (theta = 0 and pi); an odd count understates
-    the visibility.  ``detector_pairs`` lists names from DETECTOR_PAIRS.
+    ``samples`` must be an even integer in [4, 65536], so that it includes
+    both extremes of this source (theta = 0 and pi); an odd count
+    understates the visibility.  ``detector_pairs`` lists DETECTOR_PAIRS.
     """
-    if not _is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 4:
-        raise ValueError(f"samples: need at least four samples per turn, got {samples}")
-    if samples % 2:
-        raise ValueError(f"samples must be even, got {samples}")
+    samples = _check_samples(samples, "samples")
     if isinstance(detector_pairs, str) or not isinstance(detector_pairs, Iterable):
         raise ValueError(f"detector_pairs must be a sequence of names, got {detector_pairs!r}")
     detector_pairs = tuple(detector_pairs)  # an iterator is read once

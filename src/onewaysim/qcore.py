@@ -69,7 +69,10 @@ class ImpossibleOutcomeError(ValueError):
 
 def _is_number(value) -> bool:
     """True for a real number, numpy's included; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a float or int passes before the numbers.Real check, an ABC check many times slower
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 def _is_finite(value) -> bool:
@@ -84,6 +87,42 @@ def _is_finite(value) -> bool:
 def _is_integer(value) -> bool:
     """True for an int, numpy's included; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# argument checks: each returns the checked value or raises a ValueError
+# "{name} must be ..., got {value!r}"; the library and the CLI's config
+# fields share them, the CLI naming a field "config field '<path>'"
+
+
+def _check_finite(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float, once it is a finite real number (> 0 if ``positive``)."""
+    if not (_is_finite(value) and (value > 0 or not positive)):
+        kind = "a positive finite" if positive else "a finite"
+        raise ValueError(f"{name} must be {kind} number, got {value!r}")
+    return float(value)
+
+
+def _check_unit(value, name: str, low: float = 0.0) -> float:
+    """``value`` as a float, once it is a real number in [low, 1]."""
+    if not (_is_number(value) and low <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [{low:g}, 1], got {value!r}")
+    return float(value)
+
+
+def _check_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int, once it is an integer >= ``minimum``."""
+    if not (_is_integer(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_member(value, name: str, options: tuple):
+    """``value``, once it is one of ``options``, which share one type, and of
+    that type, a numpy scalar counting as its Python value: 1 is not True."""
+    plain = value.item() if isinstance(value, np.generic) else value
+    if type(plain) is not type(options[0]) or plain not in options:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +325,10 @@ def _gate_array(a: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 def expectation(state: State, observable: PauliString) -> float:
     """<P> on a pure or mixed state; the imaginary residue must vanish."""
-    if observable.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"observable acts on {observable.num_qubits} qubits, "
-            f"state has {state.num_qubits}"
-        )
+    if not isinstance(observable, PauliString):
+        raise ValueError(f"observable must be a PauliString, got {observable!r}")
+    if not _is_state(state, observable.num_qubits):
+        raise ValueError(f"state must be a state of {observable.num_qubits} qubits, got {state!r}")
     return _pairing(_array(state), _pauli_word_matrix(observable.letters), "expectation")
 
 
@@ -392,8 +430,10 @@ def _check_bit(outcome) -> None:
 
 def fidelity(rho: State, target: StateVector) -> float:
     """<target| rho |target>, in [0, 1].  Pure rho gives |<target|rho>|^2."""
-    if rho.num_qubits != target.num_qubits:
-        raise ValueError("fidelity needs matching qubit counts")
+    if not isinstance(target, StateVector):
+        raise ValueError(f"target must be a StateVector, got {target!r}")
+    if not _is_state(rho, target.num_qubits):
+        raise ValueError(f"rho must be a state of {target.num_qubits} qubits, got {rho!r}")
     return _pairing(_array(rho), target.amplitudes, "fidelity")
 
 

@@ -152,7 +152,7 @@ def test_simulate_counts_validation():
         simulate_counts({"0": 0.5, "1": 0.5}, 0.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         simulate_counts({"0": 0.5, "1": 0.5}, 100.0, -1.0, seed=0)
-    with pytest.raises(ValueError, match="rate and duration must be positive"):
+    with pytest.raises(ValueError, match="^duration must be a positive finite number, got 0.0$"):
         simulate_counts({"0": 0.5, "1": 0.5}, 100.0, 0.0, seed=0)
     with pytest.raises(ValueError, match="^empty probability table$"):
         simulate_counts({}, 100.0, 1.0, seed=0)
@@ -194,7 +194,7 @@ def test_simulate_counts_validation():
     hostile = (math.nan, math.inf, -math.inf, -1.0, 0, True, False, "100", None, 1j, 10**400)
     for value in hostile + (np.float64(math.nan), np.int64(0), np.bool_(True)):
         for name, args in (("rate", (value, 1.0)), ("duration", (100.0, value))):
-            message = rf"^rate and duration must be positive and finite: {name} is "
+            message = rf"^{name} must be a positive finite number, got "
             with pytest.raises(ValueError, match=message):
                 simulate_counts(table, *args, seed=0)
     # a product past the sampler's cap 1e18 (inclusive) or the double range,
@@ -212,6 +212,14 @@ def test_simulate_counts_validation():
     assert simulate_counts(table, np.float64(50.0), 2.0, seed=4).counts == drawn
     assert simulate_counts(table, np.int64(100), np.float32(1.0), seed=4).counts == drawn
     assert simulate_counts(table, Fraction(100), 1, seed=4).counts == drawn
+    # the seed: an int >= 0, or a list or tuple of them, named when not
+    for seed in (1.5, True, np.bool_(True), -1, "3", None, (0, -1), [0, 1.5], ((0, 1),)):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            simulate_counts(table, 100.0, 1.0, seed=seed)
+    assert simulate_counts(table, 100.0, 1.0, seed=np.int64(4)).counts == drawn
+    assert simulate_counts(table, 100.0, 1.0, seed=[4, 0]).counts == (
+        simulate_counts(table, 100.0, 1.0, seed=(4, 0)).counts
+    )
 
 
 def test_simulate_witness_records_defaults():
@@ -223,7 +231,8 @@ def test_simulate_witness_records_defaults():
 
 @pytest.mark.parametrize("seed", (1.5, True, np.bool_(True), -1, np.int64(-1), "3", None))
 def test_simulate_witness_records_names_a_bad_seed(seed):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
         simulate_witness_records(c4_state(), seed=seed)
 
 
@@ -238,7 +247,7 @@ def test_simulate_witness_records_checks_state_then_seed_then_rate():
         simulate_witness_records(StateVector([1.0, 0.0]), rate=0.0, seed=-1)
     with pytest.raises(ValueError, match="seed must be"):
         simulate_witness_records(c4_state(), rate=0.0, seed=-1)
-    with pytest.raises(ValueError, match="rate and duration must be positive"):
+    with pytest.raises(ValueError, match="^rate must be a positive finite number, got 0.0$"):
         simulate_witness_records(c4_state(), rate=0.0, seed=0)
 
 
@@ -706,6 +715,10 @@ def test_grover_report_names_a_bad_argument(kwargs, name):
         # an int no float holds, which math.isfinite cannot take
         ({"alpha": 10**400}, "alpha"),
         ({"beta": -(10**400)}, "beta"),
+        *(
+            ({"kind": kind}, "^kind must be one of 'horseshoe', 'box', got ")
+            for kind in ("ring", ["box"])
+        ),
     ],
 )
 def test_gate_report_names_a_bad_argument(kwargs, name):

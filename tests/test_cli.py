@@ -647,9 +647,9 @@ def test_empty_out_prefix_exit_code(tmp_path, capsys, monkeypatch):
 def test_negative_seed_exit_code(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "seed: -1\n")
     assert main(["witness", "--config", config]) == 2
-    assert "'seed'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config field 'seed' must be an integer >= 0, got -1\n"
     assert main(["witness", "--seed", "-1"]) == 2
-    assert "--seed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
     assert main(["witness", "--seed", "0"]) == 0
 
 
@@ -669,7 +669,9 @@ def test_zero_rate_or_duration_exit_code(tmp_path, capsys, field):
     # refused by the field check, before any expected count is formed
     config = _write(tmp_path, "config.yaml", f"{field}: 0\n")
     assert main(["witness", "--config", config]) == 2
-    assert capsys.readouterr().err == f"error: config field {field!r} must be positive\n"
+    assert capsys.readouterr().err == (
+        f"error: config field {field!r} must be a positive finite number, got 0\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -684,7 +686,84 @@ def test_float_integer_field_exit_code(tmp_path, capsys, command, text, field):
     # an integer field takes no float, not even a whole one
     config = _write(tmp_path, "config.yaml", text)
     assert main([command, "--config", config]) == 2
-    assert capsys.readouterr().err == f"error: config field {field!r} must be an integer\n"
+    value = yaml.safe_load(text)
+    for key in field.split("."):
+        value = value[key]
+    minimum = 4 if field == "visibility.samples" else 0
+    assert capsys.readouterr().err == (
+        f"error: config field {field!r} must be an integer >= {minimum}, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("witness", "source.theta"),
+        ("grover", "duration"),
+        ("visibility", "rate"),
+        ("witness", "noise.path_dephasing_a"),
+        ("gate", "noise.path_dephasing_b"),
+        ("grover", "noise.white_noise"),
+        ("witness", "noise.fit.targets[5]"),
+        ("gate", "gate.alpha"),
+        ("gate", "gate.beta"),
+    ],
+)
+def test_float_field_beyond_the_float_range_exit_code(tmp_path, capsys, command, path, sign):
+    # an int no float holds is named by its field, never an internal error
+    huge = sign * 10**400
+    if path.startswith("noise.fit"):
+        config = {"noise": {"fit": {"targets": [0.9] * 5 + [huge]}}}
+    else:
+        *sections, key = path.split(".")
+        config = {key: huge}
+        for section in reversed(sections):
+            config = {section: config}
+    config_file = _write(tmp_path, "config.yaml", yaml.safe_dump(config))
+    assert main([command, "--config", config_file]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: config field {path!r} must ")
+    assert message.endswith(f", got {huge!r}\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "grover",
+            "grover: {marked: 00}\n",
+            "config field 'grover.marked' must be one of '00', '01', '10', '11', got 0 "
+            "(quote it, YAML reads bare 00 as a number)",
+        ),
+        (
+            "grover",
+            "grover: {feedforward: 1}\n",
+            "config field 'grover.feedforward' must be one of True, False, got 1",
+        ),
+        (
+            "gate",
+            "gate: {kind: ring}\n",
+            "config field 'gate.kind' must be one of 'horseshoe', 'box', got 'ring'",
+        ),
+        (
+            "visibility",
+            "visibility: {detector_pair: D2-D1}\n",
+            "config field 'visibility.detector_pair' must be one of "
+            "'all', 'D1-D2', 'D1-D4', 'D3-D2', 'D3-D4', got 'D2-D1'",
+        ),
+        (
+            "witness",
+            "experiment: [witness]\n",
+            "config field 'experiment' must be one of "
+            "'witness', 'grover', 'gate', 'visibility', got ['witness']",
+        ),
+    ],
+)
+def test_choice_field_exit_code(tmp_path, capsys, command, text, message):
+    # a value outside the field's set is named with the set and the value
+    assert main([command, "--config", _write(tmp_path, "config.yaml", text)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_rate_beyond_the_sampler_exit_code(tmp_path, capsys):
@@ -703,13 +782,16 @@ def test_zero_counts_exit_code(tmp_path, capsys, command, reason):
     config = _write(tmp_path, "config.yaml", "rate: 0.5\nduration: 0.001\n")
     assert main([command, "--config", config]) == 2
     message = capsys.readouterr().err
-    assert reason in message and "'rate'" in message and "'duration'" in message
+    assert reason in message
+    assert message.endswith(
+        " (config fields 'rate' and 'duration' expect 0.0005 coincidences per setting)\n"
+    )
     # a product that underflows to 0 is refused before any count is drawn
     config = _write(tmp_path, "tiny.yaml", "rate: 1.0e-200\nduration: 1.0e-200\n")
     assert main([command, "--config", config]) == 2
     assert capsys.readouterr().err == (
-        "error: config fields 'rate' and 'duration' ask for 0 coincidences, "
-        "outside the (0, 1e+18] that can be drawn\n"
+        "error: config fields 'rate' and 'duration': "
+        "rate * duration must lie in (0, 1e+18], got 0.0\n"
     )
 
 
@@ -842,16 +924,15 @@ _NOISE_FORMS = (
     [
         (
             "{white_noise: 1.5}",
-            "config field 'noise.white_noise': white_noise must lie in [0, 1], got 1.5",
+            "config field 'noise.white_noise' must lie in [0, 1], got 1.5",
         ),
         (
             "{white_noise: 0.1, path_dephasing_b: -0.5}",
-            "config field 'noise.path_dephasing_b': "
-            "path_dephasing_b must lie in [0, 1], got -0.5",
+            "config field 'noise.path_dephasing_b' must lie in [0, 1], got -0.5",
         ),
         (
             "{fit: {targets: [0.9, 0.9, 0.9, 0.9, 0.9, 2.0]}}",
-            "config field 'noise.fit.targets': target 2.0 is not an expectation value",
+            "config field 'noise.fit.targets[5]' must lie in [-1, 1], got 2.0",
         ),
         ("bogus", _NOISE_FORMS),
         ("[0.1]", _NOISE_FORMS),
@@ -877,7 +958,7 @@ def test_threads_key_is_rejected(tmp_path, capsys):
 )
 def test_exponent_read_as_text_names_the_fix(tmp_path, text, written):
     path = _write(tmp_path, "config.yaml", f"duration: {text}\n")
-    with pytest.raises(ConfigError, match="must be a number") as info:
+    with pytest.raises(ConfigError, match="must be a positive finite number") as info:
         load_config(path, "witness")
     assert "YAML 1.1" in str(info.value) and written in str(info.value)
     # the suggested spelling parses as a number
@@ -888,6 +969,6 @@ def test_fit_target_read_as_text_names_the_fix(tmp_path):
     path = _write(
         tmp_path, "config.yaml", "noise:\n  fit:\n    targets: [0.9, 0.9, 0.9, 0.9, 0.9, 1e-3]\n"
     )
-    with pytest.raises(ConfigError, match="six numbers") as info:
+    with pytest.raises(ConfigError, match=r"'noise\.fit\.targets\[5\]' must lie in") as info:
         load_config(path, "witness")
     assert "write 1.0e-3" in str(info.value)

@@ -92,25 +92,32 @@ _VALID = {
     ("visibility", "samples"): st.integers(2, 32).map(lambda half: 2 * half),
 }
 
+# ints no float holds: each float field must name itself, not fail converting
+_HUGE = st.sampled_from([10**400, -(10**400)])
+
 # values that must be rejected (or, for a few, still run) at each field; at
 # a field the command does not read, every value of _VALID is wrong as well
 _WRONG = {
     ("experiment",): st.sampled_from(["bogus", 3, *COMMANDS]),
-    ("source", "theta"): st.sampled_from([math.inf, math.nan, "1e-9"]),
+    ("source", "theta"): st.one_of(st.sampled_from([math.inf, math.nan, "1e-9"]), _HUGE),
     ("noise",): st.sampled_from(["bogus", {"white_noise": 1.5}, {"extra": 1}]),
     ("noise", "fit"): st.one_of(
         st.fixed_dictionaries({"targets": st.lists(st.floats(-1.5, 1.5), max_size=8)}),
         st.fixed_dictionaries({"targets": st.lists(_junk, min_size=6, max_size=6)}),
+        st.fixed_dictionaries({"targets": st.lists(_HUGE, min_size=6, max_size=6)}),
     ),
-    ("noise", "path_dephasing_b"): st.one_of(st.floats(-1.0, 2.0), st.just(math.inf)),
-    ("seed",): st.integers(-3, -1),
-    ("duration",): st.sampled_from([0.0, -1.0, math.inf, 1e-9]),
-    ("rate",): st.sampled_from([0, -5, 1e19, 1e30, 1e-6]),
+    ("noise", "path_dephasing_a"): _HUGE,
+    ("noise", "path_dephasing_b"): st.one_of(st.floats(-1.0, 2.0), st.just(math.inf), _HUGE),
+    ("noise", "white_noise"): _HUGE,
+    ("seed",): st.one_of(st.integers(-3, -1), _HUGE),
+    ("duration",): st.one_of(st.sampled_from([0.0, -1.0, math.inf, 1e-9]), _HUGE),
+    ("rate",): st.one_of(st.sampled_from([0, -5, 1e19, 1e30, 1e-6]), _HUGE),
     ("grover", "marked"): st.sampled_from(["22", 0, 11, "0"]),
     ("gate", "kind"): st.just("ring"),
-    ("gate", "alpha"): st.sampled_from([math.inf, -math.inf, math.nan]),
+    ("gate", "alpha"): st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), _HUGE),
+    ("gate", "beta"): _HUGE,
     ("visibility", "detector_pair"): st.just("D9-D9"),
-    ("visibility", "samples"): st.one_of(st.integers(-2, 5), st.floats(0.0, 64.0)),
+    ("visibility", "samples"): st.one_of(st.integers(-2, 5), st.floats(0.0, 64.0), _HUGE),
     ("threads",): st.integers(1, 4),
 }
 

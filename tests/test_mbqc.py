@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from onewaysim import mbqc, qcore
+from onewaysim.analysis import witness_value
 from onewaysim.cluster import (
     BOX_GRAPH,
     HORSESHOE_GRAPH,
@@ -36,6 +37,7 @@ from onewaysim.qcore import (
     PauliString,
     StateVector,
     entanglement_entropy,
+    expectation,
     fidelity,
     overlap,
 )
@@ -338,11 +340,12 @@ def test_search_argument_errors():
         grover_run("00", input_state=StateVector(np.array([1.0, 0.0], dtype=complex)))
     # an unhashable or non-string mark fails like any other unknown one
     for marked in (["0", "0"], {"00": 1}, None, 0, b"00"):
-        with pytest.raises(ValueError, match="marked element must be one of"):
+        message = f"^marked must be one of '00', '01', '10', '11', got {re.escape(repr(marked))}$"
+        with pytest.raises(ValueError, match=message):
             grover_run(marked)
     for flag in ("no", None, 0, 1, np.int64(1), 1.0):
         for state in (None, c4_state()):
-            with pytest.raises(ValueError, match="feedforward must be a bool"):
+            with pytest.raises(ValueError, match="^feedforward must be one of True, False, got "):
                 grover_run("00", flag, state)
 
 
@@ -411,6 +414,24 @@ def test_a_state_argument_that_is_no_state_is_named(value):
         grover_run("00", True, value)
     with pytest.raises(ValueError, match="^state: "):
         bell_probabilities(value)
+    shown = re.escape(repr(value))
+    with pytest.raises(ValueError, match=f"^rho must be a state of 4 qubits, got {shown}$"):
+        fidelity(value, c4_state())
+    with pytest.raises(ValueError, match=f"^target must be a StateVector, got {shown}$"):
+        fidelity(c4_state(), value)
+    with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
+        expectation(value, PauliString("XXXX"))
+    register = f"must be a state of the four-qubit register, got {shown}$"
+    with pytest.raises(ValueError, match="^state " + register):
+        witness_value(value)
+    with pytest.raises(ValueError, match="^ideal " + register):
+        apply_noise(value, NoiseModel.ideal())
+    # a mixed target, an observable that is no PauliString
+    rho = as_density(c4_state())
+    with pytest.raises(ValueError, match="^target must be a StateVector, got DensityMatrix"):
+        fidelity(c4_state(), rho)
+    with pytest.raises(ValueError, match="^observable must be a PauliString, got 'XXXX'$"):
+        expectation(c4_state(), "XXXX")
 
 
 # the prefix-sharing walk against two independent sequential runs of each

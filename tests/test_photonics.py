@@ -302,7 +302,8 @@ def test_fit_noise_takes_targets_in_minus_one_to_one_only():
     # string is named, never an OverflowError or read as a number
     edges = (math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0), math.nan, -math.inf)
     for bad in edges + (10**400, -(10**400), True, "0.9", None):
-        with pytest.raises(ValueError, match=f"^target {re.escape(repr(bad))} is not an"):
+        message = rf"^targets\[5\] must lie in \[-1, 1\], got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             fit_noise([0.9] * 5 + [bad])
 
 
@@ -474,6 +475,14 @@ def test_visibility_scan_rejects_odd_samples():
     # five samples would miss theta = pi and report 0.826 for an ideal source
     with pytest.raises(ValueError, match="even"):
         visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=5)
+
+
+def test_visibility_scans_cap_the_sample_count():
+    # the whole phase grid is allocated at once
+    (scan,) = visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=65536)
+    assert len(scan.probabilities) == 65536
+    with pytest.raises(ValueError, match="^samples must be even and at most 65536, got 65538$"):
+        visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=65538)
 
 
 # ---------------------------------------------------------------------------

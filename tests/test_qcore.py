@@ -185,6 +185,47 @@ def test_check_messages_print_plain_numbers():
     assert _raised(DensityMatrix, np.eye(2)) == trace
 
 
+def test_argument_checks_return_the_value_or_name_it():
+    # a number comes back as a float, an integer as an int; a numpy scalar
+    # counts as its Python value, and a bool is neither a number nor an int
+    for value, want in ((3, 3.0), (np.float32(0.5), 0.5), (-2.5, -2.5)):
+        assert type(qcore._check_finite(value, "x")) is float
+        assert qcore._check_finite(value, "x") == want
+    assert qcore._check_finite(1e-300, "x", positive=True) == 1e-300
+    assert [qcore._check_unit(v, "x") for v in (0, 1, np.float64(0.25))] == [0.0, 1.0, 0.25]
+    assert qcore._check_unit(-1, "x", -1.0) == -1.0
+    assert qcore._check_integer(np.uint8(4), "x", 4) == 4
+    assert qcore._check_member(np.str_("a"), "x", ("a",)) == "a"
+    assert qcore._check_member(np.bool_(False), "x", (True, False)) is np.False_
+    assert qcore._check_member(np.int8(1), "x", (0, 1)) == 1
+    refused = [
+        (qcore._check_finite, (math.nan, "x"), "x must be a finite number, got nan"),
+        (qcore._check_finite, (True, "x"), "x must be a finite number, got True"),
+        (qcore._check_finite, (0.0, "x", True), "x must be a positive finite number, got 0.0"),
+        (qcore._check_finite, (-7, "x", True), "x must be a positive finite number, got -7"),
+        (qcore._check_unit, (1.5, "x"), "x must lie in [0, 1], got 1.5"),
+        (qcore._check_unit, (-0.5, "x"), "x must lie in [0, 1], got -0.5"),
+        (qcore._check_unit, (-1.5, "x", -1.0), "x must lie in [-1, 1], got -1.5"),
+        (qcore._check_unit, ("0.5", "x"), "x must lie in [0, 1], got '0.5'"),
+        (qcore._check_integer, (3, "x", 4), "x must be an integer >= 4, got 3"),
+        (qcore._check_integer, (4.0, "x", 4), "x must be an integer >= 4, got 4.0"),
+        (qcore._check_integer, (True, "x", 0), "x must be an integer >= 0, got True"),
+        (qcore._check_member, (1, "x", (True, False)), "x must be one of True, False, got 1"),
+        (qcore._check_member, (True, "x", (0, 1)), "x must be one of 0, 1, got True"),
+        (qcore._check_member, (["a"], "x", ("a", "b")), "x must be one of 'a', 'b', got ['a']"),
+        (qcore._check_member, ("c", "x", ("a", "b")), "x must be one of 'a', 'b', got 'c'"),
+    ]
+    for check, args, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(*args)
+    # an int no float holds is no finite number, and no unit value either
+    for huge in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="^x must be a finite number, got "):
+            qcore._check_finite(huge, "x")
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got "):
+            qcore._check_unit(huge, "x")
+
+
 def test_ket_and_plus():
     assert np.allclose(ket("10").amplitudes, [0, 0, 1, 0])
     assert np.allclose(plus(2).amplitudes, [0.5] * 4)
