@@ -46,7 +46,6 @@ from .photonics import (
     _check_setting,
     _joint_table,
     _noisy,
-    _register_array,
 )
 from .qcore import (
     _FORCED_MIN_WEIGHT,
@@ -55,6 +54,8 @@ from .qcore import (
     _check_finite,
     _check_integer,
     _check_member,
+    _check_state,
+    _check_type,
     _product_basis,
 )
 
@@ -119,7 +120,7 @@ def _exact_report(probs: Mapping[str, np.ndarray]) -> WitnessReport:
 def witness_value(state: State) -> WitnessReport:
     """Exact witness evaluation on a four-qubit state, read off the same
     coincidence tables the counts are drawn from."""
-    return _exact_report(_setting_tables(_register_array(state)))
+    return _exact_report(_setting_tables(_check_state(state, "state", 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,8 @@ class CountRecord:
     def __post_init__(self):
         for key, count in self.counts.items():
             _check_integer(count, f"counts[{key!r}]", 0)
+        if self.setting is not None:
+            _check_setting(self.setting)
 
     def total(self) -> int:
         return int(sum(self.counts.values()))
@@ -206,14 +209,16 @@ def simulate_witness_records(
     seed: int = 0,
 ) -> Tuple[CountRecord, CountRecord]:
     """Counts for both witness settings of a four-qubit state; ``seed`` is an int >= 0."""
-    tables = _setting_tables(_register_array(state))
+    tables = _setting_tables(_check_state(state, "state", 4))
     _check_seed(seed)
     drawn = _draw_tables(tables, rate, duration, seed).items()  # in sorted setting order
     return tuple(CountRecord(dict(zip(_OUTCOME_KEYS, c.tolist())), name) for name, c in drawn)
 
 
-def _check_seed(seed) -> None:
-    _check_integer(seed, "seed", 0)
+def _check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int, once it is an integer in [0, 2**128 - 1]: every output
+    document prints its seed, which no int-to-str limit may stop."""
+    return _check_integer(seed, name, 0, 2**128 - 1)
 
 
 def _draw_tables(tables, rate: float, duration: float, seed: int) -> Dict[str, np.ndarray]:
@@ -308,9 +313,7 @@ def _counted_report(counts: Mapping[str, Sequence[int]]) -> WitnessReport:
 
 def _prepare_state(noise: Optional[NoiseModel]) -> np.ndarray:
     """The array both reports start from: the (noisy) |C4>, unchecked."""
-    if not (noise is None or isinstance(noise, NoiseModel)):
-        raise ValueError(f"noise must be a NoiseModel or None, got {noise!r}")
-    return _C4 if noise is None else _noisy(_C4, noise)
+    return _C4 if noise is None else _noisy(_C4, _check_type(noise, "noise", NoiseModel))
 
 
 def _branch_maps(frame: FrameMap, steps, readout) -> np.ndarray:

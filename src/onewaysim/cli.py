@@ -51,7 +51,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import yaml
 
-from .analysis import NoCountsError, _check_rate, _counted_report, _draw_tables
+from .analysis import NoCountsError, _check_rate, _check_seed, _counted_report, _draw_tables
 from .analysis import _exact_report, _setting_tables, gate_fidelity_report, grover_report
 from .mbqc import _GATES, _MARKS
 from .photonics import (
@@ -66,7 +66,7 @@ from .photonics import (
     fit_noise,
     visibility_scans,
 )
-from .qcore import _check_finite, _check_integer, _check_member, _check_unit
+from .qcore import _check_finite, _check_member, _check_unit
 
 
 class ConfigError(Exception):
@@ -400,7 +400,7 @@ _FIELDS = (
     _Field("experiment", None, _field(_check_member, _EVERY), _EVERY),
     _Field("source.theta", 0.0, _field(_check_finite), ("witness",)),
     _Field("noise", "ideal", _noise, _EVERY),
-    _Field("seed", 0, _field(_check_integer, 0), _EVERY),
+    _Field("seed", 0, _field(_check_seed), _EVERY),
     _Field("duration", 1.0, _POSITIVE, _EVERY),
     _Field("rate", COINCIDENCE_RATE_HZ, _POSITIVE, _EVERY),
     _Field(
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
         if args.out == "":
             raise ConfigError("--out must name a path prefix, got an empty string")
         if args.seed is not None:
-            cfg["seed"] = _check(_check_integer, args.seed, "--seed", 0)
+            cfg["seed"] = _check(_check_seed, args.seed, "--seed")
         fmt = args.format or ("both" if args.out else "json")
         if args.out is None and fmt != "json":
             raise ConfigError("--format csv/both requires --out")

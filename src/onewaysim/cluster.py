@@ -30,10 +30,10 @@ from .qcore import (
     PauliString,
     State,
     StateVector,
-    _array,
     _check_integer,
+    _check_state,
+    _check_type,
     _gate_array,
-    _is_integer,
     _product_basis,
     overlap,
 )
@@ -48,21 +48,13 @@ class ClusterGraph:
 
     def __post_init__(self):
         n = _check_integer(self.num_vertices, "num_vertices", 1)
-        seen = set()
-        normalized = []
-        for edge in self.edges:
-            if not (_is_integer(edge[0]) and _is_integer(edge[1])):
-                raise ValueError(f"edge {edge!r} must join two integer vertices")
-            a, b = int(edge[0]), int(edge[1])
+        normalized = set()
+        for i, edge in enumerate(self.edges):
+            ends = [_check_integer(v, f"edges[{i}][{j}]", 0, n - 1) for j, v in enumerate(edge)]
+            a, b = sorted(ends)
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge {edge!r} out of range")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            normalized.append(key)
+            normalized.add((a, b))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
@@ -85,7 +77,7 @@ def build_cluster(graph: ClusterGraph) -> StateVector:
     """|+>^n followed by CPhase on every edge, in closed form: the amplitude
     of |x> is (-1)^k / sqrt(2^n), with k the number of edges whose two ends
     both read 1 (Hein, Eisert & Briegel, PRA 69, 062311 (2004))."""
-    n = graph.num_vertices
+    n = _check_type(graph, "graph", ClusterGraph).num_vertices
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1  # qubit 0 first
     ones = sum((bits[:, a] & bits[:, b] for a, b in graph.edges), np.zeros(2**n, dtype=int))
     return StateVector((-1.0) ** ones / math.sqrt(2**n))
@@ -94,7 +86,7 @@ def build_cluster(graph: ClusterGraph) -> StateVector:
 def stabilizer_generators(graph: ClusterGraph) -> Tuple[PauliString, ...]:
     """One generator per vertex: X there, Z on each neighbor."""
     gens = []
-    for v in range(graph.num_vertices):
+    for v in range(_check_type(graph, "graph", ClusterGraph).num_vertices):
         letters = ["I"] * graph.num_vertices
         letters[v] = "X"
         for u in graph.neighbors(v):
@@ -146,10 +138,7 @@ class FrameMap:
 
     def apply(self, state: State) -> State:
         """The state in the new frame, checked by its constructor."""
-        a, n = _array(state), len(self.sources)
-        if state.num_qubits != n:
-            raise ValueError(f"frame map acts on {n} qubits, state has {state.num_qubits}")
-        return type(state)(self._frame(a))
+        return type(state)(self._frame(_check_state(state, "state", len(self.sources))))
 
     def _frame(self, a: np.ndarray) -> np.ndarray:
         """:meth:`apply` on a state array, unchecked; the result is C-ordered."""

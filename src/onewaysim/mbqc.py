@@ -32,14 +32,12 @@ from .qcore import (
     State,
     StateVector,
     _PAULI_1Q,
-    _array,
     _branches,
-    _check_bit,
     _check_finite,
+    _check_integer,
     _check_member,
-    _is_finite,
-    _is_integer,
-    _is_state,
+    _check_state,
+    _check_type,
     _product_basis,
     _qubits,
     _rotated_diagonal,
@@ -68,32 +66,29 @@ class MeasurementPattern:
     feedforward: Tuple[Tuple[int, Tuple[Tuple[str, int], ...]], ...] = ()
 
     def __post_init__(self):
-        if not self.steps:
+        steps = tuple(
+            (_check_integer(q, f"steps[{i}] qubit", 0), _check_finite(a, f"steps[{i}] angle"))
+            for i, (q, a) in enumerate(self.steps)
+        )
+        if not steps:
             raise ValueError("pattern needs at least one measurement step")
-        for qubit, angle in self.steps:
-            if not _is_integer(qubit):
-                raise ValueError(f"steps: qubit {qubit!r} must be an integer")
-            if not _is_finite(angle):
-                raise ValueError(f"steps: angle of qubit {qubit} must be finite, got {angle!r}")
-        step_qubits = [q for q, _ in self.steps]
+        step_qubits = [q for q, _ in steps]
         if len(set(step_qubits)) != len(step_qubits):
             raise ValueError("duplicate step qubit")
-        for qubit in self.readout:
-            if not _is_integer(qubit):
-                raise ValueError(f"readout: qubit {qubit!r} must be an integer")
-        readout = tuple(sorted(int(q) for q in self.readout))
+        readout = [_check_integer(q, f"readout[{i}]", 0) for i, q in enumerate(self.readout)]
+        readout = tuple(sorted(readout))
         if set(readout) & set(step_qubits):
             raise ValueError("readout qubits overlap with step qubits")
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "readout", readout)
         keys = [qubit for qubit, _ in self.feedforward]
-        for qubit, corrections in self.feedforward:
+        for i, (qubit, corrections) in enumerate(self.feedforward):
             if qubit not in step_qubits:
                 raise ValueError(f"feedforward key {qubit} is not a step qubit")
             if keys.count(qubit) > 1:
                 raise ValueError(f"feedforward key {qubit} is listed more than once")
             for letter, target in corrections:
-                if letter not in ("X", "Z"):
-                    raise ValueError(f"unsupported correction {letter!r}")
+                _check_member(letter, f"feedforward[{i}] letter", ("X", "Z"))
                 if target not in readout:
                     raise ValueError(f"correction target {target} is not a readout qubit")
 
@@ -145,10 +140,11 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     kets and T R T^dagger for matrices (a signed permutation that moves no
     bit); only these returned states are checked, each by its constructor.
     """
-    live = list(range(state.num_qubits))
-    if sorted([q for q, _ in pattern.steps] + list(pattern.readout)) != live:
+    a = _check_state(state, "state")
+    qubits = [q for q, _ in _check_type(pattern, "pattern", MeasurementPattern).steps]
+    if sorted(qubits + list(pattern.readout)) != list(range(_qubits(a))):
         raise ValueError("pattern qubits do not match the register")
-    prefixes, stack = _walk(_array(state), pattern)
+    prefixes, stack = _walk(a, pattern)
     if stack is None:
         return [(outcomes, float(math.prod(probs)), None) for outcomes, probs in prefixes]
     if pattern.feedforward:
@@ -175,10 +171,11 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
     ImpossibleOutcomeError
         If the walk dropped the branch (weight below 1e-12 at some step).
     """
-    if np.ndim(outcomes) != 1 or len(outcomes) != len(pattern.steps):
-        raise ValueError(f"outcomes: need one forced outcome per step, got {outcomes!r}")
-    for bit in outcomes:
-        _check_bit(bit)
+    steps = _check_type(pattern, "pattern", MeasurementPattern).steps
+    if np.ndim(outcomes) != 1 or len(outcomes) != len(steps):
+        raise ValueError(f"outcomes must hold one forced outcome per step, got {outcomes!r}")
+    for i, bit in enumerate(outcomes):
+        _check_member(bit, f"outcomes[{i}]", (0, 1))
     for branch in branch_distribution(state, pattern):
         if branch[0] == tuple(outcomes):
             return branch
@@ -211,24 +208,22 @@ class GateOutputSpec:
             _check_member(getattr(self, name), name, (0, 1))
 
 
+def _gate_pattern(alpha: float, beta: float, feedforward: bool, ff) -> MeasurementPattern:
+    """Both gates' pattern: B(alpha), B(beta) on qubits 2,3, with the byproducts ``ff``."""
+    _check_angles(alpha, beta)
+    ff = ff if _check_member(feedforward, "feedforward", (True, False)) else ()
+    return MeasurementPattern(steps=((1, alpha), (2, beta)), readout=(0, 3), feedforward=ff)
+
+
 def horseshoe_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:
     """Measure qubits 2,3 of the horseshoe cluster at B(alpha), B(beta)."""
-    ff = ((1, (("X", 0),)), (2, (("X", 3),))) if feedforward else ()
-    return MeasurementPattern(
-        steps=((1, alpha), (2, beta)), readout=(0, 3), feedforward=ff
-    )
+    return _gate_pattern(alpha, beta, feedforward, ((1, (("X", 0),)), (2, (("X", 3),))))
 
 
 def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:
     """Measure qubits 2,3 of the box cluster at B(alpha), B(beta)."""
-    ff = (
-        ((1, (("X", 0), ("Z", 3))), (2, (("Z", 0), ("X", 3))))
-        if feedforward
-        else ()
-    )
-    return MeasurementPattern(
-        steps=((1, alpha), (2, beta)), readout=(0, 3), feedforward=ff
-    )
+    ff = ((1, (("X", 0), ("Z", 3))), (2, (("Z", 0), ("X", 3))))
+    return _gate_pattern(alpha, beta, feedforward, ff)
 
 
 # gate kind -> (graph frame, byproduct table); the feedforward does not
@@ -257,6 +252,7 @@ def _gate_targets(kind: str, alpha: float, beta: float) -> np.ndarray:
 
 
 def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
+    spec = _check_type(spec, "spec", GateOutputSpec)
     return StateVector(_gate_targets(kind, spec.alpha, spec.beta)[2 * spec.s2 + spec.s3])
 
 
@@ -348,9 +344,8 @@ def grover_run(
     dict mapping '00'..'11' to probability.
     """
     _check_search(marked, feedforward)
-    if not (input_state is None or _is_state(input_state, 4)):
-        raise ValueError(f"search input must be a four-qubit state; input_state={input_state!r}")
-    return _search(_C4 if input_state is None else _array(input_state), marked, feedforward)
+    a = _C4 if input_state is None else _check_state(input_state, "input_state", 4)
+    return _search(a, marked, feedforward)
 
 
 def _search(a: np.ndarray, marked: str, feedforward: bool) -> Dict[str, float]:
@@ -393,7 +388,5 @@ def bell_probabilities(state: State) -> Dict[str, float]:
     the diagonal of the rotated state.  Labels: first character is the
     polarization ('+' for outcome 0), second the port ('+' for port 0).
     """
-    if not _is_state(state, 2):
-        raise ValueError(f"state: discrimination acts on one photon, two qubits; got {state!r}")
-    probs = np.maximum(_rotated_diagonal(_BELL_READOUT, _array(state)), 0.0)
+    probs = np.maximum(_rotated_diagonal(_BELL_READOUT, _check_state(state, "state", 2)), 0.0)
     return dict(zip(BELL_LABELS, probs.tolist()))

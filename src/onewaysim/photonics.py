@@ -38,13 +38,13 @@ from .qcore import (
     DensityMatrix,
     State,
     StateVector,
-    _array,
     _check_finite,
     _check_integer,
     _check_member,
+    _check_state,
+    _check_type,
     _check_unit,
     _density_array,
-    _is_state,
     _product_basis,
     _rotated_diagonal,
 )
@@ -164,15 +164,9 @@ class NoiseModel:
 
 def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     """Send a four-qubit state through the noise channel."""
-    if not _is_state(ideal, 4):
-        raise ValueError(f"ideal must be a state of the four-qubit register, got {ideal!r}")
-    _check_model(model)
+    _check_state(ideal, "ideal", 4)
+    model = _check_type(model, "model", NoiseModel)
     return DensityMatrix(_noise_channel(_density_array(ideal), model))
-
-
-def _check_model(model) -> None:
-    if not isinstance(model, NoiseModel):
-        raise ValueError(f"model must be a NoiseModel, got {model!r}")
 
 
 def _noisy(amps: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -293,14 +287,8 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
     (x)U, clipped at 0.
     """
     _check_setting(setting)
-    return dict(zip(_OUTCOME_KEYS, _joint_table(_register_array(state), setting).tolist()))
-
-
-def _register_array(state: State) -> np.ndarray:
-    """The array of a four-qubit state, the one check a joint table needs."""
-    if not _is_state(state, 4):
-        raise ValueError(f"state must be a state of the four-qubit register, got {state!r}")
-    return _array(state)
+    table = _joint_table(_check_state(state, "state", 4), setting)
+    return dict(zip(_OUTCOME_KEYS, table.tolist()))
 
 
 def _joint_table(a: np.ndarray, setting: str) -> np.ndarray:
@@ -318,8 +306,8 @@ _DETECTORS = {"D1": ("A", 0), "D3": ("A", 1), "D2": ("B", 0), "D4": ("B", 1)}
 DETECTOR_PAIRS = ("D1-D2", "D1-D4", "D3-D2", "D3-D4")
 
 
-def _parse_pair(detector_pair: str) -> Tuple[int, int]:
-    name_a, name_b = _check_member(detector_pair, "detector pair", DETECTOR_PAIRS).split("-")
+def _parse_pair(detector_pair: str, name: str) -> Tuple[int, int]:
+    name_a, name_b = _check_member(detector_pair, name, DETECTOR_PAIRS).split("-")
     return _DETECTORS[name_a][1], _DETECTORS[name_b][1]
 
 
@@ -335,9 +323,9 @@ _MAX_SAMPLES = 65536
 
 def _check_samples(samples, name: str) -> int:
     """``samples`` as an int, once it is an even integer in [4, 65536]."""
-    samples = _check_integer(samples, name, 4)
-    if samples % 2 or samples > _MAX_SAMPLES:
-        raise ValueError(f"{name} must be even and at most {_MAX_SAMPLES}, got {samples!r}")
+    samples = _check_integer(samples, name, 4, _MAX_SAMPLES)
+    if samples % 2:
+        raise ValueError(f"{name} must be even, got {samples}")
     return samples
 
 
@@ -384,8 +372,8 @@ def visibility_scans(
     if isinstance(detector_pairs, str) or not isinstance(detector_pairs, Iterable):
         raise ValueError(f"detector_pairs must be a sequence of names, got {detector_pairs!r}")
     detector_pairs = tuple(detector_pairs)  # an iterator is read once
-    ports = [_parse_pair(pair) for pair in detector_pairs]
-    _check_model(model)
+    ports = [_parse_pair(pair, f"detector_pairs[{i}]") for i, pair in enumerate(detector_pairs)]
+    _check_type(model, "model", NoiseModel)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     table = _fringe_table(model, thetas)
     thetas = tuple(thetas.tolist())

@@ -28,6 +28,13 @@ unchecked: a frame change's steps, the levels of a measurement walk, and
 the source, noisy source and targets that the search, gate and witness
 pipelines build from constants and checked arguments.
 
+Every argument of the library is checked by one family of checkers,
+each returning the checked value or raising a ValueError "{name} must
+be ..., got ...": ``_check_finite``, ``_check_unit``, ``_check_integer``,
+``_check_member``, ``_check_type`` and ``_check_state`` (which returns
+the state's array).  A check that relates values, or that looks inside
+one (a Pauli word's letters, a table's sum), is written where it runs.
+
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
 values can be shared freely between threads.
@@ -53,7 +60,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,45 +82,47 @@ def _is_number(value) -> bool:
     )
 
 
-def _is_finite(value) -> bool:
-    """True for a real number a float holds finitely; NaN, +-inf and an
-    int beyond the float range (which ``math.isfinite`` cannot take) fail."""
+# argument checks (see above); the CLI names a field "config field '<path>'"
+
+
+def _shown(value) -> str:
+    """``repr(value)``, unless that is past Python's int-to-str limit (4300 digits)."""
     try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_integer(value) -> bool:
-    """True for an int, numpy's included; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-# argument checks: each returns the checked value or raises a ValueError
-# "{name} must be ..., got {value!r}"; the library and the CLI's config
-# fields share them, the CLI naming a field "config field '<path>'"
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
 
 
 def _check_finite(value, name: str, positive: bool = False) -> float:
-    """``value`` as a float, once it is a finite real number (> 0 if ``positive``)."""
-    if not (_is_finite(value) and (value > 0 or not positive)):
+    """``value`` as a float, once it is a finite real number (> 0 if
+    ``positive``); NaN, +-inf and an int beyond the float range fail."""
+    try:
+        finite = _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and (value > 0 or not positive)):
         kind = "a positive finite" if positive else "a finite"
-        raise ValueError(f"{name} must be {kind} number, got {value!r}")
+        raise ValueError(f"{name} must be {kind} number, got {_shown(value)}")
     return float(value)
 
 
 def _check_unit(value, name: str, low: float = 0.0) -> float:
     """``value`` as a float, once it is a real number in [low, 1]."""
     if not (_is_number(value) and low <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [{low:g}, 1], got {value!r}")
+        raise ValueError(f"{name} must lie in [{low:g}, 1], got {_shown(value)}")
     return float(value)
 
 
-def _check_integer(value, name: str, minimum: int) -> int:
-    """``value`` as an int, once it is an integer >= ``minimum``."""
-    if not (_is_integer(value) and value >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+def _check_integer(value, name: str, minimum: int, maximum: Optional[int] = None) -> int:
+    """``value`` as an int, once it is an integer (numpy's included, a bool
+    not) in [minimum, maximum], or >= ``minimum`` without a maximum."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if minimum <= int(value) <= (math.inf if maximum is None else maximum):
+            return int(value)
+    bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def _check_member(value, name: str, options: tuple):
@@ -121,7 +130,15 @@ def _check_member(value, name: str, options: tuple):
     that type, a numpy scalar counting as its Python value: 1 is not True."""
     plain = value.item() if isinstance(value, np.generic) else value
     if type(plain) is not type(options[0]) or plain not in options:
-        raise ValueError(f"{name} must be one of {', '.join(map(repr, options))}, got {value!r}")
+        options_text = ", ".join(map(repr, options))
+        raise ValueError(f"{name} must be one of {options_text}, got {_shown(value)}")
+    return value
+
+
+def _check_type(value, name: str, kind: type):
+    """``value``, once it is an instance of the class ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
     return value
 
 
@@ -245,8 +262,8 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
-        if not self.letters or any(ch not in "IXYZ" for ch in self.letters):
-            raise ValueError(f"invalid Pauli word {self.letters!r}")
+        if not _check_type(self.letters, "letters", str) or self.letters.strip("IXYZ"):
+            raise ValueError(f"letters must be a word over I, X, Y, Z, got {self.letters!r}")
 
     @property
     def num_qubits(self) -> int:
@@ -263,9 +280,14 @@ def _rz_matrix(alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _is_state(value, qubits: int) -> bool:
-    """True for a StateVector or DensityMatrix of ``qubits`` qubits."""
-    return isinstance(value, (StateVector, DensityMatrix)) and value.num_qubits == qubits
+def _check_state(value, name: str, qubits: Optional[int] = None) -> np.ndarray:
+    """The array of ``value``, once it is a StateVector or DensityMatrix, of
+    ``qubits`` qubits if given; the constructors checked the rest."""
+    is_state = isinstance(value, (StateVector, DensityMatrix))
+    if not (is_state and qubits in (None, value.num_qubits)):
+        size = "" if qubits is None else f" of {qubits} qubits"
+        raise ValueError(f"{name} must be a state{size}, got {_shown(value)}")
+    return _array(value)
 
 
 def _array(state: State) -> np.ndarray:
@@ -325,11 +347,9 @@ def _gate_array(a: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 def expectation(state: State, observable: PauliString) -> float:
     """<P> on a pure or mixed state; the imaginary residue must vanish."""
-    if not isinstance(observable, PauliString):
-        raise ValueError(f"observable must be a PauliString, got {observable!r}")
-    if not _is_state(state, observable.num_qubits):
-        raise ValueError(f"state must be a state of {observable.num_qubits} qubits, got {state!r}")
-    return _pairing(_array(state), _pauli_word_matrix(observable.letters), "expectation")
+    letters = _check_type(observable, "observable", PauliString).letters
+    a = _check_state(state, "state", len(letters))
+    return _pairing(a, _pauli_word_matrix(letters), "expectation")
 
 
 @lru_cache(maxsize=256)
@@ -422,40 +442,27 @@ def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
     return u
 
 
-def _check_bit(outcome) -> None:
-    """Raise ValueError unless ``outcome`` is the bit 0 or 1."""
-    if not isinstance(outcome, (int, np.integer)) or outcome not in (0, 1):
-        raise ValueError(f"forced outcome must be 0 or 1, got {outcome!r}")
-
-
 def fidelity(rho: State, target: StateVector) -> float:
     """<target| rho |target>, in [0, 1].  Pure rho gives |<target|rho>|^2."""
-    if not isinstance(target, StateVector):
-        raise ValueError(f"target must be a StateVector, got {target!r}")
-    if not _is_state(rho, target.num_qubits):
-        raise ValueError(f"rho must be a state of {target.num_qubits} qubits, got {rho!r}")
-    return _pairing(_array(rho), target.amplitudes, "fidelity")
+    target = _check_type(target, "target", StateVector)
+    return _pairing(_check_state(rho, "rho", target.num_qubits), target.amplitudes, "fidelity")
 
 
 def overlap(a: StateVector, b: StateVector) -> float:
     """|<a|b>| for comparisons that ignore global phase."""
-    if a.num_qubits != b.num_qubits:
+    _check_type(a, "a", StateVector)
+    if a.num_qubits != _check_type(b, "b", StateVector).num_qubits:
         raise ValueError("overlap needs matching qubit counts")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 def entanglement_entropy(state: StateVector, partition: Iterable[int]) -> float:
     """Von Neumann entropy (base 2) of the reduced state on ``partition``."""
-    partition = tuple(partition)
-    for q in partition:
-        if not _is_integer(q):
-            raise ValueError(f"partition: qubit {q!r} must be an integer")
-    keep = sorted(set(int(q) for q in partition))
-    n = state.num_qubits
+    n = _check_type(state, "state", StateVector).num_qubits
+    keep = {_check_integer(q, f"partition[{i}]", 0, n - 1) for i, q in enumerate(partition)}
+    keep = sorted(keep)
     if not keep or len(keep) >= n:
         raise ValueError("partition must be a nonempty proper subset of the qubits")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise IndexError("partition index out of range")
     rest = [q for q in range(n) if q not in keep]
     t = state.tensor().transpose(keep + rest)
     m = t.reshape(2 ** len(keep), 2 ** len(rest))

@@ -24,6 +24,9 @@ FITTED_MODEL = fit_noise([REFERENCE_WITNESS_TERMS[w][0] for w in WITNESS_OBSERVA
 FIT_P = 0.06675
 FIT_Q = 0.9634074470934906
 
+# the range every seed is checked against, 2**128 - 1 written out
+SEED_RANGE = "an integer in [0, 340282366920938463463374607431768211455]"
+
 # the models whose count-feeding tables test_count_floats pins bit for bit:
 # the ideal and fitted models and three seeded ones
 PIN_MODELS = {

@@ -58,6 +58,7 @@ from conftest import (
     FITTED_MODEL,
     GATES,
     PIN_MODELS,
+    SEED_RANGE,
     count_states,
     hex_floats,
     noisy,
@@ -122,7 +123,8 @@ def test_exact_terms_equal_the_pauli_word_traces(rng):
 
 
 def test_witness_value_needs_four_qubits():
-    with pytest.raises(ValueError, match="four-qubit register"):
+    message = r"^state must be a state of 4 qubits, got StateVector\(num_qubits=3\)$"
+    with pytest.raises(ValueError, match=message):
         witness_value(random_state(np.random.default_rng(0), 3))
 
 
@@ -190,8 +192,10 @@ def test_simulate_counts_validation():
     assert record.counts == {"a": record.total(), "b": 0} and record.total() > 0
     # rate and duration: each a finite positive real number, named when not
     table = {"0": 0.5, "1": 0.5}
-    # 10**400 passes an exact comparison with inf, but no float holds it
+    # 10**400 passes an exact comparison with inf, but no float holds it, and
+    # repr cannot print 16**4000 (4817 digits)
     hostile = (math.nan, math.inf, -math.inf, -1.0, 0, True, False, "100", None, 1j, 10**400)
+    hostile += (16**4000,)
     for value in hostile + (np.float64(math.nan), np.int64(0), np.bool_(True)):
         for name, args in (("rate", (value, 1.0)), ("duration", (100.0, value))):
             message = rf"^{name} must be a positive finite number, got "
@@ -213,8 +217,9 @@ def test_simulate_counts_validation():
     assert simulate_counts(table, np.int64(100), np.float32(1.0), seed=4).counts == drawn
     assert simulate_counts(table, Fraction(100), 1, seed=4).counts == drawn
     # the seed: an int >= 0, or a list or tuple of them, named when not
-    for seed in (1.5, True, np.bool_(True), -1, "3", None, (0, -1), [0, 1.5], ((0, 1),)):
-        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+    seeds = (1.5, True, np.bool_(True), -1, "3", None, (0, -1), [0, 1.5], ((0, 1),))
+    for seed in seeds + (2**128, 16**4000, [0, 2**128]):
+        with pytest.raises(ValueError, match=f"^seed must be {re.escape(SEED_RANGE)}, got "):
             simulate_counts(table, 100.0, 1.0, seed=seed)
     assert simulate_counts(table, 100.0, 1.0, seed=np.int64(4)).counts == drawn
     assert simulate_counts(table, 100.0, 1.0, seed=[4, 0]).counts == (
@@ -231,7 +236,7 @@ def test_simulate_witness_records_defaults():
 
 @pytest.mark.parametrize("seed", (1.5, True, np.bool_(True), -1, np.int64(-1), "3", None))
 def test_simulate_witness_records_names_a_bad_seed(seed):
-    message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    message = f"^seed must be {re.escape(SEED_RANGE)}, got {re.escape(repr(seed))}$"
     with pytest.raises(ValueError, match=message):
         simulate_witness_records(c4_state(), seed=seed)
 
@@ -243,7 +248,8 @@ def test_simulate_witness_records_reads_numpy_seeds_alike():
 
 
 def test_simulate_witness_records_checks_state_then_seed_then_rate():
-    with pytest.raises(ValueError, match="four-qubit register"):
+    message = r"^state must be a state of 4 qubits, got StateVector\(num_qubits=1\)$"
+    with pytest.raises(ValueError, match=message):
         simulate_witness_records(StateVector([1.0, 0.0]), rate=0.0, seed=-1)
     with pytest.raises(ValueError, match="seed must be"):
         simulate_witness_records(c4_state(), rate=0.0, seed=-1)
@@ -719,6 +725,7 @@ def test_grover_report_names_a_bad_argument(kwargs, name):
             ({"kind": kind}, "^kind must be one of 'horseshoe', 'box', got ")
             for kind in ("ring", ["box"])
         ),
+        ({"alpha": 16**4000}, "^alpha must be a finite number, got an int of 16001 bits$"),
     ],
 )
 def test_gate_report_names_a_bad_argument(kwargs, name):

@@ -22,7 +22,7 @@ from onewaysim.cli import ConfigError, from_mapping, load_config, main
 from onewaysim.mbqc import grover_run
 
 import oracles
-from conftest import PIN_MODELS, count_states, hex_floats, noisy, spy
+from conftest import PIN_MODELS, SEED_RANGE, count_states, hex_floats, noisy, spy
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -647,9 +647,9 @@ def test_empty_out_prefix_exit_code(tmp_path, capsys, monkeypatch):
 def test_negative_seed_exit_code(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "seed: -1\n")
     assert main(["witness", "--config", config]) == 2
-    assert capsys.readouterr().err == "error: config field 'seed' must be an integer >= 0, got -1\n"
+    assert capsys.readouterr().err == f"error: config field 'seed' must be {SEED_RANGE}, got -1\n"
     assert main(["witness", "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+    assert capsys.readouterr().err == f"error: --seed must be {SEED_RANGE}, got -1\n"
     assert main(["witness", "--seed", "0"]) == 0
 
 
@@ -689,9 +689,9 @@ def test_float_integer_field_exit_code(tmp_path, capsys, command, text, field):
     value = yaml.safe_load(text)
     for key in field.split("."):
         value = value[key]
-    minimum = 4 if field == "visibility.samples" else 0
+    bounds = "an integer in [4, 65536]" if field == "visibility.samples" else SEED_RANGE
     assert capsys.readouterr().err == (
-        f"error: config field {field!r} must be an integer >= {minimum}, got {value!r}\n"
+        f"error: config field {field!r} must be {bounds}, got {value!r}\n"
     )
 
 
@@ -708,23 +708,28 @@ def test_float_integer_field_exit_code(tmp_path, capsys, command, text, field):
         ("witness", "noise.fit.targets[5]"),
         ("gate", "gate.alpha"),
         ("gate", "gate.beta"),
+        ("witness", "seed"),
     ],
 )
 def test_float_field_beyond_the_float_range_exit_code(tmp_path, capsys, command, path, sign):
-    # an int no float holds is named by its field, never an internal error
-    huge = sign * 10**400
+    # an int no float holds is named by its field, never an internal error,
+    # and so is a seed past 2**128 - 1, which every output document prints;
+    # past Python's int-to-str limit of 4300 digits the message shows its size
     if path.startswith("noise.fit"):
-        config = {"noise": {"fit": {"targets": [0.9] * 5 + [huge]}}}
+        config = {"noise": {"fit": {"targets": [0.9] * 5 + ["HUGE"]}}}
     else:
         *sections, key = path.split(".")
-        config = {key: huge}
+        config = {key: "HUGE"}
         for section in reversed(sections):
             config = {section: config}
-    config_file = _write(tmp_path, "config.yaml", yaml.safe_dump(config))
-    assert main([command, "--config", config_file]) == 2
-    message = capsys.readouterr().err
-    assert message.startswith(f"error: config field {path!r} must ")
-    assert message.endswith(f", got {huge!r}\n")
+    for huge in (sign * 10**400, sign * 16**4000):
+        # YAML reads a hex int of any length; repr stops at 4300 digits
+        text = yaml.safe_dump(config).replace("HUGE", hex(huge))
+        assert main([command, "--config", _write(tmp_path, "config.yaml", text)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith(f"error: config field {path!r} must ")
+        shown = repr(huge) if abs(huge) == 10**400 else "an int of 16001 bits"
+        assert message.endswith(f", got {shown}\n")
 
 
 @pytest.mark.parametrize(

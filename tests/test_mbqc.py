@@ -15,7 +15,9 @@ from onewaysim.cluster import (
     HORSESHOE_GRAPH,
     build_cluster,
     c4_state,
+    stabilizer_generators,
     to_box_frame,
+    to_horseshoe_frame,
 )
 from onewaysim.mbqc import (
     BELL_LABELS,
@@ -80,7 +82,8 @@ def test_pattern_validation():
             MeasurementPattern(steps=((0, angle),))
     # ints no float holds: named, not an OverflowError from math.isfinite
     for angle in (10**400, -(10**400)):
-        with pytest.raises(ValueError, match="^steps: angle of qubit 1 must be finite"):
+        message = f"^steps\\[1\\] angle must be a finite number, got {angle!r}$"
+        with pytest.raises(ValueError, match=message):
             MeasurementPattern(steps=((0, 0.5), (1, angle)))
         with pytest.raises(ValueError, match="^alpha must be a finite number"):
             GateOutputSpec(angle, 0.0)
@@ -98,9 +101,12 @@ def test_pattern_validation():
         )
     # qubit indices are integers, named when not, never truncated
     for bad in (1.5, np.float64(1.0), True, "a", None):
-        with pytest.raises(ValueError, match=f"^steps: qubit {re.escape(repr(bad))} must be an"):
+        shown = re.escape(repr(bad))
+        message = f"^steps\\[1\\] qubit must be an integer >= 0, got {shown}$"
+        with pytest.raises(ValueError, match=message):
             MeasurementPattern(((0, 0.1), (bad, 0.2)))
-        with pytest.raises(ValueError, match=f"^readout: qubit {re.escape(repr(bad))} must be"):
+        message = f"^readout\\[1\\] must be an integer >= 0, got {shown}$"
+        with pytest.raises(ValueError, match=message):
             MeasurementPattern(((0, 0.1),), (2, bad))
     assert MeasurementPattern(((np.int64(0), 0.1),), (np.int8(1),)).readout == (1,)
     # a step listed twice: one of its corrections would be dropped
@@ -138,8 +144,9 @@ def test_run_pattern_rejects_impossible_and_invalid_outcomes():
         for bits in ((0, 1), (1, 0), (1, 1)):
             with pytest.raises(ImpossibleOutcomeError):
                 run_pattern(state, pattern, bits)
-        for bits in ((0, 2), (0, -1), (0, "1"), (0, 0.0)):
-            with pytest.raises(ValueError, match="must be 0 or 1"):
+        for bits in ((0, 2), (0, -1), (0, "1"), (0, 0.0), (0, True)):
+            message = f"^outcomes\\[1\\] must be one of 0, 1, got {re.escape(repr(bits[1]))}$"
+            with pytest.raises(ValueError, match=message):
                 run_pattern(state, pattern, bits)
         for bits in ((), (0,), (0, 0, 0)):
             with pytest.raises(ValueError, match="one forced outcome per step"):
@@ -404,32 +411,70 @@ def test_lab_distribution_rejects_other_registers():
         StateVector(np.array([1.0, 0.0], dtype=complex)),
         StateVector(np.full(32, 32**-0.5, dtype=complex)),
     ):
-        with pytest.raises(ValueError, match="search input must be a four-qubit state"):
+        message = f"^input_state must be a state of 4 qubits, got {re.escape(repr(state))}$"
+        with pytest.raises(ValueError, match=message):
             grover_run("00", input_state=state)
 
 
 @pytest.mark.parametrize("value", ["x", 3, PauliString("XXXX"), c4_state().amplitudes])
 def test_a_state_argument_that_is_no_state_is_named(value):
-    with pytest.raises(ValueError, match="input_state="):
-        grover_run("00", True, value)
-    with pytest.raises(ValueError, match="^state: "):
-        bell_probabilities(value)
     shown = re.escape(repr(value))
+    message = f"^input_state must be a state of 4 qubits, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        grover_run("00", True, value)
+    with pytest.raises(ValueError, match=f"^state must be a state of 2 qubits, got {shown}$"):
+        bell_probabilities(value)
     with pytest.raises(ValueError, match=f"^rho must be a state of 4 qubits, got {shown}$"):
         fidelity(value, c4_state())
     with pytest.raises(ValueError, match=f"^target must be a StateVector, got {shown}$"):
         fidelity(c4_state(), value)
     with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
         expectation(value, PauliString("XXXX"))
-    register = f"must be a state of the four-qubit register, got {shown}$"
-    with pytest.raises(ValueError, match="^state " + register):
+    with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
         witness_value(value)
-    with pytest.raises(ValueError, match="^ideal " + register):
+    with pytest.raises(ValueError, match=f"^ideal must be a state of 4 qubits, got {shown}$"):
         apply_noise(value, NoiseModel.ideal())
+    for frame_change in (to_box_frame, to_horseshoe_frame):
+        with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
+            frame_change(value)
+    pattern = horseshoe_pattern(0.3, 0.9)
+    with pytest.raises(ValueError, match=f"^state must be a state, got {shown}$"):
+        branch_distribution(value, pattern)
+    with pytest.raises(ValueError, match=f"^state must be a state, got {shown}$"):
+        run_pattern(value, pattern, (0, 0))
+    with pytest.raises(ValueError, match=f"^state must be a StateVector, got {shown}$"):
+        entanglement_entropy(value, [0])
+    with pytest.raises(ValueError, match=f"^a must be a StateVector, got {shown}$"):
+        overlap(value, c4_state())
+    with pytest.raises(ValueError, match=f"^b must be a StateVector, got {shown}$"):
+        overlap(c4_state(), value)
+    with pytest.raises(ValueError, match=f"^pattern must be a MeasurementPattern, got {shown}$"):
+        branch_distribution(c4_state(), value)
+    with pytest.raises(ValueError, match=f"^pattern must be a MeasurementPattern, got {shown}$"):
+        run_pattern(c4_state(), value, (0,))
+    for graph_function in (build_cluster, stabilizer_generators):
+        with pytest.raises(ValueError, match=f"^graph must be a ClusterGraph, got {shown}$"):
+            graph_function(value)
+    # None, the default of grover_run's input_state only
+    for frame_change in (to_box_frame, to_horseshoe_frame):
+        with pytest.raises(ValueError, match="^state must be a state of 4 qubits, got None$"):
+            frame_change(None)
+    with pytest.raises(ValueError, match="^state must be a StateVector, got None$"):
+        entanglement_entropy(None, [0])
+    with pytest.raises(ValueError, match="^pattern must be a MeasurementPattern, got None$"):
+        branch_distribution(c4_state(), None)
+    with pytest.raises(ValueError, match="^pattern must be a MeasurementPattern, got None$"):
+        run_pattern(c4_state(), None, (0,))
+    for graph_function in (build_cluster, stabilizer_generators):
+        with pytest.raises(ValueError, match="^graph must be a ClusterGraph, got None$"):
+            graph_function(None)
     # a mixed target, an observable that is no PauliString
     rho = as_density(c4_state())
     with pytest.raises(ValueError, match="^target must be a StateVector, got DensityMatrix"):
         fidelity(c4_state(), rho)
+    message = r"^state must be a StateVector, got DensityMatrix\(num_qubits=4\)$"
+    with pytest.raises(ValueError, match=message):
+        entanglement_entropy(rho, [0])
     with pytest.raises(ValueError, match="^observable must be a PauliString, got 'XXXX'$"):
         expectation(c4_state(), "XXXX")
 

@@ -195,6 +195,12 @@ def test_argument_checks_return_the_value_or_name_it():
     assert [qcore._check_unit(v, "x") for v in (0, 1, np.float64(0.25))] == [0.0, 1.0, 0.25]
     assert qcore._check_unit(-1, "x", -1.0) == -1.0
     assert qcore._check_integer(np.uint8(4), "x", 4) == 4
+    assert qcore._check_integer(np.int64(7), "x", 4, 7) == 7
+    assert qcore._check_integer(2**128 - 1, "x", 0, 2**128 - 1) == 2**128 - 1
+    state = qcore.StateVector([0.0, 1.0])
+    assert qcore._check_type(state, "x", qcore.StateVector) is state
+    assert qcore._check_state(state, "x", 1) is state.amplitudes
+    assert qcore._check_state(state, "x") is state.amplitudes
     assert qcore._check_member(np.str_("a"), "x", ("a",)) == "a"
     assert qcore._check_member(np.bool_(False), "x", (True, False)) is np.False_
     assert qcore._check_member(np.int8(1), "x", (0, 1)) == 1
@@ -210,10 +216,28 @@ def test_argument_checks_return_the_value_or_name_it():
         (qcore._check_integer, (3, "x", 4), "x must be an integer >= 4, got 3"),
         (qcore._check_integer, (4.0, "x", 4), "x must be an integer >= 4, got 4.0"),
         (qcore._check_integer, (True, "x", 0), "x must be an integer >= 0, got True"),
+        (qcore._check_integer, (8, "x", 4, 7), "x must be an integer in [4, 7], got 8"),
+        (qcore._check_integer, (4.5, "x", 4, 7), "x must be an integer in [4, 7], got 4.5"),
+        (qcore._check_type, (None, "x", qcore.StateVector), "x must be a StateVector, got None"),
+        (qcore._check_state, ("s", "x", 1), "x must be a state of 1 qubits, got 's'"),
+        (qcore._check_state, (1, "x"), "x must be a state, got 1"),
         (qcore._check_member, (1, "x", (True, False)), "x must be one of True, False, got 1"),
         (qcore._check_member, (True, "x", (0, 1)), "x must be one of 0, 1, got True"),
         (qcore._check_member, (["a"], "x", ("a", "b")), "x must be one of 'a', 'b', got ['a']"),
         (qcore._check_member, ("c", "x", ("a", "b")), "x must be one of 'a', 'b', got 'c'"),
+    ]
+    # an int past Python's int-to-str limit (4300 digits) is shown by its
+    # size, since repr cannot print it
+    huge, shown = 16**4000, "an int of 16001 bits"
+    refused += [
+        (qcore._check_integer, (huge, "x", 0, 1), f"x must be an integer in [0, 1], got {shown}"),
+        (qcore._check_finite, (huge, "x"), f"x must be a finite number, got {shown}"),
+        (qcore._check_unit, (-huge, "x"), f"x must lie in [0, 1], got {shown}"),
+        (
+            qcore._check_member,
+            ([huge], "x", ("a",)),
+            "x must be one of 'a', got a list holding an int too long to print",
+        ),
     ]
     for check, args, message in refused:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -610,7 +634,9 @@ def test_outcome_sources():
     # a forced bit is the only outcome source
     psi = plus(1)
     assert _measure(psi, 0, 0.0, np.int64(0))[:2] == ((0,), pytest.approx(1.0))
-    assert _measure(psi, 0, 0.0, False)[:2] == ((0,), pytest.approx(1.0))
+    # a bool is no bit, though it equals one
+    with pytest.raises(ValueError, match="^outcomes\\[0\\] must be one of 0, 1, got False$"):
+        _measure(psi, 0, 0.0, False)
     with pytest.raises(ValueError):
         _measure(psi, 0, 0.0, 7)
     with pytest.raises(ValueError):
@@ -643,13 +669,11 @@ def test_entanglement_entropy_product_and_bell():
     assert entanglement_entropy(bell, [1]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         entanglement_entropy(bell, [0, 1])
-    with pytest.raises(IndexError):
-        entanglement_entropy(bell, [5])
-    with pytest.raises(IndexError):
-        entanglement_entropy(bell, [2])  # the first index past the register
-    # an index that is not an integer is named, never truncated
-    for bad in (1.5, np.float64(0.0), True, "0", None):
-        with pytest.raises(ValueError, match=f"^partition: qubit {re.escape(repr(bad))} must be"):
+    # an index out of range (2 is the first past the register), or not an
+    # integer, is named by its position, never truncated
+    for bad in (5, 2, -1, 1.5, np.float64(0.0), True, "0", None):
+        message = f"partition[1] must be an integer in [0, 1], got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entanglement_entropy(bell, [0, bad])
     assert entanglement_entropy(bell, (np.int64(1),)) == entanglement_entropy(bell, [1])
 
