@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import fields
@@ -66,7 +67,7 @@ from .photonics import (
     fit_noise,
     visibility_scans,
 )
-from .qcore import _check_finite, _check_member, _check_unit
+from .qcore import _check_finite, _check_member, _check_unit, _shown
 
 
 class ConfigError(Exception):
@@ -93,10 +94,15 @@ def _as_mapping(value, name: str) -> dict:
     return value
 
 
+def _key(key) -> str:
+    """A config key in a path, any but a str as ``_shown`` shows it (a huge int has no str)."""
+    return key if isinstance(key, str) else _shown(key)
+
+
 def _check_keys(mapping: dict, allowed, prefix: str) -> None:
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"unknown config field {prefix + str(key)!r}")
+            raise ConfigError(f"unknown config field {prefix + _key(key)!r}")
 
 
 def _number_hint(value) -> str:
@@ -182,13 +188,13 @@ def from_mapping(data: Optional[dict], command: str) -> Dict[str, object]:
     cfg: Dict[str, object] = {**_DEFAULTS, "experiment": command}
     for top, entry in data.items():
         if top in _SECTIONS:
-            items = [(f"{top}.{key}", v) for key, v in _as_mapping(entry, top).items()]
+            items = [(f"{top}.{_key(key)}", v) for key, v in _as_mapping(entry, top).items()]
         else:
             items = [(top, entry)]
         for path, value in items:
             field = _FIELD_AT.get(path)
             if field is None:
-                raise ConfigError(f"unknown config field {path!r}")
+                raise ConfigError(f"unknown config field {_shown(path)}")
             if command not in field.commands:
                 raise ConfigError(
                     f"config field {path!r} only applies to the "
@@ -207,9 +213,18 @@ def load_config(path: Optional[str], command: str) -> Dict[str, object]:
     if path is None:
         return from_mapping(None, command)
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read(_MAX_CONFIG_BYTES + 1)
+        fd = os.open(path, os.O_RDONLY)
+        # a pipe may hand the text over in pieces: read to EOF, or to one byte
+        # past the cap, where the next read asks for 0 bytes and gets b""
+        try:
+            raw = b""
+            while chunk := os.read(fd, _MAX_CONFIG_BYTES + 1 - len(raw)):
+                raw += chunk
+        finally:
+            os.close(fd)
     except OSError as exc:
+        # a directory opens, and os.read's error then names no file
+        exc.filename = exc.filename or path
         raise ConfigError(f"cannot read config file: {exc}") from exc
     if len(raw) > _MAX_CONFIG_BYTES:
         raise ConfigError(
@@ -269,13 +284,17 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
     for suffix, text in outputs:
         path = prefix + suffix
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+            # open("w")'s flags and mode, without its buffer and codec layers
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                view = memoryview(text.encode())
+                while view:  # os.write may write part of it
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from exc
-    print(summary)
-    for suffix, _ in outputs:
-        print(f"wrote {prefix}{suffix}")
+    sys.stdout.write("".join([summary, "\n"] + [f"wrote {prefix}{s}\n" for s, _ in outputs]))
     return 0
 
 

@@ -265,10 +265,6 @@ class PauliString:
         if not _check_type(self.letters, "letters", str) or self.letters.strip("IXYZ"):
             raise ValueError(f"letters must be a word over I, X, Y, Z, got {self.letters!r}")
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.letters)
-
 
 def _rz_matrix(alpha: float) -> np.ndarray:
     """diag(e^{-i alpha/2}, e^{i alpha/2}), unchecked: alpha must be finite."""

@@ -4,8 +4,11 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +528,100 @@ def test_oversized_config_exit_code(tmp_path, capsys):
     assert main(["witness", "--config", config]) == 2
     message = capsys.readouterr().err
     assert f"cannot parse config file {config}: larger than {cap} bytes" in message
+
+
+def _feed(opener, chunks):
+    """A started thread that opens a write end with ``opener()`` and
+    writes ``chunks`` to it, pausing before each, then closes it."""
+
+    def feed():
+        fd = opener()
+        try:
+            for chunk in chunks:
+                time.sleep(0.05)
+                os.write(fd, chunk)
+        finally:
+            os.close(fd)
+
+    # a daemon: should the reader never open a FIFO, its writer blocks for good
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return thread
+
+
+def _outputs(tmp_path, name):
+    return {path.name: path.read_bytes() for path in sorted(tmp_path.glob(f"{name}*"))}
+
+
+def test_config_read_from_a_fifo_in_pieces_is_read_whole(tmp_path, capsys):
+    # a read of a FIFO returns what has been written so far: each piece
+    # alone is a config that fails to parse or runs another experiment
+    text = b"seed: 7\nnoise: {white_noise: 0.05}\nduration: 0.5\n"
+    config = _write(tmp_path, "config.yaml", text.decode())
+    assert main(["witness", "--config", config, "--out", str(tmp_path / "file")]) == 0
+    fifo = tmp_path / "config.fifo"
+    os.mkfifo(fifo)
+    thread = _feed(lambda: os.open(fifo, os.O_WRONLY), [text[:10], text[10:30], text[30:]])
+    try:
+        assert main(["witness", "--config", str(fifo), "--out", str(tmp_path / "fifo")]) == 0
+    finally:
+        thread.join(timeout=10)
+    file_run, fifo_run = _outputs(tmp_path, "file"), _outputs(tmp_path, "fifo")
+    assert len(file_run) == 2
+    assert list(fifo_run.values()) == list(file_run.values())
+    assert capsys.readouterr().err == ""
+
+
+def test_piped_config_past_the_cap_exit_code(tmp_path, capsys):
+    # the read stops one byte past the cap, so an endless stream ends too
+    cap = cli._MAX_CONFIG_BYTES
+    text = b"seed: 1\n" + b"#" * (cap - 8) + b"\n"
+    assert len(text) == cap + 1
+    read_end, write_end = os.pipe()
+    path = f"/dev/fd/{read_end}"
+    thread = _feed(lambda: write_end, [text[:4096], text[4096:] + b"unread"])
+    try:
+        assert main(["witness", "--config", path]) == 2
+        thread.join(timeout=10)
+        assert os.read(read_end, 100) == b"unread"
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr().err == (
+        f"error: cannot parse config file {path}: larger than {cap} bytes\n"
+    )
+
+
+def test_directory_as_config_exit_code(tmp_path, capsys):
+    # a directory opens; the error of its read must still name the path
+    assert main(["witness", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read config file: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    )
+
+
+def test_longer_existing_outputs_are_truncated(tmp_path, capsys):
+    prefix = str(tmp_path / "w")
+    assert main(["witness", "--out", prefix]) == 0
+    fresh = _outputs(tmp_path, "w")
+    summary = capsys.readouterr().out.splitlines()[0]
+    for name, data in fresh.items():
+        (tmp_path / name).write_bytes(b"x" * 100_000 + data)
+    assert main(["witness", "--out", prefix]) == 0
+    assert _outputs(tmp_path, "w") == fresh
+    assert capsys.readouterr().out == (
+        f"{summary}\nwrote {prefix}.json\nwrote {prefix}_terms.csv\n"
+    )
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000], ids=oct)
+def test_output_files_take_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert main(["gate", "--out", str(tmp_path / "g")]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("g.json", "g_fidelities.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,31 @@ def test_generated_config_exits_0_or_2(command, data):
     assert code in (0, 2), f"exit {code} for {config!r}"
 
 
+# a key of 4000 hex digits, which no str can show (Python's int-to-str limit
+# is 4300 digits), at the top level and in each mapping a config may hold
+_HUGE_KEY = "0x" + "f" * 4000
+
+
+@pytest.mark.parametrize(
+    "sections, shown",
+    [
+        ((), "an int of 16000 bits"),
+        (("source",), "'source.an int of 16000 bits'"),
+        (("noise",), "'noise.an int of 16000 bits'"),
+        (("noise", "fit"), "'noise.fit.an int of 16000 bits'"),
+    ],
+    ids=["top", "source", "noise", "noise.fit"],
+)
+def test_a_key_too_long_to_print_exits_2(tmp_path, capsys, sections, shown):
+    text = "".join(f"{'  ' * depth}{name}:\n" for depth, name in enumerate(sections))
+    indent = "  " * len(sections)
+    text += f"{indent}? {_HUGE_KEY}\n{indent}: 1\n"
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["witness", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config field {shown}\n"
+
+
 @st.composite
 def _valid_configs(draw, command):
     read = [path for path in sorted(_VALID) if command in _READERS[path]]
