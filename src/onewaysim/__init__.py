@@ -41,11 +41,10 @@ from .mbqc import (
     MeasurementPattern,
     bell_probabilities,
     box_gate,
-    box_pattern,
     branch_distribution,
+    gate_pattern,
     grover_run,
     horseshoe_gate,
-    horseshoe_pattern,
     run_pattern,
 )
 from .analysis import (

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .cluster import _C4, FrameMap
-from .mbqc import _GATES, _MARKS, _check_angles, _check_search, _gate_targets, _search
+from .mbqc import _GATES, _MARKS, _check_search, _gate_layout, _gate_targets, _search
 from .photonics import (
     COINCIDENCE_RATE_HZ,
     NoiseModel,
@@ -349,8 +349,7 @@ def gate_fidelity_report(
     the arguments are checked; every array is the library's own.
     """
     _check_member(kind, "kind", tuple(_GATES))
-    _check_angles(alpha, beta)
-    maps = _branch_maps(_GATES[kind][0], ((1, alpha), (2, beta)), (0, 3))  # both gates' layout
+    maps = _branch_maps(_GATES[kind][0], *_gate_layout(alpha, beta))
     a = _prepare_state(noise)
     rho = np.outer(a, a.conj()) if a.ndim == 1 else a
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)

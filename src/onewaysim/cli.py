@@ -226,6 +226,8 @@ def load_config(path: Optional[str], command: str) -> Dict[str, object]:
         # a directory opens, and os.read's error then names no file
         exc.filename = exc.filename or path
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except ValueError as exc:  # os.open refuses a path holding a NUL byte
+        raise ConfigError(f"--config: cannot read {path!r}: {exc}") from exc
     if len(raw) > _MAX_CONFIG_BYTES:
         raise ConfigError(
             f"cannot parse config file {path}: larger than {_MAX_CONFIG_BYTES} bytes"
@@ -292,8 +294,9 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
                     view = view[os.write(fd, view):]
             finally:
                 os.close(fd)
-        except OSError as exc:
-            raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ConfigError(f"--out: cannot write {path!r}: {reason}") from exc
     sys.stdout.write("".join([summary, "\n"] + [f"wrote {prefix}{s}\n" for s, _ in outputs]))
     return 0
 

@@ -31,6 +31,7 @@ from .qcore import (
     State,
     StateVector,
     _check_integer,
+    _check_sequence,
     _check_state,
     _check_type,
     _gate_array,
@@ -49,9 +50,9 @@ class ClusterGraph:
     def __post_init__(self):
         n = _check_integer(self.num_vertices, "num_vertices", 1)
         normalized = set()
-        for i, edge in enumerate(self.edges):
-            ends = [_check_integer(v, f"edges[{i}][{j}]", 0, n - 1) for j, v in enumerate(edge)]
-            a, b = sorted(ends)
+        for i, edge in enumerate(_check_sequence(self.edges, "edges")):
+            ends = enumerate(_check_sequence(edge, f"edges[{i}]", 2))
+            a, b = sorted(_check_integer(v, f"edges[{i}][{j}]", 0, n - 1) for j, v in ends)
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
             normalized.add((a, b))

@@ -1,15 +1,15 @@
 """Measurement patterns on cluster states and the built-in protocols.
 
 A pattern measures cluster qubits one at a time in equatorial bases
-B(alpha) and optionally applies Pauli byproduct corrections to the
-unmeasured (readout) qubits conditioned on the outcomes.  A pattern is
-given by its branches, and one walk over its steps gives them all:
+B(alpha) and corrects nothing: its Pauli byproducts are classical data,
+read from a constant table (the gates) or rule (the search).  A pattern
+is given by its branches, and one walk over its steps gives them all:
 :func:`branch_distribution` returns every branch, and :func:`run_pattern`
 picks the branch of given forced outcomes from it.  On top of the walk
 this module provides
 
-* the two-qubit gate patterns of the horseshoe and box clusters with
-  their closed-form output states,
+* the two-qubit gate pattern of the horseshoe and box clusters with
+  both gates' closed-form output states,
 * the four-entry search protocol on the box cluster, and
 * the interferometric discrimination of the four gate output states
   carried by a single photon (polarization, path).
@@ -36,6 +36,7 @@ from .qcore import (
     _check_finite,
     _check_integer,
     _check_member,
+    _check_sequence,
     _check_state,
     _check_type,
     _product_basis,
@@ -47,7 +48,7 @@ from .qcore import (
 
 @dataclass(frozen=True)
 class MeasurementPattern:
-    """Ordered single-qubit measurements plus byproduct corrections.
+    """Ordered single-qubit measurements, with no byproduct correction.
 
     steps
         (qubit, alpha) pairs, measured in order; qubit indices refer to
@@ -55,61 +56,28 @@ class MeasurementPattern:
     readout
         Qubits left unmeasured, in ascending order.  Together with the
         step qubits they must cover the register the pattern runs on.
-    feedforward
-        ((step_qubit, ((letter, readout_qubit), ...)), ...).  When a
-        step reports outcome 1 its listed corrections are applied to
-        the residual state.  Letters are 'X' or 'Z'.
     """
 
     steps: Tuple[Tuple[int, float], ...]
     readout: Tuple[int, ...] = ()
-    feedforward: Tuple[Tuple[int, Tuple[Tuple[str, int], ...]], ...] = ()
 
     def __post_init__(self):
-        steps = tuple(
-            (_check_integer(q, f"steps[{i}] qubit", 0), _check_finite(a, f"steps[{i}] angle"))
-            for i, (q, a) in enumerate(self.steps)
-        )
+        steps = []
+        for i, step in enumerate(_check_sequence(self.steps, "steps")):
+            qubit, angle = _check_sequence(step, f"steps[{i}]", 2)
+            qubit = _check_integer(qubit, f"steps[{i}] qubit", 0)
+            steps.append((qubit, _check_finite(angle, f"steps[{i}] angle")))
         if not steps:
             raise ValueError("pattern needs at least one measurement step")
         step_qubits = [q for q, _ in steps]
         if len(set(step_qubits)) != len(step_qubits):
             raise ValueError("duplicate step qubit")
-        readout = [_check_integer(q, f"readout[{i}]", 0) for i, q in enumerate(self.readout)]
-        readout = tuple(sorted(readout))
+        readout = enumerate(_check_sequence(self.readout, "readout"))
+        readout = tuple(sorted(_check_integer(q, f"readout[{i}]", 0) for i, q in readout))
         if set(readout) & set(step_qubits):
             raise ValueError("readout qubits overlap with step qubits")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "readout", readout)
-        keys = [qubit for qubit, _ in self.feedforward]
-        for i, (qubit, corrections) in enumerate(self.feedforward):
-            if qubit not in step_qubits:
-                raise ValueError(f"feedforward key {qubit} is not a step qubit")
-            if keys.count(qubit) > 1:
-                raise ValueError(f"feedforward key {qubit} is listed more than once")
-            for letter, target in corrections:
-                _check_member(letter, f"feedforward[{i}] letter", ("X", "Z"))
-                if target not in readout:
-                    raise ValueError(f"correction target {target} is not a readout qubit")
-
-
-def _byproduct_table(pattern: MeasurementPattern) -> np.ndarray:
-    """Each branch's feedforward as one Pauli product on the readout qubits,
-    stacked read-only as (branch, row, column) in lexicographic branch order.
-    Each correction of a step with outcome 1 is its letter's Pauli on the
-    target's readout position; in step order, each multiplies on the left."""
-    corrections = dict(pattern.feedforward)
-    table = []
-    for branch in itertools.product((0, 1), repeat=len(pattern.steps)):
-        m = np.eye(2 ** len(pattern.readout), dtype=complex)
-        for (qubit, _), bit in zip(pattern.steps, branch):
-            for letter, target in corrections.get(qubit, ()) if bit else ():
-                paulis = [_PAULI_1Q[letter if q == target else "I"] for q in pattern.readout]
-                m = _product_basis(paulis) @ m
-        table.append(m)
-    table = np.array(table)
-    table.setflags(write=False)
-    return table
 
 
 def _walk(a: np.ndarray, pattern: MeasurementPattern):
@@ -129,34 +97,22 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
     """All outcome branches of a pattern with their joint probabilities.
 
     Returns a list of (outcomes, probability, residual) triples in
-    lexicographic outcome order; residual is the byproduct-corrected
-    state on the readout qubits in ascending original order, or None when
-    all qubits are measured.  Step and readout qubits must exactly cover
-    the register.  The surviving branch prefixes of each step are one stack
-    of state arrays, split in one call into both outcomes of every prefix;
-    a branch whose weight falls below the forced-outcome floor (1e-12 at
-    some step) is dropped.  The last level's residuals are corrected as one
-    stack by their branches' rows T of :func:`_byproduct_table`, T r for
-    kets and T R T^dagger for matrices (a signed permutation that moves no
-    bit); only these returned states are checked, each by its constructor.
+    lexicographic outcome order; residual is the normalized state left on
+    the readout qubits in ascending original order, its byproducts
+    uncorrected, or None when all qubits are measured.  Step and readout
+    qubits must exactly cover the register.  The surviving branch prefixes
+    of each step are one stack of state arrays, split in one call into
+    both outcomes of every prefix; a branch whose weight falls below the
+    forced-outcome floor (1e-12 at some step) is dropped.  Only the
+    returned states are checked, each by its constructor.
     """
     a = _check_state(state, "state")
     qubits = [q for q, _ in _check_type(pattern, "pattern", MeasurementPattern).steps]
     if sorted(qubits + list(pattern.readout)) != list(range(_qubits(a))):
         raise ValueError("pattern qubits do not match the register")
     prefixes, stack = _walk(a, pattern)
-    if stack is None:
-        return [(outcomes, float(math.prod(probs)), None) for outcomes, probs in prefixes]
-    if pattern.feedforward:
-        t = _byproduct_table(pattern)[[int("".join(map(str, bits)), 2) for bits, _ in prefixes]]
-        if stack.ndim == 2:
-            stack = (t @ stack[..., None])[..., 0]
-        else:
-            stack = t @ stack @ t.conj().swapaxes(1, 2)
-    return [
-        (outcomes, float(math.prod(probs)), type(state)(residual))
-        for (outcomes, probs), residual in zip(prefixes, stack)
-    ]
+    residuals = [None] * len(prefixes) if stack is None else [type(state)(r) for r in stack]
+    return [(bits, float(math.prod(probs)), r) for (bits, probs), r in zip(prefixes, residuals)]
 
 
 def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[int]):
@@ -187,12 +143,6 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
 # ---------------------------------------------------------------------------
 
 
-def _check_angles(alpha, beta) -> None:
-    """Raise ValueError, naming the angle, unless both are finite numbers."""
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        _check_finite(value, name)
-
-
 @dataclass(frozen=True)
 class GateOutputSpec:
     """Angles and branch outcomes selecting one gate output state."""
@@ -203,37 +153,40 @@ class GateOutputSpec:
     s3: int = 0
 
     def __post_init__(self):
-        _check_angles(self.alpha, self.beta)
+        for name in ("alpha", "beta"):
+            _check_finite(getattr(self, name), name)
         for name in ("s2", "s3"):
             _check_member(getattr(self, name), name, (0, 1))
 
 
-def _gate_pattern(alpha: float, beta: float, feedforward: bool, ff) -> MeasurementPattern:
-    """Both gates' pattern: B(alpha), B(beta) on qubits 2,3, with the byproducts ``ff``."""
-    _check_angles(alpha, beta)
-    ff = ff if _check_member(feedforward, "feedforward", (True, False)) else ()
-    return MeasurementPattern(steps=((1, alpha), (2, beta)), readout=(0, 3), feedforward=ff)
+def _gate_layout(alpha: float, beta: float):
+    """Both gates' (steps, readout), once the angles pass: cluster qubits 2, 3
+    (indices 1, 2) at B(alpha), B(beta), outcomes s2, s3; qubits 1, 4 left."""
+    return ((1, _check_finite(alpha, "alpha")), (2, _check_finite(beta, "beta"))), (0, 3)
 
 
-def horseshoe_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:
-    """Measure qubits 2,3 of the horseshoe cluster at B(alpha), B(beta)."""
-    return _gate_pattern(alpha, beta, feedforward, ((1, (("X", 0),)), (2, (("X", 3),))))
+def gate_pattern(alpha: float, beta: float) -> MeasurementPattern:
+    """The pattern of both gates, run on the horseshoe or the box cluster."""
+    return MeasurementPattern(*_gate_layout(alpha, beta))
 
 
-def box_pattern(alpha: float, beta: float, feedforward: bool = True) -> MeasurementPattern:
-    """Measure qubits 2,3 of the box cluster at B(alpha), B(beta)."""
-    ff = ((1, (("X", 0), ("Z", 3))), (2, (("Z", 0), ("X", 3))))
-    return _gate_pattern(alpha, beta, feedforward, ff)
+def _byproducts(letters) -> np.ndarray:
+    """A gate's byproduct table, read-only: row 2 s2 + s3 is branch (s2, s3)'s
+    Pauli product, P_b^{s3} P_a^{s2} on each readout qubit of letters ``ab``."""
+    table = []
+    for s2, s3 in itertools.product((0, 1), repeat=2):
+        factors = [_PAULI_1Q[("I", b)[s3]] @ _PAULI_1Q[("I", a)[s2]] for a, b in letters]
+        table.append(_product_basis(factors))
+    table = np.array(table)
+    table.setflags(write=False)
+    return table
 
 
-# gate kind -> (graph frame, byproduct table); the feedforward does not
+# gate kind -> (graph frame, byproduct table); the byproducts do not
 # depend on the angles
 _GATES = {
-    kind: (frame, _byproduct_table(pattern_fn(0.0, 0.0)))
-    for kind, frame, pattern_fn in (
-        ("horseshoe", HORSESHOE_FRAME, horseshoe_pattern),
-        ("box", BOX_FRAME, box_pattern),
-    )
+    "horseshoe": (HORSESHOE_FRAME, _byproducts(("XI", "IX"))),
+    "box": (BOX_FRAME, _byproducts(("XZ", "ZX"))),
 }
 
 # CZ|++> with one axis per qubit: entry (i, j) is the amplitude of |ij>
@@ -257,20 +210,23 @@ def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
 
 
 def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
-    """Closed-form output of the horseshoe pattern for one branch.
+    """Closed-form residual of :func:`gate_pattern` on the horseshoe
+    cluster for one branch.
 
     Qubit 0 of the result is cluster qubit 1, qubit 1 is cluster qubit 4.
-    The pattern's byproducts X^{s2} (qubit 0) and X^{s3} (qubit 1), one
-    entry of a constant table, are kept in the state as in an uncorrected run.
+    A pattern applies no correction, so the branch's byproducts X^{s2}
+    (qubit 0) and X^{s3} (qubit 1), row 2 s2 + s3 of the gate's constant
+    table, stay in the state.
     """
     return _gate_output("horseshoe", spec)
 
 
 def box_gate(spec: GateOutputSpec) -> StateVector:
-    """Closed-form output of the box pattern for one branch.
+    """Closed-form residual of :func:`gate_pattern` on the box cluster for
+    one branch.
 
-    Same qubit convention and byproduct table as :func:`horseshoe_gate`;
-    the pattern's byproducts are (X x Z)^{s2} followed by (Z x X)^{s3}.
+    Same qubit convention as :func:`horseshoe_gate`; the byproducts that
+    stay in the state are (X x Z)^{s2} followed by (Z x X)^{s3}.
     """
     return _gate_output("box", spec)
 

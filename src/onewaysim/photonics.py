@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .qcore import (
     _check_finite,
     _check_integer,
     _check_member,
+    _check_sequence,
     _check_state,
     _check_type,
     _check_unit,
@@ -218,10 +219,8 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 
     Returns (model, residual) with residual the summed squared misfit.
     """
-    values = tuple(targets)
-    if len(values) != 6:
-        raise ValueError("expected six target values")
-    checked = [_check_unit(v, f"targets[{i}]", -1.0) for i, v in enumerate(values)]
+    values = enumerate(_check_sequence(targets, "targets", 6))
+    checked = [_check_unit(v, f"targets[{i}]", -1.0) for i, v in values]
     named = dict(zip(WITNESS_OBSERVABLES, checked))
     flat = [named[w] for w in ("XXIZ", "XXZI", "IIZZ", "ZZII")]
     mixed = [named[w] for w in ("IZXX", "ZIXX")]
@@ -369,9 +368,7 @@ def visibility_scans(
     understates the visibility.  ``detector_pairs`` lists DETECTOR_PAIRS.
     """
     samples = _check_samples(samples, "samples")
-    if isinstance(detector_pairs, str) or not isinstance(detector_pairs, Iterable):
-        raise ValueError(f"detector_pairs must be a sequence of names, got {detector_pairs!r}")
-    detector_pairs = tuple(detector_pairs)  # an iterator is read once
+    detector_pairs = _check_sequence(detector_pairs, "detector_pairs")
     ports = [_parse_pair(pair, f"detector_pairs[{i}]") for i, pair in enumerate(detector_pairs)]
     _check_type(model, "model", NoiseModel)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)

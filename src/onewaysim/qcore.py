@@ -31,8 +31,9 @@ pipelines build from constants and checked arguments.
 Every argument of the library is checked by one family of checkers,
 each returning the checked value or raising a ValueError "{name} must
 be ..., got ...": ``_check_finite``, ``_check_unit``, ``_check_integer``,
-``_check_member``, ``_check_type`` and ``_check_state`` (which returns
-the state's array).  A check that relates values, or that looks inside
+``_check_member``, ``_check_type``, ``_check_sequence`` (which returns a
+container's items as a tuple) and ``_check_state`` (which returns the
+state's array).  A check that relates values, or that looks inside
 one (a Pauli word's letters, a table's sum), is written where it runs.
 
 All operations are pure: they return new values and never mutate their
@@ -133,6 +134,19 @@ def _check_member(value, name: str, options: tuple):
         options_text = ", ".join(map(repr, options))
         raise ValueError(f"{name} must be one of {options_text}, got {_shown(value)}")
     return value
+
+
+def _check_sequence(value, name: str, length: Optional[int] = None) -> tuple:
+    """``value``'s items as a tuple, once it is an iterable other than a
+    string (an iterator is read once), of ``length`` items if given."""
+    try:
+        items = None if isinstance(value, (str, bytes)) else tuple(value)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or (length is not None and len(items) != length):
+        size = "" if length is None else f" of {length} items"
+        raise ValueError(f"{name} must be a sequence{size}, got {_shown(value)}")
+    return items
 
 
 def _check_type(value, name: str, kind: type):
@@ -455,8 +469,8 @@ def overlap(a: StateVector, b: StateVector) -> float:
 def entanglement_entropy(state: StateVector, partition: Iterable[int]) -> float:
     """Von Neumann entropy (base 2) of the reduced state on ``partition``."""
     n = _check_type(state, "state", StateVector).num_qubits
-    keep = {_check_integer(q, f"partition[{i}]", 0, n - 1) for i, q in enumerate(partition)}
-    keep = sorted(keep)
+    keep = enumerate(_check_sequence(partition, "partition"))
+    keep = sorted({_check_integer(q, f"partition[{i}]", 0, n - 1) for i, q in keep})
     if not keep or len(keep) >= n:
         raise ValueError("partition must be a nonempty proper subset of the qubits")
     rest = [q for q in range(n) if q not in keep]

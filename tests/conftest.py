@@ -8,7 +8,7 @@ import pytest
 
 from onewaysim import analysis, cli, cluster, mbqc, photonics, qcore
 from onewaysim.cluster import BOX_FRAME, HORSESHOE_FRAME, ClusterGraph, build_cluster, c4_state
-from onewaysim.mbqc import box_gate, box_pattern, horseshoe_gate, horseshoe_pattern
+from onewaysim.mbqc import box_gate, horseshoe_gate
 from onewaysim.photonics import (
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
@@ -38,10 +38,11 @@ PIN_MODELS = {
     },
 }
 
-# each gate's frame map (from the |C4> frame to its graph), pattern and output
+# each gate's frame map (from the |C4> frame to its graph) and output; both
+# gates run mbqc.gate_pattern
 GATES = {
-    "horseshoe": (HORSESHOE_FRAME, horseshoe_pattern, horseshoe_gate),
-    "box": (BOX_FRAME, box_pattern, box_gate),
+    "horseshoe": (HORSESHOE_FRAME, horseshoe_gate),
+    "box": (BOX_FRAME, box_gate),
 }
 
 

@@ -82,18 +82,6 @@ EQUIVALENT = {
      "abs(norm - 1.0) <= TOL", "abs(norm - 1.0) < TOL", 0):
         "norm - 1.0 is a multiple of 2**-53 near 1, and the double 1e-10 is not, "
         "so the two never meet",
-    ("mbqc", "_byproduct_table",
-     "for branch in itertools.product((0, 1), repeat=len(pattern.steps)):",
-     "(0, 1)", "(0, 2)", 0):
-        "a branch bit is only tested for truth, and 2 is as true as 1",
-    ("mbqc", "<module>", "kind: (frame, _byproduct_table(pattern_fn(0.0, 0.0)))",
-     "pattern_fn(0.0, 0.0)", "pattern_fn(1e-06, 0.0)", 0):
-        "a gate pattern's feedforward does not depend on its angles, so the "
-        "byproduct table built from it is the same",
-    ("mbqc", "<module>", "kind: (frame, _byproduct_table(pattern_fn(0.0, 0.0)))",
-     "pattern_fn(0.0, 0.0)", "pattern_fn(0.0, 1e-06)", 0):
-        "a gate pattern's feedforward does not depend on its angles, so the "
-        "byproduct table built from it is the same",
     ("analysis", "_draw", "if abs(total_p - 1.0) > 1e-6:",
      "abs(total_p - 1.0) > 1e-06", "abs(total_p - 1.0) >= 1e-06", 0):
         "total_p - 1.0 is a multiple of 2**-53 near 1, and the double 1e-6 is not, "

@@ -193,13 +193,11 @@ def projected(a, qubit, alpha, bit):
     return weight, (branch + branch.conj().T) / 2.0
 
 
-def sequential_branches(a, steps, readout, feedforward, measure=projected):
+def sequential_branches(a, steps, measure=projected):
     """Every branch (bits, probability, residual) of a pattern, in
     lexicographic order and each run alone: the steps forced one after
-    another by ``measure`` (a branch it finds impossible is left out), then
-    each correction of a step that read 1 as a written-out Pauli."""
+    another by ``measure`` (a branch it finds impossible is left out)."""
     branches = []
-    corrections = dict(feedforward)
     for bits in itertools.product((0, 1), repeat=len(steps)):
         live, current, probs = list(range(len(a).bit_length() - 1)), a, []
         for (qubit, alpha), bit in zip(steps, bits):
@@ -210,10 +208,6 @@ def sequential_branches(a, steps, readout, feedforward, measure=projected):
             live.remove(qubit)
             probs.append(prob)
         else:
-            for (qubit, _), bit in zip(steps, bits):
-                for letter, target in corrections.get(qubit, ()) if bit else ():
-                    u = kron(*(PAULI[letter if q == target else "I"] for q in readout))
-                    current = _conjugated(current, u)
             branches.append((bits, float(math.prod(probs)), current))
     return branches
 

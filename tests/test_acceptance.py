@@ -30,10 +30,9 @@ from onewaysim.mbqc import (
     GateOutputSpec,
     bell_probabilities,
     box_gate,
-    box_pattern,
+    gate_pattern,
     grover_run,
     horseshoe_gate,
-    horseshoe_pattern,
     run_pattern,
 )
 from onewaysim.photonics import (
@@ -154,14 +153,14 @@ def test_criterion_3_search_is_deterministic(verdict):
 
 def test_criterion_4_gate_formulas_match_simulation(verdict):
     worst = 1.0
-    for kind, graph, pattern_fn, gate_fn in (
-        ("horseshoe", HORSESHOE_GRAPH, horseshoe_pattern, horseshoe_gate),
-        ("box", BOX_GRAPH, box_pattern, box_gate),
+    for kind, graph, gate_fn in (
+        ("horseshoe", HORSESHOE_GRAPH, horseshoe_gate),
+        ("box", BOX_GRAPH, box_gate),
     ):
         state = build_cluster(graph)
         for alpha in GRID:
             for beta in GRID:
-                pattern = pattern_fn(alpha, beta, feedforward=False)
+                pattern = gate_pattern(alpha, beta)
                 for s2, s3 in BRANCHES:
                     _, _, residual = run_pattern(state, pattern, (s2, s3))
                     target = gate_fn(GateOutputSpec(alpha, beta, s2, s3))

@@ -28,7 +28,7 @@ from onewaysim.mbqc import (
     GateOutputSpec,
     MeasurementPattern,
     box_gate,
-    box_pattern,
+    gate_pattern,
     grover_run,
     horseshoe_gate,
     run_pattern,
@@ -471,9 +471,9 @@ def test_box_report_under_fitted_noise():
 # each outcome pair, and the residual compared with the closed form
 
 def _gate_report_by_branches(kind, alpha, beta, state):
-    frame, pattern_fn, target_fn = GATES[kind]
+    frame, target_fn = GATES[kind]
     mapped = frame.apply(state)
-    pattern = pattern_fn(alpha, beta, feedforward=False)
+    pattern = gate_pattern(alpha, beta)
     report = {}
     for s2 in (0, 1):
         for s3 in (0, 1):
@@ -524,7 +524,7 @@ def test_gate_report_rejects_an_impossible_branch(monkeypatch):
 
 def test_gate_report_keeps_a_branch_at_the_floor(monkeypatch):
     # a branch is kept at or above the forced-outcome floor, as in a walk
-    pattern = box_pattern(0.4, 1.3)
+    pattern = gate_pattern(0.4, 1.3)
     maps = analysis._branch_maps(mbqc._GATES["box"][0], pattern.steps, pattern.readout)
     rho = qcore._density_array(c4_state())
     lightest = np.trace(maps @ rho @ maps.conj().swapaxes(1, 2), axis1=1, axis2=2).real.min()
@@ -638,8 +638,8 @@ def test_grover_report_equals_the_public_chain_bit_for_bit(model):
 def _gate_report_by_public_chain(kind, alpha, beta, model):
     """The report from the checked public objects: the gate's pattern, the
     (noisy) cluster state and the (0, 0) output state."""
-    frame, pattern_fn, gate = GATES[kind]
-    pattern = pattern_fn(alpha, beta)
+    frame, gate = GATES[kind]
+    pattern = gate_pattern(alpha, beta)
     maps = analysis._branch_maps(frame, pattern.steps, pattern.readout)
     rho = qcore._density_array(noisy(c4_state(), model))
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)

@@ -741,6 +741,20 @@ def test_empty_out_prefix_exit_code(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_config_path_with_a_nul_byte_exit_code(capsys):
+    # os.open raises ValueError, not OSError, for a path no file can have
+    assert main(["witness", "--config", "a\x00b"]) == 2
+    assert capsys.readouterr().err == "error: --config: cannot read 'a\\x00b': embedded null byte\n"
+
+
+def test_out_prefix_with_a_nul_byte_exit_code(tmp_path, capsys):
+    prefix = str(tmp_path / "a\x00b")
+    assert main(["witness", "--out", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out: cannot write {prefix + '.json'!r}: embedded null byte\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_seed_exit_code(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "seed: -1\n")
     assert main(["witness", "--config", config]) == 2

@@ -12,10 +12,10 @@ qubits carry a random pure or mixed input, each successor starts in |+>,
 and any edge is allowed that gives no successor a second measured
 neighbour.
 
-The oracle checks the spec, not the shape of the walk: both
-``mbqc.branch_distribution`` and the branch maps of
-``analysis._branch_maps``, corrected by the flow's byproducts written
-out here.
+A pattern applies no correction, so the oracle checks the spec, not the
+shape of the walk: both ``mbqc.branch_distribution`` and the branch maps
+of ``analysis._branch_maps``, each corrected by the flow's byproducts
+written out here.
 """
 
 import itertools
@@ -70,14 +70,7 @@ def _flow_pattern(rng):
     state = StateVector(t) if a.ndim == 1 else DensityMatrix(signs[:, None] * t)
 
     alphas = rng.uniform(0.0, 2 * math.pi, size=k).tolist()
-    pattern = MeasurementPattern(
-        steps=tuple(zip(measured, alphas)),
-        readout=tuple(successors + rest),
-        feedforward=tuple(
-            (m, (("X", f),) + tuple(("Z", w) for w in sorted(neighbours[f] - {m})))
-            for m, f in flow.items()
-        ),
-    )
+    pattern = MeasurementPattern(tuple(zip(measured, alphas)), tuple(successors + rest))
     return state, pattern, flow, neighbours
 
 
@@ -98,12 +91,15 @@ def test_flow_patterns_are_deterministic():
         state, pattern, flow, neighbours = _flow_pattern(rng)
         k = len(pattern.steps)
         kinds.add((state.num_qubits, k, type(state).__name__))
+        # branch s of the walk, corrected: C_s R_s C_s^dagger; branch 0's C is I
         branches = branch_distribution(state, pattern)
         assert [b[0] for b in branches] == list(itertools.product((0, 1), repeat=k))
         reference = _density_array(branches[0][2])
         for outcomes, prob, residual in branches:
+            c = _correction(pattern, flow, neighbours, outcomes)
             assert abs(prob - 2.0**-k) <= 1e-12
-            assert oracles.infidelity(_density_array(residual), reference) <= 1e-12
+            r = c @ _density_array(residual) @ c.conj().T
+            assert oracles.infidelity(r, reference) <= 1e-12
 
         # the same branches from the maps K_s: R_s = C_s K_s rho K_s^dagger C_s^dagger
         identity = FrameMap(tuple(range(state.num_qubits)), (None,) * state.num_qubits)

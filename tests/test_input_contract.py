@@ -11,6 +11,14 @@ numpy scalar's ``item()``: ``np.int64(1)`` acts as 1), and must not be
 refused by name.  What a parameter takes is written out below, apart
 from the library's checks.
 
+Each container parameter (a list of edges, steps, qubits, targets or
+names, and each edge and step in it) is given what is no container of
+items (None, numbers, strings, bytes, a 0-d array), a container with the
+wrong number of items where that number is fixed, and one whose first
+item is None: each must raise a ValueError naming the parameter.  A list,
+a generator or an iterator of the items it takes must give the outcome of
+their tuple.
+
 Out of scope: the array arguments of the state constructors, and the
 mappings and record lists of ``simulate_counts`` and
 ``witness_from_counts``; the exports without parameters; the report
@@ -20,7 +28,7 @@ records, which hold results and check nothing.
 import math
 import re
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -40,7 +48,6 @@ from onewaysim import (
     apply_noise,
     bell_probabilities,
     box_gate,
-    box_pattern,
     branch_distribution,
     build_cluster,
     c4_state,
@@ -49,10 +56,10 @@ from onewaysim import (
     fidelity,
     fit_noise,
     gate_fidelity_report,
+    gate_pattern,
     grover_report,
     grover_run,
     horseshoe_gate,
-    horseshoe_pattern,
     joint_distribution,
     overlap,
     run_pattern,
@@ -201,10 +208,9 @@ _PARAMS = [
     Param("horseshoe_gate.spec", "spec", horseshoe_gate, _instance(GateOutputSpec)),
     Param("box_gate.spec", "spec", box_gate, _instance(GateOutputSpec)),
     *(
-        Param(f"{pattern.__name__}.{field}", field,
-              lambda v, p=pattern, f=field: p(**{"alpha": 0.3, "beta": 1.1, f: v}), check)
-        for pattern in (horseshoe_pattern, box_pattern)
-        for field, check in (("alpha", _FINITE), ("beta", _FINITE), ("feedforward", _FLAG))
+        Param(f"gate_pattern.{field}", field,
+              lambda v, f=field: gate_pattern(**{"alpha": 0.3, "beta": 1.1, f: v}), _FINITE)
+        for field in ("alpha", "beta")
     ),
     Param("grover_run.marked", "marked", grover_run, _member("00", "01", "10", "11")),
     Param("grover_run.feedforward", "feedforward", lambda v: grover_run("01", v), _FLAG),
@@ -281,7 +287,7 @@ def _same(a, b) -> bool:
     return bool(a == b)
 
 
-def _names(param: Param, message: str) -> bool:
+def _names(param, message: str) -> bool:
     """Whether ``message`` refuses the parameter, or one of its entries
     (``steps[0] angle must ...``), by name."""
     return re.match(rf"{re.escape(param.name)}(\[[^]]*\])*( \w+)? must ", message) is not None
@@ -329,3 +335,44 @@ _NUMBERS = st.one_of(
 @given(value=_NUMBERS)
 def test_every_number_is_named_or_read_as_its_canonical_value(param, value):
     _check_contract(param, value)
+
+
+class Container(NamedTuple):
+    label: str  # export.parameter, the test id
+    name: str  # the parameter's name, which a refusal starts with
+    call: Callable  # container -> the export's result with it in that place
+    items: tuple  # items the parameter takes
+    length: Optional[int] = None  # the number of items it needs, if fixed
+
+
+_CONTAINERS = [
+    Container("entanglement_entropy.partition", "partition",
+              lambda v: entanglement_entropy(_C4, v), (0, 2)),
+    Container("ClusterGraph.edges", "edges", lambda v: ClusterGraph(4, v), ((0, 1), (3, 2))),
+    Container("ClusterGraph.edges.edge", "edges[0]", lambda v: ClusterGraph(4, (v,)), (0, 1), 2),
+    Container("fit_noise.targets", "targets", fit_noise, (0.9, 0.9, 0.95, 0.8, 0.8, 0.9), 6),
+    Container("visibility_scans.detector_pairs", "detector_pairs",
+              lambda v: visibility_scans(_MODEL, v, 8), ("D1-D2", "D3-D4")),
+    Container("MeasurementPattern.steps", "steps", MeasurementPattern, ((0, 0.3), (2, 1.1))),
+    Container("MeasurementPattern.steps.step", "steps[0]",
+              lambda v: MeasurementPattern((v,)), (0, 0.3), 2),
+    Container("MeasurementPattern.readout", "readout",
+              lambda v: MeasurementPattern(((0, 0.3),), v), (1, 2)),
+]
+
+# no container of items: a string or bytes would be read item by item
+_NO_CONTAINERS = (None, 3, 0.5, True, "x", "", "D1-D2", b"01", np.float64(1.0), np.array(1))
+
+
+@pytest.mark.parametrize("param", _CONTAINERS, ids=[p.label for p in _CONTAINERS])
+def test_every_container_is_named_or_read_as_its_tuple(param):
+    refused = [*_NO_CONTAINERS, (None,) + param.items[1:]]
+    if param.length is not None:
+        refused += [(), param.items[:-1], param.items + param.items[-1:]]
+    for value in refused:
+        with pytest.raises(ValueError) as info:
+            param.call(value)
+        assert _names(param, str(info.value)), (value, str(info.value))
+    expected = param.call(param.items)
+    for value in (list(param.items), (item for item in param.items), iter(param.items)):
+        assert _same(param.call(value), expected), value

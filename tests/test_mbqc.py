@@ -25,12 +25,11 @@ from onewaysim.mbqc import (
     MeasurementPattern,
     bell_probabilities,
     box_gate,
-    box_pattern,
     branch_distribution,
+    gate_pattern,
     grover_pattern,
     grover_run,
     horseshoe_gate,
-    horseshoe_pattern,
     run_pattern,
 )
 from onewaysim.photonics import NoiseModel, apply_noise
@@ -87,18 +86,6 @@ def test_pattern_validation():
             MeasurementPattern(steps=((0, 0.5), (1, angle)))
         with pytest.raises(ValueError, match="^alpha must be a finite number"):
             GateOutputSpec(angle, 0.0)
-    with pytest.raises(ValueError):
-        MeasurementPattern(
-            steps=((0, 0.0),), readout=(1,), feedforward=((0, (("Y", 1),)),)
-        )
-    with pytest.raises(ValueError):
-        MeasurementPattern(
-            steps=((0, 0.0),), readout=(1,), feedforward=((0, (("X", 0),)),)
-        )
-    with pytest.raises(ValueError):
-        MeasurementPattern(
-            steps=((0, 0.0),), readout=(1,), feedforward=((2, (("X", 1),)),)
-        )
     # qubit indices are integers, named when not, never truncated
     for bad in (1.5, np.float64(1.0), True, "a", None):
         shown = re.escape(repr(bad))
@@ -109,11 +96,6 @@ def test_pattern_validation():
         with pytest.raises(ValueError, match=message):
             MeasurementPattern(((0, 0.1),), (2, bad))
     assert MeasurementPattern(((np.int64(0), 0.1),), (np.int8(1),)).readout == (1,)
-    # a step listed twice: one of its corrections would be dropped
-    with pytest.raises(ValueError, match="feedforward key 1 is listed more than once"):
-        MeasurementPattern(((1, 0.3),), (0, 2, 3), ((1, (("X", 0),)), (1, (("Z", 2),))))
-    with pytest.raises(ValueError, match="feedforward key 0 is listed more than once"):
-        MeasurementPattern(((0, 0.0), (1, 0.0)), (2,), ((1, ()), (0, ()), (0, ())))
 
 
 def test_run_pattern_register_checks(rng):
@@ -121,14 +103,14 @@ def test_run_pattern_register_checks(rng):
     with pytest.raises(ValueError):
         run_pattern(psi, MeasurementPattern(steps=((0, 0.0),), readout=(1,)), [0])
     with pytest.raises(ValueError):
-        run_pattern(psi, horseshoe_pattern(0.0, 0.0), [0])  # one bit, two steps
+        run_pattern(psi, gate_pattern(0.0, 0.0), [0])  # one bit, two steps
     with pytest.raises(ValueError, match="outcomes"):
-        run_pattern(psi, horseshoe_pattern(0.0, 0.0), 0)  # bare int ambiguous
+        run_pattern(psi, gate_pattern(0.0, 0.0), 0)  # bare int ambiguous
 
 
 def test_run_pattern_records_step_order(rng):
     state = build_cluster(HORSESHOE_GRAPH)
-    outcomes, prob, residual = run_pattern(state, horseshoe_pattern(0.3, 0.9), [0, 1])
+    outcomes, prob, residual = run_pattern(state, gate_pattern(0.3, 0.9), [0, 1])
     assert outcomes == (0, 1)
     assert residual.num_qubits == 2
     p1, rest = _forced_measure(state.amplitudes, 1, 0.3, 0)
@@ -155,14 +137,12 @@ def test_run_pattern_rejects_impossible_and_invalid_outcomes():
 
 def test_branch_distribution_is_lexicographic_and_normalized():
     state = build_cluster(HORSESHOE_GRAPH)
-    branches = branch_distribution(state, horseshoe_pattern(0.4, 1.3, feedforward=False))
+    branches = branch_distribution(state, gate_pattern(0.4, 1.3))
     assert [b[0] for b in branches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
     # forced runs must agree branch by branch
     for bits, prob, residual in branches:
-        _, forced_prob, res2 = run_pattern(
-            state, horseshoe_pattern(0.4, 1.3, feedforward=False), list(bits)
-        )
+        _, forced_prob, res2 = run_pattern(state, gate_pattern(0.4, 1.3), list(bits))
         assert forced_prob == pytest.approx(prob)
         assert np.allclose(res2.amplitudes, residual.amplitudes)
 
@@ -178,11 +158,11 @@ GRAPHS = {"horseshoe": HORSESHOE_GRAPH, "box": BOX_GRAPH}
 @pytest.mark.parametrize("kind", ["horseshoe", "box"])
 def test_gate_formula_matches_simulation(kind):
     state = build_cluster(GRAPHS[kind])
-    _, pattern_fn, gate = GATES[kind]
+    _, gate = GATES[kind]
     for alpha in GRID:
         for beta in GRID:
             for s2, s3 in BRANCHES:
-                pattern = pattern_fn(alpha, beta, feedforward=False)
+                pattern = gate_pattern(alpha, beta)
                 _, prob, residual = run_pattern(state, pattern, [s2, s3])
                 target = gate(GateOutputSpec(alpha, beta, s2, s3))
                 assert fidelity(residual, target) == pytest.approx(1.0, abs=1e-10)
@@ -190,22 +170,42 @@ def test_gate_formula_matches_simulation(kind):
 
 
 @pytest.mark.parametrize("kind", ["horseshoe", "box"])
-def test_feedforward_collapses_branches(kind):
-    # corrected outputs coincide with the s2 = s3 = 0 branch up to the
-    # global phase each measurement branch carries
+def test_byproduct_table_undoes_every_branch(kind):
+    # T_s^dagger times branch s's uncorrected residual is the s2 = s3 = 0
+    # output, up to the global phase each measurement branch carries
     state = build_cluster(GRAPHS[kind])
-    _, pattern_fn, gate = GATES[kind]
+    _, gate = GATES[kind]
     alpha, beta = 0.8, 2.1
     reference = gate(GateOutputSpec(alpha, beta, 0, 0))
+    table = mbqc._GATES[kind][1]
     for s2, s3 in BRANCHES:
-        _, _, residual = run_pattern(state, pattern_fn(alpha, beta, feedforward=True), [s2, s3])
-        assert overlap(residual, reference) == pytest.approx(1.0, abs=1e-12)
+        _, _, residual = run_pattern(state, gate_pattern(alpha, beta), [s2, s3])
+        corrected = StateVector(table[2 * s2 + s3].conj().T @ residual.amplitudes)
+        assert overlap(corrected, reference) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_byproduct_tables_are_the_written_out_pauli_products():
+    # branch (s2, s3): the horseshoe's X^s2 x X^s3; the box's (X x Z)^s2
+    # followed by (Z x X)^s3, the later product on the left
+    def power(letter, bit):
+        return oracles.PAULI[letter if bit else "I"]
+
+    for s2, s3 in BRANCHES:
+        horseshoe = oracles.kron(power("X", s2), power("X", s3))
+        box_s2 = oracles.kron(power("X", s2), power("Z", s2))
+        box_s3 = oracles.kron(power("Z", s3), power("X", s3))
+        box = box_s3 @ box_s2
+        assert np.array_equal(mbqc._GATES["horseshoe"][1][2 * s2 + s3], horseshoe)
+        assert np.array_equal(mbqc._GATES["box"][1][2 * s2 + s3], box)
+    for kind, (frame, table) in mbqc._GATES.items():
+        assert frame is GATES[kind][0]
+        assert table.shape == (4, 4, 4) and not table.flags.writeable
 
 
 def test_pattern_runs_on_density_matrices():
     state = build_cluster(BOX_GRAPH)
     rho = as_density(state)
-    pattern = box_pattern(0.5, 1.7, feedforward=False)
+    pattern = gate_pattern(0.5, 1.7)
     _, _, pure = run_pattern(state, pattern, [1, 0])
     _, _, mixed = run_pattern(rho, pattern, [1, 0])
     assert np.allclose(
@@ -437,7 +437,7 @@ def test_a_state_argument_that_is_no_state_is_named(value):
     for frame_change in (to_box_frame, to_horseshoe_frame):
         with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
             frame_change(value)
-    pattern = horseshoe_pattern(0.3, 0.9)
+    pattern = gate_pattern(0.3, 0.9)
     with pytest.raises(ValueError, match=f"^state must be a state, got {shown}$"):
         branch_distribution(value, pattern)
     with pytest.raises(ValueError, match=f"^state must be a state, got {shown}$"):
@@ -480,12 +480,12 @@ def test_a_state_argument_that_is_no_state_is_named(value):
 
 
 # the prefix-sharing walk against two independent sequential runs of each
-# branch (oracles.sequential_branches): chained forced measurements, then
-# the byproducts gate by gate.  The first splits each state as a stack of
-# one with the walk's kernel, the way every branch used to be computed;
-# equal bit for bit, so the exact search tables and the counts drawn from
-# them are unchanged.  The second projects with the oracle's written-out
-# bras and reads no private kernel; it agrees within 1e-12
+# branch (oracles.sequential_branches): chained forced measurements.  The
+# first splits each state as a stack of one with the walk's kernel, the way
+# every branch used to be computed; equal bit for bit, so the exact search
+# tables and the counts drawn from them are unchanged.  The second projects
+# with the oracle's written-out bras and reads no private kernel; it agrees
+# within 1e-12
 
 MARKS = ("00", "01", "10", "11")
 
@@ -503,46 +503,30 @@ def _forced_measure(a, qubit, alpha, bit):
 
 def _sequential_branches(state, pattern, measure=oracles.projected):
     """The oracle's branches of ``pattern`` on ``state``, each step forced by ``measure``."""
-    fields = (pattern.steps, pattern.readout, pattern.feedforward)
-    return oracles.sequential_branches(qcore._array(state), *fields, measure)
+    return oracles.sequential_branches(qcore._array(state), pattern.steps, measure)
 
 
 def _oracle_runs(rng):
     """(state in its frame, pattern) for every oracle state of seed 41: the
-    four search patterns in the box frame, and both gates' patterns with
-    and without feedforward at angles drawn from ``rng``."""
+    four search patterns in the box frame, and the gate pattern in both
+    gates' frames at angles drawn from ``rng``."""
     for state in oracle_states(np.random.default_rng(41)):
         box = to_box_frame(state)
         yield from ((box, grover_pattern(marked)) for marked in MARKS)
         alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
-        for frame, pattern_fn, _ in GATES.values():
-            mapped = frame.apply(state)
-            yield from ((mapped, pattern_fn(alpha, beta, feedforward=ff)) for ff in (True, False))
+        for frame, _ in GATES.values():
+            yield frame.apply(state), gate_pattern(alpha, beta)
 
 
-def _random_feedforward_patterns(rng):
-    """Seeded patterns with feedforward, three for each count of 1-3 steps
-    and 1-3 readout qubits, with qubits and steps in random order: one where
-    each step corrects a random list of readout targets, listed in random
-    order; one where a single step puts X then Z on one target (the order
-    flips a ket's sign); and one where every step corrects that target,
-    alternating Z and X."""
+def _random_patterns(rng):
+    """Seeded patterns, one for each count of 1-3 steps and 1-3 readout
+    qubits, with qubits and steps in random order."""
     patterns = []
     for num_steps, num_readout in itertools.product((1, 2, 3), repeat=2):
         qubits = rng.permutation(num_steps + num_readout).tolist()
         step_qubits, readout = qubits[:num_steps], qubits[num_steps:]
         steps = tuple(zip(step_qubits, rng.uniform(-math.pi, math.pi, size=num_steps).tolist()))
-        lists = [
-            (q, tuple((str(rng.choice(["X", "Z"])), int(rng.choice(readout))) for _ in range(size)))
-            for q, size in zip(step_qubits, rng.integers(1, 4, size=num_steps).tolist())
-        ]
-        target = int(rng.choice(readout))
-        for feedforward in (
-            tuple(lists[i] for i in rng.permutation(num_steps)),
-            ((step_qubits[-1], (("X", target), ("Z", target))),),
-            tuple((q, (("ZX"[k % 2], target),)) for k, q in enumerate(step_qubits)),
-        ):
-            patterns.append(MeasurementPattern(steps, tuple(readout), feedforward))
+        patterns.append(MeasurementPattern(steps, tuple(readout)))
     return patterns
 
 
@@ -551,7 +535,7 @@ def test_branch_distribution_equals_forced_runs():
     runs = list(_oracle_runs(rng))
     runs += [
         (make(rng, len(pattern.steps) + len(pattern.readout)), pattern)
-        for pattern in _random_feedforward_patterns(rng)
+        for pattern in _random_patterns(rng)
         for make in (random_state, random_density)
     ]
     for state, pattern in runs:

@@ -204,6 +204,8 @@ def test_argument_checks_return_the_value_or_name_it():
     assert qcore._check_member(np.str_("a"), "x", ("a",)) == "a"
     assert qcore._check_member(np.bool_(False), "x", (True, False)) is np.False_
     assert qcore._check_member(np.int8(1), "x", (0, 1)) == 1
+    assert qcore._check_sequence(iter([1, 2]), "x", 2) == (1, 2)
+    assert qcore._check_sequence([], "x") == ()
     refused = [
         (qcore._check_finite, (math.nan, "x"), "x must be a finite number, got nan"),
         (qcore._check_finite, (True, "x"), "x must be a finite number, got True"),
@@ -225,6 +227,13 @@ def test_argument_checks_return_the_value_or_name_it():
         (qcore._check_member, (True, "x", (0, 1)), "x must be one of 0, 1, got True"),
         (qcore._check_member, (["a"], "x", ("a", "b")), "x must be one of 'a', 'b', got ['a']"),
         (qcore._check_member, ("c", "x", ("a", "b")), "x must be one of 'a', 'b', got 'c'"),
+        (qcore._check_sequence, (None, "x"), "x must be a sequence, got None"),
+        (qcore._check_sequence, ("ab", "x", 2), "x must be a sequence of 2 items, got 'ab'"),
+        (
+            qcore._check_sequence,
+            ((0, 1, 2), "x", 2),
+            "x must be a sequence of 2 items, got (0, 1, 2)",
+        ),
     ]
     # an int past Python's int-to-str limit (4300 digits) is shown by its
     # size, since repr cannot print it
