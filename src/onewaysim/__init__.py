@@ -15,13 +15,9 @@ from .cluster import (
     BOX_GRAPH,
     ClusterGraph,
     HORSESHOE_GRAPH,
-    box_equivalence,
     build_cluster,
     c4_state,
-    horseshoe_equivalence,
     stabilizer_generators,
-    to_box_frame,
-    to_horseshoe_frame,
 )
 from .photonics import (
     COINCIDENCE_RATE_HZ,
@@ -37,14 +33,13 @@ from .photonics import (
     visibility_scans,
 )
 from .mbqc import (
-    GateOutputSpec,
     MeasurementPattern,
     bell_probabilities,
-    box_gate,
     branch_distribution,
+    frame_equivalence,
+    gate_output,
     gate_pattern,
     grover_run,
-    horseshoe_gate,
     run_pattern,
 )
 from .analysis import (

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -54,9 +55,11 @@ from .qcore import (
     _check_finite,
     _check_integer,
     _check_member,
+    _check_sequence,
     _check_state,
     _check_type,
     _product_basis,
+    _shown,
 )
 
 _SETTING_TERMS = {
@@ -141,7 +144,7 @@ class CountRecord:
     setting: Optional[str] = None
 
     def __post_init__(self):
-        for key, count in self.counts.items():
+        for key, count in _check_type(self.counts, "counts", abc.Mapping).items():
             _check_integer(count, f"counts[{key!r}]", 0)
         if self.setting is not None:
             _check_setting(self.setting)
@@ -166,7 +169,11 @@ def simulate_counts(
     _check_rate(rate, duration)
     for part in seed if isinstance(seed, (list, tuple)) else (seed,):
         _check_seed(part)
-    keys = sorted(probabilities)
+    try:
+        keys = sorted(_check_type(probabilities, "probabilities", abc.Mapping))
+    except TypeError:  # keys that do not compare with each other
+        shown = _shown(list(probabilities))
+        raise ValueError(f"probabilities keys must sort together, got {shown}") from None
     if not keys:
         raise ValueError("empty probability table")
     values = np.array([float(probabilities[k]) for k in keys])
@@ -261,8 +268,8 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
     """
     # exact integer counts per setting, in _OUTCOME_KEYS order
     counts: Dict[str, list] = {}
-    for record in records:
-        _check_setting(record.setting)
+    for i, record in enumerate(_check_sequence(records, "records")):
+        _check_setting(_check_type(record, f"records[{i}]", CountRecord).setting)
         bucket = counts.setdefault(record.setting, [0] * len(_OUTCOME_KEYS))
         for key, count in record.counts.items():
             index = _KEY_INDEX.get(key)
@@ -340,16 +347,18 @@ def gate_fidelity_report(
 ) -> Dict[Tuple[int, int], float]:
     """Branch fidelities of a measured gate against its closed form.
 
-    For each outcome pair s = (s2, s3) of the uncorrected pattern, the
+    ``kind`` names the layout, a row of the gate table (see mbqc).  For
+    each outcome pair s = (s2, s3) of the uncorrected pattern, the
     unnormalised residual is R_s = K_s rho K_s^dagger (see
     :func:`_branch_maps`), read straight off the source-frame state for
     all four branches at once.  The fidelity is t_s^dagger R_s t_s /
-    tr R_s, with t_s the closed-form branch output: the gate's constant
-    byproduct table, a signed permutation, times the (0, 0) output.  Only
-    the arguments are checked; every array is the library's own.
+    tr R_s, with t_s the branch output of :func:`mbqc.gate_output`: the
+    gate's constant byproduct table, a signed permutation, times the
+    (0, 0) output.  Only the arguments are checked; every array is the
+    library's own.
     """
     _check_member(kind, "kind", tuple(_GATES))
-    maps = _branch_maps(_GATES[kind][0], *_gate_layout(alpha, beta))
+    maps = _branch_maps(_GATES[kind][1], *_gate_layout(alpha, beta))
     a = _prepare_state(noise)
     rho = np.outer(a, a.conj()) if a.ndim == 1 else a
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)

@@ -432,7 +432,8 @@ _FIELDS = (
         ("grover",),
     ),
     _Field("grover.feedforward", True, _field(_check_member, (True, False)), ("grover",)),
-    _Field("gate.kind", "horseshoe", _field(_check_member, tuple(_GATES)), ("gate",)),
+    # the layout of the gate table's first row, the horseshoe, by default
+    _Field("gate.kind", tuple(_GATES)[0], _field(_check_member, tuple(_GATES)), ("gate",)),
     _Field("gate.alpha", 0.0, _field(_check_finite), ("gate",)),
     _Field("gate.beta", 0.0, _field(_check_finite), ("gate",)),
     _Field(

@@ -12,9 +12,9 @@ The four-qubit chip realizes two graphs on the linear cluster |C4>:
         |                |   |
     4 - 3                4 - 3
 
-Both are local-unitary images of |C4>; the converters below move
-states between the |C4> frame and either graph frame, and the
-``*_equivalence`` functions check the identities exactly.
+Both are local-unitary images of |C4>: the frame maps below move a
+|C4>-frame state to either graph's frame (``FrameMap.apply``), and
+``mbqc.frame_equivalence`` checks each identity.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .qcore import (
     _check_type,
     _gate_array,
     _product_basis,
-    overlap,
 )
 
 
@@ -69,8 +68,7 @@ class ClusterGraph:
 
 
 # the two layouts demonstrated on the chip, 0-based
-LINEAR_GRAPH = ClusterGraph(4, ((0, 1), (1, 2), (2, 3)))
-HORSESHOE_GRAPH = LINEAR_GRAPH
+HORSESHOE_GRAPH = ClusterGraph(4, ((0, 1), (1, 2), (2, 3)))
 BOX_GRAPH = ClusterGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
@@ -156,27 +154,3 @@ class FrameMap:
 # |C4> frame -> graph frames
 HORSESHOE_FRAME = FrameMap((0, 1, 2, 3), (_HADAMARD, None, None, _HADAMARD))
 BOX_FRAME = FrameMap((0, 2, 1, 3), (_HADAMARD,) * 4)
-
-
-def to_horseshoe_frame(state: State) -> State:
-    """Map a |C4>-frame state to the horseshoe graph frame (HORSESHOE_FRAME)."""
-    return HORSESHOE_FRAME.apply(state)
-
-
-def to_box_frame(state: State) -> State:
-    """Map a |C4>-frame state to the box graph frame (BOX_FRAME)."""
-    return BOX_FRAME.apply(state)
-
-
-def horseshoe_equivalence() -> Tuple[StateVector, StateVector, float]:
-    """Built horseshoe cluster vs the converted |C4>; overlap should be 1."""
-    built = build_cluster(HORSESHOE_GRAPH)
-    mapped = to_horseshoe_frame(c4_state())
-    return built, mapped, overlap(built, mapped)
-
-
-def box_equivalence() -> Tuple[StateVector, StateVector, float]:
-    """Built box cluster vs the converted |C4>; overlap should be 1."""
-    built = build_cluster(BOX_GRAPH)
-    mapped = to_box_frame(c4_state())
-    return built, mapped, overlap(built, mapped)

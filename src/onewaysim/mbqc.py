@@ -8,8 +8,9 @@ is given by its branches, and one walk over its steps gives them all:
 picks the branch of given forced outcomes from it.  On top of the walk
 this module provides
 
-* the two-qubit gate pattern of the horseshoe and box clusters with
-  both gates' closed-form output states,
+* the two-qubit gate pattern and one table of its two layouts, the
+  horseshoe and box clusters, which :func:`gate_output` (the closed-form
+  outputs) and :func:`frame_equivalence` read by the layout's name,
 * the four-entry search protocol on the box cluster, and
 * the interferometric discrimination of the four gate output states
   carried by a single photon (polarization, path).
@@ -24,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cluster import _C4, BOX_FRAME, HORSESHOE_FRAME
+from .cluster import _C4, BOX_FRAME, BOX_GRAPH, HORSESHOE_FRAME, HORSESHOE_GRAPH, build_cluster
 from .photonics import _PM_BASIS, _Z_BASIS
 from .qcore import (
     _HADAMARD,
@@ -43,6 +44,7 @@ from .qcore import (
     _qubits,
     _rotated_diagonal,
     _rz_matrix,
+    overlap,
 )
 
 
@@ -63,8 +65,8 @@ class MeasurementPattern:
 
     def __post_init__(self):
         steps = []
-        for i, step in enumerate(_check_sequence(self.steps, "steps")):
-            qubit, angle = _check_sequence(step, f"steps[{i}]", 2)
+        for i, step in enumerate(_check_sequence(self.steps, "steps", ordered=True)):
+            qubit, angle = _check_sequence(step, f"steps[{i}]", 2, ordered=True)
             qubit = _check_integer(qubit, f"steps[{i}] qubit", 0)
             steps.append((qubit, _check_finite(angle, f"steps[{i}] angle")))
         if not steps:
@@ -123,40 +125,23 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
     Raises
     ------
     ValueError
-        If an outcome is not a bit or the count is not one per step.
+        If the outcomes are not an ordered sequence of one bit per step.
     ImpossibleOutcomeError
         If the walk dropped the branch (weight below 1e-12 at some step).
     """
     steps = _check_type(pattern, "pattern", MeasurementPattern).steps
-    if np.ndim(outcomes) != 1 or len(outcomes) != len(steps):
-        raise ValueError(f"outcomes must hold one forced outcome per step, got {outcomes!r}")
+    outcomes = _check_sequence(outcomes, "outcomes", len(steps), ordered=True)
     for i, bit in enumerate(outcomes):
         _check_member(bit, f"outcomes[{i}]", (0, 1))
     for branch in branch_distribution(state, pattern):
-        if branch[0] == tuple(outcomes):
+        if branch[0] == outcomes:
             return branch
-    raise ImpossibleOutcomeError(f"outcomes {tuple(outcomes)} have weight below 1e-12")
+    raise ImpossibleOutcomeError(f"outcomes {outcomes} have weight below 1e-12")
 
 
 # ---------------------------------------------------------------------------
 # two-qubit gates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateOutputSpec:
-    """Angles and branch outcomes selecting one gate output state."""
-
-    alpha: float
-    beta: float
-    s2: int = 0
-    s3: int = 0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            _check_finite(getattr(self, name), name)
-        for name in ("s2", "s3"):
-            _check_member(getattr(self, name), name, (0, 1))
 
 
 def _gate_layout(alpha: float, beta: float):
@@ -182,11 +167,11 @@ def _byproducts(letters) -> np.ndarray:
     return table
 
 
-# gate kind -> (graph frame, byproduct table); the byproducts do not
-# depend on the angles
+# layout name -> (graph, frame map onto it from |C4>, byproduct table, whether
+# an output CZ negates the |11> entry); none of them depends on the angles
 _GATES = {
-    "horseshoe": (HORSESHOE_FRAME, _byproducts(("XI", "IX"))),
-    "box": (BOX_FRAME, _byproducts(("XZ", "ZX"))),
+    "horseshoe": (HORSESHOE_GRAPH, HORSESHOE_FRAME, _byproducts(("XI", "IX")), False),
+    "box": (BOX_GRAPH, BOX_FRAME, _byproducts(("XZ", "ZX")), True),
 }
 
 # CZ|++> with one axis per qubit: entry (i, j) is the amplitude of |ij>
@@ -196,39 +181,37 @@ _CZ_PLUS = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
 def _gate_targets(kind: str, alpha: float, beta: float) -> np.ndarray:
     """Row 2 s2 + s3: branch (s2, s3)'s byproducts times the (0, 0) output
     (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
-    B = H Rz(-beta), whose |11> entry the box's extra CZ negates; unchecked."""
+    B = H Rz(-beta), whose |11> entry an output CZ negates; unchecked."""
+    _, _, byproducts, output_cz = _GATES[kind]
     a, b = (_HADAMARD @ _rz_matrix(-t) for t in (alpha, beta))
     target = a @ _CZ_PLUS @ b.T
-    if kind == "box":
+    if output_cz:
         target[1, 1] = -target[1, 1]
-    return _GATES[kind][1] @ target.reshape(4)
+    return byproducts @ target.reshape(4)
 
 
-def _gate_output(kind: str, spec: GateOutputSpec) -> StateVector:
-    spec = _check_type(spec, "spec", GateOutputSpec)
-    return StateVector(_gate_targets(kind, spec.alpha, spec.beta)[2 * spec.s2 + spec.s3])
-
-
-def horseshoe_gate(spec: GateOutputSpec) -> StateVector:
-    """Closed-form residual of :func:`gate_pattern` on the horseshoe
-    cluster for one branch.
+def gate_output(kind: str, alpha: float, beta: float, s2: int = 0, s3: int = 0) -> StateVector:
+    """Closed-form residual of :func:`gate_pattern` on the ``kind`` cluster
+    for branch (s2, s3).
 
     Qubit 0 of the result is cluster qubit 1, qubit 1 is cluster qubit 4.
-    A pattern applies no correction, so the branch's byproducts X^{s2}
-    (qubit 0) and X^{s3} (qubit 1), row 2 s2 + s3 of the gate's constant
-    table, stay in the state.
+    A pattern applies no correction, so the branch's byproducts, row
+    2 s2 + s3 of the gate's constant table, stay in the state: X^{s2}
+    (qubit 0) and X^{s3} (qubit 1) on the horseshoe, (X x Z)^{s2}
+    followed by (Z x X)^{s3} on the box.
     """
-    return _gate_output("horseshoe", spec)
+    _check_member(kind, "kind", tuple(_GATES))
+    _gate_layout(alpha, beta)
+    branch = 2 * _check_member(s2, "s2", (0, 1)) + _check_member(s3, "s3", (0, 1))
+    return StateVector(_gate_targets(kind, alpha, beta)[branch])
 
 
-def box_gate(spec: GateOutputSpec) -> StateVector:
-    """Closed-form residual of :func:`gate_pattern` on the box cluster for
-    one branch.
-
-    Same qubit convention as :func:`horseshoe_gate`; the byproducts that
-    stay in the state are (X x Z)^{s2} followed by (Z x X)^{s3}.
-    """
-    return _gate_output("box", spec)
+def frame_equivalence(kind: str) -> Tuple[StateVector, StateVector, float]:
+    """The ``kind`` cluster built on its graph, |C4> mapped to its frame,
+    and their overlap, which should be 1."""
+    graph, frame, _, _ = _GATES[_check_member(kind, "kind", tuple(_GATES))]
+    built, mapped = build_cluster(graph), frame.apply(StateVector(_C4))
+    return built, mapped, overlap(built, mapped)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 
     Returns (model, residual) with residual the summed squared misfit.
     """
-    values = enumerate(_check_sequence(targets, "targets", 6))
+    values = enumerate(_check_sequence(targets, "targets", 6, ordered=True))
     checked = [_check_unit(v, f"targets[{i}]", -1.0) for i, v in values]
     named = dict(zip(WITNESS_OBSERVABLES, checked))
     flat = [named[w] for w in ("XXIZ", "XXZI", "IIZZ", "ZZII")]
@@ -368,7 +368,7 @@ def visibility_scans(
     understates the visibility.  ``detector_pairs`` lists DETECTOR_PAIRS.
     """
     samples = _check_samples(samples, "samples")
-    detector_pairs = _check_sequence(detector_pairs, "detector_pairs")
+    detector_pairs = _check_sequence(detector_pairs, "detector_pairs", ordered=True)
     ports = [_parse_pair(pair, f"detector_pairs[{i}]") for i, pair in enumerate(detector_pairs)]
     _check_type(model, "model", NoiseModel)
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)

@@ -32,9 +32,10 @@ Every argument of the library is checked by one family of checkers,
 each returning the checked value or raising a ValueError "{name} must
 be ..., got ...": ``_check_finite``, ``_check_unit``, ``_check_integer``,
 ``_check_member``, ``_check_type``, ``_check_sequence`` (which returns a
-container's items as a tuple) and ``_check_state`` (which returns the
-state's array).  A check that relates values, or that looks inside
-one (a Pauli word's letters, a table's sum), is written where it runs.
+container's items as a tuple, and refuses a set or mapping where the
+items' order matters) and ``_check_state`` (which returns the state's
+array).  A check that relates values, or that looks inside one (a Pauli
+word's letters, a table's sum), is written where it runs.
 
 All operations are pure: they return new values and never mutate their
 inputs.  Arrays stored inside returned objects are marked read-only, so
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -136,16 +138,22 @@ def _check_member(value, name: str, options: tuple):
     return value
 
 
-def _check_sequence(value, name: str, length: Optional[int] = None) -> tuple:
+def _check_sequence(
+    value, name: str, length: Optional[int] = None, ordered: bool = False
+) -> tuple:
     """``value``'s items as a tuple, once it is an iterable other than a
-    string (an iterator is read once), of ``length`` items if given."""
+    string (an iterator is read once), of ``length`` items if given.  An
+    ``ordered`` one is no set, mapping or mapping view either, whose
+    iteration order is no order of the caller's."""
+    unordered = ordered and isinstance(value, (abc.Set, abc.Mapping, abc.MappingView))
     try:
-        items = None if isinstance(value, (str, bytes)) else tuple(value)
+        items = None if unordered or isinstance(value, (str, bytes)) else tuple(value)
     except TypeError:  # not iterable
         items = None
     if items is None or (length is not None and len(items) != length):
         size = "" if length is None else f" of {length} items"
-        raise ValueError(f"{name} must be a sequence{size}, got {_shown(value)}")
+        kind = "an ordered sequence" if ordered else "a sequence"
+        raise ValueError(f"{name} must be {kind}{size}, got {_shown(value)}")
     return items
 
 

@@ -1,5 +1,5 @@
 """Shared inputs of the tests: seeded random states, the noise models and
-states every oracle test runs, the fitted model, the gate table and
+states every oracle test runs, the fitted model, the gate layouts and
 helpers that read the package.  The independent references themselves
 are in ``oracles``."""
 
@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from onewaysim import analysis, cli, cluster, mbqc, photonics, qcore
-from onewaysim.cluster import BOX_FRAME, HORSESHOE_FRAME, ClusterGraph, build_cluster, c4_state
-from onewaysim.mbqc import box_gate, horseshoe_gate
+from onewaysim.cluster import (
+    BOX_FRAME,
+    BOX_GRAPH,
+    HORSESHOE_FRAME,
+    HORSESHOE_GRAPH,
+    ClusterGraph,
+    build_cluster,
+    c4_state,
+)
 from onewaysim.photonics import (
     REFERENCE_WITNESS_TERMS,
     WITNESS_OBSERVABLES,
@@ -38,11 +45,12 @@ PIN_MODELS = {
     },
 }
 
-# each gate's frame map (from the |C4> frame to its graph) and output; both
-# gates run mbqc.gate_pattern
-GATES = {
-    "horseshoe": (HORSESHOE_FRAME, horseshoe_gate),
-    "box": (BOX_FRAME, box_gate),
+# each gate layout's graph and frame map (from the |C4> frame to that
+# graph), written out apart from the package's table; both gates run
+# mbqc.gate_pattern, and mbqc.gate_output(name, ...) is each one's output
+LAYOUTS = {
+    "horseshoe": (HORSESHOE_GRAPH, HORSESHOE_FRAME),
+    "box": (BOX_GRAPH, BOX_FRAME),
 }
 
 

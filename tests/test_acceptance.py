@@ -19,20 +19,17 @@ from onewaysim.cluster import (
     BOX_GRAPH,
     HORSESHOE_GRAPH,
     ClusterGraph,
-    box_equivalence,
     build_cluster,
     c4_state,
-    horseshoe_equivalence,
     stabilizer_generators,
 )
 from onewaysim.mbqc import (
     BELL_LABELS,
-    GateOutputSpec,
     bell_probabilities,
-    box_gate,
+    frame_equivalence,
+    gate_output,
     gate_pattern,
     grover_run,
-    horseshoe_gate,
     run_pattern,
 )
 from onewaysim.photonics import (
@@ -153,25 +150,22 @@ def test_criterion_3_search_is_deterministic(verdict):
 
 def test_criterion_4_gate_formulas_match_simulation(verdict):
     worst = 1.0
-    for kind, graph, gate_fn in (
-        ("horseshoe", HORSESHOE_GRAPH, horseshoe_gate),
-        ("box", BOX_GRAPH, box_gate),
-    ):
+    for kind, graph in (("horseshoe", HORSESHOE_GRAPH), ("box", BOX_GRAPH)):
         state = build_cluster(graph)
         for alpha in GRID:
             for beta in GRID:
                 pattern = gate_pattern(alpha, beta)
                 for s2, s3 in BRANCHES:
                     _, _, residual = run_pattern(state, pattern, (s2, s3))
-                    target = gate_fn(GateOutputSpec(alpha, beta, s2, s3))
+                    target = gate_output(kind, alpha, beta, s2, s3)
                     worst = min(worst, fidelity(residual, target))
 
     entropy_err = max(
-        abs(entanglement_entropy(horseshoe_gate(GateOutputSpec(a, b)), [0]) - 1.0)
+        abs(entanglement_entropy(gate_output("horseshoe", a, b), [0]) - 1.0)
         for a in GRID
         for b in GRID
     )
-    box_states = [box_gate(GateOutputSpec(math.pi, 0.0, s2, s3)) for s2, s3 in BRANCHES]
+    box_states = [gate_output("box", math.pi, 0.0, s2, s3) for s2, s3 in BRANCHES]
     box_entropy = max(entanglement_entropy(s, [0]) for s in box_states)
     box_overlap = max(
         overlap(box_states[i], box_states[j])
@@ -200,7 +194,7 @@ def test_criterion_5_output_discrimination(verdict):
     labels = {}
     worst = 1.0
     for s2, s3 in BRANCHES:
-        state = horseshoe_gate(GateOutputSpec(0.0, 0.0, s2, s3))
+        state = gate_output("horseshoe", 0.0, 0.0, s2, s3)
         probs = bell_probabilities(state)
         label = max(probs, key=probs.get)
         labels[(s2, s3)] = label
@@ -218,8 +212,8 @@ def test_criterion_5_output_discrimination(verdict):
 
 
 def test_criterion_6_graph_frame_equivalences(verdict):
-    _, _, horseshoe = horseshoe_equivalence()
-    _, _, box = box_equivalence()
+    _, _, horseshoe = frame_equivalence("horseshoe")
+    _, _, box = frame_equivalence("box")
     ok = abs(horseshoe - 1.0) <= 1e-10 and abs(box - 1.0) <= 1e-10
     verdict(
         6,

@@ -23,14 +23,12 @@ from onewaysim.analysis import (
     witness_from_counts,
     witness_value,
 )
-from onewaysim.cluster import BOX_FRAME, HORSESHOE_FRAME, c4_state
+from onewaysim.cluster import BOX_FRAME, c4_state
 from onewaysim.mbqc import (
-    GateOutputSpec,
     MeasurementPattern,
-    box_gate,
+    gate_output,
     gate_pattern,
     grover_run,
-    horseshoe_gate,
     run_pattern,
 )
 from onewaysim.photonics import (
@@ -56,7 +54,7 @@ from conftest import (
     FIT_P,
     FIT_Q,
     FITTED_MODEL,
-    GATES,
+    LAYOUTS,
     PIN_MODELS,
     SEED_RANGE,
     count_states,
@@ -437,7 +435,7 @@ def test_witness_stderr_scales_with_duration():
 
 
 def test_gate_report_ideal_is_unit_fidelity():
-    for kind in ("horseshoe", "box"):
+    for kind in LAYOUTS:
         report = gate_fidelity_report(kind, 0.3, 1.1)
         assert set(report) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         for value in report.values():
@@ -471,14 +469,13 @@ def test_box_report_under_fitted_noise():
 # each outcome pair, and the residual compared with the closed form
 
 def _gate_report_by_branches(kind, alpha, beta, state):
-    frame, target_fn = GATES[kind]
-    mapped = frame.apply(state)
+    mapped = LAYOUTS[kind][1].apply(state)
     pattern = gate_pattern(alpha, beta)
     report = {}
     for s2 in (0, 1):
         for s3 in (0, 1):
             _, _, residual = run_pattern(mapped, pattern, (s2, s3))
-            report[(s2, s3)] = fidelity(residual, target_fn(GateOutputSpec(alpha, beta, s2, s3)))
+            report[(s2, s3)] = fidelity(residual, gate_output(kind, alpha, beta, s2, s3))
     return report
 
 
@@ -488,7 +485,7 @@ def _assert_reports_match(report, oracle):
         assert report[branch] == pytest.approx(value, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ("horseshoe", "box"))
+@pytest.mark.parametrize("kind", LAYOUTS)
 def test_gate_report_matches_branch_runs(kind):
     rng = np.random.default_rng(97)
     for model in oracle_models(rng):
@@ -499,7 +496,7 @@ def test_gate_report_matches_branch_runs(kind):
             _assert_reports_match(report, _gate_report_by_branches(kind, alpha, beta, state))
 
 
-@pytest.mark.parametrize("kind", ("horseshoe", "box"))
+@pytest.mark.parametrize("kind", LAYOUTS)
 def test_gate_report_matches_branch_runs_on_any_state(kind, monkeypatch):
     # random registers break the symmetries of the cluster, so a measured
     # qubit read off the wrong source qubit shows up here
@@ -525,7 +522,7 @@ def test_gate_report_rejects_an_impossible_branch(monkeypatch):
 def test_gate_report_keeps_a_branch_at_the_floor(monkeypatch):
     # a branch is kept at or above the forced-outcome floor, as in a walk
     pattern = gate_pattern(0.4, 1.3)
-    maps = analysis._branch_maps(mbqc._GATES["box"][0], pattern.steps, pattern.readout)
+    maps = analysis._branch_maps(BOX_FRAME, pattern.steps, pattern.readout)
     rho = qcore._density_array(c4_state())
     lightest = np.trace(maps @ rho @ maps.conj().swapaxes(1, 2), axis1=1, axis2=2).real.min()
     monkeypatch.setattr(analysis, "_FORCED_MIN_WEIGHT", lightest)
@@ -535,15 +532,16 @@ def test_gate_report_keeps_a_branch_at_the_floor(monkeypatch):
         gate_fidelity_report("box", 0.4, 1.3)
 
 
-@pytest.mark.parametrize("frame", (HORSESHOE_FRAME, BOX_FRAME), ids=("horseshoe", "box"))
+@pytest.mark.parametrize("kind", LAYOUTS)
 @pytest.mark.parametrize("steps", ((2,), (1, 3, 0), (3, 0, 2)))
-def test_branch_maps_match_forced_runs_for_any_step_count(frame, steps):
+def test_branch_maps_match_forced_runs_for_any_step_count(kind, steps):
     # the gates measure two qubits of four; one or three steps (three or one
     # readout qubits) pin the branch and readout dimensions of the maps
     rng = np.random.default_rng(107)
     alphas = (float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, size=len(steps)))
     readout = tuple(q for q in range(4) if q not in steps)
     pattern = MeasurementPattern(tuple(zip(steps, alphas)), readout)
+    frame = LAYOUTS[kind][1]
     maps = analysis._branch_maps(frame, pattern.steps, pattern.readout)
     assert maps.shape == (2 ** len(steps), 2 ** len(readout), 16)
     for make in (random_state, random_density):
@@ -562,14 +560,14 @@ def test_reports_build_no_intermediate_state(monkeypatch):
     # the prepared source, the branch maps, the targets and the search walk
     # are the library's own arrays: a report checks its arguments only
     for noise in (None, NoiseModel.ideal(), FITTED_MODEL):
-        for kind in ("horseshoe", "box"):
+        for kind in LAYOUTS:
             gate_fidelity_report(kind, 0.3, 1.1, noise)
         for feedforward in (True, False):
             grover_report(noise, feedforward, "10")
     assert calls == []
     # a public gate output is checked once, by its constructor
-    for gate in (horseshoe_gate, box_gate):
-        gate(GateOutputSpec(0.3, 1.1, 1, 1))
+    for kind in LAYOUTS:
+        gate_output(kind, 0.3, 1.1, 1, 1)
     assert calls == ["ket", "ket"]
 
 
@@ -615,9 +613,9 @@ def test_arrays_passed_between_stages_are_c_ordered():
     for model in (None, *PIN_MODELS.values()):
         source = analysis._prepare_state(model)
         assert source.flags.c_contiguous
-        for frame in (BOX_FRAME, HORSESHOE_FRAME):
+        for _, frame in LAYOUTS.values():
             assert frame._frame(source).flags.c_contiguous
-    for kind in ("horseshoe", "box"):
+    for kind in LAYOUTS:
         assert mbqc._gate_targets(kind, 0.3, 1.1).flags.c_contiguous
 
 
@@ -638,19 +636,18 @@ def test_grover_report_equals_the_public_chain_bit_for_bit(model):
 def _gate_report_by_public_chain(kind, alpha, beta, model):
     """The report from the checked public objects: the gate's pattern, the
     (noisy) cluster state and the (0, 0) output state."""
-    frame, gate = GATES[kind]
     pattern = gate_pattern(alpha, beta)
-    maps = analysis._branch_maps(frame, pattern.steps, pattern.readout)
+    maps = analysis._branch_maps(LAYOUTS[kind][1], pattern.steps, pattern.readout)
     rho = qcore._density_array(noisy(c4_state(), model))
     residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
     weights = np.trace(residuals, axis1=1, axis2=2).real
-    targets = mbqc._GATES[kind][1] @ gate(GateOutputSpec(alpha, beta)).amplitudes
+    targets = mbqc._GATES[kind][2] @ gate_output(kind, alpha, beta).amplitudes
     overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
     branches = itertools.product((0, 1), repeat=2)
     return {b: float(value / weight) for b, weight, value in zip(branches, weights, overlaps)}
 
 
-@pytest.mark.parametrize("kind", ("horseshoe", "box"))
+@pytest.mark.parametrize("kind", LAYOUTS)
 @pytest.mark.parametrize("model", PIN_MODELS.values(), ids=PIN_MODELS.keys())
 def test_gate_report_equals_the_public_chain_bit_for_bit(model, kind):
     rng = np.random.default_rng(109)
@@ -780,7 +777,7 @@ def test_exact_outputs_match_the_closed_forms(a, b, p, theta, alpha, beta):
         for feedforward in (True, False):
             for mark, value in grover_run(marked, feedforward, cluster).items():
                 close(value, oracles.search_probability(mark, marked, feedforward, p))
-    for kind in ("horseshoe", "box"):
+    for kind in LAYOUTS:
         for value in gate_fidelity_report(kind, alpha, beta, model).values():
             close(value, oracles.gate_fidelity(kind, p, q, alpha))
     for scan in visibility_scans(model, DETECTOR_PAIRS):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import stat
 import subprocess
 import sys
@@ -707,6 +708,15 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         fresh = _run_fresh(argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_the_package_run_as_a_program_exits_with_mains_code(capsys, monkeypatch):
+    # python -m onewaysim runs the package's __main__, here in this process
+    expected = main(["witness"]), capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["onewaysim", "witness"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("onewaysim", run_name="__main__")
+    assert (info.value.code, capsys.readouterr()) == expected
 
 
 def test_csv_without_out_is_an_error(capsys):

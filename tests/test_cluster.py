@@ -13,17 +13,13 @@ from onewaysim.cluster import (
     BOX_GRAPH,
     HORSESHOE_FRAME,
     HORSESHOE_GRAPH,
-    LINEAR_GRAPH,
     ClusterGraph,
     FrameMap,
-    box_equivalence,
     build_cluster,
     c4_state,
-    horseshoe_equivalence,
     stabilizer_generators,
-    to_box_frame,
-    to_horseshoe_frame,
 )
+from onewaysim.mbqc import frame_equivalence
 from onewaysim.qcore import (
     PauliString,
     _array,
@@ -33,7 +29,7 @@ from onewaysim.qcore import (
 )
 
 import oracles
-from conftest import as_density, ket, one_qubit_gate, random_density, random_state
+from conftest import LAYOUTS, as_density, ket, one_qubit_gate, random_density, random_state
 
 
 def test_graph_normalizes_edges():
@@ -73,8 +69,7 @@ def test_graph_validation():
 
 
 def test_named_graphs():
-    assert LINEAR_GRAPH is HORSESHOE_GRAPH
-    assert LINEAR_GRAPH.edges == ((0, 1), (1, 2), (2, 3))
+    assert HORSESHOE_GRAPH.edges == ((0, 1), (1, 2), (2, 3))
     assert BOX_GRAPH.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
@@ -118,12 +113,12 @@ def test_c4_amplitudes():
 
 
 def test_linear_stabilizer_words():
-    words = [g.letters for g in stabilizer_generators(LINEAR_GRAPH)]
+    words = [g.letters for g in stabilizer_generators(HORSESHOE_GRAPH)]
     assert words == ["XZII", "ZXZI", "IZXZ", "IIZX"]
 
 
 def test_stabilizers_fix_named_clusters():
-    for graph in (LINEAR_GRAPH, BOX_GRAPH):
+    for graph in (HORSESHOE_GRAPH, BOX_GRAPH):
         state = build_cluster(graph)
         for gen in stabilizer_generators(graph):
             assert expectation(state, gen) == pytest.approx(1.0, abs=1e-12)
@@ -155,7 +150,7 @@ def test_cluster_entropy_of_every_cut():
     # the entropy across a cut of a graph state is the GF(2) rank of the
     # adjacency block between its sides; cuts of 1, 2 and 3 qubits
     expected = {
-        LINEAR_GRAPH: {(0,): 1, (1,): 1, (0, 1): 1, (0, 2): 2, (0, 3): 2, (0, 1, 2): 1},
+        HORSESHOE_GRAPH: {(0,): 1, (1,): 1, (0, 1): 1, (0, 2): 2, (0, 3): 2, (0, 1, 2): 1},
         BOX_GRAPH: {(0,): 1, (1,): 1, (0, 1): 2, (0, 2): 1, (0, 3): 2, (0, 1, 2): 1},
     }
     for graph, cuts in expected.items():
@@ -165,31 +160,28 @@ def test_cluster_entropy_of_every_cut():
     assert entanglement_entropy(c4_state(), (0, 2)) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_horseshoe_equivalence():
-    built, mapped, value = horseshoe_equivalence()
+@pytest.mark.parametrize("kind", LAYOUTS)
+def test_frame_equivalence(kind):
+    graph, frame = LAYOUTS[kind]
+    built, mapped, value = frame_equivalence(kind)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(built.amplitudes, mapped.amplitudes)
+    assert np.array_equal(built.amplitudes, build_cluster(graph).amplitudes)
+    assert np.array_equal(mapped.amplitudes, frame.apply(c4_state()).amplitudes)
 
 
-def test_box_equivalence():
-    built, mapped, value = box_equivalence()
-    assert value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_frame_maps_are_polymorphic():
+@pytest.mark.parametrize("kind", LAYOUTS)
+def test_frame_maps_are_polymorphic(kind):
+    frame = LAYOUTS[kind][1]
     psi = c4_state()
-    rho = as_density(psi)
-    for map_fn in (to_horseshoe_frame, to_box_frame):
-        pure = map_fn(psi)
-        mixed = map_fn(rho)
-        assert np.allclose(
-            mixed.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj())
-        )
+    pure = frame.apply(psi)
+    mixed = frame.apply(as_density(psi))
+    assert np.allclose(mixed.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj()))
 
 
 def test_frame_maps_preserve_basis_labels():
     # H on 0 and 3 sends |0..0> to a uniform superposition over those qubits
-    out = to_horseshoe_frame(ket("0000"))
+    out = HORSESHOE_FRAME.apply(ket("0000"))
     nonzero = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
     assert {format(i, "04b") for i in nonzero} == {"0000", "0001", "1000", "1001"}
 
@@ -246,7 +238,8 @@ def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
             BOX_FRAME.apply(state)
 
 
-def test_frame_map_checks_the_state_it_returns(monkeypatch, rng):
+@pytest.mark.parametrize("kind", LAYOUTS)
+def test_frame_map_checks_the_state_it_returns(kind, monkeypatch, rng):
     # no step of the frame change is checked, so a faulty gate kernel must
     # still meet the returned state's constructor, with its message
     out = []
@@ -263,7 +256,7 @@ def test_frame_map_checks_the_state_it_returns(monkeypatch, rng):
         (random_density(rng, 4), "density matrix"),
     ):
         with pytest.raises(ValueError) as caught:
-            to_box_frame(state)
+            LAYOUTS[kind][1].apply(state)
         assert str(caught.value).startswith(prefix)
         with pytest.raises(ValueError) as expected:
             type(state)(out[-1])  # the last gate's result

@@ -11,23 +11,28 @@ numpy scalar's ``item()``: ``np.int64(1)`` acts as 1), and must not be
 refused by name.  What a parameter takes is written out below, apart
 from the library's checks.
 
-Each container parameter (a list of edges, steps, qubits, targets or
-names, and each edge and step in it) is given what is no container of
-items (None, numbers, strings, bytes, a 0-d array), a container with the
-wrong number of items where that number is fixed, and one whose first
-item is None: each must raise a ValueError naming the parameter.  A list,
-a generator or an iterator of the items it takes must give the outcome of
-their tuple.
+Each container parameter (a list of edges, steps, qubits, targets,
+names or outcomes, and each edge and step in it) is given what is no
+container of items (None, numbers, strings, bytes, a 0-d array), a
+container with the wrong number of items where that number is fixed, and
+one whose first item is None: each must raise a ValueError naming the
+parameter.  A list, a generator or an iterator of the items it takes
+must give the outcome of their tuple.  Where the items' order carries
+meaning, a set, a frozenset, a dict and each dict view must be refused
+by name too; where the library sorts the items, a set or frozenset of
+them must give the outcome of their tuple.  The mappings of counts and
+probabilities and the list of count records are given what is no
+mapping or list, and a list of what is no record.
 
-Out of scope: the array arguments of the state constructors, and the
-mappings and record lists of ``simulate_counts`` and
-``witness_from_counts``; the exports without parameters; the report
-records, which hold results and check nothing.
+Out of scope: the array arguments of the state constructors; the
+exports without parameters; the report records, which hold results and
+check nothing.
 """
 
 import math
 import re
 import sys
+import types
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -37,17 +42,16 @@ from hypothesis import strategies as st
 
 from onewaysim import (
     BOX_GRAPH,
+    HORSESHOE_GRAPH,
     ClusterGraph,
     CountRecord,
     DensityMatrix,
-    GateOutputSpec,
     MeasurementPattern,
     NoiseModel,
     PauliString,
     StateVector,
     apply_noise,
     bell_probabilities,
-    box_gate,
     branch_distribution,
     build_cluster,
     c4_state,
@@ -55,11 +59,12 @@ from onewaysim import (
     expectation,
     fidelity,
     fit_noise,
+    frame_equivalence,
     gate_fidelity_report,
+    gate_output,
     gate_pattern,
     grover_report,
     grover_run,
-    horseshoe_gate,
     joint_distribution,
     overlap,
     run_pattern,
@@ -67,25 +72,24 @@ from onewaysim import (
     simulate_witness_records,
     source_state,
     stabilizer_generators,
-    to_box_frame,
-    to_horseshoe_frame,
     visibility_scans,
+    witness_from_counts,
     witness_value,
 )
+from onewaysim.cluster import BOX_FRAME, HORSESHOE_FRAME
 
 _C4 = c4_state()
 _BELL = StateVector([2**-0.5, 0.0, 0.0, 2**-0.5])
 _MIXED = DensityMatrix(np.outer(_C4.amplitudes, _C4.amplitudes.conj()))
 _MODEL = NoiseModel(0.05, 0.1, 0.2)
 _PATTERN = MeasurementPattern(((0, 0.3),), (1,))
-_SPEC = GateOutputSpec(0.3, 1.1)
 
 # the same hostile values for every parameter; each is valid for some
 _HOSTILE = (
     True, False, 1.5, -0.5, math.nan, math.inf, -math.inf, 10**400, -(10**400), 16**4000,
     "x", "", None, np.int64(1), np.int64(-1), np.float64(0.5), np.float64(math.nan),
     np.bool_(True), np.str_("00"), _C4.amplitudes, _C4, _MIXED, _BELL, StateVector([1.0, 0.0]),
-    _MODEL, PauliString("XXXX"), _PATTERN, BOX_GRAPH, _SPEC,
+    _MODEL, PauliString("XXXX"), _PATTERN, BOX_GRAPH, BOX_FRAME,
 )
 
 
@@ -128,6 +132,7 @@ _STATE = (StateVector, DensityMatrix)
 _FINITE, _UNIT, _FLAG, _BIT = _real(), _real(0.0, 1.0), _member(True, False), _member(0, 1)
 _SEED = _integer(0, 2**128 - 1)
 _SETTING = _member("XXZZ", "ZZXX")
+_LAYOUT = _member("horseshoe", "box")
 
 
 class Param(NamedTuple):
@@ -161,8 +166,9 @@ _PARAMS = [
     Param("build_cluster.graph", "graph", build_cluster, _instance(ClusterGraph)),
     Param("stabilizer_generators.graph", "graph", stabilizer_generators,
           _instance(ClusterGraph)),
-    Param("to_box_frame.state", "state", to_box_frame, _instance(_STATE, 4)),
-    Param("to_horseshoe_frame.state", "state", to_horseshoe_frame, _instance(_STATE, 4)),
+    Param("FrameMap.apply.state[horseshoe]", "state", HORSESHOE_FRAME.apply,
+          _instance(_STATE, 4)),
+    Param("FrameMap.apply.state[box]", "state", BOX_FRAME.apply, _instance(_STATE, 4)),
     # photonics
     *(
         Param(f"NoiseModel.{field}", field, lambda v, f=field: NoiseModel(**{f: v}), _UNIT)
@@ -201,12 +207,15 @@ _PARAMS = [
     Param("run_pattern.outcomes", "outcomes", lambda v: run_pattern(_BELL, _PATTERN, (v,)),
           _BIT),
     *(
-        Param(f"GateOutputSpec.{field}", field,
-              lambda v, f=field: GateOutputSpec(**{"alpha": 0.3, "beta": 1.1, f: v}), check)
-        for field, check in (("alpha", _FINITE), ("beta", _FINITE), ("s2", _BIT), ("s3", _BIT))
+        Param(f"gate_output.{field}", field,
+              lambda v, f=field: gate_output(
+                  **{"kind": "box", "alpha": 0.3, "beta": 1.1, "s2": 1, "s3": 0, f: v}
+              ), check)
+        for field, check in (
+            ("kind", _LAYOUT), ("alpha", _FINITE), ("beta", _FINITE), ("s2", _BIT), ("s3", _BIT),
+        )
     ),
-    Param("horseshoe_gate.spec", "spec", horseshoe_gate, _instance(GateOutputSpec)),
-    Param("box_gate.spec", "spec", box_gate, _instance(GateOutputSpec)),
+    Param("frame_equivalence.kind", "kind", frame_equivalence, _LAYOUT),
     *(
         Param(f"gate_pattern.{field}", field,
               lambda v, f=field: gate_pattern(**{"alpha": 0.3, "beta": 1.1, f: v}), _FINITE)
@@ -249,7 +258,7 @@ _PARAMS = [
                   **{"kind": "box", "alpha": 0.3, "beta": 1.1, "noise": _MODEL, f: v}
               ), check)
         for field, check in (
-            ("kind", _member("horseshoe", "box")), ("alpha", _FINITE), ("beta", _FINITE),
+            ("kind", _LAYOUT), ("alpha", _FINITE), ("beta", _FINITE),
             ("noise", _instance(NoiseModel, optional=True)),
         )
     ),
@@ -343,13 +352,18 @@ class Container(NamedTuple):
     call: Callable  # container -> the export's result with it in that place
     items: tuple  # items the parameter takes
     length: Optional[int] = None  # the number of items it needs, if fixed
+    ordered: bool = True  # whether the items' order carries meaning
 
+
+_TWO_STEPS = MeasurementPattern(((0, 0.3), (1, 1.1)))
 
 _CONTAINERS = [
     Container("entanglement_entropy.partition", "partition",
-              lambda v: entanglement_entropy(_C4, v), (0, 2)),
-    Container("ClusterGraph.edges", "edges", lambda v: ClusterGraph(4, v), ((0, 1), (3, 2))),
-    Container("ClusterGraph.edges.edge", "edges[0]", lambda v: ClusterGraph(4, (v,)), (0, 1), 2),
+              lambda v: entanglement_entropy(_C4, v), (0, 2), ordered=False),
+    Container("ClusterGraph.edges", "edges", lambda v: ClusterGraph(4, v), ((0, 1), (3, 2)),
+              ordered=False),
+    Container("ClusterGraph.edges.edge", "edges[0]", lambda v: ClusterGraph(4, (v,)), (0, 1), 2,
+              ordered=False),
     Container("fit_noise.targets", "targets", fit_noise, (0.9, 0.9, 0.95, 0.8, 0.8, 0.9), 6),
     Container("visibility_scans.detector_pairs", "detector_pairs",
               lambda v: visibility_scans(_MODEL, v, 8), ("D1-D2", "D3-D4")),
@@ -357,7 +371,9 @@ _CONTAINERS = [
     Container("MeasurementPattern.steps.step", "steps[0]",
               lambda v: MeasurementPattern((v,)), (0, 0.3), 2),
     Container("MeasurementPattern.readout", "readout",
-              lambda v: MeasurementPattern(((0, 0.3),), v), (1, 2)),
+              lambda v: MeasurementPattern(((0, 0.3),), v), (1, 2), ordered=False),
+    Container("run_pattern.outcomes", "outcomes", lambda v: run_pattern(_BELL, _TWO_STEPS, v),
+              (1, 0), 2),
 ]
 
 # no container of items: a string or bytes would be read item by item
@@ -376,3 +392,59 @@ def test_every_container_is_named_or_read_as_its_tuple(param):
     expected = param.call(param.items)
     for value in (list(param.items), (item for item in param.items), iter(param.items)):
         assert _same(param.call(value), expected), value
+
+
+@pytest.mark.parametrize("param", _CONTAINERS, ids=[p.label for p in _CONTAINERS])
+def test_an_unordered_container_is_refused_where_order_matters(param):
+    # a set's order is the hash order of its items, which for strings moves
+    # with PYTHONHASHSEED: no order of the caller's
+    unordered = (set(param.items), frozenset(param.items))
+    if not param.ordered:  # the library sorts the items
+        expected = param.call(param.items)
+        for value in unordered:
+            assert _same(param.call(value), expected), value
+        return
+    mapping = dict(zip(param.items, range(len(param.items))))
+    for value in (*unordered, mapping, mapping.keys(), mapping.values(), mapping.items()):
+        with pytest.raises(ValueError) as info:
+            param.call(value)
+        assert str(info.value).startswith(f"{param.name} must be an ordered sequence"), value
+
+
+class Mapped(NamedTuple):
+    label: str  # export.parameter, the test id
+    name: str  # the parameter's name, or its first entry's, which a refusal starts with
+    call: Callable  # value -> the export's result with it in that place
+    refused: tuple  # values it must refuse by that name
+    taken: tuple  # values that must give the outcome of the first
+
+
+_RECORDS = (CountRecord({"0000": 3}, "XXZZ"), CountRecord({"1111": 2}, "ZZXX"))
+
+_MAPPED = [
+    Mapped("simulate_counts.probabilities", "probabilities",
+           lambda v: simulate_counts(v, 50.0, 2.0, 3),
+           # no mapping, or keys that do not sort together
+           (None, [0.25, 0.75], (("0", 0.25),), "01", 3, {0: 0.25, "1": 0.75}),
+           ({"1": 0.75, "0": 0.25}, {"0": 0.25, "1": 0.75},
+            types.MappingProxyType({"0": 0.25, "1": 0.75}))),
+    Mapped("CountRecord.counts", "counts", CountRecord,
+           (None, [1, 2], ("0000",), "0000", 3),
+           ({"0000": 1, "0011": 2}, types.MappingProxyType({"0000": 1, "0011": 2}))),
+    Mapped("witness_from_counts.records", "records", witness_from_counts,
+           (None, 3, "XXZZ", _RECORDS[0]), (_RECORDS, list(_RECORDS), iter(_RECORDS))),
+    Mapped("witness_from_counts.records.record", "records[0]", witness_from_counts,
+           ([None], [{}], [{"0000": 1}], ["XXZZ"], [_MODEL]), ()),
+]
+
+
+@pytest.mark.parametrize("param", _MAPPED, ids=[p.label for p in _MAPPED])
+def test_every_mapping_and_record_list_is_named_or_read_as_its_items(param):
+    for value in param.refused:
+        with pytest.raises(ValueError) as info:
+            param.call(value)
+        assert _names(param, str(info.value)), (value, str(info.value))
+    if param.taken:
+        expected = param.call(param.taken[0])
+        for value in param.taken[1:]:
+            assert _same(param.call(value), expected), value

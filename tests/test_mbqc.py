@@ -11,25 +11,23 @@ import pytest
 from onewaysim import mbqc, qcore
 from onewaysim.analysis import witness_value
 from onewaysim.cluster import (
+    BOX_FRAME,
     BOX_GRAPH,
     HORSESHOE_GRAPH,
     build_cluster,
     c4_state,
     stabilizer_generators,
-    to_box_frame,
-    to_horseshoe_frame,
 )
 from onewaysim.mbqc import (
     BELL_LABELS,
-    GateOutputSpec,
     MeasurementPattern,
     bell_probabilities,
-    box_gate,
     branch_distribution,
+    frame_equivalence,
+    gate_output,
     gate_pattern,
     grover_pattern,
     grover_run,
-    horseshoe_gate,
     run_pattern,
 )
 from onewaysim.photonics import NoiseModel, apply_noise
@@ -47,7 +45,7 @@ import oracles
 from conftest import (
     FIT_P,
     FITTED_MODEL,
-    GATES,
+    LAYOUTS,
     as_density,
     count_states,
     hex_floats,
@@ -85,7 +83,7 @@ def test_pattern_validation():
         with pytest.raises(ValueError, match=message):
             MeasurementPattern(steps=((0, 0.5), (1, angle)))
         with pytest.raises(ValueError, match="^alpha must be a finite number"):
-            GateOutputSpec(angle, 0.0)
+            gate_output("horseshoe", angle, 0.0)
     # qubit indices are integers, named when not, never truncated
     for bad in (1.5, np.float64(1.0), True, "a", None):
         shown = re.escape(repr(bad))
@@ -131,8 +129,27 @@ def test_run_pattern_rejects_impossible_and_invalid_outcomes():
             with pytest.raises(ValueError, match=message):
                 run_pattern(state, pattern, bits)
         for bits in ((), (0,), (0, 0, 0)):
-            with pytest.raises(ValueError, match="one forced outcome per step"):
+            shown = re.escape(repr(bits))
+            message = f"^outcomes must be an ordered sequence of 2 items, got {shown}$"
+            with pytest.raises(ValueError, match=message):
                 run_pattern(state, pattern, bits)
+
+
+def test_run_pattern_reads_its_outcomes_in_the_order_given():
+    # an iterator or generator of bits is read once, as its list; a set,
+    # mapping or mapping view has no order of the caller's and is refused
+    state = build_cluster(HORSESHOE_GRAPH)
+    pattern = gate_pattern(0.3, 0.9)
+    expected = run_pattern(state, pattern, [0, 1])
+    assert expected[0] == (0, 1)
+    for outcomes in (iter([0, 1]), (bit for bit in (0, 1)), np.array([0, 1])):
+        got = run_pattern(state, pattern, outcomes)
+        assert got[:2] == expected[:2]
+        assert np.array_equal(got[2].amplitudes, expected[2].amplitudes)
+    for outcomes in ({0, 1}, frozenset({0, 1}), {0: 0, 1: 1}, {0: 0, 1: 1}.values()):
+        message = "^outcomes must be an ordered sequence of 2 items, got "
+        with pytest.raises(ValueError, match=message):
+            run_pattern(state, pattern, outcomes)
 
 
 def test_branch_distribution_is_lexicographic_and_normalized():
@@ -152,32 +169,27 @@ def test_branch_distribution_is_lexicographic_and_normalized():
 # ---------------------------------------------------------------------------
 
 
-GRAPHS = {"horseshoe": HORSESHOE_GRAPH, "box": BOX_GRAPH}
-
-
-@pytest.mark.parametrize("kind", ["horseshoe", "box"])
+@pytest.mark.parametrize("kind", LAYOUTS)
 def test_gate_formula_matches_simulation(kind):
-    state = build_cluster(GRAPHS[kind])
-    _, gate = GATES[kind]
+    state = build_cluster(LAYOUTS[kind][0])
     for alpha in GRID:
         for beta in GRID:
             for s2, s3 in BRANCHES:
                 pattern = gate_pattern(alpha, beta)
                 _, prob, residual = run_pattern(state, pattern, [s2, s3])
-                target = gate(GateOutputSpec(alpha, beta, s2, s3))
+                target = gate_output(kind, alpha, beta, s2, s3)
                 assert fidelity(residual, target) == pytest.approx(1.0, abs=1e-10)
                 assert prob == pytest.approx(0.25, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["horseshoe", "box"])
+@pytest.mark.parametrize("kind", LAYOUTS)
 def test_byproduct_table_undoes_every_branch(kind):
     # T_s^dagger times branch s's uncorrected residual is the s2 = s3 = 0
     # output, up to the global phase each measurement branch carries
-    state = build_cluster(GRAPHS[kind])
-    _, gate = GATES[kind]
+    state = build_cluster(LAYOUTS[kind][0])
     alpha, beta = 0.8, 2.1
-    reference = gate(GateOutputSpec(alpha, beta, 0, 0))
-    table = mbqc._GATES[kind][1]
+    reference = gate_output(kind, alpha, beta)
+    table = mbqc._GATES[kind][2]
     for s2, s3 in BRANCHES:
         _, _, residual = run_pattern(state, gate_pattern(alpha, beta), [s2, s3])
         corrected = StateVector(table[2 * s2 + s3].conj().T @ residual.amplitudes)
@@ -195,10 +207,13 @@ def test_byproduct_tables_are_the_written_out_pauli_products():
         box_s2 = oracles.kron(power("X", s2), power("Z", s2))
         box_s3 = oracles.kron(power("Z", s3), power("X", s3))
         box = box_s3 @ box_s2
-        assert np.array_equal(mbqc._GATES["horseshoe"][1][2 * s2 + s3], horseshoe)
-        assert np.array_equal(mbqc._GATES["box"][1][2 * s2 + s3], box)
-    for kind, (frame, table) in mbqc._GATES.items():
-        assert frame is GATES[kind][0]
+        assert np.array_equal(mbqc._GATES["horseshoe"][2][2 * s2 + s3], horseshoe)
+        assert np.array_equal(mbqc._GATES["box"][2][2 * s2 + s3], box)
+    # one row per layout: its graph, frame map, table and output CZ (the box's)
+    assert list(mbqc._GATES) == list(LAYOUTS)
+    for kind, (graph, frame, table, output_cz) in mbqc._GATES.items():
+        assert graph is LAYOUTS[kind][0] and frame is LAYOUTS[kind][1]
+        assert output_cz is (kind == "box")
         assert table.shape == (4, 4, 4) and not table.flags.writeable
 
 
@@ -214,7 +229,7 @@ def test_pattern_runs_on_density_matrices():
 
 
 def test_horseshoe_zero_angles_state():
-    out = horseshoe_gate(GateOutputSpec(0.0, 0.0))
+    out = gate_output("horseshoe", 0.0, 0.0)
     assert np.allclose(out.amplitudes, np.array([1, 1, 1, -1]) / 2)
 
 
@@ -224,19 +239,19 @@ def test_horseshoe_output_is_always_maximally_entangled(rng):
     for _ in range(10):
         alpha, beta = rng.uniform(0.0, 2 * math.pi, size=2)
         s2, s3 = int(rng.integers(2)), int(rng.integers(2))
-        out = horseshoe_gate(GateOutputSpec(float(alpha), float(beta), s2, s3))
+        out = gate_output("horseshoe", float(alpha), float(beta), s2, s3)
         assert entanglement_entropy(out, [0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_box_beta_zero_outputs_are_product(rng):
     for alpha in (*GRID, float(rng.uniform(0, 2 * math.pi))):
         for s2, s3 in BRANCHES:
-            out = box_gate(GateOutputSpec(alpha, 0.0, s2, s3))
+            out = gate_output("box", alpha, 0.0, s2, s3)
             assert entanglement_entropy(out, [0]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_box_equal_angles_entangle():
-    out = box_gate(GateOutputSpec(math.pi / 2, math.pi / 2))
+    out = gate_output("box", math.pi / 2, math.pi / 2)
     assert entanglement_entropy(out, [0]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -245,7 +260,7 @@ def test_box_alpha_pi_branches_are_orthogonal_products():
     expected = {(0, 0): "+-", (0, 1): "--", (1, 0): "++", (1, 1): "-+"}
     states = {}
     for (s2, s3), label in expected.items():
-        out = box_gate(GateOutputSpec(math.pi, 0.0, s2, s3))
+        out = gate_output("box", math.pi, 0.0, s2, s3)
         target = StateVector(np.kron(pm[label[0]], pm[label[1]]))
         assert overlap(out, target) == pytest.approx(1.0, abs=1e-10)
         states[(s2, s3)] = out
@@ -255,43 +270,56 @@ def test_box_alpha_pi_branches_are_orthogonal_products():
             assert overlap(states[a], states[b]) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_gate_output_spec_validation():
-    with pytest.raises(ValueError):
-        GateOutputSpec(0.0, 0.0, s2=2)
-    with pytest.raises(ValueError):
-        GateOutputSpec(float("inf"), 0.0)
+@pytest.mark.parametrize("kind", LAYOUTS)
+def test_gate_output_validation(kind):
+    with pytest.raises(ValueError, match="^s2 must be one of 0, 1, got 2$"):
+        gate_output(kind, 0.0, 0.0, s2=2)
+    with pytest.raises(ValueError, match="^alpha must be a finite number, got inf$"):
+        gate_output(kind, float("inf"), 0.0)
+    with pytest.raises(ValueError, match="^beta must be a finite number, got nan$"):
+        gate_output(kind, 0.0, float("nan"))
     for name in ("s2", "s3"):
         for bit in (True, np.bool_(True), 1.0, "1", None, np.int64(2), -1):
-            with pytest.raises(ValueError, match=name):
-                GateOutputSpec(0.0, 0.0, **{name: bit})
+            with pytest.raises(ValueError, match=f"^{name} must be one of 0, 1, got "):
+                gate_output(kind, 0.0, 0.0, **{name: bit})
     # numpy integer bits act as ints, down to the gate output's last bit
     for s2, s3 in BRANCHES:
-        spec = GateOutputSpec(0.3, -1.1, np.int64(s2), np.int8(s3))
-        plain = GateOutputSpec(0.3, -1.1, s2, s3)
-        assert spec == plain
-        assert np.array_equal(box_gate(spec).amplitudes, box_gate(plain).amplitudes)
+        numpy_bits = gate_output(kind, 0.3, -1.1, np.int64(s2), np.int8(s3))
+        plain = gate_output(kind, 0.3, -1.1, s2, s3)
+        assert np.array_equal(numpy_bits.amplitudes, plain.amplitudes)
 
 
-def _with_written_rz(kind, spec):
+def test_a_layout_is_picked_by_its_name_alone():
+    message = "^kind must be one of 'horseshoe', 'box', got "
+    for kind in ("Box", "linear", "", None, 0, b"box", ("box",)):
+        with pytest.raises(ValueError, match=message):
+            gate_output(kind, 0.3, 1.1)
+        with pytest.raises(ValueError, match=message):
+            frame_equivalence(kind)
+    numpy_name = gate_output(np.str_("box"), 0.3, 1.1)
+    assert np.array_equal(numpy_name.amplitudes, gate_output("box", 0.3, 1.1).amplitudes)
+
+
+def _with_written_rz(kind, alpha, beta, s2, s3):
     """A gate output built from the written-out R_z: byproducts times
     A C B^T, with A = H Rz(-alpha) and B = H Rz(-beta)."""
-    a, b = (oracles.HADAMARD @ oracles.rz(-t) for t in (spec.alpha, spec.beta))
+    a, b = (oracles.HADAMARD @ oracles.rz(-t) for t in (alpha, beta))
     target = a @ mbqc._CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]
-    return mbqc._GATES[kind][1][2 * spec.s2 + spec.s3] @ target.reshape(4)
+    return mbqc._GATES[kind][2][2 * s2 + s3] @ target.reshape(4)
 
 
-def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(rng):
+@pytest.mark.parametrize("kind", LAYOUTS)
+def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(kind, rng):
     angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=(40, 2)).tolist()
     angles += [[0.0, 0.0], [math.pi, -math.pi], [1e-300, 1e12]]
     for t in np.ravel(angles):
         assert np.array_equal(qcore._rz_matrix(t), oracles.rz(t))
-    specs = [GateOutputSpec(a, b, s2, s3) for a, b in angles for s2, s3 in BRANCHES]
-    expected = {kind: [_with_written_rz(kind, s) for s in specs] for kind in mbqc._GATES}
-    for kind, build in (("horseshoe", horseshoe_gate), ("box", box_gate)):
-        for spec, want in zip(specs, expected[kind]):
-            assert np.array_equal(build(spec).amplitudes, want)
+    for alpha, beta in angles:
+        for s2, s3 in BRANCHES:
+            want = _with_written_rz(kind, alpha, beta, s2, s3)
+            assert np.array_equal(gate_output(kind, alpha, beta, s2, s3).amplitudes, want)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +416,8 @@ def _lab_distribution(marked):
     """
     m1, m2 = int(marked[0]), int(marked[1])
     out = {}
-    for outcomes, prob, _ in branch_distribution(to_box_frame(c4_state()), grover_pattern(marked)):
+    box = BOX_FRAME.apply(c4_state())
+    for outcomes, prob, _ in branch_distribution(box, grover_pattern(marked)):
         s_b2, s_b3, s_b1, s_b4 = outcomes
         key = f"{1 ^ s_b1}{s_b3 ^ (1 - m2)}{s_b2 ^ (1 - m1)}{1 ^ s_b4}"
         out[key] = out.get(key, 0.0) + prob
@@ -434,9 +463,9 @@ def test_a_state_argument_that_is_no_state_is_named(value):
         witness_value(value)
     with pytest.raises(ValueError, match=f"^ideal must be a state of 4 qubits, got {shown}$"):
         apply_noise(value, NoiseModel.ideal())
-    for frame_change in (to_box_frame, to_horseshoe_frame):
+    for _, frame in LAYOUTS.values():
         with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
-            frame_change(value)
+            frame.apply(value)
     pattern = gate_pattern(0.3, 0.9)
     with pytest.raises(ValueError, match=f"^state must be a state, got {shown}$"):
         branch_distribution(value, pattern)
@@ -456,9 +485,9 @@ def test_a_state_argument_that_is_no_state_is_named(value):
         with pytest.raises(ValueError, match=f"^graph must be a ClusterGraph, got {shown}$"):
             graph_function(value)
     # None, the default of grover_run's input_state only
-    for frame_change in (to_box_frame, to_horseshoe_frame):
+    for _, frame in LAYOUTS.values():
         with pytest.raises(ValueError, match="^state must be a state of 4 qubits, got None$"):
-            frame_change(None)
+            frame.apply(None)
     with pytest.raises(ValueError, match="^state must be a StateVector, got None$"):
         entanglement_entropy(None, [0])
     with pytest.raises(ValueError, match="^pattern must be a MeasurementPattern, got None$"):
@@ -511,10 +540,10 @@ def _oracle_runs(rng):
     four search patterns in the box frame, and the gate pattern in both
     gates' frames at angles drawn from ``rng``."""
     for state in oracle_states(np.random.default_rng(41)):
-        box = to_box_frame(state)
+        box = BOX_FRAME.apply(state)
         yield from ((box, grover_pattern(marked)) for marked in MARKS)
         alpha, beta = (float(v) for v in rng.uniform(-math.pi, math.pi, size=2))
-        for frame, _ in GATES.values():
+        for _, frame in LAYOUTS.values():
             yield frame.apply(state), gate_pattern(alpha, beta)
 
 
@@ -570,7 +599,7 @@ def test_branch_distribution_checks_the_register():
 
 def test_exact_search_equals_forced_branch_sums():
     for state in oracle_states(np.random.default_rng(43)):
-        box = to_box_frame(state)
+        box = BOX_FRAME.apply(state)
         for marked in MARKS:
             branches = _sequential_branches(box, grover_pattern(marked), _forced_measure)
             for feedforward in (True, False):
@@ -613,7 +642,7 @@ def test_bell_discriminates_the_four_gate_outputs():
     # them apart deterministically
     expected = {}
     for s2, s3 in BRANCHES:
-        state = horseshoe_gate(GateOutputSpec(0.0, 0.0, s2, s3))
+        state = gate_output("horseshoe", 0.0, 0.0, s2, s3)
         probs = bell_probabilities(state)
         label = max(probs, key=probs.get)
         assert probs[label] == pytest.approx(1.0, abs=1e-12)
@@ -624,7 +653,7 @@ def test_bell_discriminates_the_four_gate_outputs():
 
 
 def test_bell_discriminate_mixed_input():
-    state = horseshoe_gate(GateOutputSpec(0.0, 0.0, 1, 0))
+    state = gate_output("horseshoe", 0.0, 0.0, 1, 0)
     rho = as_density(state)
     assert bell_probabilities(rho)["+-"] == pytest.approx(1.0, abs=1e-12)
 

@@ -9,7 +9,7 @@ import pytest
 
 from onewaysim import photonics
 from onewaysim.cluster import c4_state
-from onewaysim.mbqc import GateOutputSpec
+from onewaysim.mbqc import gate_output
 from onewaysim.photonics import (
     COINCIDENCE_RATE_HZ,
     DETECTOR_PAIRS,
@@ -88,8 +88,8 @@ NUMBER_FIELDS = {
     "path_dephasing_b": NoiseModel,
     "white_noise": NoiseModel,
     "theta": source_state,
-    "alpha": lambda **bad: GateOutputSpec(**{"alpha": 0.0, "beta": 0.0, **bad}),
-    "beta": lambda **bad: GateOutputSpec(**{"alpha": 0.0, "beta": 0.0, **bad}),
+    "alpha": lambda **bad: gate_output(**{"kind": "box", "alpha": 0.0, "beta": 0.0, **bad}),
+    "beta": lambda **bad: gate_output(**{"kind": "box", "alpha": 0.0, "beta": 0.0, **bad}),
 }
 
 
