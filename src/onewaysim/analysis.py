@@ -9,9 +9,9 @@ polarizations along +/-) yields XXIZ, XXZI, IIZZ and ZZXX (paths on
 beam splitters, polarizations in H/V) yields IZXX, ZIXX, ZZII.  A
 negative expectation proves genuine four-partite entanglement, and
 F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
-Each setting's 3x16 matrix of its words' +/-1 outcome signs, applied to
-its coincidence table (photonics.joint_distribution), gives the exact
-terms, and applied to the counts drawn from that same table, estimates.
+Each setting's 3x16 matrix of its words' +/-1 outcome signs (expectation's
+``_word_signs``), applied to its coincidence table (joint_distribution),
+gives exact terms, and applied to counts drawn from that table, estimates.
 A witness run draws with simulate_counts' kernel and estimates with
 witness_from_counts' arithmetic; neither re-checks the library's tables.
 
@@ -59,7 +59,9 @@ from .qcore import (
     _check_state,
     _check_type,
     _product_basis,
+    _rotated_diagonal,
     _shown,
+    _word_signs,
 )
 
 _SETTING_TERMS = {
@@ -137,15 +139,17 @@ class NoCountsError(ValueError):
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Coincidence counts of one run; ``setting`` names the witness
-    setting (a key of WITNESS_SETTINGS) the counts were taken in."""
+    """Coincidence counts of one run, a copy of the mapping given; ``setting``
+    names the witness setting (a key of WITNESS_SETTINGS) they were taken in."""
 
     counts: Dict[str, int]
     setting: Optional[str] = None
 
     def __post_init__(self):
-        for key, count in _check_type(self.counts, "counts", abc.Mapping).items():
+        counts = dict(_check_type(self.counts, "counts", abc.Mapping))
+        for key, count in counts.items():
             _check_integer(count, f"counts[{key!r}]", 0)
+        object.__setattr__(self, "counts", counts)
         if self.setting is not None:
             _check_setting(self.setting)
 
@@ -241,19 +245,9 @@ def _draw_tables(tables, rate: float, duration: float, seed: int) -> Dict[str, n
 _KEY_INDEX = {key: index for index, key in enumerate(_OUTCOME_KEYS)}
 
 # per setting, the +-1.0 eigenvalue of each of its three words (rows) on
-# each outcome key (columns, in _OUTCOME_KEYS order): -1.0 when an odd
-# number of the word's non-identity letters read bit 1
+# each outcome (columns, in _OUTCOME_KEYS order)
 _SIGN_MATRICES = {
-    name: np.array(
-        [
-            [
-                (-1.0) ** sum(bit == "1" for letter, bit in zip(word, key) if letter != "I")
-                for key in _OUTCOME_KEYS
-            ]
-            for word in words
-        ]
-    )
-    for name, words in _SETTING_TERMS.items()
+    name: np.array([_word_signs(word) for word in words]) for name, words in _SETTING_TERMS.items()
 }
 
 
@@ -350,21 +344,19 @@ def gate_fidelity_report(
     ``kind`` names the layout, a row of the gate table (see mbqc).  For
     each outcome pair s = (s2, s3) of the uncorrected pattern, the
     unnormalised residual is R_s = K_s rho K_s^dagger (see
-    :func:`_branch_maps`), read straight off the source-frame state for
-    all four branches at once.  The fidelity is t_s^dagger R_s t_s /
-    tr R_s, with t_s the branch output of :func:`mbqc.gate_output`: the
-    gate's constant byproduct table, a signed permutation, times the
-    (0, 0) output.  Only the arguments are checked; every array is the
-    library's own.
+    :func:`_branch_maps`).  The fidelity is t_s^dagger R_s t_s / tr R_s,
+    two rotated diagonals of the source-frame state for all four branches
+    at once: tr R_s sums the diagonal read with the rows of K_s, and the
+    overlap is read with the one row t_s^dagger K_s, where t_s is the branch
+    output of :func:`mbqc.gate_output` (the gate's constant byproduct table
+    times the (0, 0) output).  Only the arguments are checked.
     """
     _check_member(kind, "kind", tuple(_GATES))
     maps = _branch_maps(_GATES[kind][1], *_gate_layout(alpha, beta))
     a = _prepare_state(noise)
-    rho = np.outer(a, a.conj()) if a.ndim == 1 else a
-    residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
-    weights = np.trace(residuals, axis1=1, axis2=2).real
+    weights = _rotated_diagonal(maps.reshape(16, 16), a).reshape(4, 4).sum(axis=1)
     targets = _gate_targets(kind, alpha, beta)
-    overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
+    overlaps = _rotated_diagonal((targets.conj()[:, None] @ maps)[:, 0], a)
     report = {}
     branches = itertools.product((0, 1), repeat=2)
     for branch, weight, value in zip(branches, weights, overlaps):

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .cluster import _C4, BOX_FRAME, BOX_GRAPH, HORSESHOE_FRAME, HORSESHOE_GRAPH, build_cluster
-from .photonics import _PM_BASIS, _Z_BASIS
 from .qcore import (
     _HADAMARD,
     ImpossibleOutcomeError,
@@ -44,6 +43,7 @@ from .qcore import (
     _qubits,
     _rotated_diagonal,
     _rz_matrix,
+    _word_readout,
     overlap,
 )
 
@@ -306,13 +306,10 @@ def _search(a: np.ndarray, marked: str, feedforward: bool) -> Dict[str, float]:
 
 BELL_LABELS = ("++", "+-", "-+", "--")
 
-# the whole interferometer as one readout rotation, (PM x Z)(I x H) CZ:
-# row k is the bra of outcome k (polarization bit first)
-_BELL_READOUT = (
-    _product_basis((_PM_BASIS, _Z_BASIS))
-    @ _product_basis((np.eye(2), _HADAMARD))
-    @ np.diag([1.0, 1.0, 1.0, -1.0])
-)
+# the whole interferometer as one readout rotation, read-only: the CZ, then
+# the word XX (+/- polarization, a beam splitter on the path); row k is the
+# bra of outcome k (polarization bit first)
+_BELL_READOUT = _word_readout("XX")[0] * [1.0, 1.0, 1.0, -1.0]
 _BELL_READOUT.setflags(write=False)
 
 

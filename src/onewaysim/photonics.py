@@ -14,12 +14,12 @@ theta = 0 this is exactly the linear cluster.  Imperfections are
 modelled by independent phase damping on the two path qubits (the
 interferometric arms) followed by an isotropic white noise admixture.
 
-The witness is read in two coincidence settings, and WITNESS_SETTINGS
-holds the readout basis of each qubit in register order for both:
+The witness is read in two coincidence settings, each named by the Pauli
+word whose bases (qcore's) it reads, qubit by qubit in register order:
 
     XXZZ    polarizations along +/-, paths read in Z (which arm)
     ZZXX    polarizations in H/V, both arms interfered on beam splitters
-            (a B(0) path measurement)
+            (a B(0) path measurement, X's basis)
 
 Outcome bit 0 always maps to the first label of a basis (H, L, R', +),
 so a Pauli eigenvalue is (-1)**bit at every position.
@@ -34,7 +34,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .qcore import (
-    _HADAMARD,
+    _PAULI_BASES,
     DensityMatrix,
     State,
     StateVector,
@@ -46,8 +46,8 @@ from .qcore import (
     _check_type,
     _check_unit,
     _density_array,
-    _product_basis,
     _rotated_diagonal,
+    _word_readout,
 )
 
 # ---------------------------------------------------------------------------
@@ -243,29 +243,16 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 # ---------------------------------------------------------------------------
 
 
-# A readout basis is a 2x2 unitary whose row k is the bra of outcome k:
-# rotating a qubit by it turns the readout into a Z measurement.
-_Z_BASIS = np.eye(2, dtype=complex)
-_Z_BASIS.setflags(write=False)
-_PM_BASIS = _B0_BASIS = _HADAMARD  # +/- polarization; beam splitter B(0), rows R', L'
-
-
 def _b_alpha_basis(alpha: float) -> np.ndarray:
     phase = np.exp(-1j * alpha)
     return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
 
 
-# setting name -> readout basis of each qubit in register order
-# (B pol, A pol, A path, B path); every array is read-only
+# setting name -> each qubit's readout basis in register order (B pol, A pol,
+# A path, B path): its letter's in the name (read-only, row k the bra of outcome k)
 WITNESS_SETTINGS: Dict[str, Tuple[np.ndarray, ...]] = {
-    # words XXIZ, XXZI, IIZZ
-    "XXZZ": (_PM_BASIS, _PM_BASIS, _Z_BASIS, _Z_BASIS),
-    # words IZXX, ZIXX, ZZII
-    "ZZXX": (_Z_BASIS, _Z_BASIS, _B0_BASIS, _B0_BASIS),
+    name: tuple(_PAULI_BASES[letter] for letter in name) for name in ("XXZZ", "ZZXX")
 }
-
-# setting name -> its readout rotation (x)U, built once (read-only)
-_SETTING_ROTATIONS = {name: _product_basis(bases) for name, bases in WITNESS_SETTINGS.items()}
 
 
 def _check_setting(setting) -> None:
@@ -292,7 +279,7 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
 
 def _joint_table(a: np.ndarray, setting: str) -> np.ndarray:
     """:func:`joint_distribution`'s values for a four-qubit state array, unchecked."""
-    return np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], a), 0.0)
+    return np.maximum(_rotated_diagonal(_word_readout(setting)[0], a), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +297,8 @@ def _parse_pair(detector_pair: str, name: str) -> Tuple[int, int]:
     return _DETECTORS[name_a][1], _DETECTORS[name_b][1]
 
 
-# both beam splitters, a Hadamard on each path qubit (read-only)
-_BEAM_SPLITTERS = _product_basis((_HADAMARD, _HADAMARD))
+# both beam splitters, a Hadamard on each path qubit: the word XX's rotation
+_BEAM_SPLITTERS = _word_readout("XX")[0]
 
 # phases per stack, so a long scan needs no more than ~256 KB per stack
 _FRINGE_BLOCK = 1024

@@ -11,12 +11,14 @@ array has a ket axis, followed by a bra axis for a mixed state only, and
 the gate and the B(alpha) split loop over the sides present.  Each is a
 private kernel on arrays (``_gate_array`` on one array, ``_branches`` on
 a stack of arrays); a frame map runs the gate kernel once per Hadamard
-(``_HADAMARD``, the one fixed one-qubit operator), whose rounding the
-search tables keep, and the measurement walks the split.  No other fixed
-circuit runs gate by gate: a cluster is one closed form, and a readout
-(the witness settings, the output interferometer) is one read-only
-matrix whose rotated diagonal ``_rotated_diagonal`` reads.  ``_array``
-maps a state to its array, and the constructors map arrays back.
+(``_HADAMARD``, the one gate a frame map applies), whose rounding the
+search tables keep, and the measurement walks the split.  Every readout
+is one matrix U whose rotated diagonal, of U rho U^dagger, one kernel
+reads (``_rotated_diagonal``).  A Pauli word's U is its letters' bases
+(``_PAULI_BASES``), and ``_word_signs`` weights each outcome by its
+parity: that is ``expectation`` and the witness tables and signs.
+``fidelity``'s U is the target's bra.  ``_array`` maps a state to its
+array, and the constructors map arrays back.
 
 A state is checked where it enters the library and where it leaves it:
 the public constructors check every state they build (no NaN and no
@@ -33,7 +35,8 @@ each returning the checked value or raising a ValueError "{name} must
 be ..., got ...": ``_check_finite``, ``_check_unit``, ``_check_integer``,
 ``_check_member``, ``_check_type``, ``_check_sequence`` (which returns a
 container's items as a tuple, and refuses a set or mapping where the
-items' order matters) and ``_check_state`` (which returns the state's
+items' order matters), ``_check_numbers`` (a constructor's array, as a
+new complex array) and ``_check_state`` (which returns the state's
 array).  A check that relates values, or that looks inside one (a Pauli
 word's letters, a table's sum), is written where it runs.
 
@@ -50,10 +53,8 @@ with outcome 0 meaning a projection onto |alpha+>.  One split,
 of a stack (a whole level of a measurement walk).  A single forced
 measurement is a pattern of one step (see the mbqc module), whose walk
 splits a stack of one.  There is no random outcome source: sampled
-counts are drawn from exact tables (see the analysis module).  Z
-measurements are not part of this family; readouts in any product basis
-(see the photonics module) rotate each qubit's basis onto Z and read the
-diagonal of the rotated state.
+counts are drawn from exact tables (see the analysis module).  A readout
+(above) is no measurement of this family.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import math
 import numbers
 from collections import abc
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -157,6 +158,23 @@ def _check_sequence(
     return items
 
 
+def _check_numbers(value, name: str) -> np.ndarray:
+    """``value`` as a new complex array, once numpy reads it as an array of
+    numbers (not ragged, and not of bools, objects or ints beyond int64)
+    and no item is a bool: numpy reads a bool among numbers as a number,
+    so the items of any argument but an array, whose dtype tells, are read."""
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged
+        array = np.array(None)
+    if array.dtype.kind not in "iufc" or (
+        not isinstance(value, np.ndarray)
+        and any(isinstance(item, (bool, np.bool_)) for item in np.array(value, dtype=object).flat)
+    ):
+        raise ValueError(f"{name} must be an array of numbers, got {_shown(value)}")
+    return array.astype(complex, copy=False)
+
+
 def _check_type(value, name: str, kind: type):
     """``value``, once it is an instance of the class ``kind``."""
     if not isinstance(value, kind):
@@ -182,7 +200,7 @@ class StateVector:
     __slots__ = ("amplitudes", "num_qubits")
 
     def __init__(self, amplitudes):
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = _check_numbers(amplitudes, "amplitudes").reshape(-1)
         n = int(amps.size).bit_length() - 1
         if amps.size < 2 or amps.size != 2**n:
             raise ValueError("amplitude count must be a power of two, >= 2")
@@ -198,7 +216,7 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = _check_numbers(amplitudes, "amplitudes").reshape(-1)
         norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -237,7 +255,7 @@ class DensityMatrix:
     __slots__ = ("matrix", "num_qubits")
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
+        m = _check_numbers(matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         dim = m.shape[0]
@@ -267,14 +285,27 @@ _PAULI_1Q = {
 _HADAMARD = (_PAULI_1Q["X"] + _PAULI_1Q["Z"]) / math.sqrt(2)
 _HADAMARD.setflags(write=False)
 
+# letter -> its readout basis (read-only): row k is the bra of eigenvalue
+# (-1)**k, so a qubit rotated by it reads the letter as Z; Y's is H S^dagger
+_PAULI_BASES = {"I": np.eye(2, dtype=complex), "X": _HADAMARD, "Y": _HADAMARD * [1, -1j]}
+_PAULI_BASES["Z"] = _PAULI_BASES["I"]
+for _basis in _PAULI_BASES.values():
+    _basis.setflags(write=False)
+
+
+def _word_signs(letters: str) -> np.ndarray:
+    """A Pauli word's +-1.0 eigenvalue on each outcome, in basis-index order:
+    the Kronecker product of (1, 1) for each I and (1, -1) for each other letter."""
+    return reduce(np.kron, ([1.0, 1.0 if ch == "I" else -1.0] for ch in letters), np.ones(1))
+
 
 @lru_cache(maxsize=None)
-def _pauli_word_matrix(letters: str) -> np.ndarray:
-    m = np.array([[1.0 + 0j]])
-    for ch in letters:
-        m = np.kron(m, _PAULI_1Q[ch])
-    m.setflags(write=False)
-    return m
+def _word_readout(letters: str):
+    """A word's rotation, the product of its letters' bases, and its signs,
+    both read-only: every caller shares them."""
+    signs = _word_signs(letters)
+    signs.setflags(write=False)
+    return _product_basis([_PAULI_BASES[ch] for ch in letters]), signs
 
 
 @dataclass(frozen=True)
@@ -324,18 +355,6 @@ def _density_array(state: State) -> np.ndarray:
     return np.outer(a, a.conj()) if a.ndim == 1 else a
 
 
-def _pairing(a: np.ndarray, op: np.ndarray, what: str) -> float:
-    """tr(op rho) for the state array ``a``; ``op`` is a matrix, or a ket
-    standing for its projector.  A ket ``a`` gives <a|op|a>."""
-    if op.ndim == 1:
-        val = abs(np.vdot(op, a)) ** 2 if a.ndim == 1 else np.vdot(op, a @ op)
-    else:
-        val = np.vdot(a, op @ a) if a.ndim == 1 else np.trace(op @ a)
-    if abs(val.imag) > TOL:
-        raise ArithmeticError(f"{what} has imaginary residue {float(val.imag)!r}")
-    return float(val.real)
-
-
 def _rotated_diagonal(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Real diagonal of u rho u^dagger for the state array ``a`` (|u a|^2
     for a ket); a stack of matrices gives a stack of diagonals."""
@@ -364,10 +383,12 @@ def _gate_array(a: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
 
 
 def expectation(state: State, observable: PauliString) -> float:
-    """<P> on a pure or mixed state; the imaginary residue must vanish."""
+    """<P> on a pure or mixed state: P's sign on each outcome, summed over
+    the diagonal of the state rotated onto P's eigenbases."""
     letters = _check_type(observable, "observable", PauliString).letters
     a = _check_state(state, "state", len(letters))
-    return _pairing(a, _pauli_word_matrix(letters), "expectation")
+    rotation, signs = _word_readout(letters)
+    return float(signs @ _rotated_diagonal(rotation, a))
 
 
 @lru_cache(maxsize=256)
@@ -461,9 +482,11 @@ def _product_basis(bases: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def fidelity(rho: State, target: StateVector) -> float:
-    """<target| rho |target>, in [0, 1].  Pure rho gives |<target|rho>|^2."""
+    """<target| rho |target>, in [0, 1]: the diagonal of rho rotated by the
+    one-row matrix <target|.  Pure rho gives |<target|rho>|^2."""
     target = _check_type(target, "target", StateVector)
-    return _pairing(_check_state(rho, "rho", target.num_qubits), target.amplitudes, "fidelity")
+    a = _check_state(rho, "rho", target.num_qubits)
+    return float(_rotated_diagonal(target.amplitudes.conj()[None], a)[0])
 
 
 def overlap(a: StateVector, b: StateVector) -> float:

@@ -343,6 +343,18 @@ def test_count_record_names_a_count_that_is_not_one(count):
     assert CountRecord({"0000": 3, "0101": np.int64(2)}).total() == 5
 
 
+def test_count_record_keeps_the_counts_it_checked():
+    # a later change to the caller's mapping reaches neither the record nor
+    # an estimate from it
+    counts = {"0000": 5, "0011": 3}
+    record = CountRecord(counts, "XXZZ")
+    counts["0000"] = -3
+    counts["zzzz"] = 1.5
+    assert record.counts == {"0000": 5, "0011": 3} and record.total() == 8
+    other = CountRecord({"1111": 2}, "ZZXX")
+    assert witness_from_counts([record, other]).setting_totals == {"XXZZ": 8, "ZZXX": 2}
+
+
 def test_setting_totals_stay_exact_past_float_precision():
     rec_a, rec_b = _hand_built_records()
     big = CountRecord({"0000": 2**53, "0101": 1}, rec_a.setting)
@@ -523,8 +535,8 @@ def test_gate_report_keeps_a_branch_at_the_floor(monkeypatch):
     # a branch is kept at or above the forced-outcome floor, as in a walk
     pattern = gate_pattern(0.4, 1.3)
     maps = analysis._branch_maps(BOX_FRAME, pattern.steps, pattern.readout)
-    rho = qcore._density_array(c4_state())
-    lightest = np.trace(maps @ rho @ maps.conj().swapaxes(1, 2), axis1=1, axis2=2).real.min()
+    a = qcore._array(c4_state())
+    lightest = qcore._rotated_diagonal(maps.reshape(16, 16), a).reshape(4, 4).sum(axis=1).min()
     monkeypatch.setattr(analysis, "_FORCED_MIN_WEIGHT", lightest)
     assert len(gate_fidelity_report("box", 0.4, 1.3)) == 4
     monkeypatch.setattr(analysis, "_FORCED_MIN_WEIGHT", np.nextafter(lightest, 1.0))
@@ -635,14 +647,15 @@ def test_grover_report_equals_the_public_chain_bit_for_bit(model):
 
 def _gate_report_by_public_chain(kind, alpha, beta, model):
     """The report from the checked public objects: the gate's pattern, the
-    (noisy) cluster state and the (0, 0) output state."""
+    (noisy) cluster state and the (0, 0) output state.  Each branch's weight
+    sums the rotated diagonal of the state under its maps' rows, and its
+    overlap is the rotated diagonal under the one row <t_s| K_s."""
     pattern = gate_pattern(alpha, beta)
     maps = analysis._branch_maps(LAYOUTS[kind][1], pattern.steps, pattern.readout)
-    rho = qcore._density_array(noisy(c4_state(), model))
-    residuals = maps @ rho @ maps.conj().swapaxes(1, 2)
-    weights = np.trace(residuals, axis1=1, axis2=2).real
+    a = qcore._array(noisy(c4_state(), model))
+    weights = qcore._rotated_diagonal(maps.reshape(16, 16), a).reshape(4, 4).sum(axis=1)
     targets = mbqc._GATES[kind][2] @ gate_output(kind, alpha, beta).amplitudes
-    overlaps = np.einsum("si,sij,sj->s", targets.conj(), residuals, targets).real
+    overlaps = qcore._rotated_diagonal((targets.conj()[:, None] @ maps)[:, 0], a)
     branches = itertools.product((0, 1), repeat=2)
     return {b: float(value / weight) for b, weight, value in zip(branches, weights, overlaps)}
 

@@ -22,11 +22,13 @@ meaning, a set, a frozenset, a dict and each dict view must be refused
 by name too; where the library sorts the items, a set or frozenset of
 them must give the outcome of their tuple.  The mappings of counts and
 probabilities and the list of count records are given what is no
-mapping or list, and a list of what is no record.
+mapping or list, and a list of what is no record.  The state
+constructors' arrays are given what numpy reads as no array of numbers:
+mappings, iterators, strings, None, bools, ragged lists and ints beyond
+int64.
 
-Out of scope: the array arguments of the state constructors; the
-exports without parameters; the report records, which hold results and
-check nothing.
+Out of scope: the exports without parameters; the report records, which
+hold results and check nothing.
 """
 
 import math
@@ -76,6 +78,7 @@ from onewaysim import (
     witness_from_counts,
     witness_value,
 )
+from onewaysim import qcore
 from onewaysim.cluster import BOX_FRAME, HORSESHOE_FRAME
 
 _C4 = c4_state()
@@ -448,3 +451,33 @@ def test_every_mapping_and_record_list_is_named_or_read_as_its_items(param):
         expected = param.call(param.taken[0])
         for value in param.taken[1:]:
             assert _same(param.call(value), expected), value
+
+
+# what numpy reads as no array of numbers, each with an array a constructor
+# takes beside it: a ket of two qubits, and the matrix of one qubit
+_NO_NUMBERS = (
+    {"a": 1}, iter([1, 0]), (v for v in (1, 0)), "10", b"10", None, 10**400, 16**4000,
+    [True, False], np.array([True, False]), [1, [0]], [[1, 0], [0]], [10**400, 0], [_C4, 0],
+    # a bool among numbers, which numpy alone reads as a number
+    [True, 0.0], (0.0, np.bool_(True)), [[1.0, 0.0], [0.0, False]],
+    [np.array([1.0, 0.0]), [True, 0]],
+)
+_ARRAYS = (
+    (StateVector, "amplitudes", ([0.5] * 4, (0.5, 0.5, 0.5, 0.5), np.full(4, 0.5 + 0j),
+                                 [np.float64(0.5), 0.5, np.int64(0) + 0.5, 0.5 + 0j])),
+    (StateVector.normalized, "amplitudes", ([1, 1, 1, 1], np.ones(4, dtype=np.int64))),
+    (DensityMatrix, "matrix", ([[1, 0], [0, 0]], ((1.0, 0.0), (0.0, 0.0)),
+                               np.diag([np.float32(1.0), np.float32(0.0)]))),
+)
+
+
+@pytest.mark.parametrize("make, name, taken", _ARRAYS, ids=[a[0].__qualname__ for a in _ARRAYS])
+def test_a_state_constructor_names_what_is_no_array_of_numbers(make, name, taken):
+    for value in _NO_NUMBERS:
+        message = f"{name} must be an array of numbers, got {qcore._shown(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(value)
+    # each array it takes holds the same complex entries as the first
+    expected = make(taken[0])
+    for value in taken:
+        assert _same(make(value), expected), value

@@ -1,5 +1,6 @@
 """Unit tests for the state/gate/measurement core."""
 
+import itertools
 import math
 import re
 
@@ -363,6 +364,37 @@ def test_expectation_mixed_matches_pure(rng):
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_word_and_fidelity_match_their_kronecker_oracles(n):
+    # each letter's basis and sign, Y's included: a Y basis with its rows
+    # swapped flips every word with an odd number of Ys
+    rng = np.random.default_rng(113 + n)
+    states = [make(rng, n) for make in (random_state, random_density) for _ in range(2)]
+    for letters in itertools.product("IXYZ", repeat=n):
+        matrix = oracles.kron(*(oracles.PAULI[letter] for letter in letters))
+        for state in states:
+            got = expectation(state, PauliString("".join(letters)))
+            assert abs(got - oracles.expectation(qcore._array(state), matrix)) <= 1e-13
+    for target in (random_state(rng, n), ket("1" * n), plus(n)):
+        projector = np.outer(target.amplitudes, target.amplitudes.conj())
+        for state in states:
+            expected = oracles.expectation(qcore._array(state), projector)
+            assert abs(fidelity(state, target) - expected) <= 1e-13
+
+
+def test_each_pauli_basis_reads_its_letter_as_z():
+    # row k of a letter's basis is the bra of eigenvalue (-1)**k: B P B^dagger = Z
+    assert list(qcore._PAULI_BASES) == list(oracles.PAULI)
+    for letter, basis in qcore._PAULI_BASES.items():
+        z = oracles.PAULI["I" if letter == "I" else "Z"]
+        np.testing.assert_allclose(basis @ oracles.PAULI[letter] @ basis.conj().T, z, atol=1e-15)
+        assert not basis.flags.writeable
+    assert qcore._PAULI_BASES["X"] is qcore._HADAMARD
+    for letters in ("", "I", "Z", "XI", "IYZ", "XYZI"):
+        keys = (format(i, f"0{len(letters)}b") for i in range(2 ** len(letters)))
+        assert qcore._word_signs(letters).tolist() == [oracles.sign(letters, k) for k in keys]
+
+
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
@@ -626,17 +658,6 @@ def test_the_shipped_floor_keeps_a_weight_just_above_1e_12(weight, kept):
     else:
         with pytest.raises(ImpossibleOutcomeError):
             _measure(psi, 0, 0.0, 1)
-
-
-@pytest.mark.parametrize("mixed", [False, True])
-def test_an_imaginary_residue_raises_only_above_tol(mixed):
-    # <0000| op |0000> is op's first diagonal entry, exactly
-    a = np.eye(16, dtype=complex)[0]
-    a = np.outer(a, a) if mixed else a
-    at_tol = np.diag(np.full(16, 1 + 1e-10j))
-    assert qcore._pairing(a, at_tol, "expectation") == 1.0
-    with pytest.raises(ArithmeticError, match="imaginary residue 1.0005e-10"):
-        qcore._pairing(a, np.diag(np.full(16, 1 + 1.0005e-10j)), "expectation")
 
 
 def test_outcome_sources():
