@@ -4,11 +4,11 @@ The entanglement witness used throughout is
 
     W = (4*I - (XXIZ + XXZI + IIZZ + IZXX + ZIXX + ZZII)) / 2
 
-whose six words split into two coincidence settings: XXZZ (paths in Z,
-polarizations along +/-) yields XXIZ, XXZI, IIZZ and ZZXX (paths on
-beam splitters, polarizations in H/V) yields IZXX, ZIXX, ZZII.  A
-negative expectation proves genuine four-partite entanglement, and
-F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
+whose six words split into two coincidence settings (WITNESS_SETTINGS):
+XXZZ (paths in Z, polarizations along +/-) yields XXIZ, XXZI, IIZZ and
+ZZXX (paths on beam splitters, polarizations in H/V) yields IZXX, ZIXX,
+ZZII.  A negative expectation proves genuine four-partite entanglement,
+and F >= 1/2 - <W>/2 bounds the fidelity to the linear cluster from below.
 Each setting's 3x16 matrix of its words' +/-1 outcome signs (expectation's
 ``_word_signs``), applied to its coincidence table (joint_distribution),
 gives exact terms, and applied to counts drawn from that table, estimates.
@@ -42,6 +42,7 @@ from .photonics import (
     COINCIDENCE_RATE_HZ,
     NoiseModel,
     WITNESS_OBSERVABLES,
+    WITNESS_SETTINGS,
     _OUTCOME_KEYS,
     _b_alpha_basis,
     _check_setting,
@@ -63,11 +64,6 @@ from .qcore import (
     _shown,
     _word_signs,
 )
-
-_SETTING_TERMS = {
-    "XXZZ": ("XXIZ", "XXZI", "IIZZ"),
-    "ZZXX": ("IZXX", "ZIXX", "ZZII"),
-}
 
 # numpy's Poisson sampler refuses means beyond the int64 range (~9.2e18)
 _MAX_EXPECTED_COUNTS = 1e18
@@ -111,13 +107,13 @@ def _report_from_terms(
 
 def _setting_tables(a: np.ndarray) -> Dict[str, np.ndarray]:
     """Each witness setting's ``_joint_table`` of a four-qubit state array, by name."""
-    return {name: _joint_table(a, name) for name in _SETTING_TERMS}
+    return {name: _joint_table(a, name) for name in WITNESS_SETTINGS}
 
 
 def _exact_report(probs: Mapping[str, np.ndarray]) -> WitnessReport:
     """Each setting's sign matrix applied to its table."""
     terms: Dict[str, float] = {}
-    for name, words in _SETTING_TERMS.items():
+    for name, words in WITNESS_SETTINGS.items():
         terms.update(zip(words, (_SIGN_MATRICES[name] @ probs[name]).tolist()))
     return _report_from_terms(terms)
 
@@ -152,9 +148,6 @@ class CountRecord:
         object.__setattr__(self, "counts", counts)
         if self.setting is not None:
             _check_setting(self.setting)
-
-    def total(self) -> int:
-        return int(sum(self.counts.values()))
 
 
 def simulate_counts(
@@ -247,7 +240,7 @@ _KEY_INDEX = {key: index for index, key in enumerate(_OUTCOME_KEYS)}
 # per setting, the +-1.0 eigenvalue of each of its three words (rows) on
 # each outcome (columns, in _OUTCOME_KEYS order)
 _SIGN_MATRICES = {
-    name: np.array([_word_signs(word) for word in words]) for name, words in _SETTING_TERMS.items()
+    name: np.array([_word_signs(w) for w in words]) for name, words in WITNESS_SETTINGS.items()
 }
 
 
@@ -270,7 +263,7 @@ def witness_from_counts(records: Iterable[CountRecord]) -> WitnessReport:
             if index is None:
                 raise ValueError(f"invalid outcome key {key!r}")
             bucket[index] += int(count)
-    missing = set(_SETTING_TERMS) - set(counts)
+    missing = set(WITNESS_SETTINGS) - set(counts)
     if missing:
         raise ValueError(f"missing counts for settings: {sorted(missing)}")
     return _counted_report(counts)
@@ -283,7 +276,7 @@ def _counted_report(counts: Mapping[str, Sequence[int]]) -> WitnessReport:
     term_err: Dict[str, float] = {}
     totals: Dict[str, int] = {}
     witness_var = 0.0
-    for name, words in _SETTING_TERMS.items():
+    for name, words in WITNESS_SETTINGS.items():
         totals[name] = int(sum(counts[name]))  # a Python int, as JSON needs
         if totals[name] == 0:
             raise NoCountsError("a witness setting has zero counts")
@@ -312,23 +305,25 @@ def _counted_report(counts: Mapping[str, Sequence[int]]) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_state(noise: Optional[NoiseModel]) -> np.ndarray:
-    """The array both reports start from: the (noisy) |C4>, unchecked."""
-    return _C4 if noise is None else _noisy(_C4, _check_type(noise, "noise", NoiseModel))
+def _prepare_state(noise: NoiseModel) -> np.ndarray:
+    """The array both reports start from: |C4> under the noise, unchecked."""
+    return _noisy(_C4, _check_type(noise, "noise", NoiseModel))
 
 
-def _branch_maps(frame: FrameMap, steps, readout) -> np.ndarray:
-    """K_s for every outcome branch s of a pattern's steps and readout.
+def _branch_maps(frame: FrameMap, steps) -> np.ndarray:
+    """K_s for every outcome branch s of a pattern's steps.
 
     K_s maps a source-frame (|C4>) state onto the unnormalised residual
-    of branch s on the readout qubits: the frame map, then the bra of its
-    outcome on every measured qubit.  Stacked as (branch, readout index,
-    source index), branches in lexicographic outcome order.
+    of branch s on the readout, the unmeasured qubits in ascending order:
+    the frame map, then the bra of its outcome on every measured qubit.
+    Stacked as (branch, readout index, source index), branches in
+    lexicographic outcome order.
     """
     n = len(frame.sources)
     qubits = [q for q, _ in steps]
+    readout = [q for q in range(n) if q not in qubits]
     rows = frame.matrix.reshape((2,) * n + (2**n,))
-    rows = rows.transpose(qubits + list(readout) + [n]).reshape(2 ** len(steps), -1)
+    rows = rows.transpose(qubits + readout + [n]).reshape(2 ** len(steps), -1)
     bras = _product_basis([_b_alpha_basis(alpha) for _, alpha in steps])
     return (bras @ rows).reshape(2 ** len(steps), 2 ** len(readout), 2**n)
 
@@ -337,7 +332,7 @@ def gate_fidelity_report(
     kind: str,
     alpha: float,
     beta: float,
-    noise: Optional[NoiseModel] = None,
+    noise: NoiseModel = NoiseModel(),
 ) -> Dict[Tuple[int, int], float]:
     """Branch fidelities of a measured gate against its closed form.
 
@@ -352,7 +347,7 @@ def gate_fidelity_report(
     times the (0, 0) output).  Only the arguments are checked.
     """
     _check_member(kind, "kind", tuple(_GATES))
-    maps = _branch_maps(_GATES[kind][1], *_gate_layout(alpha, beta))
+    maps = _branch_maps(_GATES[kind][1], _gate_layout(alpha, beta))
     a = _prepare_state(noise)
     weights = _rotated_diagonal(maps.reshape(16, 16), a).reshape(4, 4).sum(axis=1)
     targets = _gate_targets(kind, alpha, beta)
@@ -380,15 +375,15 @@ class GroverReport:
 
 
 def grover_report(
-    noise: Optional[NoiseModel] = None,
+    noise: NoiseModel = NoiseModel(),
     feedforward: bool = True,
     marked: str = "00",
     rate: float = COINCIDENCE_RATE_HZ,
     duration: float = 1.0,
     seed: int = 0,
 ) -> GroverReport:
-    """Run the search on the (optionally noisy) cluster and count answers;
-    ``noise`` is a NoiseModel or None, ``seed`` a non-negative integer."""
+    """Run the search on the cluster under ``noise`` and count answers;
+    ``seed`` is a non-negative integer."""
     a = _prepare_state(noise)
     _check_seed(seed)
     _check_search(marked, feedforward)

@@ -132,7 +132,7 @@ def _field(check, *args, hint: str = ""):
 def _noise(spec, name: str) -> Tuple[NoiseModel, Dict[str, object]]:
     """The noise model and the noise block of the output documents."""
     if spec == "ideal":
-        return NoiseModel.ideal(), {"kind": "ideal"}
+        return NoiseModel(), {"kind": "ideal"}
     if spec == "fit":
         targets = [REFERENCE_WITNESS_TERMS[w][0] for w in WITNESS_OBSERVABLES]
     elif not isinstance(spec, dict):

@@ -2,8 +2,10 @@
 
 A pattern measures cluster qubits one at a time in equatorial bases
 B(alpha) and corrects nothing: its Pauli byproducts are classical data,
-read from a constant table (the gates) or rule (the search).  A pattern
-is given by its branches, and one walk over its steps gives them all:
+read from a constant table (the gates) or rule (the search).  It stores
+only its steps: its readout is what they leave of the register, the
+unmeasured qubits in ascending order.  A pattern is given by its
+branches, and one walk over its steps gives them all:
 :func:`branch_distribution` returns every branch, and :func:`run_pattern`
 picks the branch of given forced outcomes from it.  On top of the walk
 this module provides
@@ -43,7 +45,7 @@ from .qcore import (
     _qubits,
     _rotated_diagonal,
     _rz_matrix,
-    _word_readout,
+    _word_rotation,
     overlap,
 )
 
@@ -55,13 +57,12 @@ class MeasurementPattern:
     steps
         (qubit, alpha) pairs, measured in order; qubit indices refer to
         the original register.
-    readout
-        Qubits left unmeasured, in ascending order.  Together with the
-        step qubits they must cover the register the pattern runs on.
+
+    Its readout is the register's unmeasured qubits, in ascending order,
+    on whatever register the pattern runs on.
     """
 
     steps: Tuple[Tuple[int, float], ...]
-    readout: Tuple[int, ...] = ()
 
     def __post_init__(self):
         steps = []
@@ -71,15 +72,9 @@ class MeasurementPattern:
             steps.append((qubit, _check_finite(angle, f"steps[{i}] angle")))
         if not steps:
             raise ValueError("pattern needs at least one measurement step")
-        step_qubits = [q for q, _ in steps]
-        if len(set(step_qubits)) != len(step_qubits):
+        if len({q for q, _ in steps}) != len(steps):
             raise ValueError("duplicate step qubit")
-        readout = enumerate(_check_sequence(self.readout, "readout"))
-        readout = tuple(sorted(_check_integer(q, f"readout[{i}]", 0) for i, q in readout))
-        if set(readout) & set(step_qubits):
-            raise ValueError("readout qubits overlap with step qubits")
         object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "readout", readout)
 
 
 def _walk(a: np.ndarray, pattern: MeasurementPattern):
@@ -100,18 +95,17 @@ def branch_distribution(state: State, pattern: MeasurementPattern):
 
     Returns a list of (outcomes, probability, residual) triples in
     lexicographic outcome order; residual is the normalized state left on
-    the readout qubits in ascending original order, its byproducts
-    uncorrected, or None when all qubits are measured.  Step and readout
-    qubits must exactly cover the register.  The surviving branch prefixes
+    the unmeasured qubits in ascending original order, its byproducts
+    uncorrected, or None when all qubits are measured.  Every step qubit
+    must lie in the register.  The surviving branch prefixes
     of each step are one stack of state arrays, split in one call into
     both outcomes of every prefix; a branch whose weight falls below the
     forced-outcome floor (1e-12 at some step) is dropped.  Only the
     returned states are checked, each by its constructor.
     """
     a = _check_state(state, "state")
-    qubits = [q for q, _ in _check_type(pattern, "pattern", MeasurementPattern).steps]
-    if sorted(qubits + list(pattern.readout)) != list(range(_qubits(a))):
-        raise ValueError("pattern qubits do not match the register")
+    for i, (qubit, _) in enumerate(_check_type(pattern, "pattern", MeasurementPattern).steps):
+        _check_integer(qubit, f"steps[{i}] qubit", 0, _qubits(a) - 1)
     prefixes, stack = _walk(a, pattern)
     residuals = [None] * len(prefixes) if stack is None else [type(state)(r) for r in stack]
     return [(bits, float(math.prod(probs)), r) for (bits, probs), r in zip(prefixes, residuals)]
@@ -145,14 +139,14 @@ def run_pattern(state: State, pattern: MeasurementPattern, outcomes: Sequence[in
 
 
 def _gate_layout(alpha: float, beta: float):
-    """Both gates' (steps, readout), once the angles pass: cluster qubits 2, 3
-    (indices 1, 2) at B(alpha), B(beta), outcomes s2, s3; qubits 1, 4 left."""
-    return ((1, _check_finite(alpha, "alpha")), (2, _check_finite(beta, "beta"))), (0, 3)
+    """Both gates' steps, once the angles pass: cluster qubits 2, 3 (indices
+    1, 2) at B(alpha), B(beta), outcomes s2, s3; qubits 1, 4 are the readout."""
+    return (1, _check_finite(alpha, "alpha")), (2, _check_finite(beta, "beta"))
 
 
 def gate_pattern(alpha: float, beta: float) -> MeasurementPattern:
     """The pattern of both gates, run on the horseshoe or the box cluster."""
-    return MeasurementPattern(*_gate_layout(alpha, beta))
+    return MeasurementPattern(_gate_layout(alpha, beta))
 
 
 def _byproducts(letters) -> np.ndarray:
@@ -167,11 +161,11 @@ def _byproducts(letters) -> np.ndarray:
     return table
 
 
-# layout name -> (graph, frame map onto it from |C4>, byproduct table, whether
-# an output CZ negates the |11> entry); none of them depends on the angles
+# layout name -> (graph, frame map onto it from |C4>, byproduct table); none
+# of them depends on the angles
 _GATES = {
-    "horseshoe": (HORSESHOE_GRAPH, HORSESHOE_FRAME, _byproducts(("XI", "IX")), False),
-    "box": (BOX_GRAPH, BOX_FRAME, _byproducts(("XZ", "ZX")), True),
+    "horseshoe": (HORSESHOE_GRAPH, HORSESHOE_FRAME, _byproducts(("XI", "IX"))),
+    "box": (BOX_GRAPH, BOX_FRAME, _byproducts(("XZ", "ZX"))),
 }
 
 # CZ|++> with one axis per qubit: entry (i, j) is the amplitude of |ij>
@@ -181,11 +175,13 @@ _CZ_PLUS = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
 def _gate_targets(kind: str, alpha: float, beta: float) -> np.ndarray:
     """Row 2 s2 + s3: branch (s2, s3)'s byproducts times the (0, 0) output
     (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
-    B = H Rz(-beta), whose |11> entry an output CZ negates; unchecked."""
-    _, _, byproducts, output_cz = _GATES[kind]
+    B = H Rz(-beta), unchecked.  An edge between two unmeasured vertices
+    stays on the output (Hein, Eisert & Briegel, PRA 69, 062311 (2004)): the
+    graph's edge (0, 3) is an output CZ, which negates the |11> entry."""
+    graph, _, byproducts = _GATES[kind]
     a, b = (_HADAMARD @ _rz_matrix(-t) for t in (alpha, beta))
     target = a @ _CZ_PLUS @ b.T
-    if output_cz:
+    if (0, 3) in graph.edges:
         target[1, 1] = -target[1, 1]
     return byproducts @ target.reshape(4)
 
@@ -209,7 +205,7 @@ def gate_output(kind: str, alpha: float, beta: float, s2: int = 0, s3: int = 0) 
 def frame_equivalence(kind: str) -> Tuple[StateVector, StateVector, float]:
     """The ``kind`` cluster built on its graph, |C4> mapped to its frame,
     and their overlap, which should be 1."""
-    graph, frame, _, _ = _GATES[_check_member(kind, "kind", tuple(_GATES))]
+    graph, frame, _ = _GATES[_check_member(kind, "kind", tuple(_GATES))]
     built, mapped = build_cluster(graph), frame.apply(StateVector(_C4))
     return built, mapped, overlap(built, mapped)
 
@@ -220,40 +216,24 @@ def frame_equivalence(kind: str) -> Tuple[StateVector, StateVector, float]:
 
 _MARKS = ("00", "01", "10", "11")
 
-# register positions in the box frame: cluster qubits (1,2,3,4) of the box
-# graph sit at indices (0,1,2,3); the oracle tags qubits 2,3 of Eq. frame
-# which are box qubits 2 and 3 at indices 1 and 2.
-_ORACLE_POSITIONS = (1, 2)
-_READOUT_POSITIONS = (0, 3)
-
-
-def _oracle_angle(mark_bit: int) -> float:
-    # tagging flips the outcome labelling B(pi) -> B(0); the physical
-    # apparatus is identical for both, so the mark stays hidden in it
-    return 0.0 if mark_bit else math.pi
+# mark -> its box-frame search pattern (indices 0-3 hold box qubits 1-4): the
+# oracle reads box qubits 2, 3 at B(0) for a tagged bit, else at B(pi), the same
+# apparatus (so the mark stays hidden); then the readout, box qubits 1, 4 at B(pi)
+_SEARCH_PATTERNS = {
+    m1 + m2: MeasurementPattern(((1, a1), (2, a2), (0, math.pi), (3, math.pi)))
+    for (m1, a1), (m2, a2) in itertools.product((("0", math.pi), ("1", 0.0)), repeat=2)
+}
 
 
 def grover_pattern(marked: str) -> MeasurementPattern:
-    """Box-frame measurement pattern for one oracle choice."""
-    m1, m2 = _check_search(marked)
-    steps = (
-        (_ORACLE_POSITIONS[0], _oracle_angle(m1)),
-        (_ORACLE_POSITIONS[1], _oracle_angle(m2)),
-        (_READOUT_POSITIONS[0], math.pi),
-        (_READOUT_POSITIONS[1], math.pi),
-    )
-    return MeasurementPattern(steps=steps)
+    """Box-frame measurement pattern for one oracle choice, once the mark passes."""
+    return _SEARCH_PATTERNS[_check_member(marked, "marked", _MARKS)]
 
 
-def _check_search(marked: str, feedforward: bool = True) -> Tuple[int, int]:
-    """The mark's two bits, once the mark and the feedforward flag pass."""
-    _check_member(marked, "marked", _MARKS)
+def _check_search(marked: str, feedforward: bool) -> None:
+    """Raise ValueError unless the mark and the feedforward flag pass."""
+    grover_pattern(marked)
     _check_member(feedforward, "feedforward", (True, False))
-    return int(marked[0]), int(marked[1])
-
-
-# mark -> its search pattern, built once
-_SEARCH_PATTERNS = {mark: grover_pattern(mark) for mark in _MARKS}
 
 
 def grover_run(
@@ -309,7 +289,7 @@ BELL_LABELS = ("++", "+-", "-+", "--")
 # the whole interferometer as one readout rotation, read-only: the CZ, then
 # the word XX (+/- polarization, a beam splitter on the path); row k is the
 # bra of outcome k (polarization bit first)
-_BELL_READOUT = _word_readout("XX")[0] * [1.0, 1.0, 1.0, -1.0]
+_BELL_READOUT = _word_rotation("XX") * [1.0, 1.0, 1.0, -1.0]
 _BELL_READOUT.setflags(write=False)
 
 

@@ -14,8 +14,9 @@ theta = 0 this is exactly the linear cluster.  Imperfections are
 modelled by independent phase damping on the two path qubits (the
 interferometric arms) followed by an isotropic white noise admixture.
 
-The witness is read in two coincidence settings, each named by the Pauli
-word whose bases (qcore's) it reads, qubit by qubit in register order:
+The witness is read in two coincidence settings (``WITNESS_SETTINGS``,
+which lists the three stabilizer words each gives), each named by the
+Pauli word whose bases (qcore's) it reads, qubit by qubit in register order:
 
     XXZZ    polarizations along +/-, paths read in Z (which arm)
     ZZXX    polarizations in H/V, both arms interfered on beam splitters
@@ -34,7 +35,6 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .qcore import (
-    _PAULI_BASES,
     DensityMatrix,
     State,
     StateVector,
@@ -47,14 +47,20 @@ from .qcore import (
     _check_unit,
     _density_array,
     _rotated_diagonal,
-    _word_readout,
+    _word_rotation,
 )
 
 # ---------------------------------------------------------------------------
 # reference values from the demonstration this package models
 # ---------------------------------------------------------------------------
 
-WITNESS_OBSERVABLES = ("XXIZ", "XXZI", "IIZZ", "IZXX", "ZIXX", "ZZII")
+# setting name -> the stabilizer words its coincidence table gives
+WITNESS_SETTINGS: Dict[str, Tuple[str, ...]] = {
+    "XXZZ": ("XXIZ", "XXZI", "IIZZ"),
+    "ZZXX": ("IZXX", "ZIXX", "ZZII"),
+}
+
+WITNESS_OBSERVABLES = tuple(word for words in WITNESS_SETTINGS.values() for word in words)
 
 # measured stabilizer expectations (value, standard error)
 REFERENCE_WITNESS_TERMS = {
@@ -141,6 +147,8 @@ class NoiseModel:
         (1 - lambda).  Models arm length jitter of each interferometer.
     white_noise
         Admixture weight p of the maximally mixed state.
+
+    ``NoiseModel()``, every parameter 0, is the ideal model.
     """
 
     path_dephasing_a: float = 0.0
@@ -151,17 +159,6 @@ class NoiseModel:
         for name in ("path_dephasing_a", "path_dephasing_b", "white_noise"):
             _check_unit(getattr(self, name), name)
 
-    @classmethod
-    def ideal(cls) -> "NoiseModel":
-        return cls(0.0, 0.0, 0.0)
-
-    def is_ideal(self) -> bool:
-        return (
-            self.path_dephasing_a == 0.0
-            and self.path_dephasing_b == 0.0
-            and self.white_noise == 0.0
-        )
-
 
 def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
     """Send a four-qubit state through the noise channel."""
@@ -171,8 +168,9 @@ def apply_noise(ideal: State, model: NoiseModel) -> DensityMatrix:
 
 
 def _noisy(amps: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """The ket ``amps``, or under a non-ideal model :func:`apply_noise`'s matrix, unchecked."""
-    return amps if model.is_ideal() else _noise_channel(np.outer(amps, amps.conj()), model)
+    """The ket ``amps``, or under a nonzero parameter :func:`apply_noise`'s matrix, unchecked."""
+    noisy = any(vars(model).values())
+    return _noise_channel(np.outer(amps, amps.conj()), model) if noisy else amps
 
 
 def _bits_differ(d: int, qubit: int) -> np.ndarray:
@@ -248,11 +246,9 @@ def _b_alpha_basis(alpha: float) -> np.ndarray:
     return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
 
 
-# setting name -> each qubit's readout basis in register order (B pol, A pol,
-# A path, B path): its letter's in the name (read-only, row k the bra of outcome k)
-WITNESS_SETTINGS: Dict[str, Tuple[np.ndarray, ...]] = {
-    name: tuple(_PAULI_BASES[letter] for letter in name) for name in ("XXZZ", "ZZXX")
-}
+# setting name -> its readout rotation, built once (read-only): the product of
+# its letters' bases in register order (B pol, A pol, A path, B path)
+_SETTING_ROTATIONS = {name: _word_rotation(name) for name in WITNESS_SETTINGS}
 
 
 def _check_setting(setting) -> None:
@@ -279,7 +275,7 @@ def joint_distribution(state: State, setting: str) -> Dict[str, float]:
 
 def _joint_table(a: np.ndarray, setting: str) -> np.ndarray:
     """:func:`joint_distribution`'s values for a four-qubit state array, unchecked."""
-    return np.maximum(_rotated_diagonal(_word_readout(setting)[0], a), 0.0)
+    return np.maximum(_rotated_diagonal(_SETTING_ROTATIONS[setting], a), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +294,7 @@ def _parse_pair(detector_pair: str, name: str) -> Tuple[int, int]:
 
 
 # both beam splitters, a Hadamard on each path qubit: the word XX's rotation
-_BEAM_SPLITTERS = _word_readout("XX")[0]
+_BEAM_SPLITTERS = _word_rotation("XX")
 
 # phases per stack, so a long scan needs no more than ~256 KB per stack
 _FRINGE_BLOCK = 1024

@@ -299,13 +299,9 @@ def _word_signs(letters: str) -> np.ndarray:
     return reduce(np.kron, ([1.0, 1.0 if ch == "I" else -1.0] for ch in letters), np.ones(1))
 
 
-@lru_cache(maxsize=None)
-def _word_readout(letters: str):
-    """A word's rotation, the product of its letters' bases, and its signs,
-    both read-only: every caller shares them."""
-    signs = _word_signs(letters)
-    signs.setflags(write=False)
-    return _product_basis([_PAULI_BASES[ch] for ch in letters]), signs
+def _word_rotation(letters: str) -> np.ndarray:
+    """A word's readout rotation, the product of its letters' bases (read-only)."""
+    return _product_basis([_PAULI_BASES[ch] for ch in letters])
 
 
 @dataclass(frozen=True)
@@ -387,8 +383,7 @@ def expectation(state: State, observable: PauliString) -> float:
     the diagonal of the state rotated onto P's eigenbases."""
     letters = _check_type(observable, "observable", PauliString).letters
     a = _check_state(state, "state", len(letters))
-    rotation, signs = _word_readout(letters)
-    return float(signs @ _rotated_diagonal(rotation, a))
+    return float(_word_signs(letters) @ _rotated_diagonal(_word_rotation(letters), a))
 
 
 @lru_cache(maxsize=256)

@@ -37,7 +37,7 @@ SEED_RANGE = "an integer in [0, 340282366920938463463374607431768211455]"
 # the models whose count-feeding tables test_count_floats pins bit for bit:
 # the ideal and fitted models and three seeded ones
 PIN_MODELS = {
-    "ideal": NoiseModel.ideal(),
+    "ideal": NoiseModel(),
     "fitted": FITTED_MODEL,
     **{
         f"noise_{seed}": NoiseModel(*np.random.default_rng(seed).uniform(0, 0.4, size=3).tolist())
@@ -102,7 +102,7 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
 
 def noisy(state, model: NoiseModel):
     """``state`` through the noise channel, or itself under the ideal model."""
-    return state if model.is_ideal() else apply_noise(state, model)
+    return state if model == NoiseModel() else apply_noise(state, model)
 
 
 def oracle_models(rng: np.random.Generator, count: int = 4):
@@ -110,7 +110,7 @@ def oracle_models(rng: np.random.Generator, count: int = 4):
     each weight alone at 1, both dephasings at 1 under white noise, and
     ``count`` seeded random models."""
     models = [
-        NoiseModel.ideal(),
+        NoiseModel(),
         FITTED_MODEL,
         NoiseModel(0.0, 0.0, 1.0),
         NoiseModel(1.0, 0.0, 0.0),

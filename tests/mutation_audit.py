@@ -112,6 +112,13 @@ EQUIVALENT = {
      "0.0 <= keep_q <= keep", "0.0 < keep_q <= keep", 0):
         "at keep_q = 0 the interior candidate (keep, 0.0) equals the q = 0 edge "
         "candidate, which min already takes first",
+    ("mbqc", "<module>", '_BELL_READOUT = _word_rotation("XX") * [1.0, 1.0, 1.0, -1.0]',
+     "_word_rotation('XX') * [1.0, 1.0, 1.0, -1.0]",
+     "_word_rotation('XX') / [1.0, 1.0, 1.0, -1.0]", 0):
+        "dividing by +-1.0 gives each entry the value multiplying gives; only the "
+        "signs of zero imaginary parts differ, a signed zero changes a sum only when "
+        "every term is zero, and bell_probabilities gave the same bits on 364 basis, "
+        "gate output and random states, as kets and as matrices",
 }
 RESHAPE = "numpy reads any negative length in a reshape as the one it infers"
 

@@ -158,11 +158,11 @@ def _library_calls(o):
             yield f"expectation {word} {i}", o.expectation(state, o.PauliString(word))
         for j, target in enumerate(targets):
             yield f"fidelity {j} {i}", o.fidelity(state, target)
-    for i, model in enumerate([None] + models):
+    for i, model in enumerate([o.NoiseModel()] + models):
         for kind, (alpha, beta) in itertools.product(("horseshoe", "box"), angles):
             report = o.gate_fidelity_report(kind, alpha, beta, model)
             yield f"gate_fidelity_report {kind} {alpha} {beta} {i}", report
-        scans = o.visibility_scans(model or o.NoiseModel.ideal(), o.DETECTOR_PAIRS)
+        scans = o.visibility_scans(model, o.DETECTOR_PAIRS)
         yield f"visibility_scans {i}", scans
 
 

@@ -57,7 +57,7 @@ def _run_fresh(argv, **env):
 def test_load_config_defaults():
     cfg = load_config(None, "witness")
     model, info = cfg["noise"]
-    assert model.is_ideal() and info == {"kind": "ideal"}
+    assert model == photonics.NoiseModel() and info == {"kind": "ideal"}
     assert cfg["seed"] == 0
     assert cfg["duration"] == 1.0
     assert cfg["gate.kind"] == "horseshoe"

@@ -2,9 +2,10 @@
 by some module of ``src/onewaysim``, every export is reached by the
 package or the acceptance gate, every module-level public function or
 class is exported or read outside its own definition, every public
-method of a package class is read by the package or the acceptance gate
-outside its own body, every parameter of a package function is read in
-its body, and every import is used by the module that makes it.
+method of a package class is read as an attribute by the package or the
+acceptance gate outside its own body, every parameter of a package
+function is read in its body, and every import is used by the module
+that makes it.
 
 A deletion that leaves a helper, a table or an import behind fails here.
 The package's ``__init__`` re-exports what it imports, and
@@ -104,24 +105,55 @@ def test_every_public_function_and_class_is_exported_or_read():
     assert dead == []
 
 
-def test_every_public_method_is_read_by_the_package_or_the_acceptance_gate():
-    trees = [tree for module, tree in MODULES.items() if module != "__init__"]
-    trees.append(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+def _attribute_reads(tree):
+    """How often each attribute name is read under ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _unread_methods(modules, readers):
+    """``module.Class.method`` for each public method of the classes in
+    ``modules`` whose name no attribute in the trees ``readers`` reads.  A
+    method is only ever read as an attribute, so a bare name (a local
+    variable named like it) does not keep it alive, and neither do reads
+    inside the method itself (recursion)."""
     reads = Counter()
-    for tree in trees:
-        reads.update(_read_counts(tree))
-    dead = [
+    for tree in readers:
+        reads.update(_attribute_reads(tree))
+    return [
         f"{module}.{cls.name}.{method.name}"
-        for module, tree in sorted(MODULES.items())
+        for module, tree in sorted(modules.items())
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
         for method in cls.body
         if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not method.name.startswith("_")
-        # reads inside the method itself (recursion) do not keep it alive
-        and reads[method.name] == _read_counts(method)[method.name]
+        and reads[method.name] == _attribute_reads(method)[method.name]
     ]
-    assert dead == []
+
+
+def test_every_public_method_is_read_by_the_package_or_the_acceptance_gate():
+    trees = [tree for module, tree in MODULES.items() if module != "__init__"]
+    trees.append(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    assert _unread_methods(MODULES, trees) == []
+
+
+def test_a_method_named_like_a_local_variable_is_unread():
+    # ``total`` is read only as a local and ``count`` only by itself, so
+    # both are unread; ``kept`` is read as an attribute
+    source = (
+        "class Record:\n"
+        "    def total(self):\n"
+        "        return 0\n"
+        "    def count(self, n):\n"
+        "        return self.count(n - 1) if n else 0\n"
+        "    def kept(self):\n"
+        "        return 1\n"
+        "def summary(counts):\n"
+        "    total = sum(counts)\n"
+        "    return total + Record().kept()\n"
+    )
+    tree = ast.parse(source)
+    assert _unread_methods({"m": tree}, [tree]) == ["m.Record.total", "m.Record.count"]
 
 
 def test_every_parameter_is_read_in_its_function():

@@ -70,17 +70,19 @@ def _flow_pattern(rng):
     state = StateVector(t) if a.ndim == 1 else DensityMatrix(signs[:, None] * t)
 
     alphas = rng.uniform(0.0, 2 * math.pi, size=k).tolist()
-    pattern = MeasurementPattern(tuple(zip(measured, alphas)), tuple(successors + rest))
+    pattern = MeasurementPattern(tuple(zip(measured, alphas)))
     return state, pattern, flow, neighbours
 
 
 def _correction(pattern, flow, neighbours, branch):
-    """The flow's byproduct of one branch on the readout qubits, up to sign."""
-    c = np.eye(2 ** len(pattern.readout))
+    """The flow's byproduct of one branch on the readout qubits (the
+    unmeasured ones, in ascending order), up to sign."""
+    readout = [q for q in neighbours if q not in flow]
+    c = np.eye(2 ** len(readout))
     for (m, _), bit in zip(pattern.steps, branch):
         if bit:
             letters = {flow[m]: "X", **{w: "Z" for w in neighbours[flow[m]] - {m}}}
-            c = c @ oracles.kron(*(oracles.PAULI[letters.get(q, "I")] for q in pattern.readout))
+            c = c @ oracles.kron(*(oracles.PAULI[letters.get(q, "I")] for q in readout))
     return c
 
 
@@ -103,7 +105,7 @@ def test_flow_patterns_are_deterministic():
 
         # the same branches from the maps K_s: R_s = C_s K_s rho K_s^dagger C_s^dagger
         identity = FrameMap(tuple(range(state.num_qubits)), (None,) * state.num_qubits)
-        maps = _branch_maps(identity, pattern.steps, pattern.readout)
+        maps = _branch_maps(identity, pattern.steps)
         rho = _density_array(state)
         for branch, k_s in zip(itertools.product((0, 1), repeat=k), maps):
             c = _correction(pattern, flow, neighbours, branch)

@@ -85,7 +85,7 @@ _C4 = c4_state()
 _BELL = StateVector([2**-0.5, 0.0, 0.0, 2**-0.5])
 _MIXED = DensityMatrix(np.outer(_C4.amplitudes, _C4.amplitudes.conj()))
 _MODEL = NoiseModel(0.05, 0.1, 0.2)
-_PATTERN = MeasurementPattern(((0, 0.3),), (1,))
+_PATTERN = MeasurementPattern(((0, 0.3),))
 
 # the same hostile values for every parameter; each is valid for some
 _HOSTILE = (
@@ -197,12 +197,13 @@ _PARAMS = [
           lambda v: MeasurementPattern(((v, 0.3),)), _integer(0)),
     Param("MeasurementPattern.steps.angle", "steps",
           lambda v: MeasurementPattern(((0, v),)), _FINITE),
-    Param("MeasurementPattern.readout", "readout",
-          lambda v: MeasurementPattern(((100, 0.3),), (v,)), _integer(0)),
     Param("branch_distribution.state", "state", lambda v: branch_distribution(v, _PATTERN),
           _instance(_STATE)),
     Param("branch_distribution.pattern", "pattern", lambda v: branch_distribution(_BELL, v),
           _instance(MeasurementPattern)),
+    # a step qubit must lie in the register the pattern runs on
+    Param("branch_distribution.pattern.steps.qubit", "steps",
+          lambda v: branch_distribution(_BELL, MeasurementPattern(((v, 0.3),))), _integer(0, 1)),
     Param("run_pattern.state", "state", lambda v: run_pattern(v, _PATTERN, (1,)),
           _instance(_STATE)),
     Param("run_pattern.pattern", "pattern", lambda v: run_pattern(_BELL, v, (1,)),
@@ -262,7 +263,7 @@ _PARAMS = [
               ), check)
         for field, check in (
             ("kind", _LAYOUT), ("alpha", _FINITE), ("beta", _FINITE),
-            ("noise", _instance(NoiseModel, optional=True)),
+            ("noise", _instance(NoiseModel)),
         )
     ),
     *(
@@ -271,7 +272,7 @@ _PARAMS = [
                   **{"noise": _MODEL, "marked": "10", "rate": 50.0, "duration": 2.0, f: v}
               ), check)
         for field, check in (
-            ("noise", _instance(NoiseModel, optional=True)), ("feedforward", _FLAG),
+            ("noise", _instance(NoiseModel)), ("feedforward", _FLAG),
             ("marked", _member("00", "01", "10", "11")), ("rate", _real(positive=True)),
             ("duration", _real(positive=True)), ("seed", _SEED),
         )
@@ -373,8 +374,6 @@ _CONTAINERS = [
     Container("MeasurementPattern.steps", "steps", MeasurementPattern, ((0, 0.3), (2, 1.1))),
     Container("MeasurementPattern.steps.step", "steps[0]",
               lambda v: MeasurementPattern((v,)), (0, 0.3), 2),
-    Container("MeasurementPattern.readout", "readout",
-              lambda v: MeasurementPattern(((0, 0.3),), v), (1, 2), ordered=False),
     Container("run_pattern.outcomes", "outcomes", lambda v: run_pattern(_BELL, _TWO_STEPS, v),
               (1, 0), 2),
 ]

@@ -71,8 +71,6 @@ def test_pattern_validation():
     with pytest.raises(ValueError):
         MeasurementPattern(steps=((0, 0.0), (0, 1.0)))  # duplicate qubit
     with pytest.raises(ValueError):
-        MeasurementPattern(steps=((0, 0.0),), readout=(0,))  # overlap
-    with pytest.raises(ValueError):
         MeasurementPattern(steps=((0, float("nan")),))
     for angle in (True, "x", None):
         with pytest.raises(ValueError, match="angle"):
@@ -90,16 +88,15 @@ def test_pattern_validation():
         message = f"^steps\\[1\\] qubit must be an integer >= 0, got {shown}$"
         with pytest.raises(ValueError, match=message):
             MeasurementPattern(((0, 0.1), (bad, 0.2)))
-        message = f"^readout\\[1\\] must be an integer >= 0, got {shown}$"
-        with pytest.raises(ValueError, match=message):
-            MeasurementPattern(((0, 0.1),), (2, bad))
-    assert MeasurementPattern(((np.int64(0), 0.1),), (np.int8(1),)).readout == (1,)
+    steps = MeasurementPattern(((np.int64(0), 0.1),)).steps
+    assert steps == ((0, 0.1),) and type(steps[0][0]) is int
 
 
 def test_run_pattern_register_checks(rng):
     psi = random_state(rng, 4)
-    with pytest.raises(ValueError):
-        run_pattern(psi, MeasurementPattern(steps=((0, 0.0),), readout=(1,)), [0])
+    message = r"^steps\[1\] qubit must be an integer in \[0, 3\], got 4$"
+    with pytest.raises(ValueError, match=message):
+        run_pattern(psi, MeasurementPattern(steps=((0, 0.0), (4, 0.0))), [0, 0])
     with pytest.raises(ValueError):
         run_pattern(psi, gate_pattern(0.0, 0.0), [0])  # one bit, two steps
     with pytest.raises(ValueError, match="outcomes"):
@@ -209,11 +206,12 @@ def test_byproduct_tables_are_the_written_out_pauli_products():
         box = box_s3 @ box_s2
         assert np.array_equal(mbqc._GATES["horseshoe"][2][2 * s2 + s3], horseshoe)
         assert np.array_equal(mbqc._GATES["box"][2][2 * s2 + s3], box)
-    # one row per layout: its graph, frame map, table and output CZ (the box's)
+    # one row per layout: its graph, frame map and table; only the box's
+    # graph joins the two readout qubits, whose edge is the output CZ
     assert list(mbqc._GATES) == list(LAYOUTS)
-    for kind, (graph, frame, table, output_cz) in mbqc._GATES.items():
+    for kind, (graph, frame, table) in mbqc._GATES.items():
         assert graph is LAYOUTS[kind][0] and frame is LAYOUTS[kind][1]
-        assert output_cz is (kind == "box")
+        assert ((0, 3) in graph.edges) is (kind == "box")
         assert table.shape == (4, 4, 4) and not table.flags.writeable
 
 
@@ -328,9 +326,10 @@ def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(kind, rng):
 
 
 def test_grover_pattern_shape():
+    # the oracle reads a tagged bit at B(0) and an untagged one at B(pi)
     pattern = grover_pattern("10")
-    assert [q for q, _ in pattern.steps] == [1, 2, 0, 3]
-    assert pattern.readout == ()
+    assert pattern.steps == ((1, 0.0), (2, math.pi), (0, math.pi), (3, math.pi))
+    assert grover_pattern("01").steps[:2] == ((1, math.pi), (2, 0.0))
     with pytest.raises(ValueError):
         grover_pattern("2")
 
@@ -462,7 +461,7 @@ def test_a_state_argument_that_is_no_state_is_named(value):
     with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
         witness_value(value)
     with pytest.raises(ValueError, match=f"^ideal must be a state of 4 qubits, got {shown}$"):
-        apply_noise(value, NoiseModel.ideal())
+        apply_noise(value, NoiseModel())
     for _, frame in LAYOUTS.values():
         with pytest.raises(ValueError, match=f"^state must be a state of 4 qubits, got {shown}$"):
             frame.apply(value)
@@ -548,14 +547,14 @@ def _oracle_runs(rng):
 
 
 def _random_patterns(rng):
-    """Seeded patterns, one for each count of 1-3 steps and 1-3 readout
-    qubits, with qubits and steps in random order."""
+    """Seeded (register size, pattern) pairs, one for each count of 1-3 steps
+    and 1-3 readout qubits, with qubits and steps in random order."""
     patterns = []
     for num_steps, num_readout in itertools.product((1, 2, 3), repeat=2):
         qubits = rng.permutation(num_steps + num_readout).tolist()
-        step_qubits, readout = qubits[:num_steps], qubits[num_steps:]
-        steps = tuple(zip(step_qubits, rng.uniform(-math.pi, math.pi, size=num_steps).tolist()))
-        patterns.append(MeasurementPattern(steps, tuple(readout)))
+        angles = rng.uniform(-math.pi, math.pi, size=num_steps).tolist()
+        steps = tuple(zip(qubits[:num_steps], angles))
+        patterns.append((num_steps + num_readout, MeasurementPattern(steps)))
     return patterns
 
 
@@ -563,8 +562,8 @@ def test_branch_distribution_equals_forced_runs():
     rng = np.random.default_rng(41)
     runs = list(_oracle_runs(rng))
     runs += [
-        (make(rng, len(pattern.steps) + len(pattern.readout)), pattern)
-        for pattern in _random_patterns(rng)
+        (make(rng, num_qubits), pattern)
+        for num_qubits, pattern in _random_patterns(rng)
         for make in (random_state, random_density)
     ]
     for state, pattern in runs:
@@ -590,11 +589,51 @@ def test_branch_distribution_matches_projector_runs():
                 assert np.allclose(got_array, oracle, rtol=0.0, atol=1e-12)
 
 
-def test_branch_distribution_checks_the_register():
-    with pytest.raises(ValueError, match="pattern qubits do not match"):
-        branch_distribution(
-            build_cluster(BOX_GRAPH), MeasurementPattern(steps=((1, 0.0),), readout=(0,))
-        )
+def _bra(alpha, bit):
+    """The B(alpha) bra of outcome ``bit``, written out."""
+    return np.array([1.0, (-1) ** bit * np.exp(-1j * alpha)]) / math.sqrt(2)
+
+
+def test_a_residual_sits_on_the_unmeasured_qubits_in_ascending_order(rng):
+    # the readout is not given: it is what the steps leave of the register,
+    # in ascending order, whichever order the steps measure in; each case is
+    # (state, pattern, the unnormalised residual of outcomes s, written out)
+    psi = random_state(rng, 3)
+    t = psi.amplitudes.reshape(2, 2, 2)
+    cluster = build_cluster(HORSESHOE_GRAPH)
+    c = cluster.amplitudes.reshape(2, 2, 2, 2)
+
+    def gate_residual(s2, s3):  # cluster qubits 1, 4 (indices 0, 3) left
+        return np.einsum("b,c,abcd->ad", _bra(0.3, s2), _bra(1.1, s3), c)
+
+    cases = (
+        (psi, MeasurementPattern(((1, 0.7),)), lambda s: np.einsum("b,abc->ac", _bra(0.7, *s), t)),
+        (cluster, gate_pattern(0.3, 1.1), lambda s: gate_residual(*s)),
+        (cluster, MeasurementPattern(((2, 1.1), (1, 0.3))), lambda s: gate_residual(s[1], s[0])),
+    )
+    for state, pattern, residual_of in cases:
+        branches = branch_distribution(state, pattern)
+        assert len(branches) == 2 ** len(pattern.steps)
+        for bits, probability, residual in branches:
+            left = residual_of(bits).reshape(-1)
+            assert probability == pytest.approx(np.vdot(left, left).real, abs=1e-13)
+            want = left / np.linalg.norm(left)
+            np.testing.assert_allclose(residual.amplitudes, want, rtol=0, atol=1e-13)
+    for (s2, s3), _, residual in branch_distribution(cluster, gate_pattern(0.3, 1.1)):
+        want = gate_output("horseshoe", 0.3, 1.1, s2, s3)
+        assert overlap(residual, want) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_branch_distribution_checks_the_register(rng):
+    # a step qubit outside the register is refused by name
+    psi = random_state(rng, 3)
+    for state in (psi, as_density(psi)):
+        for qubit in (3, 7):
+            message = rf"^steps\[1\] qubit must be an integer in \[0, 2\], got {qubit}$"
+            with pytest.raises(ValueError, match=message):
+                branch_distribution(state, MeasurementPattern(((0, 0.1), (qubit, 0.2))))
+    # the register's last qubit is a step qubit, and every qubit may be one
+    assert len(branch_distribution(psi, MeasurementPattern(((2, 0.1), (0, 0.2), (1, 0.3))))) == 8
 
 
 def test_exact_search_equals_forced_branch_sums():
@@ -670,7 +709,7 @@ def test_run_pattern_checks_the_residual_it_returns(monkeypatch, rng):
         return kept, out[-1]
 
     monkeypatch.setattr(mbqc, "_branches", doubled)
-    pattern = MeasurementPattern(((1, 0.3),), readout=(0, 2, 3))
+    pattern = MeasurementPattern(((1, 0.3),))
     for state, prefix in (
         (c4_state(), "state norm"),
         (random_state(rng, 4), "state norm"),

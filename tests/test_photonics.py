@@ -25,7 +25,7 @@ from onewaysim.photonics import (
     source_state,
     visibility_scans,
 )
-from onewaysim.qcore import PauliString, _array, expectation
+from onewaysim.qcore import _PAULI_BASES, PauliString, _array, expectation
 
 import oracles
 from conftest import as_density, ket, oracle_models, random_density, random_state, spy
@@ -76,11 +76,21 @@ def test_noise_model_validation():
     for name in ("path_dephasing_a", "path_dephasing_b", "white_noise"):
         with pytest.raises(ValueError, match=name):
             NoiseModel(**{name: 1.0 + 1e-9})  # just above the range
-    assert NoiseModel.ideal().is_ideal()
-    assert NoiseModel() == NoiseModel.ideal()  # every parameter defaults to 0
-    assert not NoiseModel(0.0, 0.0, 0.1).is_ideal()
+    assert astuple(NoiseModel()) == (0.0, 0.0, 0.0)  # every parameter defaults to 0
     # any real number but a bool: numpy's float32 is one
     assert NoiseModel(np.float32(0.1)).path_dephasing_a == np.float32(0.1)
+
+
+def test_only_the_ideal_model_keeps_the_ket():
+    # NoiseModel() is the ideal model, its zeros written any way; a model
+    # with any nonzero parameter gives the channel's matrix
+    amps = c4_state().amplitudes
+    for model in (NoiseModel(), NoiseModel(0, 0, 0), NoiseModel(-0.0, 0.0, -0.0)):
+        assert photonics._noisy(amps, model) is amps
+    for model in (NoiseModel(1e-300), NoiseModel(0, 1e-300), NoiseModel(0, 0, 1e-300)):
+        np.testing.assert_array_equal(
+            photonics._noisy(amps, model), apply_noise(c4_state(), model).matrix
+        )
 
 
 NUMBER_FIELDS = {
@@ -113,7 +123,7 @@ def test_apply_noise_matches_elementwise_reference(rng):
 
 def test_apply_noise_ideal_model_is_identity():
     psi = c4_state()
-    rho = apply_noise(psi, NoiseModel.ideal())
+    rho = apply_noise(psi, NoiseModel())
     assert np.allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
@@ -127,7 +137,7 @@ def test_apply_noise_accepts_density_input(rng):
 
 def test_apply_noise_requires_four_qubits():
     with pytest.raises(ValueError):
-        apply_noise(ket("00"), NoiseModel.ideal())
+        apply_noise(ket("00"), NoiseModel())
 
 
 def test_noise_pauli_transfer_factors(rng):
@@ -321,9 +331,9 @@ def _readout_projectors(basis):
     "setting",
     [
         # one photon's (path, polarization) readout: A is (qubit 2, qubit 1)
-        # and B (qubit 3, qubit 0) in register order
-        (bases[path], bases[pol])
-        for bases in WITNESS_SETTINGS.values()
+        # and B (qubit 3, qubit 0) in register order, each its letter's basis
+        (_PAULI_BASES[name[path]], _PAULI_BASES[name[pol]])
+        for name in WITNESS_SETTINGS
         for path, pol in ((2, 1), (3, 0))
     ],
 )
@@ -346,17 +356,26 @@ def test_apparatus_projectors_complete_and_idempotent(setting):
 def test_b_alpha_at_zero_equals_plus_minus():
     # the beam splitters of the ZZXX setting read both paths in B(0)
     for qubit in (2, 3):
-        projectors = _readout_projectors(WITNESS_SETTINGS["ZZXX"][qubit])
+        projectors = _readout_projectors(_PAULI_BASES["ZZXX"[qubit]])
         assert np.allclose(projectors, oracles.PM_PROJECTORS)
 
 
 def test_witness_settings_are_read_only():
+    # each setting's words and its one rotation, built once and read-only; a
+    # setting reads a word when each of its letters is I or the name's letter
+    # there, and WITNESS_OBSERVABLES lists the settings' words in order
     assert sorted(WITNESS_SETTINGS) == ["XXZZ", "ZZXX"]
-    for bases in WITNESS_SETTINGS.values():
-        assert len(bases) == 4
-        for basis in bases:
-            with pytest.raises(ValueError, match="read-only"):
-                basis[0, 0] = 0.0
+    assert WITNESS_OBSERVABLES == sum(WITNESS_SETTINGS.values(), ())
+    assert WITNESS_OBSERVABLES == tuple(REFERENCE_WITNESS_TERMS)
+    for name, words in WITNESS_SETTINGS.items():
+        assert len(words) == 3
+        for word in words:
+            assert all(ch in ("I", letter) for ch, letter in zip(word, name))
+        rotation = photonics._SETTING_ROTATIONS[name]
+        expected = oracles.kron(*(_PAULI_BASES[ch] for ch in name))
+        np.testing.assert_allclose(rotation, expected, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            rotation[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +466,7 @@ def test_fringe_matches_closed_form(rng):
 
 
 def test_fringe_pair_signs():
-    ideal = NoiseModel.ideal()
+    ideal = NoiseModel()
     assert _fringe(ideal, "D1-D2", 0.0) > _fringe(ideal, "D1-D2", math.pi)
     assert _fringe(ideal, "D1-D4", 0.0) < _fringe(ideal, "D1-D4", math.pi)
     with pytest.raises(ValueError):
@@ -465,25 +484,25 @@ def test_visibility_scan_closed_form(rng):
 
 
 def test_visibility_scan_ideal_is_unity():
-    (scan,) = visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=8)
+    (scan,) = visibility_scans(NoiseModel(), ("D1-D2",), samples=8)
     assert scan.visibility == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=3)
+        visibility_scans(NoiseModel(), ("D1-D2",), samples=3)
 
 
 def test_visibility_scan_rejects_odd_samples():
     # five samples would miss theta = pi and report 0.826 for an ideal source
     with pytest.raises(ValueError, match="even"):
-        visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=5)
+        visibility_scans(NoiseModel(), ("D1-D2",), samples=5)
 
 
 def test_visibility_scans_cap_the_sample_count():
     # the whole phase grid is allocated at once
-    (scan,) = visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=65536)
+    (scan,) = visibility_scans(NoiseModel(), ("D1-D2",), samples=65536)
     assert len(scan.probabilities) == 65536
     message = r"^samples must be an integer in \[4, 65536\], got 65538$"
     with pytest.raises(ValueError, match=message):
-        visibility_scans(NoiseModel.ideal(), ("D1-D2",), samples=65538)
+        visibility_scans(NoiseModel(), ("D1-D2",), samples=65538)
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +611,16 @@ def test_fringes_send_only_4x4_blocks_through_the_channel(monkeypatch, samples, 
 def test_visibility_scans_validate_every_pair():
     message = "detector_pairs[1] must be one of 'D1-D2', 'D1-D4', 'D3-D2', 'D3-D4', got 'D2-D1'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        visibility_scans(NoiseModel.ideal(), ("D1-D2", "D2-D1"))
+        visibility_scans(NoiseModel(), ("D1-D2", "D2-D1"))
 
 
 @pytest.mark.parametrize(
     "args, name",
     [
-        *(((NoiseModel.ideal(), ("D1-D2",), s), "samples") for s in (24.0, "24", True, None, 3)),
-        ((NoiseModel.ideal(), "D1-D2", 24), "detector_pairs"),
+        *(((NoiseModel(), ("D1-D2",), s), "samples") for s in (24.0, "24", True, None, 3)),
+        ((NoiseModel(), "D1-D2", 24), "detector_pairs"),
         *(((model, ("D1-D2",), 24), "model") for model in (None, "ideal", (0.0, 0.0, 0.0))),
-        *(((NoiseModel.ideal(), pairs, 24), "detector_pairs") for pairs in (None, 12, 1.5)),
+        *(((NoiseModel(), pairs, 24), "detector_pairs") for pairs in (None, 12, 1.5)),
     ],
 )
 def test_visibility_scans_name_a_bad_argument(args, name):

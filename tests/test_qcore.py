@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +383,24 @@ def test_every_word_and_fidelity_match_their_kronecker_oracles(n):
             assert abs(fidelity(state, target) - expected) <= 1e-13
 
 
+def test_expectation_keeps_no_rotation_between_calls():
+    # each call builds its word's 2**n x 2**n rotation and keeps none: 20
+    # distinct 8-qubit words, whose rotations hold 1 MiB each, leave less
+    # than 1 MiB behind (a cache of every word's rotation would hold 20)
+    state = random_state(np.random.default_rng(35), 8)
+    words = ["".join(w) for w in itertools.product("XY", repeat=8)][:20]
+    expectation(state, PauliString("Z" * 8))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for word in words:
+            expectation(state, PauliString(word))
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 2**20
+
+
 def test_each_pauli_basis_reads_its_letter_as_z():
     # row k of a letter's basis is the bra of eigenvalue (-1)**k: B P B^dagger = Z
     assert list(qcore._PAULI_BASES) == list(oracles.PAULI)
@@ -402,9 +421,8 @@ def test_each_pauli_basis_reads_its_letter_as_z():
 
 def _measure(state, qubit, alpha, bit):
     """One forced B(alpha) measurement: the branch (outcomes, probability,
-    residual) of a one-step pattern that reads out every other qubit."""
-    rest = tuple(q for q in range(state.num_qubits) if q != qubit)
-    return run_pattern(state, MeasurementPattern(((qubit, alpha),), readout=rest), (bit,))
+    residual) of a one-step pattern, which reads out every other qubit."""
+    return run_pattern(state, MeasurementPattern(((qubit, alpha),)), (bit,))
 
 
 def test_measure_plus_in_b0_is_deterministic():
