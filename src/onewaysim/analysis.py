@@ -44,7 +44,6 @@ from .photonics import (
     WITNESS_OBSERVABLES,
     WITNESS_SETTINGS,
     _OUTCOME_KEYS,
-    _b_alpha_basis,
     _check_setting,
     _joint_table,
     _noisy,
@@ -53,6 +52,7 @@ from .qcore import (
     _FORCED_MIN_WEIGHT,
     ImpossibleOutcomeError,
     State,
+    _b_alpha_basis,
     _check_finite,
     _check_integer,
     _check_member,

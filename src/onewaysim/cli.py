@@ -29,8 +29,9 @@ not read is rejected rather than ignored; all four read ``seed``,
 output document, and the ``experiment`` guard.
 
 Exit codes: 0 on success, 2 for configuration or usage problems (a
-config file larger than 8192 bytes or not valid UTF-8 among them), 1 for
-internal errors.
+config file larger than 8192 bytes or not valid UTF-8 among them) and
+for an output that cannot be written (an ``--out`` file, or stdout on a
+full disk or a closed pipe), 1 for internal errors.
 
 Configs are parsed with libyaml when PyYAML was built with it, and with
 PyYAML's pure-Python loader otherwise; both give the same mappings.  The
@@ -270,7 +271,8 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
 
     Without a prefix (``fmt`` is then json) the JSON document goes to
     stdout and the summary to stderr, so stdout holds nothing but the
-    document, in the same text as the JSON file.
+    document, in the same text as the JSON file.  An output that cannot
+    be written, stdout included, raises a ConfigError.
     """
     document, csv_name, header, line, rows, summary = result
     outputs = []
@@ -279,11 +281,7 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
     if fmt in ("csv", "both"):
         lines = [header] + [line % row for row in rows]
         outputs.append((f"_{csv_name}.csv", "\n".join(lines) + "\n"))
-    if prefix is None:
-        sys.stdout.write(outputs[0][1])
-        print(summary, file=sys.stderr)
-        return 0
-    for suffix, text in outputs:
+    for suffix, text in outputs if prefix is not None else ():
         path = prefix + suffix
         try:
             # open("w")'s flags and mode, without its buffer and codec layers
@@ -297,7 +295,14 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             reason = exc.strerror if isinstance(exc, OSError) else exc
             raise ConfigError(f"--out: cannot write {path!r}: {reason}") from exc
-    sys.stdout.write("".join([summary, "\n"] + [f"wrote {prefix}{s}\n" for s, _ in outputs]))
+    wrote = [summary, "\n"] + [f"wrote {prefix}{s}\n" for s, _ in outputs]
+    try:  # flushed here, so that a full disk or closed pipe is reported, not met at exit
+        sys.stdout.write(outputs[0][1] if prefix is None else "".join(wrote))
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write to stdout: {exc.strerror or exc}") from exc
+    if prefix is None:
+        print(summary, file=sys.stderr)
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .qcore import (
     _check_state,
     _check_type,
     _gate_array,
-    _product_basis,
 )
 
 
@@ -106,32 +105,26 @@ def c4_state() -> StateVector:
     return StateVector(_C4)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrameMap:
     """A local-unitary change of frame: relabel the qubits, then apply
-    one 2x2 matrix per qubit.
+    ``_HADAMARD``, the one gate either frame below needs, to some of them.
 
-    Frame qubit q holds source qubit ``sources[q]`` and is then acted on
-    by ``gates[q]``, an unchecked 2x2 array (``_HADAMARD`` in both frames
-    below), or None.  :meth:`apply` checks only the state it returns.
-    ``matrix`` is the whole map on kets, built once and read-only.
-    Compared by identity: a tuple of arrays has no truth value.
+    Frame qubit q holds source qubit ``sources[q]``; each frame qubit in
+    ``hadamards`` then gets H, in that order.  :meth:`apply` checks only
+    the state it returns.  ``matrix`` is the whole map on kets, built once
+    by the same rule (:meth:`_frame` of each basis ket) and read-only.
     """
 
     sources: Tuple[int, ...]
-    gates: Tuple[Optional[np.ndarray], ...]
-    matrix: np.ndarray = field(init=False, repr=False)
+    hadamards: Tuple[int, ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.sources) != list(range(len(self.sources))):
             raise ValueError("frame sources must be a permutation of the qubits")
-        if len(self.gates) != len(self.sources):
-            raise ValueError("frame map needs one gate slot per qubit")
-        # the relabelling moves source ket entry order[i] to frame entry i
-        n = len(self.sources)
-        order = np.arange(2**n).reshape((2,) * n).transpose(self.sources).reshape(-1)
-        local = _product_basis([np.eye(2) if g is None else g for g in self.gates])
-        m = local[:, np.argsort(order)]
+        kets = np.eye(2 ** len(self.sources), dtype=complex)
+        m = np.ascontiguousarray(np.transpose([self._frame(ket) for ket in kets]))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -145,12 +138,11 @@ class FrameMap:
         t = a.reshape((2,) * (n * a.ndim))  # one axis per qubit and side, relabelled at once
         axes = [s * n + q for s in range(a.ndim) for q in self.sources]
         frame = t.transpose(axes).reshape(a.shape)
-        for q, gate in enumerate(self.gates):
-            if gate is not None:
-                frame = _gate_array(frame, q, gate)
+        for q in self.hadamards:
+            frame = _gate_array(frame, q, _HADAMARD)
         return np.ascontiguousarray(frame)
 
 
 # |C4> frame -> graph frames
-HORSESHOE_FRAME = FrameMap((0, 1, 2, 3), (_HADAMARD, None, None, _HADAMARD))
-BOX_FRAME = FrameMap((0, 2, 1, 3), (_HADAMARD,) * 4)
+HORSESHOE_FRAME = FrameMap((0, 1, 2, 3), (0, 3))
+BOX_FRAME = FrameMap((0, 2, 1, 3), (0, 1, 2, 3))

@@ -29,11 +29,11 @@ import numpy as np
 
 from .cluster import _C4, BOX_FRAME, BOX_GRAPH, HORSESHOE_FRAME, HORSESHOE_GRAPH, build_cluster
 from .qcore import (
-    _HADAMARD,
     ImpossibleOutcomeError,
     State,
     StateVector,
     _PAULI_1Q,
+    _b_alpha_basis,
     _branches,
     _check_finite,
     _check_integer,
@@ -44,7 +44,6 @@ from .qcore import (
     _product_basis,
     _qubits,
     _rotated_diagonal,
-    _rz_matrix,
     _word_rotation,
     overlap,
 )
@@ -174,13 +173,12 @@ _CZ_PLUS = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
 
 def _gate_targets(kind: str, alpha: float, beta: float) -> np.ndarray:
     """Row 2 s2 + s3: branch (s2, s3)'s byproducts times the (0, 0) output
-    (H Rz(-alpha) x H Rz(-beta)) CZ|++>, i.e. A C B^T for A = H Rz(-alpha),
-    B = H Rz(-beta), unchecked.  An edge between two unmeasured vertices
-    stays on the output (Hein, Eisert & Briegel, PRA 69, 062311 (2004)): the
-    graph's edge (0, 3) is an output CZ, which negates the |11> entry."""
+    (A x B) CZ|++> = A C B^T, A and B the B(alpha) and B(beta) bras, unchecked:
+    the walk's residual, phase and all.  An edge between two unmeasured
+    vertices stays on the output (Hein, Eisert & Briegel, PRA 69, 062311
+    (2004)): the graph's edge (0, 3) is an output CZ, which negates |11>."""
     graph, _, byproducts = _GATES[kind]
-    a, b = (_HADAMARD @ _rz_matrix(-t) for t in (alpha, beta))
-    target = a @ _CZ_PLUS @ b.T
+    target = _b_alpha_basis(alpha) @ _CZ_PLUS @ _b_alpha_basis(beta).T
     if (0, 3) in graph.edges:
         target[1, 1] = -target[1, 1]
     return byproducts @ target.reshape(4)

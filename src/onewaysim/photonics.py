@@ -173,26 +173,26 @@ def _noisy(amps: np.ndarray, model: NoiseModel) -> np.ndarray:
     return _noise_channel(np.outer(amps, amps.conj()), model) if noisy else amps
 
 
-def _bits_differ(d: int, qubit: int) -> np.ndarray:
-    """Read-only d x d mask of the entries whose row and column differ in ``qubit``'s bit."""
-    bits = (np.arange(d) >> (3 - qubit)) & 1
+def _bits_differ(qubit: int) -> np.ndarray:
+    """Read-only 16x16 mask of the entries whose row and column differ in ``qubit``'s bit."""
+    bits = (np.arange(16) >> (3 - qubit)) & 1
     differ = np.not_equal.outer(bits, bits)
     differ.setflags(write=False)
     return differ
 
 
-# (d, photon) -> the entries its path dephasing shrinks, in the register matrix or its HH block
-_DEPHASING_MASKS = {(d, p): _bits_differ(d, q) for d in (16, 4) for p, q in _PATH_QUBITS.items()}
+# photon -> the entries of the register matrix that its path dephasing shrinks
+_DEPHASING_MASKS = {photon: _bits_differ(qubit) for photon, qubit in _PATH_QUBITS.items()}
 
 
 def _noise_channel(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
-    """The noise channel on a 16x16 register matrix, its leading 4x4
-    block, or a stack of either: it acts entry by entry, so a block comes
-    out as the same block of the full result, bit for bit."""
+    """The noise channel on a 16x16 register matrix, its leading d x d block
+    (the fringes' 4x4 HH block) or a stack of either, entry by entry with each
+    mask's leading block: a block comes out as that block of the full result, bit for bit."""
     d = rho.shape[-1]
     for photon, lam in (("A", model.path_dephasing_a), ("B", model.path_dephasing_b)):
         if lam:
-            rho = np.where(_DEPHASING_MASKS[d, photon], (1.0 - lam) * rho, rho)
+            rho = np.where(_DEPHASING_MASKS[photon][:d, :d], (1.0 - lam) * rho, rho)
     p = model.white_noise
     if p:
         rho = (1.0 - p) * rho + p * np.eye(d) / 16.0
@@ -239,11 +239,6 @@ def fit_noise(targets: Sequence[float]) -> Tuple[NoiseModel, float]:
 # ---------------------------------------------------------------------------
 # apparatus
 # ---------------------------------------------------------------------------
-
-
-def _b_alpha_basis(alpha: float) -> np.ndarray:
-    phase = np.exp(-1j * alpha)
-    return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
 
 
 # setting name -> its readout rotation, built once (read-only): the product of

@@ -48,11 +48,12 @@ Measurements use the equatorial basis family
 
     B(alpha) = { |alpha+>, |alpha-> },   |alpha+-> = (|0> +- e^{i alpha}|1>)/sqrt(2)
 
-with outcome 0 meaning a projection onto |alpha+>.  One split,
-``_branches``, gives both outcomes of such a measurement for every state
-of a stack (a whole level of a measurement walk).  A single forced
-measurement is a pattern of one step (see the mbqc module), whose walk
-splits a stack of one.  There is no random outcome source: sampled
+with outcome 0 meaning a projection onto |alpha+>.  Its bras are one
+table, ``_b_alpha_basis``, which the gate outputs and branch maps read.
+One split, ``_branches``, gives both outcomes of such a measurement for
+every state of a stack (a whole level of a measurement walk).  A single
+forced measurement is a pattern of one step (see the mbqc module), whose
+walk splits a stack of one.  There is no random outcome source: sampled
 counts are drawn from exact tables (see the analysis module).  A readout
 (above) is no measurement of this family.
 """
@@ -293,6 +294,12 @@ for _basis in _PAULI_BASES.values():
     _basis.setflags(write=False)
 
 
+def _b_alpha_basis(alpha: float) -> np.ndarray:
+    """B(alpha)'s bras (1, +-e^{-i alpha})/sqrt(2), row k for outcome k, unchecked."""
+    phase = np.exp(-1j * alpha)
+    return np.array([[1.0, phase], [1.0, -phase]]) / math.sqrt(2)
+
+
 def _word_signs(letters: str) -> np.ndarray:
     """A Pauli word's +-1.0 eigenvalue on each outcome, in basis-index order:
     the Kronecker product of (1, 1) for each I and (1, -1) for each other letter."""
@@ -313,11 +320,6 @@ class PauliString:
     def __post_init__(self):
         if not _check_type(self.letters, "letters", str) or self.letters.strip("IXYZ"):
             raise ValueError(f"letters must be a word over I, X, Y, Z, got {self.letters!r}")
-
-
-def _rz_matrix(alpha: float) -> np.ndarray:
-    """diag(e^{-i alpha/2}, e^{i alpha/2}), unchecked: alpha must be finite."""
-    return np.diag([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line front end."""
 
+import errno
+import io
 import json
 import math
 import os
@@ -211,6 +213,59 @@ def test_stdout_document_is_the_json_file(name, tmp_path, capsys):
     assert stdout == text
     # the text format, indented by two with sorted keys, without pinning numbers
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+# two noise models of one white noise p = 0.05 and one path coherence
+# q = (1 - lambda_A)(1 - lambda_B) = 0.72, the only combination the reports see
+_EQUAL_PQ_MODELS = (
+    {"path_dephasing_a": 0.1, "path_dephasing_b": 0.2, "white_noise": 0.05},
+    {"path_dephasing_a": 0.0, "path_dephasing_b": 0.28, "white_noise": 0.05},
+)
+
+
+def _agree(a, b) -> bool:
+    """Two JSON values agree: floats within 1e-15, everything else equal."""
+    if type(a) is float and type(b) is float:
+        return abs(a - b) <= 1e-15
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_agree(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_agree, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("witness", {"source": {"theta": 0.7}}),
+        ("grover", {"grover": {"marked": "00", "feedforward": True}}),
+        pytest.param(
+            "grover",
+            {"grover": {"marked": "10", "feedforward": False}},
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="a uniform table re-draws its counts when an entry moves by one "
+                "ulp (numpy's binomial split; ROADMAP item 2)",
+            ),
+        ),
+        ("gate", {"gate": {"kind": "horseshoe", "alpha": 0.3, "beta": 1.1}}),
+        ("gate", {"gate": {"kind": "box", "alpha": 0.3, "beta": 1.1}}),
+        ("visibility", {}),
+    ],
+    ids=["witness", "grover", "grover-uniform", "gate-horseshoe", "gate-box", "visibility"],
+)
+def test_documents_see_the_noise_through_p_and_q_only(tmp_path, capsys, command, section):
+    # phase damping flips the same relative sign on either path, so two
+    # models of equal (p, q) give one document in every field but noise
+    documents = []
+    for model in _EQUAL_PQ_MODELS:
+        config = _write(tmp_path, "pq.yaml", yaml.safe_dump({"noise": model, **section}))
+        assert main([command, "--config", config]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document.pop("noise")["path_dephasing_a"] == model["path_dephasing_a"]
+        documents.append(document)
+    assert _agree(*documents)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +818,41 @@ def test_out_prefix_with_a_nul_byte_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: --out: cannot write {prefix + '.json'!r}: embedded null byte\n"
     assert list(tmp_path.iterdir()) == []
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``failing`` method ("write" or "flush") raises the
+    OSError that a full disk (ENOSPC) or a closed pipe (EPIPE) gives."""
+
+    def __init__(self, failing, code):
+        super().__init__()
+        self.failing, self.code = failing, code
+
+    def write(self, text):
+        self._fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self._fail("flush")
+
+    def _fail(self, method):
+        if method == self.failing:
+            raise OSError(self.code, os.strerror(self.code))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EPIPE], ids=["ENOSPC", "EPIPE"])
+@pytest.mark.parametrize("out", [False, True], ids=["document", "summary"])
+def test_an_unwritable_stdout_exit_code(tmp_path, capsys, monkeypatch, failing, code, out):
+    # the document (no --out) or the summary (--out) cannot reach stdout:
+    # one error line and exit 2, like an unwritable --out file, and no
+    # summary on stderr
+    argv = ["gate"] + (["--out", str(tmp_path / "g")] if out else [])
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing, code))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write to stdout: {os.strerror(code)}\n"
+    written = ["g.json", "g_fidelities.csv"] if out else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 def test_negative_seed_exit_code(tmp_path, capsys):

@@ -188,7 +188,7 @@ def test_frame_maps_preserve_basis_labels():
 
 def test_frame_map_relabels_before_its_gates():
     # source qubit 2 lands on frame qubit 0 and is then flipped by H
-    frame = FrameMap((2, 0, 1), (oracles.HADAMARD, None, None))
+    frame = FrameMap((2, 0, 1), (0,))
     out = frame.apply(ket("001"))
     expected = (ket("000").amplitudes - ket("100").amplitudes) / np.sqrt(2)
     assert np.allclose(out.amplitudes, expected)
@@ -214,16 +214,15 @@ def _apply_one_by_one(frame, state):
         if j != q:
             state = _swapped(state, q, j)
             held[q], held[j] = held[j], held[q]
-    for q, gate in enumerate(frame.gates):
-        if gate is not None:
-            state = one_qubit_gate(state, q, gate)
+    for q in frame.hadamards:
+        state = one_qubit_gate(state, q, oracles.HADAMARD)
     return state
 
 
 def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
     states = [c4_state(), random_state(rng, 4), random_density(rng, 4)]
-    gates = (None, oracles.HADAMARD, oracles.rz(0.3), None)
-    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), gates))
+    # the last frame's Hadamards run in the order given, not in qubit order
+    frames = (BOX_FRAME, HORSESHOE_FRAME, FrameMap((2, 3, 1, 0), (2, 1)))
     for frame in frames:
         for state in states:
             mapped, oracle = frame.apply(state), _apply_one_by_one(frame, state)
@@ -231,6 +230,17 @@ def test_frame_maps_equal_the_public_operations_bit_for_bit(rng):
             assert np.array_equal(_array(mapped), _array(oracle))
             m, rho = frame.matrix, _density_array(state)
             assert np.allclose(m @ rho @ m.conj().T, _density_array(mapped), atol=1e-12)
+        # the matrix is the same rule on each basis ket, column by column,
+        # C-ordered and read-only, and the Kronecker product of its H and I
+        # factors after the relabelling
+        m, relabel = frame.matrix, np.zeros((16, 16))
+        assert m.flags.c_contiguous and not m.flags.writeable
+        for j, bits in enumerate(itertools.product("01", repeat=4)):
+            column = _apply_one_by_one(frame, ket("".join(bits))).amplitudes
+            assert np.array_equal(m[:, j], column)
+            relabel[int("".join(bits[s] for s in frame.sources), 2), j] = 1.0
+        factors = [oracles.HADAMARD if q in frame.hadamards else np.eye(2) for q in range(4)]
+        assert np.array_equal(m, oracles.kron(*factors) @ relabel)
     short, long = ket("010"), random_state(rng, 5)
     for state in (short, as_density(short), long, random_density(rng, 5)):
         message = f"state must be a state of 4 qubits, got {state!r}"
@@ -264,7 +274,10 @@ def test_frame_map_checks_the_state_it_returns(kind, monkeypatch, rng):
 
 
 def test_frame_map_rejects_bad_layouts():
-    with pytest.raises(ValueError, match="permutation"):
-        FrameMap((0, 0, 1), (None, None, None))
-    with pytest.raises(ValueError, match="gate slot"):
-        FrameMap((0, 1), (None,))
+    for sources in ((0, 0, 1), (1, 2, 3), (0, 1, 3)):
+        with pytest.raises(ValueError, match="^frame sources must be a permutation of the qubits$"):
+            FrameMap(sources, ())
+    # a frame map is its sources and Hadamards, compared and hashed by value
+    assert FrameMap((0, 2, 1, 3), (0, 1, 2, 3)) == BOX_FRAME
+    assert hash(FrameMap((0, 1, 2, 3), (0, 3))) == hash(HORSESHOE_FRAME)
+    assert BOX_FRAME != HORSESHOE_FRAME != FrameMap((0, 1, 2, 3), (3, 0))

@@ -104,7 +104,7 @@ def test_flow_patterns_are_deterministic():
             assert oracles.infidelity(r, reference) <= 1e-12
 
         # the same branches from the maps K_s: R_s = C_s K_s rho K_s^dagger C_s^dagger
-        identity = FrameMap(tuple(range(state.num_qubits)), (None,) * state.num_qubits)
+        identity = FrameMap(tuple(range(state.num_qubits)), ())
         maps = _branch_maps(identity, pattern.steps)
         rho = _density_array(state)
         for branch, k_s in zip(itertools.product((0, 1), repeat=k), maps):

@@ -298,10 +298,11 @@ def test_a_layout_is_picked_by_its_name_alone():
     assert np.array_equal(numpy_name.amplitudes, gate_output("box", 0.3, 1.1).amplitudes)
 
 
-def _with_written_rz(kind, alpha, beta, s2, s3):
-    """A gate output built from the written-out R_z: byproducts times
-    A C B^T, with A = H Rz(-alpha) and B = H Rz(-beta)."""
-    a, b = (oracles.HADAMARD @ oracles.rz(-t) for t in (alpha, beta))
+def _with_written_bras(kind, alpha, beta, s2, s3):
+    """A gate output built from written-out B(alpha) bras: byproducts times
+    A C B^T, with A and B the bras (1, +-e^{-i t})/sqrt(2) of B(alpha), B(beta)."""
+    phases = np.exp(-1j * np.array([alpha, beta]))
+    a, b = (np.array([[1.0, p], [1.0, -p]]) / math.sqrt(2) for p in phases)
     target = a @ mbqc._CZ_PLUS @ b.T
     if kind == "box":
         target[1, 1] = -target[1, 1]
@@ -312,12 +313,24 @@ def _with_written_rz(kind, alpha, beta, s2, s3):
 def test_gate_outputs_skip_the_gate_check_and_keep_every_bit(kind, rng):
     angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=(40, 2)).tolist()
     angles += [[0.0, 0.0], [math.pi, -math.pi], [1e-300, 1e12]]
-    for t in np.ravel(angles):
-        assert np.array_equal(qcore._rz_matrix(t), oracles.rz(t))
     for alpha, beta in angles:
         for s2, s3 in BRANCHES:
-            want = _with_written_rz(kind, alpha, beta, s2, s3)
+            want = _with_written_bras(kind, alpha, beta, s2, s3)
             assert np.array_equal(gate_output(kind, alpha, beta, s2, s3).amplitudes, want)
+
+
+@pytest.mark.parametrize("kind", LAYOUTS)
+def test_gate_outputs_equal_the_forced_runs_entry_for_entry(kind):
+    # the closed form reads the walk's own B(alpha) bras, so each output is
+    # the forced run's residual on the layout's cluster, global phase and all
+    angles = [(a, b) for a in GRID for b in GRID]
+    angles += np.random.default_rng(36).uniform(-2 * math.pi, 2 * math.pi, size=(8, 2)).tolist()
+    cluster = build_cluster(LAYOUTS[kind][0])
+    for alpha, beta in angles:
+        for s2, s3 in BRANCHES:
+            run = run_pattern(cluster, gate_pattern(alpha, beta), (s2, s3))[2].amplitudes
+            closed = gate_output(kind, alpha, beta, s2, s3).amplitudes
+            assert np.abs(closed - run).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -592,13 +592,19 @@ def test_noise_channel_on_the_leading_block_keeps_every_bit(rng):
 
 
 def test_dephasing_masks_are_read_only_and_nested():
-    for photon in ("A", "B"):
-        full, block = photonics._DEPHASING_MASKS[16, photon], photonics._DEPHASING_MASKS[4, photon]
-        assert not (full.flags.writeable or block.flags.writeable)
-        assert np.array_equal(block, full[:4, :4])
+    # one register mask per photon; the HH block's mask is its leading 4x4 block
+    assert sorted(photonics._DEPHASING_MASKS) == ["A", "B"]
+    for photon, qubit in (("A", 2), ("B", 3)):
+        mask = photonics._DEPHASING_MASKS[photon]
+        assert mask.shape == (16, 16) and not mask.flags.writeable
+        assert np.array_equal(photonics._bits_differ(qubit), mask)
         # the entries the oracle channel zeroes at full dephasing of the photon
         weights = (1.0, 0.0, 0.0) if photon == "A" else (0.0, 1.0, 0.0)
-        assert np.array_equal(full, oracles.noise_channel(np.ones((16, 16)), *weights) == 0)
+        assert np.array_equal(mask, oracles.noise_channel(np.ones((16, 16)), *weights) == 0)
+        # the channel on a 4x4 block shrinks the entries of the mask's block
+        rho = np.ones((4, 4), dtype=complex)
+        model = NoiseModel(*weights[:2], 0.0)
+        assert np.array_equal(photonics._noise_channel(rho, model) == 0, mask[:4, :4])
 
 
 @pytest.mark.parametrize("samples, blocks", [(24, [24]), (2050, [1024, 1024, 2])])

@@ -284,9 +284,17 @@ def test_gate_constructors():
     h = qcore._HADAMARD
     assert np.array_equal(h, oracles.HADAMARD) and not h.flags.writeable
     assert np.allclose(h @ h, np.eye(2))
-    assert np.allclose(qcore._rz_matrix(0.0), np.eye(2))
-    # Rz(pi) = -iZ
-    assert np.allclose(qcore._rz_matrix(math.pi), -1j * oracles.PAULI["Z"])
+    # the one B(alpha) table: row k is the bra of |alpha+> (k = 0) or |alpha->,
+    # (|0> +- e^{i alpha}|1>)/sqrt(2); B(0) is H, and H Rz(-alpha) is B(alpha)
+    # up to the global phase e^{i alpha/2}
+    assert np.array_equal(qcore._b_alpha_basis(0.0), h)
+    for alpha in (0.3, -1.2, math.pi / 2, math.pi, 1e-300, 7.5):
+        kets = np.array([[1.0, sign * np.exp(1j * alpha)] for sign in (1, -1)]) / math.sqrt(2)
+        bras = qcore._b_alpha_basis(alpha)
+        np.testing.assert_allclose(bras, kets.conj(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(bras @ kets.T, np.eye(2), rtol=0, atol=1e-15)
+        phased = np.exp(0.5j * alpha) * bras
+        np.testing.assert_allclose(h @ oracles.rz(-alpha), phased, rtol=0, atol=1e-15)
 
 
 def test_gate_kernel_single_qubit_placement():
