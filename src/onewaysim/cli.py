@@ -281,25 +281,29 @@ def _emit(prefix: Optional[str], fmt: str, result: _Result) -> int:
     if fmt in ("csv", "both"):
         lines = [header] + [line % row for row in rows]
         outputs.append((f"_{csv_name}.csv", "\n".join(lines) + "\n"))
-    for suffix, text in outputs if prefix is not None else ():
-        path = prefix + suffix
-        try:
-            # open("w")'s flags and mode, without its buffer and codec layers
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    text = outputs[0][1]
+    if prefix is not None:
+        for suffix, data in outputs:
+            path = prefix + suffix
             try:
-                view = memoryview(text.encode())
-                while view:  # os.write may write part of it
-                    view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            reason = exc.strerror if isinstance(exc, OSError) else exc
-            raise ConfigError(f"--out: cannot write {path!r}: {reason}") from exc
-    wrote = [summary, "\n"] + [f"wrote {prefix}{s}\n" for s, _ in outputs]
+                # open("w")'s flags and mode, without its buffer and codec layers
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                try:
+                    view = memoryview(data.encode())
+                    while view:  # os.write may write part of it
+                        view = view[os.write(fd, view):]
+                finally:
+                    os.close(fd)
+            except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+                reason = exc.strerror if isinstance(exc, OSError) else exc
+                raise ConfigError(f"--out: cannot write {path!r}: {reason}") from exc
+        text = summary + "\n" + "".join(f"wrote {prefix}{s}\n" for s, _ in outputs)
     try:  # flushed here, so that a full disk or closed pipe is reported, not met at exit
-        sys.stdout.write(outputs[0][1] if prefix is None else "".join(wrote))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
+        if sys.stdout is sys.__stdout__:  # drop what the failed flush kept, or exit fails on it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ConfigError(f"cannot write to stdout: {exc.strerror or exc}") from exc
     if prefix is None:
         print(summary, file=sys.stderr)

@@ -57,13 +57,7 @@ class ClusterGraph:
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == vertex:
-                out.append(b)
-            elif b == vertex:
-                out.append(a)
-        return tuple(sorted(out))
+        return tuple(sorted(b if a == vertex else a for a, b in self.edges if vertex in (a, b)))
 
 
 # the two layouts demonstrated on the chip, 0-based
@@ -123,6 +117,8 @@ class FrameMap:
     def __post_init__(self):
         if sorted(self.sources) != list(range(len(self.sources))):
             raise ValueError("frame sources must be a permutation of the qubits")
+        for i, q in enumerate(self.hadamards):
+            _check_integer(q, f"hadamards[{i}]", 0, len(self.sources) - 1)
         kets = np.eye(2 ** len(self.sources), dtype=complex)
         m = np.ascontiguousarray(np.transpose([self._frame(ket) for ket in kets]))
         m.setflags(write=False)

@@ -855,6 +855,51 @@ def test_an_unwritable_stdout_exit_code(tmp_path, capsys, monkeypatch, failing, 
     assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed: a write gets EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+@pytest.mark.parametrize("out", [False, True], ids=["document", "summary"])
+def test_an_unwritable_stdout_exit_code_in_a_fresh_interpreter(tmp_path, stdout, out):
+    # with stdout buffered (no PYTHONUNBUFFERED), the bytes a failed flush
+    # keeps must not fail again at exit: still exit 2 and one error line
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    fd = os.open("/dev/full", os.O_WRONLY) if stdout == "full" else _closed_pipe()
+    argv = ["witness", "--config", str(test_golden.ROOT / "configs" / "witness_ideal.yaml")]
+    argv += ["--out", str(tmp_path / "w")] if out else []
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "onewaysim", *argv],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(fd)
+    reason = os.strerror(errno.ENOSPC if stdout == "full" else errno.EPIPE)
+    assert (run.returncode, run.stderr) == (2, f"error: cannot write to stdout: {reason}\n")
+
+
+def test_an_unwritable_process_stdout_drops_what_it_kept(capsys, monkeypatch):
+    # the interpreter's own stdout keeps the bytes its failed flush could not
+    # write; main drops them, so that its flush at exit has nothing to fail on
+    stream = open(_closed_pipe(), "w")
+    monkeypatch.setattr(sys, "stdout", stream)
+    monkeypatch.setattr(sys, "__stdout__", stream)
+    assert main(["witness"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
+    stream.close()  # flushes as the exit does
+
+
 def test_negative_seed_exit_code(tmp_path, capsys):
     config = _write(tmp_path, "config.yaml", "seed: -1\n")
     assert main(["witness", "--config", config]) == 2

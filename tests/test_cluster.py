@@ -277,6 +277,11 @@ def test_frame_map_rejects_bad_layouts():
     for sources in ((0, 0, 1), (1, 2, 3), (0, 1, 3)):
         with pytest.raises(ValueError, match="^frame sources must be a permutation of the qubits$"):
             FrameMap(sources, ())
+    for hadamards, shown in (((4,), "4"), ((0, -1), "-1"), ((True,), "True")):
+        at = len(hadamards) - 1
+        message = rf"^hadamards\[{at}\] must be an integer in \[0, 3\], got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            FrameMap((0, 1, 2, 3), hadamards)
     # a frame map is its sources and Hadamards, compared and hashed by value
     assert FrameMap((0, 2, 1, 3), (0, 1, 2, 3)) == BOX_FRAME
     assert hash(FrameMap((0, 1, 2, 3), (0, 3))) == hash(HORSESHOE_FRAME)
